@@ -346,9 +346,10 @@ int main(int argc, char** argv)
     // transition — together they say HOW a scenario erodes the network, not
     // just how much service it costs.
     std::cout << "\nstructural robustness under failure (day means; chi = "
-                 "finite-cluster susceptibility):\n";
+                 "finite-cluster susceptibility; lambda2_approx = steps whose "
+                 "solve hit the iteration cap):\n";
     table_printer pt({"scenario", "lambda2_mean", "lambda2_min", "giant_frac",
-                      "chi_max", "clustering"});
+                      "chi_max", "clustering", "lambda2_approx"});
     for (int r = 0; r < n_rows; ++r) {
         pt.row({campaign.rows[static_cast<std::size_t>(r)].name,
                 format_number(campaign.value(r, "percolation.lambda2_mean"), 4),
@@ -357,7 +358,9 @@ int main(int argc, char** argv)
                     campaign.value(r, "percolation.giant_fraction_mean"), 4),
                 format_number(
                     campaign.value(r, "percolation.susceptibility_max"), 4),
-                format_number(campaign.value(r, "percolation.clustering_mean"), 4)});
+                format_number(campaign.value(r, "percolation.clustering_mean"), 4),
+                format_number(
+                    campaign.value(r, "percolation.lambda2_unconverged_steps"))});
     }
     pt.print(std::cout);
 

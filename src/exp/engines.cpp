@@ -219,7 +219,7 @@ const std::vector<std::string>& percolation_engine::columns() const noexcept
         "giant_fraction_mean",   "giant_fraction_min",
         "susceptibility_mean",   "susceptibility_max",
         "clustering_mean",       "masking_threshold_random_loss",
-        "masking_threshold_plane_attack"};
+        "masking_threshold_plane_attack", "lambda2_unconverged_steps"};
     return cols;
 }
 
@@ -241,14 +241,16 @@ engine_output percolation_engine::evaluate(
     return make_output({result.lambda2_mean, result.lambda2_min,
                         result.giant_fraction_mean, result.giant_fraction_min,
                         result.susceptibility_mean, result.susceptibility_max,
-                        result.clustering_mean, threshold_random, threshold_plane},
+                        result.clustering_mean, threshold_random, threshold_plane,
+                        static_cast<double>(result.lambda2_unconverged_steps)},
                        std::move(result));
 }
 
 const std::vector<std::string>& percolation_engine::step_columns() const noexcept
 {
-    static const std::vector<std::string> cols{
-        "lambda2", "giant_component_fraction", "susceptibility", "clustering"};
+    static const std::vector<std::string> cols{"lambda2", "giant_component_fraction",
+                                               "susceptibility", "clustering",
+                                               "lambda2_unconverged"};
     return cols;
 }
 
@@ -256,8 +258,10 @@ std::vector<std::vector<double>> percolation_engine::step_traces(
     const engine_output& output) const
 {
     const auto& result = detail(output);
+    std::vector<double> unconverged(result.step_lambda2_unconverged.begin(),
+                                    result.step_lambda2_unconverged.end());
     return {result.step_lambda2, result.step_giant_fraction,
-            result.step_susceptibility, result.step_clustering};
+            result.step_susceptibility, result.step_clustering, std::move(unconverged)};
 }
 
 const spectral::percolation_sweep_result& percolation_engine::detail(

@@ -173,7 +173,10 @@ void validate(const percolation_engine_options& options);
 /// clustering trajectories of the timeline (adapts
 /// `spectral::run_percolation_sweep_timeline`) plus the escalating-attack
 /// masking thresholds of the static ISL wiring, for random loss and plane
-/// attack. The thresholds are timeline-independent, so they are computed
+/// attack. `lambda2_unconverged_steps` (and the per-step
+/// `lambda2_unconverged` trace) flags every step whose λ₂ solve stopped at
+/// the iteration cap, so an approximate λ₂ is never silent. The
+/// thresholds are timeline-independent, so they are computed
 /// once per topology and cached — every cell of a campaign reads the same
 /// deterministic value no matter which cell evaluated first.
 class percolation_engine final : public metric_engine {

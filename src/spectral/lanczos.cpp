@@ -1,7 +1,10 @@
 #include "spectral/lanczos.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,10 +20,26 @@ namespace {
 // cascade/storm generators hold 1 and 2, percolation holds 4.
 constexpr std::uint64_t purpose_lanczos_start = 3;
 
+/// A Gram–Schmidt pass that leaves less than this share of the vector's
+/// norm has cancelled enough to lose orthogonality, so it is repeated
+/// (Daniel–Gragg–Kaufman–Stewart; 1/√2 is the classical threshold).
+constexpr double dgks_ratio = 0.70710678118654752;
+
+/// Inner product in a fixed order: lane l sums the entries i ≡ l (mod 8)
+/// and the lanes combine in a fixed tree. The order depends only on the
+/// length, so the result is bit-reproducible, and the eight independent
+/// lanes keep the multiply-adds pipelined.
 double dot(std::span<const double> a, std::span<const double> b)
 {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+    constexpr std::size_t lanes = 8;
+    std::array<double, lanes> lane{};
+    const std::size_t n = a.size();
+    std::size_t i = 0;
+    for (; i + lanes <= n; i += lanes)
+        for (std::size_t l = 0; l < lanes; ++l) lane[l] += a[i + l] * b[i + l];
+    double sum = ((lane[0] + lane[4]) + (lane[1] + lane[5])) +
+                 ((lane[2] + lane[6]) + (lane[3] + lane[7]));
+    for (; i < n; ++i) sum += a[i] * b[i];
     return sum;
 }
 
@@ -33,6 +52,45 @@ void deflate_constant(std::span<double> v)
     for (const double x : v) mean += x;
     mean /= static_cast<double>(v.size());
     for (double& x : v) x -= mean;
+}
+
+/// One classical Gram–Schmidt pass: w -= Σ_b <q_b, w> q_b over the
+/// constant mode and every basis vector. All overlaps are taken against
+/// the same w, so the update can stream four basis vectors per sweep.
+void project_out(const std::vector<std::vector<double>>& basis, std::span<double> w,
+                 std::vector<double>& overlaps)
+{
+    deflate_constant(w);
+    overlaps.resize(basis.size());
+    for (std::size_t b = 0; b < basis.size(); ++b) overlaps[b] = dot(basis[b], w);
+    std::size_t b = 0;
+    for (; b + 4 <= basis.size(); b += 4) {
+        const double* q0 = basis[b].data();
+        const double* q1 = basis[b + 1].data();
+        const double* q2 = basis[b + 2].data();
+        const double* q3 = basis[b + 3].data();
+        const double h0 = overlaps[b], h1 = overlaps[b + 1];
+        const double h2 = overlaps[b + 2], h3 = overlaps[b + 3];
+        for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] -= (h0 * q0[i] + h1 * q1[i]) + (h2 * q2[i] + h3 * q3[i]);
+    }
+    for (; b < basis.size(); ++b)
+        for (std::size_t i = 0; i < w.size(); ++i) w[i] -= overlaps[b] * basis[b][i];
+}
+
+/// ‖L‖∞: the largest absolute row sum, twice the maximum degree of a
+/// graph Laplacian. Scales the residual test.
+double infinity_norm(const csr_matrix& matrix)
+{
+    double largest = 0.0;
+    for (int r = 0; r < matrix.n; ++r) {
+        double row = 0.0;
+        for (int k = matrix.row_ptr[static_cast<std::size_t>(r)];
+             k < matrix.row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
+            row += std::abs(matrix.values[static_cast<std::size_t>(k)]);
+        largest = std::max(largest, row);
+    }
+    return largest;
 }
 
 /// Eigenvalues of T strictly below x, by Sturm sequence (counts the sign
@@ -49,6 +107,50 @@ int sturm_count_below(std::span<const double> alpha, std::span<const double> bet
         if (d < 0.0) ++count;
     }
     return count;
+}
+
+/// Overwrite `x` with (T − θI)⁻¹ x: tridiagonal Gaussian elimination with
+/// partial pivoting (LAPACK dgttrf/dgttrs). θ is an eigenvalue, so the
+/// last pivot is nearly zero and the solve blows up along the eigenvector
+/// — that is inverse iteration; an exactly zero pivot becomes `tiny`.
+void shifted_solve(std::span<const double> alpha, std::span<const double> beta,
+                   double theta, double tiny, std::vector<double>& x)
+{
+    const std::size_t m = alpha.size();
+    std::vector<double> d(m), upper(m, 0.0), upper2(m, 0.0);
+    for (std::size_t i = 0; i < m; ++i) d[i] = alpha[i] - theta;
+    for (std::size_t i = 0; i + 1 < m; ++i) upper[i] = beta[i];
+    // Forward elimination, applied to x as it goes.
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+        const double below = beta[i];
+        if (std::abs(d[i]) >= std::abs(below)) {
+            if (d[i] == 0.0) d[i] = tiny;
+            const double factor = below / d[i];
+            d[i + 1] -= factor * upper[i];
+            x[i + 1] -= factor * x[i];
+        } else {
+            // Swap rows i and i+1, then eliminate.
+            const double factor = d[i] / below;
+            d[i] = below;
+            const double next_diag = d[i + 1];
+            d[i + 1] = upper[i] - factor * next_diag;
+            upper[i] = next_diag;
+            if (i + 2 < m) {
+                upper2[i] = upper[i + 1];
+                upper[i + 1] = -factor * upper[i + 1];
+            }
+            std::swap(x[i], x[i + 1]);
+            x[i + 1] -= factor * x[i];
+        }
+    }
+    // Back substitution through the upper band (diagonal, +1, +2).
+    for (std::size_t k = m; k-- > 0;) {
+        if (d[k] == 0.0) d[k] = tiny;
+        double v = x[k];
+        if (k + 1 < m) v -= upper[k] * x[k + 1];
+        if (k + 2 < m) v -= upper2[k] * x[k + 2];
+        x[k] = v / d[k];
+    }
 }
 
 } // namespace
@@ -88,6 +190,37 @@ double tridiagonal_smallest_eigenvalue(std::span<const double> alpha,
     return 0.5 * (lo + hi);
 }
 
+double tridiagonal_eigenvector_last_component(std::span<const double> alpha,
+                                              std::span<const double> beta,
+                                              double theta)
+{
+    expects(!alpha.empty(), "tridiagonal matrix must be non-empty");
+    expects(beta.size() + 1 == alpha.size(),
+            "tridiagonal off-diagonal must have n - 1 entries");
+    const std::size_t m = alpha.size();
+    if (m == 1) return 1.0;
+    // A zero pivot becomes a rounding-sized one, ε‖T‖∞, which keeps the
+    // blown-up solution far from overflow.
+    double scale = 0.0;
+    for (std::size_t i = 0; i < m; ++i)
+        scale = std::max(scale, std::abs(alpha[i]) +
+                                    (i == 0 ? 0.0 : std::abs(beta[i - 1])) +
+                                    (i + 1 == m ? 0.0 : std::abs(beta[i])));
+    const double tiny =
+        std::numeric_limits<double>::epsilon() * (scale > 0.0 ? scale : 1.0);
+    // Two inverse-iteration steps from the all-ones vector: θ is accurate
+    // to rounding, so the first solve already aligns x with the
+    // eigenvector and the second cleans up a start that was nearly
+    // orthogonal to it.
+    std::vector<double> x(m, 1.0);
+    for (int step = 0; step < 2; ++step) {
+        shifted_solve(alpha, beta, theta, tiny, x);
+        const double x_norm = norm(x);
+        for (double& v : x) v /= x_norm;
+    }
+    return std::abs(x.back());
+}
+
 lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
                                       const lanczos_options& options)
 {
@@ -106,6 +239,7 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
     // The deflated space has dimension n - 1; more steps cannot help.
     const int max_steps =
         std::min(options.max_iterations, n - 1);
+    const double residual_limit = options.tolerance * infinity_norm(laplacian);
 
     // Seeded start vector, constant mode removed, normalized. A uniform
     // draw is orthogonal-to-constant only after deflation; its residual
@@ -126,51 +260,42 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
 
     std::vector<std::vector<double>> basis; // v_0 .. v_j, kept for reorth
     basis.push_back(v);
-    std::vector<double> alpha, beta;
+    std::vector<double> alpha, beta, overlaps;
     std::vector<double> w(static_cast<std::size_t>(n));
-    double ritz_prev = 0.0;
+    double ritz = 0.0;
 
     for (int j = 0; j < max_steps; ++j) {
         laplacian.multiply(basis.back(), w);
         const double a = dot(basis.back(), w);
         alpha.push_back(a);
 
-        // Three-term recurrence, then full reorthogonalization (two
-        // passes): keep w orthogonal to the constant mode and to every
-        // Lanczos vector so far.
+        // Three-term recurrence, then full reorthogonalization: keep w
+        // orthogonal to the constant mode and to every Lanczos vector so
+        // far.
         for (std::size_t i = 0; i < w.size(); ++i)
             w[i] -= a * basis.back()[i];
         if (j > 0)
             for (std::size_t i = 0; i < w.size(); ++i)
                 w[i] -= beta.back() * basis[basis.size() - 2][i];
-        for (int pass = 0; pass < 2; ++pass) {
-            deflate_constant(w);
-            for (const auto& q : basis) {
-                const double overlap = dot(q, w);
-                for (std::size_t i = 0; i < w.size(); ++i)
-                    w[i] -= overlap * q[i];
-            }
+        const double unprojected = norm(w);
+        project_out(basis, w, overlaps);
+        double b = norm(w);
+        if (b < dgks_ratio * unprojected) {
+            project_out(basis, w, overlaps);
+            b = norm(w);
         }
 
         result.iterations = j + 1;
-        const double ritz = tridiagonal_smallest_eigenvalue(alpha, beta);
-
-        const double b = norm(w);
-        if (b < 1.0e-12) {
-            // Krylov space exhausted: the tridiagonal spectrum is the exact
-            // spectrum of the deflated operator's reachable subspace.
+        ritz = tridiagonal_smallest_eigenvalue(alpha, beta);
+        // ‖Lx − θx‖ = β_{j+1} |s_j| for the Ritz vector x = V s.
+        result.residual = b * tridiagonal_eigenvector_last_component(alpha, beta, ritz);
+        if (b < 1.0e-12 || result.residual <= residual_limit) {
+            // Residual test passed, or the Krylov space is exhausted and the
+            // tridiagonal spectrum is the exact spectrum of the deflated
+            // operator's reachable subspace.
             result.converged = true;
-            ritz_prev = ritz;
             break;
         }
-        if (j > 0 &&
-            std::abs(ritz - ritz_prev) <=
-                options.tolerance * std::max(1.0, std::abs(ritz))) {
-            result.converged = true;
-            ritz_prev = ritz;
-            break;
-        }
-        ritz_prev = ritz;
 
         beta.push_back(b);
         for (double& x : w) x /= b;
@@ -178,9 +303,10 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
     }
 
     OBS_COUNT_N("spectral.lanczos.iterations", result.iterations);
+    if (!result.converged) OBS_COUNT("spectral.lanczos.unconverged");
     // Laplacians are PSD; clamp the tiny negative rounding noise a
     // disconnected graph's zero eigenvalue can bisect to.
-    result.lambda2 = std::max(ritz_prev, 0.0);
+    result.lambda2 = std::max(ritz, 0.0);
     return result;
 }
 

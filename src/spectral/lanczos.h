@@ -11,20 +11,32 @@
 //   * the constant vector deflated (start vector and every iterate are
 //     projected off 1/√n, so the trivial λ₁ = 0 mode never enters the
 //     Krylov space),
-//   * full reorthogonalization (every new direction is re-projected
-//     against all previous Lanczos vectors, twice) — the textbook cure for
-//     the ghost-eigenvalue drift of finite-precision Lanczos, affordable
+//   * full reorthogonalization — every new direction is projected against
+//     all previous Lanczos vectors by one classical Gram–Schmidt pass, and
+//     by a second pass only when the first cancelled most of it (the
+//     Daniel–Gragg–Kaufman–Stewart test) — the textbook cure for the
+//     ghost-eigenvalue drift of finite-precision Lanczos, affordable
 //     because robustness graphs have one row per satellite,
+//   * a residual stopping rule: the solve is converged when the Ritz pair
+//     (θ, x) of the smallest Ritz value satisfies
+//     ‖Lx − θx‖ ≤ tolerance · ‖L‖∞, read off the tridiagonal projection
+//     at O(k) cost per step,
 //   * a seeded start vector drawn through `rng::split`, so results are
 //     bit-reproducible and adding unrelated draws to a caller's seed never
 //     perturbs the solve,
-//   * serial inner products and mat-vecs: λ₂ is bit-identical for any
-//     SSPLANE_THREADS value by construction.
+//   * serial inner products (a fixed 8-lane summation order) and mat-vecs:
+//     λ₂ is bit-identical for any SSPLANE_THREADS value by construction.
 //
 // With full reorthogonalization the iteration terminates in at most
-// dim(Krylov) = n - 1 steps (β → 0 exhausts the deflated space), so the
-// result is exact-to-rounding whenever `max_iterations` is not the binding
-// stop — the tolerance only matters for early exit on large graphs.
+// dim(Krylov) = n - 1 steps (β → 0 exhausts the deflated space). A solve
+// stopped by `max_iterations` before the residual test passes reports
+// `converged = false`; its λ₂ is then an approximation from above (a Ritz
+// value never undershoots the smallest eigenvalue).
+//
+// The solver does not test connectivity. On a disconnected graph λ₂ = 0 is
+// only approached as the iteration converges; the percolation analyzer,
+// which already knows the component count, never calls the solver there
+// and reports λ₂ = 0 exactly (`spectral/percolation.h`).
 #ifndef SSPLANE_SPECTRAL_LANCZOS_H
 #define SSPLANE_SPECTRAL_LANCZOS_H
 
@@ -37,12 +49,12 @@ namespace ssplane::spectral {
 
 /// Knobs of the λ₂ solve.
 struct lanczos_options {
-    /// Krylov-dimension cap. The solve also stops at n - 1 (exact) or on
-    /// Ritz-value convergence, whichever comes first.
-    int max_iterations = 256;
-    /// Early-exit threshold on the relative change of the smallest Ritz
-    /// value between consecutive iterations.
-    double tolerance = 1.0e-12;
+    /// Krylov-dimension cap. The solve also stops at n - 1 (exact) or when
+    /// the residual test passes, whichever comes first.
+    int max_iterations = 512;
+    /// Residual test: stop once ‖Lx − θx‖ ≤ tolerance · ‖L‖∞ for the Ritz
+    /// pair of the smallest Ritz value (‖L‖∞ is twice the maximum degree).
+    double tolerance = 1.0e-8;
     // DETLINT-ALLOW(validate-coverage): every 64-bit seed is valid.
     std::uint64_t seed = 0; ///< Start-vector sub-stream seed.
 };
@@ -55,13 +67,16 @@ void validate(const lanczos_options& options);
 struct lanczos_result {
     double lambda2 = 0.0;
     int iterations = 0;     ///< Lanczos steps taken.
-    bool converged = false; ///< Tolerance met or Krylov space exhausted.
+    /// Residual test passed or Krylov space exhausted; false when
+    /// `max_iterations` stopped the solve first.
+    bool converged = false;
+    double residual = 0.0;  ///< ‖Lx − θx‖ of the returned Ritz pair.
 };
 
 /// Algebraic connectivity of a graph Laplacian: the smallest eigenvalue
 /// of L after deflating the constant vector. Requires a structurally
 /// symmetric `laplacian` (validated); graphs with n <= 1 report λ₂ = 0,
-/// converged. Disconnected graphs report λ₂ = 0 to solver precision.
+/// converged.
 lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
                                       const lanczos_options& options = {});
 
@@ -71,6 +86,13 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
 /// exposed for tests. Deterministic; no allocation beyond the inputs.
 double tridiagonal_smallest_eigenvalue(std::span<const double> alpha,
                                        std::span<const double> beta);
+
+/// |last component| of the unit eigenvector of that tridiagonal matrix
+/// for its eigenvalue `theta`, by inverse iteration. The Lanczos residual
+/// of the Ritz pair is β_k times this value. Exposed for tests.
+double tridiagonal_eigenvector_last_component(std::span<const double> alpha,
+                                              std::span<const double> beta,
+                                              double theta);
 
 } // namespace ssplane::spectral
 

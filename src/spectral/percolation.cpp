@@ -158,10 +158,17 @@ percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjac
         metrics.clustering_coefficient = global_clustering(alive);
 
     if (options.compute_lambda2) {
-        const lanczos_result solve =
-            algebraic_connectivity(laplacian_from_adjacency(alive), options.lanczos);
-        metrics.lambda2 = solve.lambda2;
-        metrics.lanczos_iterations = solve.iterations;
+        if (metrics.n_components > 1) {
+            // Union-find has proved the survivors disconnected: λ₂ = 0
+            // exactly, so no Laplacian and no solve.
+            OBS_COUNT("spectral.lanczos.skipped_disconnected");
+        } else {
+            const lanczos_result solve =
+                algebraic_connectivity(laplacian_from_adjacency(alive), options.lanczos);
+            metrics.lambda2 = solve.lambda2;
+            metrics.lanczos_iterations = solve.iterations;
+            metrics.lambda2_converged = solve.converged;
+        }
     }
     return metrics;
 }
@@ -311,6 +318,7 @@ percolation_sweep_result run_percolation_sweep_timeline(
     result.step_giant_fraction.resize(n_steps);
     result.step_susceptibility.resize(n_steps);
     result.step_clustering.resize(n_steps);
+    result.step_lambda2_unconverged.resize(n_steps);
     if (n_steps == 0) return result;
 
     // Per-step result slots: any SSPLANE_THREADS value writes the same
@@ -327,6 +335,7 @@ percolation_sweep_result run_percolation_sweep_timeline(
             result.step_giant_fraction[i] = m.giant_component_fraction;
             result.step_susceptibility[i] = m.susceptibility;
             result.step_clustering[i] = m.clustering_coefficient;
+            result.step_lambda2_unconverged[i] = m.lambda2_converged ? 0 : 1;
         }
     });
 
@@ -343,6 +352,7 @@ percolation_sweep_result run_percolation_sweep_timeline(
             std::min(result.giant_fraction_min, result.step_giant_fraction[i]);
         result.susceptibility_max =
             std::max(result.susceptibility_max, result.step_susceptibility[i]);
+        result.lambda2_unconverged_steps += result.step_lambda2_unconverged[i];
     }
     const double inv = 1.0 / static_cast<double>(n_steps);
     result.lambda2_mean *= inv;

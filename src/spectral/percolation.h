@@ -14,8 +14,9 @@
 //     shatters into many mid-sized fragments;
 //   * global clustering coefficient — closed / connected triplets of the
 //     alive subgraph;
-//   * algebraic connectivity λ₂ — through the Lanczos solver
-//     (`spectral/lanczos.h`);
+//   * algebraic connectivity λ₂ — exactly 0 when union-find already found
+//     more than one alive component, else through the Lanczos solver
+//     (`spectral/lanczos.h`), with its convergence carried alongside;
 //   * the masking threshold — the failure fraction at which redundancy
 //     stops concealing targeted-attack damage: escalate the attack
 //     fraction step by step until λ₂/GCC collapse.
@@ -66,10 +67,15 @@ struct percolation_metrics {
     /// connected triplet exists, or when the pass is disabled).
     double clustering_coefficient = 0.0;
     /// Algebraic connectivity of the alive subgraph (dead rows compacted
-    /// away, so one failed satellite does not pin λ₂ at 0); 0 when the
-    /// alive graph is disconnected, empty, or the solve is disabled.
+    /// away, so one failed satellite does not pin λ₂ at 0). Exactly 0 when
+    /// union-find finds the alive graph disconnected (no solve runs), when
+    /// it is empty, or when the solve is disabled.
     double lambda2 = 0.0;
-    int lanczos_iterations = 0;  ///< 0 when λ₂ disabled.
+    int lanczos_iterations = 0; ///< 0 when no solve ran.
+    /// False only when the λ₂ solve stopped at `lanczos.max_iterations`
+    /// before its residual test passed: `lambda2` is then an approximation
+    /// from above.
+    bool lambda2_converged = true;
 };
 
 /// Analyze the static ISL wiring of a topology under a failure mask
@@ -164,10 +170,14 @@ struct percolation_sweep_result {
     double susceptibility_mean = 0.0;
     double susceptibility_max = 0.0;
     double clustering_mean = 0.0;
+    /// Steps whose λ₂ is approximate (`lambda2_converged` false).
+    int lambda2_unconverged_steps = 0;
     std::vector<double> step_lambda2;
     std::vector<double> step_giant_fraction; ///< Over all satellites.
     std::vector<double> step_susceptibility;
     std::vector<double> step_clustering;
+    /// 1 where the step's λ₂ is approximate, else 0.
+    std::vector<std::uint8_t> step_lambda2_unconverged;
 };
 
 /// Sweep the timeline over the time grid: each step analyzes the

@@ -158,12 +158,13 @@ TEST(PercolationEngine, KesslerTimelineProducesDegradingStepTraces)
                     std::make_shared<survivability_engine>()};
     const auto campaign = run_campaign(plan, context);
 
-    // Flattened step columns: percolation's four then survivability's three.
-    ASSERT_EQ(campaign.step_columns.size(), 7u);
+    // Flattened step columns: percolation's five then survivability's three.
+    ASSERT_EQ(campaign.step_columns.size(), 8u);
     EXPECT_EQ(campaign.step_columns[0], "percolation.lambda2");
     EXPECT_EQ(campaign.step_columns[1], "percolation.giant_component_fraction");
     EXPECT_EQ(campaign.step_columns[2], "percolation.susceptibility");
     EXPECT_EQ(campaign.step_columns[3], "percolation.clustering");
+    EXPECT_EQ(campaign.step_columns[4], "percolation.lambda2_unconverged");
 
     std::ostringstream out;
     campaign.write_step_csv(out);
@@ -227,6 +228,49 @@ TEST(PercolationEngine, BitIdenticalAcrossThreadCounts)
                     << column << " row " << row << " threads " << threads;
     }
     set_thread_count(0);
+}
+
+TEST(PercolationEngine, ApproximateLambda2IsFlaggedPerCellAndStep)
+{
+    const auto topo = engine_walker();
+    const evaluation_context context(topo, {}, astro::instant::j2000(),
+                                     engine_grid());
+    lsn::failure_scenario attack;
+    attack.mode = lsn::failure_mode::plane_attack;
+    attack.planes_attacked = 3;
+    attack.seed = 7;
+
+    experiment_plan plan;
+    plan.scenarios = {{"baseline", {}}, {"attack_3", attack}};
+    percolation_engine_options exact = fast_options();
+    exact.compute_masking_thresholds = false;
+    plan.engines = {std::make_shared<percolation_engine>(exact)};
+    const auto campaign = run_campaign(plan, context);
+    for (int row = 0; row < 2; ++row)
+        EXPECT_EQ(campaign.value(row, "percolation.lambda2_unconverged_steps"), 0.0);
+
+    // Capping the solve at 3 Lanczos steps leaves every connected step's λ₂
+    // approximate; disconnected steps stay exact (λ₂ = 0, no solve).
+    percolation_engine_options capped = exact;
+    capped.metrics.lanczos.max_iterations = 3;
+    plan.engines = {std::make_shared<percolation_engine>(capped)};
+    const auto rough = run_campaign(plan, context);
+    const auto n_steps = static_cast<double>(context.offsets().size());
+    EXPECT_EQ(rough.value(0, "percolation.lambda2_unconverged_steps"), n_steps);
+    for (int row = 0; row < 2; ++row) {
+        const auto& cell = percolation_engine::detail(rough.cell(row, 0));
+        const auto traces = rough.engines[0]->step_traces(rough.cell(row, 0));
+        double flagged = 0.0;
+        for (std::size_t i = 0; i < cell.step_lambda2.size(); ++i) {
+            const bool disconnected = cell.step_susceptibility[i] > 0.0;
+            EXPECT_EQ(traces[4][i], disconnected ? 0.0 : 1.0) << row << " step " << i;
+            if (disconnected) {
+                EXPECT_EQ(cell.step_lambda2[i], 0.0);
+            }
+            flagged += traces[4][i];
+        }
+        EXPECT_EQ(rough.value(row, "percolation.lambda2_unconverged_steps"), flagged);
+    }
 }
 
 TEST(PercolationEngine, ValidateRejectsDegenerateOptions)

@@ -113,13 +113,67 @@ TEST(Lanczos, DisconnectedGraphAgreesWithJacobiAndUnionFind)
     const csr_matrix laplacian = laplacian_from_adjacency(adjacency);
     const lanczos_result solve = algebraic_connectivity(laplacian);
     EXPECT_TRUE(solve.converged);
-    // λ₂ = 0 to solver precision iff disconnected; the dense reference and
-    // the union-find component count must tell the same story.
+    // The raw solver reaches λ₂ = 0 only to solver precision; the dense
+    // reference and the union-find component count tell the same story.
     EXPECT_NEAR(solve.lambda2, 0.0, 1.0e-8);
     EXPECT_NEAR(jacobi_lambda2(laplacian), 0.0, 1.0e-10);
+    // The analyzer knows the component count and skips the solve: λ₂ is
+    // exactly 0.
     const percolation_metrics metrics = analyze_adjacency(adjacency);
     EXPECT_EQ(metrics.n_components, 2);
-    EXPECT_DOUBLE_EQ(metrics.lambda2, solve.lambda2);
+    EXPECT_EQ(metrics.lambda2, 0.0);
+    EXPECT_EQ(metrics.lanczos_iterations, 0);
+    EXPECT_TRUE(metrics.lambda2_converged);
+}
+
+TEST(Lanczos, ConvergedMeansResidualBelowTolerance)
+{
+    constellation::walker_parameters p;
+    p.altitude_m = 550.0e3;
+    p.inclination_rad = deg2rad(53.0);
+    p.n_planes = 12;
+    p.sats_per_plane = 15; // 180 nodes, degree 4: ‖L‖∞ = 8
+    const csr_matrix laplacian = build_laplacian(lsn::build_walker_grid_topology(p));
+    const double reference = jacobi_lambda2(laplacian);
+    std::vector<int> iterations;
+    for (const double tolerance : {1.0e-6, 1.0e-8, 1.0e-10}) {
+        lanczos_options options;
+        options.tolerance = tolerance;
+        const lanczos_result solve = algebraic_connectivity(laplacian, options);
+        EXPECT_TRUE(solve.converged) << tolerance;
+        EXPECT_LE(solve.residual, tolerance * 8.0) << tolerance;
+        // |θ − λ| ≤ residual for the eigenvalue nearest θ, and θ ≥ λ₂.
+        EXPECT_GE(solve.lambda2, reference - 1.0e-12) << tolerance;
+        EXPECT_NEAR(solve.lambda2, reference, solve.residual + 1.0e-12) << tolerance;
+        iterations.push_back(solve.iterations);
+    }
+    // The residual test, not Krylov exhaustion, stops these solves: a
+    // looser tolerance stops strictly earlier.
+    EXPECT_LT(iterations[0], iterations[2]);
+    EXPECT_LE(iterations[0], iterations[1]);
+    EXPECT_LE(iterations[1], iterations[2]);
+}
+
+TEST(Lanczos, IterationCapIsReportedUnconverged)
+{
+    // A 60-node path needs far more than 5 Lanczos steps: the cap binds, the
+    // solve says so, and its Ritz value approximates λ₂ from above.
+    const csr_matrix laplacian = laplacian_from_adjacency(path_graph(60));
+    lanczos_options options;
+    options.max_iterations = 5;
+    const lanczos_result solve = algebraic_connectivity(laplacian, options);
+    EXPECT_FALSE(solve.converged);
+    EXPECT_EQ(solve.iterations, 5);
+    EXPECT_GT(solve.residual, options.tolerance * 4.0);
+    EXPECT_GT(solve.lambda2, jacobi_lambda2(laplacian));
+
+    // The analyzer carries the flag.
+    percolation_options capped;
+    capped.lanczos.max_iterations = 5;
+    const percolation_metrics metrics = analyze_adjacency(path_graph(60), {}, capped);
+    EXPECT_FALSE(metrics.lambda2_converged);
+    EXPECT_EQ(metrics.lanczos_iterations, 5);
+    EXPECT_EQ(metrics.lambda2, solve.lambda2);
 }
 
 TEST(Lanczos, WalkerShellMatchesJacobi)
@@ -191,6 +245,33 @@ TEST(Lanczos, TridiagonalSmallestEigenvalue)
     const std::vector<double> dense = {1.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 1.0};
     EXPECT_NEAR(tridiagonal_smallest_eigenvalue(a3, b3), jacobi_eigenvalues(dense, 3)[0],
                 1.0e-12);
+}
+
+TEST(Lanczos, TridiagonalEigenvectorLastComponent)
+{
+    // 1x1: the eigenvector is the unit vector itself.
+    const std::vector<double> a1 = {3.5};
+    EXPECT_DOUBLE_EQ(tridiagonal_eigenvector_last_component(a1, {}, 3.5), 1.0);
+    // [[2, 1], [1, 2]]: eigenvalue 1 has eigenvector (1, -1)/√2.
+    const std::vector<double> a2 = {2.0, 2.0};
+    const std::vector<double> b2 = {1.0};
+    EXPECT_NEAR(tridiagonal_eigenvector_last_component(a2, b2, 1.0), std::sqrt(0.5),
+                1.0e-12);
+    // P_3 Laplacian: eigenvalue 0 has the constant eigenvector, 1/√3 each;
+    // eigenvalue 1 has (1, 0, -1)/√2.
+    const std::vector<double> a3 = {1.0, 2.0, 1.0};
+    const std::vector<double> b3 = {-1.0, -1.0};
+    EXPECT_NEAR(tridiagonal_eigenvector_last_component(a3, b3, 0.0), std::sqrt(1.0 / 3.0),
+                1.0e-12);
+    EXPECT_NEAR(tridiagonal_eigenvector_last_component(a3, b3, 1.0), std::sqrt(0.5),
+                1.0e-12);
+    // The smallest eigenvalue of a long path's tridiagonal, as the solver
+    // feeds it: the bisected θ is exact only to rounding.
+    const std::vector<double> a = {1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0};
+    const std::vector<double> b(6, -1.0);
+    const double theta = tridiagonal_smallest_eigenvalue(a, b);
+    EXPECT_NEAR(tridiagonal_eigenvector_last_component(a, b, theta), std::sqrt(1.0 / 7.0),
+                1.0e-9);
 }
 
 TEST(Lanczos, ValidateRejectsDegenerateOptions)

@@ -38,8 +38,9 @@ TEST(Percolation, HandComputedClustersAndSusceptibility)
     EXPECT_DOUBLE_EQ(m.susceptibility, 5.0 / 6.0);
     // Only the triangle contributes triplets, and all 3 are closed.
     EXPECT_DOUBLE_EQ(m.clustering_coefficient, 1.0);
-    // The alive graph is disconnected, so λ₂ = 0 to solver precision.
-    EXPECT_NEAR(m.lambda2, 0.0, 1.0e-9);
+    // Union-find found three components, so λ₂ = 0 exactly and no solve ran.
+    EXPECT_EQ(m.lambda2, 0.0);
+    EXPECT_EQ(m.lanczos_iterations, 0);
 }
 
 TEST(Percolation, SquareWithDiagonalClustering)
@@ -250,10 +251,27 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
             EXPECT_DOUBLE_EQ(parallel.step_clustering[i],
                              serial.step_clustering[i]);
         }
+        EXPECT_EQ(parallel.step_lambda2_unconverged, serial.step_lambda2_unconverged);
         EXPECT_DOUBLE_EQ(parallel.lambda2_mean, serial.lambda2_mean);
         EXPECT_DOUBLE_EQ(parallel.giant_fraction_min, serial.giant_fraction_min);
     }
     set_thread_count(0);
+
+    // Every step is exact at the default cap; a cap of 2 Lanczos steps
+    // leaves every connected step approximate, and the sweep counts them.
+    EXPECT_EQ(serial.lambda2_unconverged_steps, 0);
+    percolation_options capped;
+    capped.lanczos.max_iterations = 2;
+    const percolation_sweep_result rough =
+        run_percolation_sweep_timeline(builder, offsets, positions, timeline, capped);
+    int connected = 0;
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+        const bool is_connected = serial.step_susceptibility[i] == 0.0;
+        connected += is_connected ? 1 : 0;
+        EXPECT_EQ(rough.step_lambda2_unconverged[i], is_connected ? 1 : 0) << i;
+    }
+    EXPECT_GT(connected, 0);
+    EXPECT_EQ(rough.lambda2_unconverged_steps, connected);
 }
 
 TEST(PercolationSweep, EmptyGridReportsZeros)
