@@ -144,11 +144,16 @@ void bm_scenario_sweep(benchmark::State& state)
     // step.
     const auto& topo = bench_walker_grid();
     const auto stations = lsn::default_ground_stations();
+    const auto epoch = astro::instant::j2000();
     lsn::scenario_sweep_options opts;
     opts.step_s = sweep_step_s;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            lsn::run_scenario_sweep(topo, stations, astro::instant::j2000(), {}, opts));
+        const lsn::snapshot_builder builder(topo, stations, epoch, opts.min_elevation_rad,
+                                            opts.max_isl_range_m);
+        const auto offsets = lsn::sweep_offsets(opts.duration_s, opts.step_s);
+        benchmark::DoNotOptimize(lsn::run_scenario_sweep_timeline(
+            builder, offsets, builder.positions_at_offsets(offsets),
+            lsn::sample_failure_timeline(topo, {}, offsets, epoch)));
     }
 }
 BENCHMARK(bm_scenario_sweep)->Unit(benchmark::kMillisecond);
@@ -278,8 +283,8 @@ bulk_bench_inputs& bench_bulk_inputs()
         // see the note on bm_bulk_route_per_step_floor.
         for (int g = 0; g < 12; ++g)
             in.requests.push_back({g, (g + 6) % 12, 2.0e5, 0.0, 86400.0});
-        in.graph = tempo::build_time_expanded_graph(in.snapshots, in.offsets, {},
-                                                    in.options);
+        in.graph = tempo::build_time_expanded_graph_timeline(in.snapshots, in.offsets,
+                                                             {}, in.options);
         return in;
     }();
     return inputs;
@@ -428,25 +433,35 @@ BENCHMARK(bm_instrumented_campaign)->Unit(benchmark::kMillisecond);
 
 void bm_campaign_separate_baseline(benchmark::State& state)
 {
-    // The pre-campaign route to the same 12 cells: the three one-shot
-    // engine entry points run back-to-back per scenario, each rebuilding
-    // its own builder, propagation pass and failure mask.
+    // The pre-campaign route to the same 12 cells: the three engine entry
+    // points run back-to-back per scenario, each on its own builder,
+    // propagation pass and failure timeline.
     const auto& in = bench_campaign_inputs();
+    const auto epoch = astro::instant::j2000();
+    const auto separate = [&](const lsn::failure_scenario& scenario, const auto& sweep) {
+        const lsn::snapshot_builder builder(in.topo, in.stations, epoch,
+                                            in.grid.min_elevation_rad,
+                                            in.grid.max_isl_range_m);
+        const auto offsets = lsn::sweep_offsets(in.grid.duration_s, in.grid.step_s);
+        return sweep(builder, offsets, builder.positions_at_offsets(offsets),
+                     lsn::sample_failure_timeline(in.topo, scenario, offsets, epoch));
+    };
     for (auto _ : state) {
         double sink = 0.0;
         for (const auto& spec : in.plan.scenarios) {
-            sink += lsn::run_scenario_sweep(in.topo, in.stations,
-                                            astro::instant::j2000(), spec.scenario,
-                                            in.grid)
-                        .metrics.pair_reachable_fraction;
-            sink += traffic::run_traffic_sweep(in.topo, in.stations,
-                                               astro::instant::j2000(), spec.scenario,
-                                               bench_demand(), in.grid, in.traffic_opts)
-                        .metrics.delivered_gbps_mean;
-            sink += tempo::run_bulk_sweep(in.topo, in.stations, astro::instant::j2000(),
-                                          spec.scenario, in.requests, in.grid,
-                                          in.bulk_opts)
-                        .routing.delivered_gb;
+            sink += separate(spec.scenario, [](const auto&... args) {
+                return lsn::run_scenario_sweep_timeline(args...)
+                    .metrics.pair_reachable_fraction;
+            });
+            sink += separate(spec.scenario, [&](const auto&... args) {
+                return traffic::run_traffic_sweep_timeline(args..., bench_demand(),
+                                                           in.traffic_opts)
+                    .metrics.delivered_gbps_mean;
+            });
+            sink += separate(spec.scenario, [&](const auto&... args) {
+                return tempo::run_bulk_sweep_timeline(args..., in.requests, in.bulk_opts)
+                    .routing.delivered_gb;
+            });
         }
         benchmark::DoNotOptimize(sink);
     }

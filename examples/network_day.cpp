@@ -405,9 +405,10 @@ int main(int argc, char** argv)
     const auto& cascade_timeline = context.timeline(cascade);
     const auto final_mask =
         cascade_timeline.step(cascade_timeline.n_steps - 1);
-    const auto one_shot = traffic::run_traffic_sweep_masked(
+    const auto one_shot = traffic::run_traffic_sweep_timeline(
         context.builder(), context.offsets(), context.positions(),
-        {final_mask.begin(), final_mask.end()}, demand, traffic_opts);
+        lsn::failure_timeline::from_static_mask({final_mask.begin(), final_mask.end()}),
+        demand, traffic_opts);
     int cascade_row = 0;
     for (std::size_t r = 0; r < campaign.rows.size(); ++r)
         if (campaign.rows[r].name == "kessler cascade")

@@ -11,7 +11,7 @@
 // propagation pass, one failure-mask draw per distinct (mode, knobs, seed) —
 // fanning cells over the process thread pool with per-cell result slots, so
 // the result is bit-identical for any `SSPLANE_THREADS` value and identical
-// to running the legacy per-engine entry points scenario by scenario.
+// to calling each engine's sweep entry point scenario by scenario.
 #ifndef SSPLANE_EXP_CAMPAIGN_H
 #define SSPLANE_EXP_CAMPAIGN_H
 

@@ -1,12 +1,12 @@
 // Shared evaluation substrate of an experiment campaign (ROADMAP "scenario
 // batching"; paper §2.1/§5 joint sustainability-survivability studies).
 //
-// Before this layer, every sweep engine (`lsn::run_scenario_sweep`,
-// `traffic::run_traffic_sweep`, `tempo::run_bulk_sweep`) re-paid the shared
-// work per call: propagator construction, the batched `positions_at_offsets`
-// propagation pass and the `sample_failures` draw. An `evaluation_context`
-// is built once per (topology, stations, epoch, time grid) and owns exactly
-// that shared state:
+// Every sweep engine (`lsn::run_scenario_sweep_timeline`,
+// `traffic::run_traffic_sweep_timeline`, `tempo::run_bulk_sweep_timeline`,
+// ...) needs the same shared inputs: propagator construction, the batched
+// `positions_at_offsets` propagation pass and the scenario's failure
+// timeline. An `evaluation_context` is built once per (topology, stations,
+// epoch, time grid) and owns exactly that shared state:
 //
 //   * the `lsn::snapshot_builder` (hoisted propagators + ground geometry),
 //   * the `sweep_offsets` time grid and the one `positions_at_offsets`

@@ -3,12 +3,13 @@
 // A `metric_engine` judges one failure scenario against the shared
 // `evaluation_context` and reports a fixed set of named scalar columns plus
 // its full engine-typed result (for callers that need matrices, per-step
-// traces or per-request slots rather than the scalar table). The three
-// existing sweep engines — survivability (`lsn::run_scenario_sweep`),
-// delivered traffic (`traffic::run_traffic_sweep`) and delay-tolerant bulk
-// delivery (`tempo::run_bulk_sweep`) — are adapted onto this interface by
-// reusing their mask-taking internals, so a campaign cell is bit-identical
-// to the legacy entry point it replaces.
+// traces or per-request slots rather than the scalar table). Each engine
+// adapts its sweep's one timeline-taking entry point — survivability
+// (`lsn::run_scenario_sweep_timeline`), delivered traffic
+// (`traffic::run_traffic_sweep_timeline`), delay-tolerant bulk delivery
+// (`tempo::run_bulk_sweep_timeline`), percolation and serving — onto this
+// interface, feeding it the context's cached timeline, so a campaign cell
+// is bit-identical to calling that entry point directly.
 #ifndef SSPLANE_EXP_METRIC_ENGINE_H
 #define SSPLANE_EXP_METRIC_ENGINE_H
 
@@ -60,9 +61,8 @@ public:
     virtual void validate_options() const {}
 
     /// Judge one scenario (its pre-generated failure timeline) against the
-    /// shared context. Static scenarios arrive as single-row timelines and
-    /// must reproduce the legacy mask path bit-for-bit. Must be
-    /// bit-identical for any `SSPLANE_THREADS` value.
+    /// shared context. Static scenarios arrive as single-row timelines.
+    /// Must be bit-identical for any `SSPLANE_THREADS` value.
     virtual engine_output evaluate(const evaluation_context& context,
                                    const lsn::failure_timeline& timeline) const = 0;
 

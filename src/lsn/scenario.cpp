@@ -14,6 +14,7 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/union_find.h"
 
 namespace ssplane::lsn {
 
@@ -533,34 +534,18 @@ double giant_component_fraction(const network_snapshot& snapshot,
         return failed.empty() || failed[static_cast<std::size_t>(s)] == 0;
     };
 
-    std::vector<int> parent(static_cast<std::size_t>(n));
-    std::iota(parent.begin(), parent.end(), 0);
-    const auto find = [&](int v) {
-        while (parent[static_cast<std::size_t>(v)] != v) {
-            parent[static_cast<std::size_t>(v)] =
-                parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
-            v = parent[static_cast<std::size_t>(v)];
-        }
-        return v;
-    };
-
+    union_find components(n);
     for (int u = 0; u < n; ++u) {
         if (!alive(u)) continue;
         for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
             if (e.to >= n || !alive(e.to)) continue; // ground links don't join sats
-            const int ru = find(u);
-            const int rv = find(e.to);
-            if (ru != rv) parent[static_cast<std::size_t>(ru)] = rv;
+            components.unite(u, e.to);
         }
     }
 
-    std::vector<int> component_size(static_cast<std::size_t>(n), 0);
     int largest = 0;
-    for (int u = 0; u < n; ++u) {
-        if (!alive(u)) continue;
-        const int root = find(u);
-        largest = std::max(largest, ++component_size[static_cast<std::size_t>(root)]);
-    }
+    for (int u = 0; u < n; ++u)
+        if (alive(u)) largest = std::max(largest, components.component_size(u));
     return static_cast<double>(largest) / n;
 }
 
@@ -587,43 +572,17 @@ network_snapshot snapshot_at(const lsn_topology& topology,
         .snapshot(t.seconds_since(epoch));
 }
 
-scenario_sweep_result run_scenario_sweep(const lsn_topology& topology,
-                                         const std::vector<ground_station>& stations,
-                                         const astro::instant& epoch,
-                                         const failure_scenario& scenario,
-                                         const scenario_sweep_options& options)
+void validate_sweep_inputs(const snapshot_builder& builder,
+                           std::span<const double> offsets_s,
+                           const std::vector<std::vector<vec3>>& positions,
+                           const failure_timeline& timeline)
 {
-    const snapshot_builder builder(topology, stations, epoch,
-                                   options.min_elevation_rad, options.max_isl_range_m);
-    const auto offsets = sweep_offsets(options.duration_s, options.step_s);
-    return run_scenario_sweep(builder, offsets, builder.positions_at_offsets(offsets),
-                              scenario);
-}
-
-scenario_sweep_result run_scenario_sweep(const snapshot_builder& builder,
-                                         std::span<const double> offsets_s,
-                                         const std::vector<std::vector<vec3>>& positions,
-                                         const failure_scenario& scenario)
-{
-    if (is_timeline_mode(scenario.mode))
-        return run_scenario_sweep_timeline(
-            builder, offsets_s, positions,
-            sample_failure_timeline(builder.topology(), scenario, offsets_s,
-                                    builder.epoch()));
-    return run_scenario_sweep_masked(builder, offsets_s, positions,
-                                     sample_failures(builder.topology(), scenario));
-}
-
-scenario_sweep_result run_scenario_sweep_masked(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_scenario_sweep_timeline(builder, offsets_s, positions,
-                                       failure_timeline::from_static_mask(failed));
+    expects(positions.size() == offsets_s.size(),
+            "positions must cover every sweep offset");
+    validate(timeline);
+    expects(timeline.n_steps == 0 ||
+                timeline.n_satellites == builder.n_satellites(),
+            "timeline satellite count mismatch");
 }
 
 scenario_sweep_result run_scenario_sweep_timeline(
@@ -634,12 +593,7 @@ scenario_sweep_result run_scenario_sweep_timeline(
     OBS_SPAN("lsn.scenario_sweep");
     OBS_COUNT("lsn.sweep.runs");
     OBS_COUNT_N("lsn.sweep.steps", offsets_s.size());
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
+    validate_sweep_inputs(builder, offsets_s, positions, timeline);
 
     const int n_steps = static_cast<int>(offsets_s.size());
     const int n_ground = builder.n_ground();
@@ -653,27 +607,22 @@ scenario_sweep_result run_scenario_sweep_timeline(
         double giant_fraction = 0.0;
         std::vector<double> pair_latency_s; ///< inf = unreachable.
     };
-    std::vector<step_result> per_step(static_cast<std::size_t>(n_steps));
-    parallel_for(static_cast<std::size_t>(n_steps),
-                 [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                         auto& slot = per_step[i];
-                         const auto failed = timeline.step(static_cast<int>(i));
-                         const auto snap =
-                             builder.snapshot_from_positions(positions[i], failed);
-                         slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
-                         slot.giant_fraction = giant_component_fraction(snap, failed);
-                         slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs),
-                                                    inf);
-                         for (int a = 0; a + 1 < n_ground; ++a) {
-                             const auto dist =
-                                 single_source_latencies(snap, snap.ground_node(a));
-                             for (int b = a + 1; b < n_ground; ++b)
-                                 slot.pair_latency_s[pair_index(a, b, n_ground)] =
-                                     dist[static_cast<std::size_t>(snap.ground_node(b))];
-                         }
-                     }
-                 });
+    const auto per_step = parallel_map<step_result>(
+        static_cast<std::size_t>(n_steps), [&](std::size_t i) {
+            step_result slot;
+            const auto failed = timeline.step(static_cast<int>(i));
+            const auto snap = builder.snapshot_from_positions(positions[i], failed);
+            slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
+            slot.giant_fraction = giant_component_fraction(snap, failed);
+            slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);
+            for (int a = 0; a + 1 < n_ground; ++a) {
+                const auto dist = single_source_latencies(snap, snap.ground_node(a));
+                for (int b = a + 1; b < n_ground; ++b)
+                    slot.pair_latency_s[pair_index(a, b, n_ground)] =
+                        dist[static_cast<std::size_t>(snap.ground_node(b))];
+            }
+            return slot;
+        });
 
     scenario_sweep_result result;
     result.n_stations = n_ground;

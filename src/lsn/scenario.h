@@ -10,12 +10,15 @@
 //   * `failure_scenario`/`sample_failures` inject satellite loss: uniform
 //     random loss, whole-plane attack, and radiation-driven Poisson failures
 //     wired to the `failures.h` annual-rate model via per-plane fluence;
-//   * `run_scenario_sweep` fans the per-step snapshot + routing work over
-//     the process thread pool (`util/parallel`) with per-step result slots,
-//     so any `SSPLANE_THREADS` value reproduces identical metrics, and
-//     reduces to robustness metrics: giant-component fraction, the all-pairs
-//     ground-station reachability/latency matrix, and pooled latency
-//     statistics comparable against an unfailed baseline.
+//   * `run_scenario_sweep_timeline` fans the per-step snapshot + routing
+//     work over the process thread pool (`util/parallel`) with per-step
+//     result slots, so any `SSPLANE_THREADS` value reproduces identical
+//     metrics, and reduces to robustness metrics: giant-component fraction,
+//     the all-pairs ground-station reachability/latency matrix, and pooled
+//     latency statistics comparable against an unfailed baseline.
+//
+// Every per-step sweep engine (here and in `traffic`, `tempo`, `serve`,
+// `spectral`) checks its inputs through `validate_sweep_inputs`.
 #ifndef SSPLANE_LSN_SCENARIO_H
 #define SSPLANE_LSN_SCENARIO_H
 
@@ -231,36 +234,20 @@ struct scenario_sweep_result {
     }
 };
 
-/// Sweep one failure scenario over the time grid: inject failures, build
-/// every snapshot from one batched propagation pass, route all station
-/// pairs, and reduce. Bit-identical for any `SSPLANE_THREADS` value.
-scenario_sweep_result run_scenario_sweep(const lsn_topology& topology,
-                                         const std::vector<ground_station>& stations,
-                                         const astro::instant& epoch,
-                                         const failure_scenario& scenario,
-                                         const scenario_sweep_options& options = {});
+/// The input contract every per-step sweep shares: `positions` holds one
+/// row per offset (the builder's `positions_at_offsets(offsets_s)`), the
+/// timeline is well formed, and its rows span the builder's satellites (a
+/// zero-row timeline spans any builder). Throws `contract_violation`.
+void validate_sweep_inputs(const snapshot_builder& builder,
+                           std::span<const double> offsets_s,
+                           const std::vector<std::vector<vec3>>& positions,
+                           const failure_timeline& timeline);
 
-/// Sweep over a prebuilt builder and its `positions_at_offsets(offsets_s)`
-/// output: callers evaluating many scenarios on one topology/time grid pay
-/// for propagator construction and the propagation pass once.
-scenario_sweep_result run_scenario_sweep(const snapshot_builder& builder,
-                                         std::span<const double> offsets_s,
-                                         const std::vector<std::vector<vec3>>& positions,
-                                         const failure_scenario& scenario);
-
-/// Static-mask sweep path: the failure mask is supplied instead of drawn,
-/// so callers holding a mask cache (the campaign runner) evaluate many
-/// sweeps against one `sample_failures` draw. `failed` may be empty (no
-/// failures) or size n_satellites. Wraps the mask as a single-row timeline
-/// and delegates to `run_scenario_sweep_timeline` — byte-identical to the
-/// pre-timeline implementation.
-scenario_sweep_result run_scenario_sweep_masked(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed);
-
-/// Innermost sweep path: each step `i` is evaluated under
-/// `timeline.step(i)`. All other overloads delegate here. Bit-identical
+/// Sweep one failure timeline over the time grid: build every step's
+/// snapshot from `positions` under `timeline.step(i)`, route all station
+/// pairs, and reduce. Scenarios reach it through `sample_failure_timeline`,
+/// a static mask through `failure_timeline::from_static_mask`, the
+/// unfailed baseline through an empty `failure_timeline{}`. Bit-identical
 /// for any `SSPLANE_THREADS` value.
 scenario_sweep_result run_scenario_sweep_timeline(
     const snapshot_builder& builder, std::span<const double> offsets_s,

@@ -6,11 +6,11 @@
 // mega-constellation are time-correlated — debris cascades escalate,
 // solar storms arrive mid-sweep, an adversary strikes on a schedule — so
 // the sweep engines need a *per-step* failure mask. `failure_timeline` is
-// that sequence: one mask row per sweep step, with the legacy static mask
-// as the single-row degenerate case (every step reads row 0). The sweep
-// internals in `lsn`, `traffic` and `tempo` all consume timelines; their
-// static-mask entry points wrap the mask via `from_static_mask` and are
-// byte-identical to the pre-timeline code paths.
+// that sequence: one mask row per sweep step, with a static mask as the
+// single-row degenerate case (every step reads row 0). Every sweep engine
+// (`lsn`, `traffic`, `tempo`, `serve`, `spectral`) takes a timeline; a
+// caller holding a one-shot mask wraps it via `from_static_mask`, which
+// reproduces the static-mask sweep byte-for-byte.
 //
 // Timelines are generated by the pluggable scenario processes in
 // `lsn::sample_failure_timeline` (Kessler cascade, solar-storm epoch) and
@@ -29,7 +29,7 @@ namespace ssplane::lsn {
 /// step-major (`masks[step * n_satellites + sat]`, nonzero = failed).
 /// Two degenerate shapes are first-class:
 ///   * zero rows — no failures at any step (the `none` baseline);
-///   * one row — a static mask that holds for every step (the legacy
+///   * one row — a static mask that holds for every step (the
 ///     `sample_failures` case).
 struct failure_timeline {
     int n_satellites = 0;
@@ -60,8 +60,7 @@ struct failure_timeline {
     int final_n_failed() const noexcept;
 
     /// Wrap a one-shot mask (possibly empty = no failures) as the
-    /// degenerate static timeline the legacy sweep entry points feed to
-    /// the timeline internals.
+    /// degenerate static timeline every step of a sweep reads.
     static failure_timeline from_static_mask(std::vector<std::uint8_t> mask);
 };
 

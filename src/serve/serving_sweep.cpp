@@ -19,12 +19,7 @@ serving_sweep_result run_serving_sweep_timeline(
     OBS_SPAN("serve.sweep");
     OBS_COUNT("serve.sweep.runs");
     OBS_COUNT_N("serve.sweep.steps", offsets_s.size());
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    lsn::validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
+    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
     validate(options);
@@ -32,17 +27,11 @@ serving_sweep_result run_serving_sweep_timeline(
 
     // Per-step result slots: each step writes only its own entry, so the
     // parallel chunking never affects the serial reduction below.
-    std::vector<beam_assignment> per_step(static_cast<std::size_t>(n_steps));
-    parallel_for(static_cast<std::size_t>(n_steps),
-                 [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                         const auto t =
-                             builder.epoch().plus_seconds(offsets_s[i]);
-                         per_step[i] = assign_beams(
-                             grid, positions[i],
-                             timeline.step(static_cast<int>(i)), t, options);
-                     }
-                 });
+    const auto per_step = parallel_map<beam_assignment>(
+        static_cast<std::size_t>(n_steps), [&](std::size_t i) {
+            return assign_beams(grid, positions[i], timeline.step(static_cast<int>(i)),
+                                builder.epoch().plus_seconds(offsets_s[i]), options);
+        });
 
     serving_sweep_result result;
     result.n_steps = n_steps;
@@ -102,20 +91,6 @@ serving_sweep_result run_serving_sweep_timeline(
                                           options.restore_served_fraction);
     m.recovery_headroom = lsn::recovery_headroom(result.step_served_fraction);
     return result;
-}
-
-serving_sweep_result run_serving_sweep_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const session_grid& grid,
-    const serving_options& options)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_serving_sweep_timeline(builder, offsets_s, positions,
-                                      lsn::failure_timeline::from_static_mask(failed),
-                                      grid, options);
 }
 
 double time_to_restore(std::span<const double> step_served_fraction,

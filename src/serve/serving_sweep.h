@@ -9,7 +9,7 @@
 // threshold until it first recovers).
 //
 // Mirrors `traffic::run_traffic_sweep_timeline`: per-step result slots
-// filled by `parallel_for`, then one serial reduction in step order — any
+// filled by `parallel_map`, then one serial reduction in step order — any
 // SSPLANE_THREADS value is bit-identical.
 #ifndef SSPLANE_SERVE_SERVING_SWEEP_H
 #define SSPLANE_SERVE_SERVING_SWEEP_H
@@ -66,13 +66,6 @@ serving_sweep_result run_serving_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline, const session_grid& grid,
-    const serving_options& options);
-
-/// Static-mask convenience wrapper (single-row degenerate timeline).
-serving_sweep_result run_serving_sweep_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const session_grid& grid,
     const serving_options& options);
 
 /// Restore time of a served-fraction trace: seconds from the first step

@@ -8,6 +8,7 @@
 #include "util/expects.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/union_find.h"
 
 namespace ssplane::spectral {
 
@@ -17,47 +18,6 @@ namespace {
 // detector's per-(fraction, draw) scenario seeds. Tree-wide unique
 // (detlint split-purpose-collision): lsn holds 1 and 2, Lanczos holds 3.
 constexpr std::uint64_t purpose_masking_draw = 4;
-
-/// Union-find with union-by-size and path halving. Serial walks in index
-/// order only — determinism comes for free.
-class union_find {
-public:
-    explicit union_find(int n)
-        : parent_(static_cast<std::size_t>(n)), size_(static_cast<std::size_t>(n), 1)
-    {
-        for (int i = 0; i < n; ++i) parent_[static_cast<std::size_t>(i)] = i;
-    }
-
-    int find(int x)
-    {
-        while (parent_[static_cast<std::size_t>(x)] != x) {
-            parent_[static_cast<std::size_t>(x)] =
-                parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-            x = parent_[static_cast<std::size_t>(x)];
-        }
-        return x;
-    }
-
-    void unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b) return;
-        if (size_[static_cast<std::size_t>(a)] < size_[static_cast<std::size_t>(b)])
-            std::swap(a, b);
-        parent_[static_cast<std::size_t>(b)] = a;
-        size_[static_cast<std::size_t>(a)] += size_[static_cast<std::size_t>(b)];
-        ++unions_;
-    }
-
-    int component_size(int x) { return size_[static_cast<std::size_t>(find(x))]; }
-    int unions() const noexcept { return unions_; }
-
-private:
-    std::vector<int> parent_;
-    std::vector<int> size_;
-    int unions_ = 0;
-};
 
 /// Global clustering coefficient: closed / connected triplets. Neighbor
 /// lists must be sorted (binary-search closure test); each triangle is
@@ -306,53 +266,40 @@ percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::failure_timeline& timeline, const percolation_options& options)
 {
     validate(options);
-    validate(timeline);
-    expects(positions.size() == offsets_s.size(),
-            "one position row per sweep offset");
-    expects(timeline.n_steps == 0 || timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count must match the builder");
-
-    const std::size_t n_steps = offsets_s.size();
-    percolation_sweep_result result;
-    result.step_lambda2.resize(n_steps);
-    result.step_giant_fraction.resize(n_steps);
-    result.step_susceptibility.resize(n_steps);
-    result.step_clustering.resize(n_steps);
-    result.step_lambda2_unconverged.resize(n_steps);
-    if (n_steps == 0) return result;
+    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
 
     // Per-step result slots: any SSPLANE_THREADS value writes the same
     // slot values, so the serial reduction below is bit-identical.
-    parallel_for(n_steps, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t n_steps = offsets_s.size();
+    const auto per_step =
+        parallel_map<percolation_metrics>(n_steps, [&](std::size_t i) {
             const std::span<const std::uint8_t> mask =
                 timeline.step(static_cast<int>(i));
-            const lsn::network_snapshot snapshot =
-                builder.snapshot_from_positions(positions[i], mask);
-            const percolation_metrics m =
-                analyze_percolation(snapshot, mask, options);
-            result.step_lambda2[i] = m.lambda2;
-            result.step_giant_fraction[i] = m.giant_component_fraction;
-            result.step_susceptibility[i] = m.susceptibility;
-            result.step_clustering[i] = m.clustering_coefficient;
-            result.step_lambda2_unconverged[i] = m.lambda2_converged ? 0 : 1;
-        }
-    });
+            return analyze_percolation(
+                builder.snapshot_from_positions(positions[i], mask), mask, options);
+        });
 
-    result.lambda2_min = result.step_lambda2[0];
-    result.giant_fraction_min = result.step_giant_fraction[0];
-    result.susceptibility_max = result.step_susceptibility[0];
-    for (std::size_t i = 0; i < n_steps; ++i) {
-        result.lambda2_mean += result.step_lambda2[i];
-        result.giant_fraction_mean += result.step_giant_fraction[i];
-        result.susceptibility_mean += result.step_susceptibility[i];
-        result.clustering_mean += result.step_clustering[i];
-        result.lambda2_min = std::min(result.lambda2_min, result.step_lambda2[i]);
+    percolation_sweep_result result;
+    if (n_steps == 0) return result;
+    result.lambda2_min = per_step[0].lambda2;
+    result.giant_fraction_min = per_step[0].giant_component_fraction;
+    result.susceptibility_max = per_step[0].susceptibility;
+    for (const percolation_metrics& m : per_step) {
+        const std::uint8_t unconverged = m.lambda2_converged ? 0 : 1;
+        result.step_lambda2.push_back(m.lambda2);
+        result.step_giant_fraction.push_back(m.giant_component_fraction);
+        result.step_susceptibility.push_back(m.susceptibility);
+        result.step_clustering.push_back(m.clustering_coefficient);
+        result.step_lambda2_unconverged.push_back(unconverged);
+        result.lambda2_mean += m.lambda2;
+        result.giant_fraction_mean += m.giant_component_fraction;
+        result.susceptibility_mean += m.susceptibility;
+        result.clustering_mean += m.clustering_coefficient;
+        result.lambda2_min = std::min(result.lambda2_min, m.lambda2);
         result.giant_fraction_min =
-            std::min(result.giant_fraction_min, result.step_giant_fraction[i]);
-        result.susceptibility_max =
-            std::max(result.susceptibility_max, result.step_susceptibility[i]);
-        result.lambda2_unconverged_steps += result.step_lambda2_unconverged[i];
+            std::min(result.giant_fraction_min, m.giant_component_fraction);
+        result.susceptibility_max = std::max(result.susceptibility_max, m.susceptibility);
+        result.lambda2_unconverged_steps += unconverged;
     }
     const double inv = 1.0 / static_cast<double>(n_steps);
     result.lambda2_mean *= inv;

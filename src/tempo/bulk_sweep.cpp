@@ -1,43 +1,6 @@
 #include "tempo/bulk_sweep.h"
 
-#include <algorithm>
-
-#include "util/expects.h"
-
 namespace ssplane::tempo {
-
-bulk_sweep_result run_bulk_sweep(const lsn::snapshot_builder& builder,
-                                 std::span<const double> offsets_s,
-                                 const std::vector<std::vector<vec3>>& positions,
-                                 const lsn::failure_scenario& scenario,
-                                 std::span<const bulk_transfer_request> requests,
-                                 const bulk_route_options& options)
-{
-    if (lsn::is_timeline_mode(scenario.mode))
-        return run_bulk_sweep_timeline(
-            builder, offsets_s, positions,
-            lsn::sample_failure_timeline(builder.topology(), scenario, offsets_s,
-                                         builder.epoch()),
-            requests, options);
-    return run_bulk_sweep_masked(builder, offsets_s, positions,
-                                 lsn::sample_failures(builder.topology(), scenario),
-                                 requests, options);
-}
-
-bulk_sweep_result run_bulk_sweep_masked(const lsn::snapshot_builder& builder,
-                                        std::span<const double> offsets_s,
-                                        const std::vector<std::vector<vec3>>& positions,
-                                        const std::vector<std::uint8_t>& failed,
-                                        std::span<const bulk_transfer_request> requests,
-                                        const bulk_route_options& options)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_bulk_sweep_timeline(builder, offsets_s, positions,
-                                   lsn::failure_timeline::from_static_mask(failed),
-                                   requests, options);
-}
 
 bulk_sweep_result run_bulk_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
@@ -54,54 +17,6 @@ bulk_sweep_result run_bulk_sweep_timeline(
     result.n_failed = timeline.final_n_failed();
     result.routing = route_bulk_transfers(graph, requests);
     return result;
-}
-
-bulk_sweep_result run_bulk_sweep(const lsn::lsn_topology& topology,
-                                 const std::vector<lsn::ground_station>& stations,
-                                 const astro::instant& epoch,
-                                 const lsn::failure_scenario& scenario,
-                                 std::span<const bulk_transfer_request> requests,
-                                 const lsn::scenario_sweep_options& sweep,
-                                 const bulk_route_options& options)
-{
-    const lsn::snapshot_builder builder(topology, stations, epoch,
-                                        sweep.min_elevation_rad, sweep.max_isl_range_m);
-    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    return run_bulk_sweep(builder, offsets, builder.positions_at_offsets(offsets),
-                          scenario, requests, options);
-}
-
-bulk_sweep_result run_bulk_sweep_per_step_baseline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_scenario& scenario,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options)
-{
-    if (lsn::is_timeline_mode(scenario.mode))
-        return run_bulk_sweep_per_step_baseline_timeline(
-            builder, offsets_s, positions,
-            lsn::sample_failure_timeline(builder.topology(), scenario, offsets_s,
-                                         builder.epoch()),
-            requests, options);
-    return run_bulk_sweep_per_step_baseline_masked(
-        builder, offsets_s, positions,
-        lsn::sample_failures(builder.topology(), scenario), requests, options);
-}
-
-bulk_sweep_result run_bulk_sweep_per_step_baseline_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_bulk_sweep_per_step_baseline_timeline(
-        builder, offsets_s, positions,
-        lsn::failure_timeline::from_static_mask(failed), requests, options);
 }
 
 bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(

@@ -1,13 +1,13 @@
-// Delay-tolerant bulk-delivery sweeps over failure scenarios — the
-// store-and-forward companion to `traffic::run_traffic_sweep` (ROADMAP
-// "time-expanded routing").
+// Delay-tolerant bulk-delivery sweeps along failure timelines — the
+// store-and-forward companion to `traffic::run_traffic_sweep_timeline`
+// (ROADMAP "time-expanded routing").
 //
 // Rides the same batched machinery as the survivability and traffic
 // engines: one `lsn::snapshot_builder` + one `positions_at_offsets` pass
-// serve every scenario, failure masks come from `lsn::sample_failures`,
-// and per-step snapshot materialization fans out over `util/parallel` with
-// per-step slots — so any `SSPLANE_THREADS` value reproduces the result
-// bit-for-bit. The routing itself (`route_bulk_transfers`) is serial and
+// serve every scenario, each step's failure mask is a row of an
+// `lsn::failure_timeline`, and per-step snapshot materialization fans out
+// over `util/parallel` with per-step slots — so any `SSPLANE_THREADS`
+// value reproduces the result bit-for-bit. The routing itself (`route_bulk_transfers`) is serial and
 // deterministic by construction.
 #ifndef SSPLANE_TEMPO_BULK_SWEEP_H
 #define SSPLANE_TEMPO_BULK_SWEEP_H
@@ -26,34 +26,12 @@ struct bulk_sweep_result {
     int n_failed = 0; ///< Satellites removed by the scenario.
 };
 
-/// Route `requests` over the time-expanded graph of one failure scenario,
+/// Route `requests` over the time-expanded graph of one failure timeline,
 /// on a prebuilt builder and its `positions_at_offsets(offsets_s)` output
-/// (mirrors the batched `run_traffic_sweep` overload, so callers share one
-/// propagation pass across survivability, traffic and bulk sweeps).
-bulk_sweep_result run_bulk_sweep(const lsn::snapshot_builder& builder,
-                                 std::span<const double> offsets_s,
-                                 const std::vector<std::vector<vec3>>& positions,
-                                 const lsn::failure_scenario& scenario,
-                                 std::span<const bulk_transfer_request> requests,
-                                 const bulk_route_options& options = {});
-
-/// Static-mask sweep path: the failure mask is supplied instead of drawn,
-/// so callers holding a mask cache (the campaign runner) evaluate many
-/// sweeps against one `sample_failures` draw. `failed` may be empty (no
-/// failures) or size n_satellites. Wraps the mask as a single-row timeline
-/// and delegates to `run_bulk_sweep_timeline` — byte-identical to the
-/// pre-timeline implementation.
-bulk_sweep_result run_bulk_sweep_masked(const lsn::snapshot_builder& builder,
-                                        std::span<const double> offsets_s,
-                                        const std::vector<std::vector<vec3>>& positions,
-                                        const std::vector<std::uint8_t>& failed,
-                                        std::span<const bulk_transfer_request> requests,
-                                        const bulk_route_options& options = {});
-
-/// Innermost sweep path: the time-expanded graph is built under the
-/// timeline (per-step link and storage gating), so bulk volume must route
-/// *around* the failure process as it unfolds. All other overloads
-/// delegate here.
+/// (so callers share one propagation pass across survivability, traffic
+/// and bulk sweeps). The graph is built under the timeline (per-step link
+/// and storage gating), so bulk volume must route *around* the failure
+/// process as it unfolds.
 bulk_sweep_result run_bulk_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
@@ -61,37 +39,9 @@ bulk_sweep_result run_bulk_sweep_timeline(
     std::span<const bulk_transfer_request> requests,
     const bulk_route_options& options = {});
 
-/// Convenience overload that builds the builder and propagation pass
-/// itself, mirroring the one-shot `run_traffic_sweep` signature.
-bulk_sweep_result run_bulk_sweep(const lsn::lsn_topology& topology,
-                                 const std::vector<lsn::ground_station>& stations,
-                                 const astro::instant& epoch,
-                                 const lsn::failure_scenario& scenario,
-                                 std::span<const bulk_transfer_request> requests,
-                                 const lsn::scenario_sweep_options& sweep = {},
-                                 const bulk_route_options& options = {});
-
-/// The same scenario judged by the PR 3 snapshot-greedy replayed per epoch
-/// (no onboard buffering): the regression floor every store-and-forward
-/// gain is measured against.
-bulk_sweep_result run_bulk_sweep_per_step_baseline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_scenario& scenario,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options = {});
-
-/// Mask-taking variant of the per-step baseline, mirroring
-/// `run_bulk_sweep_masked` for campaign engines.
-bulk_sweep_result run_bulk_sweep_per_step_baseline_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options = {});
-
-/// Timeline variant of the per-step baseline: each epoch is replayed under
-/// that step's mask.
+/// The same timeline judged by the snapshot greedy replayed per epoch
+/// under that step's mask (no onboard buffering): the regression floor
+/// every store-and-forward gain is measured against.
 bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

@@ -57,20 +57,6 @@ std::vector<double> time_expanded_graph::satellite_buffer_high_water_gb() const
     return high_water;
 }
 
-time_expanded_graph build_time_expanded_graph(
-    std::span<const lsn::network_snapshot> snapshots,
-    std::span<const double> offsets_s, const std::vector<std::uint8_t>& failed,
-    const bulk_route_options& options)
-{
-    expects(failed.empty() || snapshots.empty() ||
-                failed.size() ==
-                    static_cast<std::size_t>(snapshots[0].n_satellites),
-            "failure mask size mismatch");
-    return build_time_expanded_graph_timeline(
-        snapshots, offsets_s, lsn::failure_timeline::from_static_mask(failed),
-        options);
-}
-
 time_expanded_graph build_time_expanded_graph_timeline(
     std::span<const lsn::network_snapshot> snapshots,
     std::span<const double> offsets_s, const lsn::failure_timeline& timeline,
@@ -178,44 +164,16 @@ time_expanded_graph build_time_expanded_graph_timeline(
     return graph;
 }
 
-std::vector<lsn::network_snapshot> materialize_snapshots(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed)
-{
-    return materialize_snapshots_timeline(
-        builder, offsets_s, positions,
-        lsn::failure_timeline::from_static_mask(failed));
-}
-
 std::vector<lsn::network_snapshot> materialize_snapshots_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline)
 {
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    lsn::validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
-    std::vector<lsn::network_snapshot> snapshots(offsets_s.size());
-    parallel_for(offsets_s.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-            snapshots[i] = builder.snapshot_from_positions(
-                positions[i], timeline.step(static_cast<int>(i)));
+    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
+    return parallel_map<lsn::network_snapshot>(offsets_s.size(), [&](std::size_t i) {
+        return builder.snapshot_from_positions(positions[i],
+                                               timeline.step(static_cast<int>(i)));
     });
-    return snapshots;
-}
-
-time_expanded_graph build_time_expanded_graph(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const bulk_route_options& options)
-{
-    return build_time_expanded_graph_timeline(
-        builder, offsets_s, positions,
-        lsn::failure_timeline::from_static_mask(failed), options);
 }
 
 time_expanded_graph build_time_expanded_graph_timeline(

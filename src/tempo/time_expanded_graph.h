@@ -6,7 +6,7 @@
 // grid. Arcs are of two kinds:
 //
 //   * transmission arcs — the live links of that step's snapshot (from
-//     `lsn::snapshot_builder` + `lsn::sample_failures` masks), carrying
+//     `lsn::snapshot_builder` under an `lsn::failure_timeline`), carrying
 //     *volume*: an ISL or uplink of capacity C Gbps live for a step of
 //     dwell D seconds moves up to C*D gigabits within that step. Both
 //     directions of an undirected link share one capacity slot, exactly
@@ -127,59 +127,33 @@ struct time_expanded_graph {
 /// Assemble the graph from already-materialized per-step snapshots (unit
 /// tests hand-build these; the builder overload below materializes them).
 /// Snapshots must share one node set; `offsets_s` must be strictly
-/// increasing with one entry per snapshot. `failed` (when non-empty; size
-/// n_satellites, nonzero = failed) removes the satellite's storage arcs —
-/// a dead satellite cannot buffer (its transmission links are expected to
-/// be absent from the snapshots already).
-time_expanded_graph build_time_expanded_graph(
-    std::span<const lsn::network_snapshot> snapshots,
-    std::span<const double> offsets_s,
-    const std::vector<std::uint8_t>& failed = {},
-    const bulk_route_options& options = {});
-
-/// Timeline variant of the snapshot-span builder: step `i`'s storage arcs
-/// are gated by `timeline.step(i)` — a satellite that dies mid-sweep keeps
-/// buffering up to its failure step and loses the stored volume after (the
-/// snapshots are expected to be materialized under the same timeline). The
-/// static-mask entry point above delegates here; a single-row timeline
-/// reproduces it byte-for-byte. (Distinct name, not an overload: `{}`
-/// braces at the mask position would otherwise be ambiguous.)
+/// increasing with one entry per snapshot. Step `i`'s storage arcs are
+/// gated by `timeline.step(i)`: a failed satellite cannot buffer, and one
+/// that dies mid-sweep keeps buffering up to its failure step and loses
+/// the stored volume after. Its transmission links are expected to be
+/// absent from the snapshots already (materialized under the same
+/// timeline). An empty `failure_timeline{}` fails nothing.
 time_expanded_graph build_time_expanded_graph_timeline(
     std::span<const lsn::network_snapshot> snapshots,
     std::span<const double> offsets_s, const lsn::failure_timeline& timeline,
     const bulk_route_options& options = {});
 
 /// Assemble the graph from a scenario-sweep builder and its batched
-/// `positions_at_offsets(offsets_s)` output, with `failed` (from
-/// `lsn::sample_failures`) knocking links *and* storage out of dead
-/// satellites. Per-step snapshot extraction fans out over `util/parallel`
-/// with per-step slots, so the graph is bit-identical for any
-/// `SSPLANE_THREADS` value.
-time_expanded_graph build_time_expanded_graph(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed = {},
-    const bulk_route_options& options = {});
-
-/// Timeline variant of the builder entry point: step `i`'s snapshot is
-/// masked by `timeline.step(i)` (links die with the satellite at its
-/// failure step) and its storage arcs are gated the same way.
+/// `positions_at_offsets(offsets_s)` output: step `i`'s snapshot is masked
+/// by `timeline.step(i)` (links die with the satellite at its failure
+/// step) and its storage arcs are gated the same way. Per-step snapshot
+/// extraction fans out over `util/parallel` with per-step slots, so the
+/// graph is bit-identical for any `SSPLANE_THREADS` value.
 time_expanded_graph build_time_expanded_graph_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline,
     const bulk_route_options& options = {});
 
-/// Materialize every step's failure-masked snapshot from one
-/// `positions_at_offsets` output — parallel over steps with per-step
+/// Materialize every step's snapshot, masked by `timeline.step(i)`, from
+/// one `positions_at_offsets` output — parallel over steps with per-step
 /// slots, so the result is bit-identical for any `SSPLANE_THREADS` value.
 /// Shared by the graph builder above and the per-step baseline sweep.
-std::vector<lsn::network_snapshot> materialize_snapshots(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed = {});
-
-/// Timeline variant: step `i`'s snapshot is masked by `timeline.step(i)`.
 std::vector<lsn::network_snapshot> materialize_snapshots_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

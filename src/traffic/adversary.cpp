@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/expects.h"
 
@@ -17,8 +18,9 @@ lsn::failure_timeline generate_adversary_timeline(
             "adversary timeline needs a greedy_adversary scenario");
     const auto& topology = builder.topology();
     lsn::validate(scenario, topology);
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
+    // This generates the timeline, so only the grid is checked here: an
+    // empty timeline spans any builder.
+    lsn::validate_sweep_inputs(builder, offsets_s, positions, {});
     validate(options.capacity);
 
     const int n = builder.n_satellites();
@@ -72,8 +74,10 @@ lsn::failure_timeline generate_adversary_timeline(
             if (plane_dead[static_cast<std::size_t>(p)]) continue;
             auto trial = current;
             kill_plane(p, trial);
-            const auto sweep = run_traffic_sweep_masked(
-                builder, eval_offsets, eval_positions, trial, demand, options);
+            const auto sweep = run_traffic_sweep_timeline(
+                builder, eval_offsets, eval_positions,
+                lsn::failure_timeline::from_static_mask(std::move(trial)), demand,
+                options);
             if (sweep.metrics.delivered_gbps_mean < best_delivered) {
                 best_delivered = sweep.metrics.delivered_gbps_mean;
                 best_plane = p;

@@ -5,9 +5,10 @@
 // A budgeted adversary kills whole orbital planes on a strike schedule,
 // picking each victim by *marginal delivered-traffic damage*: every
 // surviving plane is trial-killed and scored through
-// `traffic::run_traffic_sweep_masked` on a (possibly stride-subsampled)
-// copy of the sweep grid; the plane whose loss leaves the least delivered
-// throughput dies. The generator lives in `traffic` rather than `lsn`
+// `traffic::run_traffic_sweep_timeline` (the trial mask as a static
+// timeline) on a (possibly stride-subsampled) copy of the sweep grid; the
+// plane whose loss leaves the least delivered throughput dies. The
+// generator lives in `traffic` rather than `lsn`
 // because it needs this delivered-traffic oracle — `lsn` sits below the
 // flow-assignment layer and cannot see it.
 //

@@ -4,50 +4,10 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "traffic/adversary.h"
-#include "util/expects.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 
 namespace ssplane::traffic {
-
-traffic_sweep_result run_traffic_sweep(const lsn::snapshot_builder& builder,
-                                       std::span<const double> offsets_s,
-                                       const std::vector<std::vector<vec3>>& positions,
-                                       const lsn::failure_scenario& scenario,
-                                       const demand::demand_model& demand,
-                                       const traffic_sweep_options& options)
-{
-    if (lsn::is_timeline_mode(scenario.mode)) {
-        // The adversary scores strikes against *this* sweep's demand and
-        // capacity knobs — the natural oracle when traffic is the metric.
-        const auto timeline =
-            scenario.mode == lsn::failure_mode::greedy_adversary
-                ? generate_adversary_timeline(builder, offsets_s, positions,
-                                              scenario, demand, options)
-                : lsn::sample_failure_timeline(builder.topology(), scenario,
-                                               offsets_s, builder.epoch());
-        return run_traffic_sweep_timeline(builder, offsets_s, positions, timeline,
-                                          demand, options);
-    }
-    return run_traffic_sweep_masked(builder, offsets_s, positions,
-                                    lsn::sample_failures(builder.topology(), scenario),
-                                    demand, options);
-}
-
-traffic_sweep_result run_traffic_sweep_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const demand::demand_model& demand,
-    const traffic_sweep_options& options)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_traffic_sweep_timeline(builder, offsets_s, positions,
-                                      lsn::failure_timeline::from_static_mask(failed),
-                                      demand, options);
-}
 
 traffic_sweep_result run_traffic_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
@@ -58,12 +18,7 @@ traffic_sweep_result run_traffic_sweep_timeline(
     OBS_SPAN("traffic.sweep");
     OBS_COUNT("traffic.sweep.runs");
     OBS_COUNT_N("traffic.sweep.steps", offsets_s.size());
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    lsn::validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
+    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
     validate(options.capacity);
@@ -80,29 +35,26 @@ traffic_sweep_result run_traffic_sweep_timeline(
         double p95_utilization = 0.0;
         std::vector<double> utilization; ///< Per-link, assignment order.
     };
-    std::vector<step_result> per_step(static_cast<std::size_t>(n_steps));
-    parallel_for(static_cast<std::size_t>(n_steps),
-                 [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                         auto& slot = per_step[i];
-                         const auto t = builder.epoch().plus_seconds(offsets_s[i]);
-                         const auto matrix = build_traffic_matrix(
-                             demand, builder.stations(), t, options.matrix);
-                         const auto snap = builder.snapshot_from_positions(
-                             positions[i], timeline.step(static_cast<int>(i)));
-                         const auto flow =
-                             assign_flows(snap, matrix, options.capacity);
-                         slot.offered_gbps = flow.offered_gbps;
-                         slot.delivered_gbps = flow.delivered_gbps;
-                         slot.latency_flow_sum_s = flow.latency_flow_sum_gbps_s;
-                         slot.congested_links = flow.congested_links;
-                         slot.n_links = flow.n_links;
-                         slot.p95_utilization = flow.p95_utilization;
-                         slot.utilization.reserve(flow.links.size());
-                         for (const auto& link : flow.links)
-                             slot.utilization.push_back(link.utilization());
-                     }
-                 });
+    const auto per_step = parallel_map<step_result>(
+        static_cast<std::size_t>(n_steps), [&](std::size_t i) {
+            const auto t = builder.epoch().plus_seconds(offsets_s[i]);
+            const auto matrix =
+                build_traffic_matrix(demand, builder.stations(), t, options.matrix);
+            const auto snap = builder.snapshot_from_positions(
+                positions[i], timeline.step(static_cast<int>(i)));
+            const auto flow = assign_flows(snap, matrix, options.capacity);
+            step_result slot;
+            slot.offered_gbps = flow.offered_gbps;
+            slot.delivered_gbps = flow.delivered_gbps;
+            slot.latency_flow_sum_s = flow.latency_flow_sum_gbps_s;
+            slot.congested_links = flow.congested_links;
+            slot.n_links = flow.n_links;
+            slot.p95_utilization = flow.p95_utilization;
+            slot.utilization.reserve(flow.links.size());
+            for (const auto& link : flow.links)
+                slot.utilization.push_back(link.utilization());
+            return slot;
+        });
 
     traffic_sweep_result result;
     result.n_steps = n_steps;
@@ -150,21 +102,6 @@ traffic_sweep_result run_traffic_sweep_timeline(
         m.max_link_utilization = pooled_utilization.back();
     }
     return result;
-}
-
-traffic_sweep_result run_traffic_sweep(const lsn::lsn_topology& topology,
-                                       const std::vector<lsn::ground_station>& stations,
-                                       const astro::instant& epoch,
-                                       const lsn::failure_scenario& scenario,
-                                       const demand::demand_model& demand,
-                                       const lsn::scenario_sweep_options& sweep,
-                                       const traffic_sweep_options& options)
-{
-    const lsn::snapshot_builder builder(topology, stations, epoch,
-                                        sweep.min_elevation_rad, sweep.max_isl_range_m);
-    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    return run_traffic_sweep(builder, offsets, builder.positions_at_offsets(offsets),
-                             scenario, demand, options);
 }
 
 double delivered_throughput_ratio(const traffic_sweep_result& baseline,

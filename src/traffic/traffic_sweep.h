@@ -1,13 +1,13 @@
-// Delivered-capacity sweeps over failure scenarios — the traffic companion
-// to `lsn::run_scenario_sweep` (ROADMAP "heavy traffic" north star).
+// Delivered-capacity sweeps along failure timelines — the traffic companion
+// to `lsn::run_scenario_sweep_timeline` (ROADMAP "heavy traffic" north star).
 //
 // Rides the same batched machinery as the survivability engine: one
 // `lsn::snapshot_builder` + one `positions_at_offsets` pass serve every
-// scenario, failure masks come from `lsn::sample_failures`, and per-step
-// work (diurnal gravity matrix at that step's instant, snapshot assembly,
-// capacity-aware flow assignment) fans out over `util/parallel` with
-// per-step result slots, so any `SSPLANE_THREADS` value reproduces the
-// metrics bit-for-bit.
+// scenario, each step's failure mask is a row of an `lsn::failure_timeline`,
+// and per-step work (diurnal gravity matrix at that step's instant,
+// snapshot assembly, capacity-aware flow assignment) fans out over
+// `util/parallel` with per-step result slots, so any `SSPLANE_THREADS`
+// value reproduces the metrics bit-for-bit.
 #ifndef SSPLANE_TRAFFIC_TRAFFIC_SWEEP_H
 #define SSPLANE_TRAFFIC_TRAFFIC_SWEEP_H
 
@@ -49,50 +49,18 @@ struct traffic_sweep_result {
     std::vector<double> step_p95_utilization;
 };
 
-/// Sweep one failure scenario over a prebuilt builder and its
-/// `positions_at_offsets(offsets_s)` output (mirrors the batched
-/// `run_scenario_sweep` overload, so callers share one propagation pass
-/// between survivability and traffic metrics). The traffic matrix is
-/// rebuilt at every step's instant, so offered load follows the diurnal
-/// cycle across the gateways.
-traffic_sweep_result run_traffic_sweep(const lsn::snapshot_builder& builder,
-                                       std::span<const double> offsets_s,
-                                       const std::vector<std::vector<vec3>>& positions,
-                                       const lsn::failure_scenario& scenario,
-                                       const demand::demand_model& demand,
-                                       const traffic_sweep_options& options = {});
-
-/// Static-mask sweep path: the failure mask is supplied instead of drawn,
-/// so callers holding a mask cache (the campaign runner) evaluate many
-/// sweeps against one `sample_failures` draw. `failed` may be empty (no
-/// failures) or size n_satellites. Wraps the mask as a single-row timeline
-/// and delegates to `run_traffic_sweep_timeline` — byte-identical to the
-/// pre-timeline implementation.
-traffic_sweep_result run_traffic_sweep_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const demand::demand_model& demand,
-    const traffic_sweep_options& options = {});
-
-/// Innermost sweep path: each step `i` assigns flows under
-/// `timeline.step(i)`, so delivered throughput traces the failure process
-/// as it unfolds. All other overloads delegate here. Bit-identical for any
-/// `SSPLANE_THREADS` value.
+/// Sweep one failure timeline over a prebuilt builder and its
+/// `positions_at_offsets(offsets_s)` output, so callers share one
+/// propagation pass between survivability and traffic metrics. Each step
+/// `i` assigns flows under `timeline.step(i)`, so delivered throughput
+/// traces the failure process as it unfolds; the traffic matrix is rebuilt
+/// at every step's instant, so offered load follows the diurnal cycle
+/// across the gateways. Bit-identical for any `SSPLANE_THREADS` value.
 traffic_sweep_result run_traffic_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline, const demand::demand_model& demand,
     const traffic_sweep_options& options = {});
-
-/// Convenience overload that builds the builder and propagation pass
-/// itself, mirroring the one-shot `run_scenario_sweep` signature.
-traffic_sweep_result run_traffic_sweep(const lsn::lsn_topology& topology,
-                                       const std::vector<lsn::ground_station>& stations,
-                                       const astro::instant& epoch,
-                                       const lsn::failure_scenario& scenario,
-                                       const demand::demand_model& demand,
-                                       const lsn::scenario_sweep_options& sweep = {},
-                                       const traffic_sweep_options& options = {});
 
 /// Delivered-throughput ratio of `scenario` to `baseline` (1 = no loss,
 /// < 1 = capacity lost to the failures). 0 when the baseline delivered

@@ -44,6 +44,23 @@ lsn::scenario_sweep_options short_grid()
     return grid;
 }
 
+/// The tests' shell, gateways and grid as a builder and propagation pass
+/// of their own, apart from any evaluation_context: campaign cells are
+/// checked against direct sweep calls on these.
+struct direct_inputs {
+    lsn::lsn_topology topo = small_walker();
+    lsn::snapshot_builder builder{topo, traffic::stations_from_cities(4),
+                                  astro::instant::j2000(), short_grid().min_elevation_rad};
+    std::vector<double> offsets =
+        lsn::sweep_offsets(short_grid().duration_s, short_grid().step_s);
+    std::vector<std::vector<vec3>> positions = builder.positions_at_offsets(offsets);
+
+    lsn::failure_timeline timeline(const lsn::failure_scenario& scenario) const
+    {
+        return lsn::sample_failure_timeline(topo, scenario, offsets, builder.epoch());
+    }
+};
+
 std::vector<tempo::bulk_transfer_request> test_requests()
 {
     return {{0, 2, 500.0, 0.0, 7200.0}, {1, 3, 800.0, 0.0, 7200.0}};
@@ -100,12 +117,15 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
     ASSERT_EQ(campaign.n_engines, 3);
 
     const auto requests = test_requests();
+    const direct_inputs direct;
     for (std::size_t r = 0; r < campaign.rows.size(); ++r) {
         const auto& scenario = campaign.rows[r].scenario;
         const int row = static_cast<int>(r);
+        const auto timeline = direct.timeline(scenario);
 
-        // Legacy survivability entry point, rebuilding everything itself.
-        const auto surv = lsn::run_scenario_sweep(topo, stations, epoch, scenario, grid);
+        // Survivability entry point on the context-free builder.
+        const auto surv = lsn::run_scenario_sweep_timeline(
+            direct.builder, direct.offsets, direct.positions, timeline);
         EXPECT_EQ(campaign.rows[r].n_failed, surv.metrics.n_failed);
         const auto& surv_cell = survivability_engine::detail(campaign.cell(row, 0));
         EXPECT_EQ(surv_cell.metrics.giant_component_fraction,
@@ -119,9 +139,9 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
         EXPECT_EQ(campaign.value(row, "survivability.p95_latency_ms"),
                   surv.metrics.p95_latency_ms);
 
-        // Legacy traffic entry point.
-        const auto traf = traffic::run_traffic_sweep(topo, stations, epoch, scenario,
-                                                     test_demand(), grid);
+        // Traffic entry point.
+        const auto traf = traffic::run_traffic_sweep_timeline(
+            direct.builder, direct.offsets, direct.positions, timeline, test_demand());
         const auto& traf_cell = traffic_engine::detail(campaign.cell(row, 1));
         EXPECT_EQ(traf_cell.metrics.offered_gbps_mean, traf.metrics.offered_gbps_mean);
         EXPECT_EQ(traf_cell.metrics.delivered_gbps_mean,
@@ -134,9 +154,9 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
         EXPECT_EQ(campaign.value(row, "traffic.delivered_fraction"),
                   traf.metrics.delivered_fraction);
 
-        // Legacy bulk entry point.
-        const auto bulk =
-            tempo::run_bulk_sweep(topo, stations, epoch, scenario, requests, grid);
+        // Bulk entry point.
+        const auto bulk = tempo::run_bulk_sweep_timeline(
+            direct.builder, direct.offsets, direct.positions, timeline, requests);
         const auto& bulk_cell = bulk_engine::detail(campaign.cell(row, 2));
         EXPECT_EQ(bulk_cell.n_failed, bulk.n_failed);
         EXPECT_EQ(bulk_cell.routing.offered_gb, bulk.routing.offered_gb);
@@ -497,9 +517,9 @@ TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
 
 TEST(Campaign, StaticScenarioCampaignIsByteIdenticalToPreTimelineBehavior)
 {
-    // The legacy-equivalence acceptance gate: a static-mode campaign CSV
-    // must carry exactly the legacy sweep numbers (the columns grew, the
-    // shared ones did not move).
+    // The static-mask acceptance gate: a static-mode campaign CSV must carry
+    // exactly the numbers of a sweep over the bare `sample_failures` mask
+    // (the columns grew, the shared ones did not move).
     const auto topo = small_walker();
     const auto stations = traffic::stations_from_cities(4);
     const auto epoch = astro::instant::j2000();
@@ -508,18 +528,20 @@ TEST(Campaign, StaticScenarioCampaignIsByteIdenticalToPreTimelineBehavior)
 
     const auto plan = mixed_plan(lsn::plane_count(topo), 7);
     const auto campaign = run_campaign(plan, context);
+    const direct_inputs direct;
     for (std::size_t r = 0; r < campaign.rows.size(); ++r) {
         const auto& scenario = campaign.rows[r].scenario;
         const int row = static_cast<int>(r);
-        const auto mask = lsn::sample_failures(topo, scenario);
-        const auto surv = lsn::run_scenario_sweep_masked(
-            context.builder(), context.offsets(), context.positions(), mask);
+        const auto static_mask = lsn::failure_timeline::from_static_mask(
+            lsn::sample_failures(topo, scenario));
+        const auto surv = lsn::run_scenario_sweep_timeline(
+            direct.builder, direct.offsets, direct.positions, static_mask);
         EXPECT_EQ(campaign.value(row, "survivability.giant_component_fraction"),
                   surv.metrics.giant_component_fraction);
         EXPECT_EQ(campaign.value(row, "survivability.p95_latency_ms"),
                   surv.metrics.p95_latency_ms);
-        const auto traf = traffic::run_traffic_sweep_masked(
-            context.builder(), context.offsets(), context.positions(), mask,
+        const auto traf = traffic::run_traffic_sweep_timeline(
+            direct.builder, direct.offsets, direct.positions, static_mask,
             test_demand());
         EXPECT_EQ(campaign.value(row, "traffic.delivered_gbps_mean"),
                   traf.metrics.delivered_gbps_mean);
@@ -593,11 +615,11 @@ TEST(Campaign, PerStepBulkEngineReportsTheReplicationFloor)
     EXPECT_EQ(campaign.engine_names[0], "bulk");
     EXPECT_EQ(campaign.engine_names[1], "bulk_per_step");
 
-    const auto legacy = tempo::run_bulk_sweep_per_step_baseline(
-        context.builder(), context.offsets(), context.positions(), {},
-        test_requests());
+    const direct_inputs direct;
+    const auto per_step_floor = tempo::run_bulk_sweep_per_step_baseline_timeline(
+        direct.builder, direct.offsets, direct.positions, {}, test_requests());
     EXPECT_EQ(campaign.value(0, "bulk_per_step.delivered_gb"),
-              legacy.routing.delivered_gb);
+              per_step_floor.routing.delivered_gb);
     // Store-and-forward never delivers less than the per-step floor.
     EXPECT_GE(campaign.value(0, "bulk.delivered_gb"),
               campaign.value(0, "bulk_per_step.delivered_gb"));

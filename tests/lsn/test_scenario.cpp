@@ -25,6 +25,21 @@ constellation::walker_parameters small_grid(int planes = 6, int sats = 6)
     return p;
 }
 
+/// Sweep `scenario` on a freshly built builder and propagation pass.
+scenario_sweep_result sweep_scenario(const lsn_topology& topo,
+                                     const std::vector<ground_station>& stations,
+                                     const failure_scenario& scenario,
+                                     const scenario_sweep_options& opts)
+{
+    const auto epoch = astro::instant::j2000();
+    const snapshot_builder builder(topo, stations, epoch, opts.min_elevation_rad,
+                                   opts.max_isl_range_m);
+    const auto offsets = sweep_offsets(opts.duration_s, opts.step_s);
+    return run_scenario_sweep_timeline(
+        builder, offsets, builder.positions_at_offsets(offsets),
+        sample_failure_timeline(topo, scenario, offsets, epoch));
+}
+
 TEST(Scenario, BuilderSnapshotMatchesSnapshotAt)
 {
     const auto topo = build_walker_grid_topology(small_grid(4, 4));
@@ -268,7 +283,6 @@ TEST(Scenario, SingleSourceMatchesPointToPoint)
 TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
 {
     const auto topo = build_walker_grid_topology(small_grid(6, 6));
-    const auto epoch = astro::instant::j2000();
     scenario_sweep_options opts;
     opts.duration_s = 1200.0;
     opts.step_s = 600.0;
@@ -282,7 +296,7 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
         attack.mode = failure_mode::plane_attack;
         attack.planes_attacked = k;
         attack.seed = 21;
-        const auto r = run_scenario_sweep(topo, {}, epoch, attack, opts);
+        const auto r = sweep_scenario(topo, {}, attack, opts);
         EXPECT_EQ(r.metrics.n_failed, 6 * k);
         EXPECT_LE(r.metrics.giant_component_fraction, 1.0 - k / 6.0 + 1e-12);
         if (k == 0) {
@@ -301,7 +315,7 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
         random.mode = failure_mode::random_loss;
         random.loss_fraction = k / 6.0;
         random.seed = 21;
-        const auto r = run_scenario_sweep(topo, {}, epoch, random, opts);
+        const auto r = sweep_scenario(topo, {}, random, opts);
         EXPECT_EQ(r.metrics.n_failed, 6 * k);
         EXPECT_LE(r.metrics.giant_component_fraction, 1.0 - k / 6.0 + 1e-12);
     }
@@ -318,8 +332,7 @@ TEST(Scenario, DegenerateTimeGrids)
     const auto topo = build_walker_grid_topology(small_grid(3, 3));
     scenario_sweep_options opts;
     opts.duration_s = 0.0;
-    const auto r = run_scenario_sweep(topo, default_ground_stations(),
-                                      astro::instant::j2000(), {}, opts);
+    const auto r = sweep_scenario(topo, default_ground_stations(), {}, opts);
     EXPECT_EQ(r.n_steps, 0);
     EXPECT_EQ(r.metrics.pair_reachable_fraction, 0.0);
     EXPECT_EQ(r.metrics.p95_latency_ms, 0.0);
@@ -330,7 +343,6 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     const auto topo = build_walker_grid_topology(small_grid(4, 5));
     const auto all = default_ground_stations();
     const std::vector<ground_station> stations(all.begin(), all.begin() + 5);
-    const auto epoch = astro::instant::j2000();
 
     failure_scenario scenario;
     scenario.mode = failure_mode::random_loss;
@@ -345,7 +357,7 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     std::vector<scenario_sweep_result> runs;
     for (const unsigned threads : {1u, 2u, 5u}) {
         set_thread_count(threads);
-        runs.push_back(run_scenario_sweep(topo, stations, epoch, scenario, opts));
+        runs.push_back(sweep_scenario(topo, stations, scenario, opts));
     }
     set_thread_count(0);
 
@@ -362,38 +374,6 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     }
 }
 
-TEST(Scenario, MaskedSweepMatchesScenarioSweep)
-{
-    const auto topo = build_walker_grid_topology(small_grid(4, 5));
-    const auto all = default_ground_stations();
-    const std::vector<ground_station> stations(all.begin(), all.begin() + 5);
-    const snapshot_builder builder(topo, stations, astro::instant::j2000(),
-                                   deg2rad(25.0));
-    const auto offsets = sweep_offsets(3600.0, 600.0);
-    const auto positions = builder.positions_at_offsets(offsets);
-
-    failure_scenario scenario;
-    scenario.mode = failure_mode::random_loss;
-    scenario.loss_fraction = 0.2;
-    scenario.seed = 5;
-
-    const auto via_scenario = run_scenario_sweep(builder, offsets, positions, scenario);
-    const auto via_mask = run_scenario_sweep_masked(
-        builder, offsets, positions, sample_failures(topo, scenario));
-    EXPECT_EQ(via_mask.metrics.n_failed, via_scenario.metrics.n_failed);
-    EXPECT_EQ(via_mask.metrics.giant_component_fraction,
-              via_scenario.metrics.giant_component_fraction);
-    EXPECT_EQ(via_mask.metrics.p95_latency_ms, via_scenario.metrics.p95_latency_ms);
-    EXPECT_EQ(via_mask.pair_reachable_fraction, via_scenario.pair_reachable_fraction);
-    EXPECT_EQ(via_mask.pair_mean_latency_ms, via_scenario.pair_mean_latency_ms);
-
-    // An empty mask is the no-failure baseline.
-    const auto empty_mask = run_scenario_sweep_masked(builder, offsets, positions, {});
-    const auto baseline = run_scenario_sweep(builder, offsets, positions, {});
-    EXPECT_EQ(empty_mask.metrics.n_failed, 0);
-    EXPECT_EQ(empty_mask.metrics.p95_latency_ms, baseline.metrics.p95_latency_ms);
-}
-
 TEST(Scenario, SweepBaselineVersusFailures)
 {
     // A dense shell so most pairs are reachable at baseline.
@@ -404,14 +384,13 @@ TEST(Scenario, SweepBaselineVersusFailures)
         return p;
     }());
     const auto stations = default_ground_stations();
-    const auto epoch = astro::instant::j2000();
     scenario_sweep_options opts;
     opts.duration_s = 3600.0;
     opts.step_s = 900.0;
     opts.min_elevation_rad = deg2rad(25.0);
     opts.max_isl_range_m = 8.0e6; // keep the 1200 km shell's +Grid intact
 
-    const auto baseline = run_scenario_sweep(topo, stations, epoch, {}, opts);
+    const auto baseline = sweep_scenario(topo, stations, {}, opts);
     EXPECT_EQ(baseline.metrics.n_failed, 0);
     EXPECT_DOUBLE_EQ(baseline.metrics.giant_component_fraction, 1.0);
     EXPECT_GT(baseline.metrics.pair_reachable_fraction, 0.6);
@@ -422,7 +401,7 @@ TEST(Scenario, SweepBaselineVersusFailures)
     heavy.mode = failure_mode::random_loss;
     heavy.loss_fraction = 0.5;
     heavy.seed = 9;
-    const auto failed = run_scenario_sweep(topo, stations, epoch, heavy, opts);
+    const auto failed = sweep_scenario(topo, stations, heavy, opts);
     EXPECT_EQ(failed.metrics.n_failed, 40);
     EXPECT_LT(failed.metrics.giant_component_fraction,
               baseline.metrics.giant_component_fraction);

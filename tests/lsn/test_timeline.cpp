@@ -419,36 +419,5 @@ TEST(Timeline, TimelineSweepDegradesStepTracesAndIsThreadCountInvariant)
     }
 }
 
-TEST(Timeline, StaticTimelineSweepMatchesMaskedSweepBitForBit)
-{
-    const auto topo = build_walker_grid_topology(small_grid());
-    const auto stations = default_ground_stations();
-    const auto epoch = astro::instant::j2000();
-    const snapshot_builder builder(topo, stations, epoch, deg2rad(25.0));
-    const auto offsets = hourly_offsets(6);
-    const auto positions = builder.positions_at_offsets(offsets);
-
-    failure_scenario loss;
-    loss.mode = failure_mode::random_loss;
-    loss.loss_fraction = 0.25;
-    loss.seed = 11;
-    const auto mask = sample_failures(topo, loss);
-
-    const auto masked = run_scenario_sweep_masked(builder, offsets, positions, mask);
-    const auto timeline = run_scenario_sweep_timeline(
-        builder, offsets, positions, failure_timeline::from_static_mask(mask));
-
-    EXPECT_EQ(masked.metrics.n_failed, timeline.metrics.n_failed);
-    EXPECT_EQ(masked.metrics.giant_component_fraction,
-              timeline.metrics.giant_component_fraction);
-    EXPECT_EQ(masked.metrics.pair_reachable_fraction,
-              timeline.metrics.pair_reachable_fraction);
-    EXPECT_EQ(masked.metrics.mean_latency_ms, timeline.metrics.mean_latency_ms);
-    EXPECT_EQ(masked.metrics.p95_latency_ms, timeline.metrics.p95_latency_ms);
-    EXPECT_EQ(masked.pair_reachable_fraction, timeline.pair_reachable_fraction);
-    EXPECT_EQ(masked.pair_mean_latency_ms, timeline.pair_mean_latency_ms);
-    EXPECT_EQ(masked.step_giant_fraction, timeline.step_giant_fraction);
-}
-
 } // namespace
 } // namespace ssplane::lsn

@@ -170,32 +170,6 @@ TEST(ServingSweep, TimeToRestoreSemantics)
     EXPECT_THROW(time_to_restore(misaligned, offsets, 0.9), contract_violation);
 }
 
-TEST(ServingSweep, MaskedWrapperMatchesSingleRowTimeline)
-{
-    const sweep_fixture fx(15000);
-    serving_options options;
-    options.n_sessions = 15000;
-    options.seed = 3;
-    const int n_sats = static_cast<int>(fx.positions[0].size());
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_sats), 0);
-    for (int s = 0; s < n_sats; s += 3) mask[static_cast<std::size_t>(s)] = 1;
-
-    const auto via_mask = run_serving_sweep_masked(
-        fx.builder, fx.offsets, fx.positions, mask, fx.grid, options);
-    const auto via_timeline = run_serving_sweep_timeline(
-        fx.builder, fx.offsets, fx.positions,
-        lsn::failure_timeline::from_static_mask(mask), fx.grid, options);
-    EXPECT_EQ(via_mask.step_served_fraction, via_timeline.step_served_fraction);
-    EXPECT_EQ(via_mask.step_delivered_gbps, via_timeline.step_delivered_gbps);
-    EXPECT_EQ(via_mask.metrics.p99_session_rate_mbps,
-              via_timeline.metrics.p99_session_rate_mbps);
-
-    std::vector<std::uint8_t> wrong(static_cast<std::size_t>(n_sats) + 1, 0);
-    EXPECT_THROW(run_serving_sweep_masked(fx.builder, fx.offsets, fx.positions,
-                                          wrong, fx.grid, options),
-                 contract_violation);
-}
-
 TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
 {
     const sweep_fixture fx;

@@ -106,6 +106,31 @@ TEST(Percolation, TopologyOverloadMatchesAdjacencyCore)
     EXPECT_EQ(via_topology.n_components, via_adjacency.n_components);
 }
 
+TEST(Percolation, GiantFractionMatchesTheSurvivabilityEngine)
+{
+    // Both count the largest alive ISL component over every satellite, so
+    // lsn::giant_component_fraction must agree exactly on masked snapshots:
+    // 40% loss leaves this 6x6 grid connected, 60% fragments it.
+    const lsn::lsn_topology topo =
+        lsn::build_walker_grid_topology(small_walker(6, 6));
+    const lsn::snapshot_builder builder(topo, {}, astro::instant::j2000(),
+                                        deg2rad(30.0), 1.0e8);
+    for (const double fraction : {0.4, 0.6})
+        for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+            lsn::failure_scenario loss;
+            loss.mode = lsn::failure_mode::random_loss;
+            loss.loss_fraction = fraction;
+            loss.seed = seed;
+            const auto failed = lsn::sample_failures(topo, loss);
+            const lsn::network_snapshot snap = builder.snapshot(0.0, failed);
+            const percolation_metrics m = analyze_percolation(snap, failed);
+            EXPECT_EQ(m.n_components > 1, fraction > 0.5) << "seed " << seed;
+            EXPECT_EQ(m.giant_component_fraction,
+                      lsn::giant_component_fraction(snap, failed))
+                << "fraction " << fraction << " seed " << seed;
+        }
+}
+
 TEST(MaskingThreshold, EscalatesUntilCollapseOnRingTopology)
 {
     // Degree-2 serpentine ring: two destroyed planes cut it, so the

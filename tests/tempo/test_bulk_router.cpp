@@ -55,7 +55,7 @@ TEST(BulkRouter, DeliversWithinOneStepWhenCapacitySuffices)
 {
     const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
                                                    chain_snapshot()};
-    auto graph = build_time_expanded_graph(snaps, grid(2), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(2), {}, chain_options());
 
     // 1000 Gb against 10 Gbps * 600 s = 6000 Gb per link-step: one path.
     const bulk_transfer_request request{0, 1, 1000.0, 0.0, 2.0 * step_s};
@@ -79,7 +79,7 @@ TEST(BulkRouter, VolumePulseSpillsToLaterSteps)
     // capacity and must water-fill across the three steps' link capacity.
     const std::vector<lsn::network_snapshot> snaps{
         chain_snapshot(), chain_snapshot(), chain_snapshot()};
-    auto graph = build_time_expanded_graph(snaps, grid(3), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(3), {}, chain_options());
 
     const bulk_transfer_request request{0, 1, 15000.0, 0.0, 3.0 * step_s};
     const auto result = route_bulk_transfers(graph, {&request, 1});
@@ -113,8 +113,8 @@ std::vector<lsn::network_snapshot> disconnected_relay_snapshots()
 
 TEST(BulkRouter, StoreAndForwardCrossesSnapshotsNoSingleStepPathExists)
 {
-    auto graph = build_time_expanded_graph(disconnected_relay_snapshots(),
-                                           grid(2), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(disconnected_relay_snapshots(),
+                                                    grid(2), {}, chain_options());
     const bulk_transfer_request request{0, 1, 500.0, 0.0, 2.0 * step_s};
     const auto result = route_bulk_transfers(graph, {&request, 1});
 
@@ -138,8 +138,8 @@ TEST(BulkRouter, BufferCapacityGatesStagedVolume)
 {
     auto opts = chain_options();
     opts.sat_buffer_gb = 120.0;
-    auto graph = build_time_expanded_graph(disconnected_relay_snapshots(),
-                                           grid(2), {}, opts);
+    auto graph = build_time_expanded_graph_timeline(disconnected_relay_snapshots(),
+                                                    grid(2), {}, opts);
     const bulk_transfer_request request{0, 1, 500.0, 0.0, 2.0 * step_s};
     const auto result = route_bulk_transfers(graph, {&request, 1});
 
@@ -154,7 +154,7 @@ TEST(BulkRouter, ReleaseAndDeadlineClampTheWindow)
 {
     const std::vector<lsn::network_snapshot> snaps{
         chain_snapshot(), chain_snapshot(), chain_snapshot()};
-    auto graph = build_time_expanded_graph(snaps, grid(3), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(3), {}, chain_options());
 
     // Released mid-sweep: only steps 1 and 2 carry volume.
     const bulk_transfer_request late{0, 1, 15000.0, step_s, 3.0 * step_s};
@@ -174,7 +174,7 @@ TEST(BulkRouter, EarlierRequestsHavePriorityOnSharedBottlenecks)
 {
     const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
                                                    chain_snapshot()};
-    auto graph = build_time_expanded_graph(snaps, grid(2), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(2), {}, chain_options());
 
     // Both want the same 2 * 6000 Gb chain; 9000 + 9000 > 12000 total.
     const bulk_transfer_request requests[] = {
@@ -197,7 +197,7 @@ TEST(BulkRouter, PerStepBaselineMatchesOnAlwaysConnectedChains)
     const auto offsets = grid(3);
     const bulk_transfer_request request{0, 1, 15000.0, 0.0, 3.0 * step_s};
 
-    auto graph = build_time_expanded_graph(snaps, offsets, {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, chain_options());
     const auto expanded = route_bulk_transfers(graph, {&request, 1});
     const auto baseline = route_bulk_transfers_per_step_baseline(
         snaps, offsets, {&request, 1}, chain_options());
@@ -214,7 +214,7 @@ TEST(BulkRouter, RejectsMalformedRequests)
 {
     const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
                                                    chain_snapshot()};
-    auto graph = build_time_expanded_graph(snaps, grid(2), {}, chain_options());
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(2), {}, chain_options());
 
     bulk_transfer_request bad{0, 0, 100.0, 0.0, step_s}; // src == dst
     EXPECT_THROW(route_bulk_transfers(graph, {&bad, 1}), contract_violation);

@@ -31,6 +31,23 @@ lsn::scenario_sweep_options short_sweep()
     return sweep;
 }
 
+/// Sweep `scenario` over `short_sweep()` on a freshly built builder and
+/// propagation pass.
+bulk_sweep_result sweep_bulk(const lsn::lsn_topology& topo,
+                             const std::vector<lsn::ground_station>& stations,
+                             const lsn::failure_scenario& scenario,
+                             std::span<const bulk_transfer_request> requests)
+{
+    const auto epoch = astro::instant::j2000();
+    const auto sweep = short_sweep();
+    const lsn::snapshot_builder builder(topo, stations, epoch, sweep.min_elevation_rad,
+                                        sweep.max_isl_range_m);
+    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
+    return run_bulk_sweep_timeline(
+        builder, offsets, builder.positions_at_offsets(offsets),
+        lsn::sample_failure_timeline(topo, scenario, offsets, epoch), requests);
+}
+
 TEST(BulkSweep, DeliversBulkVolumeOnHealthyConstellation)
 {
     const auto topo = test_walker();
@@ -39,8 +56,7 @@ TEST(BulkSweep, DeliversBulkVolumeOnHealthyConstellation)
         {0, 2, 5000.0, 0.0, 7200.0},
         {1, 3, 3000.0, 1800.0, 7200.0},
     };
-    const auto result = run_bulk_sweep(topo, stations, astro::instant::j2000(), {},
-                                       requests, short_sweep());
+    const auto result = sweep_bulk(topo, stations, {}, requests);
 
     EXPECT_EQ(result.n_steps, 4);
     EXPECT_EQ(result.n_failed, 0);
@@ -87,10 +103,11 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
         for (int b = 0; b < 4; ++b)
             if (a != b) requests.push_back({a, b, 2.0e5, 0.0, 14400.0});
 
+    const auto timeline = lsn::sample_failure_timeline(topo, loss, offsets, epoch);
     const auto expanded =
-        run_bulk_sweep(builder, offsets, positions, loss, requests, opts);
-    const auto replicated = run_bulk_sweep_per_step_baseline(
-        builder, offsets, positions, loss, requests, opts);
+        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests, opts);
+    const auto replicated = run_bulk_sweep_per_step_baseline_timeline(
+        builder, offsets, positions, timeline, requests, opts);
 
     EXPECT_EQ(expanded.n_failed, replicated.n_failed);
     EXPECT_GT(expanded.n_failed, 0);
@@ -125,13 +142,14 @@ TEST(BulkSweep, FailuresOnlyReduceDeliveredVolume)
     };
 
     const auto baseline =
-        run_bulk_sweep(builder, offsets, positions, {}, requests, {});
+        run_bulk_sweep_timeline(builder, offsets, positions, {}, requests);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
-    const auto degraded =
-        run_bulk_sweep(builder, offsets, positions, loss, requests, {});
+    const auto degraded = run_bulk_sweep_timeline(
+        builder, offsets, positions,
+        lsn::sample_failure_timeline(topo, loss, offsets, epoch), requests);
 
     const double ratio = delivered_volume_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
@@ -158,8 +176,7 @@ TEST(BulkSweep, BitIdenticalAcrossThreadCounts)
 
     const auto run_with = [&](unsigned threads) {
         set_thread_count(threads);
-        const auto result = run_bulk_sweep(topo, stations, astro::instant::j2000(),
-                                           loss, requests, short_sweep());
+        const auto result = sweep_bulk(topo, stations, loss, requests);
         set_thread_count(0);
         return result;
     };
@@ -211,27 +228,18 @@ TEST(BulkSweep, CascadeTimelineRoutesAroundTheUnfoldingFailure)
     cascade.seed = 9;
 
     const auto baseline =
-        run_bulk_sweep(builder, offsets, positions, {}, requests);
-    const auto degraded =
-        run_bulk_sweep(builder, offsets, positions, cascade, requests);
+        run_bulk_sweep_timeline(builder, offsets, positions, {}, requests);
     const auto timeline =
         lsn::sample_failure_timeline(topo, cascade, offsets, epoch);
+    const auto degraded =
+        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests);
 
-    // The scenario entry point routed through the timeline internals: its
-    // loss count is the timeline's final row, and delivered volume can only
-    // shrink relative to the unfailed baseline.
+    // The loss count is the timeline's final row, and delivered volume can
+    // only shrink relative to the unfailed baseline.
     EXPECT_EQ(degraded.n_failed, timeline.final_n_failed());
     EXPECT_GT(degraded.n_failed, 0);
     EXPECT_LE(degraded.routing.delivered_gb,
               baseline.routing.delivered_gb + 1e-9);
-
-    // Explicit-timeline and scenario paths agree exactly.
-    const auto explicit_timeline =
-        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests);
-    EXPECT_EQ(degraded.routing.delivered_gb,
-              explicit_timeline.routing.delivered_gb);
-    EXPECT_EQ(degraded.routing.max_buffer_gb,
-              explicit_timeline.routing.max_buffer_gb);
 }
 
 } // namespace

@@ -43,7 +43,7 @@ TEST(TimeExpandedGraph, BuildsSlotsAndArcsFromSnapshots)
     opts.capacity.isl_capacity_gbps = 20.0;
     opts.capacity.uplink_capacity_gbps = 40.0;
     opts.sat_buffer_gb = 10.0;
-    const auto graph = build_time_expanded_graph(snaps, offsets, {}, opts);
+    const auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, opts);
 
     EXPECT_EQ(graph.n_satellites, 2);
     EXPECT_EQ(graph.n_ground, 2);
@@ -87,7 +87,7 @@ TEST(TimeExpandedGraph, ZeroBufferDropsSatelliteStorageArcs)
     const std::vector<double> offsets{0.0, 600.0};
     bulk_route_options opts;
     opts.sat_buffer_gb = 0.0;
-    const auto graph = build_time_expanded_graph(snaps, offsets, {}, opts);
+    const auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, opts);
 
     for (const auto& s : graph.slots) EXPECT_FALSE(s.storage);
     // Ground storage survives: 12 transmission arcs + 2 ground storage arcs.
@@ -101,8 +101,8 @@ TEST(TimeExpandedGraph, FailedSatellitesLoseStorage)
     add_edge(dead_s0, 1, 3, 3.0);
     const std::vector<lsn::network_snapshot> snaps{dead_s0, dead_s0};
     const std::vector<double> offsets{0.0, 600.0};
-    const std::vector<std::uint8_t> failed{1, 0};
-    const auto graph = build_time_expanded_graph(snaps, offsets, failed, {});
+    const auto graph = build_time_expanded_graph_timeline(
+        snaps, offsets, lsn::failure_timeline::from_static_mask({1, 0}), {});
 
     int n_storage = 0;
     for (const auto& s : graph.slots) {
@@ -118,7 +118,7 @@ TEST(TimeExpandedGraph, ResetLoadsAndHighWater)
     const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
                                                    chain_snapshot()};
     const std::vector<double> offsets{0.0, 600.0};
-    auto graph = build_time_expanded_graph(snaps, offsets, {}, {});
+    auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, {});
     for (auto& s : graph.slots)
         if (s.storage && s.a == 1) s.load_gb = 7.0;
 
@@ -137,31 +137,31 @@ TEST(TimeExpandedGraph, ValidatesOptionsAndGrid)
     const std::vector<double> one_offset{0.0};
 
     // Single-step grids need an explicit last dwell...
-    EXPECT_THROW(build_time_expanded_graph(snaps, one_offset, {}, {}),
+    EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, {}),
                  contract_violation);
     // ...and work once it is given.
     bulk_route_options opts;
     opts.last_step_s = 300.0;
-    const auto graph = build_time_expanded_graph(snaps, one_offset, {}, opts);
+    const auto graph = build_time_expanded_graph_timeline(snaps, one_offset, {}, opts);
     EXPECT_DOUBLE_EQ(graph.dwell_s[0], 300.0);
 
     bulk_route_options bad = opts;
     bad.sat_buffer_gb = -1.0;
-    EXPECT_THROW(build_time_expanded_graph(snaps, one_offset, {}, bad),
+    EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
                  contract_violation);
     bad = opts;
     bad.max_paths_per_request = 0;
-    EXPECT_THROW(build_time_expanded_graph(snaps, one_offset, {}, bad),
+    EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
                  contract_violation);
     bad = opts;
     bad.capacity.isl_capacity_gbps = 0.0;
-    EXPECT_THROW(build_time_expanded_graph(snaps, one_offset, {}, bad),
+    EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
                  contract_violation);
 
     // Non-increasing offsets are rejected.
     const std::vector<double> decreasing{0.0, -1.0};
     const std::vector<lsn::network_snapshot> two{chain_snapshot(), chain_snapshot()};
-    EXPECT_THROW(build_time_expanded_graph(two, decreasing, {}, {}),
+    EXPECT_THROW(build_time_expanded_graph_timeline(two, decreasing, {}, {}),
                  contract_violation);
 }
 
@@ -192,34 +192,6 @@ TEST(TimeExpandedGraph, TimelineGatesStoragePerStep)
     }
     EXPECT_EQ(s0_storage, 1);
     EXPECT_EQ(s1_storage, 2);
-}
-
-TEST(TimeExpandedGraph, StaticTimelineMatchesMaskedBuilderExactly)
-{
-    const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
-                                                   chain_snapshot()};
-    const std::vector<double> offsets{0.0, 600.0};
-    const std::vector<std::uint8_t> failed{1, 0};
-
-    const auto masked = build_time_expanded_graph(snaps, offsets, failed, {});
-    const auto via_timeline = build_time_expanded_graph_timeline(
-        snaps, offsets, lsn::failure_timeline::from_static_mask(failed), {});
-
-    ASSERT_EQ(masked.slots.size(), via_timeline.slots.size());
-    for (std::size_t i = 0; i < masked.slots.size(); ++i) {
-        EXPECT_EQ(masked.slots[i].a, via_timeline.slots[i].a);
-        EXPECT_EQ(masked.slots[i].b, via_timeline.slots[i].b);
-        EXPECT_EQ(masked.slots[i].step, via_timeline.slots[i].step);
-        EXPECT_EQ(masked.slots[i].storage, via_timeline.slots[i].storage);
-        EXPECT_EQ(masked.slots[i].capacity_gb, via_timeline.slots[i].capacity_gb);
-    }
-    ASSERT_EQ(masked.arcs.size(), via_timeline.arcs.size());
-    for (std::size_t i = 0; i < masked.arcs.size(); ++i) {
-        EXPECT_EQ(masked.arcs[i].to, via_timeline.arcs[i].to);
-        EXPECT_EQ(masked.arcs[i].slot, via_timeline.arcs[i].slot);
-        EXPECT_EQ(masked.arcs[i].traverse_s, via_timeline.arcs[i].traverse_s);
-    }
-    EXPECT_EQ(masked.arc_begin, via_timeline.arc_begin);
 }
 
 TEST(TimeExpandedGraph, TimelineSatelliteCountMismatchIsRejected)

@@ -35,14 +35,30 @@ lsn::scenario_sweep_options short_sweep()
     return sweep;
 }
 
+/// Sweep `scenario` over `short_sweep()` on a freshly built builder and
+/// propagation pass.
+traffic_sweep_result sweep_traffic(const lsn::lsn_topology& topo,
+                                   const std::vector<lsn::ground_station>& stations,
+                                   const lsn::failure_scenario& scenario,
+                                   const demand::demand_model& model,
+                                   const traffic_sweep_options& options = {})
+{
+    const auto epoch = astro::instant::j2000();
+    const auto sweep = short_sweep();
+    const lsn::snapshot_builder builder(topo, stations, epoch, sweep.min_elevation_rad,
+                                        sweep.max_isl_range_m);
+    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
+    return run_traffic_sweep_timeline(
+        builder, offsets, builder.positions_at_offsets(offsets),
+        lsn::sample_failure_timeline(topo, scenario, offsets, epoch), model, options);
+}
+
 TEST(TrafficSweep, ProducesSaneBaselineMetrics)
 {
     const demand::demand_model model(test_population());
     const auto topo = small_walker();
     const auto stations = stations_from_cities(4);
-    const auto result =
-        run_traffic_sweep(topo, stations, astro::instant::j2000(), {}, model,
-                          short_sweep());
+    const auto result = sweep_traffic(topo, stations, {}, model);
 
     EXPECT_EQ(result.n_steps, 4);
     EXPECT_EQ(result.n_stations, 4);
@@ -72,12 +88,15 @@ TEST(TrafficSweep, MassiveLossReducesDeliveredThroughput)
         lsn::sweep_offsets(short_sweep().duration_s, short_sweep().step_s);
     const auto positions = builder.positions_at_offsets(offsets);
 
-    const auto baseline = run_traffic_sweep(builder, offsets, positions, {}, model);
+    const auto baseline =
+        run_traffic_sweep_timeline(builder, offsets, positions, {}, model);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
-    const auto degraded = run_traffic_sweep(builder, offsets, positions, loss, model);
+    const auto degraded = run_traffic_sweep_timeline(
+        builder, offsets, positions,
+        lsn::sample_failure_timeline(topo, loss, offsets, epoch), model);
 
     const double ratio = delivered_throughput_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
@@ -121,9 +140,7 @@ TEST(TrafficSweep, RejectsDegenerateCapacityOptionsBeforeSweeping)
     const auto stations = stations_from_cities(4);
     traffic_sweep_options options;
     options.capacity.k_rounds = 0;
-    EXPECT_THROW(run_traffic_sweep(topo, stations, astro::instant::j2000(), {},
-                                   model, short_sweep(), options),
-                 contract_violation);
+    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
 }
 
 TEST(TrafficSweep, BitIdenticalAcrossThreadCounts)
@@ -138,8 +155,7 @@ TEST(TrafficSweep, BitIdenticalAcrossThreadCounts)
 
     const auto run_with = [&](unsigned threads) {
         set_thread_count(threads);
-        const auto result = run_traffic_sweep(topo, stations, astro::instant::j2000(),
-                                              loss, model, short_sweep());
+        const auto result = sweep_traffic(topo, stations, loss, model);
         set_thread_count(0);
         return result;
     };
