@@ -36,7 +36,7 @@ int main()
     wp.phasing_f = 1;
     const auto wd_topology = lsn::build_walker_grid_topology(wp);
 
-    lsn::simulation_options sim;
+    lsn::scenario_sweep_options sim;
     sim.duration_s = 6.0 * 3600.0;
     sim.step_s = 1200.0;
 

@@ -74,7 +74,7 @@ int main(int argc, char** argv)
     std::cout << "topology: " << topology.satellites.size() << " nodes, "
               << topology.links.size() << " inter-satellite links\n\n";
 
-    lsn::simulation_options sim;
+    lsn::scenario_sweep_options sim;
     sim.duration_s = 86400.0;
     sim.step_s = 1800.0;
 
@@ -465,9 +465,6 @@ int main(int argc, char** argv)
     // Cache telemetry the campaign collected while it ran: how much work
     // the shared context actually saved.
     std::cout << "\ncontext cache telemetry:\n"
-              << "  mask cache: " << campaign.cache.mask_hits << " hits / "
-              << campaign.cache.mask_misses << " misses (hit rate "
-              << format_number(campaign.cache.mask_hit_rate(), 4) << ")\n"
               << "  timeline cache: " << campaign.cache.timeline_hits
               << " hits / " << campaign.cache.timeline_misses
               << " misses (hit rate "

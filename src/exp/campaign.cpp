@@ -82,17 +82,12 @@ void campaign_result::write_csv(std::ostream& out) const
     // Campaign-constant cache-telemetry summary columns, trailing so the
     // per-row metric layout is untouched.
     const std::vector<std::string> ctx_header{
-        "ctx.mask_cache_hits",     "ctx.mask_cache_misses",
-        "ctx.mask_cache_hit_rate", "ctx.timeline_cache_hits",
-        "ctx.timeline_cache_misses", "ctx.timeline_cache_hit_rate",
-        "ctx.snapshot_builds"};
+        "ctx.timeline_cache_hits", "ctx.timeline_cache_misses",
+        "ctx.timeline_cache_hit_rate", "ctx.snapshot_builds"};
     header.insert(header.end(), ctx_header.begin(), ctx_header.end());
     csv_writer csv(out, std::move(header));
 
     const std::vector<std::string> ctx_cells{
-        std::to_string(cache.mask_hits),
-        std::to_string(cache.mask_misses),
-        format_number(cache.mask_hit_rate()),
         std::to_string(cache.timeline_hits),
         std::to_string(cache.timeline_misses),
         format_number(cache.timeline_hit_rate()),
@@ -201,7 +196,7 @@ campaign_result run_campaign(const experiment_plan& plan,
             "each engine a distinct name");
 
     // Resolve the scenario grid and validate every cell's knobs serially,
-    // before any parallel work or mask draw.
+    // before any parallel work or timeline generation.
     const auto expanded = expand_scenarios(plan);
     for (const auto& spec : expanded)
         lsn::validate(spec.scenario, context.topology());
@@ -219,8 +214,7 @@ campaign_result run_campaign(const experiment_plan& plan,
             "a distinct name");
 
     // Prefetch every failure timeline serially: scenarios sharing (mode,
-    // knobs, seed) dedupe onto one generation in the context cache (static
-    // modes additionally populate the mask cache exactly as before), and
+    // knobs, seed) dedupe onto one generation in the context cache, and
     // the parallel section below only reads. Adversary generation — full
     // traffic sweeps per candidate strike — also happens here, serially.
     std::vector<const lsn::failure_timeline*> timelines;

@@ -8,7 +8,7 @@
 // product replicates every template once per seed), and the metric engines
 // to judge every scenario with. `run_campaign` evaluates the full
 // (scenario, engine) grid against one shared `evaluation_context` — one
-// propagation pass, one failure-mask draw per distinct (mode, knobs, seed) —
+// propagation pass, one failure timeline per distinct (mode, knobs, seed) —
 // fanning cells over the process thread pool with per-cell result slots, so
 // the result is bit-identical for any `SSPLANE_THREADS` value and identical
 // to calling each engine's sweep entry point scenario by scenario.
@@ -105,8 +105,8 @@ struct campaign_result {
     /// CSV table via `util/csv`: scenario axes (name, mode, knobs, seed,
     /// n_failed) followed by every flattened metric column, then the
     /// campaign-constant `ctx.*` cache-telemetry summary columns
-    /// (hits/misses/hit rate per cache, snapshot builds) repeated on every
-    /// row so sliced exports keep their provenance.
+    /// (timeline-cache hits/misses/hit rate, snapshot builds) repeated on
+    /// every row so sliced exports keep their provenance.
     void write_csv(std::ostream& out) const;
 
     /// Per-step degradation-trajectory table: one line per (scenario,

@@ -25,6 +25,22 @@ const T& typed_detail(const engine_output& output)
     return *static_cast<const T*>(output.detail.get());
 }
 
+/// What `spectral::find_masking_threshold` reads of a topology, flattened:
+/// the satellite count, each satellite's plane index, then each ISL
+/// link's endpoints. Never empty, so an empty key means "nothing cached".
+std::vector<int> masking_key(const lsn::lsn_topology& topology)
+{
+    std::vector<int> key;
+    key.reserve(1 + topology.satellites.size() + 2 * topology.links.size());
+    key.push_back(static_cast<int>(topology.satellites.size()));
+    for (const auto& sat : topology.satellites) key.push_back(sat.plane);
+    for (const auto& link : topology.links) {
+        key.push_back(link.a);
+        key.push_back(link.b);
+    }
+    return key;
+}
+
 } // namespace
 
 // --- survivability ---------------------------------------------------------
@@ -273,8 +289,9 @@ const spectral::percolation_sweep_result& percolation_engine::detail(
 std::pair<double, double> percolation_engine::masking_thresholds(
     const lsn::lsn_topology& topology) const
 {
+    auto key = masking_key(topology);
     const std::lock_guard<std::mutex> lock(masking_mutex_);
-    if (masking_topology_ != &topology) {
+    if (key != masking_key_) {
         spectral::masking_threshold_options options = options_.masking;
         options.metrics = options_.metrics;
         options.mode = lsn::failure_mode::random_loss;
@@ -283,7 +300,7 @@ std::pair<double, double> percolation_engine::masking_thresholds(
         options.mode = lsn::failure_mode::plane_attack;
         masking_plane_attack_ =
             spectral::find_masking_threshold(topology, options).threshold_fraction;
-        masking_topology_ = &topology;
+        masking_key_ = std::move(key);
     }
     return {masking_random_loss_, masking_plane_attack_};
 }

@@ -9,8 +9,7 @@ namespace ssplane::exp {
 
 cache_statistics operator-(const cache_statistics& a, const cache_statistics& b)
 {
-    return {a.mask_hits - b.mask_hits, a.mask_misses - b.mask_misses,
-            a.timeline_hits - b.timeline_hits,
+    return {a.timeline_hits - b.timeline_hits,
             a.timeline_misses - b.timeline_misses};
 }
 
@@ -18,8 +17,7 @@ evaluation_context::evaluation_context(const lsn::lsn_topology& topology,
                                        std::vector<lsn::ground_station> stations,
                                        const astro::instant& epoch,
                                        const lsn::scenario_sweep_options& grid)
-    : grid_(grid),
-      builder_(topology, std::move(stations), epoch, grid.min_elevation_rad,
+    : builder_(topology, std::move(stations), epoch, grid.min_elevation_rad,
                grid.max_isl_range_m)
 {
     // The batched propagation pass is the expensive part of construction;
@@ -30,10 +28,10 @@ evaluation_context::evaluation_context(const lsn::lsn_topology& topology,
     positions_ = builder_.positions_at_offsets(offsets_);
 }
 
-evaluation_context::mask_key evaluation_context::key_of(
+evaluation_context::timeline_key evaluation_context::key_of(
     const lsn::failure_scenario& scenario)
 {
-    mask_key key;
+    timeline_key key;
     key.mode = static_cast<int>(scenario.mode);
     switch (scenario.mode) {
     case lsn::failure_mode::none:
@@ -85,45 +83,12 @@ evaluation_context::mask_key evaluation_context::key_of(
     return key;
 }
 
-const std::vector<std::uint8_t>& evaluation_context::failure_mask(
-    const lsn::failure_scenario& scenario) const
-{
-    // Reject invalid knobs before the cache lookup: a NaN knob would break
-    // the map's ordering and could alias an existing valid entry.
-    lsn::validate(scenario, topology());
-    auto key = key_of(scenario);
-    {
-        const std::lock_guard lock(mask_mutex_);
-        const auto it = masks_.find(key);
-        if (it != masks_.end()) {
-            mask_hits_.fetch_add(1, std::memory_order_relaxed);
-            OBS_COUNT("exp.mask_cache.hit");
-            return it->second;
-        }
-    }
-    mask_misses_.fetch_add(1, std::memory_order_relaxed);
-    OBS_COUNT("exp.mask_cache.miss");
-    // Draw outside the lock (the draw can be expensive on large
-    // constellations); it is deterministic, so a racing duplicate draw
-    // produces the identical mask and the first insert wins harmlessly.
-    OBS_SPAN("exp.mask_draw");
-    auto mask = lsn::sample_failures(topology(), scenario);
-    const std::lock_guard lock(mask_mutex_);
-    return masks_.emplace(std::move(key), std::move(mask)).first->second;
-}
-
-std::size_t evaluation_context::mask_cache_size() const
-{
-    const std::lock_guard lock(mask_mutex_);
-    return masks_.size();
-}
-
 void evaluation_context::set_adversary_oracle(const demand::demand_model& demand,
                                               traffic::traffic_sweep_options options)
 {
     // The used-flag and the oracle pointer share the cache mutex: arming
     // races against concurrent timeline() lookups otherwise.
-    const std::lock_guard lock(mask_mutex_);
+    const std::lock_guard lock(timeline_mutex_);
     expects(!adversary_oracle_used_,
             "adversary oracle cannot be re-armed after a greedy_adversary "
             "timeline has been generated; it would disagree with the cache");
@@ -134,30 +99,12 @@ void evaluation_context::set_adversary_oracle(const demand::demand_model& demand
 const lsn::failure_timeline& evaluation_context::timeline(
     const lsn::failure_scenario& scenario) const
 {
-    if (!lsn::is_timeline_mode(scenario.mode)) {
-        // Static modes ride the mask cache (same draw, same dedup), then
-        // wrap the mask as the degenerate single-row timeline — the sweep
-        // internals reproduce the static path byte-for-byte from it.
-        const auto& mask = failure_mask(scenario);
-        auto key = key_of(scenario);
-        const std::lock_guard lock(mask_mutex_);
-        const auto it = timelines_.find(key);
-        if (it != timelines_.end()) {
-            timeline_hits_.fetch_add(1, std::memory_order_relaxed);
-            OBS_COUNT("exp.timeline_cache.hit");
-            return it->second;
-        }
-        timeline_misses_.fetch_add(1, std::memory_order_relaxed);
-        OBS_COUNT("exp.timeline_cache.miss");
-        return timelines_
-            .emplace(std::move(key), lsn::failure_timeline::from_static_mask(mask))
-            .first->second;
-    }
-
+    // Reject invalid knobs before the cache lookup: a NaN knob would break
+    // the map's ordering and could alias an existing valid entry.
     lsn::validate(scenario, topology());
     auto key = key_of(scenario);
     {
-        const std::lock_guard lock(mask_mutex_);
+        const std::lock_guard lock(timeline_mutex_);
         const auto it = timelines_.find(key);
         if (it != timelines_.end()) {
             timeline_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -178,7 +125,7 @@ const lsn::failure_timeline& evaluation_context::timeline(
         const demand::demand_model* demand = nullptr;
         traffic::traffic_sweep_options oracle_options;
         {
-            const std::lock_guard lock(mask_mutex_);
+            const std::lock_guard lock(timeline_mutex_);
             expects(adversary_demand_ != nullptr,
                     "greedy_adversary scenarios need set_adversary_oracle("
                     "demand, options) on the evaluation context before the "
@@ -193,21 +140,19 @@ const lsn::failure_timeline& evaluation_context::timeline(
         generated = lsn::sample_failure_timeline(topology(), scenario, offsets_,
                                                  epoch());
     }
-    const std::lock_guard lock(mask_mutex_);
+    const std::lock_guard lock(timeline_mutex_);
     return timelines_.emplace(std::move(key), std::move(generated)).first->second;
 }
 
 std::size_t evaluation_context::timeline_cache_size() const
 {
-    const std::lock_guard lock(mask_mutex_);
+    const std::lock_guard lock(timeline_mutex_);
     return timelines_.size();
 }
 
 cache_statistics evaluation_context::cache_stats() const noexcept
 {
-    return {mask_hits_.load(std::memory_order_relaxed),
-            mask_misses_.load(std::memory_order_relaxed),
-            timeline_hits_.load(std::memory_order_relaxed),
+    return {timeline_hits_.load(std::memory_order_relaxed),
             timeline_misses_.load(std::memory_order_relaxed)};
 }
 

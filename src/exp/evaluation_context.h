@@ -11,13 +11,12 @@
 //   * the `lsn::snapshot_builder` (hoisted propagators + ground geometry),
 //   * the `sweep_offsets` time grid and the one `positions_at_offsets`
 //     batched propagation pass over it,
-//   * a per-scenario failure-mask cache, keyed on the knobs that actually
-//     feed the draw — scenarios sharing (mode, knobs, seed) reuse one
-//     `sample_failures` result bit-identically,
-//   * a per-scenario failure-*timeline* cache on top of it: static modes
-//     wrap their cached mask as a single-row timeline, the time-correlated
-//     modes (Kessler cascade, solar storm, greedy adversary) generate a
-//     full per-step mask sequence over the context's time grid.
+//   * one per-scenario failure-timeline cache, keyed on the knobs that
+//     actually feed the draw — scenarios sharing (mode, knobs, seed) reuse
+//     one timeline bit-identically. `traffic::generate_adversary_timeline`
+//     draws the greedy adversary, `lsn::sample_failure_timeline` every
+//     other mode (a static mode's timeline is the single-row wrap of its
+//     `sample_failures` mask).
 //
 // Every metric engine of a campaign then evaluates against this one
 // context, so a cross-metric study pays the shared work once instead of
@@ -38,25 +37,15 @@
 namespace ssplane::exp {
 
 /// Cumulative cache telemetry of one `evaluation_context`: lookup outcomes
-/// of the failure-mask and failure-timeline caches. Counted with plain
-/// atomics on the context itself (available regardless of the SSPLANE_OBS
-/// build option) and mirrored into the obs metrics registry as
-/// `exp.mask_cache.hit/miss` and `exp.timeline_cache.hit/miss`. Racing
-/// first lookups each count one miss — every racer pays the (deterministic)
-/// generation, the cache keeps one copy.
+/// of its failure-timeline cache. Counted with plain atomics on the context
+/// itself (available regardless of the SSPLANE_OBS build option) and
+/// mirrored into the obs metrics registry as `exp.timeline_cache.hit/miss`.
+/// Racing first lookups each count one miss — every racer pays the
+/// (deterministic) generation, the cache keeps one copy.
 struct cache_statistics {
-    std::uint64_t mask_hits = 0;
-    std::uint64_t mask_misses = 0;
     std::uint64_t timeline_hits = 0;
     std::uint64_t timeline_misses = 0;
 
-    double mask_hit_rate() const noexcept
-    {
-        const std::uint64_t total = mask_hits + mask_misses;
-        return total > 0 ? static_cast<double>(mask_hits) /
-                               static_cast<double>(total)
-                         : 0.0;
-    }
     double timeline_hit_rate() const noexcept
     {
         const std::uint64_t total = timeline_hits + timeline_misses;
@@ -85,7 +74,6 @@ public:
     const lsn::snapshot_builder& builder() const noexcept { return builder_; }
     const lsn::lsn_topology& topology() const noexcept { return builder_.topology(); }
     const astro::instant& epoch() const noexcept { return builder_.epoch(); }
-    const lsn::scenario_sweep_options& grid() const noexcept { return grid_; }
     std::span<const double> offsets() const noexcept { return offsets_; }
     const std::vector<std::vector<vec3>>& positions() const noexcept
     {
@@ -95,36 +83,26 @@ public:
     int n_ground() const noexcept { return builder_.n_ground(); }
     int n_satellites() const noexcept { return builder_.n_satellites(); }
 
-    /// The scenario's failure mask, drawn through `lsn::sample_failures` on
-    /// first use and cached. Scenarios sharing (mode, mode-relevant knobs,
-    /// seed) hit one cache entry — a `none` baseline dedupes regardless of
-    /// its seed. The returned reference stays valid for the context's
-    /// lifetime. Thread-safe; the draw itself is deterministic, so
-    /// concurrent first calls agree.
-    const std::vector<std::uint8_t>& failure_mask(
-        const lsn::failure_scenario& scenario) const;
-
-    /// Distinct masks drawn so far (observability for dedup tests).
-    std::size_t mask_cache_size() const;
-
     /// The scenario's failure timeline, generated on first use and cached.
-    /// Static modes (`none`, `random_loss`, `plane_attack`,
-    /// `radiation_poisson`) populate the mask cache through
-    /// `failure_mask` and wrap the mask as a single-row timeline, so the
-    /// static paths stay byte-identical and dedupe exactly as before.
-    /// Timeline modes generate the per-step sequence over this context's
-    /// time grid; `greedy_adversary` additionally requires an oracle set
-    /// via `set_adversary_oracle` (a `contract_violation` otherwise).
-    /// Thread-safe; the generators are deterministic, so concurrent first
-    /// calls agree.
+    /// Validates the scenario against the topology before the lookup.
+    /// Scenarios sharing (mode, mode-relevant knobs, seed) hit one cache
+    /// entry — a `none` baseline dedupes regardless of its seed. Static
+    /// modes (`none`, `random_loss`, `plane_attack`, `radiation_poisson`)
+    /// are the single-row wrap of their `sample_failures` mask; the
+    /// time-correlated modes generate the per-step sequence over this
+    /// context's time grid; `greedy_adversary` additionally requires an
+    /// oracle set via `set_adversary_oracle` (a `contract_violation`
+    /// otherwise). The returned reference stays valid for the context's
+    /// lifetime. Thread-safe; the generators are deterministic, so
+    /// concurrent first calls agree.
     const lsn::failure_timeline& timeline(const lsn::failure_scenario& scenario) const;
 
     /// Distinct timelines generated so far (observability for dedup tests).
     std::size_t timeline_cache_size() const;
 
-    /// Cumulative hit/miss telemetry of both caches since construction.
-    /// `run_campaign` snapshots this before and after to report the
-    /// per-campaign delta in `campaign_result`.
+    /// Cumulative hit/miss telemetry of the timeline cache since
+    /// construction. `run_campaign` snapshots this before and after to
+    /// report the per-campaign delta in `campaign_result`.
     cache_statistics cache_stats() const noexcept;
 
     /// Arm the greedy adversary: the demand model and traffic knobs its
@@ -137,37 +115,33 @@ public:
                               traffic::traffic_sweep_options options = {});
 
 private:
-    /// Canonical dedup key: only the fields `sample_failures` actually reads
-    /// for the scenario's mode participate, so e.g. two `random_loss`
+    /// Canonical dedup key: only the fields the scenario's generator
+    /// actually reads for its mode participate, so e.g. two `random_loss`
     /// scenarios with different (unused) `horizon_days` share a draw.
-    struct mask_key {
+    struct timeline_key {
         int mode = 0;
         std::uint64_t seed = 0;
         std::vector<double> knobs;
 
-        bool operator<(const mask_key& other) const
+        bool operator<(const timeline_key& other) const
         {
             if (mode != other.mode) return mode < other.mode;
             if (seed != other.seed) return seed < other.seed;
             return knobs < other.knobs;
         }
     };
-    static mask_key key_of(const lsn::failure_scenario& scenario);
+    static timeline_key key_of(const lsn::failure_scenario& scenario);
 
-    lsn::scenario_sweep_options grid_;
     lsn::snapshot_builder builder_;
     std::vector<double> offsets_;
     std::vector<std::vector<vec3>> positions_;
     const demand::demand_model* adversary_demand_ = nullptr;
     traffic::traffic_sweep_options adversary_options_;
     mutable bool adversary_oracle_used_ = false;
-    mutable std::mutex mask_mutex_;
-    mutable std::map<mask_key, std::vector<std::uint8_t>> masks_;
-    mutable std::map<mask_key, lsn::failure_timeline> timelines_;
+    mutable std::mutex timeline_mutex_;
+    mutable std::map<timeline_key, lsn::failure_timeline> timelines_;
     // Cache telemetry (see cache_statistics). Relaxed: counts only, no
     // ordering is implied against the cache contents.
-    mutable std::atomic<std::uint64_t> mask_hits_{0};
-    mutable std::atomic<std::uint64_t> mask_misses_{0};
     mutable std::atomic<std::uint64_t> timeline_hits_{0};
     mutable std::atomic<std::uint64_t> timeline_misses_{0};
 };

@@ -177,8 +177,8 @@ void validate(const percolation_engine_options& options);
 /// `lambda2_unconverged` trace) flags every step whose λ₂ solve stopped at
 /// the iteration cap, so an approximate λ₂ is never silent. The
 /// thresholds are timeline-independent, so they are computed
-/// once per topology and cached — every cell of a campaign reads the same
-/// deterministic value no matter which cell evaluated first.
+/// once per topology wiring and cached — every cell of a campaign reads the
+/// same deterministic value no matter which cell evaluated first.
 class percolation_engine final : public metric_engine {
 public:
     explicit percolation_engine(percolation_engine_options options = {});
@@ -200,12 +200,14 @@ private:
         const lsn::lsn_topology& topology) const;
 
     percolation_engine_options options_;
-    /// Per-topology threshold cache. Guarded by a mutex because campaign
-    /// cells evaluate concurrently; the cached values are deterministic
-    /// functions of (topology, options), so the race only decides who
-    /// computes, never what.
+    /// Threshold cache, keyed on the topology's content (plane indices and
+    /// ISL links), not its address, so a different topology reusing an
+    /// address misses. Guarded by a mutex because campaign cells evaluate
+    /// concurrently; the cached values are deterministic functions of
+    /// (topology, options), so the race only decides who computes, never
+    /// what.
     mutable std::mutex masking_mutex_;
-    mutable const lsn::lsn_topology* masking_topology_ = nullptr;
+    mutable std::vector<int> masking_key_;
     mutable double masking_random_loss_ = -1.0;
     mutable double masking_plane_attack_ = -1.0;
 };

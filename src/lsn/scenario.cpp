@@ -159,6 +159,10 @@ network_snapshot snapshot_builder::snapshot_from_positions(
     return snap;
 }
 
+namespace {
+
+/// True for the modes that evolve a per-step timeline and so have no
+/// single static mask.
 bool is_timeline_mode(failure_mode mode) noexcept
 {
     return mode == failure_mode::kessler_cascade ||
@@ -166,10 +170,8 @@ bool is_timeline_mode(failure_mode mode) noexcept
            mode == failure_mode::greedy_adversary;
 }
 
-namespace {
-
 /// The rate-map fields feed annual_failure_rate (and the campaign's
-/// mask-cache key), so they must be sane numbers — shared by the
+/// timeline-cache key), so they must be sane numbers — shared by the
 /// radiation_poisson and solar_storm validation arms.
 void validate_rate_map(const failure_scenario& scenario)
 {

@@ -93,12 +93,6 @@ enum class failure_mode {
     greedy_adversary,  ///< Budgeted attacker maximizing delivered-traffic damage.
 };
 
-/// True for the modes that evolve a per-step timeline — these must go
-/// through `sample_failure_timeline` (or, for `greedy_adversary`, the
-/// traffic oracle in `traffic::generate_adversary_timeline`); asking
-/// `sample_failures` for a one-shot mask is a contract violation.
-bool is_timeline_mode(failure_mode mode) noexcept;
-
 /// One failure scenario. Fields are read per `mode`; `seed` makes every
 /// draw reproducible.
 struct failure_scenario {
@@ -160,8 +154,9 @@ int plane_count(const lsn_topology& topology);
 
 /// Draw the failed-satellite mask for a scenario (size n_satellites,
 /// 1 = failed). Deterministic in `scenario.seed`. Validates the scenario
-/// against the topology first. Timeline modes (`is_timeline_mode`) are a
-/// contract violation — they have no single static mask.
+/// against the topology first. The last three modes (`kessler_cascade`,
+/// `solar_storm`, `greedy_adversary`) are a contract violation — they have
+/// no single static mask.
 std::vector<std::uint8_t> sample_failures(const lsn_topology& topology,
                                           const failure_scenario& scenario);
 

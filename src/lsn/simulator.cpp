@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lsn/scenario.h"
 #include "util/expects.h"
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -15,7 +14,7 @@ latency_stats simulate_pair_latency(const lsn_topology& topology,
                                     const std::vector<ground_station>& stations,
                                     int ground_a, int ground_b,
                                     const astro::instant& epoch,
-                                    const simulation_options& options)
+                                    const scenario_sweep_options& options)
 {
     expects(ground_a >= 0 && static_cast<std::size_t>(ground_a) < stations.size(),
             "bad ground index a");
@@ -34,16 +33,13 @@ latency_stats simulate_pair_latency(const lsn_topology& topology,
         double hops = 0.0;
         bool reachable = false;
     };
-    std::vector<step_route> per_step(offsets.size());
-    parallel_for(offsets.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+    const auto per_step =
+        parallel_map<step_route>(offsets.size(), [&](std::size_t i) -> step_route {
             const auto snap = builder.snapshot_from_positions(positions[i]);
             const auto route = ground_route(snap, ground_a, ground_b);
-            if (route.reachable)
-                per_step[i] = {route.latency_s * 1000.0,
-                               static_cast<double>(route.hops), true};
-        }
-    });
+            if (!route.reachable) return {};
+            return {route.latency_s * 1000.0, static_cast<double>(route.hops), true};
+        });
 
     std::vector<double> latencies_ms;
     std::vector<double> hops;
@@ -73,21 +69,18 @@ latency_stats simulate_pair_latency(const lsn_topology& topology,
 double coverage_fraction(const lsn_topology& topology,
                          const ground_station& station,
                          const astro::instant& epoch,
-                         const simulation_options& options)
+                         const scenario_sweep_options& options)
 {
     const snapshot_builder builder(topology, {station}, epoch,
                                    options.min_elevation_rad, options.max_isl_range_m);
     const auto offsets = sweep_offsets(options.duration_s, options.step_s);
     const auto positions = builder.positions_at_offsets(offsets);
 
-    std::vector<std::uint8_t> covered(offsets.size(), 0);
-    parallel_for(offsets.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+    const auto covered =
+        parallel_map<std::uint8_t>(offsets.size(), [&](std::size_t i) -> std::uint8_t {
             const auto snap = builder.snapshot_from_positions(positions[i]);
-            covered[i] =
-                !snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].empty();
-        }
-    });
+            return !snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].empty();
+        });
 
     int n_covered = 0;
     for (const auto c : covered) n_covered += c;

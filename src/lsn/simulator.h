@@ -4,17 +4,10 @@
 #define SSPLANE_LSN_SIMULATOR_H
 
 #include "lsn/routing.h"
+#include "lsn/scenario.h"
 #include "lsn/topology.h"
 
 namespace ssplane::lsn {
-
-/// Simulation fidelity/requirements.
-struct simulation_options {
-    double duration_s = 86400.0;
-    double step_s = 300.0;
-    double min_elevation_rad = 0.5235987755982988; ///< 30°.
-    double max_isl_range_m = 6.0e6;
-};
 
 /// Latency statistics for one ground-station pair over the simulation.
 struct latency_stats {
@@ -31,14 +24,14 @@ latency_stats simulate_pair_latency(const lsn_topology& topology,
                                     const std::vector<ground_station>& stations,
                                     int ground_a, int ground_b,
                                     const astro::instant& epoch,
-                                    const simulation_options& options = {});
+                                    const scenario_sweep_options& options = {});
 
 /// Fraction of time steps at which `station` sees >= 1 satellite above the
 /// minimum elevation (the SS design's predictable-coverage-gap metric).
 double coverage_fraction(const lsn_topology& topology,
                          const ground_station& station,
                          const astro::instant& epoch,
-                         const simulation_options& options = {});
+                         const scenario_sweep_options& options = {});
 
 } // namespace ssplane::lsn
 

@@ -238,11 +238,11 @@ TEST(Campaign, SharedMasksAreDedupedAcrossEngines)
                                      short_grid());
 
     // 4 scenarios x 3 engines = 12 cells, but only 4 distinct draws —
-    // every engine of a row shares that row's mask.
+    // every engine of a row shares that row's timeline.
     const auto campaign =
         run_campaign(mixed_plan(lsn::plane_count(topo), 11), context);
     ASSERT_EQ(campaign.cells.size(), 12u);
-    EXPECT_EQ(context.mask_cache_size(), 4u);
+    EXPECT_EQ(context.timeline_cache_size(), 4u);
 }
 
 TEST(Campaign, CellsSharingAMaskEvaluateOnce)
@@ -262,7 +262,7 @@ TEST(Campaign, CellsSharingAMaskEvaluateOnce)
                     std::make_shared<traffic_engine>(test_demand())};
     const auto campaign = run_campaign(plan, context);
     ASSERT_EQ(campaign.rows.size(), 3u);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
     for (int r = 1; r < 3; ++r) {
         EXPECT_EQ(campaign.cell(r, 0).detail.get(), campaign.cell(0, 0).detail.get());
         EXPECT_EQ(campaign.cell(r, 1).detail.get(), campaign.cell(0, 1).detail.get());
@@ -484,7 +484,7 @@ TEST(Campaign, AdversaryScenariosRequireTheOracle)
     EXPECT_THROW(run_campaign(plan, context), contract_violation);
 }
 
-TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
+TEST(Campaign, TimelinesAreCachedOncePerDistinctScenario)
 {
     const auto topo = small_walker(4, 4);
     const auto stations = traffic::stations_from_cities(4);
@@ -503,10 +503,8 @@ TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
                     std::make_shared<traffic_engine>(test_demand())};
     const auto campaign = run_campaign(plan, context);
 
-    // One timeline per distinct scenario; the static baseline still drew
-    // through the mask cache (legacy dedup contract intact).
+    // One timeline per distinct scenario, static baseline included.
     EXPECT_EQ(context.timeline_cache_size(), 2u);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
 
     // Rows sharing a timeline share the evaluation; distinct ones do not.
     const auto again = run_campaign(plan, context);

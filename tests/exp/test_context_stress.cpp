@@ -1,5 +1,5 @@
 // evaluation_context concurrency stress, written for the ThreadSanitizer
-// leg: many threads hammer the mask/timeline caches — racing first-lookups
+// leg: many threads hammer the timeline cache — racing first-lookups
 // of the same scenario, distinct scenarios, and an arming thread for the
 // adversary oracle — while readers verify the cached payloads stay
 // bit-identical to fresh draws. In a plain build these are determinism
@@ -57,21 +57,21 @@ TEST(EvaluationContextStress, RacingFirstLookupsAgreeOnOneEntry)
     const auto expected = lsn::sample_failures(topo, scenario);
 
     constexpr int n_threads = 8;
-    std::vector<const std::vector<std::uint8_t>*> seen(n_threads, nullptr);
+    std::vector<const lsn::failure_timeline*> seen(n_threads, nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < n_threads; ++t)
         threads.emplace_back([t, &context, &scenario, &seen] {
-            seen[static_cast<std::size_t>(t)] = &context.failure_mask(scenario);
+            seen[static_cast<std::size_t>(t)] = &context.timeline(scenario);
         });
     for (auto& t : threads) t.join();
 
     // Whoever won the race, every thread must end up on the single cached
     // entry and the payload must equal a fresh deterministic draw.
-    EXPECT_EQ(context.mask_cache_size(), 1u);
-    for (const auto* mask : seen) {
-        ASSERT_NE(mask, nullptr);
-        EXPECT_EQ(mask, seen[0]);
-        EXPECT_EQ(*mask, expected);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
+    for (const auto* timeline : seen) {
+        ASSERT_NE(timeline, nullptr);
+        EXPECT_EQ(timeline, seen[0]);
+        EXPECT_EQ(timeline->masks, expected);
     }
 }
 
@@ -81,9 +81,9 @@ TEST(EvaluationContextStress, MixedScenarioHammerKeepsPayloadsIdentical)
     const evaluation_context context(topo, {}, astro::instant::j2000(),
                                      short_grid());
 
-    // 4 distinct scenarios x 6 threads x repeated lookups, interleaved with
-    // timeline lookups of the same scenarios (static modes wrap the mask
-    // cache, doubling the contention on one mutex).
+    // 4 distinct scenarios x 6 threads x repeated lookups, each followed by
+    // a lookup of the same draw with an unused knob changed (it must dedupe
+    // onto the same entry), doubling the contention on the one mutex.
     constexpr int n_threads = 6;
     constexpr int rounds = 25;
     std::atomic<int> mismatches{0};
@@ -93,19 +93,21 @@ TEST(EvaluationContextStress, MixedScenarioHammerKeepsPayloadsIdentical)
             for (int round = 0; round < rounds; ++round) {
                 const auto scenario =
                     loss_scenario(static_cast<std::uint64_t>((t + round) % 4));
-                const auto& mask = context.failure_mask(scenario);
-                if (mask != lsn::sample_failures(topo, scenario))
-                    mismatches.fetch_add(1, std::memory_order_relaxed);
                 const auto& timeline = context.timeline(scenario);
+                if (timeline.masks != lsn::sample_failures(topo, scenario))
+                    mismatches.fetch_add(1, std::memory_order_relaxed);
                 if (!timeline.is_static() ||
                     timeline.n_satellites != context.n_satellites())
+                    mismatches.fetch_add(1, std::memory_order_relaxed);
+                auto noisy = scenario;
+                noisy.horizon_days = 1.0 + t;
+                if (&context.timeline(noisy) != &timeline)
                     mismatches.fetch_add(1, std::memory_order_relaxed);
             }
         });
     for (auto& t : threads) t.join();
 
     EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(context.mask_cache_size(), 4u);
     EXPECT_EQ(context.timeline_cache_size(), 4u);
 }
 

@@ -65,14 +65,15 @@ TEST(EvaluationContext, MaskCacheHitIsBitIdenticalToFreshDraw)
     scenario.loss_fraction = 0.3;
     scenario.seed = 42;
 
-    const auto& cached = context.failure_mask(scenario);
-    EXPECT_EQ(cached, lsn::sample_failures(topo, scenario));
+    const auto& cached = context.timeline(scenario);
+    EXPECT_TRUE(cached.is_static());
+    EXPECT_EQ(cached.masks, lsn::sample_failures(topo, scenario));
 
     // A second lookup of the identical scenario is the *same* cache entry,
     // not a re-draw.
-    const auto& again = context.failure_mask(scenario);
+    const auto& again = context.timeline(scenario);
     EXPECT_EQ(&again, &cached);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
 }
 
 TEST(EvaluationContext, MaskCacheDedupesOnModeKnobsAndSeed)
@@ -84,33 +85,33 @@ TEST(EvaluationContext, MaskCacheDedupesOnModeKnobsAndSeed)
     a.mode = lsn::failure_mode::random_loss;
     a.loss_fraction = 0.3;
     a.seed = 1;
-    context.failure_mask(a);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    context.timeline(a);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
 
     // Fields the mode never reads do not split the cache entry.
     lsn::failure_scenario a_noise = a;
     a_noise.horizon_days = 77.0;
     a_noise.planes_attacked = 3;
-    EXPECT_EQ(&context.failure_mask(a_noise), &context.failure_mask(a));
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_EQ(&context.timeline(a_noise), &context.timeline(a));
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
 
     // A different seed or knob is a different draw.
     lsn::failure_scenario b = a;
     b.seed = 2;
-    context.failure_mask(b);
-    EXPECT_EQ(context.mask_cache_size(), 2u);
+    context.timeline(b);
+    EXPECT_EQ(context.timeline_cache_size(), 2u);
     lsn::failure_scenario c = a;
     c.loss_fraction = 0.4;
-    context.failure_mask(c);
-    EXPECT_EQ(context.mask_cache_size(), 3u);
+    context.timeline(c);
+    EXPECT_EQ(context.timeline_cache_size(), 3u);
 
     // `none` baselines share one all-zero mask regardless of seed.
     lsn::failure_scenario none_a;
     none_a.seed = 10;
     lsn::failure_scenario none_b;
     none_b.seed = 20;
-    EXPECT_EQ(&context.failure_mask(none_a), &context.failure_mask(none_b));
-    EXPECT_EQ(context.mask_cache_size(), 4u);
+    EXPECT_EQ(&context.timeline(none_a), &context.timeline(none_b));
+    EXPECT_EQ(context.timeline_cache_size(), 4u);
 }
 
 TEST(EvaluationContext, MaskLookupValidatesScenario)
@@ -121,7 +122,7 @@ TEST(EvaluationContext, MaskLookupValidatesScenario)
     lsn::failure_scenario bad;
     bad.mode = lsn::failure_mode::random_loss;
     bad.loss_fraction = 1.5;
-    EXPECT_THROW(context.failure_mask(bad), contract_violation);
+    EXPECT_THROW(context.timeline(bad), contract_violation);
 
     // A NaN knob is rejected even when a similar valid scenario is already
     // cached — NaN keys must never reach the cache's ordered lookup, where
@@ -130,11 +131,11 @@ TEST(EvaluationContext, MaskLookupValidatesScenario)
     valid.mode = lsn::failure_mode::random_loss;
     valid.loss_fraction = 0.3;
     valid.seed = 1;
-    context.failure_mask(valid);
+    context.timeline(valid);
     lsn::failure_scenario nan_knob = valid;
     nan_knob.loss_fraction = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(context.failure_mask(nan_knob), contract_violation);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_THROW(context.timeline(nan_knob), contract_violation);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
 
     // Same for NaN radiation rate-map fields, which also feed the key.
     lsn::failure_scenario nan_rate;
@@ -142,7 +143,8 @@ TEST(EvaluationContext, MaskLookupValidatesScenario)
     nan_rate.plane_daily_fluence.assign(3, 1.0e9);
     nan_rate.failure_options.fluence_exponent =
         std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(context.failure_mask(nan_rate), contract_violation);
+    EXPECT_THROW(context.timeline(nan_rate), contract_violation);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
 }
 
 TEST(EvaluationContext, TimelineLookupWrapsStaticModesAndCachesTimelineModes)
@@ -150,15 +152,14 @@ TEST(EvaluationContext, TimelineLookupWrapsStaticModesAndCachesTimelineModes)
     const auto topo = small_walker(5, 5);
     const evaluation_context context(topo, {}, astro::instant::j2000(), short_grid());
 
-    // Static modes wrap their mask-cache entry: one row, same bytes.
+    // Static modes wrap their `sample_failures` mask: one row, same bytes.
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.3;
     loss.seed = 42;
     const auto& static_timeline = context.timeline(loss);
     EXPECT_TRUE(static_timeline.is_static());
-    EXPECT_EQ(static_timeline.masks, context.failure_mask(loss));
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_EQ(static_timeline.masks, lsn::sample_failures(topo, loss));
     EXPECT_EQ(context.timeline_cache_size(), 1u);
 
     // Timeline modes match the direct generator draw and dedupe on knobs.

@@ -1,6 +1,7 @@
 #include "exp/campaign.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -137,6 +138,44 @@ TEST(PercolationEngine, MaskingThresholdColumnsAreCampaignConstants)
               -1.0);
     EXPECT_EQ(no_thresholds.value(0, "percolation.masking_threshold_plane_attack"),
               -1.0);
+}
+
+TEST(PercolationEngine, ThresholdCacheFollowsTopologyContentNotAddress)
+{
+    // One engine reused across two wirings of the same 8x8 shell that
+    // occupy one address in turn: the second campaign must get the second
+    // wiring's thresholds, not the first wiring's cached ones.
+    constellation::walker_parameters params;
+    params.altitude_m = 550.0e3;
+    params.inclination_rad = deg2rad(53.0);
+    params.n_planes = 8;
+    params.sats_per_plane = 8;
+    params.phasing_f = 1;
+
+    const auto random_loss_threshold = [](const lsn::lsn_topology& topo,
+                                          const experiment_plan& plan) {
+        const evaluation_context context(topo, {}, astro::instant::j2000(),
+                                         engine_grid());
+        return run_campaign(plan, context)
+            .value(0, "percolation.masking_threshold_random_loss");
+    };
+    experiment_plan reused;
+    reused.scenarios = {{"baseline", {}}};
+    reused.engines = {std::make_shared<percolation_engine>()};
+    experiment_plan fresh = reused;
+    fresh.engines = {std::make_shared<percolation_engine>()};
+
+    std::optional<lsn::lsn_topology> topo;
+    topo.emplace(lsn::build_walker_grid_topology(params));
+    const auto* address = &*topo;
+    const double grid_threshold = random_loss_threshold(*topo, reused);
+
+    topo.emplace(lsn::build_walker_capped_topology(params, 2));
+    ASSERT_EQ(&*topo, address);
+    const double capped_threshold = random_loss_threshold(*topo, reused);
+    EXPECT_EQ(capped_threshold, random_loss_threshold(*topo, fresh));
+    // The degree-2 ring breaks far earlier than the +Grid mesh.
+    EXPECT_LT(capped_threshold, grid_threshold);
 }
 
 TEST(PercolationEngine, KesslerTimelineProducesDegradingStepTraces)

@@ -22,9 +22,9 @@ lsn_topology dense_walker()
     return build_walker_grid_topology(p);
 }
 
-simulation_options quick_options()
+scenario_sweep_options quick_options()
 {
-    simulation_options o;
+    scenario_sweep_options o;
     o.duration_s = 3600.0;
     o.step_s = 600.0;
     o.min_elevation_rad = deg2rad(25.0);

@@ -301,6 +301,28 @@ TEST(Timeline, StaticModesWrapTheirSampleFailuresMask)
     EXPECT_TRUE(baseline.is_static());
     EXPECT_EQ(baseline.final_n_failed(), 0);
     EXPECT_EQ(baseline.masks, sample_failures(topo, none));
+
+    failure_scenario attack;
+    attack.mode = failure_mode::plane_attack;
+    attack.planes_attacked = 2;
+    attack.seed = 5;
+    const auto attacked = sample_failure_timeline(topo, attack, offsets, epoch);
+    EXPECT_TRUE(attacked.is_static());
+    EXPECT_EQ(attacked.final_n_failed(), 12); // two 6-satellite planes
+    EXPECT_EQ(attacked.masks, sample_failures(topo, attack));
+
+    failure_scenario radiation;
+    radiation.mode = failure_mode::radiation_poisson;
+    // Reference fluence over ten years: about a quarter of the shell fails.
+    radiation.plane_daily_fluence.assign(6, 7.0e9);
+    radiation.horizon_days = 3652.5;
+    radiation.seed = 9;
+    const auto irradiated =
+        sample_failure_timeline(topo, radiation, offsets, epoch);
+    EXPECT_TRUE(irradiated.is_static());
+    EXPECT_GT(irradiated.final_n_failed(), 0);
+    EXPECT_LT(irradiated.final_n_failed(), 36);
+    EXPECT_EQ(irradiated.masks, sample_failures(topo, radiation));
 }
 
 TEST(Timeline, TimelineModesRejectSampleFailuresAndAdversaryRejectsLsn)
