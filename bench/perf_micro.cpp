@@ -490,27 +490,52 @@ void bm_cascade_timeline(benchmark::State& state)
 }
 BENCHMARK(bm_cascade_timeline)->Unit(benchmark::kMicrosecond);
 
+/// Epoch of the network_day example.
+astro::instant network_day_epoch()
+{
+    return astro::instant::from_calendar(2026, 6, 1, 0);
+}
+
+/// The network_day constellation: the greedy SS design (3250 satellites,
+/// 130 planes) wired at the example's epoch, built once.
+const lsn::lsn_topology& network_day_topology()
+{
+    static const lsn::lsn_topology topology = [] {
+        const auto design =
+            core::greedy_ss_cover(core::make_design_problem(bench_demand(), 10.0));
+        std::vector<constellation::ss_plane> planes;
+        for (const auto& p : design.planes)
+            planes.push_back({p.altitude_m, p.ltan_h, p.n_sats, 0.0});
+        return lsn::build_ss_topology(planes, network_day_epoch());
+    }();
+    return topology;
+}
+
 void bm_adversary(benchmark::State& state)
 {
-    // Greedy adversary on the campaign fixture's 24x24 grid: each strike
-    // scores every remaining plane against the delivered-traffic oracle on
-    // an 8:1-strided evaluation grid — the oracle dominates, so this tracks
-    // the marginal-damage search, not the RNG.
-    const auto& in = bench_campaign_inputs();
-    const lsn::snapshot_builder builder(in.topo, in.stations,
-                                        astro::instant::j2000(),
-                                        in.grid.min_elevation_rad);
-    const auto offsets = lsn::sweep_offsets(86400.0, 3600.0);
+    // One greedy-adversary strike on the network_day configuration: the SS
+    // design, its 12 city gateways, 2000 Gbps offered and the half-hourly
+    // day grid, planned on every 12th step (4 planning steps). Each
+    // iteration scores all 130 planes — one base assignment per planning
+    // step plus every (plane, step) trial the base routing does not prune
+    // — so this tracks the in-situ search the campaign prefetch waits on.
+    const lsn::scenario_sweep_options grid;
+    const lsn::snapshot_builder builder(network_day_topology(),
+                                        traffic::stations_from_cities(12),
+                                        network_day_epoch(), grid.min_elevation_rad,
+                                        grid.max_isl_range_m);
+    const auto offsets = lsn::sweep_offsets(86400.0, 1800.0);
     const auto positions = builder.positions_at_offsets(offsets);
+    traffic::traffic_sweep_options options;
+    options.matrix.total_demand_gbps = 2000.0;
     lsn::failure_scenario adversary;
     adversary.mode = lsn::failure_mode::greedy_adversary;
     adversary.adversary_budget = 1;
-    adversary.adversary_eval_stride = 8;
+    adversary.adversary_eval_stride = 12;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             traffic::generate_adversary_timeline(builder, offsets, positions,
-                                                 adversary, bench_demand(),
-                                                 in.traffic_opts)
+                                                 adversary, bench_demand(), options)
                 .final_n_failed());
     }
 }
@@ -547,15 +572,9 @@ void bm_lanczos(benchmark::State& state)
     // design and CSR assembly are paid once outside the loop, so this
     // tracks the eigensolver alone.
     static const spectral::csr_matrix laplacian = [] {
-        const auto design =
-            core::greedy_ss_cover(core::make_design_problem(bench_demand(), 10.0));
-        std::vector<constellation::ss_plane> planes;
-        for (const auto& p : design.planes)
-            planes.push_back({p.altitude_m, p.ltan_h, p.n_sats, 0.0});
-        const auto epoch = astro::instant::from_calendar(2026, 6, 1, 0);
-        const auto topology = lsn::build_ss_topology(planes, epoch);
-        const lsn::snapshot_builder builder(topology, traffic::stations_from_cities(12),
-                                            epoch, deg2rad(25.0));
+        const lsn::snapshot_builder builder(network_day_topology(),
+                                            traffic::stations_from_cities(12),
+                                            network_day_epoch(), deg2rad(25.0));
         return spectral::build_laplacian(builder.snapshot(0.0));
     }();
     int iterations = 0;

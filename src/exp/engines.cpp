@@ -125,7 +125,11 @@ const std::vector<std::string>& traffic_engine::columns() const noexcept
     return cols;
 }
 
-void traffic_engine::validate_options() const { traffic::validate(options_.capacity); }
+void traffic_engine::validate_options() const
+{
+    traffic::validate(options_.matrix);
+    traffic::validate(options_.capacity);
+}
 
 engine_output traffic_engine::evaluate(const evaluation_context& context,
                                        const lsn::failure_timeline& timeline) const

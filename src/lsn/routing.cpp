@@ -1,7 +1,9 @@
 #include "lsn/routing.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "obs/metrics.h"
@@ -13,38 +15,48 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Sentinel destinations of the shared Dijkstra core: run a full pass, or
-/// stop once every ground node is settled (the all-pairs traffic primitive).
-constexpr int all_nodes = -1;
-constexpr int all_ground_nodes = -2;
-
-/// Dijkstra core shared by the point-to-point and single-source queries.
-/// Stops as soon as `dst_node` is settled; a sentinel destination settles
-/// the whole graph (`all_nodes`) or every ground node (`all_ground_nodes`
-/// — distances of never-popped satellites are still correct upper bounds
-/// that equal the true distance whenever a ground path runs through them).
-void dijkstra(const network_snapshot& snapshot, int src_node, int dst_node,
+/// Dijkstra core shared by every query. The queue pops (distance, node)
+/// pairs lexicographically and an edge relaxes only on a strictly shorter
+/// distance, so nodes settle in (distance, node id) order and a settled
+/// node's distance and predecessor are final. With `targets` the pass stops
+/// once every listed node is settled; without, it settles every node the
+/// source reaches.
+void dijkstra(const network_snapshot& snapshot, int src_node,
+              std::optional<std::span<const int>> targets,
               std::vector<double>& dist, std::vector<int>& prev)
 {
-    // Every routing query in the stack funnels through here, so this one
-    // counter is the per-campaign "how many shortest-path solves" figure.
+    // Every routing query in the stack funnels through here, so these two
+    // counters are the per-campaign "how many shortest-path solves, and how
+    // much of the graph each one walked" figures.
     OBS_COUNT("lsn.dijkstra.runs");
     const auto n = snapshot.adjacency.size();
     dist.assign(n, inf);
     prev.assign(n, -1);
+
+    std::vector<std::uint8_t> wanted;
+    int unsettled_targets = 0;
+    if (targets) {
+        wanted.assign(n, 0);
+        for (const int t : *targets) {
+            expects(t >= 0 && static_cast<std::size_t>(t) < n, "bad target node");
+            auto& flag = wanted[static_cast<std::size_t>(t)];
+            unsettled_targets += flag == 0;
+            flag = 1;
+        }
+    }
+
     using queue_item = std::pair<double, int>; // (distance, node)
     std::priority_queue<queue_item, std::vector<queue_item>, std::greater<>> queue;
-
-    int grounds_unsettled = snapshot.n_ground;
     dist[static_cast<std::size_t>(src_node)] = 0.0;
-    queue.emplace(0.0, src_node);
+    if (!targets || unsettled_targets > 0) queue.emplace(0.0, src_node);
+    std::uint64_t settled = 0;
     while (!queue.empty()) {
         const auto [d, u] = queue.top();
         queue.pop();
         if (d > dist[static_cast<std::size_t>(u)]) continue;
-        if (u == dst_node) break;
-        if (dst_node == all_ground_nodes && u >= snapshot.n_satellites &&
-            --grounds_unsettled == 0 && u != src_node)
+        ++settled;
+        if (targets && wanted[static_cast<std::size_t>(u)] != 0 &&
+            --unsettled_targets == 0)
             break;
         for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
             const double nd = d + e.latency_s;
@@ -55,6 +67,19 @@ void dijkstra(const network_snapshot& snapshot, int src_node, int dst_node,
             }
         }
     }
+    OBS_COUNT_N("lsn.dijkstra.settled", settled);
+}
+
+route_tree routes_from(const network_snapshot& snapshot, int src_node,
+                       std::optional<std::span<const int>> targets)
+{
+    expects(src_node >= 0 &&
+                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
+            "bad source node");
+    route_tree tree;
+    tree.source = src_node;
+    dijkstra(snapshot, src_node, targets, tree.latency_s, tree.prev);
+    return tree;
 }
 
 } // namespace
@@ -67,7 +92,7 @@ route_result shortest_route(const network_snapshot& snapshot, int src_node, int 
 
     std::vector<double> dist;
     std::vector<int> prev;
-    dijkstra(snapshot, src_node, dst_node, dist, prev);
+    dijkstra(snapshot, src_node, std::span<const int>(&dst_node, 1), dist, prev);
 
     route_result result;
     if (dist[static_cast<std::size_t>(dst_node)] == inf) return result;
@@ -88,7 +113,7 @@ std::vector<double> single_source_latencies(const network_snapshot& snapshot,
             "bad source node");
     std::vector<double> dist;
     std::vector<int> prev;
-    dijkstra(snapshot, src_node, -1, dist, prev);
+    dijkstra(snapshot, src_node, std::nullopt, dist, prev);
     return dist;
 }
 
@@ -102,17 +127,15 @@ std::vector<int> route_tree::path_to(int node) const
     return path;
 }
 
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                bool ground_targets_only)
+route_tree single_source_routes(const network_snapshot& snapshot, int src_node)
 {
-    expects(src_node >= 0 &&
-                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
-            "bad source node");
-    route_tree tree;
-    tree.source = src_node;
-    dijkstra(snapshot, src_node, ground_targets_only ? all_ground_nodes : all_nodes,
-             tree.latency_s, tree.prev);
-    return tree;
+    return routes_from(snapshot, src_node, std::nullopt);
+}
+
+route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
+                                std::span<const int> targets)
+{
+    return routes_from(snapshot, src_node, targets);
 }
 
 route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b)

@@ -3,6 +3,7 @@
 #define SSPLANE_LSN_ROUTING_H
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "lsn/topology.h"
@@ -48,13 +49,21 @@ struct route_tree {
     std::vector<int> path_to(int node) const;
 };
 
-/// Dijkstra pass from `src_node` keeping the predecessor tree. With
-/// `ground_targets_only` the pass stops once every ground node is settled —
-/// paths and latencies to ground nodes are exact, satellite entries may be
-/// unsettled; the traffic engine's per-source queries use this to skip the
-/// far side of the constellation.
+/// Full Dijkstra pass from `src_node` keeping the predecessor tree of every
+/// node the source reaches.
+route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
+
+/// Target-bounded pass: stops once every node listed in `targets` is
+/// settled (duplicates and the source itself may be listed; an unreachable
+/// target runs the pass until the source's component is exhausted). Nodes
+/// settle in (latency, node id) order and an edge relaxes only on a
+/// strictly shorter latency, so a settled node's latency and predecessor
+/// never change afterwards: `path_to` and `latency_s` of every listed
+/// target equal the full pass's bit for bit, while unlisted entries may be
+/// unsettled upper bounds. The traffic engine asks each source tree only
+/// for the gateways that are still owed demand.
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                bool ground_targets_only = false);
+                                std::span<const int> targets);
 
 /// Convenience: route between two ground stations by index.
 route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b);

@@ -1,10 +1,12 @@
 #include "traffic/adversary.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <utility>
 
+#include "obs/metrics.h"
 #include "util/expects.h"
+#include "util/parallel.h"
 
 namespace ssplane::traffic {
 
@@ -21,6 +23,7 @@ lsn::failure_timeline generate_adversary_timeline(
     // This generates the timeline, so only the grid is checked here: an
     // empty timeline spans any builder.
     lsn::validate_sweep_inputs(builder, offsets_s, positions, {});
+    validate(options.matrix);
     validate(options.capacity);
 
     const int n = builder.n_satellites();
@@ -36,25 +39,50 @@ lsn::failure_timeline generate_adversary_timeline(
 
     // The attacker's planning grid: every stride-th sweep step. Scoring a
     // candidate on the subsampled grid trades oracle fidelity for a
-    // stride-fold cheaper search; stride 1 is the exact oracle.
-    std::vector<double> eval_offsets;
-    std::vector<std::vector<vec3>> eval_positions;
+    // stride-fold cheaper search; stride 1 is the exact oracle. Each
+    // planning step's gravity matrix depends only on its instant, so it is
+    // built once for the whole generation.
+    std::vector<std::size_t> plan_steps;
+    std::vector<traffic_matrix> matrices;
     for (int i = 0; i < n_steps; i += scenario.adversary_eval_stride) {
-        eval_offsets.push_back(offsets_s[static_cast<std::size_t>(i)]);
-        eval_positions.push_back(positions[static_cast<std::size_t>(i)]);
+        const auto step = static_cast<std::size_t>(i);
+        plan_steps.push_back(step);
+        matrices.push_back(build_traffic_matrix(
+            demand, builder.stations(), builder.epoch().plus_seconds(offsets_s[step]),
+            options.matrix));
     }
+    const int n_plan = static_cast<int>(plan_steps.size());
+    const auto assign_at = [&](int k, std::span<const std::uint8_t> mask) {
+        const auto ki = static_cast<std::size_t>(k);
+        return assign_flows(builder.snapshot_from_positions(positions[plan_steps[ki]], mask),
+                            matrices[ki], options.capacity);
+    };
 
     std::vector<std::uint8_t> current(static_cast<std::size_t>(n), 0);
     std::vector<std::uint8_t> plane_dead(static_cast<std::size_t>(n_planes), 0);
+    const auto plane_of = [&](int s) {
+        return topology.satellites[static_cast<std::size_t>(s)].plane;
+    };
     const auto kill_plane = [&](int p, std::vector<std::uint8_t>& mask) {
         for (int s = 0; s < n; ++s)
-            if (topology.satellites[static_cast<std::size_t>(s)].plane == p)
-                mask[static_cast<std::size_t>(s)] = 1;
+            if (plane_of(s) == p) mask[static_cast<std::size_t>(s)] = 1;
     };
 
     const auto row = [&](int i) {
         return timeline.masks.data() +
                static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
+    };
+
+    // One base assignment per planning step under the current mask: its
+    // delivered Gbps, and which planes have a satellite on a path it
+    // queried. Failing any other plane leaves that step's assignment as is.
+    struct base_step {
+        double delivered_gbps = 0.0;
+        std::vector<std::uint8_t> plane_on_path;
+    };
+    struct trial {
+        int plane = 0;
+        int step = 0; ///< Planning-grid index.
     };
 
     int fill_from = 0; // next timeline row still holding the previous mask
@@ -64,22 +92,59 @@ lsn::failure_timeline generate_adversary_timeline(
             strike * scenario.adversary_strike_interval_steps;
         if (strike_step >= n_steps) break; // schedule ran past the horizon
 
-        // Greedy choice: trial-kill every surviving plane and keep the one
-        // that leaves the least delivered traffic. The candidate loop is
-        // serial (each inner sweep parallelizes over steps), so the argmin
-        // and its lowest-index tie-break never depend on the thread count.
-        int best_plane = -1;
-        double best_delivered = std::numeric_limits<double>::infinity();
+        const auto base = parallel_map<base_step>(
+            static_cast<std::size_t>(n_plan), [&](std::size_t k) {
+                const auto flow = assign_at(static_cast<int>(k), current);
+                base_step out;
+                out.delivered_gbps = flow.delivered_gbps;
+                out.plane_on_path.assign(static_cast<std::size_t>(n_planes), 0);
+                for (int s = 0; s < n; ++s)
+                    if (flow.on_queried_path[static_cast<std::size_t>(s)] != 0)
+                        out.plane_on_path[static_cast<std::size_t>(plane_of(s))] = 1;
+                return out;
+            });
+
+        // Trial-assign only the (surviving plane, step) pairs the base
+        // routing touched, plane-major, in one flat fan-out.
+        std::vector<trial> trials;
+        std::size_t n_pairs = 0;
         for (int p = 0; p < n_planes; ++p) {
             if (plane_dead[static_cast<std::size_t>(p)]) continue;
-            auto trial = current;
-            kill_plane(p, trial);
-            const auto sweep = run_traffic_sweep_timeline(
-                builder, eval_offsets, eval_positions,
-                lsn::failure_timeline::from_static_mask(std::move(trial)), demand,
-                options);
-            if (sweep.metrics.delivered_gbps_mean < best_delivered) {
-                best_delivered = sweep.metrics.delivered_gbps_mean;
+            n_pairs += static_cast<std::size_t>(n_plan);
+            for (int k = 0; k < n_plan; ++k)
+                if (base[static_cast<std::size_t>(k)]
+                        .plane_on_path[static_cast<std::size_t>(p)] != 0)
+                    trials.push_back({p, k});
+        }
+        OBS_COUNT_N("traffic.adversary.trials", trials.size());
+        OBS_COUNT_N("traffic.adversary.pruned", n_pairs - trials.size());
+        const auto trial_delivered =
+            parallel_map<double>(trials.size(), [&](std::size_t t) {
+                auto mask = current;
+                kill_plane(trials[t].plane, mask);
+                return assign_at(trials[t].step, mask).delivered_gbps;
+            });
+
+        // Greedy choice: keep the plane whose loss leaves the least
+        // delivered traffic. Each score is the step-ordered sum that
+        // `run_traffic_sweep_timeline` averages for the trial mask, and the
+        // argmin runs serially in plane order, so the lowest index wins ties
+        // and the choice never depends on the thread count.
+        int best_plane = -1;
+        double best_delivered = std::numeric_limits<double>::infinity();
+        std::size_t next = 0; // cursor into the plane-major trials
+        for (int p = 0; p < n_planes; ++p) {
+            if (plane_dead[static_cast<std::size_t>(p)]) continue;
+            double delivered_sum = 0.0;
+            for (int k = 0; k < n_plan; ++k) {
+                const bool tried = next < trials.size() && trials[next].plane == p &&
+                                   trials[next].step == k;
+                delivered_sum += tried ? trial_delivered[next++]
+                                       : base[static_cast<std::size_t>(k)].delivered_gbps;
+            }
+            const double delivered_mean = delivered_sum / n_plan;
+            if (delivered_mean < best_delivered) {
+                best_delivered = delivered_mean;
                 best_plane = p;
             }
         }

@@ -3,18 +3,35 @@
 // environmental scenario generators").
 //
 // A budgeted adversary kills whole orbital planes on a strike schedule,
-// picking each victim by *marginal delivered-traffic damage*: every
-// surviving plane is trial-killed and scored through
-// `traffic::run_traffic_sweep_timeline` (the trial mask as a static
-// timeline) on a (possibly stride-subsampled) copy of the sweep grid; the
-// plane whose loss leaves the least delivered throughput dies. The
-// generator lives in `traffic` rather than `lsn`
-// because it needs this delivered-traffic oracle — `lsn` sits below the
+// picking each victim by *marginal delivered-traffic damage*: the
+// surviving plane whose loss leaves the least delivered throughput,
+// averaged over a (possibly stride-subsampled) planning grid of sweep
+// steps, dies. The generator lives in `traffic` rather than `lsn` because
+// it needs this delivered-traffic oracle — `lsn` sits below the
 // flow-assignment layer and cannot see it.
 //
-// The search is entirely deterministic (no RNG): exhaustive candidate
-// evaluation with lowest-plane-index tie-breaking, so repeated runs and
-// any `SSPLANE_THREADS` value produce one timeline bit-for-bit.
+// Every surviving plane is scored exactly, but flows are re-assigned only
+// where a plane can matter. Each strike:
+//   1. assigns flows once per planning step under the current mask, which
+//      also records the nodes on every path the assignment queried
+//      (`flow_result::on_queried_path`);
+//   2. trial-assigns, in one flat `parallel_map`, only the (surviving
+//      plane, step) pairs whose plane has a satellite on such a path;
+//      every other pair scores exactly the base step's delivered Gbps;
+//   3. sums each plane's score serially in step order and takes the argmin
+//      in plane order, the lowest index winning ties.
+// The pruning rule is exact under three preconditions, each pinned by
+// tests against the exhaustive per-plane search:
+//   * Dijkstra settles nodes in (latency, node id) order with strict-<
+//     relaxation, so deleting nodes that lie on none of a tree's queried
+//     paths changes none of those paths — by induction over the pairs and
+//     rounds, the link loads, and so the whole assignment, stay the same;
+//   * a failure mask only deletes the failed satellites' edges and never
+//     rewires the survivors (`snapshot_builder::snapshot_from_positions`);
+//   * the score is the same step-ordered sum `run_traffic_sweep_timeline`
+//     averages for the trial mask as a static timeline.
+// The search draws no random numbers and reduces serially, so repeated
+// runs and any `SSPLANE_THREADS` value produce one timeline bit-for-bit.
 #ifndef SSPLANE_TRAFFIC_ADVERSARY_H
 #define SSPLANE_TRAFFIC_ADVERSARY_H
 
@@ -29,10 +46,14 @@ namespace ssplane::traffic {
 /// Evolve the greedy adversary's per-step failure timeline. The scenario's
 /// mode must be `greedy_adversary`; its knobs set the budget (whole planes
 /// killed), the strike schedule (`adversary_first_strike_step`, then every
-/// `adversary_strike_interval_steps`) and the evaluation grid subsampling
-/// (`adversary_eval_stride` — candidate scoring cost scales as
-/// budget x planes x (steps / stride)). Strikes scheduled past the sweep
-/// horizon are dropped: the budget buys strikes only inside the window.
+/// `adversary_strike_interval_steps`) and the planning grid subsampling
+/// (`adversary_eval_stride`). Each strike costs one assignment per
+/// planning step plus one per unpruned (plane, step) pair — at most
+/// planes x (steps / stride) — counted by `traffic.adversary.trials`, with
+/// the pairs scored from the base counted by `traffic.adversary.pruned`.
+/// Strikes scheduled past the sweep horizon are dropped: the budget buys
+/// strikes only inside the window. `options` are validated before any
+/// fan-out.
 lsn::failure_timeline generate_adversary_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

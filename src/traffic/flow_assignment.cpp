@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "lsn/routing.h"
@@ -106,11 +107,13 @@ double place_flow_on_path(const std::vector<int>& path, double remaining,
 
 /// Reduce link loads and delivered totals into the result metrics.
 flow_result finalize(const traffic_matrix& matrix, edge_table table,
-                     std::vector<double> pair_delivered, double offered,
+                     std::vector<double> pair_delivered,
+                     std::vector<std::uint8_t> on_queried_path, double offered,
                      double delivered, double latency_flow_sum_s,
                      const capacity_options& options)
 {
     flow_result result;
+    result.on_queried_path = std::move(on_queried_path);
     result.n_stations = matrix.n_stations;
     result.offered_gbps = offered;
     result.delivered_gbps = delivered;
@@ -136,10 +139,12 @@ flow_result finalize(const traffic_matrix& matrix, edge_table table,
 }
 
 /// Shared skeleton of the fast and naive paths. `route_pair(weights, round,
-/// a, b)` returns the path for one pair; the fast path serves it from a
-/// per-(round, source) tree, the naive one from a fresh point-to-point
-/// Dijkstra. When `rebuild_per_pair` is set the weight graph is rebuilt
-/// from live loads before every query instead of once per round.
+/// a, b, owed)` returns the path for one pair, where `owed` lists the
+/// gateways b > a that source `a` still owes demand this round; the fast
+/// path serves it from a per-(round, source) tree bounded to `owed`, the
+/// naive one from a fresh point-to-point Dijkstra. When `rebuild_per_pair`
+/// is set the weight graph is rebuilt from live loads before every query
+/// instead of once per round.
 template <class RoutePair>
 flow_result run_rounds(const lsn::network_snapshot& snapshot,
                        const traffic_matrix& matrix,
@@ -170,6 +175,8 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
     double delivered = 0.0;
     double latency_flow_sum_s = 0.0;
     double total_remaining = offered;
+    std::vector<std::uint8_t> on_queried_path(snapshot.adjacency.size(), 0);
+    std::vector<int> owed;
     for (int round = 0; round < options.k_rounds && total_remaining > flow_eps_gbps;
          ++round) {
         OBS_COUNT("traffic.assign.rounds");
@@ -177,12 +184,18 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
         lsn::network_snapshot weights;
         if (!rebuild_per_pair) weights = make_weight_graph(snapshot, table, options);
         for (int a = 0; a + 1 < n; ++a) {
-            for (int b = a + 1; b < n; ++b) {
+            // Placing flow on one pair never changes another pair's
+            // remainder, so this list is exactly the pairs of source `a`
+            // served this round.
+            owed.clear();
+            for (int b = a + 1; b < n; ++b)
+                if (at(remaining, a, b) > flow_eps_gbps) owed.push_back(b);
+            for (const int b : owed) {
                 double& pair_remaining = at(remaining, a, b);
-                if (pair_remaining <= flow_eps_gbps) continue;
                 if (rebuild_per_pair)
                     weights = make_weight_graph(snapshot, table, options);
-                const auto path = route_pair(weights, round, a, b);
+                const auto path = route_pair(weights, round, a, b, owed);
+                for (const int v : path) on_queried_path[static_cast<std::size_t>(v)] = 1;
                 const double flow = place_flow_on_path(path, pair_remaining, table,
                                                        latency_flow_sum_s);
                 if (flow <= 0.0) continue;
@@ -198,8 +211,9 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
         // recompute identical graphs and trees to place nothing: stop.
         if (round_flow <= flow_eps_gbps) break;
     }
-    return finalize(matrix, std::move(table), std::move(pair_delivered), offered,
-                    delivered, latency_flow_sum_s, options);
+    return finalize(matrix, std::move(table), std::move(pair_delivered),
+                    std::move(on_queried_path), offered, delivered,
+                    latency_flow_sum_s, options);
 }
 
 } // namespace
@@ -225,16 +239,21 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const capacity_options& options)
 {
     // One Dijkstra tree per source serves every pair of that source this
-    // round; trees are computed lazily so exhausted sources cost nothing.
+    // round; trees are computed lazily so exhausted sources cost nothing,
+    // and each stops once the gateways still owed demand are settled.
     lsn::route_tree tree;
     int tree_source = -1;
     int tree_round = -1;
+    std::vector<int> targets;
     return run_rounds(
         snapshot, matrix, options, /*rebuild_per_pair=*/false,
-        [&](const lsn::network_snapshot& weights, int round, int a, int b) {
+        [&](const lsn::network_snapshot& weights, int round, int a, int b,
+            std::span<const int> owed) {
             if (tree_source != a || tree_round != round) {
+                targets.clear();
+                for (const int g : owed) targets.push_back(weights.ground_node(g));
                 tree = lsn::single_source_routes(weights, weights.ground_node(a),
-                                                 /*ground_targets_only=*/true);
+                                                 targets);
                 tree_source = a;
                 tree_round = round;
             }
@@ -248,7 +267,8 @@ flow_result assign_flows_per_pair_baseline(const lsn::network_snapshot& snapshot
 {
     return run_rounds(
         snapshot, matrix, options, /*rebuild_per_pair=*/true,
-        [](const lsn::network_snapshot& weights, int, int a, int b) {
+        [](const lsn::network_snapshot& weights, int, int a, int b,
+           std::span<const int>) {
             return lsn::shortest_route(weights, weights.ground_node(a),
                                        weights.ground_node(b))
                 .path;

@@ -2,9 +2,11 @@
 //
 // Greedy k-round water-filling: every round freezes a congestion-penalized
 // latency weight on each live (non-saturated) link, computes one shortest-
-// path tree per *source* gateway through the shared Dijkstra core in
-// `lsn/routing` (`single_source_routes`), and routes each pair's remaining
-// demand along its tree path up to the path's bottleneck residual capacity.
+// path tree per *source* gateway `a` through the shared Dijkstra core in
+// `lsn/routing` (`single_source_routes`, stopping once the gateways b > a
+// still owed more than 1e-9 Gbps are settled), and routes each pair's
+// remaining demand along its tree path up to the path's bottleneck
+// residual capacity.
 // Demand that does not fit spills to the next round, where saturated links
 // have dropped out and loaded links weigh more — the k rounds therefore
 // realize k-shortest-path splitting without per-pair re-Dijkstra. Pair
@@ -12,6 +14,7 @@
 #ifndef SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 #define SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 
+#include <cstdint>
 #include <vector>
 
 #include "lsn/topology.h"
@@ -70,6 +73,12 @@ struct flow_result {
     double max_utilization = 0.0;
     std::vector<double> pair_delivered_gbps; ///< Row-major symmetric n x n.
     std::vector<link_load> links;            ///< Per-link loads after assignment.
+    /// Per snapshot node: 1 when the node lay on a path some pair was
+    /// routed along in any round, whether or not that path carried flow.
+    /// Failing only nodes outside this set deletes only edges no queried
+    /// path used, so every route, and the whole assignment, stays the same
+    /// (the greedy adversary's pruning rule, `traffic/adversary.h`).
+    std::vector<std::uint8_t> on_queried_path;
 
     double pair_delivered(int a, int b) const
     {

@@ -19,13 +19,23 @@ std::vector<lsn::ground_station> stations_from_cities(int n,
     return stations;
 }
 
+void validate(const traffic_matrix_options& options)
+{
+    expects(std::isfinite(options.total_demand_gbps) &&
+                options.total_demand_gbps >= 0.0,
+            "total demand must be finite and non-negative");
+    expects(std::isfinite(options.distance_exponent),
+            "distance exponent must be finite");
+    expects(std::isfinite(options.min_distance_km) && options.min_distance_km > 0.0,
+            "distance floor must be finite and positive");
+}
+
 traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
                                     std::span<const lsn::ground_station> stations,
                                     const astro::instant& t,
                                     const traffic_matrix_options& options)
 {
-    expects(options.total_demand_gbps >= 0.0, "total demand must be non-negative");
-    expects(options.min_distance_km > 0.0, "distance floor must be positive");
+    validate(options);
 
     const int n = static_cast<int>(stations.size());
     traffic_matrix matrix;

@@ -36,6 +36,14 @@ struct traffic_matrix_options {
     double min_distance_km = 500.0;
 };
 
+/// Reject a negative or non-finite `total_demand_gbps`, a non-finite
+/// `distance_exponent` and a non-finite or non-positive `min_distance_km`
+/// with a clear `contract_violation`. Unchecked, a NaN exponent yields a NaN
+/// matrix that assigns nothing yet reads as fully delivered, and an
+/// infinite floor an all-zero one. `build_traffic_matrix`, the traffic
+/// sweep and the greedy adversary call this before any work.
+void validate(const traffic_matrix_options& options);
+
 /// Symmetric offered-load matrix over a gateway set [Gbps], zero diagonal.
 struct traffic_matrix {
     int n_stations = 0;

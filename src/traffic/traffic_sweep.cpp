@@ -21,6 +21,7 @@ traffic_sweep_result run_traffic_sweep_timeline(
     lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
+    validate(options.matrix);
     validate(options.capacity);
     const int n_steps = static_cast<int>(offsets_s.size());
 

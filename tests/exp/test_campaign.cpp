@@ -1,6 +1,7 @@
 #include "exp/campaign.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -301,6 +302,10 @@ TEST(Campaign, ValidatesScenariosAndEngineOptionsBeforeRunning)
     bad_engine.scenarios = {{"baseline", {}}};
     traffic::traffic_sweep_options opts;
     opts.capacity.k_rounds = 0;
+    bad_engine.engines = {std::make_shared<traffic_engine>(test_demand(), opts)};
+    EXPECT_THROW(run_campaign(bad_engine, context), contract_violation);
+    opts = {};
+    opts.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
     bad_engine.engines = {std::make_shared<traffic_engine>(test_demand(), opts)};
     EXPECT_THROW(run_campaign(bad_engine, context), contract_violation);
 

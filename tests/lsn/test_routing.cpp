@@ -1,12 +1,16 @@
 #include "lsn/routing.h"
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lsn/scenario.h"
 #include "util/angles.h"
 #include "util/expects.h"
+#include "util/rng.h"
 
 namespace ssplane::lsn {
 namespace {
@@ -213,6 +217,109 @@ TEST(Routing, GroundRouteUsesGroundIndices)
     ASSERT_TRUE(route.reachable);
     EXPECT_NEAR(route.latency_s, 0.005, 1e-12);
     EXPECT_EQ(route.hops, 2);
+}
+
+TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
+{
+    // Randomly masked Walker +Grid snapshots, half of them with latencies
+    // snapped to multiples of 2^-10 s so that sums are exact and equal-cost
+    // paths tie bit for bit. For every listed target — duplicates, the
+    // source itself and unreachable nodes included — the bounded pass must
+    // return the full pass's path and latency exactly.
+    constellation::walker_parameters params;
+    params.altitude_m = 550.0e3;
+    params.inclination_rad = deg2rad(53.0);
+    params.n_planes = 12;
+    params.sats_per_plane = 12;
+    params.phasing_f = 1;
+    const auto topo = build_walker_grid_topology(params);
+    const snapshot_builder builder(topo, default_ground_stations(),
+                                   astro::instant::j2000(), deg2rad(25.0));
+    const int n_sats = builder.n_satellites();
+
+    rng draws(2024);
+    bool saw_unreachable = false;
+    bool saw_source = false;
+    for (int trial = 0; trial < 24; ++trial) {
+        std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_sats), 0);
+        const double loss = draws.uniform(0.0, 0.5);
+        for (auto& failed : mask) failed = draws.bernoulli(loss) ? 1 : 0;
+        auto snap = builder.snapshot(600.0 * trial, mask);
+        if (trial % 2 == 1)
+            for (auto& edges : snap.adjacency)
+                for (auto& e : edges) e.latency_s = std::round(e.latency_s * 1024.0) / 1024.0;
+        const int n_nodes = static_cast<int>(snap.adjacency.size());
+
+        for (int query = 0; query < 6; ++query) {
+            const int src = static_cast<int>(draws.uniform_int(0, n_nodes - 1));
+            const auto full = single_source_routes(snap, src);
+            std::vector<int> targets;
+            const auto n_targets = draws.uniform_int(1, 8);
+            for (std::int64_t t = 0; t < n_targets; ++t)
+                targets.push_back(static_cast<int>(draws.uniform_int(0, n_nodes - 1)));
+            targets.push_back(targets.front()); // a duplicate
+            if (query % 3 == 0) targets.push_back(src);
+            for (int v = 0; v < n_nodes; ++v)
+                if (!full.reachable(v)) {
+                    targets.push_back(v); // at most one unreachable node
+                    break;
+                }
+
+            const auto bounded = single_source_routes(snap, src, targets);
+            EXPECT_EQ(bounded.source, src);
+            for (const int t : targets) {
+                const auto ti = static_cast<std::size_t>(t);
+                EXPECT_EQ(bounded.latency_s[ti], full.latency_s[ti])
+                    << "trial " << trial << " source " << src << " target " << t;
+                EXPECT_EQ(bounded.path_to(t), full.path_to(t))
+                    << "trial " << trial << " source " << src << " target " << t;
+                saw_unreachable |= !full.reachable(t);
+                saw_source |= t == src;
+            }
+        }
+    }
+    EXPECT_TRUE(saw_unreachable);
+    EXPECT_TRUE(saw_source);
+}
+
+TEST(Routing, TargetBoundedTreeEdgeCases)
+{
+    const auto snap = line_graph();
+    // No targets: nothing to settle beyond the source's own entry.
+    const auto none = single_source_routes(snap, 0, {});
+    EXPECT_EQ(none.path_to(0), std::vector<int>{0});
+    EXPECT_FALSE(none.reachable(3));
+    // The pass stops at the target: the far side stays unsettled.
+    const std::vector<int> near{1};
+    const auto bounded = single_source_routes(snap, 0, near);
+    EXPECT_EQ(bounded.path_to(1), (std::vector<int>{0, 1}));
+    EXPECT_FALSE(bounded.reachable(2));
+    const std::vector<int> bad{4};
+    EXPECT_THROW(single_source_routes(snap, 0, bad), contract_violation);
+    EXPECT_THROW(single_source_routes(snap, 9, near), contract_violation);
+
+    // Target 1 is first queued at 5 ms, then settles at 2 ms via node 2;
+    // its stale 5 ms entry pops before target 4 (first queued at 20 ms)
+    // settles at 7 ms via node 3, and must not count as a settled target.
+    network_snapshot stale;
+    stale.n_satellites = 5;
+    stale.positions_ecef_m.resize(5);
+    stale.adjacency.resize(5);
+    const auto add = [&](int a, int b, double ms) {
+        stale.adjacency[static_cast<std::size_t>(a)].push_back({b, ms / 1000.0});
+        stale.adjacency[static_cast<std::size_t>(b)].push_back({a, ms / 1000.0});
+    };
+    add(0, 1, 5.0);
+    add(0, 2, 1.0);
+    add(2, 1, 1.0);
+    add(0, 3, 6.0);
+    add(3, 4, 1.0);
+    add(0, 4, 20.0);
+    const std::vector<int> near_and_far{1, 4};
+    const auto tree = single_source_routes(stale, 0, near_and_far);
+    EXPECT_EQ(tree.path_to(1), (std::vector<int>{0, 2, 1}));
+    EXPECT_EQ(tree.path_to(4), (std::vector<int>{0, 3, 4}));
+    EXPECT_EQ(tree.latency_s[4], single_source_routes(stale, 0).latency_s[4]);
 }
 
 } // namespace

@@ -1,10 +1,14 @@
 #include "traffic/adversary.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -53,6 +57,146 @@ lsn::failure_scenario adversary_scenario(int budget, int interval = 2,
     s.adversary_first_strike_step = first;
     return s;
 }
+
+/// The exhaustive greedy search the pruned generator must reproduce: every
+/// surviving plane trial-killed and swept with `run_traffic_sweep_timeline`
+/// on the planning grid, the lowest plane index winning ties.
+lsn::failure_timeline exhaustive_adversary_timeline(
+    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
+    const std::vector<std::vector<vec3>>& positions,
+    const lsn::failure_scenario& scenario, const traffic_sweep_options& options)
+{
+    const auto& topology = builder.topology();
+    const int n = builder.n_satellites();
+    const int n_steps = static_cast<int>(offsets_s.size());
+    const int n_planes = lsn::plane_count(topology);
+
+    lsn::failure_timeline timeline;
+    timeline.n_satellites = n;
+    timeline.n_steps = n_steps;
+    timeline.masks.assign(
+        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
+
+    std::vector<double> eval_offsets;
+    std::vector<std::vector<vec3>> eval_positions;
+    for (int i = 0; i < n_steps; i += scenario.adversary_eval_stride) {
+        eval_offsets.push_back(offsets_s[static_cast<std::size_t>(i)]);
+        eval_positions.push_back(positions[static_cast<std::size_t>(i)]);
+    }
+
+    std::vector<std::uint8_t> current(static_cast<std::size_t>(n), 0);
+    std::vector<std::uint8_t> plane_dead(static_cast<std::size_t>(n_planes), 0);
+    const auto kill_plane = [&](int p, std::vector<std::uint8_t>& mask) {
+        for (int s = 0; s < n; ++s)
+            if (topology.satellites[static_cast<std::size_t>(s)].plane == p)
+                mask[static_cast<std::size_t>(s)] = 1;
+    };
+    const auto row = [&](int i) {
+        return timeline.masks.data() +
+               static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
+    };
+
+    int fill_from = 0;
+    for (int strike = 0; strike < scenario.adversary_budget; ++strike) {
+        const int strike_step = scenario.adversary_first_strike_step +
+                                strike * scenario.adversary_strike_interval_steps;
+        if (strike_step >= n_steps) break;
+        int best_plane = -1;
+        double best_delivered = std::numeric_limits<double>::infinity();
+        for (int p = 0; p < n_planes; ++p) {
+            if (plane_dead[static_cast<std::size_t>(p)]) continue;
+            auto trial = current;
+            kill_plane(p, trial);
+            const auto sweep = run_traffic_sweep_timeline(
+                builder, eval_offsets, eval_positions,
+                lsn::failure_timeline::from_static_mask(std::move(trial)), test_demand(),
+                options);
+            if (sweep.metrics.delivered_gbps_mean < best_delivered) {
+                best_delivered = sweep.metrics.delivered_gbps_mean;
+                best_plane = p;
+            }
+        }
+        if (best_plane < 0) break;
+        for (; fill_from < strike_step; ++fill_from)
+            std::copy_n(current.data(), n, row(fill_from));
+        plane_dead[static_cast<std::size_t>(best_plane)] = 1;
+        kill_plane(best_plane, current);
+    }
+    for (; fill_from < n_steps; ++fill_from)
+        std::copy_n(current.data(), n, row(fill_from));
+    return timeline;
+}
+
+/// One topology of the pruned-versus-exhaustive equivalence suite.
+struct equivalence_fixture {
+    const char* name;
+    lsn::lsn_topology topology;
+};
+
+std::vector<equivalence_fixture> equivalence_fixtures()
+{
+    constellation::walker_parameters shell;
+    shell.altitude_m = 550.0e3;
+    shell.inclination_rad = deg2rad(53.0);
+    shell.n_planes = 10;
+    shell.sats_per_plane = 10;
+    shell.phasing_f = 1;
+    std::vector<constellation::ss_plane> ss_planes;
+    for (int p = 0; p < 8; ++p)
+        ss_planes.push_back({560.0e3, 1.5 * p, 14, 0.3 * p});
+    return {
+        // +Grid on an evenly spaced shell: about two thirds of its links
+        // share a latency bit for bit with another, so equal-cost paths tie.
+        {"walker +grid", lsn::build_walker_grid_topology(shell)},
+        {"capped walker", lsn::build_walker_capped_topology(shell, 3)},
+        {"ss design", lsn::build_ss_topology(ss_planes, astro::instant::j2000())},
+    };
+}
+
+/// Runs the pruned generator on `fixture` over budgets 1-3, planning
+/// strides 1-2, an unsaturated and a link-saturating demand, and pool sizes
+/// 1, 2 and 4, and checks every timeline against the exhaustive search.
+void expect_pruned_search_matches_exhaustive(const equivalence_fixture& fixture)
+{
+    SCOPED_TRACE(fixture.name);
+    const lsn::snapshot_builder builder(fixture.topology, stations_from_cities(8),
+                                        astro::instant::j2000(), deg2rad(10.0));
+    const auto offsets = hourly_offsets(5);
+    const auto positions = builder.positions_at_offsets(offsets);
+    for (const double demand_gbps : {5.0, 2000.0}) {
+        traffic_sweep_options options;
+        options.matrix.total_demand_gbps = demand_gbps;
+        for (const int budget : {1, 2, 3}) {
+            for (const int stride : {1, 2}) {
+                auto scenario = adversary_scenario(budget, 1, 0);
+                scenario.adversary_eval_stride = stride;
+                SCOPED_TRACE(::testing::Message()
+                             << "demand " << demand_gbps << " Gbps, budget " << budget
+                             << ", stride " << stride);
+                const auto reference = exhaustive_adversary_timeline(
+                    builder, offsets, positions, scenario, options);
+                EXPECT_EQ(reference.final_n_failed(),
+                          budget * fixture.topology.satellites.size() /
+                              static_cast<std::size_t>(lsn::plane_count(fixture.topology)));
+                for (const unsigned threads : {1u, 2u, 4u}) {
+                    set_thread_count(threads);
+                    const auto pruned = generate_adversary_timeline(
+                        builder, offsets, positions, scenario, test_demand(), options);
+                    set_thread_count(0);
+                    EXPECT_EQ(pruned.n_steps, reference.n_steps);
+                    EXPECT_EQ(pruned.masks, reference.masks) << threads << " threads";
+                }
+            }
+        }
+    }
+}
+
+#ifndef SSPLANE_OBS_DISABLED
+std::uint64_t counter_value(const char* name)
+{
+    return obs::registry::instance().get_counter(name).value();
+}
+#endif
 
 TEST(Adversary, TimelineFollowsTheStrikeSchedule)
 {
@@ -182,6 +326,122 @@ TEST(Adversary, StridedOracleStillStrikes)
     const auto strided = generate_adversary_timeline(builder, offsets, positions,
                                                      scenario, test_demand());
     EXPECT_EQ(strided.final_n_failed(), 6);
+}
+
+TEST(Adversary, PrunedSearchMatchesExhaustiveOnWalkerGrid)
+{
+    obs::registry::instance().reset();
+    expect_pruned_search_matches_exhaustive(equivalence_fixtures()[0]);
+#ifndef SSPLANE_OBS_DISABLED
+    // The suite is not vacuous: the fixture really skips trials.
+    EXPECT_GT(counter_value("traffic.adversary.pruned"), 0u);
+#endif
+}
+
+TEST(Adversary, PrunedSearchMatchesExhaustiveOnCappedWalker)
+{
+    expect_pruned_search_matches_exhaustive(equivalence_fixtures()[1]);
+}
+
+TEST(Adversary, PrunedSearchMatchesExhaustiveOnSsDesign)
+{
+    expect_pruned_search_matches_exhaustive(equivalence_fixtures()[2]);
+}
+
+TEST(Adversary, FailingAPlaneOffEveryQueriedPathLeavesTheAssignmentAlone)
+{
+    // The pruning rule's premise, checked per (plane, step) rather than
+    // through the argmin: when no satellite of a plane lay on a path the
+    // base assignment queried, zero-flow paths included, the assignment
+    // with that plane failed is the base one bit for bit.
+    int checked = 0;
+    for (const auto& fixture : equivalence_fixtures()) {
+        SCOPED_TRACE(fixture.name);
+        const auto& topo = fixture.topology;
+        const lsn::snapshot_builder builder(topo, stations_from_cities(8),
+                                            astro::instant::j2000(), deg2rad(10.0));
+        const auto offsets = hourly_offsets(5);
+        const auto positions = builder.positions_at_offsets(offsets);
+        const int n = builder.n_satellites();
+        for (const double demand_gbps : {5.0, 2000.0}) {
+            traffic_sweep_options options;
+            options.matrix.total_demand_gbps = demand_gbps;
+            for (std::size_t i = 0; i < offsets.size(); ++i) {
+                const auto matrix = build_traffic_matrix(
+                    test_demand(), builder.stations(),
+                    builder.epoch().plus_seconds(offsets[i]), options.matrix);
+                const auto base = assign_flows(builder.snapshot_from_positions(positions[i]),
+                                               matrix, options.capacity);
+                for (int p = 0; p < lsn::plane_count(topo); ++p) {
+                    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n), 0);
+                    bool on_path = false;
+                    for (int s = 0; s < n; ++s) {
+                        if (topo.satellites[static_cast<std::size_t>(s)].plane != p) continue;
+                        mask[static_cast<std::size_t>(s)] = 1;
+                        on_path |= base.on_queried_path[static_cast<std::size_t>(s)] != 0;
+                    }
+                    if (on_path) continue;
+                    const auto trial = assign_flows(
+                        builder.snapshot_from_positions(positions[i], mask), matrix,
+                        options.capacity);
+                    EXPECT_EQ(trial.delivered_gbps, base.delivered_gbps)
+                        << "plane " << p << ", step " << i << ", " << demand_gbps << " Gbps";
+                    EXPECT_EQ(trial.latency_flow_sum_gbps_s, base.latency_flow_sum_gbps_s);
+                    EXPECT_EQ(trial.pair_delivered_gbps, base.pair_delivered_gbps);
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
+}
+
+TEST(AdversaryWork, TrialsAndSettledNodesStayWithinMeasuredCeilings)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "work counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    // A fixed fixture whose work counters repeat exactly for any pool
+    // size: a change that widens the search again or lets route trees walk
+    // past the gateways still owed demand trips these ceilings, the values
+    // measured when the pruned search and the bounded trees landed (107 of
+    // 114 (plane, step) pairs assigned).
+    const auto topo = small_walker(10, 10);
+    const lsn::snapshot_builder builder(topo, stations_from_cities(8),
+                                        astro::instant::j2000(), deg2rad(10.0));
+    const auto offsets = hourly_offsets(6);
+    const auto positions = builder.positions_at_offsets(offsets);
+    traffic_sweep_options options;
+    options.matrix.total_demand_gbps = 2000.0;
+
+    obs::registry::instance().reset();
+    generate_adversary_timeline(builder, offsets, positions,
+                                adversary_scenario(2, 2, 0), test_demand(), options);
+    EXPECT_LE(counter_value("traffic.adversary.trials"), 107u);
+    EXPECT_LE(counter_value("lsn.dijkstra.settled"), 119562u);
+    EXPECT_GT(counter_value("traffic.adversary.pruned"), 0u);
+#endif
+}
+
+TEST(Adversary, RejectsNonFiniteMatrixOptionsBeforeFanOut)
+{
+    const auto topo = small_walker(4, 4);
+    const lsn::snapshot_builder builder(topo, stations_from_cities(4),
+                                        astro::instant::j2000(), deg2rad(25.0));
+    const auto offsets = hourly_offsets(2);
+    const auto positions = builder.positions_at_offsets(offsets);
+    traffic_sweep_options options;
+    options.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(generate_adversary_timeline(builder, offsets, positions,
+                                             adversary_scenario(1), test_demand(),
+                                             options),
+                 contract_violation);
+    options = {};
+    options.matrix.min_distance_km = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(generate_adversary_timeline(builder, offsets, positions,
+                                             adversary_scenario(1), test_demand(),
+                                             options),
+                 contract_violation);
 }
 
 TEST(Adversary, RejectsNonAdversaryScenarios)

@@ -1,5 +1,8 @@
 #include "traffic/flow_assignment.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/expects.h"
@@ -119,6 +122,54 @@ TEST(FlowAssignment, UnreachablePairsDeliverNothing)
     EXPECT_DOUBLE_EQ(result.delivered_gbps, 0.0);
     EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.0);
     EXPECT_DOUBLE_EQ(result.pair_delivered(0, 1), 0.0);
+}
+
+TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
+{
+    // Gateways g0..g2 = nodes 5..7 over satellites s0..s4, every link
+    // 10 Gbps, 10 Gbps offered per pair. Round one, frozen weights: (0,1)
+    // fills g0-s0-s1-g1, so (0,2)'s tree path g0-s0-s1-s2-g2 carries
+    // nothing, then (1,2) fills g1-s4-g2. Round two finds no path left.
+    const auto build = [](bool with_s2) {
+        lsn::network_snapshot snap;
+        snap.n_satellites = 5;
+        snap.n_ground = 3;
+        snap.positions_ecef_m.resize(8);
+        snap.adjacency.resize(8);
+        add_edge(snap, 5, 0, 1.0);
+        add_edge(snap, 0, 1, 1.0);
+        add_edge(snap, 1, 6, 1.0);
+        if (with_s2) {
+            add_edge(snap, 1, 2, 1.0);
+            add_edge(snap, 2, 7, 1.5);
+        }
+        add_edge(snap, 5, 3, 2.0);
+        add_edge(snap, 3, 4, 2.0);
+        add_edge(snap, 4, 7, 2.0);
+        add_edge(snap, 6, 4, 1.0);
+        return snap;
+    };
+    traffic_matrix matrix;
+    matrix.n_stations = 3;
+    matrix.demand_gbps = {0.0, 10.0, 10.0, 10.0, 0.0, 10.0, 10.0, 10.0, 0.0};
+    matrix.total_gbps = 30.0;
+    capacity_options opts;
+    opts.isl_capacity_gbps = 10.0;
+    opts.uplink_capacity_gbps = 10.0;
+
+    const auto base = assign_flows(build(true), matrix, opts);
+    EXPECT_DOUBLE_EQ(base.pair_delivered(0, 2), 0.0);
+    EXPECT_DOUBLE_EQ(base.pair_delivered(1, 2), 10.0);
+    ASSERT_EQ(base.on_queried_path.size(), 8u);
+    EXPECT_EQ(base.on_queried_path,
+              (std::vector<std::uint8_t>{1, 1, 1, 0, 1, 1, 1, 1}));
+
+    // s2 lay only on the zero-flow path, yet failing it re-routes (0,2)
+    // onto g0-s3-s4-g2 in round one and starves (1,2): a pruning rule that
+    // ignored zero-flow paths would miss this change.
+    const auto without_s2 = assign_flows(build(false), matrix, opts);
+    EXPECT_DOUBLE_EQ(without_s2.pair_delivered(0, 2), 10.0);
+    EXPECT_DOUBLE_EQ(without_s2.pair_delivered(1, 2), 0.0);
 }
 
 TEST(FlowAssignment, NaiveBaselineAgreesOnSimpleGraphs)

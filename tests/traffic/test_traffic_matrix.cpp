@@ -1,5 +1,7 @@
 #include "traffic/traffic_matrix.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "demand/cities.h"
@@ -102,6 +104,45 @@ TEST(TrafficMatrix, AllZeroMassesYieldZeroMatrix)
     const auto matrix = build_traffic_matrix(model, ocean, astro::instant::j2000());
     EXPECT_EQ(matrix.total_gbps, 0.0);
     EXPECT_EQ(matrix.demand(0, 1), 0.0);
+}
+
+TEST(TrafficMatrix, ValidateRejectsDegenerateOptionsPerField)
+{
+    EXPECT_NO_THROW(validate(traffic_matrix_options{}));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    for (const double bad : {-1.0, nan, inf}) {
+        traffic_matrix_options opts;
+        opts.total_demand_gbps = bad;
+        EXPECT_THROW(validate(opts), contract_violation) << "total_demand_gbps " << bad;
+    }
+    for (const double bad : {nan, inf, -inf}) {
+        traffic_matrix_options opts;
+        opts.distance_exponent = bad;
+        EXPECT_THROW(validate(opts), contract_violation) << "distance_exponent " << bad;
+    }
+    for (const double bad : {0.0, -500.0, nan, inf}) {
+        traffic_matrix_options opts;
+        opts.min_distance_km = bad;
+        EXPECT_THROW(validate(opts), contract_violation) << "min_distance_km " << bad;
+    }
+
+    // No demand and a flat or inverted gravity law stay legal.
+    traffic_matrix_options edge;
+    edge.total_demand_gbps = 0.0;
+    edge.distance_exponent = -1.0;
+    EXPECT_NO_THROW(validate(edge));
+    edge.distance_exponent = 0.0;
+    EXPECT_NO_THROW(validate(edge));
+
+    // The builder checks at its entry too.
+    const demand::demand_model model(test_population());
+    traffic_matrix_options nan_exponent;
+    nan_exponent.distance_exponent = nan;
+    EXPECT_THROW(build_traffic_matrix(model, stations_from_cities(4),
+                                      astro::instant::j2000(), nan_exponent),
+                 contract_violation);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "traffic/traffic_sweep.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/angles.h"
@@ -140,6 +142,25 @@ TEST(TrafficSweep, RejectsDegenerateCapacityOptionsBeforeSweeping)
     const auto stations = stations_from_cities(4);
     traffic_sweep_options options;
     options.capacity.k_rounds = 0;
+    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
+}
+
+TEST(TrafficSweep, RejectsNonFiniteMatrixOptionsBeforeSweeping)
+{
+    // Unchecked, a NaN exponent offered NaN Gbps, delivered nothing and
+    // still read as fully delivered; an infinite distance floor zeroed the
+    // matrix, which also read as fully delivered.
+    const demand::demand_model model(test_population());
+    const auto topo = small_walker();
+    const auto stations = stations_from_cities(4);
+    traffic_sweep_options options;
+    options.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
+    options = {};
+    options.matrix.min_distance_km = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
+    options = {};
+    options.matrix.total_demand_gbps = std::numeric_limits<double>::infinity();
     EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
 }
 
