@@ -100,5 +100,5 @@ int main()
                  ratio_gamma32 >= 4.0);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -65,5 +65,5 @@ int main()
                  ss_spares >= 0 && wd65_spares <= 10);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

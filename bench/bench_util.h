@@ -4,7 +4,8 @@
 //   * a CSV block with the series the paper plots (machine-readable),
 //   * a human-readable summary table,
 //   * "CHECK" lines asserting the paper's qualitative shape, so the bench
-//     output doubles as a reproduction report.
+//     output doubles as a reproduction report; `main` returns
+//     `exit_status()`, so any failed CHECK exits 1.
 #ifndef SSPLANE_BENCH_BENCH_UTIL_H
 #define SSPLANE_BENCH_BENCH_UTIL_H
 
@@ -34,11 +35,27 @@ inline const demand::demand_model& paper_demand()
     return model;
 }
 
-/// Print a PASS/FAIL shape-check line; returns `ok` for aggregation.
+/// Set once any shape check of this process has failed.
+inline bool& any_check_failed()
+{
+    static bool failed = false;
+    return failed;
+}
+
+/// Print a PASS/FAIL shape-check line and remember a failure; returns `ok`
+/// for aggregation.
 inline bool check(const std::string& name, bool ok)
 {
     std::cout << "CHECK " << (ok ? "PASS" : "FAIL") << ": " << name << "\n";
+    if (!ok) any_check_failed() = true;
     return ok;
+}
+
+/// Exit status for a bench's `main`: 1 once any CHECK failed, else 0, so a
+/// failed shape check fails the run (and its ctest leg).
+inline int exit_status()
+{
+    return any_check_failed() ? 1 : 0;
 }
 
 /// Wall-clock stopwatch for bench timing lines.

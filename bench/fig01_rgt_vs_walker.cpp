@@ -103,5 +103,5 @@ int main()
                  walker_at_1200 >= 120 && walker_at_1200 <= 320);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

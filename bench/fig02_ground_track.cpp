@@ -89,5 +89,5 @@ int main()
                  }());
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -36,5 +36,5 @@ int main()
                  pop.total_population() > 7.0e9 && pop.total_population() < 9.0e9);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

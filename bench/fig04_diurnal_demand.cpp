@@ -45,5 +45,5 @@ int main()
     bench::check("p95 heavy tail reaches >300%", p95_max > 300.0 && p95_max < 20000.0);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

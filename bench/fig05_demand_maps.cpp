@@ -79,5 +79,5 @@ int main()
                  midday_evening_total > 1.5 * early_morning_total);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

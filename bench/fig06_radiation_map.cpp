@@ -53,5 +53,5 @@ int main()
     bench::check("low-latitude Pacific is quiet", pacific_low < saa / 4.0);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -67,5 +67,5 @@ int main()
                  p975 > 3.0e6 && p47 < 7.0e7);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

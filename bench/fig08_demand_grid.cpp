@@ -54,5 +54,5 @@ int main()
                  day_mass / (day_mass + night_mass) > 2.0 / 3.0);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -76,5 +76,5 @@ int main()
                  last_credit_ratio < first_ratio);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -83,5 +83,5 @@ int main()
                  reduction_vs_30 > 18.0 && reduction_vs_30 < 28.0);
 
     std::cout << "elapsed_s=" << timer.seconds() << "\n";
-    return 0;
+    return bench::exit_status();
 }

@@ -1,6 +1,7 @@
 // Performance microbenchmarks (google-benchmark) for the library's hot
 // paths: propagation, flux evaluation, map sweeps, plane masks, greedy
-// iterations and routing.
+// iterations and the network layer. Network-layer fixtures run on the
+// network_day shape (see the section comment below).
 //
 // Besides the console table, every run writes BENCH_perf.json (benchmark
 // name -> ns/op; path overridable via SSPLANE_BENCH_JSON) so successive PRs
@@ -26,6 +27,7 @@
 #include "radiation/belts.h"
 #include "radiation/fluence.h"
 #include "spectral/lanczos.h"
+#include "spectral/laplacian.h"
 #include "serve/serving_sweep.h"
 #include "spectral/percolation.h"
 #include "tempo/bulk_router.h"
@@ -120,142 +122,126 @@ void bm_greedy_small(benchmark::State& state)
 }
 BENCHMARK(bm_greedy_small)->Unit(benchmark::kMillisecond);
 
-/// 40x40 Walker grid shared by the scenario-sweep benches.
-const lsn::lsn_topology& bench_walker_grid()
+// --- Network layer on the network_day shape --------------------------------
+//
+// Every network-layer fixture below feeds its kernel what the network_day
+// example feeds it: the greedy SS design (3250 satellites, 130 planes), its
+// 12 city gateways and the half-hourly day grid. Only bm_campaign and
+// bm_instrumented_campaign keep a smaller fixture of their own: they are the
+// observability-overhead contrast pair, not a fixture of the real run.
+
+/// Static-storage demand model: the traffic engine keeps a reference, so
+/// its lifetime must outlive any fixture struct a plan lives in.
+const demand::demand_model& bench_demand()
 {
-    static const lsn::lsn_topology topo = [] {
-        constellation::walker_parameters p;
-        p.altitude_m = 550.0e3;
-        p.inclination_rad = deg2rad(53.0);
-        p.n_planes = 40;
-        p.sats_per_plane = 40;
-        p.phasing_f = 1;
-        return lsn::build_walker_grid_topology(p);
-    }();
-    return topo;
+    static const demand::demand_model model(bench_population());
+    return model;
 }
 
-constexpr double sweep_step_s = 3600.0; // hourly steps over one day
+/// Epoch of the network_day example.
+astro::instant network_day_epoch()
+{
+    return astro::instant::from_calendar(2026, 6, 1, 0);
+}
+
+/// The network_day constellation: the greedy SS design (3250 satellites,
+/// 130 planes) wired at the example's epoch, built once.
+const lsn::lsn_topology& network_day_topology()
+{
+    static const lsn::lsn_topology topology = [] {
+        const auto design =
+            core::greedy_ss_cover(core::make_design_problem(bench_demand(), 10.0));
+        std::vector<constellation::ss_plane> planes;
+        for (const auto& p : design.planes)
+            planes.push_back({p.altitude_m, p.ltan_h, p.n_sats, 0.0});
+        return lsn::build_ss_topology(planes, network_day_epoch());
+    }();
+    return topology;
+}
+
+/// The network_day sweep grid: 24 hours at 30-minute steps (48 steps),
+/// default elevation mask and ISL range.
+lsn::scenario_sweep_options network_day_grid()
+{
+    lsn::scenario_sweep_options grid;
+    grid.step_s = 1800.0;
+    return grid;
+}
+
+/// The network_day evaluation context: snapshot builder over the 12 city
+/// gateways, the day grid and its one batched propagation pass.
+const exp::evaluation_context& network_day_context()
+{
+    static const exp::evaluation_context context(network_day_topology(),
+                                                 traffic::stations_from_cities(12),
+                                                 network_day_epoch(), network_day_grid());
+    return context;
+}
+
+/// The day's 48 unfailed snapshots, built once.
+const std::vector<lsn::network_snapshot>& network_day_snapshots()
+{
+    static const std::vector<lsn::network_snapshot> snapshots = [] {
+        const auto& context = network_day_context();
+        std::vector<lsn::network_snapshot> out;
+        out.reserve(context.positions().size());
+        for (const auto& positions : context.positions())
+            out.push_back(context.builder().snapshot_from_positions(positions));
+        return out;
+    }();
+    return snapshots;
+}
 
 void bm_scenario_sweep(benchmark::State& state)
 {
-    // 12-station all-pairs day sweep on the 40x40 grid through the batched
-    // engine: one propagation pass, one snapshot and 11 Dijkstra sources per
-    // step.
-    const auto& topo = bench_walker_grid();
-    const auto stations = lsn::default_ground_stations();
-    const auto epoch = astro::instant::j2000();
-    lsn::scenario_sweep_options opts;
-    opts.step_s = sweep_step_s;
+    // The survivability engine's unfailed day: builder construction, the
+    // batched propagation pass, then per step one snapshot and 11 Dijkstra
+    // sources for the 12-gateway all-pairs matrix.
+    const auto& topo = network_day_topology();
+    const auto stations = traffic::stations_from_cities(12);
+    const auto grid = network_day_grid();
     for (auto _ : state) {
-        const lsn::snapshot_builder builder(topo, stations, epoch, opts.min_elevation_rad,
-                                            opts.max_isl_range_m);
-        const auto offsets = lsn::sweep_offsets(opts.duration_s, opts.step_s);
+        const lsn::snapshot_builder builder(topo, stations, network_day_epoch(),
+                                            grid.min_elevation_rad, grid.max_isl_range_m);
+        const auto offsets = lsn::sweep_offsets(grid.duration_s, grid.step_s);
         benchmark::DoNotOptimize(lsn::run_scenario_sweep_timeline(
-            builder, offsets, builder.positions_at_offsets(offsets),
-            lsn::sample_failure_timeline(topo, {}, offsets, epoch)));
+            builder, offsets, builder.positions_at_offsets(offsets), {}));
     }
 }
 BENCHMARK(bm_scenario_sweep)->Unit(benchmark::kMillisecond);
 
-void bm_scenario_sweep_baseline(benchmark::State& state)
-{
-    // The pre-engine route to the same all-pairs day sweep: one time loop
-    // per station pair (as simulate_pair_latency used to run), every step
-    // rebuilding the snapshot from scratch through snapshot_at with its
-    // per-call propagator construction.
-    const auto& topo = bench_walker_grid();
-    const auto stations = lsn::default_ground_stations();
-    const auto epoch = astro::instant::j2000();
-    const int n = static_cast<int>(stations.size());
-    for (auto _ : state) {
-        double total_latency = 0.0;
-        for (int a = 0; a + 1 < n; ++a) {
-            for (int b = a + 1; b < n; ++b) {
-                for (double t_off = 0.0; t_off < 86400.0; t_off += sweep_step_s) {
-                    const auto snap = lsn::snapshot_at(
-                        topo, stations, epoch, epoch.plus_seconds(t_off), deg2rad(30.0));
-                    const auto route = lsn::ground_route(snap, a, b);
-                    if (route.reachable) total_latency += route.latency_s;
-                }
-            }
-        }
-        benchmark::DoNotOptimize(total_latency);
-    }
-}
-BENCHMARK(bm_scenario_sweep_baseline)->Unit(benchmark::kMillisecond);
-
-/// Prebuilt day sweep of snapshots + diurnal matrices for the traffic
-/// assignment benches: both contenders consume identical inputs, so the
-/// measured contrast is purely the assignment algorithm.
-struct traffic_bench_inputs {
-    std::vector<lsn::network_snapshot> snapshots;
-    std::vector<traffic::traffic_matrix> matrices;
-    traffic::capacity_options capacity;
-};
-
-const traffic_bench_inputs& bench_traffic_inputs()
-{
-    static const traffic_bench_inputs inputs = [] {
-        traffic_bench_inputs in;
-        const auto& topo = bench_walker_grid();
-        const auto stations = traffic::stations_from_cities(12);
-        const auto epoch = astro::instant::j2000();
-        const lsn::snapshot_builder builder(topo, stations, epoch, deg2rad(30.0));
-        const auto offsets = lsn::sweep_offsets(86400.0, sweep_step_s);
-        const auto positions = builder.positions_at_offsets(offsets);
-        const demand::demand_model model(bench_population());
-        traffic::traffic_matrix_options matrix_opts;
-        // Offered load well past the link capacities below, so every
-        // water-filling round stays busy in both contenders.
-        matrix_opts.total_demand_gbps = 4000.0;
-        for (std::size_t i = 0; i < offsets.size(); ++i) {
-            in.snapshots.push_back(builder.snapshot_from_positions(positions[i]));
-            in.matrices.push_back(traffic::build_traffic_matrix(
-                model, stations, epoch.plus_seconds(offsets[i]), matrix_opts));
-        }
-        return in;
-    }();
-    return inputs;
-}
-
 void bm_traffic_assign(benchmark::State& state)
 {
-    // Capacity-aware day sweep on the 40x40 grid, 12 gateways: per round one
+    // The traffic engine's unfailed day: one capacity-aware assignment per
+    // step of network_day's 2000 Gbps diurnal gravity matrix. Per round one
     // Dijkstra tree per source gateway serves all of its pairs.
-    const auto& in = bench_traffic_inputs();
+    static const std::vector<traffic::traffic_matrix> matrices = [] {
+        const auto& context = network_day_context();
+        traffic::traffic_matrix_options options;
+        options.total_demand_gbps = 2000.0;
+        std::vector<traffic::traffic_matrix> out;
+        for (const double offset : context.offsets())
+            out.push_back(traffic::build_traffic_matrix(
+                bench_demand(), context.builder().stations(),
+                context.epoch().plus_seconds(offset), options));
+        return out;
+    }();
+    const auto& snapshots = network_day_snapshots();
+    const traffic::capacity_options capacity;
     for (auto _ : state) {
         double delivered = 0.0;
-        for (std::size_t i = 0; i < in.snapshots.size(); ++i)
+        for (std::size_t i = 0; i < snapshots.size(); ++i)
             delivered +=
-                traffic::assign_flows(in.snapshots[i], in.matrices[i], in.capacity)
-                    .delivered_gbps;
+                traffic::assign_flows(snapshots[i], matrices[i], capacity).delivered_gbps;
         benchmark::DoNotOptimize(delivered);
     }
 }
 BENCHMARK(bm_traffic_assign)->Unit(benchmark::kMillisecond);
 
-void bm_traffic_assign_baseline(benchmark::State& state)
-{
-    // The naive route to the same assignment: every (pair, round) rebuilds
-    // the congestion-weighted graph and runs its own point-to-point Dijkstra.
-    const auto& in = bench_traffic_inputs();
-    for (auto _ : state) {
-        double delivered = 0.0;
-        for (std::size_t i = 0; i < in.snapshots.size(); ++i)
-            delivered += traffic::assign_flows_per_pair_baseline(
-                             in.snapshots[i], in.matrices[i], in.capacity)
-                             .delivered_gbps;
-        benchmark::DoNotOptimize(delivered);
-    }
-}
-BENCHMARK(bm_traffic_assign_baseline)->Unit(benchmark::kMillisecond);
-
-/// Prebuilt day sweep for the bulk-transfer benches: both contenders route
-/// the same 12 antipodal-ish gateway pulses over identical snapshots, so
-/// the contrast is the time-expanded solver vs per-epoch replication.
+/// network_day's bulk workload over its unfailed day: 12 gateway-to-
+/// opposite-gateway requests of 500000 Gb due within 6 hours, 25000 Gb of
+/// buffer per satellite, and the time-expanded graph built once.
 struct bulk_bench_inputs {
-    std::vector<lsn::network_snapshot> snapshots;
     std::vector<double> offsets;
     std::vector<tempo::bulk_transfer_request> requests;
     tempo::bulk_route_options options;
@@ -266,25 +252,13 @@ bulk_bench_inputs& bench_bulk_inputs()
 {
     static bulk_bench_inputs inputs = [] {
         bulk_bench_inputs in;
-        const auto& topo = bench_walker_grid();
-        const auto stations = traffic::stations_from_cities(12);
-        const auto epoch = astro::instant::j2000();
-        const lsn::snapshot_builder builder(topo, stations, epoch, deg2rad(30.0));
-        in.offsets = lsn::sweep_offsets(86400.0, sweep_step_s);
-        const auto positions = builder.positions_at_offsets(in.offsets);
-        in.snapshots.reserve(in.offsets.size());
-        for (const auto& pos : positions)
-            in.snapshots.push_back(builder.snapshot_from_positions(pos));
-        in.options.sat_buffer_gb = 256.0;
-        // At this volume the day grid is UNcontended: both contenders
-        // deliver 100% (raise the pulses ~10x and the per-step greedy keeps
-        // delivering while the expanded solver hits the 256 GB buffer cap).
-        // The pair therefore measures solver cost, not delivery quality —
-        // see the note on bm_bulk_route_per_step_floor.
+        const auto offsets = network_day_context().offsets();
+        in.offsets.assign(offsets.begin(), offsets.end());
+        in.options.sat_buffer_gb = 25000.0;
         for (int g = 0; g < 12; ++g)
-            in.requests.push_back({g, (g + 6) % 12, 2.0e5, 0.0, 86400.0});
-        in.graph = tempo::build_time_expanded_graph_timeline(in.snapshots, in.offsets,
-                                                             {}, in.options);
+            in.requests.push_back({g, (g + 6) % 12, 5.0e5, 0.0, 6.0 * 3600.0});
+        in.graph = tempo::build_time_expanded_graph_timeline(
+            network_day_snapshots(), in.offsets, {}, in.options);
         return in;
     }();
     return inputs;
@@ -308,39 +282,25 @@ void bm_bulk_route_per_step_floor(benchmark::State& state)
 {
     // Per-epoch replication floor: replay the per-snapshot greedy
     // (`assign_flows`) on every epoch's remaining volumes, no buffering.
-    //
-    // Unlike the other *_baseline pairs this is NOT a slower route to the
-    // same answer — it is a cheaper solver for a weaker model, and on this
-    // uncontended fixture it is ~1.4x FASTER than bm_bulk_route (the
-    // expanded solver walks 25 layers of residual time-expanded arcs per
-    // augmentation; the floor runs one small Dijkstra pass per step). The
-    // expanded solver earns its cost only when buffering matters: under
-    // contention or outages it delivers volume the floor cannot move at
-    // all (see the sf_gain column in the network_day failure table).
+    // Not a slower route to the same answer but a cheaper solver for a
+    // weaker model: the expanded solver earns its cost when buffering
+    // matters, delivering volume the floor cannot move at all (see the
+    // sf_gain column in the network_day failure table).
     const auto& in = bench_bulk_inputs();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            tempo::route_bulk_transfers_per_step_baseline(in.snapshots, in.offsets,
-                                                          in.requests, in.options)
+            tempo::route_bulk_transfers_per_step_baseline(network_day_snapshots(),
+                                                          in.offsets, in.requests,
+                                                          in.options)
                 .delivered_gb);
     }
 }
 BENCHMARK(bm_bulk_route_per_step_floor)->Unit(benchmark::kMillisecond);
 
 /// Shared fixture of the campaign benches: a 24x24 Walker grid, 6 gateways,
-/// a half-hourly day grid, four failure scenarios and the three metric
-/// engines. Both contenders compute identical metrics; the contrast is one
-/// shared evaluation context vs the three legacy one-shot entry points run
-/// back-to-back per scenario (each re-paying propagator construction, the
-/// batched propagation pass and the failure draw).
-/// Static-storage demand model: the traffic engine keeps a reference, so
-/// its lifetime must outlive the fixture struct the plan lives in.
-const demand::demand_model& bench_demand()
-{
-    static const demand::demand_model model(bench_population());
-    return model;
-}
-
+/// a half-hourly day grid, four failure scenarios and three metric engines.
+/// bm_campaign and bm_instrumented_campaign run the identical campaign; the
+/// contrast between them is the cost of the observability stack.
 struct campaign_bench_inputs {
     lsn::lsn_topology topo;
     std::vector<lsn::ground_station> stations;
@@ -431,85 +391,27 @@ void bm_instrumented_campaign(benchmark::State& state)
 }
 BENCHMARK(bm_instrumented_campaign)->Unit(benchmark::kMillisecond);
 
-void bm_campaign_separate_baseline(benchmark::State& state)
-{
-    // The pre-campaign route to the same 12 cells: the three engine entry
-    // points run back-to-back per scenario, each on its own builder,
-    // propagation pass and failure timeline.
-    const auto& in = bench_campaign_inputs();
-    const auto epoch = astro::instant::j2000();
-    const auto separate = [&](const lsn::failure_scenario& scenario, const auto& sweep) {
-        const lsn::snapshot_builder builder(in.topo, in.stations, epoch,
-                                            in.grid.min_elevation_rad,
-                                            in.grid.max_isl_range_m);
-        const auto offsets = lsn::sweep_offsets(in.grid.duration_s, in.grid.step_s);
-        return sweep(builder, offsets, builder.positions_at_offsets(offsets),
-                     lsn::sample_failure_timeline(in.topo, scenario, offsets, epoch));
-    };
-    for (auto _ : state) {
-        double sink = 0.0;
-        for (const auto& spec : in.plan.scenarios) {
-            sink += separate(spec.scenario, [](const auto&... args) {
-                return lsn::run_scenario_sweep_timeline(args...)
-                    .metrics.pair_reachable_fraction;
-            });
-            sink += separate(spec.scenario, [&](const auto&... args) {
-                return traffic::run_traffic_sweep_timeline(args..., bench_demand(),
-                                                           in.traffic_opts)
-                    .metrics.delivered_gbps_mean;
-            });
-            sink += separate(spec.scenario, [&](const auto&... args) {
-                return tempo::run_bulk_sweep_timeline(args..., in.requests, in.bulk_opts)
-                    .routing.delivered_gb;
-            });
-        }
-        benchmark::DoNotOptimize(sink);
-    }
-}
-BENCHMARK(bm_campaign_separate_baseline)->Unit(benchmark::kMillisecond);
-
 void bm_cascade_timeline(benchmark::State& state)
 {
-    // Per-step Kessler draw over a full day on the 40x40 grid: the cost of
-    // growing a 25-row failure timeline (debris bookkeeping + one split RNG
-    // stream per step) instead of one static mask.
-    const auto& topo = bench_walker_grid();
-    const auto offsets = lsn::sweep_offsets(86400.0, sweep_step_s);
+    // network_day's Kessler cascade over its day grid: growing a 48-row
+    // failure timeline for 3250 satellites (debris bookkeeping + one split
+    // RNG stream per step) instead of one static mask.
+    const auto& context = network_day_context();
     lsn::failure_scenario cascade;
     cascade.mode = lsn::failure_mode::kessler_cascade;
-    cascade.cascade_initial_hits = 4;
-    cascade.cascade_base_daily_hazard = 0.2;
-    cascade.cascade_escalation = 0.1;
-    cascade.seed = 7;
+    cascade.cascade_initial_hits = 2;
+    cascade.cascade_base_daily_hazard = 0.3;
+    cascade.cascade_escalation = 0.05;
+    cascade.cascade_cooldown_s = 6.0 * 3600.0;
+    cascade.seed = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            lsn::sample_failure_timeline(topo, cascade, offsets,
-                                         astro::instant::j2000())
+            lsn::sample_failure_timeline(context.topology(), cascade, context.offsets(),
+                                         context.epoch())
                 .final_n_failed());
     }
 }
 BENCHMARK(bm_cascade_timeline)->Unit(benchmark::kMicrosecond);
-
-/// Epoch of the network_day example.
-astro::instant network_day_epoch()
-{
-    return astro::instant::from_calendar(2026, 6, 1, 0);
-}
-
-/// The network_day constellation: the greedy SS design (3250 satellites,
-/// 130 planes) wired at the example's epoch, built once.
-const lsn::lsn_topology& network_day_topology()
-{
-    static const lsn::lsn_topology topology = [] {
-        const auto design =
-            core::greedy_ss_cover(core::make_design_problem(bench_demand(), 10.0));
-        std::vector<constellation::ss_plane> planes;
-        for (const auto& p : design.planes)
-            planes.push_back({p.altitude_m, p.ltan_h, p.n_sats, 0.0});
-        return lsn::build_ss_topology(planes, network_day_epoch());
-    }();
-    return topology;
-}
 
 void bm_adversary(benchmark::State& state)
 {
@@ -519,13 +421,7 @@ void bm_adversary(benchmark::State& state)
     // iteration scores all 130 planes — one base assignment per planning
     // step plus every (plane, step) trial the base routing does not prune
     // — so this tracks the in-situ search the campaign prefetch waits on.
-    const lsn::scenario_sweep_options grid;
-    const lsn::snapshot_builder builder(network_day_topology(),
-                                        traffic::stations_from_cities(12),
-                                        network_day_epoch(), grid.min_elevation_rad,
-                                        grid.max_isl_range_m);
-    const auto offsets = lsn::sweep_offsets(86400.0, 1800.0);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const auto& context = network_day_context();
     traffic::traffic_sweep_options options;
     options.matrix.total_demand_gbps = 2000.0;
     lsn::failure_scenario adversary;
@@ -534,8 +430,9 @@ void bm_adversary(benchmark::State& state)
     adversary.adversary_eval_stride = 12;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            traffic::generate_adversary_timeline(builder, offsets, positions,
-                                                 adversary, bench_demand(), options)
+            traffic::generate_adversary_timeline(context.builder(), context.offsets(),
+                                                 context.positions(), adversary,
+                                                 bench_demand(), options)
                 .final_n_failed());
     }
 }
@@ -543,21 +440,15 @@ BENCHMARK(bm_adversary)->Unit(benchmark::kMillisecond);
 
 void bm_dijkstra(benchmark::State& state)
 {
-    // Random-ish ring-of-cliques graph of ~1000 nodes.
-    lsn::network_snapshot snap;
-    const int n = 1000;
-    snap.n_satellites = n;
-    snap.positions_ecef_m.resize(static_cast<std::size_t>(n));
-    snap.adjacency.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        for (int k = 1; k <= 4; ++k) {
-            const int j = (i + k) % n;
-            snap.adjacency[static_cast<std::size_t>(i)].push_back({j, 0.001 * k});
-            snap.adjacency[static_cast<std::size_t>(j)].push_back({i, 0.001 * k});
-        }
-    }
+    // One round-one tree of the traffic engine at the epoch: from gateway 0
+    // of the unfailed network_day snapshot (3262 nodes), bounded to the 11
+    // gateways it owes demand. Round one weighs links by latency alone.
+    const auto& snap = network_day_snapshots()[0];
+    std::vector<int> targets;
+    for (int g = 1; g < snap.n_ground; ++g) targets.push_back(snap.ground_node(g));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(lsn::shortest_route(snap, 0, n / 2));
+        benchmark::DoNotOptimize(
+            lsn::single_source_routes(snap, snap.ground_node(0), targets));
     }
 }
 BENCHMARK(bm_dijkstra)->Unit(benchmark::kMicrosecond);
@@ -571,12 +462,8 @@ void bm_lanczos(benchmark::State& state)
     // residual tolerance). Disconnected steps never reach the solver. The
     // design and CSR assembly are paid once outside the loop, so this
     // tracks the eigensolver alone.
-    static const spectral::csr_matrix laplacian = [] {
-        const lsn::snapshot_builder builder(network_day_topology(),
-                                            traffic::stations_from_cities(12),
-                                            network_day_epoch(), deg2rad(25.0));
-        return spectral::build_laplacian(builder.snapshot(0.0));
-    }();
+    static const spectral::csr_matrix laplacian = spectral::laplacian_from_adjacency(
+        spectral::alive_adjacency(network_day_snapshots()[0]));
     int iterations = 0;
     for (auto _ : state) {
         const auto solve = spectral::algebraic_connectivity(laplacian);
@@ -590,44 +477,44 @@ BENCHMARK(bm_lanczos)->Unit(benchmark::kMillisecond);
 
 void bm_percolation(benchmark::State& state)
 {
-    // Union-find + susceptibility + clustering over the 40x40 grid under a
-    // 6-plane attack, λ₂ off: the per-step structural pass of the
-    // percolation engine minus the eigensolve (tracked by bm_lanczos).
-    const auto& topo = bench_walker_grid();
+    // Union-find + susceptibility + clustering over the network_day
+    // snapshot at the epoch under its two-plane attack, λ₂ off: the
+    // percolation engine's per-step structural pass minus the eigensolve
+    // (tracked by bm_lanczos).
+    const auto& context = network_day_context();
     lsn::failure_scenario attack;
     attack.mode = lsn::failure_mode::plane_attack;
-    attack.planes_attacked = 6;
-    attack.seed = 7;
-    const auto failed = lsn::sample_failures(topo, attack);
+    attack.planes_attacked = 2;
+    attack.seed = 1;
+    const auto failed = lsn::sample_failures(context.topology(), attack);
+    const auto snap =
+        context.builder().snapshot_from_positions(context.positions()[0], failed);
     spectral::percolation_options opts;
     opts.compute_lambda2 = false;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            spectral::analyze_percolation(topo, failed, opts).susceptibility);
+            spectral::analyze_percolation(snap, failed, opts).susceptibility);
     }
 }
 BENCHMARK(bm_percolation)->Unit(benchmark::kMicrosecond);
 
 void bm_session_assign(benchmark::State& state)
 {
-    // One serving step at production session scale: a 1M-session grid
-    // (sampled once, outside the loop — the per-sweep cost) packed onto the
-    // 40x40 grid's beams. The gate the serving engine lives under: one
-    // step's assignment must sustain >= 1M sessions with memory O(populated
-    // cells), so the measured quantity is ns per (session x step).
-    const auto& topo = bench_walker_grid();
-    const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
-                                        astro::instant::j2000(), deg2rad(25.0));
-    const std::vector<double> offsets{0.0};
-    const auto positions = builder.positions_at_offsets(offsets);
+    // One serving step at production session scale: network_day's
+    // 1M-session grid (sampled once, outside the loop — the per-sweep cost)
+    // packed onto the SS design's beams at the epoch. The gate the serving
+    // engine lives under: one step's assignment must sustain >= 1M sessions
+    // with memory O(populated cells), so the measured quantity is ns per
+    // (session x step).
+    const auto& context = network_day_context();
     serve::serving_options opts;
     opts.n_sessions = 1000000;
     opts.seed = 1;
     const auto grid = serve::sample_session_grid(bench_population(), opts);
-    const auto t = builder.epoch();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            serve::assign_beams(grid, positions[0], {}, t, opts).delivered_gbps);
+            serve::assign_beams(grid, context.positions()[0], {}, context.epoch(), opts)
+                .delivered_gbps);
     }
     state.counters["sessions"] =
         benchmark::Counter(static_cast<double>(grid.total_sessions));

@@ -8,7 +8,9 @@
 // an `evaluation_context` pays the propagation pass and failure draws once,
 // and the survivability / delivered-traffic / bulk-delivery engines judge
 // every scenario against it. The campaign table is printed per engine and
-// emitted as a CSV block at the end.
+// emitted as a CSV block at the end. The unfailed day's pair-latency and
+// coverage tables come from the same run — the baseline survivability cell
+// and the context's propagation pass — so they follow --sweep-step.
 //
 // Usage: network_day [--bandwidth=10] [--sweep-step=1800] [--seed=1]
 //                    [--offered-gbps=2000] [--bulk-gb=500000]
@@ -31,7 +33,6 @@
 #include "core/greedy_cover.h"
 #include "exp/campaign.h"
 #include "lsn/scenario.h"
-#include "lsn/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radiation/fluence.h"
@@ -74,35 +75,9 @@ int main(int argc, char** argv)
     std::cout << "topology: " << topology.satellites.size() << " nodes, "
               << topology.links.size() << " inter-satellite links\n\n";
 
-    lsn::scenario_sweep_options sim;
-    sim.duration_s = 86400.0;
-    sim.step_s = 1800.0;
-
     // Gateways: the twelve most populous gazetteer metros (well separated),
     // instead of the hard-coded default dozen.
     const auto stations = traffic::stations_from_cities(12);
-    const std::pair<int, int> pairs[] = {{0, 3}, {7, 9}, {2, 5}, {0, 10}};
-
-    table_printer table({"pair", "reach_frac", "mean_ms", "p95_ms", "hops"});
-    for (const auto& [a, b] : pairs) {
-        const auto stats =
-            lsn::simulate_pair_latency(topology, stations, a, b, epoch, sim);
-        table.row({stations[static_cast<std::size_t>(a)].name + "-" +
-                       stations[static_cast<std::size_t>(b)].name,
-                   format_number(stats.reachable_fraction, 4),
-                   format_number(stats.mean_latency_ms, 5),
-                   format_number(stats.p95_latency_ms, 5),
-                   format_number(stats.mean_hops, 4)});
-    }
-    table.print(std::cout);
-
-    std::cout << "\nper-station coverage over the day:\n";
-    table_printer cov({"station", "coverage_fraction"});
-    for (const auto& gs : stations) {
-        cov.row({gs.name,
-                 format_number(lsn::coverage_fraction(topology, gs, epoch, sim), 4)});
-    }
-    cov.print(std::cout);
 
     // --- Failure-scenario sweep: how does the same day look as satellites
     // fail? Giant-component fraction tracks topological fragmentation; the
@@ -247,11 +222,41 @@ int main(int argc, char** argv)
     const int bulk_e = campaign.engine_index("bulk");
     const int bulk_floor_e = campaign.engine_index("bulk_per_step");
 
+    // The unfailed day first: routing latency between a few gateway pairs,
+    // read from the baseline survivability cell's all-pairs matrices, and
+    // per-station coverage — the steps at which a station's ground node
+    // links to at least one satellite above the elevation mask.
+    const auto& surv_baseline = exp::survivability_engine::detail(campaign.cell(0, surv_e));
+    const std::pair<int, int> pairs[] = {{0, 3}, {7, 9}, {2, 5}, {0, 10}};
+    table_printer table({"pair", "reach_frac", "mean_ms"});
+    for (const auto& [a, b] : pairs) {
+        table.row({stations[static_cast<std::size_t>(a)].name + "-" +
+                       stations[static_cast<std::size_t>(b)].name,
+                   format_number(surv_baseline.reachable(a, b), 4),
+                   format_number(surv_baseline.mean_latency_ms(a, b), 5)});
+    }
+    table.print(std::cout);
+
+    std::vector<int> covered_steps(stations.size(), 0);
+    for (const auto& positions : context.positions()) {
+        const auto snap = context.builder().snapshot_from_positions(positions);
+        for (int g = 0; g < snap.n_ground; ++g)
+            covered_steps[static_cast<std::size_t>(g)] +=
+                !snap.adjacency[static_cast<std::size_t>(snap.ground_node(g))].empty();
+    }
+    std::cout << "\nper-station coverage over the day:\n";
+    table_printer cov({"station", "coverage_fraction"});
+    for (std::size_t g = 0; g < stations.size(); ++g) {
+        cov.row({stations[g].name,
+                 format_number(static_cast<double>(covered_steps[g]) / context.n_steps(),
+                               4)});
+    }
+    cov.print(std::cout);
+
     std::cout << "\nfailure-scenario sweep (" << sweep.duration_s / 3600.0 << " h, step "
               << sweep.step_s << " s):\n";
     table_printer st({"scenario", "failed", "giant_frac", "reach_frac", "mean_ms",
                       "p95_ms", "p95_inflation"});
-    const auto& surv_baseline = exp::survivability_engine::detail(campaign.cell(0, surv_e));
     for (int r = 0; r < n_rows; ++r) {
         const auto& result = exp::survivability_engine::detail(campaign.cell(r, surv_e));
         st.row({campaign.rows[static_cast<std::size_t>(r)].name,

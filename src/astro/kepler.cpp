@@ -138,13 +138,6 @@ orbital_elements state_to_elements(const state_vector& sv)
     return el;
 }
 
-double argument_of_latitude_rad(const orbital_elements& el)
-{
-    const double e_anom = solve_kepler(el.mean_anomaly_rad, el.eccentricity);
-    const double nu = true_from_eccentric(e_anom, el.eccentricity);
-    return wrap_two_pi(el.arg_perigee_rad + nu);
-}
-
 double latitude_at_argument_rad(double inclination_rad, double arg_latitude_rad) noexcept
 {
     return safe_asin(std::sin(inclination_rad) * std::sin(arg_latitude_rad));

@@ -55,9 +55,6 @@ state_vector elements_to_state(const orbital_elements& el);
 /// away from the usual singularities: e=0 / i=0 get conventional angles).
 orbital_elements state_to_elements(const state_vector& sv);
 
-/// Argument of latitude u = arg_perigee + true_anomaly for the element set.
-double argument_of_latitude_rad(const orbital_elements& el);
-
 /// Geocentric latitude [rad] reached at argument of latitude u on an orbit
 /// with inclination i: sin(lat) = sin(i) * sin(u).
 double latitude_at_argument_rad(double inclination_rad, double arg_latitude_rad) noexcept;

@@ -15,21 +15,26 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Dijkstra core shared by every query. The queue pops (distance, node)
-/// pairs lexicographically and an edge relaxes only on a strictly shorter
-/// distance, so nodes settle in (distance, node id) order and a settled
-/// node's distance and predecessor are final. With `targets` the pass stops
-/// once every listed node is settled; without, it settles every node the
-/// source reaches.
-void dijkstra(const network_snapshot& snapshot, int src_node,
-              std::optional<std::span<const int>> targets,
-              std::vector<double>& dist, std::vector<int>& prev)
+/// Dijkstra core of both `single_source_routes` forms. The queue pops
+/// (distance, node) pairs lexicographically and an edge relaxes only on a
+/// strictly shorter distance, so nodes settle in (distance, node id) order
+/// and a settled node's distance and predecessor are final. With `targets`
+/// the pass stops once every listed node is settled; without, it settles
+/// every node the source reaches.
+route_tree routes_from(const network_snapshot& snapshot, int src_node,
+                       std::optional<std::span<const int>> targets)
 {
+    const auto n = snapshot.adjacency.size();
+    expects(src_node >= 0 && static_cast<std::size_t>(src_node) < n,
+            "bad source node");
     // Every routing query in the stack funnels through here, so these two
     // counters are the per-campaign "how many shortest-path solves, and how
     // much of the graph each one walked" figures.
     OBS_COUNT("lsn.dijkstra.runs");
-    const auto n = snapshot.adjacency.size();
+    route_tree tree;
+    tree.source = src_node;
+    auto& dist = tree.latency_s;
+    auto& prev = tree.prev;
     dist.assign(n, inf);
     prev.assign(n, -1);
 
@@ -68,54 +73,10 @@ void dijkstra(const network_snapshot& snapshot, int src_node,
         }
     }
     OBS_COUNT_N("lsn.dijkstra.settled", settled);
-}
-
-route_tree routes_from(const network_snapshot& snapshot, int src_node,
-                       std::optional<std::span<const int>> targets)
-{
-    expects(src_node >= 0 &&
-                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
-            "bad source node");
-    route_tree tree;
-    tree.source = src_node;
-    dijkstra(snapshot, src_node, targets, tree.latency_s, tree.prev);
     return tree;
 }
 
 } // namespace
-
-route_result shortest_route(const network_snapshot& snapshot, int src_node, int dst_node)
-{
-    const auto n = snapshot.adjacency.size();
-    expects(src_node >= 0 && static_cast<std::size_t>(src_node) < n, "bad source node");
-    expects(dst_node >= 0 && static_cast<std::size_t>(dst_node) < n, "bad destination node");
-
-    std::vector<double> dist;
-    std::vector<int> prev;
-    dijkstra(snapshot, src_node, std::span<const int>(&dst_node, 1), dist, prev);
-
-    route_result result;
-    if (dist[static_cast<std::size_t>(dst_node)] == inf) return result;
-    result.reachable = true;
-    result.latency_s = dist[static_cast<std::size_t>(dst_node)];
-    for (int v = dst_node; v != -1; v = prev[static_cast<std::size_t>(v)])
-        result.path.push_back(v);
-    std::reverse(result.path.begin(), result.path.end());
-    result.hops = static_cast<int>(result.path.size()) - 1;
-    return result;
-}
-
-std::vector<double> single_source_latencies(const network_snapshot& snapshot,
-                                            int src_node)
-{
-    expects(src_node >= 0 &&
-                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
-            "bad source node");
-    std::vector<double> dist;
-    std::vector<int> prev;
-    dijkstra(snapshot, src_node, std::nullopt, dist, prev);
-    return dist;
-}
 
 std::vector<int> route_tree::path_to(int node) const
 {
@@ -136,14 +97,6 @@ route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
                                 std::span<const int> targets)
 {
     return routes_from(snapshot, src_node, targets);
-}
-
-route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b)
-{
-    expects(ground_a >= 0 && ground_a < snapshot.n_ground, "bad ground index a");
-    expects(ground_b >= 0 && ground_b < snapshot.n_ground, "bad ground index b");
-    return shortest_route(snapshot, snapshot.ground_node(ground_a),
-                          snapshot.ground_node(ground_b));
 }
 
 } // namespace ssplane::lsn

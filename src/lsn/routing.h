@@ -1,4 +1,8 @@
-// Shortest-latency routing over network snapshots.
+// Shortest-latency routing over network snapshots: one Dijkstra primitive,
+// `single_source_routes`, serves every query in the stack. The scenario
+// sweep reads each source's `latency_s` row for its all-pairs matrix; the
+// traffic engine walks `path_to` on trees bounded to the gateways it still
+// owes demand.
 #ifndef SSPLANE_LSN_ROUTING_H
 #define SSPLANE_LSN_ROUTING_H
 
@@ -10,23 +14,6 @@
 #include "util/expects.h"
 
 namespace ssplane::lsn {
-
-/// Result of a route query.
-struct route_result {
-    bool reachable = false;
-    double latency_s = 0.0; ///< One-way propagation latency.
-    int hops = 0;           ///< Number of links on the path.
-    std::vector<int> path;  ///< Node indices from source to destination.
-};
-
-/// Dijkstra shortest path by latency between two nodes of a snapshot.
-route_result shortest_route(const network_snapshot& snapshot, int src_node, int dst_node);
-
-/// Shortest one-way latency from `src_node` to every node in one Dijkstra
-/// pass (infinity = unreachable) — the all-pairs primitive of the scenario
-/// sweep engine: one source per ground station covers the whole matrix.
-std::vector<double> single_source_latencies(const network_snapshot& snapshot,
-                                            int src_node);
 
 /// Shortest-path tree of one Dijkstra pass: distances plus predecessors, so
 /// callers needing the actual hops to many destinations (the traffic
@@ -64,9 +51,6 @@ route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
 /// for the gateways that are still owed demand.
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
                                 std::span<const int> targets);
-
-/// Convenience: route between two ground stations by index.
-route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b);
 
 } // namespace ssplane::lsn
 

@@ -70,20 +70,6 @@ snapshot_builder::snapshot_builder(const lsn_topology& topology,
             {gs.latitude_deg, gs.longitude_deg, 0.0}));
 }
 
-network_snapshot snapshot_builder::snapshot(
-    double offset_s, std::span<const std::uint8_t> failed) const
-{
-    std::vector<vec3> sat_positions(propagators_.size());
-    const double gmst = astro::gmst_rad(epoch_.plus_seconds(offset_s));
-    const std::span<const double> offset(&offset_s, 1);
-    astro::state_vector state;
-    for (std::size_t s = 0; s < propagators_.size(); ++s) {
-        propagators_[s].states_at_offsets(epoch_, offset, {&state, 1});
-        sat_positions[s] = astro::eci_to_ecef_at_gmst(state.position_m, gmst);
-    }
-    return snapshot_from_positions(sat_positions, failed);
-}
-
 std::vector<std::vector<vec3>> snapshot_builder::positions_at_offsets(
     std::span<const double> offsets_s) const
 {
@@ -554,24 +540,13 @@ double giant_component_fraction(const network_snapshot& snapshot,
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(step_s > 0.0, "sweep step must be positive");
+    // Offset i is i * step_s, computed afresh: a running `+= step_s` drifts
+    // off the grid and can admit an extra step just below duration_s.
     std::vector<double> offsets;
-    for (double t_off = 0.0; t_off < duration_s; t_off += step_s)
+    for (double t_off = 0.0; t_off < duration_s;
+         t_off = static_cast<double>(offsets.size()) * step_s)
         offsets.push_back(t_off);
     return offsets;
-}
-
-network_snapshot snapshot_at(const lsn_topology& topology,
-                             const std::vector<ground_station>& stations,
-                             const astro::instant& epoch,
-                             const astro::instant& t,
-                             double min_elevation_rad,
-                             double max_isl_range_m)
-{
-    // One-shot builder: this path still pays per-call propagator
-    // construction; sweeps amortize it by keeping a snapshot_builder alive.
-    return snapshot_builder(topology, stations, epoch, min_elevation_rad,
-                            max_isl_range_m)
-        .snapshot(t.seconds_since(epoch));
 }
 
 void validate_sweep_inputs(const snapshot_builder& builder,
@@ -618,10 +593,10 @@ scenario_sweep_result run_scenario_sweep_timeline(
             slot.giant_fraction = giant_component_fraction(snap, failed);
             slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);
             for (int a = 0; a + 1 < n_ground; ++a) {
-                const auto dist = single_source_latencies(snap, snap.ground_node(a));
+                const auto tree = single_source_routes(snap, snap.ground_node(a));
                 for (int b = a + 1; b < n_ground; ++b)
                     slot.pair_latency_s[pair_index(a, b, n_ground)] =
-                        dist[static_cast<std::size_t>(snap.ground_node(b))];
+                        tree.latency_s[static_cast<std::size_t>(snap.ground_node(b))];
             }
             return slot;
         });

@@ -51,21 +51,20 @@ public:
     const lsn_topology& topology() const noexcept { return *topology_; }
     const std::vector<ground_station>& stations() const noexcept { return stations_; }
 
-    /// Graph at `epoch + offset_s`. `failed` (when non-empty; size
-    /// n_satellites, nonzero = failed) keeps the satellite's node but gives
-    /// it no edges: the slot is dead, the constellation geometry unchanged.
-    network_snapshot snapshot(double offset_s,
-                              std::span<const std::uint8_t> failed = {}) const;
-
     /// Satellite ECEF positions for a whole time grid in one batched
     /// propagation sweep: result[step][satellite]. Parallelized over
-    /// satellites; identical for any thread count.
+    /// satellites; identical for any thread count. The only propagation
+    /// path: a single instant is a one-offset grid.
     std::vector<std::vector<vec3>> positions_at_offsets(
         std::span<const double> offsets_s) const;
 
-    /// Graph assembled from one step of `positions_at_offsets` output — the
-    /// per-step path of the sweep engine. The mask is a span so timeline
-    /// sweeps can hand each step its row without copying.
+    /// Graph assembled from one step of `positions_at_offsets` output: ISLs
+    /// within `max_isl_range_m` plus ground links wherever a satellite is
+    /// above `min_elevation_rad`, each weighted by geometric distance over
+    /// the speed of light. `failed` (when non-empty; size n_satellites,
+    /// nonzero = failed) keeps the satellite's node but gives it no edges:
+    /// the slot is dead, the constellation geometry unchanged. The mask is a
+    /// span so timeline sweeps can hand each step its row without copying.
     network_snapshot snapshot_from_positions(
         const std::vector<vec3>& sat_positions_ecef,
         std::span<const std::uint8_t> failed = {}) const;
@@ -188,8 +187,9 @@ struct scenario_sweep_options {
     double max_isl_range_m = 6.0e6;
 };
 
-/// The sweep time grid: offsets 0, step_s, 2*step_s, ... < duration_s —
-/// shared by every time-stepped sweep so their grids can never drift apart.
+/// The sweep time grid: offsets i * step_s for i = 0, 1, 2, ... while below
+/// duration_s, each computed afresh so no roundoff accumulates — shared by
+/// every time-stepped sweep so their grids can never drift apart.
 /// A non-positive duration yields an empty grid (sweeps report zeroed
 /// stats); a non-positive step is a contract violation.
 std::vector<double> sweep_offsets(double duration_s, double step_s);

@@ -164,7 +164,4 @@ std::vector<ground_station> default_ground_stations()
     };
 }
 
-// snapshot_at is defined in scenario.cpp: it is a one-shot wrapper over
-// snapshot_builder, and topology must not depend on the sweep engine.
-
 } // namespace ssplane::lsn

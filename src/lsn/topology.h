@@ -72,6 +72,7 @@ struct ground_station {
 std::vector<ground_station> default_ground_stations();
 
 /// Instantaneous network graph: satellites first, then ground stations.
+/// `snapshot_builder::snapshot_from_positions` (lsn/scenario.h) builds it.
 struct network_snapshot {
     struct edge {
         int to = 0;
@@ -89,16 +90,6 @@ struct network_snapshot {
         return n_satellites + ground_index;
     }
 };
-
-/// Build the graph at time `t`: ISLs within `max_isl_range_m` plus ground
-/// links wherever a satellite is above `min_elevation_rad`. Latencies are
-/// geometric distance over the speed of light.
-network_snapshot snapshot_at(const lsn_topology& topology,
-                             const std::vector<ground_station>& stations,
-                             const astro::instant& epoch,
-                             const astro::instant& t,
-                             double min_elevation_rad,
-                             double max_isl_range_m = 6.0e6);
 
 } // namespace ssplane::lsn
 

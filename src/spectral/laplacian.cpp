@@ -130,16 +130,4 @@ csr_matrix laplacian_from_adjacency(const std::vector<std::vector<int>>& adjacen
     return matrix;
 }
 
-csr_matrix build_laplacian(const lsn::lsn_topology& topology,
-                           std::span<const std::uint8_t> failed)
-{
-    return laplacian_from_adjacency(alive_adjacency(topology, failed));
-}
-
-csr_matrix build_laplacian(const lsn::network_snapshot& snapshot,
-                           std::span<const std::uint8_t> failed)
-{
-    return laplacian_from_adjacency(alive_adjacency(snapshot, failed));
-}
-
 } // namespace ssplane::spectral

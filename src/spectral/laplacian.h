@@ -7,11 +7,12 @@
 // delivered-throughput sweeps cannot see — λ₂ > 0 iff the alive graph is
 // connected, and its magnitude measures how much redundancy an attacker
 // must still defeat. `csr_matrix` is the compressed-sparse-row form the
-// Lanczos solver (`spectral/lanczos.h`) multiplies against; builders
-// assemble it from either the static ISL wiring of an `lsn_topology` or
-// the range-gated live graph of a `network_snapshot`.
+// Lanczos solver (`spectral/lanczos.h`) multiplies against;
+// `laplacian_from_adjacency` assembles it from the `alive_adjacency` lists
+// of either the static ISL wiring of an `lsn_topology` or the range-gated
+// live graph of a `network_snapshot`.
 //
-// Conventions shared by both builders:
+// Conventions shared by both `alive_adjacency` forms:
 //   * only satellite-satellite edges enter the Laplacian (ground stations
 //     and their uplinks are serving infrastructure, not structure);
 //   * satellites flagged in `failed` keep their row (the matrix dimension
@@ -52,31 +53,22 @@ struct csr_matrix {
 /// value count) with a clear `contract_violation`.
 void validate(const csr_matrix& matrix);
 
-/// Laplacian of the static ISL wiring: one row per satellite, edges from
-/// `topology.links`. `failed` (empty = none; else size n_satellites,
-/// nonzero = failed) isolates dead satellites.
-csr_matrix build_laplacian(const lsn::lsn_topology& topology,
-                           std::span<const std::uint8_t> failed = {});
-
-/// Laplacian of the live (range-gated) graph of a snapshot: one row per
-/// satellite, satellite-satellite edges only. The snapshot's own mask
-/// already removed dead satellites' edges; `failed` may still be passed to
-/// isolate satellites after the fact.
-csr_matrix build_laplacian(const lsn::network_snapshot& snapshot,
-                           std::span<const std::uint8_t> failed = {});
-
 /// Sorted adjacency lists of the alive satellite-satellite subgraph —
-/// the walk structure the percolation analyzer (clustering, union-find)
-/// shares with the Laplacian builders. adjacency[s] is empty for failed
-/// satellites.
+/// the walk structure the percolation analyzer (clustering, union-find,
+/// the Laplacian) works on. One row per satellite; adjacency[s] is empty
+/// for failed satellites. The topology form reads the static ISL wiring
+/// `topology.links`; the snapshot form reads the range-gated live graph,
+/// whose own mask already removed dead satellites' edges (`failed` may
+/// still isolate satellites after the fact).
 std::vector<std::vector<int>> alive_adjacency(
     const lsn::lsn_topology& topology, std::span<const std::uint8_t> failed = {});
 std::vector<std::vector<int>> alive_adjacency(
     const lsn::network_snapshot& snapshot,
     std::span<const std::uint8_t> failed = {});
 
-/// Laplacian assembled from sorted adjacency lists (the two builders above
-/// funnel through this; exposed for synthetic graphs in tests).
+/// Laplacian L = D - A assembled from sorted adjacency lists, one row per
+/// list. Compose it with `alive_adjacency` for an LSN graph:
+/// `laplacian_from_adjacency(alive_adjacency(snapshot, failed))`.
 csr_matrix laplacian_from_adjacency(const std::vector<std::vector<int>>& adjacency);
 
 } // namespace ssplane::spectral

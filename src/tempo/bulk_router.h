@@ -70,10 +70,10 @@ struct bulk_route_result {
 bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
                                        std::span<const bulk_transfer_request> requests);
 
-/// Naive per-epoch replication baseline: per step, offer every active
-/// request's remaining volume to `traffic::assign_flows` on that step's
-/// snapshot alone — the PR 3 greedy replayed per epoch, with no
-/// store-and-forward (`bm_bulk_route` vs `bm_bulk_route_baseline`).
+/// Per-epoch replication floor: per step, offer every active request's
+/// remaining volume to `traffic::assign_flows` on that step's snapshot
+/// alone — the snapshot greedy replayed per epoch, with no
+/// store-and-forward (`bm_bulk_route` vs `bm_bulk_route_per_step_floor`).
 /// Per-pair delivered volume is attributed to that pair's active requests
 /// in request order. `offsets_s`/`options` must describe the same grid the
 /// time-expanded contender uses so the two see identical capacity.

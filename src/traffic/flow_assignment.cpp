@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <unordered_map>
 
 #include "lsn/routing.h"
@@ -138,18 +137,27 @@ flow_result finalize(const traffic_matrix& matrix, edge_table table,
     return result;
 }
 
-/// Shared skeleton of the fast and naive paths. `route_pair(weights, round,
-/// a, b, owed)` returns the path for one pair, where `owed` lists the
-/// gateways b > a that source `a` still owes demand this round; the fast
-/// path serves it from a per-(round, source) tree bounded to `owed`, the
-/// naive one from a fresh point-to-point Dijkstra. When `rebuild_per_pair`
-/// is set the weight graph is rebuilt from live loads before every query
-/// instead of once per round.
-template <class RoutePair>
-flow_result run_rounds(const lsn::network_snapshot& snapshot,
-                       const traffic_matrix& matrix,
-                       const capacity_options& options, bool rebuild_per_pair,
-                       RoutePair&& route_pair)
+} // namespace
+
+void validate(const capacity_options& options)
+{
+    expects(std::isfinite(options.isl_capacity_gbps) &&
+                options.isl_capacity_gbps > 0.0,
+            "ISL capacity must be finite and positive");
+    expects(std::isfinite(options.uplink_capacity_gbps) &&
+                options.uplink_capacity_gbps > 0.0,
+            "uplink capacity must be finite and positive");
+    expects(options.k_rounds >= 1, "need at least one assignment round");
+    expects(std::isfinite(options.congestion_penalty) &&
+                options.congestion_penalty >= 0.0,
+            "congestion penalty must be finite and non-negative");
+    expects(options.congested_threshold > 0.0,
+            "congested threshold must be positive");
+}
+
+flow_result assign_flows(const lsn::network_snapshot& snapshot,
+                         const traffic_matrix& matrix,
+                         const capacity_options& options)
 {
     OBS_SPAN("traffic.assign");
     OBS_COUNT("traffic.assign.calls");
@@ -177,24 +185,29 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
     double total_remaining = offered;
     std::vector<std::uint8_t> on_queried_path(snapshot.adjacency.size(), 0);
     std::vector<int> owed;
+    std::vector<int> targets;
     for (int round = 0; round < options.k_rounds && total_remaining > flow_eps_gbps;
          ++round) {
         OBS_COUNT("traffic.assign.rounds");
         double round_flow = 0.0;
-        lsn::network_snapshot weights;
-        if (!rebuild_per_pair) weights = make_weight_graph(snapshot, table, options);
+        const lsn::network_snapshot weights = make_weight_graph(snapshot, table, options);
         for (int a = 0; a + 1 < n; ++a) {
             // Placing flow on one pair never changes another pair's
             // remainder, so this list is exactly the pairs of source `a`
-            // served this round.
+            // served this round. An exhausted source costs nothing; the
+            // others get one tree that stops once their owed gateways are
+            // settled and serves every one of those pairs.
             owed.clear();
             for (int b = a + 1; b < n; ++b)
                 if (at(remaining, a, b) > flow_eps_gbps) owed.push_back(b);
+            if (owed.empty()) continue;
+            targets.clear();
+            for (const int g : owed) targets.push_back(weights.ground_node(g));
+            const auto tree =
+                lsn::single_source_routes(weights, weights.ground_node(a), targets);
             for (const int b : owed) {
                 double& pair_remaining = at(remaining, a, b);
-                if (rebuild_per_pair)
-                    weights = make_weight_graph(snapshot, table, options);
-                const auto path = route_pair(weights, round, a, b, owed);
+                const auto path = tree.path_to(weights.ground_node(b));
                 for (const int v : path) on_queried_path[static_cast<std::size_t>(v)] = 1;
                 const double flow = place_flow_on_path(path, pair_remaining, table,
                                                        latency_flow_sum_s);
@@ -214,65 +227,6 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
     return finalize(matrix, std::move(table), std::move(pair_delivered),
                     std::move(on_queried_path), offered, delivered,
                     latency_flow_sum_s, options);
-}
-
-} // namespace
-
-void validate(const capacity_options& options)
-{
-    expects(std::isfinite(options.isl_capacity_gbps) &&
-                options.isl_capacity_gbps > 0.0,
-            "ISL capacity must be finite and positive");
-    expects(std::isfinite(options.uplink_capacity_gbps) &&
-                options.uplink_capacity_gbps > 0.0,
-            "uplink capacity must be finite and positive");
-    expects(options.k_rounds >= 1, "need at least one assignment round");
-    expects(std::isfinite(options.congestion_penalty) &&
-                options.congestion_penalty >= 0.0,
-            "congestion penalty must be finite and non-negative");
-    expects(options.congested_threshold > 0.0,
-            "congested threshold must be positive");
-}
-
-flow_result assign_flows(const lsn::network_snapshot& snapshot,
-                         const traffic_matrix& matrix,
-                         const capacity_options& options)
-{
-    // One Dijkstra tree per source serves every pair of that source this
-    // round; trees are computed lazily so exhausted sources cost nothing,
-    // and each stops once the gateways still owed demand are settled.
-    lsn::route_tree tree;
-    int tree_source = -1;
-    int tree_round = -1;
-    std::vector<int> targets;
-    return run_rounds(
-        snapshot, matrix, options, /*rebuild_per_pair=*/false,
-        [&](const lsn::network_snapshot& weights, int round, int a, int b,
-            std::span<const int> owed) {
-            if (tree_source != a || tree_round != round) {
-                targets.clear();
-                for (const int g : owed) targets.push_back(weights.ground_node(g));
-                tree = lsn::single_source_routes(weights, weights.ground_node(a),
-                                                 targets);
-                tree_source = a;
-                tree_round = round;
-            }
-            return tree.path_to(weights.ground_node(b));
-        });
-}
-
-flow_result assign_flows_per_pair_baseline(const lsn::network_snapshot& snapshot,
-                                           const traffic_matrix& matrix,
-                                           const capacity_options& options)
-{
-    return run_rounds(
-        snapshot, matrix, options, /*rebuild_per_pair=*/true,
-        [](const lsn::network_snapshot& weights, int, int a, int b,
-           std::span<const int>) {
-            return lsn::shortest_route(weights, weights.ground_node(a),
-                                       weights.ground_node(b))
-                .path;
-        });
 }
 
 } // namespace ssplane::traffic

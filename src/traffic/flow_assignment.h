@@ -2,11 +2,10 @@
 //
 // Greedy k-round water-filling: every round freezes a congestion-penalized
 // latency weight on each live (non-saturated) link, computes one shortest-
-// path tree per *source* gateway `a` through the shared Dijkstra core in
-// `lsn/routing` (`single_source_routes`, stopping once the gateways b > a
-// still owed more than 1e-9 Gbps are settled), and routes each pair's
-// remaining demand along its tree path up to the path's bottleneck
-// residual capacity.
+// path tree per *source* gateway `a` with `lsn::single_source_routes`
+// (stopping once the gateways b > a still owed more than 1e-9 Gbps are
+// settled), and routes each pair's remaining demand along its tree path up
+// to the path's bottleneck residual capacity.
 // Demand that does not fit spills to the next round, where saturated links
 // have dropped out and loaded links weigh more — the k rounds therefore
 // realize k-shortest-path splitting without per-pair re-Dijkstra. Pair
@@ -90,20 +89,12 @@ struct flow_result {
 };
 
 /// Assign `matrix` over `snapshot` (matrix.n_stations must equal
-/// snapshot.n_ground). Fast path: one Dijkstra tree per source per round.
+/// snapshot.n_ground): per round, one Dijkstra tree per source gateway
+/// that is still owed demand. Every link's load stays within its capacity
+/// and every pair's delivered flow within its demand.
 flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const traffic_matrix& matrix,
                          const capacity_options& options = {});
-
-/// Reference baseline: identical water-filling semantics but one
-/// point-to-point Dijkstra per (pair, round) on a weight graph rebuilt from
-/// the live loads before every query — the naive implementation the fast
-/// path is benchmarked against (`bm_traffic_assign` vs
-/// `bm_traffic_assign_baseline`). Results can differ slightly from
-/// `assign_flows` because the naive weights see mid-round loads.
-flow_result assign_flows_per_pair_baseline(const lsn::network_snapshot& snapshot,
-                                           const traffic_matrix& matrix,
-                                           const capacity_options& options = {});
 
 } // namespace ssplane::traffic
 

@@ -35,25 +35,32 @@ network_snapshot line_graph()
     return snap;
 }
 
+/// The pass bounded to `dst` alone: the point-to-point query.
+route_tree point_query(const network_snapshot& snap, int src, int dst)
+{
+    const std::vector<int> target{dst};
+    return single_source_routes(snap, src, target);
+}
+
 TEST(Routing, FindsShortestPath)
 {
     const auto snap = line_graph();
-    const auto route = shortest_route(snap, 0, 3);
-    ASSERT_TRUE(route.reachable);
-    EXPECT_NEAR(route.latency_s, 0.004, 1e-12);
-    EXPECT_EQ(route.hops, 3);
-    ASSERT_EQ(route.path.size(), 4u);
-    EXPECT_EQ(route.path.front(), 0);
-    EXPECT_EQ(route.path.back(), 3);
+    const auto tree = single_source_routes(snap, 0);
+    ASSERT_TRUE(tree.reachable(3));
+    EXPECT_NEAR(tree.latency_s[3], 0.004, 1e-12);
+    const auto path = tree.path_to(3);
+    ASSERT_EQ(path.size(), 4u); // three hops
+    EXPECT_EQ(path.front(), 0);
+    EXPECT_EQ(path.back(), 3);
 }
 
 TEST(Routing, SourceEqualsDestination)
 {
     const auto snap = line_graph();
-    const auto route = shortest_route(snap, 2, 2);
-    ASSERT_TRUE(route.reachable);
-    EXPECT_EQ(route.latency_s, 0.0);
-    EXPECT_EQ(route.hops, 0);
+    const auto tree = point_query(snap, 2, 2);
+    ASSERT_TRUE(tree.reachable(2));
+    EXPECT_EQ(tree.latency_s[2], 0.0);
+    EXPECT_EQ(tree.path_to(2), std::vector<int>{2}); // zero hops
 }
 
 TEST(Routing, UnreachableNode)
@@ -64,20 +71,20 @@ TEST(Routing, UnreachableNode)
     snap.adjacency.resize(3);
     snap.adjacency[0].push_back({1, 0.001});
     snap.adjacency[1].push_back({0, 0.001});
-    const auto route = shortest_route(snap, 0, 2);
-    EXPECT_FALSE(route.reachable);
-    EXPECT_TRUE(route.path.empty());
+    const auto tree = point_query(snap, 0, 2);
+    EXPECT_FALSE(tree.reachable(2));
+    EXPECT_TRUE(tree.path_to(2).empty());
 }
 
 TEST(Routing, PathEdgesExist)
 {
     const auto snap = line_graph();
-    const auto route = shortest_route(snap, 0, 2);
-    ASSERT_TRUE(route.reachable);
-    for (std::size_t i = 1; i < route.path.size(); ++i) {
+    const auto path = point_query(snap, 0, 2).path_to(2);
+    ASSERT_FALSE(path.empty());
+    for (std::size_t i = 1; i < path.size(); ++i) {
         bool edge_found = false;
-        for (const auto& e : snap.adjacency[static_cast<std::size_t>(route.path[i - 1])])
-            edge_found |= (e.to == route.path[i]);
+        for (const auto& e : snap.adjacency[static_cast<std::size_t>(path[i - 1])])
+            edge_found |= (e.to == path[i]);
         EXPECT_TRUE(edge_found);
     }
 }
@@ -85,19 +92,21 @@ TEST(Routing, PathEdgesExist)
 TEST(Routing, InvalidNodesRejected)
 {
     const auto snap = line_graph();
-    EXPECT_THROW(shortest_route(snap, -1, 2), contract_violation);
-    EXPECT_THROW(shortest_route(snap, 0, 4), contract_violation);
+    EXPECT_THROW(single_source_routes(snap, -1), contract_violation);
+    EXPECT_THROW(single_source_routes(snap, 4), contract_violation);
+    EXPECT_THROW(point_query(snap, -1, 2), contract_violation);
+    EXPECT_THROW(point_query(snap, 0, 4), contract_violation);
 }
 
 TEST(Routing, SingleSourceLatenciesMatchPointQueries)
 {
     const auto snap = line_graph();
-    const auto dist = single_source_latencies(snap, 0);
+    const auto dist = single_source_routes(snap, 0).latency_s;
     ASSERT_EQ(dist.size(), 4u);
     EXPECT_EQ(dist[0], 0.0);
     for (int v = 1; v < 4; ++v)
         EXPECT_DOUBLE_EQ(dist[static_cast<std::size_t>(v)],
-                         shortest_route(snap, 0, v).latency_s);
+                         point_query(snap, 0, v).latency_s[static_cast<std::size_t>(v)]);
 }
 
 TEST(Routing, SingleSourceOnDisconnectedSnapshot)
@@ -109,11 +118,11 @@ TEST(Routing, SingleSourceOnDisconnectedSnapshot)
     snap.adjacency[0].push_back({1, 0.001});
     snap.adjacency[1].push_back({0, 0.001});
     // Nodes 2 and 3 form a separate (edgeless) component.
-    const auto dist = single_source_latencies(snap, 0);
+    const auto dist = single_source_routes(snap, 0).latency_s;
     EXPECT_DOUBLE_EQ(dist[1], 0.001);
     EXPECT_EQ(dist[2], std::numeric_limits<double>::infinity());
     EXPECT_EQ(dist[3], std::numeric_limits<double>::infinity());
-    EXPECT_THROW(single_source_latencies(snap, 9), contract_violation);
+    EXPECT_THROW(single_source_routes(snap, 9), contract_violation);
 }
 
 TEST(Routing, RouteTreeMatchesPointQueries)
@@ -123,10 +132,11 @@ TEST(Routing, RouteTreeMatchesPointQueries)
     ASSERT_EQ(tree.latency_s.size(), 4u);
     EXPECT_EQ(tree.source, 0);
     for (int v = 0; v < 4; ++v) {
-        const auto route = shortest_route(snap, 0, v);
+        const auto query = point_query(snap, 0, v);
+        const auto vi = static_cast<std::size_t>(v);
         ASSERT_TRUE(tree.reachable(v));
-        EXPECT_DOUBLE_EQ(tree.latency_s[static_cast<std::size_t>(v)], route.latency_s);
-        EXPECT_EQ(tree.path_to(v), route.path);
+        EXPECT_DOUBLE_EQ(tree.latency_s[vi], query.latency_s[vi]);
+        EXPECT_EQ(tree.path_to(v), query.path_to(v));
     }
     EXPECT_THROW(tree.path_to(9), contract_violation);
 }
@@ -148,7 +158,7 @@ TEST(Routing, RouteTreeOnDisconnectedSnapshot)
 TEST(Routing, PathConsistencyOnSampledSnapshot)
 {
     // All station pairs of a real (sparse, partially disconnected) snapshot:
-    // the point query and the single-source pass must agree exactly,
+    // the point query and the full single-source pass must agree exactly,
     // including on unreachable pairs.
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
@@ -161,23 +171,26 @@ TEST(Routing, PathConsistencyOnSampledSnapshot)
     // above the 53°-inclination coverage band, so the disconnected branch
     // is exercised too.
     const auto stations = default_ground_stations();
-    const auto snap = snapshot_at(topo, stations, astro::instant::j2000(),
-                                  astro::instant::j2000(), deg2rad(25.0));
+    const snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                   deg2rad(25.0));
+    const std::vector<double> epoch_only{0.0};
+    const auto snap =
+        builder.snapshot_from_positions(builder.positions_at_offsets(epoch_only)[0]);
 
     const int n = static_cast<int>(stations.size());
     bool any_reachable = false;
     bool any_unreachable = false;
     for (int a = 0; a < n; ++a) {
-        const auto dist = single_source_latencies(snap, snap.ground_node(a));
         const auto tree = single_source_routes(snap, snap.ground_node(a));
         for (int b = 0; b < n; ++b) {
             if (b == a) continue;
-            const auto route = ground_route(snap, a, b);
-            const double d = dist[static_cast<std::size_t>(snap.ground_node(b))];
-            EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(snap.ground_node(b))], d);
-            if (route.reachable) {
+            const int dst = snap.ground_node(b);
+            const auto query = point_query(snap, snap.ground_node(a), dst);
+            const double d = tree.latency_s[static_cast<std::size_t>(dst)];
+            EXPECT_EQ(tree.path_to(dst), query.path_to(dst));
+            if (query.reachable(dst)) {
                 any_reachable = true;
-                EXPECT_DOUBLE_EQ(route.latency_s, d);
+                EXPECT_EQ(query.latency_s[static_cast<std::size_t>(dst)], d);
             } else {
                 any_unreachable = true;
                 EXPECT_EQ(d, std::numeric_limits<double>::infinity());
@@ -188,15 +201,13 @@ TEST(Routing, PathConsistencyOnSampledSnapshot)
     EXPECT_TRUE(any_unreachable);
 }
 
-TEST(Routing, GroundRouteRejectsOutOfRangeIndices)
+TEST(Routing, GroundNodeRejectsOutOfRangeIndices)
 {
     network_snapshot snap;
     snap.n_satellites = 1;
     snap.n_ground = 2;
     snap.positions_ecef_m.resize(3);
     snap.adjacency.resize(3);
-    EXPECT_THROW(ground_route(snap, -1, 1), contract_violation);
-    EXPECT_THROW(ground_route(snap, 0, 2), contract_violation);
     EXPECT_THROW(snap.ground_node(-1), contract_violation);
     EXPECT_THROW(snap.ground_node(2), contract_violation);
 }
@@ -213,10 +224,12 @@ TEST(Routing, GroundRouteUsesGroundIndices)
     snap.adjacency[0].push_back({1, 0.002});
     snap.adjacency[0].push_back({2, 0.003});
     snap.adjacency[2].push_back({0, 0.003});
-    const auto route = ground_route(snap, 0, 1);
-    ASSERT_TRUE(route.reachable);
-    EXPECT_NEAR(route.latency_s, 0.005, 1e-12);
-    EXPECT_EQ(route.hops, 2);
+    const int g0 = snap.ground_node(0);
+    const int g1 = snap.ground_node(1);
+    const auto tree = point_query(snap, g0, g1);
+    ASSERT_TRUE(tree.reachable(g1));
+    EXPECT_NEAR(tree.latency_s[static_cast<std::size_t>(g1)], 0.005, 1e-12);
+    EXPECT_EQ(tree.path_to(g1), (std::vector<int>{1, 0, 2})); // two hops
 }
 
 TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
@@ -236,6 +249,9 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
     const snapshot_builder builder(topo, default_ground_stations(),
                                    astro::instant::j2000(), deg2rad(25.0));
     const int n_sats = builder.n_satellites();
+    std::vector<double> offsets;
+    for (int trial = 0; trial < 24; ++trial) offsets.push_back(600.0 * trial);
+    const auto positions = builder.positions_at_offsets(offsets);
 
     rng draws(2024);
     bool saw_unreachable = false;
@@ -244,7 +260,8 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
         std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_sats), 0);
         const double loss = draws.uniform(0.0, 0.5);
         for (auto& failed : mask) failed = draws.bernoulli(loss) ? 1 : 0;
-        auto snap = builder.snapshot(600.0 * trial, mask);
+        auto snap = builder.snapshot_from_positions(
+            positions[static_cast<std::size_t>(trial)], mask);
         if (trial % 2 == 1)
             for (auto& edges : snap.adjacency)
                 for (auto& e : edges) e.latency_s = std::round(e.latency_s * 1024.0) / 1024.0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "astro/constants.h"
+#include "geo/geodesy.h"
 #include "lsn/routing.h"
 #include "util/angles.h"
 #include "util/expects.h"
@@ -40,33 +42,14 @@ scenario_sweep_result sweep_scenario(const lsn_topology& topo,
         sample_failure_timeline(topo, scenario, offsets, epoch));
 }
 
-TEST(Scenario, BuilderSnapshotMatchesSnapshotAt)
+/// The builder's graph at one instant: a one-offset `positions_at_offsets`
+/// grid fed to `snapshot_from_positions`.
+network_snapshot snapshot_at_offset(const snapshot_builder& builder, double offset_s,
+                                    std::span<const std::uint8_t> failed = {})
 {
-    const auto topo = build_walker_grid_topology(small_grid(4, 4));
-    const auto stations = default_ground_stations();
-    const auto epoch = astro::instant::j2000();
-    const snapshot_builder builder(topo, stations, epoch, deg2rad(30.0));
-
-    for (const double off : {0.0, 1234.5, 43210.0, 86100.0}) {
-        const auto t = epoch.plus_seconds(off);
-        const auto reference = snapshot_at(topo, stations, epoch, t, deg2rad(30.0));
-        const auto built = builder.snapshot(t.seconds_since(epoch));
-        ASSERT_EQ(built.positions_ecef_m.size(), reference.positions_ecef_m.size());
-        for (std::size_t i = 0; i < built.positions_ecef_m.size(); ++i) {
-            EXPECT_EQ(built.positions_ecef_m[i].x, reference.positions_ecef_m[i].x);
-            EXPECT_EQ(built.positions_ecef_m[i].y, reference.positions_ecef_m[i].y);
-            EXPECT_EQ(built.positions_ecef_m[i].z, reference.positions_ecef_m[i].z);
-        }
-        ASSERT_EQ(built.adjacency.size(), reference.adjacency.size());
-        for (std::size_t i = 0; i < built.adjacency.size(); ++i) {
-            ASSERT_EQ(built.adjacency[i].size(), reference.adjacency[i].size());
-            for (std::size_t k = 0; k < built.adjacency[i].size(); ++k) {
-                EXPECT_EQ(built.adjacency[i][k].to, reference.adjacency[i][k].to);
-                EXPECT_EQ(built.adjacency[i][k].latency_s,
-                          reference.adjacency[i][k].latency_s);
-            }
-        }
-    }
+    const std::vector<double> offsets{offset_s};
+    return builder.snapshot_from_positions(builder.positions_at_offsets(offsets)[0],
+                                           failed);
 }
 
 TEST(Scenario, BatchedPositionsMatchPerStepSnapshots)
@@ -79,7 +62,7 @@ TEST(Scenario, BatchedPositionsMatchPerStepSnapshots)
     const auto batched = builder.positions_at_offsets(offsets);
     ASSERT_EQ(batched.size(), offsets.size());
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const auto snap = builder.snapshot(offsets[i]);
+        const auto snap = snapshot_at_offset(builder, offsets[i]);
         ASSERT_EQ(batched[i].size(), static_cast<std::size_t>(snap.n_satellites));
         for (std::size_t s = 0; s < batched[i].size(); ++s) {
             EXPECT_EQ(batched[i][s].x, snap.positions_ecef_m[s].x);
@@ -99,7 +82,7 @@ TEST(Scenario, FailedSatellitesGetNoEdges)
     failed[0] = 1;
     failed[5] = 1;
 
-    const auto snap = builder.snapshot(0.0, failed);
+    const auto snap = snapshot_at_offset(builder, 0.0, failed);
     EXPECT_TRUE(snap.adjacency[0].empty());
     EXPECT_TRUE(snap.adjacency[5].empty());
     for (std::size_t u = 0; u < snap.adjacency.size(); ++u)
@@ -107,7 +90,7 @@ TEST(Scenario, FailedSatellitesGetNoEdges)
             EXPECT_TRUE(e.to != 0 && e.to != 5);
 
     // The unfailed part of the graph is untouched.
-    const auto full = builder.snapshot(0.0);
+    const auto full = snapshot_at_offset(builder, 0.0);
     for (std::size_t u = 0; u < snap.adjacency.size(); ++u) {
         if (u == 0 || u == 5) continue;
         std::size_t kept = 0;
@@ -237,7 +220,7 @@ TEST(Scenario, GiantComponentFullGridIsWhole)
     const auto topo = build_walker_grid_topology(small_grid(6, 6));
     const snapshot_builder builder(topo, {}, astro::instant::j2000(), deg2rad(30.0),
                                    1.0e9);
-    EXPECT_DOUBLE_EQ(giant_component_fraction(builder.snapshot(0.0)), 1.0);
+    EXPECT_DOUBLE_EQ(giant_component_fraction(snapshot_at_offset(builder, 0.0)), 1.0);
 }
 
 TEST(Scenario, ShortestRouteOnDisconnectedSnapshot)
@@ -248,36 +231,54 @@ TEST(Scenario, ShortestRouteOnDisconnectedSnapshot)
     const snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                    deg2rad(30.0));
     const std::vector<std::uint8_t> all_failed(topo.satellites.size(), 1);
-    const auto snap = builder.snapshot(0.0, all_failed);
+    const auto snap = snapshot_at_offset(builder, 0.0, all_failed);
 
-    const auto route = ground_route(snap, 0, 3);
-    EXPECT_FALSE(route.reachable);
-    EXPECT_TRUE(route.path.empty());
+    const auto tree = single_source_routes(snap, snap.ground_node(0));
+    EXPECT_FALSE(tree.reachable(snap.ground_node(3)));
+    EXPECT_TRUE(tree.path_to(snap.ground_node(3)).empty());
 
-    const auto dist = single_source_latencies(snap, snap.ground_node(0));
     constexpr double inf = std::numeric_limits<double>::infinity();
-    EXPECT_EQ(dist[static_cast<std::size_t>(snap.ground_node(0))], 0.0);
+    EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(snap.ground_node(0))], 0.0);
     for (int s = 0; s < snap.n_satellites; ++s)
-        EXPECT_EQ(dist[static_cast<std::size_t>(s)], inf);
+        EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(s)], inf);
     EXPECT_EQ(giant_component_fraction(snap, all_failed), 0.0);
 }
 
-TEST(Scenario, SingleSourceMatchesPointToPoint)
+TEST(Scenario, SweepPairMatrixMatchesRouteTrees)
 {
-    const auto topo = build_walker_grid_topology(small_grid(5, 5));
+    // A one-step sweep's pair matrix is each pair's route-tree latency:
+    // reachable pairs read 1 and their latency, unreachable ones 0 and 0.
+    // Anchorage (61°N) sits above this 53° grid's coverage band, so both
+    // branches are exercised.
+    const auto topo = build_walker_grid_topology(small_grid(10, 10));
     const auto stations = default_ground_stations();
     const snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                    deg2rad(25.0));
-    const auto snap = builder.snapshot(900.0);
-    const auto dist = single_source_latencies(snap, snap.ground_node(0));
-    for (int b = 1; b < snap.n_ground; ++b) {
-        const auto route = ground_route(snap, 0, b);
-        const double d = dist[static_cast<std::size_t>(snap.ground_node(b))];
-        if (route.reachable)
-            EXPECT_DOUBLE_EQ(d, route.latency_s);
-        else
-            EXPECT_EQ(d, std::numeric_limits<double>::infinity());
+    const std::vector<double> offsets{900.0};
+    const auto positions = builder.positions_at_offsets(offsets);
+    const auto sweep =
+        run_scenario_sweep_timeline(builder, offsets, positions, failure_timeline{});
+    const auto snap = builder.snapshot_from_positions(positions[0]);
+    bool any_reachable = false;
+    bool any_unreachable = false;
+    for (int a = 0; a + 1 < snap.n_ground; ++a) {
+        const auto tree = single_source_routes(snap, snap.ground_node(a));
+        for (int b = a + 1; b < snap.n_ground; ++b) {
+            const int dst = snap.ground_node(b);
+            if (tree.reachable(dst)) {
+                any_reachable = true;
+                EXPECT_EQ(sweep.reachable(a, b), 1.0);
+                EXPECT_EQ(sweep.mean_latency_ms(a, b),
+                          tree.latency_s[static_cast<std::size_t>(dst)] * 1000.0);
+            } else {
+                any_unreachable = true;
+                EXPECT_EQ(sweep.reachable(a, b), 0.0);
+                EXPECT_EQ(sweep.mean_latency_ms(a, b), 0.0);
+            }
+        }
     }
+    EXPECT_TRUE(any_reachable);
+    EXPECT_TRUE(any_unreachable);
 }
 
 TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
@@ -319,6 +320,26 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
         EXPECT_EQ(r.metrics.n_failed, 6 * k);
         EXPECT_LE(r.metrics.giant_component_fraction, 1.0 - k / 6.0 + 1e-12);
     }
+}
+
+TEST(Scenario, SweepOffsetsAreExactMultiplesOfTheStep)
+{
+    // A running sum would drift: 0.1 added ten times stops just below 1.0
+    // and admits an eleventh step, and 0.7 steps wander off i * 0.7.
+    const auto tenths = sweep_offsets(1.0, 0.1);
+    ASSERT_EQ(tenths.size(), 10u);
+    for (std::size_t i = 0; i < tenths.size(); ++i)
+        EXPECT_EQ(tenths[i], static_cast<double>(i) * 0.1) << i;
+
+    const auto sevenths = sweep_offsets(60.0, 0.7);
+    ASSERT_EQ(sevenths.size(), 86u);
+    for (std::size_t i = 0; i < sevenths.size(); ++i)
+        EXPECT_EQ(sevenths[i], static_cast<double>(i) * 0.7) << i;
+
+    // Integer steps land on the same grid as before.
+    const auto day = sweep_offsets(86400.0, 1800.0);
+    ASSERT_EQ(day.size(), 48u);
+    EXPECT_EQ(day.back(), 84600.0);
 }
 
 TEST(Scenario, DegenerateTimeGrids)
@@ -417,6 +438,105 @@ TEST(Scenario, SweepBaselineVersusFailures)
             EXPECT_EQ(baseline.mean_latency_ms(a, b), baseline.mean_latency_ms(b, a));
         }
     }
+}
+
+/// 10x12 Walker shell at 1200 km, 70°: dense enough that a metro almost
+/// always sees a satellite.
+lsn_topology dense_walker()
+{
+    constellation::walker_parameters p;
+    p.altitude_m = 1200.0e3;
+    p.inclination_rad = deg2rad(70.0);
+    p.n_planes = 10;
+    p.sats_per_plane = 12;
+    p.phasing_f = 1;
+    return build_walker_grid_topology(p);
+}
+
+scenario_sweep_options hour_grid()
+{
+    scenario_sweep_options o;
+    o.duration_s = 3600.0;
+    o.step_s = 600.0;
+    o.min_elevation_rad = deg2rad(25.0);
+    return o;
+}
+
+/// Fraction of grid steps at which `station` links to at least one
+/// satellite in the unfailed snapshot.
+double coverage_over_grid(const lsn_topology& topo, const ground_station& station,
+                          const scenario_sweep_options& opts)
+{
+    const snapshot_builder builder(topo, {station}, astro::instant::j2000(),
+                                   opts.min_elevation_rad, opts.max_isl_range_m);
+    const auto offsets = sweep_offsets(opts.duration_s, opts.step_s);
+    int covered = 0;
+    for (const auto& positions : builder.positions_at_offsets(offsets)) {
+        const auto snap = builder.snapshot_from_positions(positions);
+        covered += !snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].empty();
+    }
+    return static_cast<double>(covered) / static_cast<double>(offsets.size());
+}
+
+TEST(Scenario, DenseShellCoversEquatorialStation)
+{
+    const ground_station station{"Singapore", 1.35, 103.82};
+    EXPECT_GT(coverage_over_grid(dense_walker(), station, hour_grid()), 0.95);
+}
+
+TEST(Scenario, PolarStationUncoveredByLowInclination)
+{
+    constellation::walker_parameters p;
+    p.altitude_m = 560.0e3;
+    p.inclination_rad = deg2rad(30.0);
+    p.n_planes = 6;
+    p.sats_per_plane = 8;
+    const ground_station pole{"North Pole", 89.0, 0.0};
+    EXPECT_EQ(coverage_over_grid(build_walker_grid_topology(p), pole, hour_grid()), 0.0);
+}
+
+TEST(Scenario, PairLatencyBounds)
+{
+    const auto topo = dense_walker();
+    const auto stations = default_ground_stations();
+    const auto opts = hour_grid();
+    const snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                   opts.min_elevation_rad, opts.max_isl_range_m);
+    const auto offsets = sweep_offsets(opts.duration_s, opts.step_s);
+    const auto positions = builder.positions_at_offsets(offsets);
+    const auto sweep =
+        run_scenario_sweep_timeline(builder, offsets, positions, failure_timeline{});
+
+    // New York (0) <-> London (3). One-way light time along the surface is
+    // ~18.6 ms; any real route is longer, and a sane LEO route stays under
+    // ~150 ms.
+    EXPECT_GT(sweep.reachable(0, 3), 0.9);
+    const double floor_ms = geo::surface_distance_m(40.71, -74.01, 51.51, -0.13) /
+                            astro::speed_of_light_m_s * 1000.0;
+    EXPECT_GT(sweep.mean_latency_ms(0, 3), floor_ms);
+    EXPECT_LT(sweep.mean_latency_ms(0, 3), 150.0);
+    EXPECT_GE(sweep.metrics.p95_latency_ms, sweep.metrics.mean_latency_ms * 0.5);
+
+    // Every routed step beats the floor, over at least an up- and a downlink.
+    for (const auto& step_positions : positions) {
+        const auto snap = builder.snapshot_from_positions(step_positions);
+        const int london = snap.ground_node(3);
+        const auto tree = single_source_routes(snap, snap.ground_node(0));
+        if (!tree.reachable(london)) continue;
+        EXPECT_GT(tree.latency_s[static_cast<std::size_t>(london)] * 1000.0, floor_ms);
+        EXPECT_GE(tree.path_to(london).size(), 3u);
+    }
+}
+
+TEST(Scenario, UnreachableWithoutIsls)
+{
+    // Remove ISLs: two far-apart stations cannot reach each other through a
+    // single bent pipe. New York (0) <-> Sydney (10): no single satellite
+    // sees both.
+    lsn_topology topo = dense_walker();
+    topo.links.clear();
+    const auto sweep = sweep_scenario(topo, default_ground_stations(), {}, hour_grid());
+    EXPECT_EQ(sweep.reachable(0, 10), 0.0);
 }
 
 } // namespace

@@ -9,10 +9,23 @@
 #include <gtest/gtest.h>
 
 #include "astro/constants.h"
+#include "lsn/scenario.h"
 #include "util/angles.h"
 
 namespace ssplane::lsn {
 namespace {
+
+/// The graph at the epoch: a fresh builder's one-offset propagation grid.
+network_snapshot snapshot_at_epoch(const lsn_topology& topo,
+                                   const std::vector<ground_station>& stations,
+                                   double min_elevation_rad,
+                                   double max_isl_range_m = 6.0e6)
+{
+    const snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                   min_elevation_rad, max_isl_range_m);
+    const std::vector<double> epoch_only{0.0};
+    return builder.snapshot_from_positions(builder.positions_at_offsets(epoch_only)[0]);
+}
 
 TEST(Topology, WalkerGridLinkCount)
 {
@@ -145,8 +158,7 @@ TEST(Topology, SnapshotStructure)
     p.sats_per_plane = 4;
     const auto topo = build_walker_grid_topology(p);
     const auto stations = default_ground_stations();
-    const auto epoch = astro::instant::j2000();
-    const auto snap = snapshot_at(topo, stations, epoch, epoch, deg2rad(30.0));
+    const auto snap = snapshot_at_epoch(topo, stations, deg2rad(30.0));
 
     EXPECT_EQ(snap.n_satellites, 16);
     EXPECT_EQ(snap.n_ground, static_cast<int>(stations.size()));
@@ -175,7 +187,7 @@ TEST(Topology, GroundLinkAppearsWhenSatelliteOverhead)
     stations.push_back({"under", sub.latitude_deg, sub.longitude_deg});
     stations.push_back({"antipode", -sub.latitude_deg,
                         wrap_deg_180(sub.longitude_deg + 180.0)});
-    const auto snap = snapshot_at(topo, stations, epoch, epoch, deg2rad(30.0));
+    const auto snap = snapshot_at_epoch(topo, stations, deg2rad(30.0));
     EXPECT_EQ(snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].size(), 1u);
     EXPECT_TRUE(snap.adjacency[static_cast<std::size_t>(snap.ground_node(1))].empty());
 
@@ -192,11 +204,8 @@ TEST(Topology, IslRangeLimitDropsLongLinks)
     p.n_planes = 2;
     p.sats_per_plane = 2; // antipodal in-plane satellites -> huge distance
     const auto topo = build_walker_grid_topology(p);
-    const auto epoch = astro::instant::j2000();
-    const auto snap_all =
-        snapshot_at(topo, {}, epoch, epoch, deg2rad(30.0), 5.0e7);
-    const auto snap_short =
-        snapshot_at(topo, {}, epoch, epoch, deg2rad(30.0), 1.0e6);
+    const auto snap_all = snapshot_at_epoch(topo, {}, deg2rad(30.0), 5.0e7);
+    const auto snap_short = snapshot_at_epoch(topo, {}, deg2rad(30.0), 1.0e6);
     std::size_t edges_all = 0;
     std::size_t edges_short = 0;
     for (const auto& adj : snap_all.adjacency) edges_all += adj.size();

@@ -1,4 +1,4 @@
-#include "spectral/jacobi.h"
+#include "jacobi.h"
 
 #include <algorithm>
 #include <cmath>

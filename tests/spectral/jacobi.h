@@ -1,12 +1,12 @@
-// Dense symmetric eigensolver (cyclic Jacobi rotations).
+// Dense symmetric eigensolver (cyclic Jacobi rotations), test-side only.
 //
-// The slow-but-certain reference of the spectral suite: O(n³) per sweep,
+// The slow-but-certain reference of the spectral tests: O(n³) per sweep,
 // unconditionally convergent on symmetric matrices, no starting vector and
 // no subspace bookkeeping to get wrong. The Lanczos solver (which projects
 // onto a tridiagonal and bisects its Sturm sequence instead) is validated
 // against this reference on small graphs where O(n³) is nothing.
-#ifndef SSPLANE_SPECTRAL_JACOBI_H
-#define SSPLANE_SPECTRAL_JACOBI_H
+#ifndef SSPLANE_TESTS_SPECTRAL_JACOBI_H
+#define SSPLANE_TESTS_SPECTRAL_JACOBI_H
 
 #include <vector>
 
@@ -19,10 +19,10 @@ namespace ssplane::spectral {
 std::vector<double> jacobi_eigenvalues(std::vector<double> matrix, int n);
 
 /// Convenience: dense row-major form of a CSR matrix (for handing sparse
-/// Laplacians to the dense reference in tests).
+/// Laplacians to the dense reference).
 struct csr_matrix;
 std::vector<double> to_dense(const csr_matrix& matrix);
 
 } // namespace ssplane::spectral
 
-#endif // SSPLANE_SPECTRAL_JACOBI_H
+#endif // SSPLANE_TESTS_SPECTRAL_JACOBI_H

@@ -12,8 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "jacobi.h"
+
 #include "lsn/scenario.h"
-#include "spectral/jacobi.h"
 #include "spectral/percolation.h"
 #include "util/angles.h"
 

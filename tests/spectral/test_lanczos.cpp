@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "spectral/jacobi.h"
+#include "jacobi.h"
+
 #include "spectral/percolation.h"
 #include "util/angles.h"
 #include "util/expects.h"
@@ -133,7 +134,8 @@ TEST(Lanczos, ConvergedMeansResidualBelowTolerance)
     p.inclination_rad = deg2rad(53.0);
     p.n_planes = 12;
     p.sats_per_plane = 15; // 180 nodes, degree 4: ‖L‖∞ = 8
-    const csr_matrix laplacian = build_laplacian(lsn::build_walker_grid_topology(p));
+    const csr_matrix laplacian =
+        laplacian_from_adjacency(alive_adjacency(lsn::build_walker_grid_topology(p)));
     const double reference = jacobi_lambda2(laplacian);
     std::vector<int> iterations;
     for (const double tolerance : {1.0e-6, 1.0e-8, 1.0e-10}) {
@@ -199,7 +201,8 @@ TEST(Lanczos, MaskedWalkerShellMatchesJacobi)
     failed[3] = failed[17] = failed[30] = 1;
     // The full-dimension Laplacian keeps isolated dead rows, so its
     // second-smallest eigenvalue is pinned at 0 — and both solvers agree.
-    const csr_matrix laplacian = build_laplacian(topo, failed);
+    const csr_matrix laplacian =
+        laplacian_from_adjacency(alive_adjacency(topo, failed));
     const lanczos_result solve = algebraic_connectivity(laplacian);
     EXPECT_TRUE(solve.converged);
     EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), 1.0e-8);
@@ -307,7 +310,7 @@ TEST(Laplacian, RowSumsVanishAndDegreesMatch)
     p.n_planes = 4;
     p.sats_per_plane = 5;
     const lsn::lsn_topology topo = lsn::build_walker_grid_topology(p);
-    const csr_matrix laplacian = build_laplacian(topo);
+    const csr_matrix laplacian = laplacian_from_adjacency(alive_adjacency(topo));
     ASSERT_EQ(laplacian.n, 20);
     std::vector<double> ones(20, 1.0);
     std::vector<double> out(20, -1.0);

@@ -115,6 +115,8 @@ TEST(Percolation, GiantFractionMatchesTheSurvivabilityEngine)
         lsn::build_walker_grid_topology(small_walker(6, 6));
     const lsn::snapshot_builder builder(topo, {}, astro::instant::j2000(),
                                         deg2rad(30.0), 1.0e8);
+    const std::vector<double> epoch_only{0.0};
+    const auto positions = builder.positions_at_offsets(epoch_only);
     for (const double fraction : {0.4, 0.6})
         for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
             lsn::failure_scenario loss;
@@ -122,7 +124,8 @@ TEST(Percolation, GiantFractionMatchesTheSurvivabilityEngine)
             loss.loss_fraction = fraction;
             loss.seed = seed;
             const auto failed = lsn::sample_failures(topo, loss);
-            const lsn::network_snapshot snap = builder.snapshot(0.0, failed);
+            const lsn::network_snapshot snap =
+                builder.snapshot_from_positions(positions[0], failed);
             const percolation_metrics m = analyze_percolation(snap, failed);
             EXPECT_EQ(m.n_components > 1, fraction > 0.5) << "seed " << seed;
             EXPECT_EQ(m.giant_component_fraction,

@@ -158,7 +158,9 @@ double snapshot_attack_resilience(double inclination_deg, int degree)
     // blanket cutoff, should decide which declared links survive.
     const lsn::snapshot_builder builder(topo, {}, astro::instant::j2000(),
                                         deg2rad(25.0), 8.0e6);
-    const lsn::network_snapshot snapshot = builder.snapshot(0.0);
+    const std::vector<double> epoch_only{0.0};
+    const lsn::network_snapshot snapshot =
+        builder.snapshot_from_positions(builder.positions_at_offsets(epoch_only)[0]);
 
     percolation_options metrics;
     metrics.compute_lambda2 = false;

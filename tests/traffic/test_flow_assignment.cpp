@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "lsn/scenario.h"
+#include "util/angles.h"
 #include "util/expects.h"
+#include "util/rng.h"
 
 namespace ssplane::traffic {
 namespace {
@@ -72,6 +75,7 @@ TEST(FlowAssignment, CapacityBoundsDeliveredThroughput)
     EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.6);
     EXPECT_EQ(result.congested_links, 1);
     EXPECT_DOUBLE_EQ(result.max_utilization, 1.0);
+    EXPECT_NEAR(result.mean_path_latency_ms, 11.0, 1e-12);
 }
 
 /// Two disjoint ground-to-ground paths: via sat0 (shorter) or sat1.
@@ -172,21 +176,78 @@ TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
     EXPECT_DOUBLE_EQ(without_s2.pair_delivered(1, 2), 0.0);
 }
 
-TEST(FlowAssignment, NaiveBaselineAgreesOnSimpleGraphs)
+TEST(FlowAssignment, DefaultCapacitiesCarryTheDiamondOnItsShortPath)
 {
-    capacity_options opts;
-    opts.isl_capacity_gbps = 6.0;
-    opts.uplink_capacity_gbps = 40.0;
-    const auto fast = assign_flows(chain_snapshot(), single_pair_matrix(10.0), opts);
-    const auto naive =
-        assign_flows_per_pair_baseline(chain_snapshot(), single_pair_matrix(10.0), opts);
-    EXPECT_DOUBLE_EQ(fast.delivered_gbps, naive.delivered_gbps);
-    EXPECT_DOUBLE_EQ(fast.mean_path_latency_ms, naive.mean_path_latency_ms);
+    // 15 Gbps fits the 40 Gbps uplinks of the 6 ms path in round one: the
+    // 8 ms path stays empty.
+    const auto result = assign_flows(diamond_snapshot(), single_pair_matrix(15.0));
+    EXPECT_DOUBLE_EQ(result.delivered_gbps, 15.0);
+    EXPECT_DOUBLE_EQ(result.pair_delivered(0, 1), 15.0);
+    EXPECT_NEAR(result.mean_path_latency_ms, 6.0, 1e-12);
+    EXPECT_DOUBLE_EQ(result.max_utilization, 15.0 / 40.0);
+    EXPECT_EQ(result.congested_links, 0);
+}
 
-    const auto fast_d = assign_flows(diamond_snapshot(), single_pair_matrix(15.0));
-    const auto naive_d =
-        assign_flows_per_pair_baseline(diamond_snapshot(), single_pair_matrix(15.0));
-    EXPECT_DOUBLE_EQ(fast_d.delivered_gbps, naive_d.delivered_gbps);
+TEST(FlowAssignment, InvariantsHoldOnRandomMasksPastCapacity)
+{
+    // 16 seeded random-loss masks (0-20% of the satellites) on a 10x10
+    // Walker +Grid, each at its own instant, offered up to 100 Gbps per
+    // gateway pair: far past what the 40 Gbps uplinks can carry. Whatever the rounds do, no link exceeds
+    // its capacity, no pair gets more than it asked for, and the per-pair
+    // totals add up to the delivered total, which never exceeds the offer.
+    constellation::walker_parameters params;
+    params.altitude_m = 550.0e3;
+    params.inclination_rad = deg2rad(53.0);
+    params.n_planes = 10;
+    params.sats_per_plane = 10;
+    params.phasing_f = 1;
+    const auto topo = lsn::build_walker_grid_topology(params);
+    const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
+                                        astro::instant::j2000(), deg2rad(25.0));
+    std::vector<double> offsets;
+    for (int trial = 0; trial < 16; ++trial) offsets.push_back(900.0 * trial);
+    const auto positions = builder.positions_at_offsets(offsets);
+    const int n = builder.n_ground();
+    constexpr double tol = 1e-9;
+
+    bool saw_shortfall = false;
+    for (int trial = 0; trial < 16; ++trial) {
+        lsn::failure_scenario loss;
+        loss.mode = lsn::failure_mode::random_loss;
+        loss.loss_fraction = 0.04 * (trial % 6);
+        loss.seed = static_cast<std::uint64_t>(trial + 1);
+        const auto snap = builder.snapshot_from_positions(
+            positions[static_cast<std::size_t>(trial)], lsn::sample_failures(topo, loss));
+
+        rng draws(static_cast<std::uint64_t>(100 + trial));
+        traffic_matrix matrix;
+        matrix.n_stations = n;
+        matrix.demand_gbps.assign(static_cast<std::size_t>(n * n), 0.0);
+        for (int a = 0; a + 1 < n; ++a)
+            for (int b = a + 1; b < n; ++b) {
+                const double demand = draws.uniform(0.0, 100.0);
+                matrix.demand_gbps[static_cast<std::size_t>(a * n + b)] = demand;
+                matrix.demand_gbps[static_cast<std::size_t>(b * n + a)] = demand;
+                matrix.total_gbps += demand;
+            }
+
+        const auto result = assign_flows(snap, matrix);
+        for (const auto& link : result.links)
+            EXPECT_LE(link.load_gbps, link.capacity_gbps + tol) << "trial " << trial;
+        double pair_sum = 0.0;
+        for (int a = 0; a + 1 < n; ++a)
+            for (int b = a + 1; b < n; ++b) {
+                EXPECT_LE(result.pair_delivered(a, b), matrix.demand(a, b) + tol)
+                    << "trial " << trial << " pair " << a << "-" << b;
+                EXPECT_EQ(result.pair_delivered(a, b), result.pair_delivered(b, a));
+                pair_sum += result.pair_delivered(a, b);
+            }
+        EXPECT_NEAR(pair_sum, result.delivered_gbps, tol) << "trial " << trial;
+        EXPECT_LE(result.delivered_gbps, result.offered_gbps + tol) << "trial " << trial;
+        EXPECT_NEAR(result.offered_gbps, matrix.total_gbps, tol) << "trial " << trial;
+        saw_shortfall |= result.delivered_gbps < result.offered_gbps - 1.0;
+    }
+    EXPECT_TRUE(saw_shortfall);
 }
 
 TEST(FlowAssignment, RejectsMismatchedMatrix)
@@ -233,9 +294,6 @@ TEST(FlowAssignment, ValidateRejectsDegenerateCapacityOptions)
     opts = {};
     opts.uplink_capacity_gbps = -1.0;
     EXPECT_THROW(assign_flows(chain_snapshot(), single_pair_matrix(1.0), opts),
-                 contract_violation);
-    EXPECT_THROW(assign_flows_per_pair_baseline(chain_snapshot(),
-                                                single_pair_matrix(1.0), opts),
                  contract_violation);
 }
 
