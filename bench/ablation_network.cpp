@@ -80,7 +80,7 @@ int main()
         const auto snap = ss_builder.snapshot_from_positions(positions);
         for (int g = 0; g < snap.n_ground; ++g)
             covered_steps[static_cast<std::size_t>(g)] +=
-                !snap.adjacency[static_cast<std::size_t>(snap.ground_node(g))].empty();
+                !snap.arcs_of(snap.ground_node(g)).empty();
     }
     std::cout << "\n";
     csv_writer cov_csv(std::cout, {"station", "ss_coverage_fraction"});

@@ -242,7 +242,7 @@ int main(int argc, char** argv)
         const auto snap = context.builder().snapshot_from_positions(positions);
         for (int g = 0; g < snap.n_ground; ++g)
             covered_steps[static_cast<std::size_t>(g)] +=
-                !snap.adjacency[static_cast<std::size_t>(snap.ground_node(g))].empty();
+                !snap.arcs_of(snap.ground_node(g)).empty();
     }
     std::cout << "\nper-station coverage over the day:\n";
     table_printer cov({"station", "coverage_fraction"});

@@ -15,18 +15,22 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Dijkstra core of both `single_source_routes` forms. The queue pops
-/// (distance, node) pairs lexicographically and an edge relaxes only on a
-/// strictly shorter distance, so nodes settle in (distance, node id) order
-/// and a settled node's distance and predecessor are final. With `targets`
-/// the pass stops once every listed node is settled; without, it settles
-/// every node the source reaches.
+/// Dijkstra core of both `single_source_routes` forms over the CSR rows; a
+/// link weighs `cost[id]`, or its latency when `cost` is empty. The queue
+/// pops (distance, node) pairs lexicographically and an edge relaxes only
+/// on a strictly shorter distance (never at infinite cost), so nodes
+/// settle in (distance, node id) order and a settled node's distance and
+/// predecessor are final. With `targets` the pass stops once every listed
+/// node is settled; without, it settles every node the source reaches.
 route_tree routes_from(const network_snapshot& snapshot, int src_node,
-                       std::optional<std::span<const int>> targets)
+                       std::optional<std::span<const int>> targets,
+                       std::span<const double> cost)
 {
-    const auto n = snapshot.adjacency.size();
+    const auto n = static_cast<std::size_t>(snapshot.n_nodes());
     expects(src_node >= 0 && static_cast<std::size_t>(src_node) < n,
             "bad source node");
+    expects(cost.empty() || cost.size() == snapshot.links.size(),
+            "need one cost per snapshot link");
     // Every routing query in the stack funnels through here, so these two
     // counters are the per-campaign "how many shortest-path solves, and how
     // much of the graph each one walked" figures.
@@ -63,12 +67,13 @@ route_tree routes_from(const network_snapshot& snapshot, int src_node,
         if (targets && wanted[static_cast<std::size_t>(u)] != 0 &&
             --unsettled_targets == 0)
             break;
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            const double nd = d + e.latency_s;
-            if (nd < dist[static_cast<std::size_t>(e.to)]) {
-                dist[static_cast<std::size_t>(e.to)] = nd;
-                prev[static_cast<std::size_t>(e.to)] = u;
-                queue.emplace(nd, e.to);
+        for (const auto& arc : snapshot.arcs_of(u)) {
+            const auto id = static_cast<std::size_t>(arc.link);
+            const double nd = d + (cost.empty() ? snapshot.links[id].latency_s : cost[id]);
+            if (nd < dist[static_cast<std::size_t>(arc.to)]) {
+                dist[static_cast<std::size_t>(arc.to)] = nd;
+                prev[static_cast<std::size_t>(arc.to)] = u;
+                queue.emplace(nd, arc.to);
             }
         }
     }
@@ -90,13 +95,14 @@ std::vector<int> route_tree::path_to(int node) const
 
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node)
 {
-    return routes_from(snapshot, src_node, std::nullopt);
+    return routes_from(snapshot, src_node, std::nullopt, {});
 }
 
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                std::span<const int> targets)
+                                std::span<const int> targets,
+                                std::span<const double> link_cost_s)
 {
-    return routes_from(snapshot, src_node, targets);
+    return routes_from(snapshot, src_node, targets, link_cost_s);
 }
 
 } // namespace ssplane::lsn

@@ -1,8 +1,8 @@
 // Shortest-latency routing over network snapshots: one Dijkstra primitive,
-// `single_source_routes`, serves every query in the stack. The scenario
-// sweep reads each source's `latency_s` row for its all-pairs matrix; the
-// traffic engine walks `path_to` on trees bounded to the gateways it still
-// owes demand.
+// `single_source_routes`, walks the CSR rows and serves every query in the
+// stack. The scenario sweep reads each source's `latency_s` row for its
+// all-pairs matrix; the traffic engine walks `path_to` on trees bounded to
+// the gateways it still owes demand, under per-link congestion costs.
 #ifndef SSPLANE_LSN_ROUTING_H
 #define SSPLANE_LSN_ROUTING_H
 
@@ -48,9 +48,12 @@ route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
 /// never change afterwards: `path_to` and `latency_s` of every listed
 /// target equal the full pass's bit for bit, while unlisted entries may be
 /// unsettled upper bounds. The traffic engine asks each source tree only
-/// for the gateways that are still owed demand.
+/// for the gateways that are still owed demand. A non-empty `link_cost_s`
+/// (one entry per link id) replaces the link latencies; an infinite cost
+/// never relaxes, exactly as if the link were not in the snapshot.
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                std::span<const int> targets);
+                                std::span<const int> targets,
+                                std::span<const double> link_cost_s = {});
 
 } // namespace ssplane::lsn
 

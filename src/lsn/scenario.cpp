@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radiation/solar_cycle.h"
+#include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -60,6 +61,9 @@ snapshot_builder::snapshot_builder(const lsn_topology& topology,
       min_elevation_rad_(min_elevation_rad),
       max_isl_range_m_(max_isl_range_m)
 {
+    expects(std::isfinite(min_elevation_rad) &&
+                std::abs(min_elevation_rad) <= pi / 2.0,
+            "minimum elevation must be finite radians in [-pi/2, pi/2]");
     expects(max_isl_range_m > 0.0, "ISL range must be positive");
     propagators_.reserve(topology.satellites.size());
     for (const auto& sat : topology.satellites)
@@ -109,40 +113,27 @@ network_snapshot snapshot_builder::snapshot_from_positions(
         return !failed.empty() && failed[static_cast<std::size_t>(s)] != 0;
     };
 
-    network_snapshot snap;
-    snap.n_satellites = n_satellites();
-    snap.n_ground = n_ground();
-    snap.positions_ecef_m.reserve(sat_positions_ecef.size() + ground_ecef_.size());
-    snap.positions_ecef_m.insert(snap.positions_ecef_m.end(),
-                                 sat_positions_ecef.begin(), sat_positions_ecef.end());
-    snap.positions_ecef_m.insert(snap.positions_ecef_m.end(), ground_ecef_.begin(),
-                                 ground_ecef_.end());
-    snap.adjacency.resize(snap.positions_ecef_m.size());
-
-    const auto add_edge = [&](int a, int b, double distance_m) {
-        const double latency = distance_m / astro::speed_of_light_m_s;
-        snap.adjacency[static_cast<std::size_t>(a)].push_back({b, latency});
-        snap.adjacency[static_cast<std::size_t>(b)].push_back({a, latency});
-    };
-
+    // Links in creation order: the topology's ISLs within range, then each
+    // station's ground links in satellite order.
+    std::vector<network_snapshot::link> links;
     for (const auto& link : topology_->links) {
         if (is_failed(link.a) || is_failed(link.b)) continue;
-        const double d = (snap.positions_ecef_m[static_cast<std::size_t>(link.a)] -
-                          snap.positions_ecef_m[static_cast<std::size_t>(link.b)]).norm();
-        if (d <= max_isl_range_m_) add_edge(link.a, link.b, d);
+        const double d = (sat_positions_ecef[static_cast<std::size_t>(link.a)] -
+                          sat_positions_ecef[static_cast<std::size_t>(link.b)]).norm();
+        if (d <= max_isl_range_m_)
+            links.push_back({link.a, link.b, d / astro::speed_of_light_m_s});
     }
-
-    for (int g = 0; g < snap.n_ground; ++g) {
-        const int gs_node = snap.ground_node(g);
+    for (int g = 0; g < n_ground(); ++g) {
         const vec3& site = ground_ecef_[static_cast<std::size_t>(g)];
-        for (int s = 0; s < snap.n_satellites; ++s) {
+        for (int s = 0; s < n_satellites(); ++s) {
             if (is_failed(s)) continue;
-            const vec3& sat = snap.positions_ecef_m[static_cast<std::size_t>(s)];
+            const vec3& sat = sat_positions_ecef[static_cast<std::size_t>(s)];
             if (astro::elevation_angle_rad(site, sat) >= min_elevation_rad_)
-                add_edge(gs_node, s, (sat - site).norm());
+                links.push_back({s, n_satellites() + g,
+                                 (sat - site).norm() / astro::speed_of_light_m_s});
         }
     }
-    return snap;
+    return make_network_snapshot(n_satellites(), n_ground(), std::move(links));
 }
 
 namespace {
@@ -523,12 +514,9 @@ double giant_component_fraction(const network_snapshot& snapshot,
     };
 
     union_find components(n);
-    for (int u = 0; u < n; ++u) {
-        if (!alive(u)) continue;
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            if (e.to >= n || !alive(e.to)) continue; // ground links don't join sats
-            components.unite(u, e.to);
-        }
+    for (const auto& link : snapshot.links) {
+        if (link.b >= n) continue; // ground links don't join sats
+        if (alive(link.a) && alive(link.b)) components.unite(link.a, link.b);
     }
 
     int largest = 0;
@@ -540,6 +528,7 @@ double giant_component_fraction(const network_snapshot& snapshot,
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(step_s > 0.0, "sweep step must be positive");
+    expects(std::isfinite(duration_s), "sweep duration must be finite");
     // Offset i is i * step_s, computed afresh: a running `+= step_s` drifts
     // off the grid and can admit an extra step just below duration_s.
     std::vector<double> offsets;

@@ -37,6 +37,8 @@ namespace ssplane::lsn {
 /// sites are derived once at construction; each time slice then costs one
 /// batched element advance per satellite plus the geometry tests. The
 /// topology must outlive the builder (it is referenced, not copied).
+/// `min_elevation_rad` must be finite radians in [-pi/2, pi/2] and
+/// `max_isl_range_m` positive (else `contract_violation`).
 class snapshot_builder {
 public:
     snapshot_builder(const lsn_topology& topology,
@@ -59,12 +61,13 @@ public:
         std::span<const double> offsets_s) const;
 
     /// Graph assembled from one step of `positions_at_offsets` output: ISLs
-    /// within `max_isl_range_m` plus ground links wherever a satellite is
-    /// above `min_elevation_rad`, each weighted by geometric distance over
-    /// the speed of light. `failed` (when non-empty; size n_satellites,
-    /// nonzero = failed) keeps the satellite's node but gives it no edges:
-    /// the slot is dead, the constellation geometry unchanged. The mask is a
-    /// span so timeline sweeps can hand each step its row without copying.
+    /// within `max_isl_range_m` in topology order, then each station's links
+    /// to satellites above `min_elevation_rad` in satellite order, each
+    /// weighted by geometric distance over the speed of light. `failed`
+    /// (when non-empty; size n_satellites, nonzero = failed) keeps the
+    /// satellite's node but gives it no links: the slot is dead, the
+    /// constellation geometry unchanged. The mask is a span so timeline
+    /// sweeps can hand each step its row without copying.
     network_snapshot snapshot_from_positions(
         const std::vector<vec3>& sat_positions_ecef,
         std::span<const std::uint8_t> failed = {}) const;
@@ -191,7 +194,8 @@ struct scenario_sweep_options {
 /// duration_s, each computed afresh so no roundoff accumulates — shared by
 /// every time-stepped sweep so their grids can never drift apart.
 /// A non-positive duration yields an empty grid (sweeps report zeroed
-/// stats); a non-positive step is a contract violation.
+/// stats); a non-finite duration or a non-positive step is a contract
+/// violation.
 std::vector<double> sweep_offsets(double duration_s, double step_s);
 
 /// Scalar robustness metrics for one scenario over the sweep window.

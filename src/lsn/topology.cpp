@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -162,6 +163,43 @@ std::vector<ground_station> default_ground_stations()
         {"Singapore", 1.35, 103.82},   {"Tokyo", 35.69, 139.69},
         {"Sydney", -33.87, 151.21},    {"Anchorage", 61.22, -149.90},
     };
+}
+
+network_snapshot make_network_snapshot(int n_satellites, int n_ground,
+                                       std::vector<network_snapshot::link> links)
+{
+    expects(n_satellites >= 0 && n_ground >= 0, "node counts must be non-negative");
+    network_snapshot snap;
+    snap.n_satellites = n_satellites;
+    snap.n_ground = n_ground;
+    const int n = snap.n_nodes();
+    snap.arc_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (auto& link : links) {
+        expects(link.a >= 0 && link.b >= 0 && link.a < n && link.b < n && link.a != link.b,
+                "a link must join two distinct snapshot nodes");
+        if (link.a > link.b) std::swap(link.a, link.b);
+        ++snap.arc_begin[static_cast<std::size_t>(link.a) + 1];
+        ++snap.arc_begin[static_cast<std::size_t>(link.b) + 1];
+    }
+    std::partial_sum(snap.arc_begin.begin(), snap.arc_begin.end(), snap.arc_begin.begin());
+
+    // Filling the rows in link order lists each node's links in id order.
+    snap.arcs.resize(2 * links.size());
+    std::vector<std::size_t> next(snap.arc_begin.begin(), snap.arc_begin.end() - 1);
+    for (int id = 0; id < static_cast<int>(links.size()); ++id) {
+        const auto& link = links[static_cast<std::size_t>(id)];
+        snap.arcs[next[static_cast<std::size_t>(link.a)]++] = {link.b, id};
+        snap.arcs[next[static_cast<std::size_t>(link.b)]++] = {link.a, id};
+    }
+    snap.links = std::move(links);
+    return snap;
+}
+
+int network_snapshot::link_between(int u, int v) const
+{
+    for (const auto& out : arcs_of(u))
+        if (out.to == v) return out.link;
+    return -1;
 }
 
 } // namespace ssplane::lsn

@@ -7,6 +7,7 @@
 #ifndef SSPLANE_LSN_TOPOLOGY_H
 #define SSPLANE_LSN_TOPOLOGY_H
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,16 +73,26 @@ struct ground_station {
 std::vector<ground_station> default_ground_stations();
 
 /// Instantaneous network graph: satellites first, then ground stations.
-/// `snapshot_builder::snapshot_from_positions` (lsn/scenario.h) builds it.
+/// The one owner of link identity: each live undirected link is stored once
+/// in `links`, its index there being its link id, and the CSR rows list
+/// each node's links in id order. `make_network_snapshot` builds it.
 struct network_snapshot {
-    struct edge {
-        int to = 0;
+    struct link {
+        int a = 0; ///< Lower node index.
+        int b = 0; ///< Higher node index (the ground node of an uplink).
         double latency_s = 0.0;
     };
-    std::vector<vec3> positions_ecef_m;     ///< Node positions (sats + ground).
-    std::vector<std::vector<edge>> adjacency;
+    struct arc {
+        int to = 0;   ///< Neighbour node.
+        int link = 0; ///< Link id.
+    };
     int n_satellites = 0;
     int n_ground = 0;
+    std::vector<link> links;
+    std::vector<int> arc_begin; ///< CSR offsets, size n_nodes() + 1.
+    std::vector<arc> arcs;
+
+    int n_nodes() const noexcept { return n_satellites + n_ground; }
 
     int ground_node(int ground_index) const
     {
@@ -89,7 +100,25 @@ struct network_snapshot {
                 "ground index out of range");
         return n_satellites + ground_index;
     }
+
+    /// The CSR row of `node`: its links in id order.
+    std::span<const arc> arcs_of(int node) const
+    {
+        expects(node >= 0 && node < n_nodes(), "node index out of range");
+        const auto row = static_cast<std::size_t>(node);
+        return {arcs.data() + arc_begin[row], arcs.data() + arc_begin[row + 1]};
+    }
+
+    /// Id of the first link joining `u` to `v` in `u`'s row; -1 if none.
+    int link_between(int u, int v) const;
 };
+
+/// The one snapshot factory: `links` (either orientation, distinct
+/// endpoints among the n_satellites + n_ground nodes, else
+/// `contract_violation`) are stored with a < b, each under its input
+/// position as link id.
+network_snapshot make_network_snapshot(int n_satellites, int n_ground,
+                                       std::vector<network_snapshot::link> links);
 
 } // namespace ssplane::lsn
 

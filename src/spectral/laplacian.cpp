@@ -86,13 +86,11 @@ std::vector<std::vector<int>> alive_adjacency(
     expects(failed.empty() || failed.size() == static_cast<std::size_t>(n),
             "failure mask size mismatch");
     std::vector<std::vector<int>> adjacency(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-        if (is_failed(failed, s)) continue;
-        for (const auto& edge : snapshot.adjacency[static_cast<std::size_t>(s)]) {
-            if (edge.to >= n) continue; // ground links are not structure
-            if (edge.to == s || is_failed(failed, edge.to)) continue;
-            adjacency[static_cast<std::size_t>(s)].push_back(edge.to);
-        }
+    for (const auto& link : snapshot.links) {
+        if (link.b >= n) continue; // ground links are not structure
+        if (is_failed(failed, link.a) || is_failed(failed, link.b)) continue;
+        adjacency[static_cast<std::size_t>(link.a)].push_back(link.b);
+        adjacency[static_cast<std::size_t>(link.b)].push_back(link.a);
     }
     sort_unique(adjacency);
     return adjacency;

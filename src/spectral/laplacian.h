@@ -10,7 +10,7 @@
 // Lanczos solver (`spectral/lanczos.h`) multiplies against;
 // `laplacian_from_adjacency` assembles it from the `alive_adjacency` lists
 // of either the static ISL wiring of an `lsn_topology` or the range-gated
-// live graph of a `network_snapshot`.
+// live link table of a `network_snapshot`.
 //
 // Conventions shared by both `alive_adjacency` forms:
 //   * only satellite-satellite edges enter the Laplacian (ground stations
@@ -57,9 +57,9 @@ void validate(const csr_matrix& matrix);
 /// the walk structure the percolation analyzer (clustering, union-find,
 /// the Laplacian) works on. One row per satellite; adjacency[s] is empty
 /// for failed satellites. The topology form reads the static ISL wiring
-/// `topology.links`; the snapshot form reads the range-gated live graph,
-/// whose own mask already removed dead satellites' edges (`failed` may
-/// still isolate satellites after the fact).
+/// `topology.links`; the snapshot form reads the range-gated
+/// `snapshot.links`, whose own mask already removed dead satellites' links
+/// (`failed` may still isolate satellites after the fact).
 std::vector<std::vector<int>> alive_adjacency(
     const lsn::lsn_topology& topology, std::span<const std::uint8_t> failed = {});
 std::vector<std::vector<int>> alive_adjacency(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -81,85 +80,66 @@ time_expanded_graph build_time_expanded_graph_timeline(
                 timeline.n_satellites == graph.n_satellites,
             "timeline satellite count mismatch");
 
-    const int n_nodes = graph.n_nodes();
-    std::vector<std::vector<time_expanded_graph::arc>> adjacency(
-        static_cast<std::size_t>(graph.n_time_nodes()));
-
-    // Transmission arcs, step-major, node/adjacency order within a step —
-    // the same deterministic order the traffic engine's edge table uses.
-    // DETLINT-ALLOW(unordered-iteration): lookup-only (find/emplace); slots
-    // are appended in deterministic adjacency order, never in map order.
-    std::unordered_map<std::uint64_t, int> step_slot;
+    // Time nodes are step-major, so walking the steps, then each step's
+    // nodes in order, emits the CSR rows in time-node order. A row lists
+    // its transmission arcs in the snapshot row's link-id order, then its
+    // storage arc. Step i's slot for link id is step i's first slot plus id.
+    // Reserve the exact unfailed sizes (upper bounds under failures).
+    std::size_t n_links = 0;
+    for (const auto& snap : snapshots) n_links += snap.links.size();
+    const auto n_stored = static_cast<std::size_t>(graph.n_steps - 1);
+    graph.slots.reserve(n_links + n_stored * static_cast<std::size_t>(graph.n_satellites));
+    graph.arcs.reserve(2 * n_links + n_stored * static_cast<std::size_t>(graph.n_nodes()));
+    graph.arc_begin.reserve(static_cast<std::size_t>(graph.n_time_nodes()) + 1);
+    graph.arc_begin.push_back(0);
     for (int i = 0; i < graph.n_steps; ++i) {
         const auto& snap = snapshots[static_cast<std::size_t>(i)];
         expects(snap.n_satellites == graph.n_satellites &&
                     snap.n_ground == graph.n_ground,
                 "snapshots must share one node set");
         const double dwell = graph.dwell_s[static_cast<std::size_t>(i)];
-        step_slot.clear();
-        for (int u = 0; u < n_nodes; ++u) {
-            for (const auto& e : snap.adjacency[static_cast<std::size_t>(u)]) {
-                const auto lo = static_cast<std::uint64_t>(std::min(u, e.to));
-                const auto hi = static_cast<std::uint64_t>(std::max(u, e.to));
-                const std::uint64_t key = (lo << 32) | hi;
-                auto it = step_slot.find(key);
-                if (it == step_slot.end()) {
-                    time_expanded_graph::slot s;
-                    s.step = i;
-                    s.a = static_cast<int>(lo);
-                    s.b = static_cast<int>(hi);
-                    s.uplink = s.b >= graph.n_satellites;
-                    s.capacity_gb = (s.uplink
-                                         ? options.capacity.uplink_capacity_gbps
-                                         : options.capacity.isl_capacity_gbps) *
-                                    dwell;
-                    it = step_slot.emplace(key, static_cast<int>(graph.slots.size()))
-                             .first;
-                    graph.slots.push_back(s);
-                }
-                adjacency[static_cast<std::size_t>(graph.time_node(u, i))].push_back(
-                    {graph.time_node(e.to, i), it->second, e.latency_s});
-            }
+        const int first_slot = static_cast<int>(graph.slots.size());
+        for (const auto& link : snap.links) {
+            time_expanded_graph::slot s;
+            s.step = i;
+            s.a = link.a;
+            s.b = link.b;
+            s.uplink = link.b >= graph.n_satellites;
+            s.capacity_gb = (s.uplink ? options.capacity.uplink_capacity_gbps
+                                      : options.capacity.isl_capacity_gbps) *
+                            dwell;
+            graph.slots.push_back(s);
         }
 
         // Storage arcs into the next step: buffered satellites (live at
         // this step, with a non-zero buffer) get a capacity slot; ground
         // stores for free. A satellite that dies mid-sweep loses its
         // storage arcs from its failure step on.
-        if (i + 1 == graph.n_steps) continue;
+        const bool stores = i + 1 < graph.n_steps;
         const auto step_failed = timeline.step(i);
-        if (options.sat_buffer_gb > 0.0) {
-            for (int s = 0; s < graph.n_satellites; ++s) {
-                if (!step_failed.empty() &&
-                    step_failed[static_cast<std::size_t>(s)] != 0)
-                    continue;
+        for (int u = 0; u < graph.n_nodes(); ++u) {
+            for (const auto& arc : snap.arcs_of(u))
+                graph.arcs.push_back(
+                    {graph.time_node(arc.to, i), first_slot + arc.link,
+                     snap.links[static_cast<std::size_t>(arc.link)].latency_s});
+            const bool satellite = u < graph.n_satellites;
+            if (stores && !satellite)
+                graph.arcs.push_back({graph.time_node(u, i + 1), -1, dwell});
+            if (stores && satellite && options.sat_buffer_gb > 0.0 &&
+                (step_failed.empty() || step_failed[static_cast<std::size_t>(u)] == 0)) {
                 time_expanded_graph::slot store;
                 store.step = i;
-                store.a = s;
-                store.b = s;
+                store.a = u;
+                store.b = u;
                 store.storage = true;
                 store.capacity_gb = options.sat_buffer_gb;
-                adjacency[static_cast<std::size_t>(graph.time_node(s, i))].push_back(
-                    {graph.time_node(s, i + 1),
-                     static_cast<int>(graph.slots.size()), dwell});
+                graph.arcs.push_back({graph.time_node(u, i + 1),
+                                      static_cast<int>(graph.slots.size()), dwell});
                 graph.slots.push_back(store);
             }
-        }
-        for (int g = 0; g < graph.n_ground; ++g) {
-            const int node = graph.n_satellites + g;
-            adjacency[static_cast<std::size_t>(graph.time_node(node, i))].push_back(
-                {graph.time_node(node, i + 1), -1, dwell});
+            graph.arc_begin.push_back(static_cast<std::int64_t>(graph.arcs.size()));
         }
     }
-
-    graph.arc_begin.resize(adjacency.size() + 1);
-    graph.arc_begin[0] = 0;
-    for (std::size_t tn = 0; tn < adjacency.size(); ++tn)
-        graph.arc_begin[tn + 1] =
-            graph.arc_begin[tn] + static_cast<std::int64_t>(adjacency[tn].size());
-    graph.arcs.reserve(static_cast<std::size_t>(graph.arc_begin.back()));
-    for (const auto& list : adjacency)
-        graph.arcs.insert(graph.arcs.end(), list.begin(), list.end());
     OBS_COUNT_N("tempo.graph.arcs", graph.arcs.size());
     return graph;
 }

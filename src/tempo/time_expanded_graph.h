@@ -9,8 +9,8 @@
 //     `lsn::snapshot_builder` under an `lsn::failure_timeline`), carrying
 //     *volume*: an ISL or uplink of capacity C Gbps live for a step of
 //     dwell D seconds moves up to C*D gigabits within that step. Both
-//     directions of an undirected link share one capacity slot, exactly
-//     like `traffic::link_load` shares load across directions.
+//     directions of an undirected link share one capacity slot: step i's
+//     slot for snapshot link id is step i's first slot plus id.
 //   * storage arcs — (node, step) -> (node, step+1). A satellite's storage
 //     arc is gated by its onboard buffer (`sat_buffer_gb`); ground nodes
 //     store for free (data waits at a gateway until the network can move
@@ -125,7 +125,8 @@ struct time_expanded_graph {
 };
 
 /// Assemble the graph from already-materialized per-step snapshots (unit
-/// tests hand-build these; the builder overload below materializes them).
+/// tests use `lsn::make_network_snapshot`; the builder overload below
+/// materializes them).
 /// Snapshots must share one node set; `offsets_s` must be strictly
 /// increasing with one entry per snapshot. Step `i`'s storage arcs are
 /// gated by `timeline.step(i)`: a failed satellite cannot buffer, and one

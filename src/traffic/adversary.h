@@ -26,8 +26,8 @@
 //     relaxation, so deleting nodes that lie on none of a tree's queried
 //     paths changes none of those paths — by induction over the pairs and
 //     rounds, the link loads, and so the whole assignment, stay the same;
-//   * a failure mask only deletes the failed satellites' edges and never
-//     rewires the survivors (`snapshot_builder::snapshot_from_positions`);
+//   * a failure mask only deletes the failed satellites' links, keeping
+//     the survivors in link order (`snapshot_from_positions`);
 //   * the score is the same step-ordered sum `run_traffic_sweep_timeline`
 //     averages for the trial mask as a static timeline.
 // The search draws no random numbers and reduces serially, so repeated

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "lsn/routing.h"
 #include "obs/metrics.h"
@@ -17,95 +16,35 @@ namespace ssplane::traffic {
 namespace {
 
 constexpr double flow_eps_gbps = 1e-9;
-
-/// Undirected edge ids over a snapshot: `links` in deterministic (node,
-/// adjacency) order plus a (min,max)-keyed lookup for path walks.
-struct edge_table {
-    std::vector<link_load> links;
-    // DETLINT-ALLOW(unordered-iteration): lookup-only (at/emplace); every
-    // walk over the edge set iterates `links`, which is built in
-    // deterministic (node, adjacency) order.
-    std::unordered_map<std::uint64_t, int> id;
-
-    static std::uint64_t key(int a, int b)
-    {
-        const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-        const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-        return (lo << 32) | hi;
-    }
-    int id_of(int a, int b) const { return id.at(key(a, b)); }
-};
-
-edge_table build_edge_table(const lsn::network_snapshot& snapshot,
-                            const capacity_options& options)
-{
-    edge_table table;
-    for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            if (e.to <= u) continue;
-            link_load link;
-            link.a = u;
-            link.b = e.to;
-            link.latency_s = e.latency_s;
-            link.uplink = u >= snapshot.n_satellites || e.to >= snapshot.n_satellites;
-            link.capacity_gbps = link.uplink ? options.uplink_capacity_gbps
-                                             : options.isl_capacity_gbps;
-            table.id.emplace(edge_table::key(u, e.to),
-                             static_cast<int>(table.links.size()));
-            table.links.push_back(link);
-        }
-    }
-    return table;
-}
-
-/// Congestion-penalized weight graph over the live links: saturated links
-/// drop out, loaded links weigh latency * (1 + penalty * utilization).
-/// Positions are not copied — Dijkstra reads only the adjacency.
-lsn::network_snapshot make_weight_graph(const lsn::network_snapshot& snapshot,
-                                        const edge_table& table,
-                                        const capacity_options& options)
-{
-    lsn::network_snapshot weights;
-    weights.n_satellites = snapshot.n_satellites;
-    weights.n_ground = snapshot.n_ground;
-    weights.adjacency.resize(snapshot.adjacency.size());
-    for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
-        auto& out = weights.adjacency[static_cast<std::size_t>(u)];
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            const auto& link = table.links[static_cast<std::size_t>(table.id_of(u, e.to))];
-            if (link.capacity_gbps - link.load_gbps <= flow_eps_gbps) continue;
-            out.push_back({e.to, e.latency_s * (1.0 + options.congestion_penalty *
-                                                          link.utilization())});
-        }
-    }
-    return weights;
-}
+constexpr double inf = std::numeric_limits<double>::infinity();
 
 /// Route as much of `remaining` as fits along `path` (node indices),
-/// bounded by the bottleneck residual capacity. Returns the flow placed.
-double place_flow_on_path(const std::vector<int>& path, double remaining,
-                          edge_table& table, double& latency_flow_sum_s)
+/// bounded by the bottleneck residual capacity. Each hop's link id is the
+/// one in its tail node's CSR row. Returns the flow placed.
+double place_flow_on_path(const lsn::network_snapshot& snapshot,
+                          const std::vector<int>& path, double remaining,
+                          std::vector<link_load>& loads, double& latency_flow_sum_s)
 {
     if (path.size() < 2) return 0.0;
-    double bottleneck = std::numeric_limits<double>::infinity();
+    const auto hop = [&](std::size_t i) {
+        return static_cast<std::size_t>(snapshot.link_between(path[i - 1], path[i]));
+    };
+    double bottleneck = inf;
     double path_latency_s = 0.0;
     for (std::size_t i = 1; i < path.size(); ++i) {
-        const auto& link =
-            table.links[static_cast<std::size_t>(table.id_of(path[i - 1], path[i]))];
-        bottleneck = std::min(bottleneck, link.capacity_gbps - link.load_gbps);
-        path_latency_s += link.latency_s;
+        const auto id = hop(i);
+        bottleneck = std::min(bottleneck, loads[id].capacity_gbps - loads[id].load_gbps);
+        path_latency_s += snapshot.links[id].latency_s;
     }
     const double flow = std::min(remaining, bottleneck);
     if (flow <= flow_eps_gbps) return 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i)
-        table.links[static_cast<std::size_t>(table.id_of(path[i - 1], path[i]))]
-            .load_gbps += flow;
+    for (std::size_t i = 1; i < path.size(); ++i) loads[hop(i)].load_gbps += flow;
     latency_flow_sum_s += flow * path_latency_s;
     return flow;
 }
 
 /// Reduce link loads and delivered totals into the result metrics.
-flow_result finalize(const traffic_matrix& matrix, edge_table table,
+flow_result finalize(const traffic_matrix& matrix, std::vector<link_load> loads,
                      std::vector<double> pair_delivered,
                      std::vector<std::uint8_t> on_queried_path, double offered,
                      double delivered, double latency_flow_sum_s,
@@ -121,7 +60,7 @@ flow_result finalize(const traffic_matrix& matrix, edge_table table,
     result.mean_path_latency_ms =
         delivered > 0.0 ? latency_flow_sum_s / delivered * 1000.0 : 0.0;
     result.pair_delivered_gbps = std::move(pair_delivered);
-    result.links = std::move(table.links);
+    result.links = std::move(loads);
     result.n_links = static_cast<int>(result.links.size());
 
     std::vector<double> utilization;
@@ -166,7 +105,20 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     validate(options);
 
     const int n = matrix.n_stations;
-    edge_table table = build_edge_table(snapshot, options);
+    expects(matrix.demand_gbps.size() ==
+                static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+            "traffic matrix must hold n_stations^2 entries");
+    for (const double demand : matrix.demand_gbps)
+        expects(std::isfinite(demand) && demand >= 0.0,
+                "traffic demand must be finite and non-negative");
+
+    // Per-link state, indexed by snapshot link id.
+    std::vector<link_load> loads(snapshot.links.size());
+    for (std::size_t id = 0; id < loads.size(); ++id)
+        loads[id].capacity_gbps = snapshot.links[id].b >= snapshot.n_satellites
+                                      ? options.uplink_capacity_gbps
+                                      : options.isl_capacity_gbps;
+    std::vector<double> cost(snapshot.links.size());
 
     std::vector<double> remaining(matrix.demand_gbps);
     std::vector<double> pair_delivered(
@@ -183,14 +135,22 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     double delivered = 0.0;
     double latency_flow_sum_s = 0.0;
     double total_remaining = offered;
-    std::vector<std::uint8_t> on_queried_path(snapshot.adjacency.size(), 0);
+    std::vector<std::uint8_t> on_queried_path(
+        static_cast<std::size_t>(snapshot.n_nodes()), 0);
     std::vector<int> owed;
     std::vector<int> targets;
     for (int round = 0; round < options.k_rounds && total_remaining > flow_eps_gbps;
          ++round) {
         OBS_COUNT("traffic.assign.rounds");
         double round_flow = 0.0;
-        const lsn::network_snapshot weights = make_weight_graph(snapshot, table, options);
+        // Freeze this round's congestion costs: saturated links drop out,
+        // loaded links weigh latency * (1 + penalty * utilization).
+        for (std::size_t id = 0; id < cost.size(); ++id)
+            cost[id] = loads[id].capacity_gbps - loads[id].load_gbps <= flow_eps_gbps
+                           ? inf
+                           : snapshot.links[id].latency_s *
+                                 (1.0 + options.congestion_penalty *
+                                            loads[id].utilization());
         for (int a = 0; a + 1 < n; ++a) {
             // Placing flow on one pair never changes another pair's
             // remainder, so this list is exactly the pairs of source `a`
@@ -202,15 +162,15 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                 if (at(remaining, a, b) > flow_eps_gbps) owed.push_back(b);
             if (owed.empty()) continue;
             targets.clear();
-            for (const int g : owed) targets.push_back(weights.ground_node(g));
-            const auto tree =
-                lsn::single_source_routes(weights, weights.ground_node(a), targets);
+            for (const int g : owed) targets.push_back(snapshot.ground_node(g));
+            const auto tree = lsn::single_source_routes(
+                snapshot, snapshot.ground_node(a), targets, cost);
             for (const int b : owed) {
                 double& pair_remaining = at(remaining, a, b);
-                const auto path = tree.path_to(weights.ground_node(b));
+                const auto path = tree.path_to(snapshot.ground_node(b));
                 for (const int v : path) on_queried_path[static_cast<std::size_t>(v)] = 1;
-                const double flow = place_flow_on_path(path, pair_remaining, table,
-                                                       latency_flow_sum_s);
+                const double flow = place_flow_on_path(snapshot, path, pair_remaining,
+                                                       loads, latency_flow_sum_s);
                 if (flow <= 0.0) continue;
                 pair_remaining -= flow;
                 total_remaining -= flow;
@@ -221,10 +181,10 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
             }
         }
         // A zero-yield round changed no load, so every later round would
-        // recompute identical graphs and trees to place nothing: stop.
+        // recompute identical costs and trees to place nothing: stop.
         if (round_flow <= flow_eps_gbps) break;
     }
-    return finalize(matrix, std::move(table), std::move(pair_delivered),
+    return finalize(matrix, std::move(loads), std::move(pair_delivered),
                     std::move(on_queried_path), offered, delivered,
                     latency_flow_sum_s, options);
 }

@@ -1,8 +1,8 @@
 // Capacity-aware multipath flow assignment over one network snapshot.
 //
 // Greedy k-round water-filling: every round freezes a congestion-penalized
-// latency weight on each live (non-saturated) link, computes one shortest-
-// path tree per *source* gateway `a` with `lsn::single_source_routes`
+// latency cost per snapshot link id (infinite once saturated), computes one
+// shortest-path tree per *source* gateway `a` with `lsn::single_source_routes`
 // (stopping once the gateways b > a still owed more than 1e-9 Gbps are
 // settled), and routes each pair's remaining demand along its tree path up
 // to the path's bottleneck residual capacity.
@@ -41,14 +41,10 @@ struct capacity_options {
 /// programmatically can call it early themselves.
 void validate(const capacity_options& options);
 
-/// One undirected link of the loaded network.
+/// Capacity and load of one snapshot link (which holds its endpoints).
 struct link_load {
-    int a = 0;                  ///< Node index (satellite or ground).
-    int b = 0;                  ///< Node index, b > a.
-    double latency_s = 0.0;     ///< Propagation latency of the link.
     double capacity_gbps = 0.0;
     double load_gbps = 0.0;
-    bool uplink = false;        ///< Ground<->satellite link (else ISL).
 
     double utilization() const
     {
@@ -71,7 +67,7 @@ struct flow_result {
     double p95_utilization = 0.0;
     double max_utilization = 0.0;
     std::vector<double> pair_delivered_gbps; ///< Row-major symmetric n x n.
-    std::vector<link_load> links;            ///< Per-link loads after assignment.
+    std::vector<link_load> links; ///< Per-link loads by link id after assignment.
     /// Per snapshot node: 1 when the node lay on a path some pair was
     /// routed along in any round, whether or not that path carried flow.
     /// Failing only nodes outside this set deletes only edges no queried
@@ -89,9 +85,10 @@ struct flow_result {
 };
 
 /// Assign `matrix` over `snapshot` (matrix.n_stations must equal
-/// snapshot.n_ground): per round, one Dijkstra tree per source gateway
-/// that is still owed demand. Every link's load stays within its capacity
-/// and every pair's delivered flow within its demand.
+/// snapshot.n_ground, with n_stations^2 finite, non-negative demands):
+/// per round, one Dijkstra tree per source gateway that is still owed
+/// demand. Every link's load stays within its capacity and every pair's
+/// delivered flow within its demand.
 flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const traffic_matrix& matrix,
                          const capacity_options& options = {});

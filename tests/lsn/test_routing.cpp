@@ -19,20 +19,8 @@ namespace {
 network_snapshot line_graph()
 {
     //  0 --1ms-- 1 --2ms-- 2 --1ms-- 3     and a slow shortcut 0 --10ms-- 3
-    network_snapshot snap;
-    snap.n_satellites = 4;
-    snap.n_ground = 0;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    const auto add = [&](int a, int b, double ms) {
-        snap.adjacency[static_cast<std::size_t>(a)].push_back({b, ms / 1000.0});
-        snap.adjacency[static_cast<std::size_t>(b)].push_back({a, ms / 1000.0});
-    };
-    add(0, 1, 1.0);
-    add(1, 2, 2.0);
-    add(2, 3, 1.0);
-    add(0, 3, 10.0);
-    return snap;
+    return make_network_snapshot(
+        4, 0, {{0, 1, 0.001}, {1, 2, 0.002}, {2, 3, 0.001}, {0, 3, 0.010}});
 }
 
 /// The pass bounded to `dst` alone: the point-to-point query.
@@ -65,12 +53,7 @@ TEST(Routing, SourceEqualsDestination)
 
 TEST(Routing, UnreachableNode)
 {
-    network_snapshot snap;
-    snap.n_satellites = 3;
-    snap.positions_ecef_m.resize(3);
-    snap.adjacency.resize(3);
-    snap.adjacency[0].push_back({1, 0.001});
-    snap.adjacency[1].push_back({0, 0.001});
+    const auto snap = make_network_snapshot(3, 0, {{0, 1, 0.001}});
     const auto tree = point_query(snap, 0, 2);
     EXPECT_FALSE(tree.reachable(2));
     EXPECT_TRUE(tree.path_to(2).empty());
@@ -83,8 +66,8 @@ TEST(Routing, PathEdgesExist)
     ASSERT_FALSE(path.empty());
     for (std::size_t i = 1; i < path.size(); ++i) {
         bool edge_found = false;
-        for (const auto& e : snap.adjacency[static_cast<std::size_t>(path[i - 1])])
-            edge_found |= (e.to == path[i]);
+        for (const auto& arc : snap.arcs_of(path[i - 1]))
+            edge_found |= (arc.to == path[i]);
         EXPECT_TRUE(edge_found);
     }
 }
@@ -111,13 +94,8 @@ TEST(Routing, SingleSourceLatenciesMatchPointQueries)
 
 TEST(Routing, SingleSourceOnDisconnectedSnapshot)
 {
-    network_snapshot snap;
-    snap.n_satellites = 4;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    snap.adjacency[0].push_back({1, 0.001});
-    snap.adjacency[1].push_back({0, 0.001});
     // Nodes 2 and 3 form a separate (edgeless) component.
+    const auto snap = make_network_snapshot(4, 0, {{0, 1, 0.001}});
     const auto dist = single_source_routes(snap, 0).latency_s;
     EXPECT_DOUBLE_EQ(dist[1], 0.001);
     EXPECT_EQ(dist[2], std::numeric_limits<double>::infinity());
@@ -143,12 +121,7 @@ TEST(Routing, RouteTreeMatchesPointQueries)
 
 TEST(Routing, RouteTreeOnDisconnectedSnapshot)
 {
-    network_snapshot snap;
-    snap.n_satellites = 3;
-    snap.positions_ecef_m.resize(3);
-    snap.adjacency.resize(3);
-    snap.adjacency[0].push_back({1, 0.001});
-    snap.adjacency[1].push_back({0, 0.001});
+    const auto snap = make_network_snapshot(3, 0, {{0, 1, 0.001}});
     const auto tree = single_source_routes(snap, 0);
     EXPECT_TRUE(tree.reachable(1));
     EXPECT_FALSE(tree.reachable(2));
@@ -203,27 +176,15 @@ TEST(Routing, PathConsistencyOnSampledSnapshot)
 
 TEST(Routing, GroundNodeRejectsOutOfRangeIndices)
 {
-    network_snapshot snap;
-    snap.n_satellites = 1;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(3);
-    snap.adjacency.resize(3);
+    const auto snap = make_network_snapshot(1, 2, {});
     EXPECT_THROW(snap.ground_node(-1), contract_violation);
     EXPECT_THROW(snap.ground_node(2), contract_violation);
 }
 
 TEST(Routing, GroundRouteUsesGroundIndices)
 {
-    network_snapshot snap;
-    snap.n_satellites = 1;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(3);
-    snap.adjacency.resize(3);
     // ground0 <-> sat0 <-> ground1
-    snap.adjacency[1].push_back({0, 0.002});
-    snap.adjacency[0].push_back({1, 0.002});
-    snap.adjacency[0].push_back({2, 0.003});
-    snap.adjacency[2].push_back({0, 0.003});
+    const auto snap = make_network_snapshot(1, 2, {{1, 0, 0.002}, {0, 2, 0.003}});
     const int g0 = snap.ground_node(0);
     const int g1 = snap.ground_node(1);
     const auto tree = point_query(snap, g0, g1);
@@ -263,9 +224,9 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
         auto snap = builder.snapshot_from_positions(
             positions[static_cast<std::size_t>(trial)], mask);
         if (trial % 2 == 1)
-            for (auto& edges : snap.adjacency)
-                for (auto& e : edges) e.latency_s = std::round(e.latency_s * 1024.0) / 1024.0;
-        const int n_nodes = static_cast<int>(snap.adjacency.size());
+            for (auto& link : snap.links)
+                link.latency_s = std::round(link.latency_s * 1024.0) / 1024.0;
+        const int n_nodes = snap.n_nodes();
 
         for (int query = 0; query < 6; ++query) {
             const int src = static_cast<int>(draws.uniform_int(0, n_nodes - 1));
@@ -299,6 +260,68 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
     EXPECT_TRUE(saw_source);
 }
 
+TEST(Routing, LinkCostsMatchASnapshotRebuiltFromTheFiniteCostLinks)
+{
+    // Randomly masked Walker +Grid snapshots with random positive link
+    // costs and +inf on a random tenth of the links. The cost-span pass
+    // must return, bit for bit, the tree of a plain pass over the snapshot
+    // rebuilt from the finite-cost links, in link order, with those costs
+    // as latencies: an infinite cost is a link that is not there.
+    constellation::walker_parameters params;
+    params.altitude_m = 550.0e3;
+    params.inclination_rad = deg2rad(53.0);
+    params.n_planes = 12;
+    params.sats_per_plane = 12;
+    params.phasing_f = 1;
+    const auto topo = build_walker_grid_topology(params);
+    const snapshot_builder builder(topo, default_ground_stations(),
+                                   astro::instant::j2000(), deg2rad(25.0));
+    std::vector<double> offsets;
+    for (int trial = 0; trial < 16; ++trial) offsets.push_back(900.0 * trial);
+    const auto positions = builder.positions_at_offsets(offsets);
+    constexpr double inf = std::numeric_limits<double>::infinity();
+
+    rng draws(77);
+    int dropped = 0;
+    for (int trial = 0; trial < 16; ++trial) {
+        std::vector<std::uint8_t> mask(static_cast<std::size_t>(builder.n_satellites()), 0);
+        const double loss = draws.uniform(0.0, 0.3);
+        for (auto& failed : mask) failed = draws.bernoulli(loss) ? 1 : 0;
+        const auto snap = builder.snapshot_from_positions(
+            positions[static_cast<std::size_t>(trial)], mask);
+
+        std::vector<double> cost(snap.links.size());
+        std::vector<network_snapshot::link> finite;
+        for (std::size_t id = 0; id < cost.size(); ++id) {
+            cost[id] = draws.bernoulli(0.1) ? inf : draws.uniform(1.0e-4, 1.0e-2);
+            if (cost[id] == inf)
+                ++dropped;
+            else
+                finite.push_back({snap.links[id].a, snap.links[id].b, cost[id]});
+        }
+        const auto rebuilt =
+            make_network_snapshot(snap.n_satellites, snap.n_ground, finite);
+
+        for (int query = 0; query < 4; ++query) {
+            const int src = static_cast<int>(draws.uniform_int(0, snap.n_nodes() - 1));
+            std::vector<int> targets;
+            for (int g = 0; g < snap.n_ground; ++g) targets.push_back(snap.ground_node(g));
+            targets.push_back(static_cast<int>(draws.uniform_int(0, snap.n_nodes() - 1)));
+            const auto with_costs = single_source_routes(snap, src, targets, cost);
+            const auto plain = single_source_routes(rebuilt, src, targets);
+            EXPECT_EQ(with_costs.latency_s, plain.latency_s)
+                << "trial " << trial << " source " << src;
+            EXPECT_EQ(with_costs.prev, plain.prev) << "trial " << trial << " source " << src;
+        }
+    }
+    EXPECT_GT(dropped, 0);
+
+    const auto line = line_graph();
+    const std::vector<int> target{3};
+    const std::vector<double> short_costs{0.001, 0.002};
+    EXPECT_THROW(single_source_routes(line, 0, target, short_costs), contract_violation);
+}
+
 TEST(Routing, TargetBoundedTreeEdgeCases)
 {
     const auto snap = line_graph();
@@ -318,20 +341,13 @@ TEST(Routing, TargetBoundedTreeEdgeCases)
     // Target 1 is first queued at 5 ms, then settles at 2 ms via node 2;
     // its stale 5 ms entry pops before target 4 (first queued at 20 ms)
     // settles at 7 ms via node 3, and must not count as a settled target.
-    network_snapshot stale;
-    stale.n_satellites = 5;
-    stale.positions_ecef_m.resize(5);
-    stale.adjacency.resize(5);
-    const auto add = [&](int a, int b, double ms) {
-        stale.adjacency[static_cast<std::size_t>(a)].push_back({b, ms / 1000.0});
-        stale.adjacency[static_cast<std::size_t>(b)].push_back({a, ms / 1000.0});
-    };
-    add(0, 1, 5.0);
-    add(0, 2, 1.0);
-    add(2, 1, 1.0);
-    add(0, 3, 6.0);
-    add(3, 4, 1.0);
-    add(0, 4, 20.0);
+    const auto stale = make_network_snapshot(5, 0,
+                                             {{0, 1, 0.005},
+                                              {0, 2, 0.001},
+                                              {2, 1, 0.001},
+                                              {0, 3, 0.006},
+                                              {3, 4, 0.001},
+                                              {0, 4, 0.020}});
     const std::vector<int> near_and_far{1, 4};
     const auto tree = single_source_routes(stale, 0, near_and_far);
     EXPECT_EQ(tree.path_to(1), (std::vector<int>{0, 2, 1}));

@@ -54,6 +54,9 @@ network_snapshot snapshot_at_offset(const snapshot_builder& builder, double offs
 
 TEST(Scenario, BatchedPositionsMatchPerStepSnapshots)
 {
+    // One batched propagation pass gives each step exactly the geometry a
+    // one-offset pass gives: the same positions, so the same links with the
+    // same latencies, bit for bit.
     const auto topo = build_walker_grid_topology(small_grid(3, 5));
     const auto epoch = astro::instant::j2000();
     const snapshot_builder builder(topo, {}, epoch, deg2rad(30.0));
@@ -62,13 +65,22 @@ TEST(Scenario, BatchedPositionsMatchPerStepSnapshots)
     const auto batched = builder.positions_at_offsets(offsets);
     ASSERT_EQ(batched.size(), offsets.size());
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const auto snap = snapshot_at_offset(builder, offsets[i]);
-        ASSERT_EQ(batched[i].size(), static_cast<std::size_t>(snap.n_satellites));
-        for (std::size_t s = 0; s < batched[i].size(); ++s) {
-            EXPECT_EQ(batched[i][s].x, snap.positions_ecef_m[s].x);
-            EXPECT_EQ(batched[i][s].y, snap.positions_ecef_m[s].y);
-            EXPECT_EQ(batched[i][s].z, snap.positions_ecef_m[s].z);
+        const std::vector<double> one_offset{offsets[i]};
+        const auto single = builder.positions_at_offsets(one_offset)[0];
+        ASSERT_EQ(batched[i].size(), single.size());
+        for (std::size_t s = 0; s < single.size(); ++s) {
+            EXPECT_EQ(batched[i][s].x, single[s].x);
+            EXPECT_EQ(batched[i][s].y, single[s].y);
+            EXPECT_EQ(batched[i][s].z, single[s].z);
         }
+        const auto snap = snapshot_at_offset(builder, offsets[i]);
+        ASSERT_EQ(snap.n_satellites, static_cast<int>(batched[i].size()));
+        ASSERT_FALSE(snap.links.empty());
+        for (const auto& link : snap.links)
+            EXPECT_EQ(link.latency_s,
+                      (batched[i][static_cast<std::size_t>(link.a)] -
+                       batched[i][static_cast<std::size_t>(link.b)]).norm() /
+                          astro::speed_of_light_m_s);
     }
 }
 
@@ -83,21 +95,50 @@ TEST(Scenario, FailedSatellitesGetNoEdges)
     failed[5] = 1;
 
     const auto snap = snapshot_at_offset(builder, 0.0, failed);
-    EXPECT_TRUE(snap.adjacency[0].empty());
-    EXPECT_TRUE(snap.adjacency[5].empty());
-    for (std::size_t u = 0; u < snap.adjacency.size(); ++u)
-        for (const auto& e : snap.adjacency[u])
-            EXPECT_TRUE(e.to != 0 && e.to != 5);
+    EXPECT_TRUE(snap.arcs_of(0).empty());
+    EXPECT_TRUE(snap.arcs_of(5).empty());
+    for (const auto& link : snap.links)
+        EXPECT_TRUE(link.a != 0 && link.a != 5 && link.b != 0 && link.b != 5);
 
     // The unfailed part of the graph is untouched.
     const auto full = snapshot_at_offset(builder, 0.0);
-    for (std::size_t u = 0; u < snap.adjacency.size(); ++u) {
+    for (int u = 0; u < snap.n_nodes(); ++u) {
         if (u == 0 || u == 5) continue;
         std::size_t kept = 0;
-        for (const auto& e : full.adjacency[u])
-            if (e.to != 0 && e.to != 5) ++kept;
-        EXPECT_EQ(snap.adjacency[u].size(), kept);
+        for (const auto& arc : full.arcs_of(u))
+            if (arc.to != 0 && arc.to != 5) ++kept;
+        EXPECT_EQ(snap.arcs_of(u).size(), kept);
     }
+}
+
+TEST(Scenario, BuilderRejectsDegenerateGeometryThresholds)
+{
+    // Elevation is in radians: 30.0, degrees by mistake, would silently
+    // gate every ground link shut. The ISL range must be positive.
+    const auto topo = build_walker_grid_topology(small_grid(6, 6));
+    const auto stations = default_ground_stations();
+    const auto build = [&](double min_elevation_rad, double max_isl_range_m) {
+        return snapshot_builder(topo, stations, astro::instant::j2000(),
+                                min_elevation_rad, max_isl_range_m);
+    };
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(build(30.0, 6.0e6), contract_violation);
+    EXPECT_THROW(build(-2.0, 6.0e6), contract_violation);
+    EXPECT_THROW(build(nan, 6.0e6), contract_violation);
+    EXPECT_THROW(build(inf, 6.0e6), contract_violation);
+    EXPECT_THROW(build(-inf, 6.0e6), contract_violation);
+    EXPECT_THROW(build(deg2rad(30.0), 0.0), contract_violation);
+    EXPECT_THROW(build(deg2rad(30.0), -1.0e6), contract_violation);
+    EXPECT_THROW(build(deg2rad(30.0), nan), contract_violation);
+    EXPECT_NO_THROW(build(pi / 2.0, 6.0e6));
+    EXPECT_NO_THROW(build(-pi / 2.0, 6.0e6));
+
+    // The same 10° in radians links ground stations at J2000.
+    const auto snap = snapshot_at_offset(build(deg2rad(10.0), 6.0e6), 0.0);
+    int ground_links = 0;
+    for (const auto& link : snap.links) ground_links += link.b >= snap.n_satellites;
+    EXPECT_GT(ground_links, 0);
 }
 
 TEST(Scenario, SampleFailuresCountsPerMode)
@@ -322,6 +363,54 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
     }
 }
 
+TEST(Scenario, CascadeOnStaticWiringNeverGrowsTheGiantComponent)
+{
+    // With a range that keeps every static link live at every step, a
+    // Kessler cascade only removes satellites, and removing vertices can
+    // never grow the largest component: each timeline row only gains
+    // failures and the per-step giant fraction never rises.
+    const std::vector<lsn_topology> topologies{
+        build_walker_grid_topology(small_grid(10, 10)),
+        build_walker_capped_topology(small_grid(10, 10), 3)};
+    const auto epoch = astro::instant::j2000();
+    const auto offsets = sweep_offsets(6.0 * 3600.0, 600.0);
+    bool any_growth = false;
+    bool any_fall = false;
+    for (const auto& topo : topologies) {
+        const snapshot_builder builder(topo, {}, epoch, deg2rad(30.0), 5.0e7);
+        const auto positions = builder.positions_at_offsets(offsets);
+        for (const auto& step_positions : positions)
+            ASSERT_EQ(builder.snapshot_from_positions(step_positions).links.size(),
+                      topo.links.size());
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            failure_scenario cascade;
+            cascade.mode = failure_mode::kessler_cascade;
+            cascade.cascade_initial_hits = 3;
+            cascade.cascade_base_daily_hazard = 0.2;
+            cascade.cascade_escalation = 2.0;
+            cascade.seed = seed;
+            const auto timeline = sample_failure_timeline(topo, cascade, offsets, epoch);
+            for (int i = 1; i < timeline.n_steps; ++i) {
+                const auto before = timeline.step(i - 1);
+                const auto after = timeline.step(i);
+                for (std::size_t s = 0; s < before.size(); ++s)
+                    EXPECT_LE(before[s], after[s]) << "seed " << seed << " step " << i;
+            }
+            any_growth |= timeline.final_n_failed() > timeline.n_failed_at(0);
+
+            const auto sweep =
+                run_scenario_sweep_timeline(builder, offsets, positions, timeline);
+            ASSERT_EQ(sweep.step_giant_fraction.size(), offsets.size());
+            for (std::size_t i = 1; i < sweep.step_giant_fraction.size(); ++i)
+                EXPECT_LE(sweep.step_giant_fraction[i], sweep.step_giant_fraction[i - 1])
+                    << "seed " << seed << " step " << i;
+            any_fall |= sweep.step_giant_fraction.back() < sweep.step_giant_fraction.front();
+        }
+    }
+    EXPECT_TRUE(any_growth);
+    EXPECT_TRUE(any_fall);
+}
+
 TEST(Scenario, SweepOffsetsAreExactMultiplesOfTheStep)
 {
     // A running sum would drift: 0.1 added ten times stops just below 1.0
@@ -347,6 +436,13 @@ TEST(Scenario, DegenerateTimeGrids)
     EXPECT_TRUE(sweep_offsets(0.0, 300.0).empty());
     EXPECT_TRUE(sweep_offsets(-5.0, 300.0).empty());
     EXPECT_THROW(sweep_offsets(100.0, 0.0), contract_violation);
+    // A non-finite duration is rejected: +inf would append forever, and
+    // NaN would sweep an empty grid into zeroed metrics.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sweep_offsets(inf, 300.0), contract_violation);
+    EXPECT_THROW(sweep_offsets(-inf, 300.0), contract_violation);
+    EXPECT_THROW(sweep_offsets(std::numeric_limits<double>::quiet_NaN(), 300.0),
+                 contract_violation);
     EXPECT_EQ(sweep_offsets(900.0, 300.0).size(), 3u);
 
     // An empty grid sweeps to zeroed metrics instead of throwing.
@@ -473,7 +569,7 @@ double coverage_over_grid(const lsn_topology& topo, const ground_station& statio
     int covered = 0;
     for (const auto& positions : builder.positions_at_offsets(offsets)) {
         const auto snap = builder.snapshot_from_positions(positions);
-        covered += !snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].empty();
+        covered += !snap.arcs_of(snap.ground_node(0)).empty();
     }
     return static_cast<double>(covered) / static_cast<double>(offsets.size());
 }

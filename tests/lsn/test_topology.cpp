@@ -11,6 +11,7 @@
 #include "astro/constants.h"
 #include "lsn/scenario.h"
 #include "util/angles.h"
+#include "util/expects.h"
 
 namespace ssplane::lsn {
 namespace {
@@ -162,8 +163,9 @@ TEST(Topology, SnapshotStructure)
 
     EXPECT_EQ(snap.n_satellites, 16);
     EXPECT_EQ(snap.n_ground, static_cast<int>(stations.size()));
-    EXPECT_EQ(snap.positions_ecef_m.size(), 16u + stations.size());
-    EXPECT_EQ(snap.adjacency.size(), snap.positions_ecef_m.size());
+    EXPECT_EQ(snap.n_nodes(), 16 + static_cast<int>(stations.size()));
+    EXPECT_EQ(snap.arc_begin.size(), static_cast<std::size_t>(snap.n_nodes()) + 1);
+    EXPECT_EQ(snap.arcs.size(), 2 * snap.links.size());
     EXPECT_EQ(snap.ground_node(0), 16);
 }
 
@@ -188,12 +190,15 @@ TEST(Topology, GroundLinkAppearsWhenSatelliteOverhead)
     stations.push_back({"antipode", -sub.latitude_deg,
                         wrap_deg_180(sub.longitude_deg + 180.0)});
     const auto snap = snapshot_at_epoch(topo, stations, deg2rad(30.0));
-    EXPECT_EQ(snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))].size(), 1u);
-    EXPECT_TRUE(snap.adjacency[static_cast<std::size_t>(snap.ground_node(1))].empty());
+    ASSERT_EQ(snap.arcs_of(snap.ground_node(0)).size(), 1u);
+    EXPECT_TRUE(snap.arcs_of(snap.ground_node(1)).empty());
 
     // Latency of the overhead link is roughly altitude / c.
-    const auto& edge = snap.adjacency[static_cast<std::size_t>(snap.ground_node(0))][0];
-    EXPECT_NEAR(edge.latency_s, 560.0e3 / astro::speed_of_light_m_s, 2e-4);
+    const auto& link =
+        snap.links[static_cast<std::size_t>(snap.arcs_of(snap.ground_node(0))[0].link)];
+    EXPECT_EQ(link.a, 0);
+    EXPECT_EQ(link.b, snap.ground_node(0));
+    EXPECT_NEAR(link.latency_s, 560.0e3 / astro::speed_of_light_m_s, 2e-4);
 }
 
 TEST(Topology, IslRangeLimitDropsLongLinks)
@@ -206,11 +211,7 @@ TEST(Topology, IslRangeLimitDropsLongLinks)
     const auto topo = build_walker_grid_topology(p);
     const auto snap_all = snapshot_at_epoch(topo, {}, deg2rad(30.0), 5.0e7);
     const auto snap_short = snapshot_at_epoch(topo, {}, deg2rad(30.0), 1.0e6);
-    std::size_t edges_all = 0;
-    std::size_t edges_short = 0;
-    for (const auto& adj : snap_all.adjacency) edges_all += adj.size();
-    for (const auto& adj : snap_short.adjacency) edges_short += adj.size();
-    EXPECT_GT(edges_all, edges_short);
+    EXPECT_GT(snap_all.links.size(), snap_short.links.size());
 }
 
 /// Connected components of the static ISL wiring by BFS (test-local; the
@@ -321,6 +322,99 @@ TEST(Topology, LinkDegreeHelpers)
     bad.satellites.resize(2);
     bad.links = {{0, 5}};
     EXPECT_THROW(link_degrees(bad), contract_violation);
+}
+
+/// The link-table invariants: every link has a < b and appears exactly
+/// once in each endpoint's CSR row, and each row lists ids in increasing
+/// order.
+void expect_link_table(const network_snapshot& snap)
+{
+    ASSERT_EQ(snap.arc_begin.size(), static_cast<std::size_t>(snap.n_nodes()) + 1);
+    EXPECT_EQ(snap.arc_begin.front(), 0);
+    EXPECT_EQ(snap.arc_begin.back(), static_cast<int>(snap.arcs.size()));
+    std::vector<int> seen_at_a(snap.links.size(), 0);
+    std::vector<int> seen_at_b(snap.links.size(), 0);
+    for (int u = 0; u < snap.n_nodes(); ++u) {
+        int previous = -1;
+        for (const auto& arc : snap.arcs_of(u)) {
+            ASSERT_GE(arc.link, 0);
+            ASSERT_LT(arc.link, static_cast<int>(snap.links.size()));
+            EXPECT_GT(arc.link, previous) << "row " << u;
+            previous = arc.link;
+            const auto& link = snap.links[static_cast<std::size_t>(arc.link)];
+            const auto id = static_cast<std::size_t>(arc.link);
+            if (u == link.a && arc.to == link.b)
+                ++seen_at_a[id];
+            else if (u == link.b && arc.to == link.a)
+                ++seen_at_b[id];
+            else
+                ADD_FAILURE() << "arc " << u << "->" << arc.to << " is not link " << id;
+        }
+    }
+    for (std::size_t id = 0; id < snap.links.size(); ++id) {
+        EXPECT_LT(snap.links[id].a, snap.links[id].b) << "link " << id;
+        EXPECT_EQ(seen_at_a[id], 1) << "link " << id;
+        EXPECT_EQ(seen_at_b[id], 1) << "link " << id;
+    }
+}
+
+TEST(Topology, SnapshotLinkTableOnUnmaskedAndMaskedWalker)
+{
+    constellation::walker_parameters p;
+    p.altitude_m = 550.0e3;
+    p.inclination_rad = deg2rad(53.0);
+    p.n_planes = 8;
+    p.sats_per_plane = 8;
+    p.phasing_f = 1;
+    const auto topo = build_walker_grid_topology(p);
+    const snapshot_builder builder(topo, default_ground_stations(),
+                                   astro::instant::j2000(), deg2rad(25.0));
+    const std::vector<double> epoch_only{0.0};
+    const auto positions = builder.positions_at_offsets(epoch_only)[0];
+
+    const auto full = builder.snapshot_from_positions(positions);
+    expect_link_table(full);
+    EXPECT_GT(full.links.size(), topo.links.size()); // ground links too
+
+    std::vector<std::uint8_t> failed(topo.satellites.size(), 0);
+    for (std::size_t s = 0; s < failed.size(); s += 5) failed[s] = 1;
+    const auto masked = builder.snapshot_from_positions(positions, failed);
+    expect_link_table(masked);
+    for (std::size_t s = 0; s < failed.size(); s += 5)
+        EXPECT_TRUE(masked.arcs_of(static_cast<int>(s)).empty()) << "satellite " << s;
+
+    // The mask only deletes links: the masked table is the unmasked one
+    // minus the failed satellites' links, in the same order.
+    std::vector<network_snapshot::link> survivors;
+    for (const auto& link : full.links)
+        if (failed[static_cast<std::size_t>(link.a)] == 0 &&
+            (link.b >= full.n_satellites || failed[static_cast<std::size_t>(link.b)] == 0))
+            survivors.push_back(link);
+    ASSERT_EQ(masked.links.size(), survivors.size());
+    for (std::size_t id = 0; id < survivors.size(); ++id) {
+        EXPECT_EQ(masked.links[id].a, survivors[id].a);
+        EXPECT_EQ(masked.links[id].b, survivors[id].b);
+        EXPECT_EQ(masked.links[id].latency_s, survivors[id].latency_s);
+    }
+}
+
+TEST(Topology, SnapshotFactoryOrientsLinksAndRejectsBadOnes)
+{
+    // Links may come in either orientation; ids follow input order.
+    const auto snap = make_network_snapshot(2, 1, {{2, 0, 0.003}, {0, 1, 0.005}});
+    expect_link_table(snap);
+    ASSERT_EQ(snap.links.size(), 2u);
+    EXPECT_EQ(snap.links[0].a, 0);
+    EXPECT_EQ(snap.links[0].b, 2);
+    EXPECT_EQ(snap.link_between(2, 0), 0);
+    EXPECT_EQ(snap.link_between(1, 0), 1);
+    EXPECT_EQ(snap.link_between(1, 2), -1);
+    EXPECT_THROW(snap.arcs_of(3), contract_violation);
+
+    EXPECT_THROW(make_network_snapshot(2, 0, {{0, 2, 0.001}}), contract_violation);
+    EXPECT_THROW(make_network_snapshot(2, 0, {{-1, 1, 0.001}}), contract_violation);
+    EXPECT_THROW(make_network_snapshot(2, 0, {{1, 1, 0.001}}), contract_violation);
+    EXPECT_THROW(make_network_snapshot(-1, 0, {}), contract_violation);
 }
 
 } // namespace

@@ -7,30 +7,24 @@
 namespace ssplane::tempo {
 namespace {
 
-void add_edge(lsn::network_snapshot& snap, int a, int b, double latency_ms)
+/// Link (a, b) with its latency in milliseconds.
+lsn::network_snapshot::link ms_link(int a, int b, double latency_ms)
 {
-    snap.adjacency[static_cast<std::size_t>(a)].push_back({b, latency_ms / 1000.0});
-    snap.adjacency[static_cast<std::size_t>(b)].push_back({a, latency_ms / 1000.0});
+    return {a, b, latency_ms / 1000.0};
 }
 
-lsn::network_snapshot blank_snapshot()
+/// 2-satellite / 2-ground snapshot over `links`; tests wire links per step.
+lsn::network_snapshot two_by_two(std::vector<lsn::network_snapshot::link> links)
 {
-    lsn::network_snapshot snap;
-    snap.n_satellites = 2;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    return snap;
+    return lsn::make_network_snapshot(2, 2, std::move(links));
 }
 
 /// g0 -- s0 -- s1 -- g1 chain.
 lsn::network_snapshot chain_snapshot()
 {
-    auto snap = blank_snapshot();
-    add_edge(snap, 2, 0, 3.0);
-    add_edge(snap, 0, 1, 5.0);
-    add_edge(snap, 1, 3, 3.0);
-    return snap;
+    return two_by_two({ms_link(2, 0, 3.0),   // g0 - s0 uplink
+                       ms_link(0, 1, 5.0),   // s0 - s1 ISL
+                       ms_link(1, 3, 3.0)}); // s1 - g1 uplink
 }
 
 constexpr double step_s = 600.0;
@@ -104,11 +98,7 @@ TEST(BulkRouter, VolumePulseSpillsToLaterSteps)
 /// is possible *only* by buffering on s0 across the step boundary.
 std::vector<lsn::network_snapshot> disconnected_relay_snapshots()
 {
-    auto up = blank_snapshot();
-    add_edge(up, 2, 0, 3.0);
-    auto down = blank_snapshot();
-    add_edge(down, 0, 3, 3.0);
-    return {up, down};
+    return {two_by_two({ms_link(2, 0, 3.0)}), two_by_two({ms_link(0, 3, 3.0)})};
 }
 
 TEST(BulkRouter, StoreAndForwardCrossesSnapshotsNoSingleStepPathExists)

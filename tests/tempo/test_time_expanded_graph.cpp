@@ -7,31 +7,24 @@
 namespace ssplane::tempo {
 namespace {
 
-void add_edge(lsn::network_snapshot& snap, int a, int b, double latency_ms)
+/// Link (a, b) with its latency in milliseconds.
+lsn::network_snapshot::link ms_link(int a, int b, double latency_ms)
 {
-    snap.adjacency[static_cast<std::size_t>(a)].push_back({b, latency_ms / 1000.0});
-    snap.adjacency[static_cast<std::size_t>(b)].push_back({a, latency_ms / 1000.0});
+    return {a, b, latency_ms / 1000.0};
 }
 
-/// Empty 2-satellite / 2-ground snapshot; tests wire links per step.
-lsn::network_snapshot blank_snapshot()
+/// 2-satellite / 2-ground snapshot over `links`; tests wire links per step.
+lsn::network_snapshot two_by_two(std::vector<lsn::network_snapshot::link> links)
 {
-    lsn::network_snapshot snap;
-    snap.n_satellites = 2;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    return snap;
+    return lsn::make_network_snapshot(2, 2, std::move(links));
 }
 
 /// g0 -- s0 -- s1 -- g1 chain.
 lsn::network_snapshot chain_snapshot()
 {
-    auto snap = blank_snapshot();
-    add_edge(snap, 2, 0, 3.0); // g0 - s0 uplink
-    add_edge(snap, 0, 1, 5.0); // s0 - s1 ISL
-    add_edge(snap, 1, 3, 3.0); // s1 - g1 uplink
-    return snap;
+    return two_by_two({ms_link(2, 0, 3.0),   // g0 - s0 uplink
+                       ms_link(0, 1, 5.0),   // s0 - s1 ISL
+                       ms_link(1, 3, 3.0)}); // s1 - g1 uplink
 }
 
 TEST(TimeExpandedGraph, BuildsSlotsAndArcsFromSnapshots)
@@ -80,6 +73,47 @@ TEST(TimeExpandedGraph, BuildsSlotsAndArcsFromSnapshots)
     EXPECT_EQ(graph.arc_begin.back(), static_cast<std::int64_t>(graph.arcs.size()));
 }
 
+TEST(TimeExpandedGraph, TransmissionSlotsFollowSnapshotLinkIds)
+{
+    // Step i's slot for link id is step i's first slot plus id; each row
+    // lists the snapshot row's arcs in order, both directions of a link
+    // sharing its slot, then the row's storage arc.
+    const std::vector<lsn::network_snapshot> snaps{
+        chain_snapshot(), two_by_two({ms_link(1, 3, 3.0), ms_link(2, 0, 4.0)})};
+    const std::vector<double> offsets{0.0, 600.0};
+    const auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, {});
+
+    // Step 0: 3 link slots, then 2 satellite storage slots; step 1: 2 links.
+    const std::vector<int> first_slot{0, 5};
+    ASSERT_EQ(graph.slots.size(), 7u);
+    for (int i = 0; i < 2; ++i) {
+        const auto& snap = snaps[static_cast<std::size_t>(i)];
+        for (std::size_t id = 0; id < snap.links.size(); ++id) {
+            const auto& slot = graph.slots[static_cast<std::size_t>(
+                first_slot[static_cast<std::size_t>(i)] + static_cast<int>(id))];
+            EXPECT_FALSE(slot.storage);
+            EXPECT_EQ(slot.step, i);
+            EXPECT_EQ(slot.a, snap.links[id].a);
+            EXPECT_EQ(slot.b, snap.links[id].b);
+        }
+        for (int u = 0; u < snap.n_nodes(); ++u) {
+            const auto row = static_cast<std::size_t>(graph.time_node(u, i));
+            const auto first = static_cast<std::size_t>(graph.arc_begin[row]);
+            const auto snap_row = snap.arcs_of(u);
+            for (std::size_t k = 0; k < snap_row.size(); ++k) {
+                const auto& arc = graph.arcs[first + k];
+                EXPECT_EQ(arc.to, graph.time_node(snap_row[k].to, i));
+                EXPECT_EQ(arc.slot, first_slot[static_cast<std::size_t>(i)] + snap_row[k].link);
+                EXPECT_EQ(arc.traverse_s,
+                          snap.links[static_cast<std::size_t>(snap_row[k].link)].latency_s);
+            }
+            // One storage arc closes every step-0 row; step 1 is the last.
+            EXPECT_EQ(static_cast<std::size_t>(graph.arc_begin[row + 1]) - first,
+                      snap_row.size() + (i == 0 ? 1u : 0u));
+        }
+    }
+}
+
 TEST(TimeExpandedGraph, ZeroBufferDropsSatelliteStorageArcs)
 {
     const std::vector<lsn::network_snapshot> snaps{chain_snapshot(),
@@ -97,8 +131,7 @@ TEST(TimeExpandedGraph, ZeroBufferDropsSatelliteStorageArcs)
 TEST(TimeExpandedGraph, FailedSatellitesLoseStorage)
 {
     // The snapshots a failure-aware builder would hand us: s0 dead.
-    auto dead_s0 = blank_snapshot();
-    add_edge(dead_s0, 1, 3, 3.0);
+    const auto dead_s0 = two_by_two({ms_link(1, 3, 3.0)});
     const std::vector<lsn::network_snapshot> snaps{dead_s0, dead_s0};
     const std::vector<double> offsets{0.0, 600.0};
     const auto graph = build_time_expanded_graph_timeline(

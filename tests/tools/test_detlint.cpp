@@ -164,15 +164,20 @@ TEST(DetlintTree, SrcSuppressionsAreFewAndIntentional)
 {
     // Suppressions are part of the contract surface: a jump in their count
     // means ALLOW is becoming a reflex instead of a proof. Raise the bound
-    // consciously when adding one. Current ledger: per-struct RNG seeds
-    // (every 64-bit value valid — scenario, lanczos, masking-threshold and
-    // serving options) plus the spectral analyzer's boolean compute toggles
-    // (both values valid).
+    // consciously when adding one. Current ledger of nine:
+    //   * four per-struct RNG seeds, every 64-bit value valid: the failure
+    //     scenario, Lanczos, masking-threshold and serving session options;
+    //   * three boolean toggles, both values valid: the percolation
+    //     analyzer's compute_lambda2 and compute_clustering, and the masking
+    //     threshold's stop_at_collapse;
+    //   * the obs clock, the one place that reads wall time;
+    //   * the thread pool's by-reference capture of the loop body, which
+    //     outlives every chunk task.
     const auto findings = lint(SSPLANE_SRC_DIR);
     const auto suppressed = static_cast<int>(
         std::count_if(findings.begin(), findings.end(),
                       [](const finding& f) { return f.suppressed; }));
-    EXPECT_LE(suppressed, 11);
+    EXPECT_LE(suppressed, 9);
 }
 
 TEST(DetlintTree, RngSplitPurposeStreamsAreUniqueTreeWide)

@@ -1,6 +1,7 @@
 #include "traffic/flow_assignment.h"
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,24 +14,19 @@
 namespace ssplane::traffic {
 namespace {
 
-void add_edge(lsn::network_snapshot& snap, int a, int b, double latency_ms)
+/// Link (a, b) with its latency in milliseconds.
+lsn::network_snapshot::link ms_link(int a, int b, double latency_ms)
 {
-    snap.adjacency[static_cast<std::size_t>(a)].push_back({b, latency_ms / 1000.0});
-    snap.adjacency[static_cast<std::size_t>(b)].push_back({a, latency_ms / 1000.0});
+    return {a, b, latency_ms / 1000.0};
 }
 
 /// ground0 -- sat0 -- sat1 -- ground1 chain (one path, one ISL).
 lsn::network_snapshot chain_snapshot()
 {
-    lsn::network_snapshot snap;
-    snap.n_satellites = 2;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    add_edge(snap, 2, 0, 3.0); // g0 - s0 uplink
-    add_edge(snap, 0, 1, 5.0); // s0 - s1 ISL
-    add_edge(snap, 1, 3, 3.0); // s1 - g1 uplink
-    return snap;
+    return lsn::make_network_snapshot(2, 2,
+                                      {ms_link(2, 0, 3.0),   // g0 - s0 uplink
+                                       ms_link(0, 1, 5.0),   // s0 - s1 ISL
+                                       ms_link(1, 3, 3.0)}); // s1 - g1 uplink
 }
 
 traffic_matrix single_pair_matrix(double demand_gbps)
@@ -81,16 +77,11 @@ TEST(FlowAssignment, CapacityBoundsDeliveredThroughput)
 /// Two disjoint ground-to-ground paths: via sat0 (shorter) or sat1.
 lsn::network_snapshot diamond_snapshot()
 {
-    lsn::network_snapshot snap;
-    snap.n_satellites = 2;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(4);
-    snap.adjacency.resize(4);
-    add_edge(snap, 2, 0, 3.0); // g0 - s0
-    add_edge(snap, 0, 3, 3.0); // s0 - g1  (total 6 ms)
-    add_edge(snap, 2, 1, 4.0); // g0 - s1
-    add_edge(snap, 1, 3, 4.0); // s1 - g1  (total 8 ms)
-    return snap;
+    return lsn::make_network_snapshot(2, 2,
+                                      {ms_link(2, 0, 3.0),   // g0 - s0
+                                       ms_link(0, 3, 3.0),   // s0 - g1  (total 6 ms)
+                                       ms_link(2, 1, 4.0),   // g0 - s1
+                                       ms_link(1, 3, 4.0)}); // s1 - g1  (total 8 ms)
 }
 
 TEST(FlowAssignment, SpillsToAlternatePathsAcrossRounds)
@@ -115,12 +106,8 @@ TEST(FlowAssignment, SpillsToAlternatePathsAcrossRounds)
 
 TEST(FlowAssignment, UnreachablePairsDeliverNothing)
 {
-    lsn::network_snapshot snap;
-    snap.n_satellites = 1;
-    snap.n_ground = 2;
-    snap.positions_ecef_m.resize(3);
-    snap.adjacency.resize(3);
-    add_edge(snap, 1, 0, 3.0); // only g0 sees the satellite
+    // Only g0 sees the satellite.
+    const auto snap = lsn::make_network_snapshot(1, 2, {ms_link(1, 0, 3.0)});
 
     const auto result = assign_flows(snap, single_pair_matrix(10.0));
     EXPECT_DOUBLE_EQ(result.delivered_gbps, 0.0);
@@ -135,23 +122,16 @@ TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
     // fills g0-s0-s1-g1, so (0,2)'s tree path g0-s0-s1-s2-g2 carries
     // nothing, then (1,2) fills g1-s4-g2. Round two finds no path left.
     const auto build = [](bool with_s2) {
-        lsn::network_snapshot snap;
-        snap.n_satellites = 5;
-        snap.n_ground = 3;
-        snap.positions_ecef_m.resize(8);
-        snap.adjacency.resize(8);
-        add_edge(snap, 5, 0, 1.0);
-        add_edge(snap, 0, 1, 1.0);
-        add_edge(snap, 1, 6, 1.0);
+        std::vector<lsn::network_snapshot::link> links{
+            ms_link(5, 0, 1.0), ms_link(0, 1, 1.0), ms_link(1, 6, 1.0)};
         if (with_s2) {
-            add_edge(snap, 1, 2, 1.0);
-            add_edge(snap, 2, 7, 1.5);
+            links.push_back(ms_link(1, 2, 1.0));
+            links.push_back(ms_link(2, 7, 1.5));
         }
-        add_edge(snap, 5, 3, 2.0);
-        add_edge(snap, 3, 4, 2.0);
-        add_edge(snap, 4, 7, 2.0);
-        add_edge(snap, 6, 4, 1.0);
-        return snap;
+        for (const auto& link : {ms_link(5, 3, 2.0), ms_link(3, 4, 2.0),
+                                 ms_link(4, 7, 2.0), ms_link(6, 4, 1.0)})
+            links.push_back(link);
+        return lsn::make_network_snapshot(5, 3, std::move(links));
     };
     traffic_matrix matrix;
     matrix.n_stations = 3;
@@ -261,6 +241,41 @@ TEST(FlowAssignment, RejectsMismatchedMatrix)
     opts.k_rounds = 0;
     EXPECT_THROW(assign_flows(chain_snapshot(), single_pair_matrix(1.0), opts),
                  contract_violation);
+}
+
+TEST(FlowAssignment, RejectsMalformedDemand)
+{
+    // Three gateways around one satellite. Unchecked, a -5 Gbps entry read
+    // as 5 Gbps offered, 10 delivered and a delivered fraction of 2, and a
+    // NaN entry as NaN offered, nothing delivered and a fraction of 1.
+    const auto star = lsn::make_network_snapshot(
+        1, 3, {ms_link(1, 0, 3.0), ms_link(2, 0, 3.0), ms_link(3, 0, 3.0)});
+    traffic_matrix matrix;
+    matrix.n_stations = 3;
+    matrix.demand_gbps = {0.0, 5.0, 10.0, 5.0, 0.0, 0.0, 10.0, 0.0, 0.0};
+    matrix.total_gbps = 15.0;
+    const auto fine = assign_flows(star, matrix);
+    EXPECT_DOUBLE_EQ(fine.offered_gbps, 15.0);
+    EXPECT_DOUBLE_EQ(fine.delivered_gbps, 15.0);
+
+    const auto with_entry = [&](double demand) {
+        traffic_matrix bad = matrix;
+        bad.demand_gbps[1] = demand;
+        bad.demand_gbps[3] = demand;
+        return bad;
+    };
+    EXPECT_THROW(assign_flows(star, with_entry(-5.0)), contract_violation);
+    EXPECT_THROW(assign_flows(star, with_entry(std::numeric_limits<double>::quiet_NaN())),
+                 contract_violation);
+    EXPECT_THROW(assign_flows(star, with_entry(std::numeric_limits<double>::infinity())),
+                 contract_violation);
+
+    traffic_matrix short_rows = matrix;
+    short_rows.demand_gbps.pop_back();
+    EXPECT_THROW(assign_flows(star, short_rows), contract_violation);
+    traffic_matrix long_rows = matrix;
+    long_rows.demand_gbps.push_back(0.0);
+    EXPECT_THROW(assign_flows(star, long_rows), contract_violation);
 }
 
 TEST(FlowAssignment, ValidateRejectsDegenerateCapacityOptions)
