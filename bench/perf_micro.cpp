@@ -498,23 +498,61 @@ void bm_percolation(benchmark::State& state)
 }
 BENCHMARK(bm_percolation)->Unit(benchmark::kMicrosecond);
 
+/// network_day's serving knobs and its 1M-session grid, sampled once (the
+/// per-campaign cost, outside every timed loop).
+const serve::serving_options& network_day_serving()
+{
+    static const serve::serving_options opts = [] {
+        serve::serving_options o;
+        o.n_sessions = 1000000;
+        o.seed = 1;
+        return o;
+    }();
+    return opts;
+}
+
+const serve::session_grid& network_day_sessions()
+{
+    static const serve::session_grid grid =
+        serve::sample_session_grid(bench_population(), network_day_serving());
+    return grid;
+}
+
+void bm_serve_discover(benchmark::State& state)
+{
+    // The mask-independent half of a serving step: the activity and
+    // windowed visibility pass over network_day's 1M-session grid on the
+    // SS design at the epoch. A campaign runs it once per step for every
+    // scenario row.
+    const auto& context = network_day_context();
+    const auto& grid = network_day_sessions();
+    std::size_t candidates = 0;
+    for (auto _ : state) {
+        const auto table = serve::discover_visibility(grid, context.positions()[0],
+                                                      context.epoch(), network_day_serving());
+        candidates = table.entries.size();
+        benchmark::DoNotOptimize(candidates);
+    }
+    state.counters["cells"] = benchmark::Counter(static_cast<double>(grid.cells.size()));
+    state.counters["candidates"] = benchmark::Counter(static_cast<double>(candidates));
+}
+BENCHMARK(bm_serve_discover)->Unit(benchmark::kMillisecond);
+
 void bm_session_assign(benchmark::State& state)
 {
     // One serving step at production session scale: network_day's
-    // 1M-session grid (sampled once, outside the loop — the per-sweep cost)
-    // packed onto the SS design's beams at the epoch. The gate the serving
-    // engine lives under: one step's assignment must sustain >= 1M sessions
-    // with memory O(populated cells), so the measured quantity is ns per
-    // (session x step).
+    // 1M-session grid packed onto the SS design's beams at the epoch,
+    // discovery included (the positions-taking `assign_beams`). The gate
+    // the serving engine lives under: one step's assignment must sustain
+    // >= 1M sessions with memory O(populated cells), so the measured
+    // quantity is ns per (session x step).
     const auto& context = network_day_context();
-    serve::serving_options opts;
-    opts.n_sessions = 1000000;
-    opts.seed = 1;
-    const auto grid = serve::sample_session_grid(bench_population(), opts);
+    const auto& grid = network_day_sessions();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            serve::assign_beams(grid, context.positions()[0], {}, context.epoch(), opts)
-                .delivered_gbps);
+        benchmark::DoNotOptimize(serve::assign_beams(grid, context.positions()[0], {},
+                                                     context.epoch(),
+                                                     network_day_serving())
+                                     .delivered_gbps);
     }
     state.counters["sessions"] =
         benchmark::Counter(static_cast<double>(grid.total_sessions));

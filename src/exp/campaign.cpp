@@ -248,19 +248,51 @@ campaign_result run_campaign(const experiment_plan& plan,
         if (inserted) unique_cells.push_back(i);
     }
 
-    // Per-cell result slots, one chunk per cell: every worker writes only
-    // its own slots, so any SSPLANE_THREADS value reproduces the campaign
-    // bit-for-bit (engines nested inside a worker degrade to their serial
-    // path, which is bit-identical by each engine's own contract).
     result.cells.resize(n_cells);
     OBS_COUNT_N("exp.campaign.cells", n_cells);
     OBS_COUNT_N("exp.campaign.cells_unique", unique_cells.size());
     OBS_COUNT_N("exp.campaign.cells_deduped", n_cells - unique_cells.size());
+
+    // Row batches, at top level so a batch's own parallel passes get the
+    // whole pool: each engine is offered its distinct timelines at once,
+    // and the cells of an engine that declines are left for the fan-out.
+    std::vector<std::size_t> fanned_cells;
+    for (std::size_t e = 0; e < plan.engines.size(); ++e) {
+        std::vector<std::size_t> engine_cells;
+        std::vector<const lsn::failure_timeline*> rows;
+        for (const std::size_t i : unique_cells)
+            if (i % plan.engines.size() == e) {
+                engine_cells.push_back(i);
+                rows.push_back(timelines[i / plan.engines.size()]);
+            }
+#ifndef SSPLANE_OBS_DISABLED
+        obs::span batch_span("campaign.batch." + result.engine_names[e]);
+#endif
+        auto batch = plan.engines[e]->evaluate_rows(context, rows);
+        if (batch.empty()) {
+#ifndef SSPLANE_OBS_DISABLED
+            batch_span.cancel();
+#endif
+            fanned_cells.insert(fanned_cells.end(), engine_cells.begin(),
+                                engine_cells.end());
+            continue;
+        }
+        ensures(batch.size() == rows.size(),
+                "engine returned a different number of row-batch outputs than rows");
+        for (std::size_t k = 0; k < batch.size(); ++k)
+            result.cells[engine_cells[k]] = std::move(batch[k]);
+    }
+    std::sort(fanned_cells.begin(), fanned_cells.end());
+
+    // Per-cell result slots, one chunk per cell: every worker writes only
+    // its own slots, so any SSPLANE_THREADS value reproduces the campaign
+    // bit-for-bit (engines nested inside a worker degrade to their serial
+    // path, which is bit-identical by each engine's own contract).
     parallel_for(
-        unique_cells.size(),
+        fanned_cells.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t u = begin; u < end; ++u) {
-                const std::size_t i = unique_cells[u];
+                const std::size_t i = fanned_cells[u];
                 const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
                 const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
 #ifndef SSPLANE_OBS_DISABLED

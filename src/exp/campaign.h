@@ -9,9 +9,11 @@
 // to judge every scenario with. `run_campaign` evaluates the full
 // (scenario, engine) grid against one shared `evaluation_context` — one
 // propagation pass, one failure timeline per distinct (mode, knobs, seed) —
-// fanning cells over the process thread pool with per-cell result slots, so
-// the result is bit-identical for any `SSPLANE_THREADS` value and identical
-// to calling each engine's sweep entry point scenario by scenario.
+// first offering each engine all its distinct timelines as one row batch
+// (`metric_engine::evaluate_rows`), then fanning the cells of engines that
+// decline over the process thread pool with per-cell result slots, so the
+// result is bit-identical for any `SSPLANE_THREADS` value and identical to
+// calling each engine's sweep entry point scenario by scenario.
 #ifndef SSPLANE_EXP_CAMPAIGN_H
 #define SSPLANE_EXP_CAMPAIGN_H
 

@@ -350,19 +350,31 @@ const serve::session_grid& serving_engine::grid() const
 engine_output serving_engine::evaluate(const evaluation_context& context,
                                        const lsn::failure_timeline& timeline) const
 {
-    auto result = serve::run_serving_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(), timeline,
+    return std::move(evaluate_rows(context, {&timeline}).front());
+}
+
+std::vector<engine_output> serving_engine::evaluate_rows(
+    const evaluation_context& context,
+    const std::vector<const lsn::failure_timeline*>& timelines) const
+{
+    auto results = serve::run_serving_sweep_timeline(
+        context.builder(), context.offsets(), context.positions(), timelines,
         grid(), options_);
-    const auto& m = result.metrics;
-    return make_output(
-        {static_cast<double>(m.sessions_homed), m.sessions_active_mean,
-         m.offered_gbps_mean, m.delivered_gbps_mean, m.delivered_fraction,
-         m.served_fraction_mean, m.min_step_served_fraction,
-         m.p50_session_rate_mbps, m.p99_session_rate_mbps,
-         static_cast<double>(m.sessions_dropped_max),
-         static_cast<double>(m.sessions_degraded_max), m.time_to_restore_s,
-         m.recovery_headroom},
-        std::move(result));
+    std::vector<engine_output> outputs;
+    outputs.reserve(results.size());
+    for (auto& result : results) {
+        const auto& m = result.metrics;
+        outputs.push_back(make_output(
+            {static_cast<double>(m.sessions_homed), m.sessions_active_mean,
+             m.offered_gbps_mean, m.delivered_gbps_mean, m.delivered_fraction,
+             m.served_fraction_mean, m.min_step_served_fraction,
+             m.p50_session_rate_mbps, m.p99_session_rate_mbps,
+             static_cast<double>(m.sessions_dropped_max),
+             static_cast<double>(m.sessions_degraded_max), m.time_to_restore_s,
+             m.recovery_headroom},
+            std::move(result)));
+    }
+    return outputs;
 }
 
 const std::vector<std::string>& serving_engine::step_columns() const noexcept

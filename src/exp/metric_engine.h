@@ -10,6 +10,14 @@
 // (`tempo::run_bulk_sweep_timeline`), percolation and serving — onto this
 // interface, feeding it the context's cached timeline, so a campaign cell
 // is bit-identical to calling that entry point directly.
+//
+// An engine whose rows share per-step work can also take all of a
+// campaign's rows at once through `evaluate_rows`: `run_campaign` offers
+// every engine its distinct timelines in one call at top level, between
+// the timeline prefetch and the per-cell fan-out, so the batch's own
+// parallel passes get the whole pool. The serving engine does this (one
+// visibility pass per step for every row); the default declines, and
+// that engine's cells fan out one `evaluate` per cell.
 #ifndef SSPLANE_EXP_METRIC_ENGINE_H
 #define SSPLANE_EXP_METRIC_ENGINE_H
 
@@ -65,6 +73,17 @@ public:
     /// Must be bit-identical for any `SSPLANE_THREADS` value.
     virtual engine_output evaluate(const evaluation_context& context,
                                    const lsn::failure_timeline& timeline) const = 0;
+
+    /// Row-batch hook: judge every timeline of `timelines` in one pass and
+    /// return one output per timeline, in order, each bit-identical to
+    /// `evaluate` on that timeline alone. The default returns no outputs,
+    /// which tells the campaign to call `evaluate` once per cell instead.
+    virtual std::vector<engine_output> evaluate_rows(
+        const evaluation_context& /*context*/,
+        const std::vector<const lsn::failure_timeline*>& /*timelines*/) const
+    {
+        return {};
+    }
 
     /// Names of the per-step degradation traces this engine can extract
     /// from a cell, in order — empty (the default) when the engine has no
@@ -214,10 +233,12 @@ private:
 
 /// Session-level serving: user SLOs (delivered-rate percentiles, dropped/
 /// degraded session counts, time-to-restore) of the sampled session
-/// population (adapts `serve::run_serving_sweep_timeline`). The session
-/// grid is a deterministic function of (population, options) and is
-/// sampled lazily on first use — after `validate_options` has run — then
-/// shared by every cell. The population model must outlive the engine.
+/// population (adapts `serve::run_serving_sweep_timeline`). Rows are
+/// served as one batch — a visibility pass per step shared by every row —
+/// and `evaluate` is the one-row batch. The session grid is a
+/// deterministic function of (population, options) and is sampled lazily
+/// on first use — after `validate_options` has run — then shared by every
+/// cell. The population model must outlive the engine.
 class serving_engine final : public metric_engine {
 public:
     explicit serving_engine(const demand::population_model& population,
@@ -228,6 +249,9 @@ public:
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
+    std::vector<engine_output> evaluate_rows(
+        const evaluation_context& context,
+        const std::vector<const lsn::failure_timeline*>& timelines) const override;
     const std::vector<std::string>& step_columns() const noexcept override;
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override;

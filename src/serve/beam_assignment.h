@@ -8,12 +8,26 @@
 // whose capacity share falls below the degraded-rate threshold leave their
 // users degraded.
 //
-// Determinism contract: candidate visibility is computed in parallel into
-// per-cell slots (pure geometry, chunk-independent); the greedy packing
-// itself is one serial walk over cells in grid order with exact
-// lexicographic tie-breaking (most residual satellite capacity, then
-// higher elevation, then lower satellite index), so the result is
-// bit-identical for any SSPLANE_THREADS value and any chunk size.
+// A step splits in two:
+//   * `discover_visibility` — which satellites see which cell, and how
+//     many sessions each cell has awake. It ignores the failure mask, so
+//     every failure scenario serving the same grid at the same instant
+//     shares one table. Each 6° latitude band of sub-satellite points is
+//     sorted by longitude, and a cell scans only the wrapped longitude
+//     window its footprint reach allows, in the bands that reach touches;
+//     the exact elevation test decides membership.
+//   * `pack_beams` — the greedy packing walk over one failure mask; failed
+//     satellites are skipped.
+// `assign_beams` is the two back to back.
+//
+// Determinism contract: discovery runs in parallel over cells into
+// per-chunk buffers joined in cell order (pure functions of the step,
+// chunk-independent); the greedy packing
+// itself is one serial walk over cells in grid order that picks by a
+// strict total order (most residual satellite capacity, then higher
+// elevation, then lower satellite index), so neither the order of a
+// cell's candidates nor the thread count nor the chunk size can reach the
+// result.
 #ifndef SSPLANE_SERVE_BEAM_ASSIGNMENT_H
 #define SSPLANE_SERVE_BEAM_ASSIGNMENT_H
 
@@ -57,10 +71,55 @@ struct beam_assignment {
     }
 };
 
-/// Assign one step. `sat_positions_ecef` holds every satellite's ECEF
-/// position; `failed` (empty = none, else one flag per satellite) removes
-/// satellites from service entirely. `t` is the absolute time of the step
-/// (drives the diurnal activity gating per cell).
+/// A satellite that sees a cell at or above the elevation mask.
+struct visible_satellite {
+    int satellite = 0;
+    double elevation_rad = 0.0;
+};
+
+/// The mask-independent half of one serving step: every cell's active
+/// sessions and its visible satellites, failed ones included. Cell i's
+/// satellites are `entries[cell_begin[i], cell_begin[i + 1])`, in no
+/// particular order.
+struct visibility_table {
+    int n_satellites = 0;
+    std::vector<std::int64_t> active;    ///< `active_sessions` per grid cell.
+    std::vector<std::size_t> cell_begin; ///< One per grid cell, plus one.
+    std::vector<visible_satellite> entries;
+
+    std::span<const visible_satellite> of(std::size_t cell) const noexcept
+    {
+        return {entries.data() + cell_begin[cell],
+                cell_begin[cell + 1] - cell_begin[cell]};
+    }
+};
+
+/// The step of `grid` at absolute time `t` (which drives the diurnal
+/// activity gating per cell), given every satellite's ECEF position then.
+/// A cell sees exactly the satellites whose elevation from its site is at
+/// least `options.min_elevation_rad`. Bit-identical for any
+/// SSPLANE_THREADS value and any `chunk_cells`.
+visibility_table discover_visibility(const session_grid& grid,
+                                     const std::vector<vec3>& sat_positions_ecef,
+                                     const astro::instant& t,
+                                     const serving_options& options);
+
+/// Pack one step's active sessions onto the beams of the visible
+/// satellites, walking the cells of `visibility` (a `discover_visibility`
+/// result) in grid order; `failed` (empty = none, else one flag per
+/// satellite) removes satellites from service entirely.
+///
+/// Each dropped session is counted once under the first reason that holds
+/// for its cell: `serve.drop.no_visible` (no alive satellite sees it),
+/// `serve.drop.no_beam` (every alive one has used all its beams),
+/// `serve.drop.no_capacity` (some alive one has a beam but no capacity).
+beam_assignment pack_beams(const visibility_table& visibility,
+                           std::span<const std::uint8_t> failed,
+                           const serving_options& options);
+
+/// Assign one step at absolute time `t`: `discover_visibility` then
+/// `pack_beams`. `sat_positions_ecef` holds every satellite's ECEF
+/// position.
 beam_assignment assign_beams(const session_grid& grid,
                              const std::vector<vec3>& sat_positions_ecef,
                              std::span<const std::uint8_t> failed,

@@ -10,59 +10,50 @@
 
 namespace ssplane::serve {
 
-serving_sweep_result run_serving_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline, const session_grid& grid,
-    const serving_options& options)
+namespace {
+
+/// `groups` sorted by rate with equal rates merged into one entry.
+std::vector<session_rate_group> merge_rates(std::vector<session_rate_group> groups)
 {
-    OBS_SPAN("serve.sweep");
-    OBS_COUNT("serve.sweep.runs");
-    OBS_COUNT_N("serve.sweep.steps", offsets_s.size());
-    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
-    // Fail on degenerate knobs before the parallel fan-out so the error is
-    // a clear contract_violation, not one racing out of a worker.
-    validate(options);
-    const int n_steps = static_cast<int>(offsets_s.size());
+    std::sort(groups.begin(), groups.end(),
+              [](const session_rate_group& a, const session_rate_group& b) {
+                  return a.rate_mbps < b.rate_mbps;
+              });
+    std::vector<session_rate_group> merged;
+    for (const session_rate_group& g : groups) {
+        if (!merged.empty() && merged.back().rate_mbps == g.rate_mbps)
+            merged.back().sessions += g.sessions;
+        else
+            merged.push_back(g);
+    }
+    return merged;
+}
 
-    // Per-step result slots: each step writes only its own entry, so the
-    // parallel chunking never affects the serial reduction below.
-    const auto per_step = parallel_map<beam_assignment>(
-        static_cast<std::size_t>(n_steps), [&](std::size_t i) {
-            return assign_beams(grid, positions[i], timeline.step(static_cast<int>(i)),
-                                builder.epoch().plus_seconds(offsets_s[i]), options);
-        });
-
+/// One row's running reduction over the steps served so far.
+struct row_reduction {
     serving_sweep_result result;
-    result.n_steps = n_steps;
-    result.step_served_fraction.reserve(per_step.size());
-    result.step_sessions_active.reserve(per_step.size());
-    result.step_sessions_dropped.reserve(per_step.size());
-    result.step_sessions_degraded.reserve(per_step.size());
-    result.step_p99_session_rate_mbps.reserve(per_step.size());
-    result.step_delivered_gbps.reserve(per_step.size());
-
     double active_sum = 0.0;
     double offered_sum = 0.0;
     double delivered_sum = 0.0;
     double served_fraction_sum = 0.0;
-    std::vector<session_rate_group> pooled; // (step, beam) order — deterministic
-    auto& m = result.metrics;
-    m.sessions_homed = grid.total_sessions;
-    m.min_step_served_fraction = n_steps > 0 ? 1.0 : 0.0;
-    for (const beam_assignment& step : per_step) {
+    /// Every (session, step) rate so far, one entry per distinct rate.
+    std::vector<session_rate_group> rates;
+
+    /// Fold the next step's assignment in; steps must arrive in order.
+    void add(const beam_assignment& step)
+    {
         active_sum += static_cast<double>(step.sessions_active);
         offered_sum += step.offered_gbps;
         delivered_sum += step.delivered_gbps;
         const double served = step.served_fraction();
         served_fraction_sum += served;
+        auto& m = result.metrics;
         m.min_step_served_fraction = std::min(m.min_step_served_fraction, served);
         m.sessions_dropped_max =
             std::max(m.sessions_dropped_max, step.sessions_dropped);
         m.sessions_degraded_max =
             std::max(m.sessions_degraded_max, step.sessions_degraded);
-        pooled.insert(pooled.end(), step.rate_groups.begin(),
-                      step.rate_groups.end());
+        const auto step_rates = merge_rates(step.rate_groups);
         result.step_served_fraction.push_back(served);
         result.step_sessions_active.push_back(
             static_cast<double>(step.sessions_active));
@@ -71,26 +62,83 @@ serving_sweep_result run_serving_sweep_timeline(
         result.step_sessions_degraded.push_back(
             static_cast<double>(step.sessions_degraded));
         result.step_p99_session_rate_mbps.push_back(
-            session_rate_percentile(step.rate_groups, 1.0));
+            session_rate_percentile(step_rates, 1.0));
         result.step_delivered_gbps.push_back(step.delivered_gbps);
+        rates.insert(rates.end(), step_rates.begin(), step_rates.end());
+        rates = merge_rates(std::move(rates));
     }
 
-    if (n_steps > 0) {
-        m.sessions_active_mean = active_sum / n_steps;
-        m.offered_gbps_mean = offered_sum / n_steps;
-        m.delivered_gbps_mean = delivered_sum / n_steps;
-        m.served_fraction_mean = served_fraction_sum / n_steps;
+    /// The SLO scalars of the finished trace.
+    serving_sweep_result finish(std::span<const double> offsets_s,
+                                const serving_options& options) &&
+    {
+        const int n_steps = result.n_steps;
+        auto& m = result.metrics;
+        if (n_steps > 0) {
+            m.sessions_active_mean = active_sum / n_steps;
+            m.offered_gbps_mean = offered_sum / n_steps;
+            m.delivered_gbps_mean = delivered_sum / n_steps;
+            m.served_fraction_mean = served_fraction_sum / n_steps;
+        }
+        // No offered load = vacuously delivered, matching the traffic
+        // sweep's convention (an empty sweep stays 0, like every other
+        // metric).
+        m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum
+                                                 : (n_steps > 0 ? 1.0 : 0.0);
+        m.p50_session_rate_mbps = session_rate_percentile(rates, 50.0);
+        m.p99_session_rate_mbps = session_rate_percentile(rates, 1.0);
+        m.time_to_restore_s = time_to_restore(result.step_served_fraction, offsets_s,
+                                              options.restore_served_fraction);
+        m.recovery_headroom = lsn::recovery_headroom(result.step_served_fraction);
+        return std::move(result);
     }
-    // No offered load = vacuously delivered, matching the traffic sweep's
-    // convention (an empty sweep stays 0, like every other metric).
-    m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum
-                                             : (n_steps > 0 ? 1.0 : 0.0);
-    m.p50_session_rate_mbps = session_rate_percentile(pooled, 50.0);
-    m.p99_session_rate_mbps = session_rate_percentile(pooled, 1.0);
-    m.time_to_restore_s = time_to_restore(result.step_served_fraction, offsets_s,
-                                          options.restore_served_fraction);
-    m.recovery_headroom = lsn::recovery_headroom(result.step_served_fraction);
-    return result;
+};
+
+} // namespace
+
+std::vector<serving_sweep_result> run_serving_sweep_timeline(
+    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
+    const std::vector<std::vector<vec3>>& positions,
+    const std::vector<const lsn::failure_timeline*>& timelines,
+    const session_grid& grid, const serving_options& options)
+{
+    OBS_SPAN("serve.sweep");
+    for (const lsn::failure_timeline* timeline : timelines) {
+        expects(timeline != nullptr, "serving sweep timeline must not be null");
+        lsn::validate_sweep_inputs(builder, offsets_s, positions, *timeline);
+    }
+    // Fail on degenerate knobs before the parallel fan-out so the error is
+    // a clear contract_violation, not one racing out of a worker.
+    validate(options);
+    const std::size_t n_rows = timelines.size();
+    const std::size_t n_steps = offsets_s.size();
+    OBS_COUNT_N("serve.sweep.runs", n_rows);
+    OBS_COUNT_N("serve.sweep.steps", n_rows * n_steps);
+
+    std::vector<row_reduction> rows(n_rows);
+    for (row_reduction& row : rows) {
+        row.result.n_steps = static_cast<int>(n_steps);
+        row.result.metrics.sessions_homed = grid.total_sessions;
+        row.result.metrics.min_step_served_fraction = n_steps > 0 ? 1.0 : 0.0;
+    }
+    // Step-major: one visibility table (and one activity pass) per step,
+    // packed by every row. Each row's reduction is touched only by its own
+    // task, in step order.
+    for (std::size_t i = 0; i < n_steps && n_rows > 0; ++i) {
+        const visibility_table visibility = discover_visibility(
+            grid, positions[i], builder.epoch().plus_seconds(offsets_s[i]), options);
+        parallel_for(n_rows, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t r = begin; r < end; ++r)
+                rows[r].add(pack_beams(visibility,
+                                       timelines[r]->step(static_cast<int>(i)), options));
+        });
+    }
+
+    std::vector<serving_sweep_result> results;
+    results.reserve(n_rows);
+    for (row_reduction& row : rows)
+        results.push_back(std::move(row).finish(offsets_s, options));
+    return results;
 }
 
 double time_to_restore(std::span<const double> step_served_fraction,

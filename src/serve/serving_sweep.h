@@ -1,15 +1,22 @@
 // Session-level serving evaluation along failure timelines.
 //
-// Runs the beam-assignment pass at every step of the sweep grid under the
-// timeline's per-step failure mask and reduces to user-level SLOs: the
-// delivered-rate percentiles every session experiences (p50, and the p99
-// floor — the rate 99% of session-steps meet or exceed), the worst-step
-// dropped/degraded session counts, and the time-to-restore after a strike
-// (first time the full-SLO served fraction dips below the restore
-// threshold until it first recovers).
+// Runs the beam-assignment pass at every step of the sweep grid under
+// each timeline's per-step failure mask and reduces to user-level SLOs:
+// the delivered-rate percentiles every session experiences (p50, and the
+// p99 floor — the rate 99% of session-steps meet or exceed), the
+// worst-step dropped/degraded session counts, and the time-to-restore
+// after a strike (first time the full-SLO served fraction dips below the
+// restore threshold until it first recovers).
 //
-// Mirrors `traffic::run_traffic_sweep_timeline`: per-step result slots
-// filled by `parallel_map`, then one serial reduction in step order — any
+// One call serves a whole batch of timelines ("rows") step-major: each
+// step's visibility and activity are discovered once on the whole thread
+// pool (`discover_visibility` ignores the mask), then every row packs against
+// that one table in a parallel pass over rows. Each (row, step) result
+// folds straight into its row's running reduction — in step order, so a
+// row of a batch is bit-identical to the same row run alone — and the
+// pooled rate distribution keeps one histogram entry per distinct rate
+// (percentiles walk the sorted rates, so merging equal rates cannot move
+// them). Only one step's visibility table is alive at a time. Any
 // SSPLANE_THREADS value is bit-identical.
 #ifndef SSPLANE_SERVE_SERVING_SWEEP_H
 #define SSPLANE_SERVE_SERVING_SWEEP_H
@@ -59,14 +66,16 @@ struct serving_sweep_result {
     std::vector<double> step_delivered_gbps;
 };
 
-/// Serve `grid` at every sweep step under the timeline's per-step mask.
-/// `positions` is `snapshot_builder::positions_at_offsets` output for the
-/// same offsets. Bit-identical for any SSPLANE_THREADS value.
-serving_sweep_result run_serving_sweep_timeline(
+/// Serve `grid` at every sweep step under each timeline's per-step mask;
+/// one result per timeline, in order. `positions` is
+/// `snapshot_builder::positions_at_offsets` output for the same offsets.
+/// Bit-identical for any SSPLANE_THREADS value, and each result equals
+/// the one the timeline gets when it is served alone.
+std::vector<serving_sweep_result> run_serving_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline, const session_grid& grid,
-    const serving_options& options);
+    const std::vector<const lsn::failure_timeline*>& timelines,
+    const session_grid& grid, const serving_options& options);
 
 /// Restore time of a served-fraction trace: seconds from the first step
 /// strictly below `threshold` to the first later step at or above it.

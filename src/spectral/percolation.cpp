@@ -39,6 +39,52 @@ double global_clustering(const std::vector<std::vector<int>>& adjacency)
     return triplets == 0 ? 0.0 : static_cast<double>(closed) / static_cast<double>(triplets);
 }
 
+/// What `analyze_adjacency` reads of one step, flattened: per satellite,
+/// -1 when failed, else its degree followed by its sorted neighbours. Two
+/// steps with equal keys get bit-identical metrics.
+std::vector<int> graph_key(const std::vector<std::vector<int>>& adjacency,
+                           std::span<const std::uint8_t> failed)
+{
+    std::vector<int> key;
+    for (std::size_t s = 0; s < adjacency.size(); ++s) {
+        if (!failed.empty() && failed[s] != 0) {
+            key.push_back(-1);
+            continue;
+        }
+        key.push_back(static_cast<int>(adjacency[s].size()));
+        key.insert(key.end(), adjacency[s].begin(), adjacency[s].end());
+    }
+    return key;
+}
+
+/// The adjacency lists a `graph_key` was built from.
+std::vector<std::vector<int>> adjacency_of(const std::vector<int>& key,
+                                           std::size_t n_satellites)
+{
+    std::vector<std::vector<int>> adjacency(n_satellites);
+    std::size_t at = 0;
+    for (auto& row : adjacency) {
+        const int degree = key[at++];
+        if (degree < 0) continue;
+        row.assign(key.begin() + static_cast<std::ptrdiff_t>(at),
+                   key.begin() + static_cast<std::ptrdiff_t>(at) + degree);
+        at += static_cast<std::size_t>(degree);
+    }
+    return adjacency;
+}
+
+/// FNV-1a over the key's values: a cheap first test before the full
+/// compare.
+std::uint64_t key_hash(const std::vector<int>& key)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const int v : key) {
+        h ^= static_cast<std::uint32_t>(v);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
 } // namespace
 
 void validate(const percolation_options& options) { validate(options.lanczos); }
@@ -268,16 +314,45 @@ percolation_sweep_result run_percolation_sweep_timeline(
     validate(options);
     lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
 
-    // Per-step result slots: any SSPLANE_THREADS value writes the same
-    // slot values, so the serial reduction below is bit-identical.
+    // Key every step on what the analysis reads (mask, alive adjacency),
+    // then analyze each distinct key once: a repeated graph copies its
+    // first step's metrics, which are bit-identical because the Lanczos
+    // start vector depends on `options.lanczos.seed` alone. Per-step and
+    // per-key result slots plus a serial dedup in step order keep any
+    // SSPLANE_THREADS value bit-identical.
     const std::size_t n_steps = offsets_s.size();
-    const auto per_step =
-        parallel_map<percolation_metrics>(n_steps, [&](std::size_t i) {
-            const std::span<const std::uint8_t> mask =
-                timeline.step(static_cast<int>(i));
-            return analyze_percolation(
-                builder.snapshot_from_positions(positions[i], mask), mask, options);
+    const auto keys = parallel_map<std::vector<int>>(n_steps, [&](std::size_t i) {
+        const std::span<const std::uint8_t> mask = timeline.step(static_cast<int>(i));
+        return graph_key(
+            alive_adjacency(builder.snapshot_from_positions(positions[i], mask), mask),
+            mask);
+    });
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::size_t> distinct; // first step of each distinct key
+    std::vector<std::size_t> slot(n_steps);
+    for (std::size_t i = 0; i < n_steps; ++i) {
+        const std::uint64_t hash = key_hash(keys[i]);
+        std::size_t d = 0;
+        while (d < distinct.size() &&
+               !(hashes[d] == hash && keys[distinct[d]] == keys[i]))
+            ++d;
+        if (d == distinct.size()) {
+            hashes.push_back(hash);
+            distinct.push_back(i);
+        }
+        slot[i] = d;
+    }
+    OBS_COUNT_N("spectral.percolate.reused", n_steps - distinct.size());
+    const std::size_t n_satellites = static_cast<std::size_t>(builder.n_satellites());
+    const auto analyzed =
+        parallel_map<percolation_metrics>(distinct.size(), [&](std::size_t d) {
+            const std::size_t i = distinct[d];
+            return analyze_adjacency(adjacency_of(keys[i], n_satellites),
+                                     timeline.step(static_cast<int>(i)), options);
         });
+    std::vector<percolation_metrics> per_step;
+    per_step.reserve(n_steps);
+    for (const std::size_t d : slot) per_step.push_back(analyzed[d]);
 
     percolation_sweep_result result;
     if (n_steps == 0) return result;

@@ -24,7 +24,10 @@
 // Everything is deterministic: union-find and triangle counting are
 // serial walks in index order, masks come from `lsn::sample_failures` on
 // explicit seeds, and the per-step timeline sweep uses per-step result
-// slots so any SSPLANE_THREADS value is bit-identical.
+// slots so any SSPLANE_THREADS value is bit-identical. The sweep analyzes
+// each distinct (mask, alive adjacency) graph of a timeline once and
+// copies its metrics to the steps that repeat it: the Lanczos start
+// vector depends only on `lanczos.seed`, so equal graphs give equal bits.
 #ifndef SSPLANE_SPECTRAL_PERCOLATION_H
 #define SSPLANE_SPECTRAL_PERCOLATION_H
 
@@ -181,8 +184,12 @@ struct percolation_sweep_result {
 };
 
 /// Sweep the timeline over the time grid: each step analyzes the
-/// range-gated snapshot graph under `timeline.step(i)`. Bit-identical for
-/// any SSPLANE_THREADS value (per-step result slots).
+/// range-gated snapshot graph under `timeline.step(i)`. Steps are keyed on
+/// (mask, alive adjacency) by a hash plus a full compare; each distinct
+/// key is analyzed once and its metrics are copied to the repeats, each
+/// repeat counted in `spectral.percolate.reused`. Equal to per-step
+/// `analyze_percolation`, and bit-identical for any SSPLANE_THREADS value
+/// (per-step and per-key result slots).
 percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

@@ -68,7 +68,8 @@ struct sweep_fixture {
                  spectral::run_percolation_sweep_timeline(builder, offsets, p, t);
              }},
             {"serving", [this](p_t p, t_t t) {
-                 serve::run_serving_sweep_timeline(builder, offsets, p, t, grid, serving);
+                 serve::run_serving_sweep_timeline(builder, offsets, p, {&t}, grid,
+                                                   serving);
              }},
             {"materialize", [this](p_t p, t_t t) {
                  tempo::materialize_snapshots_timeline(builder, offsets, p, t);

@@ -1,6 +1,7 @@
 // Cross-layer instrumentation tests: counter determinism across thread
-// counts, subsystem span coverage, and the campaign cache-telemetry
-// summary — all on a real mixed campaign.
+// counts, subsystem span coverage (the serving batch's discovery and
+// packing phases included), and the campaign cache-telemetry summary —
+// all on a real mixed campaign.
 #include "exp/campaign.h"
 
 #include <sstream>
@@ -213,6 +214,62 @@ TEST(ObsCampaign, SpectralCountersAndSpansCoverThePercolationEngine)
     EXPECT_TRUE(has_span("campaign.cell.percolation"));
     EXPECT_TRUE(has_span("spectral.lanczos"));
     EXPECT_TRUE(has_span("spectral.percolate"));
+}
+
+TEST(ObsCampaign, ServingBatchSpansSplitDiscoveryFromPacking)
+{
+    const obs_sandbox sandbox;
+    const auto topo = small_walker();
+    const evaluation_context context(topo, {}, astro::instant::j2000(),
+                                     short_grid());
+    static const demand::population_model population;
+    serve::serving_options serving;
+    serving.n_sessions = 5000;
+    serving.seed = 3;
+
+    experiment_plan plan;
+    plan.scenarios.push_back({"baseline", {}});
+    lsn::failure_scenario loss;
+    loss.mode = lsn::failure_mode::random_loss;
+    loss.loss_fraction = 0.25;
+    loss.seed = 7;
+    plan.scenarios.push_back({"random_25", loss});
+    plan.engines = {std::make_shared<survivability_engine>(),
+                    std::make_shared<serving_engine>(population, serving)};
+
+    obs::trace_reset();
+    obs::set_tracing_enabled(true);
+    set_thread_count(2);
+    (void)run_campaign(plan, context);
+    obs::set_tracing_enabled(false);
+
+    const auto spans = obs::trace_snapshot();
+    const auto count = [&](const std::string& name) {
+        std::size_t n = 0;
+        for (const auto& s : spans) n += s.name == name ? 1 : 0;
+        return n;
+    };
+    // Serving runs as one top-level batch, not as per-cell fan-out; the
+    // batch discovers once per step and packs once per (row, step).
+    ASSERT_EQ(count("campaign.batch.serving"), 1u);
+    EXPECT_EQ(count("campaign.cell.serving"), 0u);
+    EXPECT_EQ(count("serve.sweep"), 1u);
+    EXPECT_EQ(count("serve.discover"), static_cast<std::size_t>(context.n_steps()));
+    EXPECT_EQ(count("serve.pack"), 2u * static_cast<std::size_t>(context.n_steps()));
+    EXPECT_EQ(count("serve.assign"), 0u);
+    // An engine that declines the batch hook fans out and gets no batch span.
+    EXPECT_EQ(count("campaign.batch.survivability"), 0u);
+    EXPECT_EQ(count("campaign.cell.survivability"), 2u);
+
+    // Every discovery and packing phase lies inside the batch span.
+    const obs::trace_span* batch = nullptr;
+    for (const auto& s : spans)
+        if (s.name == "campaign.batch.serving") batch = &s;
+    for (const auto& s : spans) {
+        if (s.name != "serve.discover" && s.name != "serve.pack") continue;
+        EXPECT_GE(s.begin_ns, batch->begin_ns) << s.name;
+        EXPECT_LE(s.end_ns, batch->end_ns) << s.name;
+    }
 }
 
 #endif // SSPLANE_OBS_DISABLED

@@ -1,9 +1,11 @@
 // Beam assignment under hard limits: synthetic single-cell geometries pin
-// the capacity/degradation/drop arithmetic exactly; a real Walker shell
-// cross-checks the bucketed visibility prefilter against brute force and
-// the whole pass against thread-count/chunk-size perturbations.
+// the capacity/degradation/drop arithmetic and the drop reasons exactly;
+// random shells cross-check the windowed visibility pass against brute
+// force, and a real Walker shell checks the whole pass against
+// thread-count/chunk-size perturbations.
 #include "serve/beam_assignment.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -13,9 +15,11 @@
 #include "constellation/walker.h"
 #include "lsn/scenario.h"
 #include "lsn/topology.h"
+#include "obs/metrics.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace ssplane::serve {
 namespace {
@@ -186,6 +190,59 @@ TEST(BeamAssignment, MaskSizeMismatchIsRejected)
         contract_violation);
 }
 
+TEST(BeamAssignment, DropReasonsPartitionTheDroppedSessions)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "drop counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    // Six cells 60° of longitude apart on one parallel, so no satellite
+    // sees two groups. Cell order is the packing order.
+    //   nobody:    no satellite at all          -> no_visible
+    //   dead:      only a failed one overhead   -> no_visible
+    //   first/second/third: one shared two-beam satellite; the first two
+    //              cells take its beams with capacity to spare -> no_beam
+    //   crowd:     one satellite whose first beam uses up its capacity,
+    //              leaving a beam but nothing to give -> no_capacity
+    session_grid grid;
+    grid.cells = {make_cell(10.0, -100.0, 500), make_cell(10.0, 140.0, 500),
+                  make_cell(10.0, 20.0, 10),    make_cell(10.0, 21.0, 10),
+                  make_cell(11.0, 20.0, 500),   make_cell(10.0, 80.0, 1000)};
+    for (const auto& cell : grid.cells) grid.total_sessions += cell.sessions_homed;
+    grid.n_grid_cells = grid.cells.size();
+    const std::vector<vec3> sats{overhead(grid.cells[1]), overhead(grid.cells[2]),
+                                 overhead(grid.cells[5])};
+    const std::vector<std::uint8_t> failed{1, 0, 0};
+    const auto t = astro::instant::j2000();
+    std::vector<std::int64_t> active;
+    for (const auto& cell : grid.cells) {
+        active.push_back(active_sessions(cell, t));
+        ASSERT_GT(active.back(), 0);
+    }
+
+    serving_options options = roomy_options();
+    options.beams_per_satellite = 2;
+    options.max_users_per_beam = 100;
+    options.satellite_capacity_gbps = 1.0;
+    ASSERT_LE(static_cast<double>(active[2] + active[3]) * options.session_rate_mbps,
+              1000.0 * options.satellite_capacity_gbps);
+    ASSERT_GT(active[5], options.max_users_per_beam);
+
+    obs::registry::instance().reset();
+    const auto result = assign_beams(grid, sats, failed, t, options);
+    const auto counter = [](const char* name) {
+        return static_cast<std::int64_t>(
+            obs::registry::instance().get_counter(name).value());
+    };
+    EXPECT_EQ(counter("serve.drop.no_visible"), active[0] + active[1]);
+    EXPECT_EQ(counter("serve.drop.no_beam"), active[4]);
+    EXPECT_EQ(counter("serve.drop.no_capacity"),
+              active[5] - options.max_users_per_beam);
+    EXPECT_EQ(counter("serve.drop.no_visible") + counter("serve.drop.no_beam") +
+                  counter("serve.drop.no_capacity"),
+              result.sessions_dropped);
+#endif
+}
+
 TEST(BeamAssignment, PercentileWalksTheSortedDistribution)
 {
     const std::vector<session_rate_group> groups{
@@ -252,6 +309,69 @@ TEST(BeamAssignment, BucketedPrefilterMatchesBruteForceVisibility)
     }
     EXPECT_EQ(result.sessions_active, total_active);
     EXPECT_EQ(result.sessions_dropped, invisible_active);
+}
+
+TEST(BeamAssignment, WindowedVisibilityMatchesBruteForce)
+{
+    // Random Walker shells at random times, against cells spread over the
+    // globe plus the hard places for a longitude window: cells within reach
+    // of the ±180° seam on both sides and cells above 84° latitude, where
+    // the window spans every longitude.
+    rng draw(2024);
+    for (int trial = 0; trial < 6; ++trial) {
+        constellation::walker_parameters params;
+        params.altitude_m = draw.uniform(400.0e3, 1400.0e3);
+        params.inclination_rad = deg2rad(draw.uniform(30.0, 98.0));
+        params.n_planes = static_cast<int>(draw.uniform_int(3, 12));
+        params.sats_per_plane = static_cast<int>(draw.uniform_int(4, 20));
+        params.phasing_f = static_cast<int>(draw.uniform_int(0, params.n_planes - 1));
+        params.raan0_rad = draw.uniform(0.0, 2.0 * pi);
+        const auto topo = lsn::build_walker_grid_topology(params);
+        const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
+                                            astro::instant::j2000(), deg2rad(25.0));
+        const std::vector<double> offsets{draw.uniform(0.0, 86400.0)};
+        const auto positions = builder.positions_at_offsets(offsets);
+
+        session_grid grid;
+        for (int c = 0; c < 300; ++c)
+            grid.cells.push_back(make_cell(draw.uniform(-89.9, 89.9),
+                                           draw.uniform(-180.0, 180.0), 1));
+        for (int c = 0; c < 60; ++c) {
+            const double lat = draw.uniform(-70.0, 70.0);
+            grid.cells.push_back(make_cell(lat, draw.uniform(170.0, 180.0), 1));
+            grid.cells.push_back(make_cell(lat, draw.uniform(-180.0, -170.0), 1));
+        }
+        for (int c = 0; c < 40; ++c)
+            grid.cells.push_back(make_cell((c % 2 == 0 ? 1.0 : -1.0) *
+                                               draw.uniform(84.0, 90.0),
+                                           draw.uniform(-180.0, 180.0), 1));
+        grid.total_sessions = static_cast<std::int64_t>(grid.cells.size());
+        grid.n_grid_cells = grid.cells.size();
+
+        serving_options options = roomy_options();
+        options.min_elevation_rad = deg2rad(draw.uniform(10.0, 40.0));
+        const visibility_table table =
+            discover_visibility(grid, positions[0], builder.epoch(), options);
+        ASSERT_EQ(table.n_satellites, static_cast<int>(topo.satellites.size()));
+        ASSERT_EQ(table.cell_begin.size(), grid.cells.size() + 1);
+        for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+            std::vector<std::pair<int, double>> expected;
+            for (std::size_t s = 0; s < positions[0].size(); ++s) {
+                const double elevation = astro::elevation_angle_rad(
+                    grid.cells[i].site_ecef_m, positions[0][s]);
+                if (elevation >= options.min_elevation_rad)
+                    expected.emplace_back(static_cast<int>(s), elevation);
+            }
+            std::vector<std::pair<int, double>> found;
+            for (const visible_satellite& v : table.of(i))
+                found.emplace_back(v.satellite, v.elevation_rad);
+            std::sort(found.begin(), found.end());
+            EXPECT_EQ(found, expected)
+                << "trial " << trial << ", cell " << i << " at ("
+                << grid.cells[i].latitude_deg << ", "
+                << grid.cells[i].longitude_deg << ")";
+        }
+    }
 }
 
 TEST(BeamAssignment, BitIdenticalAcrossThreadsAndChunkSizes)

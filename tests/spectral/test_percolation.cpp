@@ -1,10 +1,15 @@
 #include "spectral/percolation.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "spectral/laplacian.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -300,6 +305,77 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
     }
     EXPECT_GT(connected, 0);
     EXPECT_EQ(rough.lambda2_unconverged_steps, connected);
+}
+
+TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
+{
+    // Masks repeat in the pattern A A B A C C B A over eight half-hour
+    // steps. Under a generous ISL range every repeated mask repeats its
+    // graph; under a tight range gate the geometry can also change a graph
+    // between steps of one mask; at a 1 m range every graph is edgeless,
+    // so only the mask tells the steps apart. Each step must equal
+    // `analyze_percolation` of its own snapshot, bit for bit, and the
+    // sweep must analyze each distinct (mask, alive adjacency) once.
+    const lsn::lsn_topology topo = lsn::build_walker_grid_topology(small_walker(6, 6));
+    const int n = 36;
+    const auto epoch = astro::instant::j2000();
+    const std::vector<double> offsets = lsn::sweep_offsets(4.0 * 3600.0, 1800.0);
+    const std::vector<int> pattern{0, 0, 1, 0, 2, 2, 1, 0};
+    ASSERT_EQ(offsets.size(), pattern.size());
+    lsn::failure_timeline timeline;
+    timeline.n_satellites = n;
+    timeline.n_steps = static_cast<int>(pattern.size());
+    for (const int mask : pattern)
+        for (int sat = 0; sat < n; ++sat)
+            timeline.masks.push_back(
+                static_cast<std::uint8_t>(mask == 1 ? sat % 5 == 0
+                                                    : mask == 2 && sat < 12));
+
+    for (const double isl_range_m : {1.0e8, 5.0e6, 1.0}) {
+        const lsn::snapshot_builder builder(topo, {}, epoch, deg2rad(30.0), isl_range_m);
+        const auto positions = builder.positions_at_offsets(offsets);
+        std::vector<std::pair<std::vector<std::uint8_t>, adjacency_t>> distinct;
+        std::vector<percolation_metrics> expected;
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+            const auto mask = timeline.step(static_cast<int>(i));
+            const auto snapshot = builder.snapshot_from_positions(positions[i], mask);
+            expected.push_back(analyze_percolation(snapshot, mask));
+            std::pair<std::vector<std::uint8_t>, adjacency_t> key{
+                {mask.begin(), mask.end()}, alive_adjacency(snapshot, mask)};
+            if (std::find(distinct.begin(), distinct.end(), key) == distinct.end())
+                distinct.push_back(std::move(key));
+        }
+        // Three masks; the tight gate also changes graphs under one mask.
+        if (isl_range_m == 5.0e6)
+            ASSERT_GT(distinct.size(), 3u);
+        else
+            ASSERT_EQ(distinct.size(), 3u);
+        ASSERT_LT(distinct.size(), offsets.size());
+
+        for (const unsigned threads : {1u, 4u}) {
+            set_thread_count(threads);
+            obs::registry::instance().reset();
+            const percolation_sweep_result r =
+                run_percolation_sweep_timeline(builder, offsets, positions, timeline);
+#ifndef SSPLANE_OBS_DISABLED
+            EXPECT_EQ(obs::registry::instance()
+                          .get_counter("spectral.percolate.reused")
+                          .value(),
+                      offsets.size() - distinct.size());
+#endif
+            for (std::size_t i = 0; i < offsets.size(); ++i) {
+                SCOPED_TRACE("range " + std::to_string(isl_range_m) + ", step " +
+                             std::to_string(i));
+                EXPECT_EQ(r.step_lambda2[i], expected[i].lambda2);
+                EXPECT_EQ(r.step_giant_fraction[i], expected[i].giant_component_fraction);
+                EXPECT_EQ(r.step_susceptibility[i], expected[i].susceptibility);
+                EXPECT_EQ(r.step_clustering[i], expected[i].clustering_coefficient);
+                EXPECT_EQ(r.step_lambda2_unconverged[i] != 0,
+                          !expected[i].lambda2_converged);
+            }
+        }
+    }
+    set_thread_count(0);
 }
 
 TEST(PercolationSweep, EmptyGridReportsZeros)
