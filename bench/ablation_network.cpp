@@ -43,15 +43,16 @@ int main()
     const auto offsets = lsn::sweep_offsets(sim.duration_s, sim.step_s);
     const auto stations = lsn::default_ground_stations();
 
-    const lsn::snapshot_builder ss_builder(ss_topology, stations, epoch,
-                                           sim.min_elevation_rad, sim.max_isl_range_m);
-    const lsn::snapshot_builder wd_builder(wd_topology, stations, epoch,
-                                           sim.min_elevation_rad, sim.max_isl_range_m);
-    const auto ss_positions = ss_builder.positions_at_offsets(offsets);
-    const auto ss_sweep = lsn::run_scenario_sweep_timeline(ss_builder, offsets,
-                                                           ss_positions, {});
-    const auto wd_sweep = lsn::run_scenario_sweep_timeline(
-        wd_builder, offsets, wd_builder.positions_at_offsets(offsets), {});
+    const lsn::sweep_geometry ss_geometry(
+        lsn::snapshot_builder(ss_topology, stations, epoch, sim.min_elevation_rad,
+                              sim.max_isl_range_m),
+        offsets);
+    const lsn::sweep_geometry wd_geometry(
+        lsn::snapshot_builder(wd_topology, stations, epoch, sim.min_elevation_rad,
+                              sim.max_isl_range_m),
+        offsets);
+    const auto ss_sweep = lsn::run_scenario_sweep_timeline(ss_geometry, {});
+    const auto wd_sweep = lsn::run_scenario_sweep_timeline(wd_geometry, {});
 
     struct pair_case {
         int a;
@@ -76,8 +77,8 @@ int main()
     // coverage variation the paper's research agenda highlights): the share
     // of steps at which a station links to at least one satellite.
     std::vector<int> covered_steps(stations.size(), 0);
-    for (const auto& positions : ss_positions) {
-        const auto snap = ss_builder.snapshot_from_positions(positions);
+    for (int step = 0; step < ss_geometry.n_steps(); ++step) {
+        const auto snap = ss_geometry.snapshot(step);
         for (int g = 0; g < snap.n_ground; ++g)
             covered_steps[static_cast<std::size_t>(g)] +=
                 !snap.arcs_of(snap.ground_node(g)).empty();

@@ -178,15 +178,15 @@ const exp::evaluation_context& network_day_context()
     return context;
 }
 
-/// The day's 48 unfailed snapshots, built once.
+/// The day's 48 unfailed snapshots, taken once from the context's geometry.
 const std::vector<lsn::network_snapshot>& network_day_snapshots()
 {
     static const std::vector<lsn::network_snapshot> snapshots = [] {
-        const auto& context = network_day_context();
+        const auto& geometry = network_day_context().geometry();
         std::vector<lsn::network_snapshot> out;
-        out.reserve(context.positions().size());
-        for (const auto& positions : context.positions())
-            out.push_back(context.builder().snapshot_from_positions(positions));
+        out.reserve(static_cast<std::size_t>(geometry.n_steps()));
+        for (int step = 0; step < geometry.n_steps(); ++step)
+            out.push_back(geometry.snapshot(step));
         return out;
     }();
     return snapshots;
@@ -194,18 +194,18 @@ const std::vector<lsn::network_snapshot>& network_day_snapshots()
 
 void bm_scenario_sweep(benchmark::State& state)
 {
-    // The survivability engine's unfailed day: builder construction, the
-    // batched propagation pass, then per step one snapshot and 11 Dijkstra
-    // sources for the 12-gateway all-pairs matrix.
+    // The survivability engine's unfailed day on a cold geometry: builder
+    // construction, the batched propagation pass, then per step one link
+    // build and 11 Dijkstra sources for the 12-gateway all-pairs matrix.
     const auto& topo = network_day_topology();
     const auto stations = traffic::stations_from_cities(12);
     const auto grid = network_day_grid();
     for (auto _ : state) {
-        const lsn::snapshot_builder builder(topo, stations, network_day_epoch(),
-                                            grid.min_elevation_rad, grid.max_isl_range_m);
-        const auto offsets = lsn::sweep_offsets(grid.duration_s, grid.step_s);
-        benchmark::DoNotOptimize(lsn::run_scenario_sweep_timeline(
-            builder, offsets, builder.positions_at_offsets(offsets), {}));
+        const lsn::sweep_geometry geometry(
+            lsn::snapshot_builder(topo, stations, network_day_epoch(),
+                                  grid.min_elevation_rad, grid.max_isl_range_m),
+            lsn::sweep_offsets(grid.duration_s, grid.step_s));
+        benchmark::DoNotOptimize(lsn::run_scenario_sweep_timeline(geometry, {}));
     }
 }
 BENCHMARK(bm_scenario_sweep)->Unit(benchmark::kMillisecond);
@@ -406,8 +406,8 @@ void bm_cascade_timeline(benchmark::State& state)
     cascade.seed = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            lsn::sample_failure_timeline(context.topology(), cascade, context.offsets(),
-                                         context.epoch())
+            lsn::sample_failure_timeline(context.builder().topology(), cascade,
+                                         context.offsets(), context.epoch())
                 .final_n_failed());
     }
 }
@@ -421,6 +421,8 @@ void bm_adversary(benchmark::State& state)
     // iteration scores all 130 planes — one base assignment per planning
     // step plus every (plane, step) trial the base routing does not prune
     // — so this tracks the in-situ search the campaign prefetch waits on.
+    // The context's geometry builds the planning steps' links in the first
+    // iteration; every trial after only filters them, as in a campaign.
     const auto& context = network_day_context();
     traffic::traffic_sweep_options options;
     options.matrix.total_demand_gbps = 2000.0;
@@ -430,8 +432,7 @@ void bm_adversary(benchmark::State& state)
     adversary.adversary_eval_stride = 12;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            traffic::generate_adversary_timeline(context.builder(), context.offsets(),
-                                                 context.positions(), adversary,
+            traffic::generate_adversary_timeline(context.geometry(), adversary,
                                                  bench_demand(), options)
                 .final_n_failed());
     }
@@ -486,9 +487,8 @@ void bm_percolation(benchmark::State& state)
     attack.mode = lsn::failure_mode::plane_attack;
     attack.planes_attacked = 2;
     attack.seed = 1;
-    const auto failed = lsn::sample_failures(context.topology(), attack);
-    const auto snap =
-        context.builder().snapshot_from_positions(context.positions()[0], failed);
+    const auto failed = lsn::sample_failures(context.builder().topology(), attack);
+    const auto snap = context.geometry().snapshot(0, failed);
     spectral::percolation_options opts;
     opts.compute_lambda2 = false;
     for (auto _ : state) {

@@ -5,12 +5,13 @@
 // fluence (paper §2.1 survivability, §5 time-aware evaluation).
 //
 // The failure study runs as ONE experiment campaign (`exp::run_campaign`):
-// an `evaluation_context` pays the propagation pass and failure draws once,
-// and the survivability / delivered-traffic / bulk-delivery engines judge
-// every scenario against it. The campaign table is printed per engine and
-// emitted as a CSV block at the end. The unfailed day's pair-latency and
-// coverage tables come from the same run — the baseline survivability cell
-// and the context's propagation pass — so they follow --sweep-step.
+// an `evaluation_context` pays the propagation pass, each step's link
+// build and the failure draws once, and the survivability /
+// delivered-traffic / bulk-delivery engines judge every scenario against
+// it. The campaign table is printed per engine and emitted as a CSV block
+// at the end. The unfailed day's pair-latency and coverage tables come from
+// the same run — the baseline survivability cell and the context's step
+// geometry — so they follow --sweep-step.
 //
 // Usage: network_day [--bandwidth=10] [--sweep-step=1800] [--seed=1]
 //                    [--offered-gbps=2000] [--bulk-gb=500000]
@@ -238,8 +239,8 @@ int main(int argc, char** argv)
     table.print(std::cout);
 
     std::vector<int> covered_steps(stations.size(), 0);
-    for (const auto& positions : context.positions()) {
-        const auto snap = context.builder().snapshot_from_positions(positions);
+    for (int step = 0; step < context.n_steps(); ++step) {
+        const auto snap = context.geometry().snapshot(step);
         for (int g = 0; g < snap.n_ground; ++g)
             covered_steps[static_cast<std::size_t>(g)] +=
                 !snap.arcs_of(snap.ground_node(g)).empty();
@@ -411,7 +412,7 @@ int main(int argc, char** argv)
     const auto final_mask =
         cascade_timeline.step(cascade_timeline.n_steps - 1);
     const auto one_shot = traffic::run_traffic_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(),
+        context.geometry(),
         lsn::failure_timeline::from_static_mask({final_mask.begin(), final_mask.end()}),
         demand, traffic_opts);
     int cascade_row = 0;
@@ -474,7 +475,7 @@ int main(int argc, char** argv)
               << " hits / " << campaign.cache.timeline_misses
               << " misses (hit rate "
               << format_number(campaign.cache.timeline_hit_rate(), 4) << ")\n"
-              << "  snapshot rebuilds: " << campaign.snapshot_builds << "\n";
+              << "  snapshot rebuilds: " << campaign.cache.snapshot_builds << "\n";
 
     if (!trace_path.empty()) {
         obs::set_tracing_enabled(false);

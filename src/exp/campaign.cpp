@@ -91,7 +91,7 @@ void campaign_result::write_csv(std::ostream& out) const
         std::to_string(cache.timeline_hits),
         std::to_string(cache.timeline_misses),
         format_number(cache.timeline_hit_rate()),
-        std::to_string(snapshot_builds)};
+        std::to_string(cache.snapshot_builds)};
 
     for (std::size_t r = 0; r < rows.size(); ++r) {
         const auto& row = rows[r];
@@ -152,10 +152,6 @@ campaign_result run_campaign(const experiment_plan& plan,
     OBS_SPAN("campaign.run");
     OBS_COUNT("exp.campaign.runs");
     const cache_statistics cache_before = context.cache_stats();
-#ifndef SSPLANE_OBS_DISABLED
-    const std::uint64_t snapshot_builds_before =
-        obs::registry::instance().get_counter("lsn.snapshot.builds").value();
-#endif
     expects(!plan.scenarios.empty(), "campaign needs at least one scenario");
     expects(!plan.engines.empty(), "campaign needs at least one metric engine");
     for (const auto& engine : plan.engines) {
@@ -199,7 +195,7 @@ campaign_result run_campaign(const experiment_plan& plan,
     // before any parallel work or timeline generation.
     const auto expanded = expand_scenarios(plan);
     for (const auto& spec : expanded)
-        lsn::validate(spec.scenario, context.topology());
+        lsn::validate(spec.scenario, context.builder().topology());
 
     // Mirror the column-collision guard for rows: duplicate expanded names
     // would make CSV consumers keying on the scenario column merge or pick
@@ -309,12 +305,7 @@ campaign_result run_campaign(const experiment_plan& plan,
         if (computed_as[i] != i) result.cells[i] = result.cells[computed_as[i]];
 
     result.cache = context.cache_stats() - cache_before;
-#ifndef SSPLANE_OBS_DISABLED
-    result.snapshot_builds =
-        obs::registry::instance().get_counter("lsn.snapshot.builds").value() -
-        snapshot_builds_before;
-    OBS_COUNT_N("exp.snapshot.rebuilds", result.snapshot_builds);
-#endif
+    OBS_COUNT_N("exp.snapshot.rebuilds", result.cache.snapshot_builds);
 
     // Third-party engines must honour their own column contract — a
     // mismatched cell would silently misalign `value()` and `write_csv`.

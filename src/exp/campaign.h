@@ -76,13 +76,10 @@ struct campaign_result {
     std::vector<double> step_offsets_s;
     /// Evaluation-context cache telemetry of THIS run: the delta of the
     /// context's cumulative `cache_stats()` across `run_campaign`, so a
-    /// reused context reports only what this campaign did. Echoed into
+    /// reused context reports only what this campaign did (step builds: the
+    /// step count on a cold context, 0 on a warm one). Echoed into
     /// `write_csv` as the trailing `ctx.*` summary columns.
     cache_statistics cache;
-    /// Snapshots built while evaluating this campaign's cells (the
-    /// quantity the ROADMAP's snapshot-sharing follow-up wants to cut).
-    /// Counted via the obs registry — 0 when built with -DSSPLANE_OBS=OFF.
-    std::uint64_t snapshot_builds = 0;
 
     /// Index of the engine with this name — the robust way to address
     /// cells (engine order in the plan is not part of the API contract).

@@ -64,8 +64,7 @@ const std::vector<std::string>& survivability_engine::columns() const noexcept
 engine_output survivability_engine::evaluate(
     const evaluation_context& context, const lsn::failure_timeline& timeline) const
 {
-    auto result = lsn::run_scenario_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(), timeline);
+    auto result = lsn::run_scenario_sweep_timeline(context.geometry(), timeline);
     const auto& m = result.metrics;
     // Degradation-trajectory reductions: "partitioned" = the giant
     // component holding less than half the constellation.
@@ -134,9 +133,8 @@ void traffic_engine::validate_options() const
 engine_output traffic_engine::evaluate(const evaluation_context& context,
                                        const lsn::failure_timeline& timeline) const
 {
-    auto result = traffic::run_traffic_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(), timeline,
-        *demand_, options_);
+    auto result = traffic::run_traffic_sweep_timeline(context.geometry(), timeline,
+                                                      *demand_, options_);
     const auto& m = result.metrics;
     double min_delivered = 1.0;
     for (const double f : result.step_delivered_fraction)
@@ -194,14 +192,11 @@ void bulk_engine::validate_options() const { tempo::validate(options_); }
 engine_output bulk_engine::evaluate(const evaluation_context& context,
                                     const lsn::failure_timeline& timeline) const
 {
-    auto result =
-        per_step_baseline_
-            ? tempo::run_bulk_sweep_per_step_baseline_timeline(
-                  context.builder(), context.offsets(), context.positions(),
-                  timeline, requests_, options_)
-            : tempo::run_bulk_sweep_timeline(context.builder(), context.offsets(),
-                                             context.positions(), timeline,
-                                             requests_, options_);
+    auto result = per_step_baseline_
+                      ? tempo::run_bulk_sweep_per_step_baseline_timeline(
+                            context.geometry(), timeline, requests_, options_)
+                      : tempo::run_bulk_sweep_timeline(context.geometry(), timeline,
+                                                       requests_, options_);
     const auto& r = result.routing;
     return make_output({r.offered_gb, r.delivered_gb, r.delivered_fraction,
                         r.max_buffer_gb},
@@ -248,13 +243,12 @@ void percolation_engine::validate_options() const { validate(options_); }
 engine_output percolation_engine::evaluate(
     const evaluation_context& context, const lsn::failure_timeline& timeline) const
 {
-    auto result = spectral::run_percolation_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(), timeline,
-        options_.metrics);
+    auto result = spectral::run_percolation_sweep_timeline(context.geometry(), timeline,
+                                                           options_.metrics);
     double threshold_random = -1.0;
     double threshold_plane = -1.0;
     if (options_.compute_masking_thresholds) {
-        const auto thresholds = masking_thresholds(context.topology());
+        const auto thresholds = masking_thresholds(context.builder().topology());
         threshold_random = thresholds.first;
         threshold_plane = thresholds.second;
     }
@@ -357,9 +351,8 @@ std::vector<engine_output> serving_engine::evaluate_rows(
     const evaluation_context& context,
     const std::vector<const lsn::failure_timeline*>& timelines) const
 {
-    auto results = serve::run_serving_sweep_timeline(
-        context.builder(), context.offsets(), context.positions(), timelines,
-        grid(), options_);
+    auto results = serve::run_serving_sweep_timeline(context.geometry(), timelines,
+                                                     grid(), options_);
     std::vector<engine_output> outputs;
     outputs.reserve(results.size());
     for (auto& result : results) {

@@ -10,22 +10,23 @@ namespace ssplane::exp {
 cache_statistics operator-(const cache_statistics& a, const cache_statistics& b)
 {
     return {a.timeline_hits - b.timeline_hits,
-            a.timeline_misses - b.timeline_misses};
+            a.timeline_misses - b.timeline_misses,
+            a.snapshot_builds - b.snapshot_builds};
 }
 
 evaluation_context::evaluation_context(const lsn::lsn_topology& topology,
                                        std::vector<lsn::ground_station> stations,
                                        const astro::instant& epoch,
                                        const lsn::scenario_sweep_options& grid)
-    : builder_(topology, std::move(stations), epoch, grid.min_elevation_rad,
-               grid.max_isl_range_m)
+    : geometry_([&] {
+          OBS_SPAN("exp.context.build"); // covers the propagation pass
+          OBS_COUNT("exp.context.builds");
+          return lsn::sweep_geometry(
+              lsn::snapshot_builder(topology, std::move(stations), epoch,
+                                    grid.min_elevation_rad, grid.max_isl_range_m),
+              lsn::sweep_offsets(grid.duration_s, grid.step_s));
+      }())
 {
-    // The batched propagation pass is the expensive part of construction;
-    // run it in the body so the span covers it.
-    OBS_SPAN("exp.context.build");
-    OBS_COUNT("exp.context.builds");
-    offsets_ = lsn::sweep_offsets(grid.duration_s, grid.step_s);
-    positions_ = builder_.positions_at_offsets(offsets_);
 }
 
 evaluation_context::timeline_key evaluation_context::key_of(
@@ -101,7 +102,8 @@ const lsn::failure_timeline& evaluation_context::timeline(
 {
     // Reject invalid knobs before the cache lookup: a NaN knob would break
     // the map's ordering and could alias an existing valid entry.
-    lsn::validate(scenario, topology());
+    const auto& topology = builder().topology();
+    lsn::validate(scenario, topology);
     auto key = key_of(scenario);
     {
         const std::lock_guard lock(timeline_mutex_);
@@ -134,11 +136,10 @@ const lsn::failure_timeline& evaluation_context::timeline(
             demand = adversary_demand_;
             oracle_options = adversary_options_;
         }
-        generated = traffic::generate_adversary_timeline(
-            builder_, offsets_, positions_, scenario, *demand, oracle_options);
+        generated = traffic::generate_adversary_timeline(geometry_, scenario, *demand,
+                                                         oracle_options);
     } else {
-        generated = lsn::sample_failure_timeline(topology(), scenario, offsets_,
-                                                 epoch());
+        generated = lsn::sample_failure_timeline(topology, scenario, offsets(), epoch());
     }
     const std::lock_guard lock(timeline_mutex_);
     return timelines_.emplace(std::move(key), std::move(generated)).first->second;
@@ -153,7 +154,7 @@ std::size_t evaluation_context::timeline_cache_size() const
 cache_statistics evaluation_context::cache_stats() const noexcept
 {
     return {timeline_hits_.load(std::memory_order_relaxed),
-            timeline_misses_.load(std::memory_order_relaxed)};
+            timeline_misses_.load(std::memory_order_relaxed), geometry_.builds()};
 }
 
 } // namespace ssplane::exp

@@ -3,14 +3,12 @@
 //
 // Every sweep engine (`lsn::run_scenario_sweep_timeline`,
 // `traffic::run_traffic_sweep_timeline`, `tempo::run_bulk_sweep_timeline`,
-// ...) needs the same shared inputs: propagator construction, the batched
-// `positions_at_offsets` propagation pass and the scenario's failure
-// timeline. An `evaluation_context` is built once per (topology, stations,
-// epoch, time grid) and owns exactly that shared state:
+// ...) needs the same shared inputs: the step geometry and the scenario's
+// failure timeline. An `evaluation_context` is built once per (topology,
+// stations, epoch, time grid) and owns exactly that shared state:
 //
-//   * the `lsn::snapshot_builder` (hoisted propagators + ground geometry),
-//   * the `sweep_offsets` time grid and the one `positions_at_offsets`
-//     batched propagation pass over it,
+//   * one `lsn::sweep_geometry`: the snapshot builder, the `sweep_offsets`
+//     time grid, its one propagation pass and each step's unfailed links,
 //   * one per-scenario failure-timeline cache, keyed on the knobs that
 //     actually feed the draw — scenarios sharing (mode, knobs, seed) reuse
 //     one timeline bit-identically. `traffic::generate_adversary_timeline`
@@ -36,15 +34,16 @@
 
 namespace ssplane::exp {
 
-/// Cumulative cache telemetry of one `evaluation_context`: lookup outcomes
-/// of its failure-timeline cache. Counted with plain atomics on the context
-/// itself (available regardless of the SSPLANE_OBS build option) and
-/// mirrored into the obs metrics registry as `exp.timeline_cache.hit/miss`.
-/// Racing first lookups each count one miss — every racer pays the
-/// (deterministic) generation, the cache keeps one copy.
+/// Cumulative cache telemetry of one `evaluation_context`: its timeline
+/// lookups and its geometry's step builds, counted with plain atomics
+/// whatever the SSPLANE_OBS option (lookups are mirrored into the obs
+/// registry as `exp.timeline_cache.hit/miss`). Racing first lookups each
+/// count one miss — every racer pays the (deterministic) generation, the
+/// cache keeps one copy.
 struct cache_statistics {
     std::uint64_t timeline_hits = 0;
     std::uint64_t timeline_misses = 0;
+    std::uint64_t snapshot_builds = 0;
 
     double timeline_hit_rate() const noexcept
     {
@@ -63,25 +62,23 @@ cache_statistics operator-(const cache_statistics& a, const cache_statistics& b)
 
 class evaluation_context {
 public:
-    /// Builds the snapshot builder, the time grid and the batched
-    /// propagation pass. The topology must outlive the context (it is
-    /// referenced by the builder, not copied).
+    /// Builds the geometry's builder, time grid and propagation pass. The
+    /// topology must outlive the context (it is referenced by the builder,
+    /// not copied).
     evaluation_context(const lsn::lsn_topology& topology,
                        std::vector<lsn::ground_station> stations,
                        const astro::instant& epoch,
                        const lsn::scenario_sweep_options& grid = {});
 
-    const lsn::snapshot_builder& builder() const noexcept { return builder_; }
-    const lsn::lsn_topology& topology() const noexcept { return builder_.topology(); }
-    const astro::instant& epoch() const noexcept { return builder_.epoch(); }
-    std::span<const double> offsets() const noexcept { return offsets_; }
+    const lsn::sweep_geometry& geometry() const noexcept { return geometry_; }
+    const lsn::snapshot_builder& builder() const noexcept { return geometry_.builder(); }
+    const astro::instant& epoch() const noexcept { return builder().epoch(); }
+    std::span<const double> offsets() const noexcept { return geometry_.offsets(); }
     const std::vector<std::vector<vec3>>& positions() const noexcept
     {
-        return positions_;
+        return geometry_.positions();
     }
-    int n_steps() const noexcept { return static_cast<int>(offsets_.size()); }
-    int n_ground() const noexcept { return builder_.n_ground(); }
-    int n_satellites() const noexcept { return builder_.n_satellites(); }
+    int n_steps() const noexcept { return geometry_.n_steps(); }
 
     /// The scenario's failure timeline, generated on first use and cached.
     /// Validates the scenario against the topology before the lookup.
@@ -100,7 +97,7 @@ public:
     /// Distinct timelines generated so far (observability for dedup tests).
     std::size_t timeline_cache_size() const;
 
-    /// Cumulative hit/miss telemetry of the timeline cache since
+    /// Cumulative timeline hit/miss and step-build telemetry since
     /// construction. `run_campaign` snapshots this before and after to
     /// report the per-campaign delta in `campaign_result`.
     cache_statistics cache_stats() const noexcept;
@@ -132,9 +129,7 @@ private:
     };
     static timeline_key key_of(const lsn::failure_scenario& scenario);
 
-    lsn::snapshot_builder builder_;
-    std::vector<double> offsets_;
-    std::vector<std::vector<vec3>> positions_;
+    lsn::sweep_geometry geometry_;
     const demand::demand_model* adversary_demand_ = nullptr;
     traffic::traffic_sweep_options adversary_options_;
     mutable bool adversary_oracle_used_ = false;

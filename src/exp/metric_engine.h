@@ -8,8 +8,8 @@
 // (`lsn::run_scenario_sweep_timeline`), delivered traffic
 // (`traffic::run_traffic_sweep_timeline`), delay-tolerant bulk delivery
 // (`tempo::run_bulk_sweep_timeline`), percolation and serving — onto this
-// interface, feeding it the context's cached timeline, so a campaign cell
-// is bit-identical to calling that entry point directly.
+// interface, feeding it the context's geometry and cached timeline, so a
+// campaign cell is bit-identical to calling that entry point directly.
 //
 // An engine whose rows share per-step work can also take all of a
 // campaign's rows at once through `evaluate_rows`: `run_campaign` offers

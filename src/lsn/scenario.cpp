@@ -97,27 +97,17 @@ std::vector<std::vector<vec3>> snapshot_builder::positions_at_offsets(
     return out;
 }
 
-network_snapshot snapshot_builder::snapshot_from_positions(
-    const std::vector<vec3>& sat_positions_ecef,
-    std::span<const std::uint8_t> failed) const
+std::vector<network_snapshot::link> snapshot_builder::unfailed_links(
+    const std::vector<vec3>& sat_positions_ecef) const
 {
-    // Rebuild count + time: the figure the ROADMAP's per-mask snapshot
-    // sharing wants to cut (campaigns rebuild per (cell, step) today).
     OBS_SPAN("lsn.snapshot.build");
     OBS_COUNT("lsn.snapshot.builds");
     expects(sat_positions_ecef.size() == propagators_.size(),
             "positions/satellite count mismatch");
-    expects(failed.empty() || failed.size() == propagators_.size(),
-            "failure mask size mismatch");
-    const auto is_failed = [&](int s) {
-        return !failed.empty() && failed[static_cast<std::size_t>(s)] != 0;
-    };
-
     // Links in creation order: the topology's ISLs within range, then each
     // station's ground links in satellite order.
     std::vector<network_snapshot::link> links;
     for (const auto& link : topology_->links) {
-        if (is_failed(link.a) || is_failed(link.b)) continue;
         const double d = (sat_positions_ecef[static_cast<std::size_t>(link.a)] -
                           sat_positions_ecef[static_cast<std::size_t>(link.b)]).norm();
         if (d <= max_isl_range_m_)
@@ -126,14 +116,63 @@ network_snapshot snapshot_builder::snapshot_from_positions(
     for (int g = 0; g < n_ground(); ++g) {
         const vec3& site = ground_ecef_[static_cast<std::size_t>(g)];
         for (int s = 0; s < n_satellites(); ++s) {
-            if (is_failed(s)) continue;
             const vec3& sat = sat_positions_ecef[static_cast<std::size_t>(s)];
             if (astro::elevation_angle_rad(site, sat) >= min_elevation_rad_)
                 links.push_back({s, n_satellites() + g,
                                  (sat - site).norm() / astro::speed_of_light_m_s});
         }
     }
-    return make_network_snapshot(n_satellites(), n_ground(), std::move(links));
+    return links;
+}
+
+namespace {
+
+/// The one masking rule (see `sweep_geometry::snapshot`).
+network_snapshot filtered_snapshot(int n_satellites, int n_ground,
+                                   std::span<const network_snapshot::link> links,
+                                   std::span<const std::uint8_t> failed)
+{
+    OBS_COUNT("lsn.snapshot.filters");
+    expects(failed.empty() || failed.size() == static_cast<std::size_t>(n_satellites),
+            "failure mask size mismatch");
+    const auto alive = [&](int node) {
+        return node >= n_satellites || failed.empty() ||
+               failed[static_cast<std::size_t>(node)] == 0;
+    };
+    std::vector<network_snapshot::link> kept;
+    kept.reserve(links.size());
+    for (const auto& link : links)
+        if (alive(link.a) && alive(link.b)) kept.push_back(link);
+    return make_network_snapshot(n_satellites, n_ground, std::move(kept));
+}
+
+} // namespace
+
+network_snapshot snapshot_builder::snapshot_from_positions(
+    const std::vector<vec3>& sat_positions_ecef,
+    std::span<const std::uint8_t> failed) const
+{
+    return filtered_snapshot(n_satellites(), n_ground(),
+                             unfailed_links(sat_positions_ecef), failed);
+}
+
+sweep_geometry::sweep_geometry(snapshot_builder builder, std::vector<double> offsets_s)
+    : builder_(std::move(builder)), offsets_(std::move(offsets_s)),
+      positions_(builder_.positions_at_offsets(offsets_)), steps_(offsets_.size())
+{
+}
+
+network_snapshot sweep_geometry::snapshot(int step,
+                                          std::span<const std::uint8_t> failed) const
+{
+    expects(step >= 0 && step < n_steps(), "sweep step out of range");
+    const auto i = static_cast<std::size_t>(step);
+    std::call_once(steps_[i].built, [&] {
+        steps_[i].links = builder_.unfailed_links(positions_[i]);
+        builds_.fetch_add(1, std::memory_order_relaxed);
+    });
+    return filtered_snapshot(builder_.n_satellites(), builder_.n_ground(),
+                             steps_[i].links, failed);
 }
 
 namespace {
@@ -538,31 +577,16 @@ std::vector<double> sweep_offsets(double duration_s, double step_s)
     return offsets;
 }
 
-void validate_sweep_inputs(const snapshot_builder& builder,
-                           std::span<const double> offsets_s,
-                           const std::vector<std::vector<vec3>>& positions,
-                           const failure_timeline& timeline)
-{
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
-}
-
-scenario_sweep_result run_scenario_sweep_timeline(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const failure_timeline& timeline)
+scenario_sweep_result run_scenario_sweep_timeline(const sweep_geometry& geometry,
+                                                  const failure_timeline& timeline)
 {
     OBS_SPAN("lsn.scenario_sweep");
     OBS_COUNT("lsn.sweep.runs");
-    OBS_COUNT_N("lsn.sweep.steps", offsets_s.size());
-    validate_sweep_inputs(builder, offsets_s, positions, timeline);
+    OBS_COUNT_N("lsn.sweep.steps", geometry.offsets().size());
+    geometry.validate(timeline);
 
-    const int n_steps = static_cast<int>(offsets_s.size());
-    const int n_ground = builder.n_ground();
+    const int n_steps = geometry.n_steps();
+    const int n_ground = geometry.builder().n_ground();
     const int n_pairs = n_ground * (n_ground - 1) / 2;
 
     // Per-step result slots: each step writes only its own entry, so chunking
@@ -577,7 +601,7 @@ scenario_sweep_result run_scenario_sweep_timeline(
         static_cast<std::size_t>(n_steps), [&](std::size_t i) {
             step_result slot;
             const auto failed = timeline.step(static_cast<int>(i));
-            const auto snap = builder.snapshot_from_positions(positions[i], failed);
+            const auto snap = geometry.snapshot(static_cast<int>(i), failed);
             slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
             slot.giant_fraction = giant_component_fraction(snap, failed);
             slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);

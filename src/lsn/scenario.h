@@ -10,19 +10,21 @@
 //   * `failure_scenario`/`sample_failures` inject satellite loss: uniform
 //     random loss, whole-plane attack, and radiation-driven Poisson failures
 //     wired to the `failures.h` annual-rate model via per-plane fluence;
+//   * `sweep_geometry` holds a time grid's positions and each step's
+//     unfailed links; every per-step sweep (here and in `traffic`, `tempo`,
+//     `serve`, `spectral`) takes one and filters those links per mask;
 //   * `run_scenario_sweep_timeline` fans the per-step snapshot + routing
 //     work over the process thread pool (`util/parallel`) with per-step
 //     result slots, so any `SSPLANE_THREADS` value reproduces identical
 //     metrics, and reduces to robustness metrics: giant-component fraction,
 //     the all-pairs ground-station reachability/latency matrix, and pooled
 //     latency statistics comparable against an unfailed baseline.
-//
-// Every per-step sweep engine (here and in `traffic`, `tempo`, `serve`,
-// `spectral`) checks its inputs through `validate_sweep_inputs`.
 #ifndef SSPLANE_LSN_SCENARIO_H
 #define SSPLANE_LSN_SCENARIO_H
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -63,16 +65,17 @@ public:
     /// Graph assembled from one step of `positions_at_offsets` output: ISLs
     /// within `max_isl_range_m` in topology order, then each station's links
     /// to satellites above `min_elevation_rad` in satellite order, each
-    /// weighted by geometric distance over the speed of light. `failed`
-    /// (when non-empty; size n_satellites, nonzero = failed) keeps the
-    /// satellite's node but gives it no links: the slot is dead, the
-    /// constellation geometry unchanged. The mask is a span so timeline
-    /// sweeps can hand each step its row without copying.
+    /// weighted by geometric distance over the speed of light, then masked
+    /// by `failed` as `sweep_geometry::snapshot` masks.
     network_snapshot snapshot_from_positions(
         const std::vector<vec3>& sat_positions_ecef,
         std::span<const std::uint8_t> failed = {}) const;
 
 private:
+    friend class sweep_geometry;
+    /// The unmasked links of `snapshot_from_positions`, in link order.
+    std::vector<network_snapshot::link> unfailed_links(
+        const std::vector<vec3>& sat_positions_ecef) const;
     const lsn_topology* topology_;
     std::vector<ground_station> stations_;
     astro::instant epoch_;
@@ -80,6 +83,50 @@ private:
     double max_isl_range_m_;
     std::vector<astro::j2_propagator> propagators_;
     std::vector<vec3> ground_ecef_;
+};
+
+/// One constellation geometry over a sweep time grid, shared by every
+/// failure mask judged on it (a mask never moves a satellite): the builder,
+/// the offsets, their one `positions_at_offsets` pass and each step's
+/// unfailed links, built on the step's first request by whichever thread
+/// asks first. The builder's topology must outlive the geometry.
+class sweep_geometry {
+public:
+    sweep_geometry(snapshot_builder builder, std::vector<double> offsets_s);
+
+    const snapshot_builder& builder() const noexcept { return builder_; }
+    std::span<const double> offsets() const noexcept { return offsets_; }
+    /// Satellite ECEF positions, [step][satellite].
+    const std::vector<std::vector<vec3>>& positions() const noexcept { return positions_; }
+    int n_steps() const noexcept { return static_cast<int>(offsets_.size()); }
+
+    /// The one masking rule: step `step`'s unfailed links minus every link
+    /// with an endpoint failed in `failed` (empty, or one entry per
+    /// satellite), in link order, through `make_network_snapshot`. Thread-safe.
+    network_snapshot snapshot(int step, std::span<const std::uint8_t> failed = {}) const;
+
+    /// Reject a malformed timeline, or one whose rows do not span the
+    /// builder's satellites, with a `contract_violation`.
+    void validate(const failure_timeline& timeline) const
+    {
+        lsn::validate(timeline);
+        expects(timeline.n_steps == 0 || timeline.n_satellites == builder_.n_satellites(),
+                "timeline satellite count mismatch");
+    }
+
+    /// Steps whose unfailed links have been built.
+    std::uint64_t builds() const noexcept { return builds_.load(); }
+
+private:
+    struct step_links {
+        std::once_flag built;
+        std::vector<network_snapshot::link> links;
+    };
+    snapshot_builder builder_;
+    std::vector<double> offsets_;
+    std::vector<std::vector<vec3>> positions_;
+    mutable std::vector<step_links> steps_;
+    mutable std::atomic<std::uint64_t> builds_{0};
 };
 
 /// How satellites are removed from the network. The first four modes draw
@@ -233,25 +280,14 @@ struct scenario_sweep_result {
     }
 };
 
-/// The input contract every per-step sweep shares: `positions` holds one
-/// row per offset (the builder's `positions_at_offsets(offsets_s)`), the
-/// timeline is well formed, and its rows span the builder's satellites (a
-/// zero-row timeline spans any builder). Throws `contract_violation`.
-void validate_sweep_inputs(const snapshot_builder& builder,
-                           std::span<const double> offsets_s,
-                           const std::vector<std::vector<vec3>>& positions,
-                           const failure_timeline& timeline);
-
-/// Sweep one failure timeline over the time grid: build every step's
-/// snapshot from `positions` under `timeline.step(i)`, route all station
-/// pairs, and reduce. Scenarios reach it through `sample_failure_timeline`,
-/// a static mask through `failure_timeline::from_static_mask`, the
-/// unfailed baseline through an empty `failure_timeline{}`. Bit-identical
-/// for any `SSPLANE_THREADS` value.
-scenario_sweep_result run_scenario_sweep_timeline(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const failure_timeline& timeline);
+/// Sweep one failure timeline over the geometry's time grid: take every
+/// step's snapshot under `timeline.step(i)`, route all station pairs, and
+/// reduce. Scenarios reach it through `sample_failure_timeline`, a static
+/// mask through `failure_timeline::from_static_mask`, the unfailed
+/// baseline through an empty `failure_timeline{}`. Bit-identical for any
+/// `SSPLANE_THREADS` value.
+scenario_sweep_result run_scenario_sweep_timeline(const sweep_geometry& geometry,
+                                                  const failure_timeline& timeline);
 
 /// p95 latency inflation of `scenario` relative to `baseline` (1 = no
 /// inflation). Returns 0 when either p95 is undefined because no pair was

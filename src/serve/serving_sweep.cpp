@@ -97,20 +97,20 @@ struct row_reduction {
 } // namespace
 
 std::vector<serving_sweep_result> run_serving_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
+    const lsn::sweep_geometry& geometry,
     const std::vector<const lsn::failure_timeline*>& timelines,
     const session_grid& grid, const serving_options& options)
 {
     OBS_SPAN("serve.sweep");
     for (const lsn::failure_timeline* timeline : timelines) {
         expects(timeline != nullptr, "serving sweep timeline must not be null");
-        lsn::validate_sweep_inputs(builder, offsets_s, positions, *timeline);
+        geometry.validate(*timeline);
     }
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
     validate(options);
     const std::size_t n_rows = timelines.size();
+    const auto offsets_s = geometry.offsets();
     const std::size_t n_steps = offsets_s.size();
     OBS_COUNT_N("serve.sweep.runs", n_rows);
     OBS_COUNT_N("serve.sweep.steps", n_rows * n_steps);
@@ -126,7 +126,8 @@ std::vector<serving_sweep_result> run_serving_sweep_timeline(
     // task, in step order.
     for (std::size_t i = 0; i < n_steps && n_rows > 0; ++i) {
         const visibility_table visibility = discover_visibility(
-            grid, positions[i], builder.epoch().plus_seconds(offsets_s[i]), options);
+            grid, geometry.positions()[i],
+            geometry.builder().epoch().plus_seconds(offsets_s[i]), options);
         parallel_for(n_rows, [&](std::size_t begin, std::size_t end) {
             for (std::size_t r = begin; r < end; ++r)
                 rows[r].add(pack_beams(visibility,

@@ -9,15 +9,15 @@
 // restore threshold until it first recovers).
 //
 // One call serves a whole batch of timelines ("rows") step-major: each
-// step's visibility and activity are discovered once on the whole thread
-// pool (`discover_visibility` ignores the mask), then every row packs against
-// that one table in a parallel pass over rows. Each (row, step) result
-// folds straight into its row's running reduction — in step order, so a
-// row of a batch is bit-identical to the same row run alone — and the
-// pooled rate distribution keeps one histogram entry per distinct rate
-// (percentiles walk the sorted rates, so merging equal rates cannot move
-// them). Only one step's visibility table is alive at a time. Any
-// SSPLANE_THREADS value is bit-identical.
+// step's visibility and activity are discovered once, on the geometry's
+// positions and the whole thread pool (`discover_visibility` ignores the
+// mask), then every row packs against that one table in a parallel pass
+// over rows. Each (row, step) result folds straight into its row's running
+// reduction — in step order, so a row of a batch is bit-identical to the
+// same row run alone — and the pooled rate distribution keeps one
+// histogram entry per distinct rate (percentiles walk the sorted rates, so
+// merging equal rates cannot move them). Only one step's visibility table
+// is alive at a time. Any SSPLANE_THREADS value is bit-identical.
 #ifndef SSPLANE_SERVE_SERVING_SWEEP_H
 #define SSPLANE_SERVE_SERVING_SWEEP_H
 
@@ -66,14 +66,12 @@ struct serving_sweep_result {
     std::vector<double> step_delivered_gbps;
 };
 
-/// Serve `grid` at every sweep step under each timeline's per-step mask;
-/// one result per timeline, in order. `positions` is
-/// `snapshot_builder::positions_at_offsets` output for the same offsets.
-/// Bit-identical for any SSPLANE_THREADS value, and each result equals
-/// the one the timeline gets when it is served alone.
+/// Serve `grid` at every step of the geometry's time grid, discovering on
+/// its positions, under each timeline's per-step mask; one result per
+/// timeline, in order. Bit-identical for any SSPLANE_THREADS value, and
+/// each result equals the one the timeline gets when it is served alone.
 std::vector<serving_sweep_result> run_serving_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
+    const lsn::sweep_geometry& geometry,
     const std::vector<const lsn::failure_timeline*>& timelines,
     const session_grid& grid, const serving_options& options);
 

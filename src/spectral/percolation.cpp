@@ -307,12 +307,11 @@ double attack_resilience(const masking_threshold_result& result)
 // --- Timeline sweep ----------------------------------------------------------
 
 percolation_sweep_result run_percolation_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline, const percolation_options& options)
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
+    const percolation_options& options)
 {
     validate(options);
-    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
+    geometry.validate(timeline);
 
     // Key every step on what the analysis reads (mask, alive adjacency),
     // then analyze each distinct key once: a repeated graph copies its
@@ -320,12 +319,11 @@ percolation_sweep_result run_percolation_sweep_timeline(
     // start vector depends on `options.lanczos.seed` alone. Per-step and
     // per-key result slots plus a serial dedup in step order keep any
     // SSPLANE_THREADS value bit-identical.
-    const std::size_t n_steps = offsets_s.size();
+    const auto n_steps = static_cast<std::size_t>(geometry.n_steps());
     const auto keys = parallel_map<std::vector<int>>(n_steps, [&](std::size_t i) {
-        const std::span<const std::uint8_t> mask = timeline.step(static_cast<int>(i));
-        return graph_key(
-            alive_adjacency(builder.snapshot_from_positions(positions[i], mask), mask),
-            mask);
+        const int step = static_cast<int>(i);
+        const std::span<const std::uint8_t> mask = timeline.step(step);
+        return graph_key(alive_adjacency(geometry.snapshot(step, mask), mask), mask);
     });
     std::vector<std::uint64_t> hashes;
     std::vector<std::size_t> distinct; // first step of each distinct key
@@ -343,7 +341,7 @@ percolation_sweep_result run_percolation_sweep_timeline(
         slot[i] = d;
     }
     OBS_COUNT_N("spectral.percolate.reused", n_steps - distinct.size());
-    const std::size_t n_satellites = static_cast<std::size_t>(builder.n_satellites());
+    const auto n_satellites = static_cast<std::size_t>(geometry.builder().n_satellites());
     const auto analyzed =
         parallel_map<percolation_metrics>(distinct.size(), [&](std::size_t d) {
             const std::size_t i = distinct[d];

@@ -183,7 +183,7 @@ struct percolation_sweep_result {
     std::vector<std::uint8_t> step_lambda2_unconverged;
 };
 
-/// Sweep the timeline over the time grid: each step analyzes the
+/// Sweep the timeline over the geometry: each step analyzes its
 /// range-gated snapshot graph under `timeline.step(i)`. Steps are keyed on
 /// (mask, alive adjacency) by a hash plus a full compare; each distinct
 /// key is analyzed once and its metrics are copied to the repeats, each
@@ -191,9 +191,7 @@ struct percolation_sweep_result {
 /// `analyze_percolation`, and bit-identical for any SSPLANE_THREADS value
 /// (per-step and per-key result slots).
 percolation_sweep_result run_percolation_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline,
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     const percolation_options& options = {});
 
 } // namespace ssplane::spectral

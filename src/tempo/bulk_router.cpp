@@ -182,6 +182,8 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
         }
         out.delivered_fraction = out.delivered_gb / out.volume_gb;
         out.complete = remaining <= volume_eps_gb;
+        if (!out.complete && out.n_paths == graph.options.max_paths_per_request)
+            OBS_COUNT("tempo.bulk.path_cap_hits");
     }
     return finalize(std::move(slots), graph.satellite_buffer_high_water_gb());
 }

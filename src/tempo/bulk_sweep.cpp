@@ -1,16 +1,32 @@
 #include "tempo/bulk_sweep.h"
 
+#include "util/parallel.h"
+
 namespace ssplane::tempo {
 
-bulk_sweep_result run_bulk_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options)
+namespace {
+
+/// Every step's snapshot under `timeline.step(i)`, in per-step slots.
+std::vector<lsn::network_snapshot> masked_snapshots(const lsn::sweep_geometry& geometry,
+                                                    const lsn::failure_timeline& timeline)
 {
-    auto graph = build_time_expanded_graph_timeline(builder, offsets_s, positions,
-                                                    timeline, options);
+    geometry.validate(timeline);
+    return parallel_map<lsn::network_snapshot>(
+        static_cast<std::size_t>(geometry.n_steps()), [&](std::size_t i) {
+            const int step = static_cast<int>(i);
+            return geometry.snapshot(step, timeline.step(step));
+        });
+}
+
+} // namespace
+
+bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
+                                          const lsn::failure_timeline& timeline,
+                                          std::span<const bulk_transfer_request> requests,
+                                          const bulk_route_options& options)
+{
+    auto graph = build_time_expanded_graph_timeline(
+        masked_snapshots(geometry, timeline), geometry.offsets(), timeline, options);
 
     bulk_sweep_result result;
     result.n_steps = graph.n_steps;
@@ -20,21 +36,14 @@ bulk_sweep_result run_bulk_sweep_timeline(
 }
 
 bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options)
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
+    std::span<const bulk_transfer_request> requests, const bulk_route_options& options)
 {
-    validate(options); // fail before paying the parallel materialization
-    const auto snapshots =
-        materialize_snapshots_timeline(builder, offsets_s, positions, timeline);
-
     bulk_sweep_result result;
-    result.n_steps = static_cast<int>(offsets_s.size());
+    result.n_steps = geometry.n_steps();
     result.n_failed = timeline.final_n_failed();
-    result.routing = route_bulk_transfers_per_step_baseline(snapshots, offsets_s,
-                                                            requests, options);
+    result.routing = route_bulk_transfers_per_step_baseline(
+        masked_snapshots(geometry, timeline), geometry.offsets(), requests, options);
     return result;
 }
 

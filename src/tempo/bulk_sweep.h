@@ -1,14 +1,9 @@
 // Delay-tolerant bulk-delivery sweeps along failure timelines — the
 // store-and-forward companion to `traffic::run_traffic_sweep_timeline`
-// (ROADMAP "time-expanded routing").
-//
-// Rides the same batched machinery as the survivability and traffic
-// engines: one `lsn::snapshot_builder` + one `positions_at_offsets` pass
-// serve every scenario, each step's failure mask is a row of an
-// `lsn::failure_timeline`, and per-step snapshot materialization fans out
-// over `util/parallel` with per-step slots — so any `SSPLANE_THREADS`
-// value reproduces the result bit-for-bit. The routing itself (`route_bulk_transfers`) is serial and
-// deterministic by construction.
+// (ROADMAP "time-expanded routing"). Each step's masked snapshot comes from
+// the shared `lsn::sweep_geometry`, taken in parallel with per-step slots,
+// so any `SSPLANE_THREADS` value reproduces the result bit-for-bit; the
+// routing itself (`route_bulk_transfers`) is serial and deterministic.
 #ifndef SSPLANE_TEMPO_BULK_SWEEP_H
 #define SSPLANE_TEMPO_BULK_SWEEP_H
 
@@ -26,26 +21,20 @@ struct bulk_sweep_result {
     int n_failed = 0; ///< Satellites removed by the scenario.
 };
 
-/// Route `requests` over the time-expanded graph of one failure timeline,
-/// on a prebuilt builder and its `positions_at_offsets(offsets_s)` output
-/// (so callers share one propagation pass across survivability, traffic
-/// and bulk sweeps). The graph is built under the timeline (per-step link
-/// and storage gating), so bulk volume must route *around* the failure
-/// process as it unfolds.
-bulk_sweep_result run_bulk_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline,
-    std::span<const bulk_transfer_request> requests,
-    const bulk_route_options& options = {});
+/// Route `requests` over the time-expanded graph of one failure timeline on
+/// the geometry. The graph is built under the timeline (per-step link and
+/// storage gating), so bulk volume must route *around* the failure process
+/// as it unfolds.
+bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
+                                          const lsn::failure_timeline& timeline,
+                                          std::span<const bulk_transfer_request> requests,
+                                          const bulk_route_options& options = {});
 
 /// The same timeline judged by the snapshot greedy replayed per epoch
 /// under that step's mask (no onboard buffering): the regression floor
 /// every store-and-forward gain is measured against.
 bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline,
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     std::span<const bulk_transfer_request> requests,
     const bulk_route_options& options = {});
 

@@ -144,27 +144,20 @@ time_expanded_graph build_time_expanded_graph_timeline(
     return graph;
 }
 
-std::vector<lsn::network_snapshot> materialize_snapshots_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline)
-{
-    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
-    return parallel_map<lsn::network_snapshot>(offsets_s.size(), [&](std::size_t i) {
-        return builder.snapshot_from_positions(positions[i],
-                                               timeline.step(static_cast<int>(i)));
-    });
-}
-
 time_expanded_graph build_time_expanded_graph_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline, const bulk_route_options& options)
 {
-    validate(options); // fail before paying the parallel materialization
-    return build_time_expanded_graph_timeline(
-        materialize_snapshots_timeline(builder, offsets_s, positions, timeline),
-        offsets_s, timeline, options);
+    validate(options); // fail before paying the parallel snapshots
+    lsn::validate(timeline);
+    expects(positions.size() == offsets_s.size(), "positions must cover every offset");
+    const auto snapshots = parallel_map<lsn::network_snapshot>(
+        offsets_s.size(), [&](std::size_t i) {
+            return builder.snapshot_from_positions(positions[i],
+                                                   timeline.step(static_cast<int>(i)));
+        });
+    return build_time_expanded_graph_timeline(snapshots, offsets_s, timeline, options);
 }
 
 } // namespace ssplane::tempo

@@ -6,7 +6,7 @@
 // grid. Arcs are of two kinds:
 //
 //   * transmission arcs — the live links of that step's snapshot (from
-//     `lsn::snapshot_builder` under an `lsn::failure_timeline`), carrying
+//     `lsn::sweep_geometry` under an `lsn::failure_timeline`), carrying
 //     *volume*: an ISL or uplink of capacity C Gbps live for a step of
 //     dwell D seconds moves up to C*D gigabits within that step. Both
 //     directions of an undirected link share one capacity slot: step i's
@@ -125,8 +125,8 @@ struct time_expanded_graph {
 };
 
 /// Assemble the graph from already-materialized per-step snapshots (unit
-/// tests use `lsn::make_network_snapshot`; the builder overload below
-/// materializes them).
+/// tests use `lsn::make_network_snapshot`; the bulk sweeps take them from
+/// an `lsn::sweep_geometry`).
 /// Snapshots must share one node set; `offsets_s` must be strictly
 /// increasing with one entry per snapshot. Step `i`'s storage arcs are
 /// gated by `timeline.step(i)`: a failed satellite cannot buffer, and one
@@ -139,26 +139,15 @@ time_expanded_graph build_time_expanded_graph_timeline(
     std::span<const double> offsets_s, const lsn::failure_timeline& timeline,
     const bulk_route_options& options = {});
 
-/// Assemble the graph from a scenario-sweep builder and its batched
-/// `positions_at_offsets(offsets_s)` output: step `i`'s snapshot is masked
-/// by `timeline.step(i)` (links die with the satellite at its failure
-/// step) and its storage arcs are gated the same way. Per-step snapshot
-/// extraction fans out over `util/parallel` with per-step slots, so the
-/// graph is bit-identical for any `SSPLANE_THREADS` value.
+/// Assemble the graph from a builder and its `positions_at_offsets(offsets_s)`
+/// output: step `i` is `snapshot_from_positions(positions[i],
+/// timeline.step(i))`, taken in parallel with per-step slots. Kept for the
+/// campaign benchmark's replay; library code goes through a geometry.
 time_expanded_graph build_time_expanded_graph_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,
     const lsn::failure_timeline& timeline,
     const bulk_route_options& options = {});
-
-/// Materialize every step's snapshot, masked by `timeline.step(i)`, from
-/// one `positions_at_offsets` output — parallel over steps with per-step
-/// slots, so the result is bit-identical for any `SSPLANE_THREADS` value.
-/// Shared by the graph builder above and the per-step baseline sweep.
-std::vector<lsn::network_snapshot> materialize_snapshots_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline);
 
 } // namespace ssplane::tempo
 

@@ -11,23 +11,19 @@
 namespace ssplane::traffic {
 
 lsn::failure_timeline generate_adversary_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_scenario& scenario, const demand::demand_model& demand,
-    const traffic_sweep_options& options)
+    const lsn::sweep_geometry& geometry, const lsn::failure_scenario& scenario,
+    const demand::demand_model& demand, const traffic_sweep_options& options)
 {
     expects(scenario.mode == lsn::failure_mode::greedy_adversary,
             "adversary timeline needs a greedy_adversary scenario");
+    const auto& builder = geometry.builder();
     const auto& topology = builder.topology();
     lsn::validate(scenario, topology);
-    // This generates the timeline, so only the grid is checked here: an
-    // empty timeline spans any builder.
-    lsn::validate_sweep_inputs(builder, offsets_s, positions, {});
     validate(options.matrix);
     validate(options.capacity);
 
     const int n = builder.n_satellites();
-    const int n_steps = static_cast<int>(offsets_s.size());
+    const int n_steps = geometry.n_steps();
     const int n_planes = lsn::plane_count(topology);
 
     lsn::failure_timeline timeline;
@@ -48,13 +44,14 @@ lsn::failure_timeline generate_adversary_timeline(
         const auto step = static_cast<std::size_t>(i);
         plan_steps.push_back(step);
         matrices.push_back(build_traffic_matrix(
-            demand, builder.stations(), builder.epoch().plus_seconds(offsets_s[step]),
-            options.matrix));
+            demand, builder.stations(),
+            builder.epoch().plus_seconds(geometry.offsets()[step]), options.matrix));
     }
     const int n_plan = static_cast<int>(plan_steps.size());
+    OBS_COUNT_N("traffic.adversary.unplanned_steps", n_steps - n_plan);
     const auto assign_at = [&](int k, std::span<const std::uint8_t> mask) {
         const auto ki = static_cast<std::size_t>(k);
-        return assign_flows(builder.snapshot_from_positions(positions[plan_steps[ki]], mask),
+        return assign_flows(geometry.snapshot(static_cast<int>(plan_steps[ki]), mask),
                             matrices[ki], options.capacity);
     };
 

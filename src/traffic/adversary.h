@@ -27,16 +27,13 @@
 //     paths changes none of those paths — by induction over the pairs and
 //     rounds, the link loads, and so the whole assignment, stay the same;
 //   * a failure mask only deletes the failed satellites' links, keeping
-//     the survivors in link order (`snapshot_from_positions`);
+//     the survivors in link order (`lsn::sweep_geometry::snapshot`);
 //   * the score is the same step-ordered sum `run_traffic_sweep_timeline`
 //     averages for the trial mask as a static timeline.
 // The search draws no random numbers and reduces serially, so repeated
 // runs and any `SSPLANE_THREADS` value produce one timeline bit-for-bit.
 #ifndef SSPLANE_TRAFFIC_ADVERSARY_H
 #define SSPLANE_TRAFFIC_ADVERSARY_H
-
-#include <span>
-#include <vector>
 
 #include "lsn/scenario.h"
 #include "traffic/traffic_sweep.h"
@@ -51,14 +48,13 @@ namespace ssplane::traffic {
 /// planning step plus one per unpruned (plane, step) pair — at most
 /// planes x (steps / stride) — counted by `traffic.adversary.trials`, with
 /// the pairs scored from the base counted by `traffic.adversary.pruned`.
-/// Strikes scheduled past the sweep horizon are dropped: the budget buys
-/// strikes only inside the window. `options` are validated before any
-/// fan-out.
+/// The sweep steps the stride leaves off the planning grid are counted by
+/// `traffic.adversary.unplanned_steps`. Strikes scheduled past the sweep
+/// horizon are dropped: the budget buys strikes only inside the window.
+/// `options` are validated before any fan-out.
 lsn::failure_timeline generate_adversary_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_scenario& scenario, const demand::demand_model& demand,
-    const traffic_sweep_options& options = {});
+    const lsn::sweep_geometry& geometry, const lsn::failure_scenario& scenario,
+    const demand::demand_model& demand, const traffic_sweep_options& options = {});
 
 } // namespace ssplane::traffic
 

@@ -139,8 +139,8 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
         static_cast<std::size_t>(snapshot.n_nodes()), 0);
     std::vector<int> owed;
     std::vector<int> targets;
-    for (int round = 0; round < options.k_rounds && total_remaining > flow_eps_gbps;
-         ++round) {
+    int round = 0;
+    for (; round < options.k_rounds && total_remaining > flow_eps_gbps; ++round) {
         OBS_COUNT("traffic.assign.rounds");
         double round_flow = 0.0;
         // Freeze this round's congestion costs: saturated links drop out,
@@ -184,6 +184,9 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
         // recompute identical costs and trees to place nothing: stop.
         if (round_flow <= flow_eps_gbps) break;
     }
+    // Out of rounds, the last one placing flow, with demand still owed.
+    if (round == options.k_rounds && total_remaining > flow_eps_gbps)
+        OBS_COUNT("traffic.assign.round_cap_hits");
     return finalize(matrix, std::move(loads), std::move(pair_delivered),
                     std::move(on_queried_path), offered, delivered,
                     latency_flow_sum_s, options);

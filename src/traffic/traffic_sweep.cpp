@@ -10,20 +10,19 @@
 namespace ssplane::traffic {
 
 traffic_sweep_result run_traffic_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline, const demand::demand_model& demand,
-    const traffic_sweep_options& options)
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
+    const demand::demand_model& demand, const traffic_sweep_options& options)
 {
     OBS_SPAN("traffic.sweep");
     OBS_COUNT("traffic.sweep.runs");
-    OBS_COUNT_N("traffic.sweep.steps", offsets_s.size());
-    lsn::validate_sweep_inputs(builder, offsets_s, positions, timeline);
+    OBS_COUNT_N("traffic.sweep.steps", geometry.offsets().size());
+    geometry.validate(timeline);
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
     validate(options.matrix);
     validate(options.capacity);
-    const int n_steps = static_cast<int>(offsets_s.size());
+    const int n_steps = geometry.n_steps();
+    const auto& builder = geometry.builder();
 
     // Per-step result slots: each step writes only its own entry, so the
     // parallel chunking never affects the serial reduction below.
@@ -38,11 +37,11 @@ traffic_sweep_result run_traffic_sweep_timeline(
     };
     const auto per_step = parallel_map<step_result>(
         static_cast<std::size_t>(n_steps), [&](std::size_t i) {
-            const auto t = builder.epoch().plus_seconds(offsets_s[i]);
+            const auto t = builder.epoch().plus_seconds(geometry.offsets()[i]);
             const auto matrix =
                 build_traffic_matrix(demand, builder.stations(), t, options.matrix);
-            const auto snap = builder.snapshot_from_positions(
-                positions[i], timeline.step(static_cast<int>(i)));
+            const auto snap = geometry.snapshot(static_cast<int>(i),
+                                                timeline.step(static_cast<int>(i)));
             const auto flow = assign_flows(snap, matrix, options.capacity);
             step_result slot;
             slot.offered_gbps = flow.offered_gbps;

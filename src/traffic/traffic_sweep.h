@@ -1,17 +1,12 @@
 // Delivered-capacity sweeps along failure timelines — the traffic companion
 // to `lsn::run_scenario_sweep_timeline` (ROADMAP "heavy traffic" north star).
-//
-// Rides the same batched machinery as the survivability engine: one
-// `lsn::snapshot_builder` + one `positions_at_offsets` pass serve every
-// scenario, each step's failure mask is a row of an `lsn::failure_timeline`,
-// and per-step work (diurnal gravity matrix at that step's instant,
-// snapshot assembly, capacity-aware flow assignment) fans out over
-// `util/parallel` with per-step result slots, so any `SSPLANE_THREADS`
-// value reproduces the metrics bit-for-bit.
+// Per-step work (diurnal gravity matrix at that step's instant, the step's
+// masked snapshot from the shared `lsn::sweep_geometry`, capacity-aware flow
+// assignment) fans out over `util/parallel` with per-step result slots, so
+// any `SSPLANE_THREADS` value reproduces the metrics bit-for-bit.
 #ifndef SSPLANE_TRAFFIC_TRAFFIC_SWEEP_H
 #define SSPLANE_TRAFFIC_TRAFFIC_SWEEP_H
 
-#include <span>
 #include <vector>
 
 #include "lsn/scenario.h"
@@ -49,18 +44,14 @@ struct traffic_sweep_result {
     std::vector<double> step_p95_utilization;
 };
 
-/// Sweep one failure timeline over a prebuilt builder and its
-/// `positions_at_offsets(offsets_s)` output, so callers share one
-/// propagation pass between survivability and traffic metrics. Each step
-/// `i` assigns flows under `timeline.step(i)`, so delivered throughput
-/// traces the failure process as it unfolds; the traffic matrix is rebuilt
-/// at every step's instant, so offered load follows the diurnal cycle
-/// across the gateways. Bit-identical for any `SSPLANE_THREADS` value.
+/// Sweep one failure timeline over the geometry: each step `i` assigns flows
+/// on its snapshot under `timeline.step(i)`, so delivered throughput traces
+/// the failure process as it unfolds; the traffic matrix is rebuilt at every
+/// step's instant, so offered load follows the diurnal cycle across the
+/// gateways. Bit-identical for any `SSPLANE_THREADS` value.
 traffic_sweep_result run_traffic_sweep_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_timeline& timeline, const demand::demand_model& demand,
-    const traffic_sweep_options& options = {});
+    const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
+    const demand::demand_model& demand, const traffic_sweep_options& options = {});
 
 /// Delivered-throughput ratio of `scenario` to `baseline` (1 = no loss,
 /// < 1 = capacity lost to the failures). 0 when the baseline delivered

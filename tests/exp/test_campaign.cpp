@@ -45,20 +45,20 @@ lsn::scenario_sweep_options short_grid()
     return grid;
 }
 
-/// The tests' shell, gateways and grid as a builder and propagation pass
-/// of their own, apart from any evaluation_context: campaign cells are
-/// checked against direct sweep calls on these.
+/// The tests' shell, gateways and grid as a step geometry of its own,
+/// apart from any evaluation_context: campaign cells are checked against
+/// direct sweep calls on it.
 struct direct_inputs {
     lsn::lsn_topology topo = small_walker();
-    lsn::snapshot_builder builder{topo, traffic::stations_from_cities(4),
-                                  astro::instant::j2000(), short_grid().min_elevation_rad};
-    std::vector<double> offsets =
-        lsn::sweep_offsets(short_grid().duration_s, short_grid().step_s);
-    std::vector<std::vector<vec3>> positions = builder.positions_at_offsets(offsets);
+    lsn::sweep_geometry geometry{
+        lsn::snapshot_builder{topo, traffic::stations_from_cities(4),
+                              astro::instant::j2000(), short_grid().min_elevation_rad},
+        lsn::sweep_offsets(short_grid().duration_s, short_grid().step_s)};
 
     lsn::failure_timeline timeline(const lsn::failure_scenario& scenario) const
     {
-        return lsn::sample_failure_timeline(topo, scenario, offsets, builder.epoch());
+        return lsn::sample_failure_timeline(topo, scenario, geometry.offsets(),
+                                            geometry.builder().epoch());
     }
 };
 
@@ -124,9 +124,8 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
         const int row = static_cast<int>(r);
         const auto timeline = direct.timeline(scenario);
 
-        // Survivability entry point on the context-free builder.
-        const auto surv = lsn::run_scenario_sweep_timeline(
-            direct.builder, direct.offsets, direct.positions, timeline);
+        // Survivability entry point on the context-free geometry.
+        const auto surv = lsn::run_scenario_sweep_timeline(direct.geometry, timeline);
         EXPECT_EQ(campaign.rows[r].n_failed, surv.metrics.n_failed);
         const auto& surv_cell = survivability_engine::detail(campaign.cell(row, 0));
         EXPECT_EQ(surv_cell.metrics.giant_component_fraction,
@@ -141,8 +140,8 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
                   surv.metrics.p95_latency_ms);
 
         // Traffic entry point.
-        const auto traf = traffic::run_traffic_sweep_timeline(
-            direct.builder, direct.offsets, direct.positions, timeline, test_demand());
+        const auto traf =
+            traffic::run_traffic_sweep_timeline(direct.geometry, timeline, test_demand());
         const auto& traf_cell = traffic_engine::detail(campaign.cell(row, 1));
         EXPECT_EQ(traf_cell.metrics.offered_gbps_mean, traf.metrics.offered_gbps_mean);
         EXPECT_EQ(traf_cell.metrics.delivered_gbps_mean,
@@ -156,8 +155,8 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
                   traf.metrics.delivered_fraction);
 
         // Bulk entry point.
-        const auto bulk = tempo::run_bulk_sweep_timeline(
-            direct.builder, direct.offsets, direct.positions, timeline, requests);
+        const auto bulk =
+            tempo::run_bulk_sweep_timeline(direct.geometry, timeline, requests);
         const auto& bulk_cell = bulk_engine::detail(campaign.cell(row, 2));
         EXPECT_EQ(bulk_cell.n_failed, bulk.n_failed);
         EXPECT_EQ(bulk_cell.routing.offered_gb, bulk.routing.offered_gb);
@@ -537,15 +536,13 @@ TEST(Campaign, StaticScenarioCampaignIsByteIdenticalToPreTimelineBehavior)
         const int row = static_cast<int>(r);
         const auto static_mask = lsn::failure_timeline::from_static_mask(
             lsn::sample_failures(topo, scenario));
-        const auto surv = lsn::run_scenario_sweep_timeline(
-            direct.builder, direct.offsets, direct.positions, static_mask);
+        const auto surv = lsn::run_scenario_sweep_timeline(direct.geometry, static_mask);
         EXPECT_EQ(campaign.value(row, "survivability.giant_component_fraction"),
                   surv.metrics.giant_component_fraction);
         EXPECT_EQ(campaign.value(row, "survivability.p95_latency_ms"),
                   surv.metrics.p95_latency_ms);
         const auto traf = traffic::run_traffic_sweep_timeline(
-            direct.builder, direct.offsets, direct.positions, static_mask,
-            test_demand());
+            direct.geometry, static_mask, test_demand());
         EXPECT_EQ(campaign.value(row, "traffic.delivered_gbps_mean"),
                   traf.metrics.delivered_gbps_mean);
     }
@@ -620,7 +617,7 @@ TEST(Campaign, PerStepBulkEngineReportsTheReplicationFloor)
 
     const direct_inputs direct;
     const auto per_step_floor = tempo::run_bulk_sweep_per_step_baseline_timeline(
-        direct.builder, direct.offsets, direct.positions, {}, test_requests());
+        direct.geometry, {}, test_requests());
     EXPECT_EQ(campaign.value(0, "bulk_per_step.delivered_gb"),
               per_step_floor.routing.delivered_gb);
     // Store-and-forward never delivers less than the per-step floor.

@@ -1,8 +1,10 @@
 // Exact work gate of a campaign's per-step passes: on a fixed
-// static-wiring fixture the serving batch discovers visibility once per
-// step for all rows, and the percolation sweep solves each distinct graph
-// once. A change that goes back to per-row discovery or repeated λ₂
-// solves moves these counters and fails here.
+// static-wiring fixture the context builds each step's links once, every
+// percolation (row, step) only filters them, the serving batch discovers
+// visibility once per step for all rows, and the percolation sweep solves
+// each distinct graph once. A change that goes back to per-cell snapshot
+// builds, per-row discovery or repeated λ₂ solves moves these counters and
+// fails here.
 #include "exp/campaign.h"
 
 #include <vector>
@@ -76,7 +78,17 @@ TEST(CampaignWork, OneDiscoveryPerStepAndOneSolvePerDistinctGraph)
                       counter_value("spectral.percolate.reused"),
                   rows * steps);
         EXPECT_EQ(counter_value("spectral.percolate.reused"), rows * (steps - 1));
+        EXPECT_EQ(counter_value("lsn.snapshot.builds"), steps);
+        EXPECT_EQ(counter_value("lsn.snapshot.filters"), rows * steps);
+        EXPECT_EQ(campaign.cache.snapshot_builds, steps);
         snapshots.push_back(obs::deterministic_snapshot());
+
+        // The warm context builds nothing more: a second campaign only
+        // filters the links the first one built.
+        const auto again = run_campaign(plan, context);
+        EXPECT_EQ(counter_value("lsn.snapshot.builds"), steps);
+        EXPECT_EQ(counter_value("lsn.snapshot.filters"), 2 * rows * steps);
+        EXPECT_EQ(again.cache.snapshot_builds, 0u);
     }
     set_thread_count(0);
     // The drop reasons and the reuse count are work counters too.

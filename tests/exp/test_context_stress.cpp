@@ -1,9 +1,10 @@
 // evaluation_context concurrency stress, written for the ThreadSanitizer
 // leg: many threads hammer the timeline cache — racing first-lookups
 // of the same scenario, distinct scenarios, and an arming thread for the
-// adversary oracle — while readers verify the cached payloads stay
-// bit-identical to fresh draws. In a plain build these are determinism
-// regressions; under TSan any unlocked cache path fails hard.
+// adversary oracle — and the step geometry's first builds, while readers
+// verify the cached payloads stay bit-identical to fresh ones. In a plain
+// build these are determinism regressions; under TSan any unlocked cache
+// path fails hard.
 #include "exp/evaluation_context.h"
 
 #include <atomic>
@@ -97,7 +98,7 @@ TEST(EvaluationContextStress, MixedScenarioHammerKeepsPayloadsIdentical)
                 if (timeline.masks != lsn::sample_failures(topo, scenario))
                     mismatches.fetch_add(1, std::memory_order_relaxed);
                 if (!timeline.is_static() ||
-                    timeline.n_satellites != context.n_satellites())
+                    timeline.n_satellites != context.builder().n_satellites())
                     mismatches.fetch_add(1, std::memory_order_relaxed);
                 auto noisy = scenario;
                 noisy.horizon_days = 1.0 + t;
@@ -139,6 +140,65 @@ TEST(EvaluationContextStress, TimelineGeneratorsRaceToOneCachedSequence)
         ASSERT_NE(timeline, nullptr);
         EXPECT_EQ(timeline, seen[0]);
         EXPECT_EQ(timeline->masks, expected.masks);
+    }
+}
+
+/// Same links (endpoints and latency) in the same order and the same CSR
+/// rows.
+bool same_snapshot(const lsn::network_snapshot& a, const lsn::network_snapshot& b)
+{
+    if (a.n_satellites != b.n_satellites || a.n_ground != b.n_ground ||
+        a.links.size() != b.links.size() || a.arc_begin != b.arc_begin ||
+        a.arcs.size() != b.arcs.size())
+        return false;
+    for (std::size_t id = 0; id < a.links.size(); ++id)
+        if (a.links[id].a != b.links[id].a || a.links[id].b != b.links[id].b ||
+            a.links[id].latency_s != b.links[id].latency_s)
+            return false;
+    for (std::size_t k = 0; k < a.arcs.size(); ++k)
+        if (a.arcs[k].to != b.arcs[k].to || a.arcs[k].link != b.arcs[k].link)
+            return false;
+    return true;
+}
+
+TEST(EvaluationContextStress, RacingFirstStepRequestsBuildEachStepOnce)
+{
+    // Released together, every thread asks the cold geometry for every
+    // step in the same order, so they collide on each step's first build:
+    // one thread builds it, the rest wait, and all get the snapshot a
+    // fresh builder gives, with one build per step in all.
+    const auto topo = small_walker(5, 5);
+    const evaluation_context context(topo, lsn::default_ground_stations(),
+                                     astro::instant::j2000(), short_grid());
+    const auto& geometry = context.geometry();
+    const int n_steps = context.n_steps();
+    ASSERT_EQ(context.cache_stats().snapshot_builds, 0u);
+    const int n_satellites = context.builder().n_satellites();
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n_satellites), 0);
+    for (std::size_t s = 0; s < mask.size(); s += 4) mask[s] = 1;
+
+    constexpr int n_threads = 8;
+    std::atomic<bool> go{false};
+    std::vector<std::vector<lsn::network_snapshot>> seen(n_threads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < n_threads; ++t)
+        threads.emplace_back([t, n_steps, &go, &geometry, &mask, &seen] {
+            auto& mine = seen[static_cast<std::size_t>(t)];
+            while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+            for (int step = 0; step < n_steps; ++step)
+                mine.push_back(geometry.snapshot(step, mask));
+        });
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+
+    EXPECT_EQ(context.cache_stats().snapshot_builds, static_cast<std::uint64_t>(n_steps));
+    for (int step = 0; step < n_steps; ++step) {
+        const auto fresh = context.builder().snapshot_from_positions(
+            context.positions()[static_cast<std::size_t>(step)], mask);
+        ASSERT_FALSE(fresh.links.empty());
+        for (const auto& snapshots : seen)
+            EXPECT_TRUE(same_snapshot(snapshots[static_cast<std::size_t>(step)], fresh))
+                << "step " << step;
     }
 }
 

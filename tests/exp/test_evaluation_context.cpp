@@ -41,8 +41,8 @@ TEST(EvaluationContext, OwnsGridAndBatchedPropagationPass)
     for (std::size_t i = 0; i < offsets.size(); ++i)
         EXPECT_EQ(context.offsets()[i], offsets[i]);
     EXPECT_EQ(context.n_steps(), 4);
-    EXPECT_EQ(context.n_satellites(), 16);
-    EXPECT_EQ(context.n_ground(), 12);
+    EXPECT_EQ(context.builder().n_satellites(), 16);
+    EXPECT_EQ(context.builder().n_ground(), 12);
 
     // The stored positions are the builder's own batched pass, verbatim.
     const auto fresh = context.builder().positions_at_offsets(context.offsets());

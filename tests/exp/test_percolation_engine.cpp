@@ -69,8 +69,8 @@ TEST(PercolationEngine, StaticScenarioMatchesDirectSweepBitForBit)
                 ? std::vector<std::uint8_t>{}
                 : lsn::sample_failures(
                       topo, campaign.rows[static_cast<std::size_t>(row)].scenario));
-        const auto direct = spectral::run_percolation_sweep_timeline(
-            context.builder(), context.offsets(), context.positions(), timeline);
+        const auto direct =
+            spectral::run_percolation_sweep_timeline(context.geometry(), timeline);
         EXPECT_EQ(campaign.value(row, "percolation.lambda2_mean"),
                   direct.lambda2_mean);
         EXPECT_EQ(campaign.value(row, "percolation.giant_fraction_min"),

@@ -38,7 +38,7 @@ scenario_sweep_result sweep_scenario(const lsn_topology& topo,
                                    opts.max_isl_range_m);
     const auto offsets = sweep_offsets(opts.duration_s, opts.step_s);
     return run_scenario_sweep_timeline(
-        builder, offsets, builder.positions_at_offsets(offsets),
+        sweep_geometry(builder, offsets),
         sample_failure_timeline(topo, scenario, offsets, epoch));
 }
 
@@ -295,11 +295,9 @@ TEST(Scenario, SweepPairMatrixMatchesRouteTrees)
     const auto stations = default_ground_stations();
     const snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                    deg2rad(25.0));
-    const std::vector<double> offsets{900.0};
-    const auto positions = builder.positions_at_offsets(offsets);
-    const auto sweep =
-        run_scenario_sweep_timeline(builder, offsets, positions, failure_timeline{});
-    const auto snap = builder.snapshot_from_positions(positions[0]);
+    const sweep_geometry geometry(builder, {900.0});
+    const auto sweep = run_scenario_sweep_timeline(geometry, failure_timeline{});
+    const auto snap = builder.snapshot_from_positions(geometry.positions()[0]);
     bool any_reachable = false;
     bool any_unreachable = false;
     for (int a = 0; a + 1 < snap.n_ground; ++a) {
@@ -377,9 +375,10 @@ TEST(Scenario, CascadeOnStaticWiringNeverGrowsTheGiantComponent)
     bool any_growth = false;
     bool any_fall = false;
     for (const auto& topo : topologies) {
-        const snapshot_builder builder(topo, {}, epoch, deg2rad(30.0), 5.0e7);
-        const auto positions = builder.positions_at_offsets(offsets);
-        for (const auto& step_positions : positions)
+        const sweep_geometry geometry(
+            snapshot_builder(topo, {}, epoch, deg2rad(30.0), 5.0e7), offsets);
+        const auto& builder = geometry.builder();
+        for (const auto& step_positions : geometry.positions())
             ASSERT_EQ(builder.snapshot_from_positions(step_positions).links.size(),
                       topo.links.size());
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -398,8 +397,7 @@ TEST(Scenario, CascadeOnStaticWiringNeverGrowsTheGiantComponent)
             }
             any_growth |= timeline.final_n_failed() > timeline.n_failed_at(0);
 
-            const auto sweep =
-                run_scenario_sweep_timeline(builder, offsets, positions, timeline);
+            const auto sweep = run_scenario_sweep_timeline(geometry, timeline);
             ASSERT_EQ(sweep.step_giant_fraction.size(), offsets.size());
             for (std::size_t i = 1; i < sweep.step_giant_fraction.size(); ++i)
                 EXPECT_LE(sweep.step_giant_fraction[i], sweep.step_giant_fraction[i - 1])
@@ -598,10 +596,8 @@ TEST(Scenario, PairLatencyBounds)
     const auto opts = hour_grid();
     const snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                    opts.min_elevation_rad, opts.max_isl_range_m);
-    const auto offsets = sweep_offsets(opts.duration_s, opts.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
-    const auto sweep =
-        run_scenario_sweep_timeline(builder, offsets, positions, failure_timeline{});
+    const sweep_geometry geometry(builder, sweep_offsets(opts.duration_s, opts.step_s));
+    const auto sweep = run_scenario_sweep_timeline(geometry, failure_timeline{});
 
     // New York (0) <-> London (3). One-way light time along the surface is
     // ~18.6 ms; any real route is longer, and a sane LEO route stays under
@@ -614,7 +610,7 @@ TEST(Scenario, PairLatencyBounds)
     EXPECT_GE(sweep.metrics.p95_latency_ms, sweep.metrics.mean_latency_ms * 0.5);
 
     // Every routed step beats the floor, over at least an up- and a downlink.
-    for (const auto& step_positions : positions) {
+    for (const auto& step_positions : geometry.positions()) {
         const auto snap = builder.snapshot_from_positions(step_positions);
         const int london = snap.ground_node(3);
         const auto tree = single_source_routes(snap, snap.ground_node(0));

@@ -405,9 +405,9 @@ TEST(Timeline, TimelineSweepDegradesStepTracesAndIsThreadCountInvariant)
     const auto topo = build_walker_grid_topology(small_grid());
     const auto stations = default_ground_stations();
     const auto epoch = astro::instant::j2000();
-    const snapshot_builder builder(topo, stations, epoch, deg2rad(25.0));
     const auto offsets = hourly_offsets(12);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const sweep_geometry geometry(snapshot_builder(topo, stations, epoch, deg2rad(25.0)),
+                                  offsets);
 
     auto scenario = cascade_scenario();
     scenario.cascade_escalation = 1.0;
@@ -416,8 +416,7 @@ TEST(Timeline, TimelineSweepDegradesStepTracesAndIsThreadCountInvariant)
     std::vector<scenario_sweep_result> runs;
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        runs.push_back(
-            run_scenario_sweep_timeline(builder, offsets, positions, timeline));
+        runs.push_back(run_scenario_sweep_timeline(geometry, timeline));
     }
     set_thread_count(0);
 

@@ -3,6 +3,7 @@
 #include "astro/ground_track.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <utility>
 
@@ -10,8 +11,10 @@
 
 #include "astro/constants.h"
 #include "lsn/scenario.h"
+#include "masked_build.h"
 #include "util/angles.h"
 #include "util/expects.h"
+#include "util/rng.h"
 
 namespace ssplane::lsn {
 namespace {
@@ -358,6 +361,29 @@ void expect_link_table(const network_snapshot& snap)
     }
 }
 
+/// `got` and `want` hold the same links (endpoints, latency bit for bit) in
+/// the same order and the same CSR rows.
+void expect_same_snapshot(const network_snapshot& got, const network_snapshot& want)
+{
+    ASSERT_EQ(got.n_satellites, want.n_satellites);
+    ASSERT_EQ(got.n_ground, want.n_ground);
+    ASSERT_EQ(got.links.size(), want.links.size());
+    for (std::size_t id = 0; id < want.links.size(); ++id) {
+        const auto& g = got.links[id];
+        const auto& w = want.links[id];
+        ASSERT_TRUE(g.a == w.a && g.b == w.b &&
+                    std::bit_cast<std::uint64_t>(g.latency_s) ==
+                        std::bit_cast<std::uint64_t>(w.latency_s))
+            << "link " << id;
+    }
+    ASSERT_EQ(got.arc_begin, want.arc_begin);
+    ASSERT_EQ(got.arcs.size(), want.arcs.size());
+    for (std::size_t k = 0; k < want.arcs.size(); ++k)
+        ASSERT_TRUE(got.arcs[k].to == want.arcs[k].to &&
+                    got.arcs[k].link == want.arcs[k].link)
+            << "arc " << k;
+}
+
 TEST(Topology, SnapshotLinkTableOnUnmaskedAndMaskedWalker)
 {
     constellation::walker_parameters p;
@@ -395,6 +421,51 @@ TEST(Topology, SnapshotLinkTableOnUnmaskedAndMaskedWalker)
         EXPECT_EQ(masked.links[id].a, survivors[id].a);
         EXPECT_EQ(masked.links[id].b, survivors[id].b);
         EXPECT_EQ(masked.links[id].latency_s, survivors[id].latency_s);
+    }
+
+    // Both filtered paths — the step geometry and the one-step builder call —
+    // equal the reference build that applies the mask inside its loops, on
+    // every step of a grid, three shells and 19 masks each.
+    std::vector<constellation::ss_plane> ss_planes;
+    for (int plane = 0; plane < 8; ++plane)
+        ss_planes.push_back({560.0e3, 1.5 * plane, 14, 0.3 * plane});
+    const std::vector<std::pair<const char*, lsn_topology>> shells{
+        {"ss design", build_ss_topology(ss_planes, astro::instant::j2000())},
+        {"walker +grid", topo},
+        {"capped walker", build_walker_capped_topology(p, 3)}};
+    const auto stations = default_ground_stations();
+    const double min_elevation_rad = deg2rad(25.0);
+    const double max_isl_range_m = 6.0e6;
+    rng draws(19);
+    for (const auto& [name, shell] : shells) {
+        SCOPED_TRACE(name);
+        const sweep_geometry geometry(
+            snapshot_builder(shell, stations, astro::instant::j2000(), min_elevation_rad,
+                             max_isl_range_m),
+            sweep_offsets(4.0 * 3600.0, 3600.0));
+        const std::size_t n = shell.satellites.size();
+        std::vector<std::vector<std::uint8_t>> masks{
+            {}, std::vector<std::uint8_t>(n, 1), std::vector<std::uint8_t>(n, 0)};
+        for (std::size_t s = 0; s < n; ++s)
+            masks.back()[s] = shell.satellites[s].plane == 1;
+        for (int draw = 0; draw < 16; ++draw) {
+            const double loss = draws.uniform(0.0, 0.5);
+            auto& mask = masks.emplace_back(n, 0);
+            for (auto& bit : mask) bit = draws.bernoulli(loss) ? 1 : 0;
+        }
+        for (int step = 0; step < geometry.n_steps(); ++step) {
+            const auto& at_step = geometry.positions()[static_cast<std::size_t>(step)];
+            for (std::size_t m = 0; m < masks.size(); ++m) {
+                SCOPED_TRACE(::testing::Message() << "step " << step << ", mask " << m);
+                const auto reference = masked_build(shell, stations, min_elevation_rad,
+                                                    max_isl_range_m, at_step, masks[m]);
+                expect_same_snapshot(geometry.snapshot(step, masks[m]), reference);
+                expect_same_snapshot(
+                    geometry.builder().snapshot_from_positions(at_step, masks[m]),
+                    reference);
+            }
+            EXPECT_TRUE(geometry.snapshot(step, masks[1]).links.empty());
+        }
     }
 }
 

@@ -287,9 +287,9 @@ TEST(ObsCampaign, CampaignReportsCacheStatisticsAndCsvCarriesThem)
     // 3 scenarios x 3 engines: the prefetch misses once per distinct
     // timeline, the dedup resolves the rest as hits of this run.
     EXPECT_EQ(first.cache.timeline_misses, 3u);
-#ifndef SSPLANE_OBS_DISABLED
-    EXPECT_GT(first.snapshot_builds, 0u);
-#endif
+    // The cold context builds each step's links once, whichever cell asks
+    // first; counted by the context itself, so obs-off builds report it too.
+    EXPECT_EQ(first.cache.snapshot_builds, static_cast<std::uint64_t>(context.n_steps()));
 
     // Re-running on the same context is all hits — and the result reports
     // THIS run's delta, not the context's cumulative totals.
@@ -297,6 +297,7 @@ TEST(ObsCampaign, CampaignReportsCacheStatisticsAndCsvCarriesThem)
     EXPECT_EQ(second.cache.timeline_misses, 0u);
     EXPECT_EQ(second.cache.timeline_hits, 3u);
     EXPECT_EQ(second.cache.timeline_hit_rate(), 1.0);
+    EXPECT_EQ(second.cache.snapshot_builds, 0u);
 
     std::ostringstream csv;
     second.write_csv(csv);

@@ -33,11 +33,10 @@ lsn::lsn_topology small_walker()
 
 struct sweep_fixture {
     lsn::lsn_topology topo = small_walker();
-    lsn::snapshot_builder builder{topo, lsn::default_ground_stations(),
-                                  astro::instant::j2000(), deg2rad(25.0)};
-    std::vector<double> offsets = lsn::sweep_offsets(7200.0, 1800.0);
-    std::vector<std::vector<vec3>> positions =
-        builder.positions_at_offsets(offsets);
+    lsn::sweep_geometry geometry{
+        lsn::snapshot_builder{topo, lsn::default_ground_stations(),
+                              astro::instant::j2000(), deg2rad(25.0)},
+        lsn::sweep_offsets(7200.0, 1800.0)};
     session_grid grid;
 
     explicit sweep_fixture(std::int64_t n_sessions = 30000)
@@ -112,12 +111,11 @@ TEST(ServingSweep, ScalarsAreFunctionsOfTheStepTraces)
     options.n_sessions = 30000;
     options.seed = 3;
     const auto unfailed = lsn::failure_timeline::from_static_mask({});
-    const auto result = run_serving_sweep_timeline(fx.builder, fx.offsets,
-                                                   fx.positions, {&unfailed},
+    const auto result = run_serving_sweep_timeline(fx.geometry, {&unfailed},
                                                    fx.grid, options)
                             .front();
 
-    const auto n = fx.offsets.size();
+    const auto n = fx.geometry.offsets().size();
     ASSERT_EQ(result.n_steps, static_cast<int>(n));
     ASSERT_EQ(result.step_served_fraction.size(), n);
     ASSERT_EQ(result.step_sessions_active.size(), n);
@@ -140,7 +138,7 @@ TEST(ServingSweep, ScalarsAreFunctionsOfTheStepTraces)
     EXPECT_DOUBLE_EQ(m.served_fraction_mean,
                      served_sum / static_cast<double>(n));
     EXPECT_DOUBLE_EQ(m.time_to_restore_s,
-                     time_to_restore(result.step_served_fraction, fx.offsets,
+                     time_to_restore(result.step_served_fraction, fx.geometry.offsets(),
                                      options.restore_served_fraction));
     EXPECT_DOUBLE_EQ(m.recovery_headroom,
                      lsn::recovery_headroom(result.step_served_fraction));
@@ -155,15 +153,14 @@ TEST(ServingSweep, MidSweepTotalStrikeDipsAndRecovers)
     serving_options options;
     options.n_sessions = 30000;
     options.seed = 3;
-    const int n_sats = static_cast<int>(fx.positions[0].size());
-    const int n_steps = static_cast<int>(fx.offsets.size());
+    const int n_sats = static_cast<int>(fx.geometry.positions()[0].size());
+    const int n_steps = static_cast<int>(fx.geometry.offsets().size());
     ASSERT_GE(n_steps, 3);
 
     const auto unfailed = lsn::failure_timeline::from_static_mask({});
     const auto strike = strike_window(n_sats, n_steps, 1, 2);
-    const auto rows = run_serving_sweep_timeline(
-        fx.builder, fx.offsets, fx.positions, {&unfailed, &strike}, fx.grid,
-        options);
+    const auto rows =
+        run_serving_sweep_timeline(fx.geometry, {&unfailed, &strike}, fx.grid, options);
     ASSERT_EQ(rows.size(), 2u);
     const auto& baseline = rows[0];
     const auto& struck = rows[1];
@@ -220,21 +217,19 @@ TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
     serving_options options;
     options.n_sessions = 30000;
     options.seed = 3;
-    const int n_sats = static_cast<int>(fx.positions[0].size());
-    const int n_steps = static_cast<int>(fx.offsets.size());
+    const int n_sats = static_cast<int>(fx.geometry.positions()[0].size());
+    const int n_steps = static_cast<int>(fx.geometry.offsets().size());
     const auto timeline = strike_window(n_sats, n_steps, 1, 3);
 
-    const auto reference = run_serving_sweep_timeline(
-        fx.builder, fx.offsets, fx.positions, {&timeline}, fx.grid, options)
-                               .front();
+    const auto reference =
+        run_serving_sweep_timeline(fx.geometry, {&timeline}, fx.grid, options).front();
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
         for (const int chunk : {0, 5}) {
             serving_options perturbed = options;
             perturbed.chunk_cells = chunk;
             const auto result =
-                run_serving_sweep_timeline(fx.builder, fx.offsets, fx.positions,
-                                           {&timeline}, fx.grid, perturbed)
+                run_serving_sweep_timeline(fx.geometry, {&timeline}, fx.grid, perturbed)
                     .front();
             EXPECT_EQ(result.step_served_fraction,
                       reference.step_served_fraction);
@@ -275,10 +270,13 @@ TEST(ServingSweep, ReductionMatchesIndependentPerStepAssignments)
     params.sats_per_plane = 20;
     params.phasing_f = 1;
     const auto topo = lsn::build_walker_grid_topology(params);
-    const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
-                                        astro::instant::j2000(), deg2rad(25.0));
-    const auto offsets = lsn::sweep_offsets(7200.0, 1800.0);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(
+        lsn::snapshot_builder(topo, lsn::default_ground_stations(),
+                              astro::instant::j2000(), deg2rad(25.0)),
+        lsn::sweep_offsets(7200.0, 1800.0));
+    const auto& builder = geometry.builder();
+    const auto offsets = geometry.offsets();
+    const auto& positions = geometry.positions();
     const sweep_fixture fx;
     serving_options options;
     options.beams_per_satellite = 10000;
@@ -288,8 +286,7 @@ TEST(ServingSweep, ReductionMatchesIndependentPerStepAssignments)
     const int n_steps = static_cast<int>(offsets.size());
     const auto timeline = random_every_step(builder.n_satellites(), n_steps, 0.1, 5);
     const auto result =
-        run_serving_sweep_timeline(builder, offsets, positions, {&timeline}, fx.grid,
-                                   options)
+        run_serving_sweep_timeline(geometry, {&timeline}, fx.grid, options)
             .front();
 
     std::vector<session_rate_group> pooled;
@@ -323,8 +320,8 @@ TEST(ServingSweep, BatchOfRowsEqualsEachRowServedAlone)
     serving_options options;
     options.n_sessions = 30000;
     options.seed = 3;
-    const int n_sats = static_cast<int>(fx.positions[0].size());
-    const int n_steps = static_cast<int>(fx.offsets.size());
+    const int n_sats = static_cast<int>(fx.geometry.positions()[0].size());
+    const int n_steps = static_cast<int>(fx.geometry.offsets().size());
     std::vector<std::uint8_t> static_loss(static_cast<std::size_t>(n_sats), 0);
     for (int s = 0; s < n_sats; s += 3) static_loss[static_cast<std::size_t>(s)] = 1;
     const std::vector<lsn::failure_timeline> timelines{
@@ -337,8 +334,7 @@ TEST(ServingSweep, BatchOfRowsEqualsEachRowServedAlone)
     std::vector<serving_sweep_result> alone;
     for (const auto& timeline : timelines) {
         rows.push_back(&timeline);
-        alone.push_back(run_serving_sweep_timeline(fx.builder, fx.offsets,
-                                                   fx.positions, {&timeline},
+        alone.push_back(run_serving_sweep_timeline(fx.geometry, {&timeline},
                                                    fx.grid, options)
                             .front());
     }
@@ -348,8 +344,8 @@ TEST(ServingSweep, BatchOfRowsEqualsEachRowServedAlone)
         for (const int chunk : {0, 13, 4096}) {
             serving_options perturbed = options;
             perturbed.chunk_cells = chunk;
-            const auto batch = run_serving_sweep_timeline(
-                fx.builder, fx.offsets, fx.positions, rows, fx.grid, perturbed);
+            const auto batch =
+                run_serving_sweep_timeline(fx.geometry, rows, fx.grid, perturbed);
             ASSERT_EQ(batch.size(), rows.size());
             for (std::size_t r = 0; r < rows.size(); ++r) {
                 SCOPED_TRACE("threads " + std::to_string(threads) + ", chunk " +
@@ -359,7 +355,7 @@ TEST(ServingSweep, BatchOfRowsEqualsEachRowServedAlone)
         }
     }
     set_thread_count(0);
-    EXPECT_TRUE(run_serving_sweep_timeline(fx.builder, fx.offsets, fx.positions, {},
+    EXPECT_TRUE(run_serving_sweep_timeline(fx.geometry, {},
                                            fx.grid, options)
                     .empty());
 }

@@ -244,9 +244,9 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
     const auto epoch = astro::instant::j2000();
     // Generous ISL range: a 5x5 shell's ring spacing exceeds the default
     // gate, and this test is about the timeline, not the geometry.
-    const lsn::snapshot_builder builder(topo, {}, epoch, deg2rad(30.0), 1.0e8);
     const std::vector<double> offsets = lsn::sweep_offsets(7200.0, 1800.0);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(
+        lsn::snapshot_builder(topo, {}, epoch, deg2rad(30.0), 1.0e8), offsets);
 
     // Escalating timeline: one more plane of damage every step.
     lsn::failure_timeline timeline;
@@ -261,7 +261,7 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
 
     const percolation_sweep_result serial = [&] {
         set_thread_count(1);
-        return run_percolation_sweep_timeline(builder, offsets, positions, timeline);
+        return run_percolation_sweep_timeline(geometry, timeline);
     }();
     ASSERT_EQ(serial.step_lambda2.size(), offsets.size());
     ASSERT_EQ(serial.step_giant_fraction.size(), offsets.size());
@@ -274,7 +274,7 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
     for (const unsigned threads : {2u, 4u}) {
         set_thread_count(threads);
         const percolation_sweep_result parallel =
-            run_percolation_sweep_timeline(builder, offsets, positions, timeline);
+            run_percolation_sweep_timeline(geometry, timeline);
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             EXPECT_DOUBLE_EQ(parallel.step_lambda2[i], serial.step_lambda2[i]);
             EXPECT_DOUBLE_EQ(parallel.step_giant_fraction[i],
@@ -296,7 +296,7 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
     percolation_options capped;
     capped.lanczos.max_iterations = 2;
     const percolation_sweep_result rough =
-        run_percolation_sweep_timeline(builder, offsets, positions, timeline, capped);
+        run_percolation_sweep_timeline(geometry, timeline, capped);
     int connected = 0;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         const bool is_connected = serial.step_susceptibility[i] == 0.0;
@@ -332,8 +332,10 @@ TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
                                                     : mask == 2 && sat < 12));
 
     for (const double isl_range_m : {1.0e8, 5.0e6, 1.0}) {
-        const lsn::snapshot_builder builder(topo, {}, epoch, deg2rad(30.0), isl_range_m);
-        const auto positions = builder.positions_at_offsets(offsets);
+        const lsn::sweep_geometry geometry(
+            lsn::snapshot_builder(topo, {}, epoch, deg2rad(30.0), isl_range_m), offsets);
+        const auto& builder = geometry.builder();
+        const auto& positions = geometry.positions();
         std::vector<std::pair<std::vector<std::uint8_t>, adjacency_t>> distinct;
         std::vector<percolation_metrics> expected;
         for (std::size_t i = 0; i < offsets.size(); ++i) {
@@ -356,7 +358,7 @@ TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
             set_thread_count(threads);
             obs::registry::instance().reset();
             const percolation_sweep_result r =
-                run_percolation_sweep_timeline(builder, offsets, positions, timeline);
+                run_percolation_sweep_timeline(geometry, timeline);
 #ifndef SSPLANE_OBS_DISABLED
             EXPECT_EQ(obs::registry::instance()
                           .get_counter("spectral.percolate.reused")
@@ -383,9 +385,9 @@ TEST(PercolationSweep, EmptyGridReportsZeros)
     const lsn::lsn_topology topo =
         lsn::build_walker_grid_topology(small_walker(3, 4));
     const auto epoch = astro::instant::j2000();
-    const lsn::snapshot_builder builder(topo, {}, epoch, deg2rad(30.0));
-    const percolation_sweep_result r =
-        run_percolation_sweep_timeline(builder, {}, {}, {});
+    const percolation_sweep_result r = run_percolation_sweep_timeline(
+        lsn::sweep_geometry(lsn::snapshot_builder(topo, {}, epoch, deg2rad(30.0)), {}),
+        {});
     EXPECT_TRUE(r.step_lambda2.empty());
     EXPECT_DOUBLE_EQ(r.lambda2_mean, 0.0);
     EXPECT_DOUBLE_EQ(r.giant_fraction_min, 0.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/expects.h"
 
 namespace ssplane::tempo {
@@ -91,6 +92,44 @@ TEST(BulkRouter, VolumePulseSpillsToLaterSteps)
     EXPECT_DOUBLE_EQ(cut.requests[0].delivered_gb, 12000.0);
     EXPECT_FALSE(cut.requests[0].complete);
     EXPECT_NEAR(cut.requests[0].delivered_fraction, 12000.0 / 15000.0, 1e-12);
+}
+
+TEST(BulkRouter, CountsRequestsThePathCapTruncates)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "work counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    // The 15000 Gb pulse takes one augmenting path per step. Capped at two
+    // paths it stops with 3000 Gb left; capped at three, or at the default
+    // cap, it completes, and a deadline that cuts it off stops it short of
+    // the cap.
+    const auto hits = [] {
+        return obs::registry::instance().get_counter("tempo.bulk.path_cap_hits").value();
+    };
+    const std::vector<lsn::network_snapshot> snaps{
+        chain_snapshot(), chain_snapshot(), chain_snapshot()};
+    const bulk_transfer_request request{0, 1, 15000.0, 0.0, 3.0 * step_s};
+    auto capped_options = chain_options();
+    capped_options.max_paths_per_request = 2;
+    auto capped = build_time_expanded_graph_timeline(snaps, grid(3), {}, capped_options);
+    obs::registry::instance().reset();
+    const auto cut = route_bulk_transfers(capped, {&request, 1});
+    EXPECT_EQ(cut.requests[0].n_paths, 2);
+    EXPECT_DOUBLE_EQ(cut.requests[0].delivered_gb, 12000.0);
+    EXPECT_EQ(hits(), 1u);
+
+    capped_options.max_paths_per_request = 3;
+    auto exact = build_time_expanded_graph_timeline(snaps, grid(3), {}, capped_options);
+    const auto done = route_bulk_transfers(exact, {&request, 1});
+    EXPECT_EQ(done.requests[0].n_paths, 3);
+    EXPECT_TRUE(done.requests[0].complete);
+    auto graph = build_time_expanded_graph_timeline(snaps, grid(3), {}, chain_options());
+    EXPECT_TRUE(route_bulk_transfers(graph, {&request, 1}).requests[0].complete);
+    graph.reset_loads();
+    const bulk_transfer_request tight{0, 1, 15000.0, 0.0, 2.0 * step_s};
+    EXPECT_FALSE(route_bulk_transfers(graph, {&tight, 1}).requests[0].complete);
+    EXPECT_EQ(hits(), 1u);
+#endif
 }
 
 /// Step 0: only g0 -- s0 (uplink, no path onward). Step 1: only s0 -- g1.

@@ -44,7 +44,7 @@ bulk_sweep_result sweep_bulk(const lsn::lsn_topology& topo,
                                         sweep.max_isl_range_m);
     const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
     return run_bulk_sweep_timeline(
-        builder, offsets, builder.positions_at_offsets(offsets),
+        lsn::sweep_geometry(builder, offsets),
         lsn::sample_failure_timeline(topo, scenario, offsets, epoch), requests);
 }
 
@@ -94,7 +94,7 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
                                         sweep.min_elevation_rad,
                                         sweep.max_isl_range_m);
     const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
     bulk_route_options opts;
     opts.sat_buffer_gb = 1.0e5;
@@ -104,10 +104,9 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
             if (a != b) requests.push_back({a, b, 2.0e5, 0.0, 14400.0});
 
     const auto timeline = lsn::sample_failure_timeline(topo, loss, offsets, epoch);
-    const auto expanded =
-        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests, opts);
-    const auto replicated = run_bulk_sweep_per_step_baseline_timeline(
-        builder, offsets, positions, timeline, requests, opts);
+    const auto expanded = run_bulk_sweep_timeline(geometry, timeline, requests, opts);
+    const auto replicated =
+        run_bulk_sweep_per_step_baseline_timeline(geometry, timeline, requests, opts);
 
     EXPECT_EQ(expanded.n_failed, replicated.n_failed);
     EXPECT_GT(expanded.n_failed, 0);
@@ -135,21 +134,19 @@ TEST(BulkSweep, FailuresOnlyReduceDeliveredVolume)
                                         sweep.min_elevation_rad,
                                         sweep.max_isl_range_m);
     const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     const std::vector<bulk_transfer_request> requests{
         {0, 2, 5.0e4, 0.0, 7200.0},
         {3, 1, 5.0e4, 0.0, 7200.0},
     };
 
-    const auto baseline =
-        run_bulk_sweep_timeline(builder, offsets, positions, {}, requests);
+    const auto baseline = run_bulk_sweep_timeline(geometry, {}, requests);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
     const auto degraded = run_bulk_sweep_timeline(
-        builder, offsets, positions,
-        lsn::sample_failure_timeline(topo, loss, offsets, epoch), requests);
+        geometry, lsn::sample_failure_timeline(topo, loss, offsets, epoch), requests);
 
     const double ratio = delivered_volume_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
@@ -213,7 +210,7 @@ TEST(BulkSweep, CascadeTimelineRoutesAroundTheUnfoldingFailure)
     const lsn::snapshot_builder builder(topo, stations, epoch,
                                         sweep.min_elevation_rad);
     const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     const std::vector<bulk_transfer_request> requests{
         {0, 2, 5000.0, 0.0, 7200.0},
         {1, 3, 3000.0, 1800.0, 7200.0},
@@ -227,12 +224,10 @@ TEST(BulkSweep, CascadeTimelineRoutesAroundTheUnfoldingFailure)
     cascade.cascade_cooldown_s = 7200.0;
     cascade.seed = 9;
 
-    const auto baseline =
-        run_bulk_sweep_timeline(builder, offsets, positions, {}, requests);
+    const auto baseline = run_bulk_sweep_timeline(geometry, {}, requests);
     const auto timeline =
         lsn::sample_failure_timeline(topo, cascade, offsets, epoch);
-    const auto degraded =
-        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests);
+    const auto degraded = run_bulk_sweep_timeline(geometry, timeline, requests);
 
     // The loss count is the timeline's final row, and delivered volume can
     // only shrink relative to the unfailed baseline.

@@ -61,14 +61,13 @@ lsn::failure_scenario adversary_scenario(int budget, int interval = 2,
 /// The exhaustive greedy search the pruned generator must reproduce: every
 /// surviving plane trial-killed and swept with `run_traffic_sweep_timeline`
 /// on the planning grid, the lowest plane index winning ties.
-lsn::failure_timeline exhaustive_adversary_timeline(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const lsn::failure_scenario& scenario, const traffic_sweep_options& options)
+lsn::failure_timeline exhaustive_adversary_timeline(const lsn::sweep_geometry& geometry,
+                                                    const lsn::failure_scenario& scenario,
+                                                    const traffic_sweep_options& options)
 {
-    const auto& topology = builder.topology();
-    const int n = builder.n_satellites();
-    const int n_steps = static_cast<int>(offsets_s.size());
+    const auto& topology = geometry.builder().topology();
+    const int n = geometry.builder().n_satellites();
+    const int n_steps = geometry.n_steps();
     const int n_planes = lsn::plane_count(topology);
 
     lsn::failure_timeline timeline;
@@ -77,12 +76,12 @@ lsn::failure_timeline exhaustive_adversary_timeline(
     timeline.masks.assign(
         static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
 
+    // The planning grid as a geometry of its own: propagation is per
+    // offset, so its positions equal the sweep's on those steps.
     std::vector<double> eval_offsets;
-    std::vector<std::vector<vec3>> eval_positions;
-    for (int i = 0; i < n_steps; i += scenario.adversary_eval_stride) {
-        eval_offsets.push_back(offsets_s[static_cast<std::size_t>(i)]);
-        eval_positions.push_back(positions[static_cast<std::size_t>(i)]);
-    }
+    for (int i = 0; i < n_steps; i += scenario.adversary_eval_stride)
+        eval_offsets.push_back(geometry.offsets()[static_cast<std::size_t>(i)]);
+    const lsn::sweep_geometry eval_geometry(geometry.builder(), eval_offsets);
 
     std::vector<std::uint8_t> current(static_cast<std::size_t>(n), 0);
     std::vector<std::uint8_t> plane_dead(static_cast<std::size_t>(n_planes), 0);
@@ -108,9 +107,8 @@ lsn::failure_timeline exhaustive_adversary_timeline(
             auto trial = current;
             kill_plane(p, trial);
             const auto sweep = run_traffic_sweep_timeline(
-                builder, eval_offsets, eval_positions,
-                lsn::failure_timeline::from_static_mask(std::move(trial)), test_demand(),
-                options);
+                eval_geometry, lsn::failure_timeline::from_static_mask(std::move(trial)),
+                test_demand(), options);
             if (sweep.metrics.delivered_gbps_mean < best_delivered) {
                 best_delivered = sweep.metrics.delivered_gbps_mean;
                 best_plane = p;
@@ -159,10 +157,10 @@ std::vector<equivalence_fixture> equivalence_fixtures()
 void expect_pruned_search_matches_exhaustive(const equivalence_fixture& fixture)
 {
     SCOPED_TRACE(fixture.name);
-    const lsn::snapshot_builder builder(fixture.topology, stations_from_cities(8),
-                                        astro::instant::j2000(), deg2rad(10.0));
-    const auto offsets = hourly_offsets(5);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(
+        lsn::snapshot_builder(fixture.topology, stations_from_cities(8),
+                              astro::instant::j2000(), deg2rad(10.0)),
+        hourly_offsets(5));
     for (const double demand_gbps : {5.0, 2000.0}) {
         traffic_sweep_options options;
         options.matrix.total_demand_gbps = demand_gbps;
@@ -173,15 +171,15 @@ void expect_pruned_search_matches_exhaustive(const equivalence_fixture& fixture)
                 SCOPED_TRACE(::testing::Message()
                              << "demand " << demand_gbps << " Gbps, budget " << budget
                              << ", stride " << stride);
-                const auto reference = exhaustive_adversary_timeline(
-                    builder, offsets, positions, scenario, options);
+                const auto reference =
+                    exhaustive_adversary_timeline(geometry, scenario, options);
                 EXPECT_EQ(reference.final_n_failed(),
                           budget * fixture.topology.satellites.size() /
                               static_cast<std::size_t>(lsn::plane_count(fixture.topology)));
                 for (const unsigned threads : {1u, 2u, 4u}) {
                     set_thread_count(threads);
                     const auto pruned = generate_adversary_timeline(
-                        builder, offsets, positions, scenario, test_demand(), options);
+                        geometry, scenario, test_demand(), options);
                     set_thread_count(0);
                     EXPECT_EQ(pruned.n_steps, reference.n_steps);
                     EXPECT_EQ(pruned.masks, reference.masks) << threads << " threads";
@@ -205,10 +203,10 @@ TEST(Adversary, TimelineFollowsTheStrikeSchedule)
     const auto epoch = astro::instant::j2000();
     const lsn::snapshot_builder builder(topo, stations, epoch, deg2rad(25.0));
     const auto offsets = hourly_offsets(8);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
-    const auto timeline = generate_adversary_timeline(
-        builder, offsets, positions, adversary_scenario(2), test_demand());
+    const auto timeline =
+        generate_adversary_timeline(geometry, adversary_scenario(2), test_demand());
     lsn::validate(timeline);
     EXPECT_EQ(timeline.n_satellites, 36);
     EXPECT_EQ(timeline.n_steps, 8);
@@ -239,16 +237,15 @@ TEST(Adversary, ZeroBudgetAndPastHorizonStrikesLeaveTheNetworkAlone)
     const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(4);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
-    const auto unarmed = generate_adversary_timeline(
-        builder, offsets, positions, adversary_scenario(0), test_demand());
+    const auto unarmed =
+        generate_adversary_timeline(geometry, adversary_scenario(0), test_demand());
     EXPECT_EQ(unarmed.final_n_failed(), 0);
 
     // A first strike scheduled past the horizon never lands.
     const auto late = generate_adversary_timeline(
-        builder, offsets, positions, adversary_scenario(2, 1, /*first=*/10),
-        test_demand());
+        geometry, adversary_scenario(2, 1, /*first=*/10), test_demand());
     EXPECT_EQ(late.final_n_failed(), 0);
 }
 
@@ -259,16 +256,14 @@ TEST(Adversary, DeterministicAcrossThreadCountsAndRepeats)
     const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(6);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     const auto scenario = adversary_scenario(2);
 
     std::vector<lsn::failure_timeline> runs;
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        runs.push_back(generate_adversary_timeline(builder, offsets, positions,
-                                                   scenario, test_demand()));
-        runs.push_back(generate_adversary_timeline(builder, offsets, positions,
-                                                   scenario, test_demand()));
+        runs.push_back(generate_adversary_timeline(geometry, scenario, test_demand()));
+        runs.push_back(generate_adversary_timeline(geometry, scenario, test_demand()));
     }
     set_thread_count(0);
     for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -287,14 +282,12 @@ TEST(Adversary, GreedyDamageAtLeastMatchesRandomPlaneAttacks)
     const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(4);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     const int budget = 2;
 
     const auto greedy = generate_adversary_timeline(
-        builder, offsets, positions, adversary_scenario(budget, 1, /*first=*/0),
-        test_demand());
-    const auto greedy_sweep = run_traffic_sweep_timeline(
-        builder, offsets, positions, greedy, test_demand());
+        geometry, adversary_scenario(budget, 1, /*first=*/0), test_demand());
+    const auto greedy_sweep = run_traffic_sweep_timeline(geometry, greedy, test_demand());
 
     for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
         lsn::failure_scenario random_attack;
@@ -302,7 +295,7 @@ TEST(Adversary, GreedyDamageAtLeastMatchesRandomPlaneAttacks)
         random_attack.planes_attacked = budget;
         random_attack.seed = seed;
         const auto sweep = run_traffic_sweep_timeline(
-            builder, offsets, positions,
+            geometry,
             lsn::sample_failure_timeline(topo, random_attack, offsets, builder.epoch()),
             test_demand());
         EXPECT_LE(greedy_sweep.metrics.delivered_gbps_mean,
@@ -319,12 +312,11 @@ TEST(Adversary, StridedOracleStillStrikes)
     const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(6);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
     auto scenario = adversary_scenario(1, 1, 0);
     scenario.adversary_eval_stride = 3;
-    const auto strided = generate_adversary_timeline(builder, offsets, positions,
-                                                     scenario, test_demand());
+    const auto strided = generate_adversary_timeline(geometry, scenario, test_demand());
     EXPECT_EQ(strided.final_n_failed(), 6);
 }
 
@@ -410,16 +402,39 @@ TEST(AdversaryWork, TrialsAndSettledNodesStayWithinMeasuredCeilings)
     const lsn::snapshot_builder builder(topo, stations_from_cities(8),
                                         astro::instant::j2000(), deg2rad(10.0));
     const auto offsets = hourly_offsets(6);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     traffic_sweep_options options;
     options.matrix.total_demand_gbps = 2000.0;
 
     obs::registry::instance().reset();
-    generate_adversary_timeline(builder, offsets, positions,
-                                adversary_scenario(2, 2, 0), test_demand(), options);
+    generate_adversary_timeline(geometry, adversary_scenario(2, 2, 0), test_demand(),
+                                options);
     EXPECT_LE(counter_value("traffic.adversary.trials"), 107u);
     EXPECT_LE(counter_value("lsn.dijkstra.settled"), 119562u);
     EXPECT_GT(counter_value("traffic.adversary.pruned"), 0u);
+#endif
+}
+
+TEST(AdversaryWork, CountsTheStepsTheStrideLeavesUnplanned)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "work counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    // Five hourly steps planned on every second one (steps 0, 2 and 4)
+    // leave two unplanned; stride 1 plans them all.
+    const auto topo = small_walker(4, 4);
+    const lsn::sweep_geometry geometry(
+        lsn::snapshot_builder(topo, stations_from_cities(4), astro::instant::j2000(),
+                              deg2rad(25.0)),
+        hourly_offsets(5));
+    auto scenario = adversary_scenario(1, 1, 0);
+    obs::registry::instance().reset();
+    scenario.adversary_eval_stride = 2;
+    generate_adversary_timeline(geometry, scenario, test_demand());
+    EXPECT_EQ(counter_value("traffic.adversary.unplanned_steps"), 2u);
+    scenario.adversary_eval_stride = 1;
+    generate_adversary_timeline(geometry, scenario, test_demand());
+    EXPECT_EQ(counter_value("traffic.adversary.unplanned_steps"), 2u);
 #endif
 }
 
@@ -429,18 +444,15 @@ TEST(Adversary, RejectsNonFiniteMatrixOptionsBeforeFanOut)
     const lsn::snapshot_builder builder(topo, stations_from_cities(4),
                                         astro::instant::j2000(), deg2rad(25.0));
     const auto offsets = hourly_offsets(2);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
     traffic_sweep_options options;
     options.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(generate_adversary_timeline(builder, offsets, positions,
-                                             adversary_scenario(1), test_demand(),
-                                             options),
+    const auto scenario = adversary_scenario(1);
+    EXPECT_THROW(generate_adversary_timeline(geometry, scenario, test_demand(), options),
                  contract_violation);
     options = {};
     options.matrix.min_distance_km = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(generate_adversary_timeline(builder, offsets, positions,
-                                             adversary_scenario(1), test_demand(),
-                                             options),
+    EXPECT_THROW(generate_adversary_timeline(geometry, scenario, test_demand(), options),
                  contract_violation);
 }
 
@@ -451,13 +463,12 @@ TEST(Adversary, RejectsNonAdversaryScenarios)
     const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(2);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.2;
-    EXPECT_THROW(generate_adversary_timeline(builder, offsets, positions, loss,
-                                             test_demand()),
+    EXPECT_THROW(generate_adversary_timeline(geometry, loss, test_demand()),
                  contract_violation);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "lsn/scenario.h"
+#include "obs/metrics.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/rng.h"
@@ -102,6 +103,43 @@ TEST(FlowAssignment, SpillsToAlternatePathsAcrossRounds)
     const auto one_round =
         assign_flows(diamond_snapshot(), single_pair_matrix(15.0), opts);
     EXPECT_DOUBLE_EQ(one_round.delivered_gbps, 10.0);
+}
+
+TEST(FlowAssignment, CountsAssignmentsTheRoundCapTruncates)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "work counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    // 15 Gbps over the diamond's two 10 Gbps paths: one round fills the
+    // short path and stops owing 5 Gbps, the cap truncating it; two rounds
+    // deliver everything. A 6 Gbps chain ISL leaves 4 Gbps owed after round
+    // one, but round two places nothing and stops short of four rounds.
+    const auto hits = [] {
+        return obs::registry::instance()
+            .get_counter("traffic.assign.round_cap_hits")
+            .value();
+    };
+    capacity_options opts;
+    opts.uplink_capacity_gbps = 10.0;
+    opts.isl_capacity_gbps = 10.0;
+    obs::registry::instance().reset();
+    opts.k_rounds = 1;
+    EXPECT_DOUBLE_EQ(
+        assign_flows(diamond_snapshot(), single_pair_matrix(15.0), opts).delivered_gbps,
+        10.0);
+    EXPECT_EQ(hits(), 1u);
+
+    opts.k_rounds = 2;
+    EXPECT_DOUBLE_EQ(
+        assign_flows(diamond_snapshot(), single_pair_matrix(15.0), opts).delivered_gbps,
+        15.0);
+    opts.isl_capacity_gbps = 6.0;
+    opts.k_rounds = 4;
+    EXPECT_DOUBLE_EQ(
+        assign_flows(chain_snapshot(), single_pair_matrix(10.0), opts).delivered_gbps,
+        6.0);
+    EXPECT_EQ(hits(), 1u);
+#endif
 }
 
 TEST(FlowAssignment, UnreachablePairsDeliverNothing)

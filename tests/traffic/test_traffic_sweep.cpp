@@ -51,7 +51,7 @@ traffic_sweep_result sweep_traffic(const lsn::lsn_topology& topo,
                                         sweep.max_isl_range_m);
     const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
     return run_traffic_sweep_timeline(
-        builder, offsets, builder.positions_at_offsets(offsets),
+        lsn::sweep_geometry(builder, offsets),
         lsn::sample_failure_timeline(topo, scenario, offsets, epoch), model, options);
 }
 
@@ -88,17 +88,15 @@ TEST(TrafficSweep, MassiveLossReducesDeliveredThroughput)
                                         short_sweep().min_elevation_rad);
     const auto offsets =
         lsn::sweep_offsets(short_sweep().duration_s, short_sweep().step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const lsn::sweep_geometry geometry(builder, offsets);
 
-    const auto baseline =
-        run_traffic_sweep_timeline(builder, offsets, positions, {}, model);
+    const auto baseline = run_traffic_sweep_timeline(geometry, {}, model);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
     const auto degraded = run_traffic_sweep_timeline(
-        builder, offsets, positions,
-        lsn::sample_failure_timeline(topo, loss, offsets, epoch), model);
+        geometry, lsn::sample_failure_timeline(topo, loss, offsets, epoch), model);
 
     const double ratio = delivered_throughput_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
