@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <queue>
 
+#include "lsn/monotone_queue.h"
 #include "obs/metrics.h"
 #include "util/expects.h"
 
@@ -16,10 +16,11 @@ namespace {
 constexpr double inf = std::numeric_limits<double>::infinity();
 
 /// Dijkstra core of both `single_source_routes` forms over the CSR rows; a
-/// link weighs `cost[id]`, or its latency when `cost` is empty. The queue
-/// pops (distance, node) pairs lexicographically and an edge relaxes only
-/// on a strictly shorter distance (never at infinite cost), so nodes
-/// settle in (distance, node id) order and a settled node's distance and
+/// link weighs `cost[id]`, or its latency when `cost` is empty. Weights
+/// are non-negative, so the monotone queue applies: it pops (distance,
+/// node) pairs lexicographically, and an edge relaxes only on a strictly
+/// shorter distance (never at infinite cost), so nodes settle in
+/// (distance, node id) order and a settled node's distance and
 /// predecessor are final. With `targets` the pass stops once every listed
 /// node is settled; without, it settles every node the source reaches.
 route_tree routes_from(const network_snapshot& snapshot, int src_node,
@@ -31,6 +32,10 @@ route_tree routes_from(const network_snapshot& snapshot, int src_node,
             "bad source node");
     expects(cost.empty() || cost.size() == snapshot.links.size(),
             "need one cost per snapshot link");
+    // `c >= 0` fails on NaN as on a negative cost, and passes +inf.
+    bool costs_valid = true;
+    for (const double c : cost) costs_valid &= c >= 0.0;
+    expects(costs_valid, "link costs must be non-negative or +inf");
     // Every routing query in the stack funnels through here, so these two
     // counters are the per-campaign "how many shortest-path solves, and how
     // much of the graph each one walked" figures.
@@ -54,14 +59,15 @@ route_tree routes_from(const network_snapshot& snapshot, int src_node,
         }
     }
 
-    using queue_item = std::pair<double, int>; // (distance, node)
-    std::priority_queue<queue_item, std::vector<queue_item>, std::greater<>> queue;
+    // One queue per thread, emptied per pass: its buckets keep their
+    // storage across the many passes a worker runs.
+    thread_local monotone_queue queue;
+    queue.clear();
     dist[static_cast<std::size_t>(src_node)] = 0.0;
-    if (!targets || unsettled_targets > 0) queue.emplace(0.0, src_node);
+    if (!targets || unsettled_targets > 0) queue.push(0.0, src_node);
     std::uint64_t settled = 0;
     while (!queue.empty()) {
-        const auto [d, u] = queue.top();
-        queue.pop();
+        const auto [d, u] = queue.pop();
         if (d > dist[static_cast<std::size_t>(u)]) continue;
         ++settled;
         if (targets && wanted[static_cast<std::size_t>(u)] != 0 &&
@@ -73,7 +79,7 @@ route_tree routes_from(const network_snapshot& snapshot, int src_node,
             if (nd < dist[static_cast<std::size_t>(arc.to)]) {
                 dist[static_cast<std::size_t>(arc.to)] = nd;
                 prev[static_cast<std::size_t>(arc.to)] = u;
-                queue.emplace(nd, arc.to);
+                queue.push(nd, arc.to);
             }
         }
     }

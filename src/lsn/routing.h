@@ -37,7 +37,8 @@ struct route_tree {
 };
 
 /// Full Dijkstra pass from `src_node` keeping the predecessor tree of every
-/// node the source reaches.
+/// node the source reaches. Link latencies are non-negative (the snapshot
+/// factory checks), which the pass's monotone queue relies on.
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
 
 /// Target-bounded pass: stops once every node listed in `targets` is
@@ -50,7 +51,8 @@ route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
 /// unsettled upper bounds. The traffic engine asks each source tree only
 /// for the gateways that are still owed demand. A non-empty `link_cost_s`
 /// (one entry per link id) replaces the link latencies; an infinite cost
-/// never relaxes, exactly as if the link were not in the snapshot.
+/// never relaxes, exactly as if the link were not in the snapshot. A
+/// negative or NaN cost throws `contract_violation` before the pass.
 route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
                                 std::span<const int> targets,
                                 std::span<const double> link_cost_s = {});

@@ -177,6 +177,7 @@ network_snapshot make_network_snapshot(int n_satellites, int n_ground,
     for (auto& link : links) {
         expects(link.a >= 0 && link.b >= 0 && link.a < n && link.b < n && link.a != link.b,
                 "a link must join two distinct snapshot nodes");
+        expects(link.latency_s >= 0.0, "link latency must be non-negative");
         if (link.a > link.b) std::swap(link.a, link.b);
         ++snap.arc_begin[static_cast<std::size_t>(link.a) + 1];
         ++snap.arc_begin[static_cast<std::size_t>(link.b) + 1];

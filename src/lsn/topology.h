@@ -114,9 +114,9 @@ struct network_snapshot {
 };
 
 /// The one snapshot factory: `links` (either orientation, distinct
-/// endpoints among the n_satellites + n_ground nodes, else
-/// `contract_violation`) are stored with a < b, each under its input
-/// position as link id.
+/// endpoints among the n_satellites + n_ground nodes, a non-negative
+/// latency, else `contract_violation`) are stored with a < b, each under
+/// its input position as link id.
 network_snapshot make_network_snapshot(int n_satellites, int n_ground,
                                        std::vector<network_snapshot::link> links);
 

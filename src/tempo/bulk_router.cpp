@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
+#include "lsn/monotone_queue.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/expects.h"
@@ -86,8 +86,7 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
     std::vector<double> arrival_s(static_cast<std::size_t>(n_time_nodes));
     std::vector<std::int64_t> prev_arc(static_cast<std::size_t>(n_time_nodes));
     std::vector<int> prev_tn(static_cast<std::size_t>(n_time_nodes));
-    using queue_item = std::pair<double, int>; // (arrival, time-node)
-    std::priority_queue<queue_item, std::vector<queue_item>, std::greater<>> queue;
+    lsn::monotone_queue queue; // (arrival, time-node)
 
     /// Earliest-arrival pass over the residual graph from (src, from_step),
     /// confined to steps <= deadline_step. Returns the first-settled
@@ -101,11 +100,10 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
         const int step_limit_tn = (deadline_step + 1) * n_nodes;
         arrival_s[static_cast<std::size_t>(start)] =
             graph.offsets_s[static_cast<std::size_t>(from_step)];
-        queue = {};
-        queue.emplace(arrival_s[static_cast<std::size_t>(start)], start);
+        queue.clear();
+        queue.push(arrival_s[static_cast<std::size_t>(start)], start);
         while (!queue.empty()) {
-            const auto [d, u] = queue.top();
-            queue.pop();
+            const auto [d, u] = queue.pop();
             if (d > arrival_s[static_cast<std::size_t>(u)]) continue;
             if (graph.node_of(u) == dst_node) return u;
             for (std::int64_t k = graph.arc_begin[static_cast<std::size_t>(u)];
@@ -129,7 +127,7 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
                     arrival_s[static_cast<std::size_t>(arc.to)] = nd;
                     prev_arc[static_cast<std::size_t>(arc.to)] = k;
                     prev_tn[static_cast<std::size_t>(arc.to)] = u;
-                    queue.emplace(nd, arc.to);
+                    queue.push(nd, arc.to);
                 }
             }
         }

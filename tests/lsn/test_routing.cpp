@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "lsn/scenario.h"
+#include "reference_dijkstra.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/rng.h"
@@ -21,6 +22,15 @@ network_snapshot line_graph()
     //  0 --1ms-- 1 --2ms-- 2 --1ms-- 3     and a slow shortcut 0 --10ms-- 3
     return make_network_snapshot(
         4, 0, {{0, 1, 0.001}, {1, 2, 0.002}, {2, 3, 0.001}, {0, 3, 0.010}});
+}
+
+/// Whole-array bit identity with the binary-heap reference: every latency
+/// and every predecessor, settled or not.
+void expect_same_tree(const route_tree& tree, const route_tree& reference)
+{
+    EXPECT_EQ(tree.source, reference.source);
+    EXPECT_EQ(tree.latency_s, reference.latency_s);
+    EXPECT_EQ(tree.prev, reference.prev);
 }
 
 /// The pass bounded to `dst` alone: the point-to-point query.
@@ -199,7 +209,9 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
     // snapped to multiples of 2^-10 s so that sums are exact and equal-cost
     // paths tie bit for bit. For every listed target — duplicates, the
     // source itself and unreachable nodes included — the bounded pass must
-    // return the full pass's path and latency exactly.
+    // return the full pass's path and latency exactly. Both passes must
+    // also equal the binary-heap reference over their whole arrays, which
+    // pins the (latency, node id) tie order on the snapped trials.
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
     params.inclination_rad = deg2rad(53.0);
@@ -245,6 +257,11 @@ TEST(Routing, TargetBoundedTreesMatchTheFullPassOnMaskedWalkerSnapshots)
 
             const auto bounded = single_source_routes(snap, src, targets);
             EXPECT_EQ(bounded.source, src);
+            {
+                SCOPED_TRACE(::testing::Message() << "trial " << trial << " source " << src);
+                expect_same_tree(full, reference_dijkstra(snap, src));
+                expect_same_tree(bounded, reference_dijkstra(snap, src, targets));
+            }
             for (const int t : targets) {
                 const auto ti = static_cast<std::size_t>(t);
                 EXPECT_EQ(bounded.latency_s[ti], full.latency_s[ti])
@@ -266,7 +283,9 @@ TEST(Routing, LinkCostsMatchASnapshotRebuiltFromTheFiniteCostLinks)
     // costs and +inf on a random tenth of the links. The cost-span pass
     // must return, bit for bit, the tree of a plain pass over the snapshot
     // rebuilt from the finite-cost links, in link order, with those costs
-    // as latencies: an infinite cost is a link that is not there.
+    // as latencies: an infinite cost is a link that is not there. Every
+    // tree must also equal the binary-heap reference's, and so must the
+    // cost-span pass bounded to every node (a full pass under the costs).
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
     params.inclination_rad = deg2rad(53.0);
@@ -301,6 +320,8 @@ TEST(Routing, LinkCostsMatchASnapshotRebuiltFromTheFiniteCostLinks)
         }
         const auto rebuilt =
             make_network_snapshot(snap.n_satellites, snap.n_ground, finite);
+        std::vector<int> every_node(static_cast<std::size_t>(snap.n_nodes()));
+        for (int v = 0; v < snap.n_nodes(); ++v) every_node[static_cast<std::size_t>(v)] = v;
 
         for (int query = 0; query < 4; ++query) {
             const int src = static_cast<int>(draws.uniform_int(0, snap.n_nodes() - 1));
@@ -312,6 +333,11 @@ TEST(Routing, LinkCostsMatchASnapshotRebuiltFromTheFiniteCostLinks)
             EXPECT_EQ(with_costs.latency_s, plain.latency_s)
                 << "trial " << trial << " source " << src;
             EXPECT_EQ(with_costs.prev, plain.prev) << "trial " << trial << " source " << src;
+            SCOPED_TRACE(::testing::Message() << "trial " << trial << " source " << src);
+            expect_same_tree(with_costs, reference_dijkstra(snap, src, targets, cost));
+            expect_same_tree(plain, reference_dijkstra(rebuilt, src, targets));
+            expect_same_tree(single_source_routes(snap, src, every_node, cost),
+                             reference_dijkstra(snap, src, every_node, cost));
         }
     }
     EXPECT_GT(dropped, 0);
@@ -320,6 +346,101 @@ TEST(Routing, LinkCostsMatchASnapshotRebuiltFromTheFiniteCostLinks)
     const std::vector<int> target{3};
     const std::vector<double> short_costs{0.001, 0.002};
     EXPECT_THROW(single_source_routes(line, 0, target, short_costs), contract_violation);
+
+    // A negative or NaN cost is rejected before the pass. Unchecked, the
+    // triangle 0-1 (1 ms), 0-2 (3 ms), 1-2 (-2.5 ms) reads 1 ms to node 1
+    // instead of 0.5 ms, and with the isolated node 3 listed the pass never
+    // returns. +inf stays an absent link and -0 a zero cost.
+    const auto triangle =
+        make_network_snapshot(4, 0, {{0, 1, 0.001}, {0, 2, 0.003}, {1, 2, 0.001}});
+    const std::vector<int> node_1{1};
+    const std::vector<int> isolated{3};
+    const std::vector<double> negative{0.001, 0.003, -0.0025};
+    const std::vector<double> not_a_number{0.001, std::nan(""), 0.001};
+    EXPECT_THROW(single_source_routes(triangle, 0, node_1, negative), contract_violation);
+    EXPECT_THROW(single_source_routes(triangle, 0, isolated, negative), contract_violation);
+    EXPECT_THROW(single_source_routes(triangle, 0, node_1, not_a_number), contract_violation);
+    EXPECT_THROW(single_source_routes(triangle, 0, isolated, not_a_number), contract_violation);
+    const std::vector<double> absent_and_zero{inf, 0.003, -0.0};
+    const auto tree = single_source_routes(triangle, 0, node_1, absent_and_zero);
+    EXPECT_EQ(tree.path_to(1), (std::vector<int>{0, 2, 1}));
+    EXPECT_EQ(tree.latency_s[1], 0.003);
+}
+
+TEST(Routing, LatencyEditedNegativeAfterTheFactoryThrowsInsteadOfLooping)
+{
+    // The factory rejects a negative latency; one written into the table
+    // afterwards reaches the pass, whose monotone queue refuses the key
+    // below its last pop, so the call throws rather than cycling forever.
+    auto triangle =
+        make_network_snapshot(4, 0, {{0, 1, 0.001}, {0, 2, 0.003}, {1, 2, 0.001}});
+    triangle.links[2].latency_s = -0.0025;
+    const std::vector<int> isolated{3};
+    EXPECT_THROW(single_source_routes(triangle, 0), contract_violation);
+    EXPECT_THROW(single_source_routes(triangle, 0, isolated), contract_violation);
+}
+
+TEST(Routing, MatchesTheBinaryHeapReferenceOnAnSsSnapshotOfTheNetworkDayShape)
+{
+    // An SS shell of the network_day size: 130 planes of 25 satellites
+    // spread over the day in LTAN, 12 gateways, one snapshot at the epoch.
+    // From every gateway, the full pass and the pass bounded to the other
+    // gateways must equal the binary-heap reference over their whole
+    // arrays, with latencies as built and snapped to multiples of 2^-10 s
+    // (exact sums, so equal-latency paths tie), and under a seeded cost
+    // span with +inf on a tenth of the links.
+    std::vector<constellation::ss_plane> planes;
+    for (int plane = 0; plane < 130; ++plane)
+        planes.push_back({560.0e3, 24.0 * plane / 130.0, 25, 0.05 * plane});
+    const auto topo = build_ss_topology(planes, astro::instant::j2000());
+    const snapshot_builder builder(topo, default_ground_stations(),
+                                   astro::instant::j2000(), deg2rad(30.0));
+    const std::vector<double> epoch_only{0.0};
+    const auto as_built =
+        builder.snapshot_from_positions(builder.positions_at_offsets(epoch_only)[0]);
+    ASSERT_EQ(as_built.n_nodes(), 3262);
+    const auto snapped = [&] {
+        auto snap = as_built;
+        for (auto& link : snap.links)
+            link.latency_s = std::round(link.latency_s * 1024.0) / 1024.0;
+        return snap;
+    }();
+
+    rng draws(20);
+    std::vector<double> cost(as_built.links.size());
+    for (auto& c : cost)
+        c = draws.bernoulli(0.1) ? std::numeric_limits<double>::infinity()
+                                 : draws.uniform(1.0e-4, 1.0e-2);
+
+    bool saw_tie = false;
+    for (const auto* snap : {&as_built, &snapped}) {
+        for (int g = 0; g < snap->n_ground; ++g) {
+            SCOPED_TRACE(::testing::Message() << (snap == &snapped ? "snapped" : "as built")
+                                              << ", gateway " << g);
+            const int src = snap->ground_node(g);
+            std::vector<int> gateways;
+            for (int h = 0; h < snap->n_ground; ++h)
+                if (h != g) gateways.push_back(snap->ground_node(h));
+            const auto full = single_source_routes(*snap, src);
+            expect_same_tree(full, reference_dijkstra(*snap, src));
+            expect_same_tree(single_source_routes(*snap, src, gateways),
+                             reference_dijkstra(*snap, src, gateways));
+            expect_same_tree(single_source_routes(*snap, src, gateways, cost),
+                             reference_dijkstra(*snap, src, gateways, cost));
+            // A node with a second predecessor at equal latency: only the
+            // settle order chose between them.
+            for (int v = 0; v < snap->n_nodes(); ++v) {
+                const auto vi = static_cast<std::size_t>(v);
+                for (const auto& arc : snap->arcs_of(v))
+                    saw_tie |= full.prev[vi] >= 0 && arc.to != full.prev[vi] &&
+                               full.latency_s[static_cast<std::size_t>(arc.to)] +
+                                       snap->links[static_cast<std::size_t>(arc.link)]
+                                           .latency_s ==
+                                   full.latency_s[vi];
+            }
+        }
+    }
+    EXPECT_TRUE(saw_tie);
 }
 
 TEST(Routing, TargetBoundedTreeEdgeCases)

@@ -486,6 +486,8 @@ TEST(Topology, SnapshotFactoryOrientsLinksAndRejectsBadOnes)
     EXPECT_THROW(make_network_snapshot(2, 0, {{-1, 1, 0.001}}), contract_violation);
     EXPECT_THROW(make_network_snapshot(2, 0, {{1, 1, 0.001}}), contract_violation);
     EXPECT_THROW(make_network_snapshot(-1, 0, {}), contract_violation);
+    EXPECT_THROW(make_network_snapshot(2, 0, {{0, 1, -0.0025}}), contract_violation);
+    EXPECT_THROW(make_network_snapshot(2, 0, {{0, 1, std::nan("")}}), contract_violation);
 }
 
 } // namespace
