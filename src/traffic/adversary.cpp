@@ -49,10 +49,11 @@ lsn::failure_timeline generate_adversary_timeline(
     }
     const int n_plan = static_cast<int>(plan_steps.size());
     OBS_COUNT_N("traffic.adversary.unplanned_steps", n_steps - n_plan);
-    const auto assign_at = [&](int k, std::span<const std::uint8_t> mask) {
+    const auto assign_at = [&](int k, std::span<const std::uint8_t> mask,
+                               const route_replay& replay = {}) {
         const auto ki = static_cast<std::size_t>(k);
         return assign_flows(geometry.snapshot(static_cast<int>(plan_steps[ki]), mask),
-                            matrices[ki], options.capacity);
+                            matrices[ki], options.capacity, replay);
     };
 
     std::vector<std::uint8_t> current(static_cast<std::size_t>(n), 0);
@@ -71,11 +72,13 @@ lsn::failure_timeline generate_adversary_timeline(
     };
 
     // One base assignment per planning step under the current mask: its
-    // delivered Gbps, and which planes have a satellite on a path it
-    // queried. Failing any other plane leaves that step's assignment as is.
+    // delivered Gbps, which planes have a satellite on a path it queried
+    // (failing any other plane leaves that step's assignment as is), and
+    // its route record, which the step's trials replay.
     struct base_step {
         double delivered_gbps = 0.0;
         std::vector<std::uint8_t> plane_on_path;
+        route_record routes;
     };
     struct trial {
         int plane = 0;
@@ -91,18 +94,19 @@ lsn::failure_timeline generate_adversary_timeline(
 
         const auto base = parallel_map<base_step>(
             static_cast<std::size_t>(n_plan), [&](std::size_t k) {
-                const auto flow = assign_at(static_cast<int>(k), current);
+                auto flow = assign_at(static_cast<int>(k), current);
                 base_step out;
                 out.delivered_gbps = flow.delivered_gbps;
                 out.plane_on_path.assign(static_cast<std::size_t>(n_planes), 0);
-                for (int s = 0; s < n; ++s)
-                    if (flow.on_queried_path[static_cast<std::size_t>(s)] != 0)
-                        out.plane_on_path[static_cast<std::size_t>(plane_of(s))] = 1;
+                for (const int v : flow.routes.nodes)
+                    if (v < n) out.plane_on_path[static_cast<std::size_t>(plane_of(v))] = 1;
+                out.routes = std::move(flow.routes);
                 return out;
             });
 
         // Trial-assign only the (surviving plane, step) pairs the base
-        // routing touched, plane-major, in one flat fan-out.
+        // routing touched, plane-major, in one flat fan-out; each trial
+        // replays its step's base record up to the first tree that differs.
         std::vector<trial> trials;
         std::size_t n_pairs = 0;
         for (int p = 0; p < n_planes; ++p) {
@@ -119,7 +123,9 @@ lsn::failure_timeline generate_adversary_timeline(
             parallel_map<double>(trials.size(), [&](std::size_t t) {
                 auto mask = current;
                 kill_plane(trials[t].plane, mask);
-                return assign_at(trials[t].step, mask).delivered_gbps;
+                const auto step = static_cast<std::size_t>(trials[t].step);
+                return assign_at(trials[t].step, mask, {&base[step].routes, current, mask})
+                    .delivered_gbps;
             });
 
         // Greedy choice: keep the plane whose loss leaves the least

@@ -11,17 +11,22 @@
 // flow-assignment layer and cannot see it.
 //
 // Every surviving plane is scored exactly, but flows are re-assigned only
-// where a plane can matter. Each strike:
+// where a plane can matter, and only from the first tree it can change.
+// Each strike:
 //   1. assigns flows once per planning step under the current mask, which
-//      also records the nodes on every path the assignment queried
-//      (`flow_result::on_queried_path`);
+//      also records every tree it ran and the paths each one queried
+//      (`flow_result::routes`);
 //   2. trial-assigns, in one flat `parallel_map`, only the (surviving
 //      plane, step) pairs whose plane has a satellite on such a path;
-//      every other pair scores exactly the base step's delivered Gbps;
+//      every other pair scores exactly the base step's delivered Gbps.
+//      Each trial replays its step's base record (`route_replay`): it takes
+//      the base's trees until the first one the plane's loss could change,
+//      and runs the rest;
 //   3. sums each plane's score serially in step order and takes the argmin
 //      in plane order, the lowest index winning ties.
-// The pruning rule is exact under three preconditions, each pinned by
-// tests against the exhaustive per-plane search:
+// The pruning rule and the replay are exact under three preconditions,
+// each pinned by tests against the exhaustive per-plane search and a fresh
+// assignment per trial:
 //   * Dijkstra settles nodes in (latency, node id) order with strict-<
 //     relaxation, so deleting nodes that lie on none of a tree's queried
 //     paths changes none of those paths — by induction over the pairs and
@@ -47,7 +52,9 @@ namespace ssplane::traffic {
 /// (`adversary_eval_stride`). Each strike costs one assignment per
 /// planning step plus one per unpruned (plane, step) pair — at most
 /// planes x (steps / stride) — counted by `traffic.adversary.trials`, with
-/// the pairs scored from the base counted by `traffic.adversary.pruned`.
+/// the pairs scored from the base counted by `traffic.adversary.pruned` and
+/// the trees trials took from their base's record by
+/// `traffic.adversary.reused_trees`.
 /// The sweep steps the stride leaves off the planning grid are counted by
 /// `traffic.adversary.unplanned_steps`. Strikes scheduled past the sweep
 /// horizon are dropped: the budget buys strikes only inside the window.

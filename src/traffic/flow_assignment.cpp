@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "util/expects.h"
 #include "util/stats.h"
+#include "util/union_find.h"
 
 namespace ssplane::traffic {
 
@@ -20,14 +21,17 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 
 /// Route as much of `remaining` as fits along `path` (node indices),
 /// bounded by the bottleneck residual capacity. Each hop's link id is the
-/// one in its tail node's CSR row. Returns the flow placed.
+/// one in its tail node's CSR row; a hop with no link (a replayed path cut
+/// from another snapshot) throws. Returns the flow placed.
 double place_flow_on_path(const lsn::network_snapshot& snapshot,
-                          const std::vector<int>& path, double remaining,
+                          std::span<const int> path, double remaining,
                           std::vector<link_load>& loads, double& latency_flow_sum_s)
 {
     if (path.size() < 2) return 0.0;
     const auto hop = [&](std::size_t i) {
-        return static_cast<std::size_t>(snapshot.link_between(path[i - 1], path[i]));
+        const int id = snapshot.link_between(path[i - 1], path[i]);
+        expects(id >= 0, "path hop is not a snapshot link");
+        return static_cast<std::size_t>(id);
     };
     double bottleneck = inf;
     double path_latency_s = 0.0;
@@ -43,15 +47,44 @@ double place_flow_on_path(const lsn::network_snapshot& snapshot,
     return flow;
 }
 
+/// The replay precondition: the replaying mask fails every satellite the
+/// base's did, and the base ran under the same demands and options.
+void check_replay(const route_replay& replay, const lsn::network_snapshot& snapshot,
+                  const traffic_matrix& matrix, const capacity_options& options)
+{
+    const auto n = static_cast<std::size_t>(snapshot.n_satellites);
+    expects(replay.base_mask.size() == n && replay.mask.size() == n,
+            "replay masks need one entry per satellite");
+    bool contains = true;
+    for (std::size_t s = 0; s < n; ++s)
+        contains &= replay.base_mask[s] == 0 || replay.mask[s] != 0;
+    expects(contains, "replay mask must contain the base's mask");
+    expects(replay.base->demand_gbps == matrix.demand_gbps &&
+                replay.base->options == options,
+            "replay base ran under another matrix or other options");
+}
+
+/// True when no path of `tree` crosses a satellite `mask` fails.
+bool paths_avoid(const route_record& record, const route_record::tree& tree,
+                 std::span<const std::uint8_t> mask)
+{
+    const auto first = static_cast<std::size_t>(tree.first_target);
+    for (auto i = static_cast<std::size_t>(record.path_begin[first]);
+         i < static_cast<std::size_t>(record.path_begin[first + tree.n_targets]); ++i) {
+        const auto v = static_cast<std::size_t>(record.nodes[i]);
+        if (v < mask.size() && mask[v] != 0) return false;
+    }
+    return true;
+}
+
 /// Reduce link loads and delivered totals into the result metrics.
 flow_result finalize(const traffic_matrix& matrix, std::vector<link_load> loads,
-                     std::vector<double> pair_delivered,
-                     std::vector<std::uint8_t> on_queried_path, double offered,
-                     double delivered, double latency_flow_sum_s,
+                     std::vector<double> pair_delivered, route_record routes,
+                     double offered, double delivered, double latency_flow_sum_s,
                      const capacity_options& options)
 {
     flow_result result;
-    result.on_queried_path = std::move(on_queried_path);
+    result.routes = std::move(routes);
     result.n_stations = matrix.n_stations;
     result.offered_gbps = offered;
     result.delivered_gbps = delivered;
@@ -96,7 +129,8 @@ void validate(const capacity_options& options)
 
 flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const traffic_matrix& matrix,
-                         const capacity_options& options)
+                         const capacity_options& options,
+                         const route_replay& replay)
 {
     OBS_SPAN("traffic.assign");
     OBS_COUNT("traffic.assign.calls");
@@ -111,6 +145,8 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     for (const double demand : matrix.demand_gbps)
         expects(std::isfinite(demand) && demand >= 0.0,
                 "traffic demand must be finite and non-negative");
+    const route_record* base = replay.base;
+    if (base) check_replay(replay, snapshot, matrix, options);
 
     // Per-link state, indexed by snapshot link id.
     std::vector<link_load> loads(snapshot.links.size());
@@ -123,7 +159,9 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     std::vector<double> remaining(matrix.demand_gbps);
     std::vector<double> pair_delivered(
         static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-    const auto at = [n](std::vector<double>& m, int a, int b) -> double& {
+    // Owed pairs no cost-finite path joins any more (only a < b is used).
+    std::vector<std::uint8_t> retired(pair_delivered.size(), 0);
+    const auto at = [n](auto& m, int a, int b) -> auto& {
         return m[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
                  static_cast<std::size_t>(b)];
     };
@@ -135,14 +173,39 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     double delivered = 0.0;
     double latency_flow_sum_s = 0.0;
     double total_remaining = offered;
-    std::vector<std::uint8_t> on_queried_path(
-        static_cast<std::size_t>(snapshot.n_nodes()), 0);
+    route_record record;
+    record.demand_gbps = matrix.demand_gbps;
+    record.options = options;
+    record.path_begin.push_back(0);
+    std::uint64_t retired_pairs = 0;
+    std::uint64_t reused_trees = 0;
+    std::size_t next_recorded = 0; // the base's first tree not yet walked
+    bool replaying = base != nullptr; // no earlier round has diverged
+
+    // Record pair (a, b)'s queried path and place what fits of its demand.
+    double round_flow = 0.0;
+    const auto serve = [&](int a, int b, std::span<const int> path) {
+        record.owed.push_back(b);
+        record.nodes.insert(record.nodes.end(), path.begin(), path.end());
+        record.path_begin.push_back(static_cast<int>(record.nodes.size()));
+        double& pair_remaining = at(remaining, a, b);
+        const double flow = place_flow_on_path(snapshot, path, pair_remaining, loads,
+                                               latency_flow_sum_s);
+        if (flow <= 0.0) return;
+        pair_remaining -= flow;
+        total_remaining -= flow;
+        delivered += flow;
+        round_flow += flow;
+        at(pair_delivered, a, b) += flow;
+        at(pair_delivered, b, a) += flow;
+    };
+
     std::vector<int> owed;
     std::vector<int> targets;
     int round = 0;
     for (; round < options.k_rounds && total_remaining > flow_eps_gbps; ++round) {
         OBS_COUNT("traffic.assign.rounds");
-        double round_flow = 0.0;
+        round_flow = 0.0;
         // Freeze this round's congestion costs: saturated links drop out,
         // loaded links weigh latency * (1 + penalty * utilization).
         for (std::size_t id = 0; id < cost.size(); ++id)
@@ -151,45 +214,81 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                            : snapshot.links[id].latency_s *
                                  (1.0 + options.congestion_penalty *
                                             loads[id].utilization());
+        // Retire every owed pair whose gateways the cost-finite links do not
+        // join: no tree reaches across, and loads only grow, so a saturated
+        // link never reopens and the pair stays cut off for good.
+        union_find components(snapshot.n_nodes());
+        for (std::size_t id = 0; id < cost.size(); ++id)
+            if (cost[id] != inf) components.unite(snapshot.links[id].a, snapshot.links[id].b);
+        for (int a = 0; a + 1 < n; ++a)
+            for (int b = a + 1; b < n; ++b) {
+                auto& cut = at(retired, a, b);
+                if (cut == 0 && at(remaining, a, b) > flow_eps_gbps &&
+                    components.find(snapshot.ground_node(a)) !=
+                        components.find(snapshot.ground_node(b))) {
+                    cut = 1;
+                    ++retired_pairs;
+                }
+            }
+        bool diverged = false; // some tree of this round failed a replay test
         for (int a = 0; a + 1 < n; ++a) {
             // Placing flow on one pair never changes another pair's
             // remainder, so this list is exactly the pairs of source `a`
-            // served this round. An exhausted source costs nothing; the
+            // served this round. A source owing nothing costs nothing; the
             // others get one tree that stops once their owed gateways are
             // settled and serves every one of those pairs.
             owed.clear();
             for (int b = a + 1; b < n; ++b)
-                if (at(remaining, a, b) > flow_eps_gbps) owed.push_back(b);
-            if (owed.empty()) continue;
+                if (at(remaining, a, b) > flow_eps_gbps && at(retired, a, b) == 0)
+                    owed.push_back(b);
+            // The base's tree for this (round, source), if it ran one.
+            const route_record::tree* recorded = nullptr;
+            if (replaying && next_recorded < base->trees.size() &&
+                base->trees[next_recorded].round == round &&
+                base->trees[next_recorded].source == a)
+                recorded = &base->trees[next_recorded++];
+            if (owed.empty()) {
+                // The base ran a tree here and placed its flow; this
+                // assignment owes nothing (its pairs retired): the owed
+                // lists differ, and so will the loads.
+                diverged |= recorded != nullptr;
+                continue;
+            }
+            const bool reuse = recorded != nullptr &&
+                               std::ranges::equal(base->owed_of(*recorded), owed) &&
+                               paths_avoid(*base, *recorded, replay.mask);
+            diverged |= replaying && !reuse;
+            record.trees.push_back({round, a, static_cast<int>(record.owed.size()),
+                                    static_cast<int>(owed.size())});
+            if (reuse) {
+                ++reused_trees;
+                const auto first = static_cast<std::size_t>(recorded->first_target);
+                for (auto i = first; i < first + static_cast<std::size_t>(recorded->n_targets);
+                     ++i)
+                    serve(a, base->owed[i], base->path(i));
+                continue;
+            }
             targets.clear();
             for (const int g : owed) targets.push_back(snapshot.ground_node(g));
             const auto tree = lsn::single_source_routes(
                 snapshot, snapshot.ground_node(a), targets, cost);
-            for (const int b : owed) {
-                double& pair_remaining = at(remaining, a, b);
-                const auto path = tree.path_to(snapshot.ground_node(b));
-                for (const int v : path) on_queried_path[static_cast<std::size_t>(v)] = 1;
-                const double flow = place_flow_on_path(snapshot, path, pair_remaining,
-                                                       loads, latency_flow_sum_s);
-                if (flow <= 0.0) continue;
-                pair_remaining -= flow;
-                total_remaining -= flow;
-                delivered += flow;
-                round_flow += flow;
-                at(pair_delivered, a, b) += flow;
-                at(pair_delivered, b, a) += flow;
-            }
+            for (const int b : owed) serve(a, b, tree.path_to(snapshot.ground_node(b)));
         }
+        // From the round after a divergence on, the loads may differ from
+        // the base's, and so may every cost: no tree is reused.
+        if (diverged) replaying = false;
         // A zero-yield round changed no load, so every later round would
         // recompute identical costs and trees to place nothing: stop.
         if (round_flow <= flow_eps_gbps) break;
     }
-    // Out of rounds, the last one placing flow, with demand still owed.
+    // Out of rounds, the last one placing flow, with demand still owed
+    // (retired pairs included).
     if (round == options.k_rounds && total_remaining > flow_eps_gbps)
         OBS_COUNT("traffic.assign.round_cap_hits");
-    return finalize(matrix, std::move(loads), std::move(pair_delivered),
-                    std::move(on_queried_path), offered, delivered,
-                    latency_flow_sum_s, options);
+    OBS_COUNT_N("traffic.assign.retired_pairs", retired_pairs);
+    if (base) OBS_COUNT_N("traffic.adversary.reused_trees", reused_trees);
+    return finalize(matrix, std::move(loads), std::move(pair_delivered), std::move(record),
+                    offered, delivered, latency_flow_sum_s, options);
 }
 
 } // namespace ssplane::traffic

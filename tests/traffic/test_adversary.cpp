@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "equivalence_fixtures.h"
 #include "obs/metrics.h"
 #include "util/angles.h"
 #include "util/expects.h"
@@ -16,18 +17,6 @@
 
 namespace ssplane::traffic {
 namespace {
-
-const demand::population_model& test_population()
-{
-    static const demand::population_model model;
-    return model;
-}
-
-const demand::demand_model& test_demand()
-{
-    static const demand::demand_model model(test_population());
-    return model;
-}
 
 lsn::lsn_topology small_walker(int planes = 6, int sats = 6)
 {
@@ -123,32 +112,6 @@ lsn::failure_timeline exhaustive_adversary_timeline(const lsn::sweep_geometry& g
     for (; fill_from < n_steps; ++fill_from)
         std::copy_n(current.data(), n, row(fill_from));
     return timeline;
-}
-
-/// One topology of the pruned-versus-exhaustive equivalence suite.
-struct equivalence_fixture {
-    const char* name;
-    lsn::lsn_topology topology;
-};
-
-std::vector<equivalence_fixture> equivalence_fixtures()
-{
-    constellation::walker_parameters shell;
-    shell.altitude_m = 550.0e3;
-    shell.inclination_rad = deg2rad(53.0);
-    shell.n_planes = 10;
-    shell.sats_per_plane = 10;
-    shell.phasing_f = 1;
-    std::vector<constellation::ss_plane> ss_planes;
-    for (int p = 0; p < 8; ++p)
-        ss_planes.push_back({560.0e3, 1.5 * p, 14, 0.3 * p});
-    return {
-        // +Grid on an evenly spaced shell: about two thirds of its links
-        // share a latency bit for bit with another, so equal-cost paths tie.
-        {"walker +grid", lsn::build_walker_grid_topology(shell)},
-        {"capped walker", lsn::build_walker_capped_topology(shell, 3)},
-        {"ss design", lsn::build_ss_topology(ss_planes, astro::instant::j2000())},
-    };
 }
 
 /// Runs the pruned generator on `fixture` over budgets 1-3, planning
@@ -366,12 +329,12 @@ TEST(Adversary, FailingAPlaneOffEveryQueriedPathLeavesTheAssignmentAlone)
                                                matrix, options.capacity);
                 for (int p = 0; p < lsn::plane_count(topo); ++p) {
                     std::vector<std::uint8_t> mask(static_cast<std::size_t>(n), 0);
+                    for (int s = 0; s < n; ++s)
+                        if (topo.satellites[static_cast<std::size_t>(s)].plane == p)
+                            mask[static_cast<std::size_t>(s)] = 1;
                     bool on_path = false;
-                    for (int s = 0; s < n; ++s) {
-                        if (topo.satellites[static_cast<std::size_t>(s)].plane != p) continue;
-                        mask[static_cast<std::size_t>(s)] = 1;
-                        on_path |= base.on_queried_path[static_cast<std::size_t>(s)] != 0;
-                    }
+                    for (const int v : base.routes.nodes)
+                        on_path |= v < n && mask[static_cast<std::size_t>(v)] != 0;
                     if (on_path) continue;
                     const auto trial = assign_flows(
                         builder.snapshot_from_positions(positions[i], mask), matrix,
@@ -394,10 +357,12 @@ TEST(AdversaryWork, TrialsAndSettledNodesStayWithinMeasuredCeilings)
     GTEST_SKIP() << "work counters compile away under -DSSPLANE_OBS=OFF";
 #else
     // A fixed fixture whose work counters repeat exactly for any pool
-    // size: a change that widens the search again or lets route trees walk
-    // past the gateways still owed demand trips these ceilings, the values
-    // measured when the pruned search and the bounded trees landed (107 of
-    // 114 (plane, step) pairs assigned).
+    // size: a change that widens the search again, lets route trees walk
+    // past the gateways still owed demand, or stops trials replaying their
+    // base's trees or cut-off pairs retiring trips these ceilings, the
+    // values measured when the pruned search (107 of 114 (plane, step)
+    // pairs assigned) and the replay landed (66,820 nodes settled, 119,562
+    // before it).
     const auto topo = small_walker(10, 10);
     const lsn::snapshot_builder builder(topo, stations_from_cities(8),
                                         astro::instant::j2000(), deg2rad(10.0));
@@ -410,8 +375,10 @@ TEST(AdversaryWork, TrialsAndSettledNodesStayWithinMeasuredCeilings)
     generate_adversary_timeline(geometry, adversary_scenario(2, 2, 0), test_demand(),
                                 options);
     EXPECT_LE(counter_value("traffic.adversary.trials"), 107u);
-    EXPECT_LE(counter_value("lsn.dijkstra.settled"), 119562u);
+    EXPECT_LE(counter_value("lsn.dijkstra.settled"), 66820u);
     EXPECT_GT(counter_value("traffic.adversary.pruned"), 0u);
+    EXPECT_GT(counter_value("traffic.adversary.reused_trees"), 0u);
+    EXPECT_GT(counter_value("traffic.assign.retired_pairs"), 0u);
 #endif
 }
 

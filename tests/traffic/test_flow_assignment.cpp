@@ -8,6 +8,7 @@
 
 #include "lsn/scenario.h"
 #include "obs/metrics.h"
+#include "reference_flow_assignment.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/rng.h"
@@ -182,9 +183,15 @@ TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
     const auto base = assign_flows(build(true), matrix, opts);
     EXPECT_DOUBLE_EQ(base.pair_delivered(0, 2), 0.0);
     EXPECT_DOUBLE_EQ(base.pair_delivered(1, 2), 10.0);
-    ASSERT_EQ(base.on_queried_path.size(), 8u);
-    EXPECT_EQ(base.on_queried_path,
-              (std::vector<std::uint8_t>{1, 1, 1, 0, 1, 1, 1, 1}));
+    std::vector<std::uint8_t> queried(8, 0);
+    for (const int v : base.routes.nodes) queried.at(static_cast<std::size_t>(v)) = 1;
+    EXPECT_EQ(queried, (std::vector<std::uint8_t>{1, 1, 1, 0, 1, 1, 1, 1}));
+    // Round one's two trees, in loop order, and nothing after: round two
+    // retires every pair still owed, since g0 and g1 are cut off.
+    ASSERT_EQ(base.routes.trees.size(), 2u);
+    EXPECT_EQ(base.routes.owed, (std::vector<int>{1, 2, 2}));
+    EXPECT_EQ(std::vector<int>(base.routes.path(1).begin(), base.routes.path(1).end()),
+              (std::vector<int>{5, 0, 1, 2, 7}));
 
     // s2 lay only on the zero-flow path, yet failing it re-routes (0,2)
     // onto g0-s3-s4-g2 in round one and starves (1,2): a pruning rule that
@@ -192,6 +199,54 @@ TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
     const auto without_s2 = assign_flows(build(false), matrix, opts);
     EXPECT_DOUBLE_EQ(without_s2.pair_delivered(0, 2), 10.0);
     EXPECT_DOUBLE_EQ(without_s2.pair_delivered(1, 2), 0.0);
+}
+
+TEST(FlowAssignment, RetiresThePairsOfAGatewayWhoseUplinksSaturate)
+{
+    // Gateways g0..g2 = nodes 2..4; g0 sees only s0, g1 and g2 see both
+    // satellites (s0 at 1 ms, s1 at 2 ms); uplinks 40 Gbps, 30 Gbps offered
+    // on g0's pairs and 60 Gbps on (1,2). Round one: (0,1) takes 30 Gbps
+    // and (0,2) the last 10 of g0's uplink, (1,2) 10 via s0. Round two: g0
+    // is cut off, so (0,2) retires with 20 Gbps owed and source 0 runs no
+    // tree; (1,2) takes 40 via s1. Round three: g1 is cut off too, (1,2)
+    // retires, no tree runs, and the zero-yield round ends the assignment.
+    const auto snapshot = lsn::make_network_snapshot(
+        2, 3,
+        {ms_link(2, 0, 1.0), ms_link(3, 0, 1.0), ms_link(4, 0, 1.0), ms_link(3, 1, 2.0),
+         ms_link(4, 1, 2.0)});
+    traffic_matrix matrix;
+    matrix.n_stations = 3;
+    matrix.demand_gbps = {0.0, 30.0, 30.0, 30.0, 0.0, 60.0, 30.0, 60.0, 0.0};
+    matrix.total_gbps = 120.0;
+
+    obs::registry::instance().reset();
+    const auto result = assign_flows(snapshot, matrix);
+    EXPECT_DOUBLE_EQ(result.delivered_gbps, 90.0);
+    EXPECT_DOUBLE_EQ(result.pair_delivered(0, 2), 10.0);
+    EXPECT_DOUBLE_EQ(result.pair_delivered(1, 2), 50.0);
+    ASSERT_EQ(result.routes.trees.size(), 3u);
+    EXPECT_EQ(result.routes.trees[2].round, 1);
+    EXPECT_EQ(result.routes.trees[2].source, 1);
+    [[maybe_unused]] const auto counter = [](const char* name) {
+        return obs::registry::instance().get_counter(name).value();
+    };
+#ifndef SSPLANE_OBS_DISABLED
+    EXPECT_EQ(counter("traffic.assign.retired_pairs"), 2u);
+    EXPECT_EQ(counter("traffic.assign.rounds"), 3u);
+    EXPECT_EQ(counter("lsn.dijkstra.runs"), 3u);
+#endif
+
+    // The plain loop places the same flow on the same links; it ran a
+    // tree per owed source in each of the three rounds.
+    const auto reference = reference_assign_flows(snapshot, matrix);
+    EXPECT_EQ(result.delivered_gbps, reference.delivered_gbps);
+    EXPECT_EQ(result.latency_flow_sum_gbps_s, reference.latency_flow_sum_gbps_s);
+    EXPECT_EQ(result.pair_delivered_gbps, reference.pair_delivered_gbps);
+    for (std::size_t id = 0; id < result.links.size(); ++id)
+        EXPECT_EQ(result.links[id].load_gbps, reference.link_load_gbps[id]);
+#ifndef SSPLANE_OBS_DISABLED
+    EXPECT_EQ(counter("lsn.dijkstra.runs"), 3u + 6u);
+#endif
 }
 
 TEST(FlowAssignment, DefaultCapacitiesCarryTheDiamondOnItsShortPath)
@@ -278,6 +333,34 @@ TEST(FlowAssignment, RejectsMismatchedMatrix)
     capacity_options opts;
     opts.k_rounds = 0;
     EXPECT_THROW(assign_flows(chain_snapshot(), single_pair_matrix(1.0), opts),
+                 contract_violation);
+
+    // A replay needs a base that ran under the same matrix and options, and
+    // a mask (one entry per satellite) that fails every satellite the
+    // base's did.
+    const auto base = assign_flows(diamond_snapshot(), single_pair_matrix(15.0));
+    const std::vector<std::uint8_t> none(2, 0);
+    const std::vector<std::uint8_t> s0{1, 0};
+    const std::vector<std::uint8_t> s1{0, 1};
+    const route_replay replay{&base.routes, none, none};
+    EXPECT_NO_THROW(assign_flows(diamond_snapshot(), single_pair_matrix(15.0), {}, replay));
+    EXPECT_THROW(assign_flows(diamond_snapshot(), single_pair_matrix(16.0), {}, replay),
+                 contract_violation);
+    opts = {};
+    opts.k_rounds = 3;
+    EXPECT_THROW(assign_flows(diamond_snapshot(), single_pair_matrix(15.0), opts, replay),
+                 contract_violation);
+    EXPECT_THROW(assign_flows(diamond_snapshot(), single_pair_matrix(15.0), {},
+                              {&base.routes, s0, s1}),
+                 contract_violation);
+    EXPECT_THROW(assign_flows(diamond_snapshot(), single_pair_matrix(15.0), {},
+                              {&base.routes, none, {}}),
+                 contract_violation);
+
+    // A replayed path whose hop the snapshot lacks (the diamond's g0-s0-g1
+    // onto the chain, which has no s0-g1 link) throws instead of indexing
+    // the loads out of bounds.
+    EXPECT_THROW(assign_flows(chain_snapshot(), single_pair_matrix(15.0), {}, replay),
                  contract_violation);
 }
 
