@@ -1,13 +1,13 @@
 #include "lsn/routing.h"
 
 #include <algorithm>
-#include <cstdint>
+#include <functional>
 #include <limits>
-#include <optional>
 
 #include "lsn/monotone_queue.h"
 #include "obs/metrics.h"
 #include "util/expects.h"
+#include "util/union_find.h"
 
 namespace ssplane::lsn {
 
@@ -15,100 +15,244 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Dijkstra core of both `single_source_routes` forms over the CSR rows; a
-/// link weighs `cost[id]`, or its latency when `cost` is empty. Weights
-/// are non-negative, so the monotone queue applies: it pops (distance,
-/// node) pairs lexicographically, and an edge relaxes only on a strictly
-/// shorter distance (never at infinite cost), so nodes settle in
-/// (distance, node id) order and a settled node's distance and
-/// predecessor are final. With `targets` the pass stops once every listed
-/// node is settled; without, it settles every node the source reaches.
-route_tree routes_from(const network_snapshot& snapshot, int src_node,
-                       std::optional<std::span<const int>> targets,
-                       std::span<const double> cost)
-{
-    const auto n = static_cast<std::size_t>(snapshot.n_nodes());
-    expects(src_node >= 0 && static_cast<std::size_t>(src_node) < n,
-            "bad source node");
-    expects(cost.empty() || cost.size() == snapshot.links.size(),
-            "need one cost per snapshot link");
-    // `c >= 0` fails on NaN as on a negative cost, and passes +inf.
-    bool costs_valid = true;
-    for (const double c : cost) costs_valid &= c >= 0.0;
-    expects(costs_valid, "link costs must be non-negative or +inf");
-    // Every routing query in the stack funnels through here, so these two
-    // counters are the per-campaign "how many shortest-path solves, and how
-    // much of the graph each one walked" figures.
-    OBS_COUNT("lsn.dijkstra.runs");
-    route_tree tree;
-    tree.source = src_node;
-    auto& dist = tree.latency_s;
-    auto& prev = tree.prev;
-    dist.assign(n, inf);
-    prev.assign(n, -1);
-
-    std::vector<std::uint8_t> wanted;
-    int unsettled_targets = 0;
-    if (targets) {
-        wanted.assign(n, 0);
-        for (const int t : *targets) {
-            expects(t >= 0 && static_cast<std::size_t>(t) < n, "bad target node");
-            auto& flag = wanted[static_cast<std::size_t>(t)];
-            unsettled_targets += flag == 0;
-            flag = 1;
-        }
-    }
-
-    // One queue per thread, emptied per pass: its buckets keep their
-    // storage across the many passes a worker runs.
-    thread_local monotone_queue queue;
-    queue.clear();
-    dist[static_cast<std::size_t>(src_node)] = 0.0;
-    if (!targets || unsettled_targets > 0) queue.push(0.0, src_node);
-    std::uint64_t settled = 0;
-    while (!queue.empty()) {
-        const auto [d, u] = queue.pop();
-        if (d > dist[static_cast<std::size_t>(u)]) continue;
-        ++settled;
-        if (targets && wanted[static_cast<std::size_t>(u)] != 0 &&
-            --unsettled_targets == 0)
-            break;
-        for (const auto& arc : snapshot.arcs_of(u)) {
-            const auto id = static_cast<std::size_t>(arc.link);
-            const double nd = d + (cost.empty() ? snapshot.links[id].latency_s : cost[id]);
-            if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-                dist[static_cast<std::size_t>(arc.to)] = nd;
-                prev[static_cast<std::size_t>(arc.to)] = u;
-                queue.push(nd, arc.to);
-            }
-        }
-    }
-    OBS_COUNT_N("lsn.dijkstra.settled", settled);
-    return tree;
-}
+std::size_t at(int index) { return static_cast<std::size_t>(index); }
 
 } // namespace
 
-std::vector<int> route_tree::path_to(int node) const
+router::router(const network_snapshot& snapshot, std::span<const double> link_cost_s)
+    : snapshot_(&snapshot)
 {
-    if (!reachable(node)) return {};
-    std::vector<int> path;
-    for (int v = node; v != -1; v = prev[static_cast<std::size_t>(v)])
-        path.push_back(v);
+    OBS_COUNT("lsn.router.builds");
+    const auto n_nodes = snapshot.n_nodes();
+    expects(link_cost_s.empty() || link_cost_s.size() == snapshot.links.size(),
+            "need one cost per snapshot link");
+    const auto cost_of = [&](std::size_t id) {
+        return link_cost_s.empty() ? snapshot.links[id].latency_s : link_cost_s[id];
+    };
+    // `c >= 0` fails on NaN as on a negative cost, and passes +inf and -0.
+    bool costs_valid = true;
+    union_find joined(n_nodes);
+    for (std::size_t id = 0; id < snapshot.links.size(); ++id) {
+        const double c = cost_of(id);
+        costs_valid &= c >= 0.0;
+        if (c == 0.0) joined.unite(snapshot.links[id].a, snapshot.links[id].b);
+    }
+    expects(costs_valid, "link costs must be non-negative or +inf");
+
+    // Components numbered by their lowest node, members listed in id order.
+    component_.assign(at(n_nodes), -1);
+    std::vector<int> of_root(at(n_nodes), -1);
+    int n_components = 0;
+    for (int v = 0; v < n_nodes; ++v) {
+        int& id = of_root[at(joined.find(v))];
+        if (id < 0) id = n_components++;
+        component_[at(v)] = id;
+    }
+    member_begin_.assign(at(n_components) + 1, 0);
+    for (const int c : component_) ++member_begin_[at(c) + 1];
+    for (std::size_t c = 1; c < member_begin_.size(); ++c)
+        member_begin_[c] += member_begin_[c - 1];
+    members_.resize(at(n_nodes));
+    std::vector<int> fill(member_begin_.begin(), member_begin_.end() - 1);
+    for (int v = 0; v < n_nodes; ++v) members_[at(fill[at(component_[at(v)])]++)] = v;
+
+    arc_cost_.resize(snapshot.arcs.size());
+    for (std::size_t i = 0; i < arc_cost_.size(); ++i)
+        arc_cost_[i] = cost_of(at(snapshot.arcs[i].link));
+
+    // Per component, one hop per neighbouring component at the least
+    // finite cost of the links into it; `slot` finds a neighbour already
+    // in the row being built.
+    std::vector<std::ptrdiff_t> slot(at(n_components), -1);
+    hop_begin_.assign(1, 0);
+    for (int c = 0; c < n_components; ++c) {
+        const auto row = static_cast<std::ptrdiff_t>(hops_.size());
+        for (int k = member_begin_[at(c)]; k < member_begin_[at(c) + 1]; ++k) {
+            const int m = members_[at(k)];
+            for (int i = snapshot.arc_begin[at(m)]; i < snapshot.arc_begin[at(m) + 1]; ++i) {
+                const double cost = arc_cost_[at(i)];
+                const int to = component_[at(snapshot.arcs[at(i)].to)];
+                if (cost == inf || to == c) continue;
+                auto& where = slot[at(to)];
+                if (where >= row) {
+                    auto& kept = hops_[static_cast<std::size_t>(where)].cost;
+                    kept = std::min(kept, cost);
+                } else {
+                    where = static_cast<std::ptrdiff_t>(hops_.size());
+                    hops_.push_back({to, cost});
+                }
+            }
+        }
+        hop_begin_.push_back(static_cast<int>(hops_.size()));
+    }
+    OBS_COUNT_N("lsn.router.components", n_components);
+
+    reached_.assign(at(n_components), 0);
+    wanted_.assign(at(n_components), 0);
+    dist_.assign(at(n_components), inf);
+    position_.assign(at(n_components), 0);
+    target_.assign(at(n_nodes), 0);
+    ordered_.assign(at(n_nodes), 0);
+    pop_rank_.assign(at(n_nodes), 0);
+    reached_from_.assign(at(n_nodes), 0);
+}
+
+void router::next_stamp()
+{
+    if (++stamp_ != 0) return;
+    // Wrapped: no stale entry may read as current.
+    for (auto* stamps : {&reached_, &wanted_, &target_, &ordered_})
+        std::fill(stamps->begin(), stamps->end(), 0);
+    stamp_ = 1;
+}
+
+void router::route(int src_node, std::span<const int> targets)
+{
+    // Every routing query in the stack lands here, so these two counters
+    // are the per-campaign "how many shortest-path solves, and how much of
+    // the graph each one walked" figures.
+    OBS_COUNT("lsn.dijkstra.runs");
+    const auto& snapshot = *snapshot_;
+    expects(src_node >= 0 && src_node < snapshot.n_nodes(), "bad source node");
+    for (const int t : targets)
+        expects(t >= 0 && t < snapshot.n_nodes(), "bad target node");
+    next_stamp();
+    source_ = src_node;
+    settled_.clear();
+    int unsettled = 0; // target components not yet settled
+    for (const int t : targets) {
+        target_[at(t)] = stamp_;
+        auto& wanted = wanted_[at(component_[at(t)])];
+        unsettled += wanted != stamp_;
+        wanted = stamp_;
+    }
+    if (unsettled == 0) return;
+
+    // One queue per thread, emptied per query: its buckets keep their
+    // storage across the many queries a worker runs.
+    thread_local monotone_queue queue;
+    queue.clear();
+    const int src = component_[at(src_node)];
+    reached_[at(src)] = stamp_;
+    dist_[at(src)] = 0.0;
+    queue.push(0.0, src);
+    // Key of the last target component to settle; the rest of that key
+    // settles too, since the pop order of its members needs all of them.
+    double last_key = inf;
+    while (!queue.empty()) {
+        const auto [d, c] = queue.pop();
+        if (d > last_key) break;
+        if (d > dist_[at(c)]) continue;
+        position_[at(c)] = static_cast<int>(settled_.size());
+        settled_.push_back(c);
+        if (wanted_[at(c)] == stamp_ && --unsettled == 0) last_key = d;
+        for (int h = hop_begin_[at(c)]; h < hop_begin_[at(c) + 1]; ++h) {
+            const auto& [to, cost] = hops_[at(h)];
+            const double nd = d + cost;
+            if (reached_[at(to)] != stamp_ || nd < dist_[at(to)]) {
+                reached_[at(to)] = stamp_;
+                dist_[at(to)] = nd;
+                queue.push(nd, to);
+            }
+        }
+    }
+    OBS_COUNT_N("lsn.dijkstra.settled", settled_.size());
+}
+
+double router::dist_of(int node) const
+{
+    const auto c = at(component_[at(node)]);
+    return reached_[c] == stamp_ ? dist_[c] : inf;
+}
+
+double router::latency_s(int target) const
+{
+    expects(stamp_ != 0 && target >= 0 && target < snapshot_->n_nodes() &&
+                target_[at(target)] == stamp_,
+            "not a target of the last query");
+    return dist_of(target);
+}
+
+std::vector<int> router::path_to(int target)
+{
+    if (latency_s(target) == inf) return {};
+    std::vector<int> path{target};
+    for (int v = target; v != source_;) path.push_back(v = predecessor(v));
     std::reverse(path.begin(), path.end());
     return path;
 }
 
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node)
+/// The neighbour whose relaxation node-level Dijkstra would have kept: of
+/// the lower keys reaching `node` exactly, the least key, first in its pop
+/// order; else the member of the node's own key that reached it first.
+int router::predecessor(int node)
 {
-    return routes_from(snapshot, src_node, std::nullopt, {});
+    const auto& snapshot = *snapshot_;
+    const double key = dist_of(node);
+    int best = -1;
+    double best_key = inf;
+    for (int i = snapshot.arc_begin[at(node)]; i < snapshot.arc_begin[at(node) + 1]; ++i) {
+        const int u = snapshot.arcs[at(i)].to;
+        const double du = dist_of(u);
+        if (!(du < key) || du + arc_cost_[at(i)] != key) continue;
+        if (best < 0 || du < best_key) {
+            best = u;
+            best_key = du;
+        } else if (du == best_key && u != best) {
+            if (ordered_[at(u)] != stamp_) order_key(component_[at(u)]);
+            if (pop_rank_[at(u)] < pop_rank_[at(best)]) best = u;
+        }
+    }
+    if (best >= 0) return best;
+    if (ordered_[at(node)] != stamp_) order_key(component_[at(node)]);
+    expects(reached_from_[at(node)] >= 0, "router: no predecessor reaches the node");
+    return reached_from_[at(node)];
 }
 
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                std::span<const int> targets,
-                                std::span<const double> link_cost_s)
+/// Replays the pop order of the key holding `component`: every member of
+/// every component settled at that key gets its rank and in-key reacher.
+void router::order_key(int component)
 {
-    return routes_from(snapshot, src_node, targets, link_cost_s);
+    const auto& snapshot = *snapshot_;
+    const double key = dist_[at(component)];
+    auto first = at(position_[at(component)]);
+    while (first > 0 && dist_[at(settled_[first - 1])] == key) --first;
+    auto last = at(position_[at(component)]) + 1;
+    while (last < settled_.size() && dist_[at(settled_[last])] == key) ++last;
+
+    constexpr int unreached = -2;
+    heap_.clear();
+    for (auto s = first; s < last; ++s) {
+        const auto c = at(settled_[s]);
+        for (int k = member_begin_[c]; k < member_begin_[c + 1]; ++k) {
+            const int m = members_[at(k)];
+            ordered_[at(m)] = stamp_;
+            bool seeded = m == source_;
+            for (int i = snapshot.arc_begin[at(m)]; !seeded && i < snapshot.arc_begin[at(m) + 1];
+                 ++i) {
+                const double du = dist_of(snapshot.arcs[at(i)].to);
+                seeded = du < key && du + arc_cost_[at(i)] == key;
+            }
+            reached_from_[at(m)] = seeded ? -1 : unreached;
+            if (seeded) heap_.push_back(m);
+        }
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    for (int rank = 0; !heap_.empty(); ++rank) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        const int m = heap_.back();
+        heap_.pop_back();
+        pop_rank_[at(m)] = rank;
+        for (int i = snapshot.arc_begin[at(m)]; i < snapshot.arc_begin[at(m) + 1]; ++i) {
+            const int w = snapshot.arcs[at(i)].to;
+            if (ordered_[at(w)] != stamp_ || reached_from_[at(w)] != unreached ||
+                key + arc_cost_[at(i)] != key)
+                continue;
+            reached_from_[at(w)] = m;
+            heap_.push_back(w);
+            std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        }
+    }
 }
 
 } // namespace ssplane::lsn

@@ -605,11 +605,15 @@ scenario_sweep_result run_scenario_sweep_timeline(const sweep_geometry& geometry
             slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
             slot.giant_fraction = giant_component_fraction(snap, failed);
             slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);
+            router routes(snap);
+            std::vector<int> later; // the gateways after `a`
             for (int a = 0; a + 1 < n_ground; ++a) {
-                const auto tree = single_source_routes(snap, snap.ground_node(a));
+                later.clear();
+                for (int b = a + 1; b < n_ground; ++b) later.push_back(snap.ground_node(b));
+                routes.route(snap.ground_node(a), later);
                 for (int b = a + 1; b < n_ground; ++b)
                     slot.pair_latency_s[pair_index(a, b, n_ground)] =
-                        tree.latency_s[static_cast<std::size_t>(snap.ground_node(b))];
+                        routes.latency_s(snap.ground_node(b));
             }
             return slot;
         });

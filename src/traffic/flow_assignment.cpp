@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "lsn/routing.h"
 #include "obs/metrics.h"
@@ -202,6 +203,7 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
 
     std::vector<int> owed;
     std::vector<int> targets;
+    std::optional<lsn::router> routes; // this round's, built for its first tree
     int round = 0;
     for (; round < options.k_rounds && total_remaining > flow_eps_gbps; ++round) {
         OBS_COUNT("traffic.assign.rounds");
@@ -230,6 +232,7 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                     ++retired_pairs;
                 }
             }
+        routes.reset();
         bool diverged = false; // some tree of this round failed a replay test
         for (int a = 0; a + 1 < n; ++a) {
             // Placing flow on one pair never changes another pair's
@@ -270,9 +273,9 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
             }
             targets.clear();
             for (const int g : owed) targets.push_back(snapshot.ground_node(g));
-            const auto tree = lsn::single_source_routes(
-                snapshot, snapshot.ground_node(a), targets, cost);
-            for (const int b : owed) serve(a, b, tree.path_to(snapshot.ground_node(b)));
+            lsn::router& round_routes = routes ? *routes : routes.emplace(snapshot, cost);
+            round_routes.route(snapshot.ground_node(a), targets);
+            for (const int b : owed) serve(a, b, round_routes.path_to(snapshot.ground_node(b)));
         }
         // From the round after a divergence on, the loads may differ from
         // the base's, and so may every cost: no tree is reused.

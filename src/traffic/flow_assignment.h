@@ -1,8 +1,8 @@
 // Capacity-aware multipath flow assignment over one network snapshot.
 //
 // Greedy k-round water-filling: every round freezes a congestion-penalized
-// latency cost per snapshot link id (infinite once saturated), computes one
-// shortest-path tree per *source* gateway `a` with `lsn::single_source_routes`
+// latency cost per snapshot link id (infinite once saturated), builds one
+// `lsn::router` under those costs, queries it once per *source* gateway `a`
 // (stopping once the gateways b > a still owed more than 1e-9 Gbps are
 // settled), and routes each pair's remaining demand along its tree path up
 // to the path's bottleneck residual capacity.

@@ -178,9 +178,16 @@ void parallel_for(std::size_t n,
         });
     }
 
-    std::unique_lock lock(state->mutex);
-    state->done.wait(lock, [&] { return state->remaining == 0; });
-    if (state->error) std::rethrow_exception(state->error);
+    // The caller only blocks until every chunk has run. Tracing that as its
+    // own span keeps the wait out of the enclosing phase's self time.
+    std::exception_ptr error;
+    {
+        OBS_SPAN("pool.wait");
+        std::unique_lock lock(state->mutex);
+        state->done.wait(lock, [&] { return state->remaining == 0; });
+        error = state->error;
+    }
+    if (error) std::rethrow_exception(error);
 }
 
 } // namespace ssplane

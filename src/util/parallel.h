@@ -32,7 +32,9 @@ void set_thread_count(unsigned n);
 /// Invoke `body(begin, end)` over disjoint chunks covering [0, n).
 /// `chunk_size == 0` picks a deterministic default (~n/64). Bodies run
 /// concurrently on the pool; exceptions propagate to the caller (first one
-/// wins). Nested calls from inside a body run serially.
+/// wins). Nested calls from inside a body run serially. When traced, each
+/// chunk is a `pool.task` span on its worker and the caller's wait for them
+/// a `pool.wait` span; the serial path records neither.
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t chunk_size = 0);

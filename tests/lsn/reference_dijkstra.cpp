@@ -1,5 +1,6 @@
 #include "reference_dijkstra.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -10,6 +11,16 @@
 #include "util/expects.h"
 
 namespace ssplane::lsn {
+
+std::vector<int> route_tree::path_to(int node) const
+{
+    if (!reachable(node)) return {};
+    std::vector<int> path;
+    for (int v = node; v != -1; v = prev[static_cast<std::size_t>(v)])
+        path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
+}
 
 route_tree reference_dijkstra(const network_snapshot& snapshot, int src_node,
                               std::optional<std::span<const int>> targets,

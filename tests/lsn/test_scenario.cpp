@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "astro/constants.h"
 #include "geo/geodesy.h"
 #include "lsn/routing.h"
+#include "reference_dijkstra.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -274,21 +276,23 @@ TEST(Scenario, ShortestRouteOnDisconnectedSnapshot)
     const std::vector<std::uint8_t> all_failed(topo.satellites.size(), 1);
     const auto snap = snapshot_at_offset(builder, 0.0, all_failed);
 
-    const auto tree = single_source_routes(snap, snap.ground_node(0));
-    EXPECT_FALSE(tree.reachable(snap.ground_node(3)));
-    EXPECT_TRUE(tree.path_to(snap.ground_node(3)).empty());
-
+    std::vector<int> every_node(static_cast<std::size_t>(snap.n_nodes()));
+    for (int v = 0; v < snap.n_nodes(); ++v) every_node[static_cast<std::size_t>(v)] = v;
+    router routes(snap);
+    routes.route(snap.ground_node(0), every_node);
     constexpr double inf = std::numeric_limits<double>::infinity();
-    EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(snap.ground_node(0))], 0.0);
-    for (int s = 0; s < snap.n_satellites; ++s)
-        EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(s)], inf);
+    EXPECT_EQ(routes.latency_s(snap.ground_node(3)), inf);
+    EXPECT_TRUE(routes.path_to(snap.ground_node(3)).empty());
+    EXPECT_EQ(routes.latency_s(snap.ground_node(0)), 0.0);
+    for (int s = 0; s < snap.n_satellites; ++s) EXPECT_EQ(routes.latency_s(s), inf);
     EXPECT_EQ(giant_component_fraction(snap, all_failed), 0.0);
 }
 
 TEST(Scenario, SweepPairMatrixMatchesRouteTrees)
 {
-    // A one-step sweep's pair matrix is each pair's route-tree latency:
-    // reachable pairs read 1 and their latency, unreachable ones 0 and 0.
+    // A one-step sweep's pair matrix is each pair's latency in the
+    // node-level reference tree: reachable pairs read 1 and their latency,
+    // unreachable ones 0 and 0.
     // Anchorage (61°N) sits above this 53° grid's coverage band, so both
     // branches are exercised.
     const auto topo = build_walker_grid_topology(small_grid(10, 10));
@@ -301,7 +305,7 @@ TEST(Scenario, SweepPairMatrixMatchesRouteTrees)
     bool any_reachable = false;
     bool any_unreachable = false;
     for (int a = 0; a + 1 < snap.n_ground; ++a) {
-        const auto tree = single_source_routes(snap, snap.ground_node(a));
+        const auto tree = reference_dijkstra(snap, snap.ground_node(a));
         for (int b = a + 1; b < snap.n_ground; ++b) {
             const int dst = snap.ground_node(b);
             if (tree.reachable(dst)) {
@@ -612,11 +616,12 @@ TEST(Scenario, PairLatencyBounds)
     // Every routed step beats the floor, over at least an up- and a downlink.
     for (const auto& step_positions : geometry.positions()) {
         const auto snap = builder.snapshot_from_positions(step_positions);
-        const int london = snap.ground_node(3);
-        const auto tree = single_source_routes(snap, snap.ground_node(0));
-        if (!tree.reachable(london)) continue;
-        EXPECT_GT(tree.latency_s[static_cast<std::size_t>(london)] * 1000.0, floor_ms);
-        EXPECT_GE(tree.path_to(london).size(), 3u);
+        const std::vector<int> london{snap.ground_node(3)};
+        router routes(snap);
+        routes.route(snap.ground_node(0), london);
+        if (routes.latency_s(london[0]) == std::numeric_limits<double>::infinity()) continue;
+        EXPECT_GT(routes.latency_s(london[0]) * 1000.0, floor_ms);
+        EXPECT_GE(routes.path_to(london[0]).size(), 3u);
     }
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "lsn/routing.h"
+#include "../lsn/reference_dijkstra.h"
 
 namespace ssplane::traffic {
 
@@ -51,8 +51,8 @@ reference_flows reference_assign_flows(const lsn::network_snapshot& snapshot,
             if (owed.empty()) continue;
             std::vector<int> targets;
             for (const int g : owed) targets.push_back(snapshot.ground_node(g));
-            const auto tree = lsn::single_source_routes(snapshot, snapshot.ground_node(a),
-                                                        targets, cost);
+            const auto tree = lsn::reference_dijkstra(
+                snapshot, snapshot.ground_node(a), std::span<const int>(targets), cost);
             for (const int b : owed) {
                 const auto path = tree.path_to(snapshot.ground_node(b));
                 for (const int v : path) out.on_queried_path[static_cast<std::size_t>(v)] = 1;

@@ -2,11 +2,12 @@
 // retirement, test-side only.
 //
 // The independent reference of the flow-assignment tests: every round
-// freezes the congestion costs and runs one bounded Dijkstra tree per
-// source still owed demand, unreachable gateways included (their tree then
-// exhausts the source's component and their path is empty). `traffic::
-// assign_flows` skips cut-off pairs and replays recorded trees; neither
-// may move a bit of what this loop computes.
+// freezes the congestion costs and runs one bounded node-level Dijkstra
+// tree (`lsn::reference_dijkstra`) per source still owed demand,
+// unreachable gateways included (their tree then exhausts the source's
+// component and their path is empty). `traffic::assign_flows` routes on the
+// round's component `lsn::router`, skips cut-off pairs and replays recorded
+// trees; none of that may move a bit of what this loop computes.
 #ifndef SSPLANE_TESTS_TRAFFIC_REFERENCE_FLOW_ASSIGNMENT_H
 #define SSPLANE_TESTS_TRAFFIC_REFERENCE_FLOW_ASSIGNMENT_H
 

@@ -362,7 +362,8 @@ TEST(AdversaryWork, TrialsAndSettledNodesStayWithinMeasuredCeilings)
     // base's trees or cut-off pairs retiring trips these ceilings, the
     // values measured when the pruned search (107 of 114 (plane, step)
     // pairs assigned) and the replay landed (66,820 nodes settled, 119,562
-    // before it).
+    // before it). The component router settles as many components: this
+    // Walker shell has no zero-latency link, so every node is its own.
     const auto topo = small_walker(10, 10);
     const lsn::snapshot_builder builder(topo, stations_from_cities(8),
                                         astro::instant::j2000(), deg2rad(10.0));

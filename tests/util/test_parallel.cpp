@@ -1,11 +1,16 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/trace.h"
 
 namespace ssplane {
 namespace {
@@ -26,6 +31,56 @@ TEST_F(ParallelTest, CoversEveryIndexExactlyOnce)
         });
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
+}
+
+TEST_F(ParallelTest, TracedCallerWaitIsAPoolWaitSpan)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "spans compile away under -DSSPLANE_OBS=OFF";
+#else
+    // On a pool of two threads the caller blocks while the chunks sleep:
+    // that wait is a `pool.wait` child of the enclosing span, so the phase
+    // report books it apart from the enclosing phase's self time. The
+    // serial path waits for nothing and records no `pool.wait`.
+    const auto traced = [](unsigned threads) {
+        set_thread_count(threads);
+        obs::trace_reset();
+        obs::set_tracing_enabled(true);
+        {
+            OBS_SPAN("parallel.test.phase");
+            parallel_for(
+                4,
+                [](std::size_t, std::size_t) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                },
+                1);
+        }
+        obs::set_tracing_enabled(false);
+        auto stats = obs::phase_stats();
+        obs::trace_reset();
+        return stats;
+    };
+    const auto find = [](const std::vector<obs::phase_stat>& stats, const char* name) {
+        const auto it = std::find_if(stats.begin(), stats.end(),
+                                     [&](const obs::phase_stat& s) { return s.name == name; });
+        return it == stats.end() ? nullptr : &*it;
+    };
+
+    const auto pooled = traced(2);
+    const auto* phase = find(pooled, "parallel.test.phase");
+    const auto* wait = find(pooled, "pool.wait");
+    ASSERT_NE(phase, nullptr);
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(wait->count, 1u);
+    EXPECT_EQ(phase->self_ns, phase->wall_ns - wait->wall_ns);
+    EXPECT_LT(phase->self_ns, phase->wall_ns);
+    EXPECT_GE(wait->wall_ns, 10'000'000u); // four 5 ms chunks on two workers
+
+    const auto serial = traced(1);
+    EXPECT_NE(find(serial, "parallel.test.phase"), nullptr);
+    EXPECT_EQ(find(serial, "pool.wait"), nullptr);
+    EXPECT_EQ(find(serial, "pool.task"), nullptr);
+#endif
 }
 
 TEST_F(ParallelTest, ZeroIterationsIsANoop)
