@@ -284,23 +284,26 @@ campaign_result run_campaign(const experiment_plan& plan,
     // its own slots, so any SSPLANE_THREADS value reproduces the campaign
     // bit-for-bit (engines nested inside a worker degrade to their serial
     // path, which is bit-identical by each engine's own contract).
-    parallel_for(
-        fanned_cells.size(),
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t u = begin; u < end; ++u) {
-                const std::size_t i = fanned_cells[u];
-                const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
-                const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
+    {
+        OBS_SPAN("campaign.cells");
+        parallel_for(
+            fanned_cells.size(),
+            [&](std::size_t begin, std::size_t end) {
+                for (std::size_t u = begin; u < end; ++u) {
+                    const std::size_t i = fanned_cells[u];
+                    const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
+                    const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
 #ifndef SSPLANE_OBS_DISABLED
-                // Per-cell span named by engine so the trace shows which
-                // metric the time went to.
-                const obs::span cell_span("campaign.cell." +
-                                          result.engine_names[e]);
+                    // Per-cell span named by engine so the trace shows which
+                    // metric the time went to.
+                    const obs::span cell_span("campaign.cell." +
+                                              result.engine_names[e]);
 #endif
-                result.cells[i] = plan.engines[e]->evaluate(context, *timelines[row]);
-            }
-        },
-        /*chunk_size=*/1);
+                    result.cells[i] = plan.engines[e]->evaluate(context, *timelines[row]);
+                }
+            },
+            /*chunk_size=*/1);
+    }
     for (std::size_t i = 0; i < n_cells; ++i)
         if (computed_as[i] != i) result.cells[i] = result.cells[computed_as[i]];
 

@@ -1,9 +1,13 @@
-// The one priority queue of the shortest-path kernels: a radix heap over
-// the IEEE-754 bit pattern of non-negative keys.
+// Tempo's earliest-arrival queue: a radix heap over the IEEE-754 bit
+// pattern of non-negative keys that pops in (key, id) order.
 //
-// Label-setting searches (Dijkstra over non-negative link weights, tempo's
-// earliest-arrival pass over waits and latencies) never push a key below
-// the key they last popped. A radix heap exploits exactly that: an entry
+// Tempo's pass over waits and latencies never pushes a key below the key
+// it last popped, and it needs the id order among equal keys: storage arcs
+// land thousands of time-nodes on each step boundary, and the first of
+// them to pop is the predecessor a later arrival keeps. `lsn::router`
+// does not need that order: its paths replay each key's pop order from
+// node ids, so it settles components from a plain indexed heap that
+// compares keys only. A radix heap exploits the monotone keys: an entry
 // lives in the bucket named by the highest bit in which its key differs
 // from the last popped key, so a push is one XOR and one count of leading
 // zeros, and a pop only re-buckets entries when the equal-key bucket runs

@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 
-#include "lsn/monotone_queue.h"
 #include "obs/metrics.h"
 #include "util/expects.h"
 #include "util/union_find.h"
@@ -62,8 +61,9 @@ router::router(const network_snapshot& snapshot, std::span<const double> link_co
 
     // Per component, one hop per neighbouring component at the least
     // finite cost of the links into it; `slot` finds a neighbour already
-    // in the row being built.
+    // in the row being built. The hops join the finite-cost groups.
     std::vector<std::ptrdiff_t> slot(at(n_components), -1);
+    union_find grouped(n_components);
     hop_begin_.assign(1, 0);
     for (int c = 0; c < n_components; ++c) {
         const auto row = static_cast<std::ptrdiff_t>(hops_.size());
@@ -80,16 +80,21 @@ router::router(const network_snapshot& snapshot, std::span<const double> link_co
                 } else {
                     where = static_cast<std::ptrdiff_t>(hops_.size());
                     hops_.push_back({to, cost});
+                    grouped.unite(c, to);
                 }
             }
         }
         hop_begin_.push_back(static_cast<int>(hops_.size()));
     }
+    group_.resize(at(n_components));
+    for (int c = 0; c < n_components; ++c) group_[at(c)] = grouped.find(c);
     OBS_COUNT_N("lsn.router.components", n_components);
 
     reached_.assign(at(n_components), 0);
     wanted_.assign(at(n_components), 0);
     dist_.assign(at(n_components), inf);
+    queue_.reserve(at(n_components));
+    queue_slot_.assign(at(n_components), 0);
     position_.assign(at(n_components), 0);
     target_.assign(at(n_nodes), 0);
     ordered_.assign(at(n_nodes), 0);
@@ -128,35 +133,87 @@ void router::route(int src_node, std::span<const int> targets)
     }
     if (unsettled == 0) return;
 
-    // One queue per thread, emptied per query: its buckets keep their
-    // storage across the many queries a worker runs.
-    thread_local monotone_queue queue;
-    queue.clear();
     const int src = component_[at(src_node)];
     reached_[at(src)] = stamp_;
     dist_[at(src)] = 0.0;
-    queue.push(0.0, src);
+    queue_.assign(1, src);
+    queue_slot_[at(src)] = 0;
     // Key of the last target component to settle; the rest of that key
     // settles too, since the pop order of its members needs all of them.
     double last_key = inf;
-    while (!queue.empty()) {
-        const auto [d, c] = queue.pop();
+    while (!queue_.empty()) {
+        const int c = queue_.front();
+        const double d = dist_[at(c)];
         if (d > last_key) break;
-        if (d > dist_[at(c)]) continue;
+        pop_least();
         position_[at(c)] = static_cast<int>(settled_.size());
         settled_.push_back(c);
         if (wanted_[at(c)] == stamp_ && --unsettled == 0) last_key = d;
+        // Costs are positive here, so a settled component is never
+        // improved and an improved one is still queued.
         for (int h = hop_begin_[at(c)]; h < hop_begin_[at(c) + 1]; ++h) {
             const auto& [to, cost] = hops_[at(h)];
             const double nd = d + cost;
-            if (reached_[at(to)] != stamp_ || nd < dist_[at(to)]) {
+            if (reached_[at(to)] != stamp_) {
                 reached_[at(to)] = stamp_;
                 dist_[at(to)] = nd;
-                queue.push(nd, to);
+                queue_.push_back(to);
+                sift_up(queue_.size() - 1, to);
+            } else if (nd < dist_[at(to)]) {
+                dist_[at(to)] = nd;
+                sift_up(at(queue_slot_[at(to)]), to);
             }
         }
     }
     OBS_COUNT_N("lsn.dijkstra.settled", settled_.size());
+}
+
+/// Files `component`, whose key may have fallen, at `slot` or above it:
+/// every parent with a larger key moves down a level.
+void router::sift_up(std::size_t slot, int component)
+{
+    const double key = dist_[at(component)];
+    while (slot > 0) {
+        const std::size_t parent = (slot - 1) / 4;
+        const int above = queue_[parent];
+        if (!(key < dist_[at(above)])) break;
+        queue_[slot] = above;
+        queue_slot_[at(above)] = static_cast<int>(slot);
+        slot = parent;
+    }
+    queue_[slot] = component;
+    queue_slot_[at(component)] = static_cast<int>(slot);
+}
+
+/// Removes the root: the last entry sinks from the top past every least
+/// child with a smaller key. The least child is picked on keys alone.
+void router::pop_least()
+{
+    const int sinking = queue_.back();
+    queue_.pop_back();
+    const std::size_t n = queue_.size();
+    if (n == 0) return;
+    const double key = dist_[at(sinking)];
+    std::size_t slot = 0;
+    for (;;) {
+        const std::size_t first = 4 * slot + 1;
+        if (first >= n) break;
+        const std::size_t last = std::min(first + 4, n);
+        std::size_t least = first;
+        double least_key = dist_[at(queue_[first])];
+        for (std::size_t k = first + 1; k < last; ++k) {
+            const double k_key = dist_[at(queue_[k])];
+            const bool lower = k_key < least_key;
+            least = lower ? k : least;
+            least_key = lower ? k_key : least_key;
+        }
+        if (!(least_key < key)) break;
+        queue_[slot] = queue_[least];
+        queue_slot_[at(queue_[slot])] = static_cast<int>(slot);
+        slot = least;
+    }
+    queue_[slot] = sinking;
+    queue_slot_[at(sinking)] = static_cast<int>(slot);
 }
 
 double router::dist_of(int node) const
@@ -175,11 +232,25 @@ double router::latency_s(int target) const
 
 std::vector<int> router::path_to(int target)
 {
-    if (latency_s(target) == inf) return {};
-    std::vector<int> path{target};
-    for (int v = target; v != source_;) path.push_back(v = predecessor(v));
-    std::reverse(path.begin(), path.end());
+    std::vector<int> path;
+    append_path(target, path);
     return path;
+}
+
+void router::append_path(int target, std::vector<int>& path)
+{
+    if (latency_s(target) == inf) return;
+    const auto first = static_cast<std::ptrdiff_t>(path.size());
+    path.push_back(target);
+    for (int v = target; v != source_;) path.push_back(v = predecessor(v));
+    std::reverse(path.begin() + first, path.end());
+}
+
+bool router::connected(int a, int b) const
+{
+    const int n_nodes = snapshot_->n_nodes();
+    expects(a >= 0 && a < n_nodes && b >= 0 && b < n_nodes, "bad node");
+    return group_[at(component_[at(a)])] == group_[at(component_[at(b)])];
 }
 
 /// The neighbour whose relaxation node-level Dijkstra would have kept: of
@@ -221,7 +292,7 @@ void router::order_key(int component)
     while (last < settled_.size() && dist_[at(settled_[last])] == key) ++last;
 
     constexpr int unreached = -2;
-    heap_.clear();
+    key_heap_.clear();
     for (auto s = first; s < last; ++s) {
         const auto c = at(settled_[s]);
         for (int k = member_begin_[c]; k < member_begin_[c + 1]; ++k) {
@@ -234,14 +305,14 @@ void router::order_key(int component)
                 seeded = du < key && du + arc_cost_[at(i)] == key;
             }
             reached_from_[at(m)] = seeded ? -1 : unreached;
-            if (seeded) heap_.push_back(m);
+            if (seeded) key_heap_.push_back(m);
         }
     }
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    for (int rank = 0; !heap_.empty(); ++rank) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        const int m = heap_.back();
-        heap_.pop_back();
+    std::make_heap(key_heap_.begin(), key_heap_.end(), std::greater<>{});
+    for (int rank = 0; !key_heap_.empty(); ++rank) {
+        std::pop_heap(key_heap_.begin(), key_heap_.end(), std::greater<>{});
+        const int m = key_heap_.back();
+        key_heap_.pop_back();
         pop_rank_[at(m)] = rank;
         for (int i = snapshot.arc_begin[at(m)]; i < snapshot.arc_begin[at(m) + 1]; ++i) {
             const int w = snapshot.arcs[at(i)].to;
@@ -249,8 +320,8 @@ void router::order_key(int component)
                 key + arc_cost_[at(i)] != key)
                 continue;
             reached_from_[at(w)] = m;
-            heap_.push_back(w);
-            std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            key_heap_.push_back(w);
+            std::push_heap(key_heap_.begin(), key_heap_.end(), std::greater<>{});
         }
     }
 }

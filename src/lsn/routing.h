@@ -2,8 +2,8 @@
 // (snapshot, link costs) serves every query in the stack. The scenario
 // sweep builds one per step and reads each gateway's latencies to the
 // gateways after it; the traffic engine builds one per water-filling round,
-// whose congestion costs are frozen, and walks `path_to` for the gateways
-// each source still owes demand.
+// whose congestion costs are frozen, retires the owed pairs it finds
+// unjoined, and appends each owed gateway's path to its route record.
 //
 // The router contracts every zero-cost link. The SS design stacks several
 // planes at one LTAN, all at phase 0, so stacked satellites share a
@@ -20,6 +20,7 @@
 #ifndef SSPLANE_LSN_ROUTING_H
 #define SSPLANE_LSN_ROUTING_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,13 +37,17 @@ namespace ssplane::lsn {
 /// `contract_violation` at construction. The snapshot must outlive the
 /// router; the costs are copied.
 ///
-/// `route(src, targets)` settles components in (latency, component) order
-/// on the monotone queue and stops once every target's component is
+/// `route(src, targets)` settles components in latency order from an
+/// indexed 4-ary min-heap and stops once every target's component is
 /// settled and so is every component at that last latency. Latencies are
 /// exact: a zero-cost link adds nothing, and the least cost between two
-/// components gives the least sum. `path_to` then rebuilds the node path
-/// that node-level Dijkstra — nodes settled in (latency, node id) order,
-/// an edge relaxed only on a strictly shorter latency — would return: the
+/// components gives the least sum. The heap compares latencies only, so
+/// the components of one latency settle in no set order. Nothing reads that
+/// order: the stop rule settles the whole last latency, and the paths
+/// replay each latency's pop order from node ids. `path_to` rebuilds the
+/// node path that node-level Dijkstra — nodes settled in (latency, node id)
+/// order, an edge relaxed only on a strictly shorter latency — would
+/// return: the
 /// predecessor of v is the neighbour u with fl(dist(u) + c) == dist(v) that
 /// pops first, which is
 ///   * the u with the least dist(u) below dist(v);
@@ -52,6 +57,10 @@ namespace ssplane::lsn {
 /// the members that a lower key reaches exactly (at key 0, the source).
 /// Each pop reaches the unreached members joined to it by a link with
 /// fl(key + c) == key: a zero cost, or one so small that the sum absorbs it.
+///
+/// `connected(a, b)` answers whether finite-cost links join two nodes,
+/// which is whether a query from one reaches the other; it is one
+/// union-find over the components, taken when the router is built.
 ///
 /// Per-query state lives in the router, stamped rather than cleared, so a
 /// router serves one thread at a time. `lsn.dijkstra.runs` counts queries,
@@ -78,6 +87,12 @@ public:
     /// targets; empty when unreachable.
     std::vector<int> path_to(int target);
 
+    /// `path_to(target)` appended to `path`: nothing when unreachable.
+    void append_path(int target, std::vector<int>& path);
+
+    /// True when finite-cost links join nodes `a` and `b`.
+    bool connected(int a, int b) const;
+
 private:
     struct hop {
         int to = 0;        ///< Neighbour component.
@@ -88,6 +103,8 @@ private:
     int predecessor(int node);
     void order_key(int component);
     void next_stamp();
+    void sift_up(std::size_t slot, int component);
+    void pop_least();
 
     const network_snapshot* snapshot_;
     std::vector<double> arc_cost_;   ///< Per CSR arc, its link's cost.
@@ -96,6 +113,7 @@ private:
     std::vector<int> members_;       ///< Node ids, ascending within a component.
     std::vector<int> hop_begin_;     ///< Per component its first hop, + end.
     std::vector<hop> hops_;
+    std::vector<int> group_;         ///< Per component, its finite-cost group.
 
     // Per query, valid where the stamp equals `stamp_`.
     std::uint32_t stamp_ = 0;
@@ -103,13 +121,15 @@ private:
     std::vector<std::uint32_t> reached_; ///< Per component: `dist_` is set.
     std::vector<std::uint32_t> wanted_;  ///< Per component: holds a target.
     std::vector<double> dist_;           ///< Per component.
+    std::vector<int> queue_;             ///< Reached, unsettled components: a heap on `dist_`.
+    std::vector<int> queue_slot_;        ///< Per queued component, its index in `queue_`.
     std::vector<int> position_;          ///< Per settled component, its index in `settled_`.
     std::vector<int> settled_;           ///< Components in settle order.
     std::vector<std::uint32_t> target_;  ///< Per node: a target of the query.
     std::vector<std::uint32_t> ordered_; ///< Per node: its key's pop order is known.
     std::vector<int> pop_rank_;          ///< Per ordered node, its place in its key.
     std::vector<int> reached_from_;      ///< Per ordered node: its in-key reacher, -1 if seeded.
-    std::vector<int> heap_;
+    std::vector<int> key_heap_;          ///< `order_key`'s node ids, lowest on top.
 };
 
 } // namespace ssplane::lsn

@@ -99,7 +99,24 @@ struct phase_stat {
 /// descending (ties by name).
 std::vector<phase_stat> phase_stats();
 
-/// Human-readable table of phase_stats(): name, count, wall ms, self ms.
+/// One campaign phase span — `campaign.prefetch_timelines`, a
+/// `campaign.batch.<engine>` or `campaign.cells` — and how busy each pool
+/// worker was while it ran.
+struct phase_busy {
+    std::string name;
+    std::uint64_t begin_ns = 0;
+    std::uint64_t wall_ns = 0;
+    /// Per pool worker (each thread with a `pool.task` span, by tid), the
+    /// overlap of its `pool.task` spans with this span over its wall time.
+    std::vector<double> worker_busy;
+};
+
+/// Every campaign phase span, in begin order (ties by name).
+std::vector<phase_busy> phase_busy_fractions();
+
+/// Human-readable table of phase_stats(): name, count, wall ms, self ms;
+/// then, when the trace holds campaign phases, one row per phase span with
+/// its wall ms and each pool worker's busy percentage.
 void write_phase_summary(std::ostream& out);
 
 } // namespace ssplane::obs

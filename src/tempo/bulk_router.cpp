@@ -82,10 +82,13 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
     const int n_nodes = graph.n_nodes();
     const int n_time_nodes = graph.n_time_nodes();
 
-    // Dijkstra state, reused across augmentations.
-    std::vector<double> arrival_s(static_cast<std::size_t>(n_time_nodes));
-    std::vector<std::int64_t> prev_arc(static_cast<std::size_t>(n_time_nodes));
+    // Dijkstra state, reused across augmentations. A pass sets entries of
+    // only the time-nodes it reaches, listed in `touched`; the next pass
+    // resets just those.
+    std::vector<double> arrival_s(static_cast<std::size_t>(n_time_nodes), inf);
+    std::vector<std::int64_t> prev_arc(static_cast<std::size_t>(n_time_nodes), -1);
     std::vector<int> prev_tn(static_cast<std::size_t>(n_time_nodes));
+    std::vector<int> touched;
     lsn::monotone_queue queue; // (arrival, time-node)
 
     /// Earliest-arrival pass over the residual graph from (src, from_step),
@@ -94,10 +97,14 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
     /// settle the lowest time-node id first, so results are deterministic.
     const auto earliest_arrival = [&](int src_node, int dst_node, int from_step,
                                       int deadline_step) {
-        std::fill(arrival_s.begin(), arrival_s.end(), inf);
-        std::fill(prev_arc.begin(), prev_arc.end(), std::int64_t{-1});
+        for (const int tn : touched) {
+            arrival_s[static_cast<std::size_t>(tn)] = inf;
+            prev_arc[static_cast<std::size_t>(tn)] = -1;
+        }
+        touched.clear();
         const int start = graph.time_node(src_node, from_step);
         const int step_limit_tn = (deadline_step + 1) * n_nodes;
+        touched.push_back(start);
         arrival_s[static_cast<std::size_t>(start)] =
             graph.offsets_s[static_cast<std::size_t>(from_step)];
         queue.clear();
@@ -124,6 +131,8 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
                                               graph.step_of(arc.to))])
                             : d + arc.traverse_s;
                 if (nd < arrival_s[static_cast<std::size_t>(arc.to)]) {
+                    if (arrival_s[static_cast<std::size_t>(arc.to)] == inf)
+                        touched.push_back(arc.to);
                     arrival_s[static_cast<std::size_t>(arc.to)] = nd;
                     prev_arc[static_cast<std::size_t>(arc.to)] = k;
                     prev_tn[static_cast<std::size_t>(arc.to)] = u;

@@ -4,14 +4,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "lsn/routing.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/expects.h"
 #include "util/stats.h"
-#include "util/union_find.h"
 
 namespace ssplane::traffic {
 
@@ -22,28 +20,29 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 
 /// Route as much of `remaining` as fits along `path` (node indices),
 /// bounded by the bottleneck residual capacity. Each hop's link id is the
-/// one in its tail node's CSR row; a hop with no link (a replayed path cut
-/// from another snapshot) throws. Returns the flow placed.
+/// one in its tail node's CSR row, looked up once into `hop_links`; a hop
+/// with no link (a replayed path cut from another snapshot) throws.
+/// Returns the flow placed.
 double place_flow_on_path(const lsn::network_snapshot& snapshot,
                           std::span<const int> path, double remaining,
-                          std::vector<link_load>& loads, double& latency_flow_sum_s)
+                          std::vector<link_load>& loads, double& latency_flow_sum_s,
+                          std::vector<std::size_t>& hop_links)
 {
     if (path.size() < 2) return 0.0;
-    const auto hop = [&](std::size_t i) {
-        const int id = snapshot.link_between(path[i - 1], path[i]);
-        expects(id >= 0, "path hop is not a snapshot link");
-        return static_cast<std::size_t>(id);
-    };
+    hop_links.clear();
     double bottleneck = inf;
     double path_latency_s = 0.0;
     for (std::size_t i = 1; i < path.size(); ++i) {
-        const auto id = hop(i);
+        const int link = snapshot.link_between(path[i - 1], path[i]);
+        expects(link >= 0, "path hop is not a snapshot link");
+        const auto id = static_cast<std::size_t>(link);
+        hop_links.push_back(id);
         bottleneck = std::min(bottleneck, loads[id].capacity_gbps - loads[id].load_gbps);
         path_latency_s += snapshot.links[id].latency_s;
     }
     const double flow = std::min(remaining, bottleneck);
     if (flow <= flow_eps_gbps) return 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i) loads[hop(i)].load_gbps += flow;
+    for (const auto id : hop_links) loads[id].load_gbps += flow;
     latency_flow_sum_s += flow * path_latency_s;
     return flow;
 }
@@ -183,15 +182,18 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     std::size_t next_recorded = 0; // the base's first tree not yet walked
     bool replaying = base != nullptr; // no earlier round has diverged
 
-    // Record pair (a, b)'s queried path and place what fits of its demand.
+    // Record pair (a, b), whose queried path was just appended to the
+    // record's nodes, and place what fits of its demand.
     double round_flow = 0.0;
-    const auto serve = [&](int a, int b, std::span<const int> path) {
+    std::vector<std::size_t> hop_links;
+    const auto serve = [&](int a, int b) {
         record.owed.push_back(b);
-        record.nodes.insert(record.nodes.end(), path.begin(), path.end());
+        const auto path = std::span<const int>(record.nodes).subspan(
+            static_cast<std::size_t>(record.path_begin.back()));
         record.path_begin.push_back(static_cast<int>(record.nodes.size()));
         double& pair_remaining = at(remaining, a, b);
         const double flow = place_flow_on_path(snapshot, path, pair_remaining, loads,
-                                               latency_flow_sum_s);
+                                               latency_flow_sum_s, hop_links);
         if (flow <= 0.0) return;
         pair_remaining -= flow;
         total_remaining -= flow;
@@ -203,7 +205,6 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
 
     std::vector<int> owed;
     std::vector<int> targets;
-    std::optional<lsn::router> routes; // this round's, built for its first tree
     int round = 0;
     for (; round < options.k_rounds && total_remaining > flow_eps_gbps; ++round) {
         OBS_COUNT("traffic.assign.rounds");
@@ -216,23 +217,19 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                            : snapshot.links[id].latency_s *
                                  (1.0 + options.congestion_penalty *
                                             loads[id].utilization());
+        lsn::router routes(snapshot, cost);
         // Retire every owed pair whose gateways the cost-finite links do not
         // join: no tree reaches across, and loads only grow, so a saturated
         // link never reopens and the pair stays cut off for good.
-        union_find components(snapshot.n_nodes());
-        for (std::size_t id = 0; id < cost.size(); ++id)
-            if (cost[id] != inf) components.unite(snapshot.links[id].a, snapshot.links[id].b);
         for (int a = 0; a + 1 < n; ++a)
             for (int b = a + 1; b < n; ++b) {
                 auto& cut = at(retired, a, b);
                 if (cut == 0 && at(remaining, a, b) > flow_eps_gbps &&
-                    components.find(snapshot.ground_node(a)) !=
-                        components.find(snapshot.ground_node(b))) {
+                    !routes.connected(snapshot.ground_node(a), snapshot.ground_node(b))) {
                     cut = 1;
                     ++retired_pairs;
                 }
             }
-        routes.reset();
         bool diverged = false; // some tree of this round failed a replay test
         for (int a = 0; a + 1 < n; ++a) {
             // Placing flow on one pair never changes another pair's
@@ -267,15 +264,20 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                 ++reused_trees;
                 const auto first = static_cast<std::size_t>(recorded->first_target);
                 for (auto i = first; i < first + static_cast<std::size_t>(recorded->n_targets);
-                     ++i)
-                    serve(a, base->owed[i], base->path(i));
+                     ++i) {
+                    const auto path = base->path(i);
+                    record.nodes.insert(record.nodes.end(), path.begin(), path.end());
+                    serve(a, base->owed[i]);
+                }
                 continue;
             }
             targets.clear();
             for (const int g : owed) targets.push_back(snapshot.ground_node(g));
-            lsn::router& round_routes = routes ? *routes : routes.emplace(snapshot, cost);
-            round_routes.route(snapshot.ground_node(a), targets);
-            for (const int b : owed) serve(a, b, round_routes.path_to(snapshot.ground_node(b)));
+            routes.route(snapshot.ground_node(a), targets);
+            for (const int b : owed) {
+                routes.append_path(snapshot.ground_node(b), record.nodes);
+                serve(a, b);
+            }
         }
         // From the round after a divergence on, the loads may differ from
         // the base's, and so may every cost: no tree is reused.

@@ -81,10 +81,7 @@ private:
                 task = std::move(tasks_.front());
                 tasks_.pop_front();
             }
-            {
-                OBS_SPAN("pool.task");
-                task();
-            }
+            task();
         }
     }
 
@@ -165,6 +162,9 @@ void parallel_for(std::size_t n,
         // and is only invoked, never mutated; chunk ranges are disjoint.
         pool.submit([state, &body, begin, end] {
             try {
+                // The span closes before the chunk counts itself done, so
+                // every chunk's span is recorded once the caller wakes.
+                OBS_SPAN("pool.task");
                 body(begin, end);
             } catch (...) {
                 const std::lock_guard lock(state->mutex);

@@ -18,6 +18,7 @@
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/rng.h"
+#include "util/union_find.h"
 
 namespace ssplane::lsn {
 namespace {
@@ -697,6 +698,110 @@ TEST(Routing, MatchesTheReferenceOnSmallGraphsDenseWithTies)
         compared += expect_reference(routes, snap, 0, every_node(snap), cost);
     }
     EXPECT_GT(compared, 5000);
+}
+
+/// Node pairs on which `routes.connected` disagrees with a union-find over
+/// the links whose cost (the latency when `cost` is empty) is not +inf.
+int connectivity_mismatches(const router& routes, const network_snapshot& snap,
+                            std::span<const double> cost)
+{
+    union_find finite(snap.n_nodes());
+    for (std::size_t id = 0; id < snap.links.size(); ++id)
+        if ((cost.empty() ? snap.links[id].latency_s : cost[id]) != inf)
+            finite.unite(snap.links[id].a, snap.links[id].b);
+    std::vector<int> root(static_cast<std::size_t>(snap.n_nodes()));
+    for (int v = 0; v < snap.n_nodes(); ++v) root[static_cast<std::size_t>(v)] = finite.find(v);
+    int mismatches = 0;
+    for (int a = 0; a < snap.n_nodes(); ++a)
+        for (int b = a; b < snap.n_nodes(); ++b)
+            mismatches += routes.connected(a, b) != (root[static_cast<std::size_t>(a)] ==
+                                                     root[static_cast<std::size_t>(b)]);
+    return mismatches;
+}
+
+TEST(Routing, ConnectedIsTheFiniteCostLinksUnionFindOnSmallGraphs)
+{
+    // Random multigraphs of up to 40 nodes whose costs are exact 0 and -0,
+    // 1e-300, 1 and +inf: zero-cost links join components, +inf links join
+    // nothing, and every other cost joins two components through a hop.
+    // For every node pair, `connected` must be a union-find over the
+    // finite-cost links, and a query from one node must reach exactly the
+    // nodes it is connected to.
+    rng draws(5);
+    const std::vector<double> shares{0.0, -0.0, 1.0e-300, 1.0, inf, inf};
+    int split = 0;
+    int joined = 0;
+    for (int graph = 0; graph < 300; ++graph) {
+        SCOPED_TRACE(::testing::Message() << "graph " << graph);
+        const int n = static_cast<int>(draws.uniform_int(2, 40));
+        std::vector<network_snapshot::link> links;
+        const auto n_links = draws.uniform_int(0, 2 * n);
+        for (std::int64_t k = 0; k < n_links; ++k) {
+            const int a = static_cast<int>(draws.uniform_int(0, n - 1));
+            const int b = static_cast<int>(draws.uniform_int(0, n - 1));
+            if (a != b) links.push_back({a, b, 1.0});
+        }
+        const auto snap = make_network_snapshot(n, 0, links);
+        std::vector<double> cost;
+        for (std::size_t id = 0; id < snap.links.size(); ++id)
+            cost.push_back(shares[static_cast<std::size_t>(
+                draws.uniform_int(0, static_cast<std::int64_t>(shares.size()) - 1))]);
+        router routes(snap, cost);
+        EXPECT_EQ(connectivity_mismatches(routes, snap, cost), 0);
+        const auto all = every_node(snap);
+        const int src = static_cast<int>(draws.uniform_int(0, n - 1));
+        routes.route(src, all);
+        for (const int v : all) {
+            EXPECT_EQ(routes.connected(src, v), routes.latency_s(v) != inf) << "node " << v;
+            split += !routes.connected(src, v);
+            joined += routes.connected(src, v) && v != src;
+        }
+    }
+    EXPECT_GT(split, 0);
+    EXPECT_GT(joined, 0);
+    const auto line = line_graph();
+    const router line_routes(line);
+    EXPECT_THROW((void)line_routes.connected(-1, 0), contract_violation);
+    EXPECT_THROW((void)line_routes.connected(0, 4), contract_violation);
+}
+
+TEST(Routing, ConnectedIsTheFiniteCostLinksUnionFindOnTheNetworkDayDesign)
+{
+    // The network_day design under random plane masks, its latencies as
+    // built or under a cost span whose +inf links stand for saturated ones:
+    // for every node pair, `connected` must be a union-find over the
+    // finite-cost links.
+    const auto& builder = network_day_builder();
+    const auto& topology = builder.topology();
+    const std::vector<double> epoch_only{0.0};
+    const auto positions = builder.positions_at_offsets(epoch_only)[0];
+    int n_planes = 0;
+    for (const auto& sat : topology.satellites) n_planes = std::max(n_planes, sat.plane + 1);
+
+    rng draws(8);
+    bool saw_split_gateways = false;
+    for (int trial = 0; trial < 6; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial);
+        std::vector<std::uint8_t> failed_plane(static_cast<std::size_t>(n_planes), 0);
+        const auto n_struck = trial == 0 ? 0 : draws.uniform_int(1, 40);
+        for (std::int64_t k = 0; k < n_struck; ++k)
+            failed_plane[static_cast<std::size_t>(draws.uniform_int(0, n_planes - 1))] = 1;
+        std::vector<std::uint8_t> mask;
+        for (const auto& sat : topology.satellites)
+            mask.push_back(failed_plane[static_cast<std::size_t>(sat.plane)]);
+        const auto snap = builder.snapshot_from_positions(positions, mask);
+        std::vector<double> cost;
+        if (trial % 2 == 1) {
+            const double saturated = draws.uniform(0.2, 0.6);
+            for (const auto& link : snap.links)
+                cost.push_back(draws.bernoulli(saturated) ? inf : link.latency_s);
+        }
+        const router routes(snap, cost);
+        EXPECT_EQ(connectivity_mismatches(routes, snap, cost), 0);
+        for (int g = 1; g < snap.n_ground; ++g)
+            saw_split_gateways |= !routes.connected(snap.ground_node(0), snap.ground_node(g));
+    }
+    EXPECT_TRUE(saw_split_gateways);
 }
 
 TEST(Routing, TargetBoundedTreeEdgeCases)

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -158,6 +159,59 @@ TEST(Trace, PhaseStatsComputeWallAndSelfTime)
     write_phase_summary(out);
     EXPECT_NE(out.str().find("trace.test.outer"), std::string::npos);
     EXPECT_NE(out.str().find("wall_ms"), std::string::npos);
+    // No campaign phase spans: no busy table.
+    EXPECT_TRUE(phase_busy_fractions().empty());
+    EXPECT_EQ(out.str().find("campaign phase"), std::string::npos);
+}
+
+TEST(Trace, PhaseBusyFractionsAreEachWorkersPoolTaskOverlap)
+{
+    const trace_sandbox sandbox;
+    // The main thread runs three campaign phases: prefetch [0, 400], a
+    // serving batch [400, 600] and the cells [600, 1000], then an empty
+    // bulk batch at 1000. Two workers, started one after the other so the
+    // first holds the lower tid, run `pool.task` spans; a third thread runs
+    // none and is no worker.
+    record_span("campaign.run", 0, 1000);
+    record_span("campaign.prefetch_timelines", 0, 400);
+    record_span("campaign.batch.serving", 400, 600);
+    record_span("campaign.cells", 600, 1000);
+    record_span("campaign.batch.bulk", 1000, 1000);
+    EXPECT_EQ(phase_busy_fractions().size(), 4u);
+    EXPECT_TRUE(phase_busy_fractions()[0].worker_busy.empty());
+    std::thread first([] {
+        record_span("pool.task", 0, 400);
+        record_span("pool.task", 450, 550);
+        record_span("pool.task", 600, 700);
+        record_span("campaign.cell.traffic", 610, 690);
+    });
+    first.join();
+    std::thread second([] { record_span("pool.task", 200, 500); });
+    second.join();
+    std::thread idle([] { record_span("trace.test.idle", 0, 1000); });
+    idle.join();
+
+    const auto phases = phase_busy_fractions();
+    ASSERT_EQ(phases.size(), 4u);
+    const std::vector<std::string> names{"campaign.prefetch_timelines",
+                                         "campaign.batch.serving", "campaign.cells",
+                                         "campaign.batch.bulk"};
+    const std::vector<std::uint64_t> walls{400, 200, 400, 0};
+    const std::vector<std::vector<double>> busy{
+        {1.0, 0.5}, {0.5, 0.5}, {0.25, 0.0}, {0.0, 0.0}};
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        SCOPED_TRACE(phases[i].name);
+        EXPECT_EQ(phases[i].name, names[i]);
+        EXPECT_EQ(phases[i].wall_ns, walls[i]);
+        EXPECT_EQ(phases[i].worker_busy, busy[i]);
+    }
+
+    std::ostringstream out;
+    write_phase_summary(out);
+    const std::string text = out.str();
+    EXPECT_NE(text.find("campaign phase"), std::string::npos);
+    EXPECT_NE(text.find(" 100.0 50.0\n"), std::string::npos) << text;
+    EXPECT_NE(text.find(" 25.0 0.0\n"), std::string::npos) << text;
 }
 
 TEST(Trace, ThreadsGetDistinctTidsAndResetClearsAllBuffers)
