@@ -123,9 +123,7 @@ visibility_table discover_visibility(const session_grid& grid,
     // The chunk size is the pool's default made explicit, so a body can
     // find its buffer.
     const std::size_t n_cells = grid.cells.size();
-    const std::size_t chunk = options.chunk_cells > 0
-                                  ? static_cast<std::size_t>(options.chunk_cells)
-                                  : std::max<std::size_t>(1, (n_cells + 63) / 64);
+    const std::size_t chunk = std::max<std::size_t>(1, (n_cells + 63) / 64);
     std::vector<std::vector<visible_satellite>> chunk_entries(
         (n_cells + chunk - 1) / chunk);
     visibility_table table;

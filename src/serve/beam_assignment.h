@@ -98,7 +98,7 @@ struct visibility_table {
 /// activity gating per cell), given every satellite's ECEF position then.
 /// A cell sees exactly the satellites whose elevation from its site is at
 /// least `options.min_elevation_rad`. Bit-identical for any
-/// SSPLANE_THREADS value and any `chunk_cells`.
+/// SSPLANE_THREADS value.
 visibility_table discover_visibility(const session_grid& grid,
                                      const std::vector<vec3>& sat_positions_ecef,
                                      const astro::instant& t,

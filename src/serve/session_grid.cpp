@@ -41,7 +41,6 @@ void validate(const serving_options& options)
     expects(options.min_elevation_rad >= 0.0 &&
                 options.min_elevation_rad < 1.5707963267948966,
             "min_elevation_rad must lie in [0, pi/2)");
-    expects(options.chunk_cells >= 0, "chunk_cells must be non-negative");
     expects(options.degraded_rate_fraction > 0.0 &&
                 options.degraded_rate_fraction <= 1.0,
             "degraded_rate_fraction must lie in (0, 1]");
@@ -84,8 +83,7 @@ session_grid sample_session_grid(const demand::population_model& population,
                 counts[i] = static_cast<std::int64_t>(whole) +
                             (cell_rng.bernoulli(expected - whole) ? 1 : 0);
             }
-        },
-        static_cast<std::size_t>(options.chunk_cells));
+        });
 
     // Phase 2 — serial compaction to the populated cells, grid row-major
     // order, with the ground ECEF site precomputed per cell so the per-step

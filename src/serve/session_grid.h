@@ -14,8 +14,7 @@
 // a stochastic rounding of the fractional part drawn from
 // `rng::split(seed, purpose, cell_index)` — a sub-stream per grid cell, so
 // the draw depends only on (seed, cell), never on chunking or thread
-// count. Sampling is bit-identical for any SSPLANE_THREADS value and any
-// `chunk_cells`.
+// count. Sampling is bit-identical for any SSPLANE_THREADS value.
 #ifndef SSPLANE_SERVE_SESSION_GRID_H
 #define SSPLANE_SERVE_SESSION_GRID_H
 
@@ -46,9 +45,6 @@ struct serving_options {
     double satellite_capacity_gbps = 10.0;
     /// Minimum elevation for a cell to see a satellite [rad].
     double min_elevation_rad = 0.4363323129985824; ///< 25°.
-    /// parallel_for chunk size of the cell-streaming passes; 0 = the
-    /// pool's deterministic default. Results never depend on it.
-    int chunk_cells = 0;
     /// A served session is "degraded" when its delivered rate falls below
     /// this fraction of the offered rate.
     double degraded_rate_fraction = 0.5;
@@ -81,7 +77,7 @@ struct session_grid {
 /// Cells get sessions in proportion to population mass (density × area);
 /// the fractional remainders are resolved by per-cell Bernoulli draws on
 /// `rng::split` sub-streams. Deterministic in `options.seed`; bit-identical
-/// for any thread count and any `chunk_cells`.
+/// for any thread count.
 session_grid sample_session_grid(const demand::population_model& population,
                                  const serving_options& options);
 

@@ -1,31 +1,11 @@
 #include "spectral/laplacian.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/expects.h"
 
 namespace ssplane::spectral {
-
-namespace {
-
-bool is_failed(std::span<const std::uint8_t> failed, int s)
-{
-    return !failed.empty() && failed[static_cast<std::size_t>(s)] != 0;
-}
-
-/// Sort each adjacency list and drop duplicate neighbors, so downstream
-/// walks (CSR assembly, triangle counting) see each undirected edge once
-/// per endpoint in a deterministic order.
-void sort_unique(std::vector<std::vector<int>>& adjacency)
-{
-    for (auto& neighbors : adjacency) {
-        std::sort(neighbors.begin(), neighbors.end());
-        neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                        neighbors.end());
-    }
-}
-
-} // namespace
 
 void csr_matrix::multiply(std::span<const double> x, std::span<double> y) const
 {
@@ -60,54 +40,87 @@ void validate(const csr_matrix& matrix)
         expects(c >= 0 && c < matrix.n, "CSR column index out of range");
 }
 
-std::vector<std::vector<int>> alive_adjacency(
-    const lsn::lsn_topology& topology, std::span<const std::uint8_t> failed)
+alive_graph alive_adjacency(int n_satellites, std::span<const lsn::isl_link> links,
+                            std::span<const std::uint8_t> failed)
 {
-    const int n = static_cast<int>(topology.satellites.size());
-    expects(failed.empty() || failed.size() == static_cast<std::size_t>(n),
-            "failure mask size mismatch");
-    std::vector<std::vector<int>> adjacency(static_cast<std::size_t>(n));
-    for (const auto& link : topology.links) {
-        expects(link.a >= 0 && link.a < n && link.b >= 0 && link.b < n,
-                "topology link endpoint out of range");
-        if (link.a == link.b) continue;
-        if (is_failed(failed, link.a) || is_failed(failed, link.b)) continue;
-        adjacency[static_cast<std::size_t>(link.a)].push_back(link.b);
-        adjacency[static_cast<std::size_t>(link.b)].push_back(link.a);
+    const auto n = static_cast<std::size_t>(n_satellites);
+    expects(failed.empty() || failed.size() == n, "failure mask size mismatch");
+    std::vector<int> survivor(n, -1);
+    int n_alive = 0;
+    for (std::size_t s = 0; s < n; ++s)
+        if (failed.empty() || failed[s] == 0) survivor[s] = n_alive++;
+
+    // Relabel the kept links to survivor pairs, counting each at both ends.
+    alive_graph graph;
+    graph.n_satellites = n_satellites;
+    auto& begin = graph.row_begin;
+    begin.assign(static_cast<std::size_t>(n_alive) + 1, 0);
+    std::vector<lsn::isl_link> kept;
+    for (const auto& link : links) {
+        expects(link.a >= 0 && link.a < n_satellites && link.b >= 0 &&
+                    link.b < n_satellites,
+                "link endpoint out of range");
+        const int u = survivor[static_cast<std::size_t>(link.a)];
+        const int v = survivor[static_cast<std::size_t>(link.b)];
+        if (u < 0 || v < 0 || u == v) continue;
+        kept.push_back({u, v});
+        ++begin[static_cast<std::size_t>(u) + 1];
+        ++begin[static_cast<std::size_t>(v) + 1];
     }
-    sort_unique(adjacency);
-    return adjacency;
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+
+    // Place each in both rows. Then sort each row and keep a neighbour only
+    // when it differs from the last one kept, moving rows down over repeats.
+    auto& neighbors = graph.neighbors;
+    neighbors.resize(static_cast<std::size_t>(begin.back()));
+    std::vector<int> next(begin.begin(), begin.end() - 1);
+    for (const auto& [u, v] : kept) {
+        neighbors[static_cast<std::size_t>(next[static_cast<std::size_t>(u)]++)] = v;
+        neighbors[static_cast<std::size_t>(next[static_cast<std::size_t>(v)]++)] = u;
+    }
+    int end = 0;
+    for (std::size_t r = 0; r + 1 < begin.size(); ++r) {
+        const auto first = neighbors.begin() + begin[r];
+        const auto last = neighbors.begin() + begin[r + 1];
+        std::sort(first, last);
+        begin[r] = end;
+        for (auto it = first; it != last; ++it)
+            if (end == begin[r] || neighbors[static_cast<std::size_t>(end) - 1] != *it)
+                neighbors[static_cast<std::size_t>(end++)] = *it;
+    }
+    begin.back() = end;
+    neighbors.resize(static_cast<std::size_t>(end));
+    return graph;
 }
 
-std::vector<std::vector<int>> alive_adjacency(
-    const lsn::network_snapshot& snapshot, std::span<const std::uint8_t> failed)
+alive_graph alive_adjacency(const lsn::lsn_topology& topology,
+                            std::span<const std::uint8_t> failed)
 {
-    const int n = snapshot.n_satellites;
-    expects(failed.empty() || failed.size() == static_cast<std::size_t>(n),
-            "failure mask size mismatch");
-    std::vector<std::vector<int>> adjacency(static_cast<std::size_t>(n));
-    for (const auto& link : snapshot.links) {
-        if (link.b >= n) continue; // ground links are not structure
-        if (is_failed(failed, link.a) || is_failed(failed, link.b)) continue;
-        adjacency[static_cast<std::size_t>(link.a)].push_back(link.b);
-        adjacency[static_cast<std::size_t>(link.b)].push_back(link.a);
-    }
-    sort_unique(adjacency);
-    return adjacency;
+    return alive_adjacency(static_cast<int>(topology.satellites.size()), topology.links,
+                           failed);
 }
 
-csr_matrix laplacian_from_adjacency(const std::vector<std::vector<int>>& adjacency)
+alive_graph alive_adjacency(const lsn::network_snapshot& snapshot,
+                            std::span<const std::uint8_t> failed)
 {
-    const int n = static_cast<int>(adjacency.size());
+    std::vector<lsn::isl_link> links;
+    for (const auto& link : snapshot.links)
+        if (link.b < snapshot.n_satellites) links.push_back({link.a, link.b});
+    return alive_adjacency(snapshot.n_satellites, links, failed);
+}
+
+csr_matrix laplacian_from_adjacency(const alive_graph& graph)
+{
+    const int n = graph.n_alive();
     csr_matrix matrix;
     matrix.n = n;
     matrix.row_ptr.reserve(static_cast<std::size_t>(n) + 1);
     matrix.row_ptr.push_back(0);
     for (int r = 0; r < n; ++r) {
-        const auto& neighbors = adjacency[static_cast<std::size_t>(r)];
+        const auto neighbors = graph.row(r);
         const int degree = static_cast<int>(neighbors.size());
         // Row r of D - A: -1 per neighbor, the degree on the diagonal —
-        // emitted in ascending column order (neighbors are sorted).
+        // emitted in ascending column order (rows are sorted).
         bool diagonal_emitted = false;
         for (const int c : neighbors) {
             expects(c >= 0 && c < n, "adjacency neighbor out of range");

@@ -7,19 +7,14 @@
 // delivered-throughput sweeps cannot see — λ₂ > 0 iff the alive graph is
 // connected, and its magnitude measures how much redundancy an attacker
 // must still defeat. `csr_matrix` is the compressed-sparse-row form the
-// Lanczos solver (`spectral/lanczos.h`) multiplies against;
-// `laplacian_from_adjacency` assembles it from the `alive_adjacency` lists
-// of either the static ISL wiring of an `lsn_topology` or the range-gated
-// live link table of a `network_snapshot`.
+// Lanczos solver (`spectral/lanczos.h`) multiplies against.
 //
-// Conventions shared by both `alive_adjacency` forms:
-//   * only satellite-satellite edges enter the Laplacian (ground stations
-//     and their uplinks are serving infrastructure, not structure);
-//   * satellites flagged in `failed` keep their row (the matrix dimension
-//     is always n_satellites, so spectra of different masks are
-//     comparable) but lose every incident edge — a dead slot is an
-//     isolated vertex;
-//   * duplicate undirected edges are coalesced, self-loops dropped.
+// `alive_graph` is the one form of the surviving satellite-satellite graph
+// from snapshot to λ₂ (ground stations and their uplinks are serving
+// infrastructure, not structure): `alive_adjacency` builds it once from
+// (a, b) satellite pairs, compacted to the survivors, and the percolation
+// analyzer, its sweep's step dedup and `laplacian_from_adjacency` all read
+// it as built.
 #ifndef SSPLANE_SPECTRAL_LAPLACIAN_H
 #define SSPLANE_SPECTRAL_LAPLACIAN_H
 
@@ -42,7 +37,7 @@ struct csr_matrix {
 
     /// y = M x. Serial by design: the solver's inner products must be
     /// bit-identical for any SSPLANE_THREADS value, and the matrices this
-    /// suite builds (one row per satellite) are far below the size where
+    /// suite builds (one row per survivor) are far below the size where
     /// threading a mat-vec would pay.
     void multiply(std::span<const double> x, std::span<double> y) const;
 
@@ -53,23 +48,54 @@ struct csr_matrix {
 /// value count) with a clear `contract_violation`.
 void validate(const csr_matrix& matrix);
 
-/// Sorted adjacency lists of the alive satellite-satellite subgraph —
-/// the walk structure the percolation analyzer (clustering, union-find,
-/// the Laplacian) works on. One row per satellite; adjacency[s] is empty
-/// for failed satellites. The topology form reads the static ISL wiring
-/// `topology.links`; the snapshot form reads the range-gated
-/// `snapshot.links`, whose own mask already removed dead satellites' links
-/// (`failed` may still isolate satellites after the fact).
-std::vector<std::vector<int>> alive_adjacency(
-    const lsn::lsn_topology& topology, std::span<const std::uint8_t> failed = {});
-std::vector<std::vector<int>> alive_adjacency(
-    const lsn::network_snapshot& snapshot,
-    std::span<const std::uint8_t> failed = {});
+/// The alive satellite-satellite graph, compacted to the survivors, in
+/// compressed-sparse-row form. Survivor i is the i-th satellite the mask
+/// leaves alive, in index order, and row i lists its distinct neighbours
+/// (survivor indices) in ascending order. Equal graphs give bit-identical
+/// analyses, so `==` is the percolation sweep's step-equality test.
+struct alive_graph {
+    /// Every satellite, failed ones included: the denominator of the giant
+    /// fraction and the susceptibility.
+    int n_satellites = 0;
+    std::vector<int> row_begin{0}; ///< Size n_alive() + 1.
+    std::vector<int> neighbors;    ///< Size row_begin.back().
 
-/// Laplacian L = D - A assembled from sorted adjacency lists, one row per
-/// list. Compose it with `alive_adjacency` for an LSN graph:
+    int n_alive() const noexcept { return static_cast<int>(row_begin.size()) - 1; }
+
+    /// The neighbours of survivor `i`, ascending.
+    std::span<const int> row(int i) const
+    {
+        const auto r = static_cast<std::size_t>(i);
+        return {neighbors.data() + row_begin[r], neighbors.data() + row_begin[r + 1]};
+    }
+
+    bool operator==(const alive_graph&) const = default;
+};
+
+/// The one builder: the alive graph of `n_satellites` satellites joined by
+/// the undirected `links` (either orientation) under `failed` (empty =
+/// none; else one flag per satellite, nonzero = failed). Self-loops,
+/// repeated links and every link with a failed endpoint drop out. A mask of
+/// the wrong size or an endpoint outside [0, n_satellites) is a
+/// `contract_violation`.
+alive_graph alive_adjacency(int n_satellites, std::span<const lsn::isl_link> links,
+                            std::span<const std::uint8_t> failed = {});
+
+/// The static ISL wiring `topology.links` under `failed`.
+alive_graph alive_adjacency(const lsn::lsn_topology& topology,
+                            std::span<const std::uint8_t> failed = {});
+
+/// The range-gated satellite-satellite links of `snapshot` under `failed`;
+/// the snapshot's own mask already removed its dead satellites' links, and
+/// `failed` drops those satellites' rows.
+alive_graph alive_adjacency(const lsn::network_snapshot& snapshot,
+                            std::span<const std::uint8_t> failed = {});
+
+/// Laplacian L = D - A of an alive graph, one row per survivor: -1 per
+/// neighbour and the degree on the diagonal, columns ascending. Compose it
+/// with `alive_adjacency` for an LSN graph:
 /// `laplacian_from_adjacency(alive_adjacency(snapshot, failed))`.
-csr_matrix laplacian_from_adjacency(const std::vector<std::vector<int>>& adjacency);
+csr_matrix laplacian_from_adjacency(const alive_graph& graph);
 
 } // namespace ssplane::spectral
 

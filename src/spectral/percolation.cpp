@@ -19,19 +19,20 @@ namespace {
 // (detlint split-purpose-collision): lsn holds 1 and 2, Lanczos holds 3.
 constexpr std::uint64_t purpose_masking_draw = 4;
 
-/// Global clustering coefficient: closed / connected triplets. Neighbor
-/// lists must be sorted (binary-search closure test); each triangle is
-/// counted once per center, matching the factor 3 of the textbook formula.
-double global_clustering(const std::vector<std::vector<int>>& adjacency)
+/// Global clustering coefficient: closed / connected triplets. Rows are
+/// sorted (binary-search closure test); each triangle is counted once per
+/// center, matching the factor 3 of the textbook formula.
+double global_clustering(const alive_graph& graph)
 {
     std::int64_t closed = 0;
     std::int64_t triplets = 0;
-    for (const auto& neighbors : adjacency) {
+    for (int v = 0; v < graph.n_alive(); ++v) {
+        const std::span<const int> neighbors = graph.row(v);
         const std::int64_t degree = static_cast<std::int64_t>(neighbors.size());
         triplets += degree * (degree - 1) / 2;
         for (std::size_t a = 0; a < neighbors.size(); ++a)
             for (std::size_t b = a + 1; b < neighbors.size(); ++b) {
-                const auto& via = adjacency[static_cast<std::size_t>(neighbors[a])];
+                const std::span<const int> via = graph.row(neighbors[a]);
                 if (std::binary_search(via.begin(), via.end(), neighbors[b]))
                     ++closed;
             }
@@ -39,49 +40,16 @@ double global_clustering(const std::vector<std::vector<int>>& adjacency)
     return triplets == 0 ? 0.0 : static_cast<double>(closed) / static_cast<double>(triplets);
 }
 
-/// What `analyze_adjacency` reads of one step, flattened: per satellite,
-/// -1 when failed, else its degree followed by its sorted neighbours. Two
-/// steps with equal keys get bit-identical metrics.
-std::vector<int> graph_key(const std::vector<std::vector<int>>& adjacency,
-                           std::span<const std::uint8_t> failed)
-{
-    std::vector<int> key;
-    for (std::size_t s = 0; s < adjacency.size(); ++s) {
-        if (!failed.empty() && failed[s] != 0) {
-            key.push_back(-1);
-            continue;
-        }
-        key.push_back(static_cast<int>(adjacency[s].size()));
-        key.insert(key.end(), adjacency[s].begin(), adjacency[s].end());
-    }
-    return key;
-}
-
-/// The adjacency lists a `graph_key` was built from.
-std::vector<std::vector<int>> adjacency_of(const std::vector<int>& key,
-                                           std::size_t n_satellites)
-{
-    std::vector<std::vector<int>> adjacency(n_satellites);
-    std::size_t at = 0;
-    for (auto& row : adjacency) {
-        const int degree = key[at++];
-        if (degree < 0) continue;
-        row.assign(key.begin() + static_cast<std::ptrdiff_t>(at),
-                   key.begin() + static_cast<std::ptrdiff_t>(at) + degree);
-        at += static_cast<std::size_t>(degree);
-    }
-    return adjacency;
-}
-
-/// FNV-1a over the key's values: a cheap first test before the full
+/// FNV-1a over the graph's CSR arrays: a cheap first test before the full
 /// compare.
-std::uint64_t key_hash(const std::vector<int>& key)
+std::uint64_t graph_hash(const alive_graph& graph)
 {
     std::uint64_t h = 14695981039346656037ULL;
-    for (const int v : key) {
-        h ^= static_cast<std::uint32_t>(v);
-        h *= 1099511628211ULL;
-    }
+    for (const auto* part : {&graph.row_begin, &graph.neighbors})
+        for (const int v : *part) {
+            h ^= static_cast<std::uint32_t>(v);
+            h *= 1099511628211ULL;
+        }
     return h;
 }
 
@@ -89,49 +57,19 @@ std::uint64_t key_hash(const std::vector<int>& key)
 
 void validate(const percolation_options& options) { validate(options.lanczos); }
 
-percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjacency,
-                                      std::span<const std::uint8_t> failed,
+percolation_metrics analyze_adjacency(const alive_graph& graph,
                                       const percolation_options& options)
 {
     OBS_SPAN("spectral.percolate");
     validate(options);
-    const int n = static_cast<int>(adjacency.size());
-    expects(failed.empty() || static_cast<int>(failed.size()) == n,
-            "failure mask must be empty or have one flag per node");
-
     percolation_metrics metrics;
-
-    // Compact to the alive subgraph: dead rows drop out entirely, so the
-    // spectral and component structure below is that of the survivors.
-    std::vector<int> alive_index(static_cast<std::size_t>(n), -1);
-    int n_alive = 0;
-    for (int i = 0; i < n; ++i) {
-        if (!failed.empty() && failed[static_cast<std::size_t>(i)] != 0) {
-            expects(adjacency[static_cast<std::size_t>(i)].empty(),
-                    "failed nodes must have no incident edges");
-            continue;
-        }
-        alive_index[static_cast<std::size_t>(i)] = n_alive++;
-    }
+    const int n_alive = graph.n_alive();
     metrics.n_alive = n_alive;
     if (n_alive == 0) return metrics;
 
-    std::vector<std::vector<int>> alive(static_cast<std::size_t>(n_alive));
-    for (int i = 0; i < n; ++i) {
-        const int a = alive_index[static_cast<std::size_t>(i)];
-        if (a < 0) continue;
-        auto& row = alive[static_cast<std::size_t>(a)];
-        row.reserve(adjacency[static_cast<std::size_t>(i)].size());
-        for (const int j : adjacency[static_cast<std::size_t>(i)]) {
-            const int b = alive_index[static_cast<std::size_t>(j)];
-            expects(b >= 0, "alive nodes must not link to failed nodes");
-            row.push_back(b); // relabeling is monotone, so rows stay sorted
-        }
-    }
-
     union_find components(n_alive);
     for (int a = 0; a < n_alive; ++a)
-        for (const int b : alive[static_cast<std::size_t>(a)])
+        for (const int b : graph.row(a))
             if (a < b) components.unite(a, b);
     OBS_COUNT_N("spectral.unionfind.unions", components.unions());
 
@@ -142,8 +80,8 @@ percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjac
 
     const int giant =
         *std::max_element(cluster_sizes.begin(), cluster_sizes.end());
-    metrics.giant_component_fraction =
-        static_cast<double>(giant) / static_cast<double>(n);
+    const auto n_satellites = static_cast<double>(graph.n_satellites);
+    metrics.giant_component_fraction = static_cast<double>(giant) / n_satellites;
     metrics.giant_alive_fraction =
         static_cast<double>(giant) / static_cast<double>(n_alive);
 
@@ -158,10 +96,10 @@ percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjac
         }
         chi += static_cast<double>(size) * static_cast<double>(size);
     }
-    metrics.susceptibility = chi / static_cast<double>(n);
+    metrics.susceptibility = chi / n_satellites;
 
     if (options.compute_clustering)
-        metrics.clustering_coefficient = global_clustering(alive);
+        metrics.clustering_coefficient = global_clustering(graph);
 
     if (options.compute_lambda2) {
         if (metrics.n_components > 1) {
@@ -170,7 +108,7 @@ percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjac
             OBS_COUNT("spectral.lanczos.skipped_disconnected");
         } else {
             const lanczos_result solve =
-                algebraic_connectivity(laplacian_from_adjacency(alive), options.lanczos);
+                algebraic_connectivity(laplacian_from_adjacency(graph), options.lanczos);
             metrics.lambda2 = solve.lambda2;
             metrics.lanczos_iterations = solve.iterations;
             metrics.lambda2_converged = solve.converged;
@@ -183,14 +121,14 @@ percolation_metrics analyze_percolation(const lsn::lsn_topology& topology,
                                         std::span<const std::uint8_t> failed,
                                         const percolation_options& options)
 {
-    return analyze_adjacency(alive_adjacency(topology, failed), failed, options);
+    return analyze_adjacency(alive_adjacency(topology, failed), options);
 }
 
 percolation_metrics analyze_percolation(const lsn::network_snapshot& snapshot,
                                         std::span<const std::uint8_t> failed,
                                         const percolation_options& options)
 {
-    return analyze_adjacency(alive_adjacency(snapshot, failed), failed, options);
+    return analyze_adjacency(alive_adjacency(snapshot, failed), options);
 }
 
 // --- Masking-threshold detector --------------------------------------------
@@ -313,26 +251,26 @@ percolation_sweep_result run_percolation_sweep_timeline(
     validate(options);
     geometry.validate(timeline);
 
-    // Key every step on what the analysis reads (mask, alive adjacency),
-    // then analyze each distinct key once: a repeated graph copies its
-    // first step's metrics, which are bit-identical because the Lanczos
-    // start vector depends on `options.lanczos.seed` alone. Per-step and
-    // per-key result slots plus a serial dedup in step order keep any
+    // Key every step on the graph the analysis reads, then analyze each
+    // distinct graph once: a repeated graph copies its first step's
+    // metrics, which are bit-identical because the Lanczos start vector
+    // depends on `options.lanczos.seed` alone. Per-step and per-graph
+    // result slots plus a serial dedup in step order keep any
     // SSPLANE_THREADS value bit-identical.
     const auto n_steps = static_cast<std::size_t>(geometry.n_steps());
-    const auto keys = parallel_map<std::vector<int>>(n_steps, [&](std::size_t i) {
+    const auto graphs = parallel_map<alive_graph>(n_steps, [&](std::size_t i) {
         const int step = static_cast<int>(i);
         const std::span<const std::uint8_t> mask = timeline.step(step);
-        return graph_key(alive_adjacency(geometry.snapshot(step, mask), mask), mask);
+        return alive_adjacency(geometry.snapshot(step, mask), mask);
     });
     std::vector<std::uint64_t> hashes;
-    std::vector<std::size_t> distinct; // first step of each distinct key
+    std::vector<std::size_t> distinct; // first step of each distinct graph
     std::vector<std::size_t> slot(n_steps);
     for (std::size_t i = 0; i < n_steps; ++i) {
-        const std::uint64_t hash = key_hash(keys[i]);
+        const std::uint64_t hash = graph_hash(graphs[i]);
         std::size_t d = 0;
         while (d < distinct.size() &&
-               !(hashes[d] == hash && keys[distinct[d]] == keys[i]))
+               !(hashes[d] == hash && graphs[distinct[d]] == graphs[i]))
             ++d;
         if (d == distinct.size()) {
             hashes.push_back(hash);
@@ -341,12 +279,9 @@ percolation_sweep_result run_percolation_sweep_timeline(
         slot[i] = d;
     }
     OBS_COUNT_N("spectral.percolate.reused", n_steps - distinct.size());
-    const auto n_satellites = static_cast<std::size_t>(geometry.builder().n_satellites());
     const auto analyzed =
         parallel_map<percolation_metrics>(distinct.size(), [&](std::size_t d) {
-            const std::size_t i = distinct[d];
-            return analyze_adjacency(adjacency_of(keys[i], n_satellites),
-                                     timeline.step(static_cast<int>(i)), options);
+            return analyze_adjacency(graphs[distinct[d]], options);
         });
     std::vector<percolation_metrics> per_step;
     per_step.reserve(n_steps);

@@ -24,8 +24,9 @@
 // Everything is deterministic: union-find and triangle counting are
 // serial walks in index order, masks come from `lsn::sample_failures` on
 // explicit seeds, and the per-step timeline sweep uses per-step result
-// slots so any SSPLANE_THREADS value is bit-identical. The sweep analyzes
-// each distinct (mask, alive adjacency) graph of a timeline once and
+// slots so any SSPLANE_THREADS value is bit-identical. Every analysis reads
+// one `alive_graph` (`spectral/laplacian.h`), the survivors' ISL graph as
+// built; the sweep analyzes each distinct graph of a timeline once and
 // copies its metrics to the steps that repeat it: the Lanczos start
 // vector depends only on `lanczos.seed`, so equal graphs give equal bits.
 #ifndef SSPLANE_SPECTRAL_PERCOLATION_H
@@ -37,6 +38,7 @@
 
 #include "lsn/scenario.h"
 #include "spectral/lanczos.h"
+#include "spectral/laplacian.h"
 
 namespace ssplane::spectral {
 
@@ -69,8 +71,8 @@ struct percolation_metrics {
     /// Closed / connected triplets of the alive subgraph (0 when no
     /// connected triplet exists, or when the pass is disabled).
     double clustering_coefficient = 0.0;
-    /// Algebraic connectivity of the alive subgraph (dead rows compacted
-    /// away, so one failed satellite does not pin λ₂ at 0). Exactly 0 when
+    /// Algebraic connectivity of the alive subgraph (failed satellites have
+    /// no row, so one failed satellite does not pin λ₂ at 0). Exactly 0 when
     /// union-find finds the alive graph disconnected (no solve runs), when
     /// it is empty, or when the solve is disabled.
     double lambda2 = 0.0;
@@ -92,15 +94,11 @@ percolation_metrics analyze_percolation(const lsn::network_snapshot& snapshot,
                                         std::span<const std::uint8_t> failed = {},
                                         const percolation_options& options = {});
 
-/// Shared core over prebuilt sorted adjacency lists (see
-/// `alive_adjacency`); `failed` identifies the dead rows so the analysis
-/// can restrict itself to the alive subgraph — λ₂, components and
-/// clusters are all computed on survivors, with only the two
-/// `*_fraction`/χ normalizations referring back to the full satellite
-/// count. Failed rows must already be edgeless (the `alive_adjacency`
-/// contract). Exposed for synthetic graphs in tests.
-percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjacency,
-                                      std::span<const std::uint8_t> failed = {},
+/// Shared core over a built alive graph (see `alive_adjacency`): λ₂,
+/// components and clusters are all computed on its survivors, with only
+/// the giant fraction and χ normalized by `graph.n_satellites`. Exposed for
+/// synthetic graphs in tests.
+percolation_metrics analyze_adjacency(const alive_graph& graph,
                                       const percolation_options& options = {});
 
 // --- Masking-threshold detector --------------------------------------------
@@ -185,11 +183,11 @@ struct percolation_sweep_result {
 
 /// Sweep the timeline over the geometry: each step analyzes its
 /// range-gated snapshot graph under `timeline.step(i)`. Steps are keyed on
-/// (mask, alive adjacency) by a hash plus a full compare; each distinct
-/// key is analyzed once and its metrics are copied to the repeats, each
-/// repeat counted in `spectral.percolate.reused`. Equal to per-step
+/// their `alive_graph` by a hash plus a full compare; each distinct graph
+/// is analyzed once and its metrics are copied to the repeats, each repeat
+/// counted in `spectral.percolate.reused`. Equal to per-step
 /// `analyze_percolation`, and bit-identical for any SSPLANE_THREADS value
-/// (per-step and per-key result slots).
+/// (per-step and per-graph result slots).
 percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     const percolation_options& options = {});

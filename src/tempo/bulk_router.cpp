@@ -11,14 +11,7 @@
 
 namespace ssplane::tempo {
 
-namespace {
-
-constexpr double inf = std::numeric_limits<double>::infinity();
-constexpr double volume_eps_gb = 1e-9;
-constexpr double time_eps_s = 1e-6;
-
-void validate_requests(int n_ground,
-                       std::span<const bulk_transfer_request> requests)
+void validate(std::span<const bulk_transfer_request> requests, int n_ground)
 {
     for (const auto& r : requests) {
         expects(r.src_ground >= 0 && r.src_ground < n_ground &&
@@ -32,6 +25,12 @@ void validate_requests(int n_ground,
                 "request needs release_s >= 0 and deadline_s > release_s");
     }
 }
+
+namespace {
+
+constexpr double inf = std::numeric_limits<double>::infinity();
+constexpr double volume_eps_gb = 1e-9;
+constexpr double time_eps_s = 1e-6;
 
 /// First step whose start is at or after the release time; n_steps when the
 /// release falls past the grid.
@@ -78,7 +77,7 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
 {
     OBS_SPAN("tempo.bulk.route");
     OBS_COUNT("tempo.bulk.route_calls");
-    validate_requests(graph.n_ground, requests);
+    validate(requests, graph.n_ground);
     const int n_nodes = graph.n_nodes();
     const int n_time_nodes = graph.n_time_nodes();
 
@@ -207,7 +206,7 @@ bulk_route_result route_bulk_transfers_per_step_baseline(
             "need one offset per snapshot");
     const int n_ground = snapshots[0].n_ground;
     const int n_satellites = snapshots[0].n_satellites;
-    validate_requests(n_ground, requests);
+    validate(requests, n_ground);
     const auto dwell = step_dwells(offsets_s, options.last_step_s);
 
     std::vector<bulk_transfer_result> slots(requests.size());

@@ -38,6 +38,12 @@ struct bulk_transfer_request {
     double deadline_s = 0.0;
 };
 
+/// Reject a request whose gateways are out of [0, n_ground) or equal, whose
+/// volume is not finite and positive, or whose window is not
+/// 0 <= release_s < deadline_s, with a clear `contract_violation`. Both
+/// routers and the zero-step bulk sweeps call it.
+void validate(std::span<const bulk_transfer_request> requests, int n_ground);
+
 /// Outcome slot of one request.
 struct bulk_transfer_result {
     double volume_gb = 0.0;    ///< Requested volume.

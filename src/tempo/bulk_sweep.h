@@ -24,7 +24,8 @@ struct bulk_sweep_result {
 /// Route `requests` over the time-expanded graph of one failure timeline on
 /// the geometry. The graph is built under the timeline (per-step link and
 /// storage gating), so bulk volume must route *around* the failure process
-/// as it unfolds.
+/// as it unfolds. On a grid with no steps every request stays undelivered
+/// (both bulk sweeps).
 bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
                                           const lsn::failure_timeline& timeline,
                                           std::span<const bulk_transfer_request> requests,

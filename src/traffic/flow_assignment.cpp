@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/expects.h"
-#include "util/stats.h"
 
 namespace ssplane::traffic {
 
@@ -77,11 +76,10 @@ bool paths_avoid(const route_record& record, const route_record::tree& tree,
     return true;
 }
 
-/// Reduce link loads and delivered totals into the result metrics.
+/// Gather link loads and delivered totals into the result.
 flow_result finalize(const traffic_matrix& matrix, std::vector<link_load> loads,
                      std::vector<double> pair_delivered, route_record routes,
-                     double offered, double delivered, double latency_flow_sum_s,
-                     const capacity_options& options)
+                     double offered, double delivered, double latency_flow_sum_s)
 {
     flow_result result;
     result.routes = std::move(routes);
@@ -94,18 +92,6 @@ flow_result finalize(const traffic_matrix& matrix, std::vector<link_load> loads,
         delivered > 0.0 ? latency_flow_sum_s / delivered * 1000.0 : 0.0;
     result.pair_delivered_gbps = std::move(pair_delivered);
     result.links = std::move(loads);
-    result.n_links = static_cast<int>(result.links.size());
-
-    std::vector<double> utilization;
-    utilization.reserve(result.links.size());
-    for (const auto& link : result.links) utilization.push_back(link.utilization());
-    std::sort(utilization.begin(), utilization.end());
-    result.mean_utilization = mean(utilization);
-    result.p95_utilization = percentile_sorted(utilization, 95.0);
-    result.max_utilization = utilization.empty() ? 0.0 : utilization.back();
-    result.congested_links = static_cast<int>(std::count_if(
-        utilization.begin(), utilization.end(),
-        [&](double u) { return u >= options.congested_threshold; }));
     return result;
 }
 
@@ -293,7 +279,7 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
     OBS_COUNT_N("traffic.assign.retired_pairs", retired_pairs);
     if (base) OBS_COUNT_N("traffic.adversary.reused_trees", reused_trees);
     return finalize(matrix, std::move(loads), std::move(pair_delivered), std::move(record),
-                    offered, delivered, latency_flow_sum_s, options);
+                    offered, delivered, latency_flow_sum_s);
 }
 
 } // namespace ssplane::traffic

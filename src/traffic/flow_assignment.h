@@ -9,7 +9,10 @@
 // Demand that does not fit spills to the next round, where saturated links
 // have dropped out and loaded links weigh more — the k rounds therefore
 // realize k-shortest-path splitting without per-pair re-Dijkstra. Pair
-// order is fixed (a < b, row order), so results are deterministic.
+// order is fixed (a < b, row order), so results are deterministic. An
+// assignment reports delivered totals, per-pair flows and per-link loads;
+// utilization statistics are the caller's to draw from the loads (the
+// traffic sweep does, per step), so the adversary's trials pay for none.
 //
 // Two exact shortcuts keep trees out of the loop without moving a bit:
 //   * a pair whose gateways the round's finite-cost links do not join is
@@ -114,11 +117,6 @@ struct flow_result {
     /// Sum over delivered flow of flow x path latency [Gbps*s] — the exact
     /// numerator of `mean_path_latency_ms`, for cross-step pooling.
     double latency_flow_sum_gbps_s = 0.0;
-    int n_links = 0;
-    int congested_links = 0;
-    double mean_utilization = 0.0;
-    double p95_utilization = 0.0;
-    double max_utilization = 0.0;
     std::vector<double> pair_delivered_gbps; ///< Row-major symmetric n x n.
     std::vector<link_load> links; ///< Per-link loads by link id after assignment.
     route_record routes; ///< The trees the assignment ran or replayed.

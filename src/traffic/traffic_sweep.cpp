@@ -25,15 +25,15 @@ traffic_sweep_result run_traffic_sweep_timeline(
     const auto& builder = geometry.builder();
 
     // Per-step result slots: each step writes only its own entry, so the
-    // parallel chunking never affects the serial reduction below.
+    // parallel chunking never affects the serial reduction below. The step's
+    // utilization statistics are drawn here from its per-link loads.
     struct step_result {
         double offered_gbps = 0.0;
         double delivered_gbps = 0.0;
         double latency_flow_sum_s = 0.0;
-        int congested_links = 0;
-        int n_links = 0;
+        std::size_t congested_links = 0;
         double p95_utilization = 0.0;
-        std::vector<double> utilization; ///< Per-link, assignment order.
+        std::vector<double> utilization; ///< Per-link, by link id.
     };
     const auto per_step = parallel_map<step_result>(
         static_cast<std::size_t>(n_steps), [&](std::size_t i) {
@@ -47,12 +47,13 @@ traffic_sweep_result run_traffic_sweep_timeline(
             slot.offered_gbps = flow.offered_gbps;
             slot.delivered_gbps = flow.delivered_gbps;
             slot.latency_flow_sum_s = flow.latency_flow_sum_gbps_s;
-            slot.congested_links = flow.congested_links;
-            slot.n_links = flow.n_links;
-            slot.p95_utilization = flow.p95_utilization;
             slot.utilization.reserve(flow.links.size());
-            for (const auto& link : flow.links)
+            for (const auto& link : flow.links) {
                 slot.utilization.push_back(link.utilization());
+                if (slot.utilization.back() >= options.capacity.congested_threshold)
+                    ++slot.congested_links;
+            }
+            slot.p95_utilization = percentile(slot.utilization, 95.0);
             return slot;
         });
 
@@ -72,9 +73,9 @@ traffic_sweep_result run_traffic_sweep_timeline(
         offered_sum += step.offered_gbps;
         delivered_sum += step.delivered_gbps;
         latency_flow_sum_s += step.latency_flow_sum_s;
-        if (step.n_links > 0)
-            congested_fraction_sum +=
-                static_cast<double>(step.congested_links) / step.n_links;
+        if (!step.utilization.empty())
+            congested_fraction_sum += static_cast<double>(step.congested_links) /
+                                      static_cast<double>(step.utilization.size());
         pooled_utilization.insert(pooled_utilization.end(), step.utilization.begin(),
                                   step.utilization.end());
         result.step_offered_gbps.push_back(step.offered_gbps);

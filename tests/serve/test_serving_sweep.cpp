@@ -211,7 +211,7 @@ TEST(ServingSweep, TimeToRestoreSemantics)
     EXPECT_THROW(time_to_restore(misaligned, offsets, 0.9), contract_violation);
 }
 
-TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
+TEST(ServingSweep, BitIdenticalAcrossThreads)
 {
     const sweep_fixture fx;
     serving_options options;
@@ -225,33 +225,29 @@ TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
         run_serving_sweep_timeline(fx.geometry, {&timeline}, fx.grid, options).front();
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        for (const int chunk : {0, 5}) {
-            serving_options perturbed = options;
-            perturbed.chunk_cells = chunk;
-            const auto result =
-                run_serving_sweep_timeline(fx.geometry, {&timeline}, fx.grid, perturbed)
-                    .front();
-            EXPECT_EQ(result.step_served_fraction,
-                      reference.step_served_fraction);
-            EXPECT_EQ(result.step_sessions_active,
-                      reference.step_sessions_active);
-            EXPECT_EQ(result.step_sessions_dropped,
-                      reference.step_sessions_dropped);
-            EXPECT_EQ(result.step_sessions_degraded,
-                      reference.step_sessions_degraded);
-            EXPECT_EQ(result.step_p99_session_rate_mbps,
-                      reference.step_p99_session_rate_mbps);
-            EXPECT_EQ(result.step_delivered_gbps,
-                      reference.step_delivered_gbps);
-            EXPECT_EQ(result.metrics.p50_session_rate_mbps,
-                      reference.metrics.p50_session_rate_mbps);
-            EXPECT_EQ(result.metrics.p99_session_rate_mbps,
-                      reference.metrics.p99_session_rate_mbps);
-            EXPECT_EQ(result.metrics.served_fraction_mean,
-                      reference.metrics.served_fraction_mean);
-            EXPECT_EQ(result.metrics.time_to_restore_s,
-                      reference.metrics.time_to_restore_s);
-        }
+        const auto result =
+            run_serving_sweep_timeline(fx.geometry, {&timeline}, fx.grid, options)
+                .front();
+        EXPECT_EQ(result.step_served_fraction,
+                  reference.step_served_fraction);
+        EXPECT_EQ(result.step_sessions_active,
+                  reference.step_sessions_active);
+        EXPECT_EQ(result.step_sessions_dropped,
+                  reference.step_sessions_dropped);
+        EXPECT_EQ(result.step_sessions_degraded,
+                  reference.step_sessions_degraded);
+        EXPECT_EQ(result.step_p99_session_rate_mbps,
+                  reference.step_p99_session_rate_mbps);
+        EXPECT_EQ(result.step_delivered_gbps,
+                  reference.step_delivered_gbps);
+        EXPECT_EQ(result.metrics.p50_session_rate_mbps,
+                  reference.metrics.p50_session_rate_mbps);
+        EXPECT_EQ(result.metrics.p99_session_rate_mbps,
+                  reference.metrics.p99_session_rate_mbps);
+        EXPECT_EQ(result.metrics.served_fraction_mean,
+                  reference.metrics.served_fraction_mean);
+        EXPECT_EQ(result.metrics.time_to_restore_s,
+                  reference.metrics.time_to_restore_s);
     }
     set_thread_count(0);
 }
@@ -341,17 +337,13 @@ TEST(ServingSweep, BatchOfRowsEqualsEachRowServedAlone)
 
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        for (const int chunk : {0, 13, 4096}) {
-            serving_options perturbed = options;
-            perturbed.chunk_cells = chunk;
-            const auto batch =
-                run_serving_sweep_timeline(fx.geometry, rows, fx.grid, perturbed);
-            ASSERT_EQ(batch.size(), rows.size());
-            for (std::size_t r = 0; r < rows.size(); ++r) {
-                SCOPED_TRACE("threads " + std::to_string(threads) + ", chunk " +
-                             std::to_string(chunk) + ", row " + std::to_string(r));
-                expect_identical(batch[r], alone[r]);
-            }
+        const auto batch =
+            run_serving_sweep_timeline(fx.geometry, rows, fx.grid, options);
+        ASSERT_EQ(batch.size(), rows.size());
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + ", row " +
+                         std::to_string(r));
+            expect_identical(batch[r], alone[r]);
         }
     }
     set_thread_count(0);

@@ -78,27 +78,23 @@ TEST(SessionGrid, SitesAndOrderingAreWellFormed)
         EXPECT_LE(grid.cells[i].latitude_deg, grid.cells[i + 1].latitude_deg);
 }
 
-TEST(SessionGrid, BitIdenticalAcrossThreadsAndChunkSizes)
+TEST(SessionGrid, BitIdenticalAcrossThreads)
 {
     const auto reference = sample_session_grid(test_population(), small_options());
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        for (const int chunk : {0, 7, 4096}) {
-            serving_options options = small_options();
-            options.chunk_cells = chunk;
-            const auto grid = sample_session_grid(test_population(), options);
-            ASSERT_EQ(grid.cells.size(), reference.cells.size())
-                << "threads " << threads << " chunk " << chunk;
-            EXPECT_EQ(grid.total_sessions, reference.total_sessions);
-            for (std::size_t i = 0; i < grid.cells.size(); ++i) {
-                EXPECT_EQ(grid.cells[i].sessions_homed,
-                          reference.cells[i].sessions_homed);
-                EXPECT_EQ(grid.cells[i].latitude_deg,
-                          reference.cells[i].latitude_deg);
-                EXPECT_EQ(grid.cells[i].longitude_deg,
-                          reference.cells[i].longitude_deg);
-                EXPECT_EQ(grid.cells[i].site_ecef_m, reference.cells[i].site_ecef_m);
-            }
+        const auto grid = sample_session_grid(test_population(), small_options());
+        ASSERT_EQ(grid.cells.size(), reference.cells.size())
+            << "threads " << threads;
+        EXPECT_EQ(grid.total_sessions, reference.total_sessions);
+        for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+            EXPECT_EQ(grid.cells[i].sessions_homed,
+                      reference.cells[i].sessions_homed);
+            EXPECT_EQ(grid.cells[i].latitude_deg,
+                      reference.cells[i].latitude_deg);
+            EXPECT_EQ(grid.cells[i].longitude_deg,
+                      reference.cells[i].longitude_deg);
+            EXPECT_EQ(grid.cells[i].site_ecef_m, reference.cells[i].site_ecef_m);
         }
     }
     set_thread_count(0);
@@ -184,7 +180,6 @@ TEST(ServingOptionsValidate, RejectsEachDegenerateField)
     expect_rejected([](serving_options& o) { o.satellite_capacity_gbps = 0.0; });
     expect_rejected([](serving_options& o) { o.min_elevation_rad = -0.1; });
     expect_rejected([](serving_options& o) { o.min_elevation_rad = 1.6; });
-    expect_rejected([](serving_options& o) { o.chunk_cells = -1; });
     expect_rejected([](serving_options& o) { o.degraded_rate_fraction = 0.0; });
     expect_rejected([](serving_options& o) { o.degraded_rate_fraction = 1.5; });
     expect_rejected([](serving_options& o) { o.restore_served_fraction = 0.0; });

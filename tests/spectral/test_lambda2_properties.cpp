@@ -68,17 +68,8 @@ std::vector<std::vector<std::uint8_t>> masks(const lsn::lsn_topology& topology)
 double jacobi_alive_lambda2(const lsn::lsn_topology& topology,
                             std::span<const std::uint8_t> failed)
 {
-    const auto adjacency = alive_adjacency(topology, failed);
-    std::vector<int> index(adjacency.size(), -1);
-    int n_alive = 0;
-    for (std::size_t i = 0; i < adjacency.size(); ++i)
-        if (failed.empty() || failed[i] == 0) index[i] = n_alive++;
-    std::vector<std::vector<int>> alive(static_cast<std::size_t>(n_alive));
-    for (std::size_t i = 0; i < adjacency.size(); ++i)
-        for (const int j : adjacency[i])
-            alive[static_cast<std::size_t>(index[i])].push_back(
-                index[static_cast<std::size_t>(j)]);
-    const csr_matrix laplacian = laplacian_from_adjacency(alive);
+    const csr_matrix laplacian =
+        laplacian_from_adjacency(alive_adjacency(topology, failed));
     return jacobi_eigenvalues(to_dense(laplacian), laplacian.n)[1];
 }
 

@@ -1,6 +1,5 @@
 #include "spectral/lanczos.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -16,35 +15,33 @@
 namespace ssplane::spectral {
 namespace {
 
-using adjacency_t = std::vector<std::vector<int>>;
+using links_t = std::vector<lsn::isl_link>;
 
-adjacency_t path_graph(int n)
+/// The links of a path over satellites first, ..., first + n - 1.
+links_t path_links(int n, int first = 0)
 {
-    adjacency_t adj(static_cast<std::size_t>(n));
-    for (int i = 0; i + 1 < n; ++i) {
-        adj[static_cast<std::size_t>(i)].push_back(i + 1);
-        adj[static_cast<std::size_t>(i + 1)].push_back(i);
-    }
-    for (auto& row : adj) std::sort(row.begin(), row.end());
-    return adj;
+    links_t links;
+    for (int i = 0; i + 1 < n; ++i) links.push_back({first + i, first + i + 1});
+    return links;
 }
 
-adjacency_t cycle_graph(int n)
+alive_graph path_graph(int n) { return alive_adjacency(n, path_links(n)); }
+
+links_t cycle_links(int n)
 {
-    adjacency_t adj = path_graph(n);
-    adj[0].push_back(n - 1);
-    adj[static_cast<std::size_t>(n - 1)].push_back(0);
-    for (auto& row : adj) std::sort(row.begin(), row.end());
-    return adj;
+    links_t links = path_links(n);
+    links.push_back({n - 1, 0});
+    return links;
 }
 
-adjacency_t complete_graph(int n)
+alive_graph cycle_graph(int n) { return alive_adjacency(n, cycle_links(n)); }
+
+alive_graph complete_graph(int n)
 {
-    adjacency_t adj(static_cast<std::size_t>(n));
+    links_t links;
     for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j)
-            if (i != j) adj[static_cast<std::size_t>(i)].push_back(j);
-    return adj;
+        for (int j = i + 1; j < n; ++j) links.push_back({i, j});
+    return alive_adjacency(n, links);
 }
 
 /// λ₂ by the dense reference: second-smallest eigenvalue of the Laplacian.
@@ -56,9 +53,9 @@ double jacobi_lambda2(const csr_matrix& laplacian)
     return eigenvalues[1];
 }
 
-void expect_lanczos_matches_jacobi(const adjacency_t& adjacency, double tol = 1.0e-8)
+void expect_lanczos_matches_jacobi(const alive_graph& graph, double tol = 1.0e-8)
 {
-    const csr_matrix laplacian = laplacian_from_adjacency(adjacency);
+    const csr_matrix laplacian = laplacian_from_adjacency(graph);
     const lanczos_result solve = algebraic_connectivity(laplacian);
     EXPECT_TRUE(solve.converged);
     EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), tol);
@@ -104,14 +101,12 @@ TEST(Lanczos, CompleteGraphLambda2IsN)
 TEST(Lanczos, DisconnectedGraphAgreesWithJacobiAndUnionFind)
 {
     // Two components: a 6-cycle and a 5-path, disjoint.
-    adjacency_t adjacency = cycle_graph(6);
-    const adjacency_t tail = path_graph(5);
-    adjacency.resize(11);
-    for (int i = 0; i < 5; ++i)
-        for (const int j : tail[static_cast<std::size_t>(i)])
-            adjacency[static_cast<std::size_t>(6 + i)].push_back(6 + j);
+    links_t links = cycle_links(6);
+    const links_t tail = path_links(5, 6);
+    links.insert(links.end(), tail.begin(), tail.end());
+    const alive_graph graph = alive_adjacency(11, links);
 
-    const csr_matrix laplacian = laplacian_from_adjacency(adjacency);
+    const csr_matrix laplacian = laplacian_from_adjacency(graph);
     const lanczos_result solve = algebraic_connectivity(laplacian);
     EXPECT_TRUE(solve.converged);
     // The raw solver reaches λ₂ = 0 only to solver precision; the dense
@@ -120,7 +115,7 @@ TEST(Lanczos, DisconnectedGraphAgreesWithJacobiAndUnionFind)
     EXPECT_NEAR(jacobi_lambda2(laplacian), 0.0, 1.0e-10);
     // The analyzer knows the component count and skips the solve: λ₂ is
     // exactly 0.
-    const percolation_metrics metrics = analyze_adjacency(adjacency);
+    const percolation_metrics metrics = analyze_adjacency(graph);
     EXPECT_EQ(metrics.n_components, 2);
     EXPECT_EQ(metrics.lambda2, 0.0);
     EXPECT_EQ(metrics.lanczos_iterations, 0);
@@ -172,7 +167,7 @@ TEST(Lanczos, IterationCapIsReportedUnconverged)
     // The analyzer carries the flag.
     percolation_options capped;
     capped.lanczos.max_iterations = 5;
-    const percolation_metrics metrics = analyze_adjacency(path_graph(60), {}, capped);
+    const percolation_metrics metrics = analyze_adjacency(path_graph(60), capped);
     EXPECT_FALSE(metrics.lambda2_converged);
     EXPECT_EQ(metrics.lanczos_iterations, 5);
     EXPECT_EQ(metrics.lambda2, solve.lambda2);
@@ -199,21 +194,36 @@ TEST(Lanczos, MaskedWalkerShellMatchesJacobi)
     const lsn::lsn_topology topo = lsn::build_walker_grid_topology(p);
     std::vector<std::uint8_t> failed(topo.satellites.size(), 0);
     failed[3] = failed[17] = failed[30] = 1;
-    // The full-dimension Laplacian keeps isolated dead rows, so its
-    // second-smallest eigenvalue is pinned at 0 — and both solvers agree.
-    const csr_matrix laplacian =
-        laplacian_from_adjacency(alive_adjacency(topo, failed));
-    const lanczos_result solve = algebraic_connectivity(laplacian);
+    // Full dimension: the failed satellites' links removed and no mask, so
+    // their rows stay as isolated vertices that pin the second-smallest
+    // eigenvalue at 0 — and both solvers agree.
+    links_t survivor_links;
+    for (const auto& link : topo.links)
+        if (failed[static_cast<std::size_t>(link.a)] == 0 &&
+            failed[static_cast<std::size_t>(link.b)] == 0)
+            survivor_links.push_back(link);
+    const int n = static_cast<int>(topo.satellites.size());
+    const csr_matrix full = laplacian_from_adjacency(alive_adjacency(n, survivor_links));
+    ASSERT_EQ(full.n, n);
+    const lanczos_result solve = algebraic_connectivity(full);
     EXPECT_TRUE(solve.converged);
-    EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), 1.0e-8);
+    EXPECT_NEAR(solve.lambda2, jacobi_lambda2(full), 1.0e-8);
     EXPECT_NEAR(solve.lambda2, 0.0, 1.0e-8);
+    // Compacted to the survivors, the graph is connected: λ₂ > 0, and the
+    // solvers still agree.
+    const csr_matrix alive = laplacian_from_adjacency(alive_adjacency(topo, failed));
+    ASSERT_EQ(alive.n, n - 3);
+    const lanczos_result compact = algebraic_connectivity(alive);
+    EXPECT_TRUE(compact.converged);
+    EXPECT_GT(compact.lambda2, 1.0e-3);
+    EXPECT_NEAR(compact.lambda2, jacobi_lambda2(alive), 1.0e-8);
 }
 
 TEST(Lanczos, TinyGraphsConvergeExactly)
 {
     const csr_matrix empty = laplacian_from_adjacency({});
     EXPECT_DOUBLE_EQ(algebraic_connectivity(empty).lambda2, 0.0);
-    const csr_matrix single = laplacian_from_adjacency({{}});
+    const csr_matrix single = laplacian_from_adjacency(alive_adjacency(1, links_t{}));
     const lanczos_result one = algebraic_connectivity(single);
     EXPECT_TRUE(one.converged);
     EXPECT_DOUBLE_EQ(one.lambda2, 0.0);
@@ -318,14 +328,44 @@ TEST(Laplacian, RowSumsVanishAndDegreesMatch)
     for (const double v : out) EXPECT_NEAR(v, 0.0, 1.0e-12);
     const std::vector<int> degrees = lsn::link_degrees(topo);
     for (int i = 0; i < laplacian.n; ++i) {
-        // Diagonal entry = degree.
+        // Diagonal entry = degree, and columns strictly ascending.
         double diag = 0.0;
         for (int k = laplacian.row_ptr[static_cast<std::size_t>(i)];
-             k < laplacian.row_ptr[static_cast<std::size_t>(i) + 1]; ++k)
-            if (laplacian.col[static_cast<std::size_t>(k)] == i)
-                diag = laplacian.values[static_cast<std::size_t>(k)];
+             k < laplacian.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+            const int column = laplacian.col[static_cast<std::size_t>(k)];
+            if (k > laplacian.row_ptr[static_cast<std::size_t>(i)]) {
+                EXPECT_LT(laplacian.col[static_cast<std::size_t>(k) - 1], column)
+                    << "row " << i;
+            }
+            if (column == i) diag = laplacian.values[static_cast<std::size_t>(k)];
+        }
         EXPECT_DOUBLE_EQ(diag, static_cast<double>(degrees[static_cast<std::size_t>(i)]));
     }
+}
+
+TEST(AliveGraph, RepeatedLinksAndSelfLoopsCoalesce)
+{
+    // 0-1 three times in both orientations, a self-loop on 2, 1-2 once,
+    // and 2-3 twice in opposite orientations.
+    const links_t links{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 1}, {3, 2}, {2, 3}};
+    const alive_graph graph = alive_adjacency(4, links);
+    EXPECT_EQ(graph.n_satellites, 4);
+    EXPECT_EQ(graph.row_begin, (std::vector<int>{0, 1, 3, 5, 6}));
+    EXPECT_EQ(graph.neighbors, (std::vector<int>{1, 0, 2, 1, 3, 2}));
+
+    // On a Walker +Grid every row lists exactly the satellite's ISL degree.
+    constellation::walker_parameters p;
+    p.inclination_rad = deg2rad(53.0);
+    p.n_planes = 6;
+    p.sats_per_plane = 8;
+    const lsn::lsn_topology topo = lsn::build_walker_grid_topology(p);
+    const alive_graph grid = alive_adjacency(topo);
+    const std::vector<int> degrees = lsn::link_degrees(topo);
+    ASSERT_EQ(grid.n_alive(), static_cast<int>(degrees.size()));
+    for (int i = 0; i < grid.n_alive(); ++i)
+        EXPECT_EQ(static_cast<int>(grid.row(i).size()),
+                  degrees[static_cast<std::size_t>(i)])
+            << "satellite " << i;
 }
 
 } // namespace

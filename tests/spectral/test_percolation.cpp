@@ -17,7 +17,7 @@
 namespace ssplane::spectral {
 namespace {
 
-using adjacency_t = std::vector<std::vector<int>>;
+using links_t = std::vector<lsn::isl_link>;
 
 constellation::walker_parameters small_walker(int planes, int sats)
 {
@@ -33,8 +33,8 @@ constellation::walker_parameters small_walker(int planes, int sats)
 TEST(Percolation, HandComputedClustersAndSusceptibility)
 {
     // Triangle {0,1,2}, edge {3,4}, isolated 5.
-    const adjacency_t adjacency = {{1, 2}, {0, 2}, {0, 1}, {4}, {3}, {}};
-    const percolation_metrics m = analyze_adjacency(adjacency);
+    const percolation_metrics m =
+        analyze_adjacency(alive_adjacency(6, links_t{{0, 1}, {0, 2}, {1, 2}, {3, 4}}));
     EXPECT_EQ(m.n_alive, 6);
     EXPECT_EQ(m.n_components, 3);
     EXPECT_DOUBLE_EQ(m.giant_component_fraction, 0.5);
@@ -51,8 +51,8 @@ TEST(Percolation, HandComputedClustersAndSusceptibility)
 TEST(Percolation, SquareWithDiagonalClustering)
 {
     // 4-cycle 0-1-2-3 with diagonal 0-2: 2 triangles, 8 triplets.
-    const adjacency_t adjacency = {{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}};
-    const percolation_metrics m = analyze_adjacency(adjacency);
+    const percolation_metrics m = analyze_adjacency(
+        alive_adjacency(4, links_t{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}));
     EXPECT_EQ(m.n_components, 1);
     EXPECT_DOUBLE_EQ(m.giant_component_fraction, 1.0);
     EXPECT_DOUBLE_EQ(m.susceptibility, 0.0);
@@ -62,10 +62,10 @@ TEST(Percolation, SquareWithDiagonalClustering)
 
 TEST(Percolation, FailureMaskCompactsToAliveSubgraph)
 {
-    // Triangle {0,1,2} with node 2 failed (edgeless), edge {3,4}, isolated 5.
-    const adjacency_t adjacency = {{1}, {0}, {}, {4}, {3}, {}};
+    // Triangle {0,1,2} with node 2 failed, edge {3,4}, isolated 5.
     const std::vector<std::uint8_t> failed = {0, 0, 1, 0, 0, 0};
-    const percolation_metrics m = analyze_adjacency(adjacency, failed);
+    const percolation_metrics m = analyze_adjacency(
+        alive_adjacency(6, links_t{{0, 1}, {0, 2}, {1, 2}, {3, 4}}, failed));
     EXPECT_EQ(m.n_alive, 5);
     // Alive clusters: {0,1}, {3,4}, {5}.
     EXPECT_EQ(m.n_components, 3);
@@ -76,21 +76,37 @@ TEST(Percolation, FailureMaskCompactsToAliveSubgraph)
     EXPECT_DOUBLE_EQ(m.clustering_coefficient, 0.0);
 }
 
-TEST(Percolation, MasksWithEdgesAreRejected)
+TEST(Percolation, FailedSatellitesLoseTheirLinksAndBadMasksThrow)
 {
-    const adjacency_t adjacency = {{1}, {0}};
-    const std::vector<std::uint8_t> failed = {1, 0};
-    EXPECT_THROW(analyze_adjacency(adjacency, failed), contract_violation);
+    // Satellite 0 fails: its links to 1 and 2 drop out with its row, and
+    // survivors 0, 1, 2 are satellites 1, 2, 3 on the path 1-2-3.
+    const links_t links{{0, 1}, {1, 2}, {2, 0}, {2, 3}};
+    const std::vector<std::uint8_t> failed = {1, 0, 0, 0};
+    const alive_graph graph = alive_adjacency(4, links, failed);
+    EXPECT_EQ(graph.n_satellites, 4);
+    EXPECT_EQ(graph.n_alive(), 3);
+    EXPECT_EQ(graph.row_begin, (std::vector<int>{0, 1, 3, 4}));
+    EXPECT_EQ(graph.neighbors, (std::vector<int>{1, 0, 2, 1}));
+    const percolation_metrics m = analyze_adjacency(graph);
+    EXPECT_EQ(m.n_alive, 3);
+    EXPECT_EQ(m.n_components, 1);
+    EXPECT_DOUBLE_EQ(m.giant_component_fraction, 3.0 / 4.0);
+    EXPECT_DOUBLE_EQ(m.giant_alive_fraction, 1.0);
+
+    // A mask of the wrong size and an endpoint out of range still throw.
     const std::vector<std::uint8_t> short_mask = {1};
-    EXPECT_THROW(analyze_adjacency(adjacency, short_mask), contract_violation);
+    EXPECT_THROW(alive_adjacency(4, links, short_mask), contract_violation);
+    EXPECT_THROW(alive_adjacency(3, links), contract_violation);
+    const lsn::lsn_topology topo = lsn::build_walker_grid_topology(small_walker(3, 4));
+    EXPECT_THROW(analyze_percolation(topo, short_mask), contract_violation);
 }
 
 TEST(Percolation, EmptyAndFullyFailedGraphs)
 {
     EXPECT_EQ(analyze_adjacency({}).n_alive, 0);
-    const adjacency_t adjacency = {{}, {}};
     const std::vector<std::uint8_t> all_failed = {1, 1};
-    const percolation_metrics m = analyze_adjacency(adjacency, all_failed);
+    const percolation_metrics m =
+        analyze_adjacency(alive_adjacency(2, links_t{{0, 1}}, all_failed));
     EXPECT_EQ(m.n_alive, 0);
     EXPECT_EQ(m.n_components, 0);
     EXPECT_DOUBLE_EQ(m.giant_component_fraction, 0.0);
@@ -105,7 +121,7 @@ TEST(Percolation, TopologyOverloadMatchesAdjacencyCore)
     failed[7] = failed[21] = 1;
     const percolation_metrics via_topology = analyze_percolation(topo, failed);
     const percolation_metrics via_adjacency =
-        analyze_adjacency(alive_adjacency(topo, failed), failed);
+        analyze_adjacency(alive_adjacency(topo, failed));
     EXPECT_DOUBLE_EQ(via_topology.lambda2, via_adjacency.lambda2);
     EXPECT_DOUBLE_EQ(via_topology.susceptibility, via_adjacency.susceptibility);
     EXPECT_EQ(via_topology.n_components, via_adjacency.n_components);
@@ -313,9 +329,9 @@ TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
     // steps. Under a generous ISL range every repeated mask repeats its
     // graph; under a tight range gate the geometry can also change a graph
     // between steps of one mask; at a 1 m range every graph is edgeless,
-    // so only the mask tells the steps apart. Each step must equal
-    // `analyze_percolation` of its own snapshot, bit for bit, and the
-    // sweep must analyze each distinct (mask, alive adjacency) once.
+    // so only the survivor count tells the steps apart. Each step must
+    // equal `analyze_percolation` of its own snapshot, bit for bit, and the
+    // sweep must analyze each distinct survivor graph once.
     const lsn::lsn_topology topo = lsn::build_walker_grid_topology(small_walker(6, 6));
     const int n = 36;
     const auto epoch = astro::instant::j2000();
@@ -336,16 +352,15 @@ TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
             lsn::snapshot_builder(topo, {}, epoch, deg2rad(30.0), isl_range_m), offsets);
         const auto& builder = geometry.builder();
         const auto& positions = geometry.positions();
-        std::vector<std::pair<std::vector<std::uint8_t>, adjacency_t>> distinct;
+        std::vector<alive_graph> distinct;
         std::vector<percolation_metrics> expected;
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             const auto mask = timeline.step(static_cast<int>(i));
             const auto snapshot = builder.snapshot_from_positions(positions[i], mask);
             expected.push_back(analyze_percolation(snapshot, mask));
-            std::pair<std::vector<std::uint8_t>, adjacency_t> key{
-                {mask.begin(), mask.end()}, alive_adjacency(snapshot, mask)};
-            if (std::find(distinct.begin(), distinct.end(), key) == distinct.end())
-                distinct.push_back(std::move(key));
+            alive_graph graph = alive_adjacency(snapshot, mask);
+            if (std::find(distinct.begin(), distinct.end(), graph) == distinct.end())
+                distinct.push_back(std::move(graph));
         }
         // Three masks; the tight gate also changes graphs under one mask.
         if (isl_range_m == 5.0e6)

@@ -1,7 +1,10 @@
 #include "traffic/flow_assignment.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,11 +54,12 @@ TEST(FlowAssignment, DeliversWithinCapacity)
     EXPECT_DOUBLE_EQ(result.delivered_gbps, 10.0);
     EXPECT_DOUBLE_EQ(result.delivered_fraction, 1.0);
     EXPECT_DOUBLE_EQ(result.pair_delivered(0, 1), 10.0);
-    EXPECT_EQ(result.n_links, 3);
-    EXPECT_EQ(result.congested_links, 0);
-    // The single ISL carries the whole flow at 10/20 utilization; it is the
-    // most loaded link on the path.
-    EXPECT_DOUBLE_EQ(result.max_utilization, 0.5);
+    // The single ISL (link 1) carries the whole flow at 10/20 utilization,
+    // the most of any link; the two uplinks run at 10/40.
+    ASSERT_EQ(result.links.size(), 3u);
+    EXPECT_DOUBLE_EQ(result.links[0].utilization(), 0.25);
+    EXPECT_DOUBLE_EQ(result.links[1].utilization(), 0.5);
+    EXPECT_DOUBLE_EQ(result.links[2].utilization(), 0.25);
     EXPECT_NEAR(result.mean_path_latency_ms, 11.0, 1e-12);
 }
 
@@ -71,8 +75,11 @@ TEST(FlowAssignment, CapacityBoundsDeliveredThroughput)
     // to go in later rounds.
     EXPECT_DOUBLE_EQ(result.delivered_gbps, 6.0);
     EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.6);
-    EXPECT_EQ(result.congested_links, 1);
-    EXPECT_DOUBLE_EQ(result.max_utilization, 1.0);
+    // The ISL is the one congested link; the uplinks run at 6/40.
+    ASSERT_EQ(result.links.size(), 3u);
+    EXPECT_DOUBLE_EQ(result.links[1].utilization(), 1.0);
+    EXPECT_DOUBLE_EQ(result.links[0].utilization(), 6.0 / 40.0);
+    EXPECT_DOUBLE_EQ(result.links[2].utilization(), 6.0 / 40.0);
     EXPECT_NEAR(result.mean_path_latency_ms, 11.0, 1e-12);
 }
 
@@ -258,68 +265,118 @@ TEST(FlowAssignment, DefaultCapacitiesCarryTheDiamondOnItsShortPath)
     EXPECT_DOUBLE_EQ(result.delivered_gbps, 15.0);
     EXPECT_DOUBLE_EQ(result.pair_delivered(0, 1), 15.0);
     EXPECT_NEAR(result.mean_path_latency_ms, 6.0, 1e-12);
-    EXPECT_DOUBLE_EQ(result.max_utilization, 15.0 / 40.0);
-    EXPECT_EQ(result.congested_links, 0);
+    ASSERT_EQ(result.links.size(), 4u);
+    EXPECT_DOUBLE_EQ(result.links[0].utilization(), 15.0 / 40.0);
+    EXPECT_DOUBLE_EQ(result.links[1].utilization(), 15.0 / 40.0);
+    EXPECT_DOUBLE_EQ(result.links[2].utilization(), 0.0);
+    EXPECT_DOUBLE_EQ(result.links[3].utilization(), 0.0);
+}
+
+/// `shorter` lists the same trees, owed gateways and paths as the start
+/// of `longer`.
+void expect_record_prefix(const route_record& shorter, const route_record& longer)
+{
+    const auto is_prefix = [](const auto& a, const auto& b) {
+        return a.size() <= b.size() && std::equal(a.begin(), a.end(), b.begin());
+    };
+    EXPECT_TRUE(is_prefix(shorter.trees, longer.trees));
+    EXPECT_TRUE(is_prefix(shorter.owed, longer.owed));
+    EXPECT_TRUE(is_prefix(shorter.path_begin, longer.path_begin));
+    EXPECT_TRUE(is_prefix(shorter.nodes, longer.nodes));
 }
 
 TEST(FlowAssignment, InvariantsHoldOnRandomMasksPastCapacity)
 {
-    // 16 seeded random-loss masks (0-20% of the satellites) on a 10x10
-    // Walker +Grid, each at its own instant, offered up to 100 Gbps per
-    // gateway pair: far past what the 40 Gbps uplinks can carry. Whatever the rounds do, no link exceeds
-    // its capacity, no pair gets more than it asked for, and the per-pair
-    // totals add up to the delivered total, which never exceeds the offer.
+    // 16 seeded random-loss masks (0-20% of the satellites) on each of three
+    // shells, each mask at its own instant, offered up to 100 Gbps per
+    // gateway pair: far past what the 40 Gbps uplinks can carry. The shells
+    // are a 10x10 Walker +Grid, the same shell capped at three ISLs per
+    // satellite, and a small SS design with two planes stacked at one LTAN,
+    // whose twins share positions and join by zero-latency links. At every
+    // round cap k in 1, 2, 4, 8, no link exceeds its capacity, no pair gets
+    // more than it asked for, and the per-pair totals add up to the delivered
+    // total, which never exceeds the offer. Rounds only add flow: delivered
+    // never falls as k grows, and the k-round route record is a prefix of
+    // the 2k-round one.
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
     params.inclination_rad = deg2rad(53.0);
     params.n_planes = 10;
     params.sats_per_plane = 10;
     params.phasing_f = 1;
-    const auto topo = lsn::build_walker_grid_topology(params);
-    const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
-                                        astro::instant::j2000(), deg2rad(25.0));
+    std::vector<constellation::ss_plane> planes;
+    for (const double ltan_h : {0.0, 1.5, 3.0, 3.0, 4.5, 6.0, 7.5, 9.0})
+        planes.push_back({560.0e3, ltan_h, 16, 0.0});
+    const std::vector<std::pair<std::string, lsn::lsn_topology>> shells{
+        {"walker +grid", lsn::build_walker_grid_topology(params)},
+        {"capped walker", lsn::build_walker_capped_topology(params, 3)},
+        {"stacked ss", lsn::build_ss_topology(planes, astro::instant::j2000())}};
     std::vector<double> offsets;
     for (int trial = 0; trial < 16; ++trial) offsets.push_back(900.0 * trial);
-    const auto positions = builder.positions_at_offsets(offsets);
-    const int n = builder.n_ground();
     constexpr double tol = 1e-9;
 
     bool saw_shortfall = false;
-    for (int trial = 0; trial < 16; ++trial) {
-        lsn::failure_scenario loss;
-        loss.mode = lsn::failure_mode::random_loss;
-        loss.loss_fraction = 0.04 * (trial % 6);
-        loss.seed = static_cast<std::uint64_t>(trial + 1);
-        const auto snap = builder.snapshot_from_positions(
-            positions[static_cast<std::size_t>(trial)], lsn::sample_failures(topo, loss));
+    for (const auto& [name, topo] : shells) {
+        const lsn::snapshot_builder builder(topo, lsn::default_ground_stations(),
+                                            astro::instant::j2000(), deg2rad(25.0));
+        const auto positions = builder.positions_at_offsets(offsets);
+        const int n = builder.n_ground();
+        int zero_latency_links = 0;
+        double delivered_total = 0.0;
+        for (int trial = 0; trial < 16; ++trial) {
+            SCOPED_TRACE(name + ", trial " + std::to_string(trial));
+            lsn::failure_scenario loss;
+            loss.mode = lsn::failure_mode::random_loss;
+            loss.loss_fraction = 0.04 * (trial % 6);
+            loss.seed = static_cast<std::uint64_t>(trial + 1);
+            const auto snap = builder.snapshot_from_positions(
+                positions[static_cast<std::size_t>(trial)],
+                lsn::sample_failures(topo, loss));
+            for (const auto& link : snap.links)
+                zero_latency_links += link.latency_s == 0.0 ? 1 : 0;
 
-        rng draws(static_cast<std::uint64_t>(100 + trial));
-        traffic_matrix matrix;
-        matrix.n_stations = n;
-        matrix.demand_gbps.assign(static_cast<std::size_t>(n * n), 0.0);
-        for (int a = 0; a + 1 < n; ++a)
-            for (int b = a + 1; b < n; ++b) {
-                const double demand = draws.uniform(0.0, 100.0);
-                matrix.demand_gbps[static_cast<std::size_t>(a * n + b)] = demand;
-                matrix.demand_gbps[static_cast<std::size_t>(b * n + a)] = demand;
-                matrix.total_gbps += demand;
-            }
+            rng draws(static_cast<std::uint64_t>(100 + trial));
+            traffic_matrix matrix;
+            matrix.n_stations = n;
+            matrix.demand_gbps.assign(static_cast<std::size_t>(n * n), 0.0);
+            for (int a = 0; a + 1 < n; ++a)
+                for (int b = a + 1; b < n; ++b) {
+                    const double demand = draws.uniform(0.0, 100.0);
+                    matrix.demand_gbps[static_cast<std::size_t>(a * n + b)] = demand;
+                    matrix.demand_gbps[static_cast<std::size_t>(b * n + a)] = demand;
+                    matrix.total_gbps += demand;
+                }
 
-        const auto result = assign_flows(snap, matrix);
-        for (const auto& link : result.links)
-            EXPECT_LE(link.load_gbps, link.capacity_gbps + tol) << "trial " << trial;
-        double pair_sum = 0.0;
-        for (int a = 0; a + 1 < n; ++a)
-            for (int b = a + 1; b < n; ++b) {
-                EXPECT_LE(result.pair_delivered(a, b), matrix.demand(a, b) + tol)
-                    << "trial " << trial << " pair " << a << "-" << b;
-                EXPECT_EQ(result.pair_delivered(a, b), result.pair_delivered(b, a));
-                pair_sum += result.pair_delivered(a, b);
+            flow_result previous;
+            for (const int k : {1, 2, 4, 8}) {
+                SCOPED_TRACE("k_rounds " + std::to_string(k));
+                capacity_options options;
+                options.k_rounds = k;
+                const auto result = assign_flows(snap, matrix, options);
+                for (const auto& link : result.links)
+                    EXPECT_LE(link.load_gbps, link.capacity_gbps + tol);
+                double pair_sum = 0.0;
+                for (int a = 0; a + 1 < n; ++a)
+                    for (int b = a + 1; b < n; ++b) {
+                        EXPECT_LE(result.pair_delivered(a, b), matrix.demand(a, b) + tol)
+                            << "pair " << a << "-" << b;
+                        EXPECT_EQ(result.pair_delivered(a, b), result.pair_delivered(b, a));
+                        pair_sum += result.pair_delivered(a, b);
+                    }
+                EXPECT_NEAR(pair_sum, result.delivered_gbps, tol);
+                EXPECT_LE(result.delivered_gbps, result.offered_gbps + tol);
+                EXPECT_NEAR(result.offered_gbps, matrix.total_gbps, tol);
+                if (k > 1) {
+                    EXPECT_GE(result.delivered_gbps, previous.delivered_gbps);
+                    expect_record_prefix(previous.routes, result.routes);
+                }
+                previous = result;
             }
-        EXPECT_NEAR(pair_sum, result.delivered_gbps, tol) << "trial " << trial;
-        EXPECT_LE(result.delivered_gbps, result.offered_gbps + tol) << "trial " << trial;
-        EXPECT_NEAR(result.offered_gbps, matrix.total_gbps, tol) << "trial " << trial;
-        saw_shortfall |= result.delivered_gbps < result.offered_gbps - 1.0;
+            delivered_total += previous.delivered_gbps;
+            saw_shortfall |= previous.delivered_gbps < previous.offered_gbps - 1.0;
+        }
+        EXPECT_GT(delivered_total, 0.0) << name;
+        EXPECT_EQ(zero_latency_links > 0, name == "stacked ss") << name;
     }
     EXPECT_TRUE(saw_shortfall);
 }
