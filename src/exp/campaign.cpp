@@ -29,6 +29,19 @@ const char* mode_name(lsn::failure_mode mode)
     return "unknown";
 }
 
+/// Cost estimate of a cell: its timeline's count of distinct consecutive
+/// mask rows (1 for a static timeline).
+std::size_t distinct_rows(const lsn::failure_timeline& timeline)
+{
+    std::size_t rows = 1;
+    for (int i = 1; i < timeline.n_steps; ++i) {
+        const auto before = timeline.step(i - 1);
+        const auto now = timeline.step(i);
+        if (!std::equal(before.begin(), before.end(), now.begin(), now.end())) ++rows;
+    }
+    return rows;
+}
+
 } // namespace
 
 std::vector<scenario_spec> expand_scenarios(const experiment_plan& plan)
@@ -209,103 +222,110 @@ campaign_result run_campaign(const experiment_plan& plan,
             "campaign scenarios expand to duplicate names; give each template "
             "a distinct name");
 
-    // Prefetch every failure timeline serially: scenarios sharing (mode,
-    // knobs, seed) dedupe onto one generation in the context cache, and
-    // the parallel section below only reads. Adversary generation — full
-    // traffic sweeps per candidate strike — also happens here, serially.
-    std::vector<const lsn::failure_timeline*> timelines;
-    timelines.reserve(expanded.size());
-    result.rows.reserve(expanded.size());
-    {
-        OBS_SPAN("campaign.prefetch_timelines");
-        for (const auto& spec : expanded) {
-            const auto& timeline = context.timeline(spec.scenario);
-            timelines.push_back(&timeline);
-            result.rows.push_back(
-                {spec.name, spec.scenario, timeline.final_n_failed()});
+    // One task graph on the pool. The sampled timelines are cheap to draw,
+    // so they resolve first and their cells start at once; the greedy
+    // adversary's generation (full traffic sweeps per candidate strike)
+    // then runs on this thread, its trial sweeps queued behind those cells,
+    // and its rows' cells follow. Timelines resolve serially in row order
+    // within each pass, so scenarios sharing (mode, knobs, seed) dedupe
+    // onto one generation in the context cache. Cells sharing (timeline,
+    // engine) are bit-identical by each engine's determinism contract, so
+    // only the first of them in cell order is evaluated; the rest copy its
+    // output (sharing the detail payload). Every task writes only its own
+    // slot, so any SSPLANE_THREADS value reproduces the campaign bit for
+    // bit (engines nested inside a task degrade to their serial path,
+    // bit-identical by each engine's own contract).
+    const std::size_t n_engines = plan.engines.size();
+    const std::size_t n_cells = expanded.size() * n_engines;
+    result.rows.resize(expanded.size());
+    result.cells.resize(n_cells);
+    std::vector<const lsn::failure_timeline*> timelines(expanded.size());
+    std::vector<std::size_t> computed_as(n_cells);
+    std::map<std::pair<const void*, std::size_t>, std::size_t> representative;
+    task_group cell_tasks;
+    for (const bool adversary : {false, true}) {
+        std::vector<std::size_t> pass_rows;
+        for (std::size_t r = 0; r < expanded.size(); ++r)
+            if ((expanded[r].scenario.mode == lsn::failure_mode::greedy_adversary) ==
+                adversary)
+                pass_rows.push_back(r);
+        if (pass_rows.empty()) continue;
+
+        std::vector<std::pair<std::size_t, std::size_t>> queued; // (estimate, cell)
+        {
+            OBS_SPAN("campaign.prefetch_timelines");
+            for (const std::size_t r : pass_rows) {
+                const auto& timeline = context.timeline(expanded[r].scenario);
+                timelines[r] = &timeline;
+                result.rows[r] = {expanded[r].name, expanded[r].scenario,
+                                  timeline.final_n_failed()};
+                for (std::size_t e = 0; e < n_engines; ++e) {
+                    const std::size_t i = r * n_engines + e;
+                    const auto [it, inserted] = representative.try_emplace({&timeline, e}, i);
+                    computed_as[i] = it->second;
+                    if (inserted && !plan.engines[e]->batches_rows())
+                        queued.emplace_back(distinct_rows(timeline), i);
+                }
+            }
+        }
+        // Longest first by a deterministic estimate, ties in cell order.
+        std::sort(queued.begin(), queued.end(), [](const auto& a, const auto& b) {
+            return a.first != b.first ? a.first > b.first : a.second < b.second;
+        });
+        for (const auto& [estimate, i] : queued) {
+            const metric_engine* engine = plan.engines[i % n_engines].get();
+            const evaluation_context* ctx = &context;
+            const lsn::failure_timeline* timeline = timelines[i / n_engines];
+            engine_output* slot = &result.cells[i];
+            cell_tasks.run([engine, ctx, timeline, slot] {
+#ifndef SSPLANE_OBS_DISABLED
+                // Per-cell span named by engine so the trace shows which
+                // metric the time went to.
+                const obs::span cell_span("campaign.cell." + engine->name());
+#endif
+                *slot = engine->evaluate(*ctx, *timeline);
+            });
         }
     }
-
-    // Cells sharing (timeline, engine) are bit-identical by each engine's
-    // determinism contract, so only one representative per distinct pair is
-    // evaluated; duplicates copy its output (sharing the detail payload).
-    // The dedup assignment is serial, so it never depends on thread count.
-    const std::size_t n_cells =
-        expanded.size() * static_cast<std::size_t>(result.n_engines);
-    std::vector<std::size_t> computed_as(n_cells);
-    std::vector<std::size_t> unique_cells;
-    std::map<std::pair<const void*, std::size_t>, std::size_t> representative;
-    for (std::size_t i = 0; i < n_cells; ++i) {
-        const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
-        const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
-        const auto [it, inserted] =
-            representative.try_emplace({timelines[row], e}, i);
-        computed_as[i] = it->second;
-        if (inserted) unique_cells.push_back(i);
+    {
+        OBS_SPAN("campaign.cells"); // the final join
+        cell_tasks.wait();
     }
 
-    result.cells.resize(n_cells);
-    OBS_COUNT_N("exp.campaign.cells", n_cells);
-    OBS_COUNT_N("exp.campaign.cells_unique", unique_cells.size());
-    OBS_COUNT_N("exp.campaign.cells_deduped", n_cells - unique_cells.size());
-
-    // Row batches, at top level so a batch's own parallel passes get the
-    // whole pool: each engine is offered its distinct timelines at once,
-    // and the cells of an engine that declines are left for the fan-out.
-    std::vector<std::size_t> fanned_cells;
-    for (std::size_t e = 0; e < plan.engines.size(); ++e) {
+    // Row batches, each alone at top level so its own parallel passes get
+    // the whole pool, and after the join, because a batch beside queued
+    // cells holds both working sets at once (walker_static's peak RSS rose
+    // by about a tenth): an engine that batches rows takes its distinct
+    // timelines in row order.
+    for (std::size_t e = 0; e < n_engines; ++e) {
+        if (!plan.engines[e]->batches_rows()) continue;
         std::vector<std::size_t> engine_cells;
         std::vector<const lsn::failure_timeline*> rows;
-        for (const std::size_t i : unique_cells)
-            if (i % plan.engines.size() == e) {
+        for (std::size_t i = e; i < n_cells; i += n_engines)
+            if (computed_as[i] == i) {
                 engine_cells.push_back(i);
-                rows.push_back(timelines[i / plan.engines.size()]);
+                rows.push_back(timelines[i / n_engines]);
             }
 #ifndef SSPLANE_OBS_DISABLED
-        obs::span batch_span("campaign.batch." + result.engine_names[e]);
+        const obs::span batch_span("campaign.batch." + result.engine_names[e]);
 #endif
         auto batch = plan.engines[e]->evaluate_rows(context, rows);
-        if (batch.empty()) {
-#ifndef SSPLANE_OBS_DISABLED
-            batch_span.cancel();
-#endif
-            fanned_cells.insert(fanned_cells.end(), engine_cells.begin(),
-                                engine_cells.end());
-            continue;
-        }
         ensures(batch.size() == rows.size(),
                 "engine returned a different number of row-batch outputs than rows");
         for (std::size_t k = 0; k < batch.size(); ++k)
             result.cells[engine_cells[k]] = std::move(batch[k]);
     }
-    std::sort(fanned_cells.begin(), fanned_cells.end());
 
-    // Per-cell result slots, one chunk per cell: every worker writes only
-    // its own slots, so any SSPLANE_THREADS value reproduces the campaign
-    // bit-for-bit (engines nested inside a worker degrade to their serial
-    // path, which is bit-identical by each engine's own contract).
-    {
-        OBS_SPAN("campaign.cells");
-        parallel_for(
-            fanned_cells.size(),
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t u = begin; u < end; ++u) {
-                    const std::size_t i = fanned_cells[u];
-                    const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
-                    const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
-#ifndef SSPLANE_OBS_DISABLED
-                    // Per-cell span named by engine so the trace shows which
-                    // metric the time went to.
-                    const obs::span cell_span("campaign.cell." +
-                                              result.engine_names[e]);
-#endif
-                    result.cells[i] = plan.engines[e]->evaluate(context, *timelines[row]);
-                }
-            },
-            /*chunk_size=*/1);
+    std::size_t n_unique = 0;
+    for (std::size_t i = 0; i < n_cells; ++i) {
+        if (computed_as[i] == i)
+            ++n_unique;
+        else
+            result.cells[i] = result.cells[computed_as[i]];
     }
-    for (std::size_t i = 0; i < n_cells; ++i)
-        if (computed_as[i] != i) result.cells[i] = result.cells[computed_as[i]];
+    OBS_COUNT_N("exp.campaign.cells", n_cells);
+    OBS_COUNT_N("exp.campaign.cells_unique", n_unique);
+    OBS_COUNT_N("exp.campaign.cells_deduped", n_cells - n_unique);
 
     result.cache = context.cache_stats() - cache_before;
     OBS_COUNT_N("exp.snapshot.rebuilds", result.cache.snapshot_builds);
@@ -314,9 +334,7 @@ campaign_result run_campaign(const experiment_plan& plan,
     // mismatched cell would silently misalign `value()` and `write_csv`.
     for (std::size_t i = 0; i < n_cells; ++i)
         ensures(result.cells[i].values.size() ==
-                    plan.engines[i % static_cast<std::size_t>(result.n_engines)]
-                        ->columns()
-                        .size(),
+                    plan.engines[i % n_engines]->columns().size(),
                 "engine returned a different number of values than its columns");
     return result;
 }

@@ -9,11 +9,14 @@
 // to judge every scenario with. `run_campaign` evaluates the full
 // (scenario, engine) grid against one shared `evaluation_context` — one
 // propagation pass, one failure timeline per distinct (mode, knobs, seed) —
-// first offering each engine all its distinct timelines as one row batch
-// (`metric_engine::evaluate_rows`), then fanning the cells of engines that
-// decline over the process thread pool with per-cell result slots, so the
-// result is bit-identical for any `SSPLANE_THREADS` value and identical to
-// calling each engine's sweep entry point scenario by scenario.
+// as one task graph on the process thread pool: each distinct cell is a
+// task queued as soon as its timeline exists (longest first), so cells run
+// while the calling thread generates the greedy adversary; once they have
+// all finished, each engine that batches rows (`batches_rows`) judges all
+// its distinct timelines in one `evaluate_rows` call. Results land in
+// per-cell slots, so the result is bit-identical for any `SSPLANE_THREADS`
+// value and identical to calling each engine's sweep entry point scenario
+// by scenario.
 #ifndef SSPLANE_EXP_CAMPAIGN_H
 #define SSPLANE_EXP_CAMPAIGN_H
 

@@ -11,13 +11,13 @@
 // interface, feeding it the context's geometry and cached timeline, so a
 // campaign cell is bit-identical to calling that entry point directly.
 //
-// An engine whose rows share per-step work can also take all of a
-// campaign's rows at once through `evaluate_rows`: `run_campaign` offers
-// every engine its distinct timelines in one call at top level, between
-// the timeline prefetch and the per-cell fan-out, so the batch's own
-// parallel passes get the whole pool. The serving engine does this (one
-// visibility pass per step for every row); the default declines, and
-// that engine's cells fan out one `evaluate` per cell.
+// An engine whose rows share per-step work declares it (`batches_rows`)
+// and takes all of a campaign's rows at once through `evaluate_rows`:
+// `run_campaign` hands it its distinct timelines in one call at top level,
+// after every cell task has finished, so the batch's own parallel passes
+// get the whole pool. The serving engine does this (one visibility pass per
+// step for every row); every other engine's cells are pool tasks, one
+// `evaluate` each.
 #ifndef SSPLANE_EXP_METRIC_ENGINE_H
 #define SSPLANE_EXP_METRIC_ENGINE_H
 
@@ -74,15 +74,23 @@ public:
     virtual engine_output evaluate(const evaluation_context& context,
                                    const lsn::failure_timeline& timeline) const = 0;
 
-    /// Row-batch hook: judge every timeline of `timelines` in one pass and
-    /// return one output per timeline, in order, each bit-identical to
-    /// `evaluate` on that timeline alone. The default returns no outputs,
-    /// which tells the campaign to call `evaluate` once per cell instead.
+    /// True when `evaluate_rows` judges many rows in one pass that shares
+    /// per-step work: a campaign then runs this engine as one row batch
+    /// instead of one cell task per row.
+    virtual bool batches_rows() const noexcept { return false; }
+
+    /// Judge every timeline of `timelines` and return one output per
+    /// timeline, in order, each bit-identical to `evaluate` on that timeline
+    /// alone. The default calls `evaluate` once per timeline.
     virtual std::vector<engine_output> evaluate_rows(
-        const evaluation_context& /*context*/,
-        const std::vector<const lsn::failure_timeline*>& /*timelines*/) const
+        const evaluation_context& context,
+        const std::vector<const lsn::failure_timeline*>& timelines) const
     {
-        return {};
+        std::vector<engine_output> outputs;
+        outputs.reserve(timelines.size());
+        for (const auto* timeline : timelines)
+            outputs.push_back(evaluate(context, *timeline));
+        return outputs;
     }
 
     /// Names of the per-step degradation traces this engine can extract
@@ -249,6 +257,7 @@ public:
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
+    bool batches_rows() const noexcept override { return true; }
     std::vector<engine_output> evaluate_rows(
         const evaluation_context& context,
         const std::vector<const lsn::failure_timeline*>& timelines) const override;

@@ -233,8 +233,8 @@ std::vector<phase_busy> phase_busy_fractions()
 {
     const auto spans = trace_snapshot();
     const auto is_phase = [](const std::string& name) {
-        return name == "campaign.prefetch_timelines" || name == "campaign.cells" ||
-               name.starts_with("campaign.batch.");
+        return name == "campaign.run" || name == "campaign.prefetch_timelines" ||
+               name == "campaign.cells" || name.starts_with("campaign.batch.");
     };
     // Workers by tid: `trace_snapshot` sorts by tid, so each worker's tasks
     // are one run of the list.
@@ -243,10 +243,12 @@ std::vector<phase_busy> phase_busy_fractions()
     for (const auto& s : spans) {
         if (s.name == "pool.task" && (workers.empty() || workers.back() != s.tid))
             workers.push_back(s.tid);
-        if (is_phase(s.name)) phases.push_back({s.name, s.begin_ns, s.end_ns - s.begin_ns, {}});
+        if (is_phase(s.name))
+            phases.push_back({s.name, s.begin_ns, s.end_ns - s.begin_ns, 0, {}});
     }
     std::sort(phases.begin(), phases.end(), [](const phase_busy& a, const phase_busy& b) {
         if (a.begin_ns != b.begin_ns) return a.begin_ns < b.begin_ns;
+        if (a.wall_ns != b.wall_ns) return a.wall_ns > b.wall_ns;
         return a.name < b.name;
     });
     for (auto& phase : phases) {
@@ -260,10 +262,12 @@ std::vector<phase_busy> phase_busy_fractions()
             const std::uint64_t to = std::min(s.end_ns, end_ns);
             if (from < to) busy_ns[w] += to - from;
         }
-        for (const std::uint64_t ns : busy_ns)
+        for (const std::uint64_t ns : busy_ns) {
+            phase.task_ns += ns;
             phase.worker_busy.push_back(
                 phase.wall_ns > 0 ? static_cast<double>(ns) / static_cast<double>(phase.wall_ns)
                                   : 0.0);
+        }
     }
     return phases;
 }
@@ -297,10 +301,11 @@ void write_phase_summary(std::ostream& out)
     const auto phases = phase_busy_fractions();
     if (phases.empty()) return;
     out << '\n'
-        << pad("campaign phase", name_width) << "  " << pad("wall_ms", 12)
-        << " busy % per pool worker\n";
+        << pad("campaign phase", name_width) << "  " << pad("wall_ms", 12) << " "
+        << pad("task_ms", 12) << " busy % per pool worker\n";
     for (const auto& phase : phases) {
-        out << pad(phase.name, name_width) << "  " << pad(ms(phase.wall_ns), 12);
+        out << pad(phase.name, name_width) << "  " << pad(ms(phase.wall_ns), 12) << " "
+            << pad(ms(phase.task_ns), 12);
         for (const double busy : phase.worker_busy) {
             // One decimal, rounded: 0.9713 reads 97.1.
             const auto tenths = static_cast<std::uint64_t>(busy * 1000.0 + 0.5);

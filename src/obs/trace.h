@@ -99,24 +99,31 @@ struct phase_stat {
 /// descending (ties by name).
 std::vector<phase_stat> phase_stats();
 
-/// One campaign phase span — `campaign.prefetch_timelines`, a
-/// `campaign.batch.<engine>` or `campaign.cells` — and how busy each pool
-/// worker was while it ran.
+/// One campaign phase span — the whole `campaign.run`, a
+/// `campaign.prefetch_timelines` (one per pass of timeline resolution),
+/// `campaign.cells` (the final join of the cell tasks) or a
+/// `campaign.batch.<engine>` — and how busy each pool worker was while it
+/// ran.
 struct phase_busy {
     std::string name;
     std::uint64_t begin_ns = 0;
     std::uint64_t wall_ns = 0;
+    /// Summed overlap of every worker's `pool.task` spans with this span:
+    /// the pool's CPU time in it, next to its critical-path wall time.
+    std::uint64_t task_ns = 0;
     /// Per pool worker (each thread with a `pool.task` span, by tid), the
     /// overlap of its `pool.task` spans with this span over its wall time.
     std::vector<double> worker_busy;
 };
 
-/// Every campaign phase span, in begin order (ties by name).
+/// Every campaign phase span, in begin order (enclosing spans first, then
+/// by name).
 std::vector<phase_busy> phase_busy_fractions();
 
 /// Human-readable table of phase_stats(): name, count, wall ms, self ms;
 /// then, when the trace holds campaign phases, one row per phase span with
-/// its wall ms and each pool worker's busy percentage.
+/// its wall ms, its summed `pool.task` ms and each pool worker's busy
+/// percentage.
 void write_phase_summary(std::ostream& out);
 
 } // namespace ssplane::obs

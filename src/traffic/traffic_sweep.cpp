@@ -96,12 +96,8 @@ traffic_sweep_result run_traffic_sweep_timeline(
                                              : (n_steps > 0 ? 1.0 : 0.0);
     m.mean_path_latency_ms =
         delivered_sum > 0.0 ? latency_flow_sum_s / delivered_sum * 1000.0 : 0.0;
-    if (!pooled_utilization.empty()) {
-        m.mean_link_utilization = mean(pooled_utilization);
-        std::sort(pooled_utilization.begin(), pooled_utilization.end());
-        m.p95_link_utilization = percentile_sorted(pooled_utilization, 95.0);
-        m.max_link_utilization = pooled_utilization.back();
-    }
+    std::sort(pooled_utilization.begin(), pooled_utilization.end());
+    m.p95_link_utilization = percentile_sorted(pooled_utilization, 95.0);
     return result;
 }
 

@@ -28,9 +28,7 @@ struct traffic_metrics {
     double delivered_fraction = 0.0;   ///< Pooled: sum delivered / sum offered;
                                        ///< 1 when nothing was offered.
     double mean_path_latency_ms = 0.0; ///< Flow-weighted over all delivered traffic.
-    double mean_link_utilization = 0.0;  ///< Over (link, step) samples.
-    double p95_link_utilization = 0.0;   ///< Over (link, step) samples.
-    double max_link_utilization = 0.0;
+    double p95_link_utilization = 0.0; ///< Over (link, step) samples.
     double congested_link_fraction = 0.0; ///< Mean fraction of links congested.
 };
 

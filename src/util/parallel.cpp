@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 namespace ssplane {
 
@@ -105,15 +106,23 @@ thread_pool& pool_for(unsigned n_workers)
     return *g_pool;
 }
 
-/// Completion latch shared by one parallel_for call's chunk tasks.
-struct for_state {
+} // namespace
+
+/// Completion latch of a group's pooled tasks: counts them down and keeps
+/// the first error. The tasks share it, so one that counts itself done
+/// never touches a latch its waiter has already dropped.
+struct task_group::latch {
     std::mutex mutex;
     std::condition_variable done;
     std::size_t remaining = 0;
     std::exception_ptr error;
-};
 
-} // namespace
+    void fail(std::exception_ptr e)
+    {
+        const std::lock_guard lock(mutex);
+        if (!error) error = std::move(e);
+    }
+};
 
 unsigned thread_count() noexcept
 {
@@ -132,62 +141,93 @@ void parallel_for(std::size_t n,
 {
     if (n == 0) return;
     // Deterministic chunking: independent of the worker count so that
-    // chunk-indexed reductions reproduce bit-identically everywhere.
+    // chunk-indexed reductions reproduce bit-identically everywhere, and
+    // so are the group's region and chunk counts.
     if (chunk_size == 0) chunk_size = (n + 63) / 64;
-    if (chunk_size < 1) chunk_size = 1;
-
-    const unsigned workers = thread_count();
-    const std::size_t n_chunks = (n + chunk_size - 1) / chunk_size;
-    // Chunk geometry is thread-count-invariant by construction, so these
-    // two are deterministic; everything about which thread ran what is not.
-    OBS_COUNT("pool.parallel_regions");
-    OBS_COUNT_N("pool.chunks", n_chunks);
-    if (workers <= 1 || t_in_worker || n_chunks == 1) {
-        // Serial path visits the same chunk boundaries the pool would, so a
-        // body keyed on chunk begin behaves identically either way.
-        for (std::size_t c = 0; c < n_chunks; ++c)
-            body(c * chunk_size, std::min(n, (c + 1) * chunk_size));
+    if (chunk_size >= n) {
+        // One chunk gains nothing from the pool: run it here, counted as
+        // the pool would count it.
+        OBS_COUNT("pool.parallel_regions");
+        OBS_COUNT("pool.chunks");
+        body(0, n);
         return;
     }
-
-    thread_pool& pool = pool_for(workers);
-    auto state = std::make_shared<for_state>();
-    state->remaining = n_chunks;
-
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        const std::size_t begin = c * chunk_size;
+    // With one worker or inside a pool task the group runs the chunks
+    // inline, in order, at the same boundaries.
+    task_group chunks;
+    for (std::size_t begin = 0; begin < n; begin += chunk_size) {
         const std::size_t end = std::min(n, begin + chunk_size);
         // DETLINT-ALLOW(ref-capture-task): `body` outlives every chunk task
-        // — this frame blocks on state->done until `remaining` hits zero —
-        // and is only invoked, never mutated; chunk ranges are disjoint.
-        pool.submit([state, &body, begin, end] {
-            try {
-                // The span closes before the chunk counts itself done, so
-                // every chunk's span is recorded once the caller wakes.
-                OBS_SPAN("pool.task");
-                body(begin, end);
-            } catch (...) {
-                const std::lock_guard lock(state->mutex);
-                if (!state->error) state->error = std::current_exception();
-            }
-            {
-                const std::lock_guard lock(state->mutex);
-                --state->remaining;
-            }
-            state->done.notify_one();
-        });
+        // — the group joins before this frame returns — and is only
+        // invoked, never mutated; chunk ranges are disjoint.
+        chunks.run([&body, begin, end] { body(begin, end); });
     }
+    chunks.wait();
+}
 
-    // The caller only blocks until every chunk has run. Tracing that as its
-    // own span keeps the wait out of the enclosing phase's self time.
-    std::exception_ptr error;
-    {
-        OBS_SPAN("pool.wait");
-        std::unique_lock lock(state->mutex);
-        state->done.wait(lock, [&] { return state->remaining == 0; });
-        error = state->error;
+task_group::task_group()
+    : latch_(std::make_shared<latch>()), workers_(t_in_worker ? 1 : thread_count())
+{
+}
+
+task_group::~task_group() { (void)join(); }
+
+void task_group::run(std::function<void()> task)
+{
+    // One region per group and one chunk per task, counted the same on the
+    // inline path, so the counters never depend on the worker count.
+    if (!counted_) OBS_COUNT("pool.parallel_regions");
+    counted_ = true;
+    OBS_COUNT("pool.chunks");
+    if (workers_ <= 1) {
+        try {
+            task();
+        } catch (...) {
+            latch_->fail(std::current_exception());
+        }
+        return;
     }
-    if (error) std::rethrow_exception(error);
+    {
+        const std::lock_guard lock(latch_->mutex);
+        ++latch_->remaining;
+    }
+    pooled_ = true;
+    pool_for(workers_).submit([latch = latch_, task = std::move(task)]() mutable {
+        {
+            // The task and its captures are gone, and its span recorded,
+            // before it counts itself done and the group's join returns.
+            const auto body = std::move(task);
+            try {
+                OBS_SPAN("pool.task");
+                body();
+            } catch (...) {
+                latch->fail(std::current_exception());
+            }
+        }
+        {
+            const std::lock_guard lock(latch->mutex);
+            --latch->remaining;
+        }
+        latch->done.notify_all();
+    });
+}
+
+void task_group::wait()
+{
+    if (auto error = join()) std::rethrow_exception(error);
+}
+
+std::exception_ptr task_group::join()
+{
+    if (std::exchange(pooled_, false)) {
+        // The caller's wait for pooled tasks is its own span, kept out of
+        // the enclosing phase's self time.
+        OBS_SPAN("pool.wait");
+        std::unique_lock lock(latch_->mutex);
+        latch_->done.wait(lock, [this] { return latch_->remaining == 0; });
+    }
+    const std::lock_guard lock(latch_->mutex);
+    return std::exchange(latch_->error, nullptr);
 }
 
 } // namespace ssplane

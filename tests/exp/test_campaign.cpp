@@ -1,9 +1,12 @@
 #include "exp/campaign.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -471,6 +474,131 @@ TEST(Campaign, TimelineScenariosRunThroughAllEnginesBitIdenticallyAcrossThreads)
         EXPECT_LE(campaign.value(r, "traffic.min_step_delivered_fraction"),
                   campaign.value(r, "traffic.delivered_fraction") + 1e-12);
     }
+}
+
+TEST(Campaign, AdversaryTimeVaryingAndServingRowsAreByteIdenticalAcrossThreads)
+{
+    // The whole task graph: sampled and time-varying rows' cells run while
+    // the adversary is generated, its rows' cells follow, and the serving
+    // batch runs last. Every CSV byte, cache telemetry included, must come
+    // out the same at any pool size.
+    const auto topo = small_walker();
+    const auto stations = traffic::stations_from_cities(4);
+    const auto epoch = astro::instant::from_calendar(2014, 4, 1, 0, 0, 0.0);
+    serve::serving_options serving;
+    serving.n_sessions = 5000;
+    serving.seed = 3;
+    percolation_engine_options percolation;
+    percolation.compute_masking_thresholds = false;
+
+    experiment_plan plan;
+    plan.scenarios = timeline_scenarios(lsn::plane_count(topo));
+    lsn::failure_scenario loss;
+    loss.mode = lsn::failure_mode::random_loss;
+    loss.loss_fraction = 0.25;
+    loss.seed = 3;
+    plan.scenarios.push_back({"random_25", loss});
+    plan.scenarios.push_back({"baseline_again", {}});
+    plan.engines = {std::make_shared<survivability_engine>(),
+                    std::make_shared<traffic_engine>(test_demand()),
+                    std::make_shared<serving_engine>(test_population(), serving),
+                    std::make_shared<percolation_engine>(percolation)};
+
+    std::vector<std::string> tables;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        set_thread_count(threads);
+        evaluation_context context(topo, stations, epoch, short_grid());
+        context.set_adversary_oracle(test_demand());
+        const auto campaign = run_campaign(plan, context);
+        // Rows keep the plan's order, whatever order their timelines
+        // resolved in.
+        ASSERT_EQ(campaign.rows.size(), plan.scenarios.size());
+        for (std::size_t r = 0; r < campaign.rows.size(); ++r)
+            EXPECT_EQ(campaign.rows[r].name, plan.scenarios[r].name);
+        EXPECT_GT(campaign.rows[3].n_failed, 0); // the adversary struck
+        EXPECT_EQ(campaign.cache.timeline_misses, 5u);
+        EXPECT_EQ(campaign.cache.timeline_hits, 1u);
+        std::ostringstream out;
+        campaign.write_csv(out);
+        campaign.write_step_csv(out);
+        tables.push_back(out.str());
+    }
+    set_thread_count(0);
+    EXPECT_EQ(tables[1], tables[0]);
+    EXPECT_EQ(tables[2], tables[0]);
+}
+
+/// A test engine whose cells take a while, so tasks are still queued when
+/// an error leaves `run_campaign`. With `fail` set it throws on the one
+/// static timeline that loses satellites (the random-loss row).
+class slow_engine final : public metric_engine {
+public:
+    explicit slow_engine(bool fail) : fail_(fail) {}
+
+    const std::string& name() const noexcept override
+    {
+        static const std::string name = "slow";
+        return name;
+    }
+    const std::vector<std::string>& columns() const noexcept override
+    {
+        static const std::vector<std::string> columns{"n_failed"};
+        return columns;
+    }
+    engine_output evaluate(const evaluation_context& /*context*/,
+                           const lsn::failure_timeline& timeline) const override
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (fail_ && timeline.is_static() && timeline.final_n_failed() > 0)
+            throw std::runtime_error("slow engine failed a cell");
+        engine_output out;
+        out.values = {static_cast<double>(timeline.final_n_failed())};
+        return out;
+    }
+
+private:
+    bool fail_;
+};
+
+TEST(Campaign, ErrorsLeaveOnlyAfterEveryQueuedCellHasFinished)
+{
+    const auto topo = small_walker();
+    const auto stations = traffic::stations_from_cities(4);
+    const auto epoch = astro::instant::from_calendar(2014, 4, 1, 0, 0, 0.0);
+    experiment_plan plan;
+    plan.scenarios = timeline_scenarios(lsn::plane_count(topo));
+    lsn::failure_scenario loss;
+    loss.mode = lsn::failure_mode::random_loss;
+    loss.loss_fraction = 0.25;
+    loss.seed = 3;
+    plan.scenarios.push_back({"random_25", loss});
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        set_thread_count(threads);
+        // A sampled row's cell fails while the adversary is generated: the
+        // campaign throws that error once every other cell has run.
+        plan.engines = {std::make_shared<survivability_engine>(),
+                        std::make_shared<slow_engine>(true),
+                        std::make_shared<traffic_engine>(test_demand())};
+        evaluation_context armed(topo, stations, epoch, short_grid());
+        armed.set_adversary_oracle(test_demand());
+        std::string error;
+        try {
+            (void)run_campaign(plan, armed);
+        } catch (const std::runtime_error& e) {
+            error = e.what();
+        }
+        EXPECT_EQ(error, "slow engine failed a cell");
+
+        // Without an oracle the adversary's lookup throws while the sampled
+        // rows' cells are still queued; they finish before the frame goes.
+        plan.engines = {std::make_shared<slow_engine>(false),
+                        std::make_shared<survivability_engine>()};
+        const evaluation_context unarmed(topo, stations, epoch, short_grid());
+        EXPECT_THROW((void)run_campaign(plan, unarmed), contract_violation);
+    }
+    set_thread_count(0);
 }
 
 TEST(Campaign, AdversaryScenariosRequireTheOracle)

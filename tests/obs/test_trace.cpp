@@ -167,18 +167,22 @@ TEST(Trace, PhaseStatsComputeWallAndSelfTime)
 TEST(Trace, PhaseBusyFractionsAreEachWorkersPoolTaskOverlap)
 {
     const trace_sandbox sandbox;
-    // The main thread runs three campaign phases: prefetch [0, 400], a
-    // serving batch [400, 600] and the cells [600, 1000], then an empty
-    // bulk batch at 1000. Two workers, started one after the other so the
-    // first holds the lower tid, run `pool.task` spans; a third thread runs
-    // none and is no worker.
+    // The main thread runs a campaign [0, 1000] of four phases: a timeline
+    // pass [0, 400], a serving batch [400, 600] and the final join of the
+    // cells [600, 1000], then an empty bulk batch at 1000. The campaign and
+    // its first pass begin together; the enclosing span lists first. Two
+    // workers, started one after the other so the first holds the lower
+    // tid, run `pool.task` spans; a third thread runs none and is no
+    // worker, and a span that is no campaign phase is no row.
     record_span("campaign.run", 0, 1000);
     record_span("campaign.prefetch_timelines", 0, 400);
+    record_span("exp.timeline_generate", 100, 400);
     record_span("campaign.batch.serving", 400, 600);
     record_span("campaign.cells", 600, 1000);
     record_span("campaign.batch.bulk", 1000, 1000);
-    EXPECT_EQ(phase_busy_fractions().size(), 4u);
+    EXPECT_EQ(phase_busy_fractions().size(), 5u);
     EXPECT_TRUE(phase_busy_fractions()[0].worker_busy.empty());
+    EXPECT_EQ(phase_busy_fractions()[0].task_ns, 0u);
     std::thread first([] {
         record_span("pool.task", 0, 400);
         record_span("pool.task", 450, 550);
@@ -192,17 +196,20 @@ TEST(Trace, PhaseBusyFractionsAreEachWorkersPoolTaskOverlap)
     idle.join();
 
     const auto phases = phase_busy_fractions();
-    ASSERT_EQ(phases.size(), 4u);
-    const std::vector<std::string> names{"campaign.prefetch_timelines",
+    ASSERT_EQ(phases.size(), 5u);
+    const std::vector<std::string> names{"campaign.run", "campaign.prefetch_timelines",
                                          "campaign.batch.serving", "campaign.cells",
                                          "campaign.batch.bulk"};
-    const std::vector<std::uint64_t> walls{400, 200, 400, 0};
+    const std::vector<std::uint64_t> walls{1000, 400, 200, 400, 0};
+    // Summed pool.task time: over the whole campaign, every task's.
+    const std::vector<std::uint64_t> tasks{900, 600, 200, 100, 0};
     const std::vector<std::vector<double>> busy{
-        {1.0, 0.5}, {0.5, 0.5}, {0.25, 0.0}, {0.0, 0.0}};
+        {0.6, 0.3}, {1.0, 0.5}, {0.5, 0.5}, {0.25, 0.0}, {0.0, 0.0}};
     for (std::size_t i = 0; i < phases.size(); ++i) {
         SCOPED_TRACE(phases[i].name);
         EXPECT_EQ(phases[i].name, names[i]);
         EXPECT_EQ(phases[i].wall_ns, walls[i]);
+        EXPECT_EQ(phases[i].task_ns, tasks[i]);
         EXPECT_EQ(phases[i].worker_busy, busy[i]);
     }
 
@@ -210,6 +217,8 @@ TEST(Trace, PhaseBusyFractionsAreEachWorkersPoolTaskOverlap)
     write_phase_summary(out);
     const std::string text = out.str();
     EXPECT_NE(text.find("campaign phase"), std::string::npos);
+    EXPECT_NE(text.find("task_ms"), std::string::npos);
+    EXPECT_NE(text.find(" 60.0 30.0\n"), std::string::npos) << text;
     EXPECT_NE(text.find(" 100.0 50.0\n"), std::string::npos) << text;
     EXPECT_NE(text.find(" 25.0 0.0\n"), std::string::npos) << text;
 }

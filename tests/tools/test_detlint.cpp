@@ -142,6 +142,17 @@ TEST(Detlint, WallClockExemptionDoesNotLeakOutsideTheSanctionedPath)
     EXPECT_EQ(count(findings, "wall-clock", /*suppressed=*/true), 0);
 }
 
+TEST(Detlint, RefCaptureTaskCoversTaskGroupRun)
+{
+    // A task group's run hands its task to the pool like submit: a
+    // by-reference capture fires through an object or a pointer, and tasks
+    // that capture pointers to their slot and inputs by value lint clean.
+    const auto fire = lint(fixture("ref_capture_task_group_fire.cpp"));
+    EXPECT_EQ(count(fire, "ref-capture-task", /*suppressed=*/false), 2);
+    EXPECT_EQ(static_cast<int>(fire.size()), 2);
+    EXPECT_TRUE(lint(fixture("ref_capture_task_group_clean.cpp")).empty());
+}
+
 TEST(Detlint, UnknownPathThrows)
 {
     EXPECT_THROW(lint(fixture("no_such_fixture.cpp")), std::runtime_error);

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ssplane {
@@ -142,6 +144,155 @@ TEST_F(ParallelTest, PropagatesBodyException)
                               },
                               10),
                  std::runtime_error);
+}
+
+TEST_F(ParallelTest, TaskGroupRunsEachTaskExactlyOnce)
+{
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        set_thread_count(threads);
+        std::vector<std::atomic<int>> hits(200);
+        task_group group;
+        for (auto& hit : hits) {
+            std::atomic<int>* slot = &hit;
+            group.run([slot] { slot->fetch_add(1); });
+        }
+        group.wait();
+        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+}
+
+TEST_F(ParallelTest, TaskGroupRethrowsTheFirstErrorAfterEveryTaskFinished)
+{
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        set_thread_count(threads);
+        // The failures come first; every slow task after them still runs to
+        // the end before `wait` rethrows.
+        std::vector<std::atomic<bool>> finished(8);
+        task_group group;
+        group.run([] { throw std::runtime_error("first"); });
+        group.run([] { throw std::logic_error("second"); });
+        for (auto& flag : finished) {
+            std::atomic<bool>* done = &flag;
+            group.run([done] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                done->store(true);
+            });
+        }
+        std::string error;
+        try {
+            group.wait();
+        } catch (const std::exception& e) {
+            error = e.what();
+        }
+        for (const auto& flag : finished) EXPECT_TRUE(flag.load());
+        // Inline tasks fail in queue order; pooled ones race for first.
+        if (threads == 1)
+            EXPECT_EQ(error, "first");
+        else
+            EXPECT_TRUE(error == "first" || error == "second") << error;
+        // The error was taken: the group is empty again.
+        EXPECT_NO_THROW(group.wait());
+    }
+}
+
+TEST_F(ParallelTest, TaskGroupRunsInlineWithOneWorkerAndInsidePoolTasks)
+{
+    const auto ran_on_caller = [] {
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> inline_run{false};
+        std::atomic<bool>* flag = &inline_run;
+        task_group group;
+        group.run([flag, caller] { flag->store(std::this_thread::get_id() == caller); });
+        // An inline task has finished when `run` returns.
+        const bool result = inline_run.load();
+        group.wait();
+        return result;
+    };
+    set_thread_count(1);
+    EXPECT_TRUE(ran_on_caller());
+
+    set_thread_count(4);
+    EXPECT_FALSE(ran_on_caller());
+    std::vector<std::atomic<int>> nested(4);
+    parallel_for(
+        nested.size(),
+        [&](std::size_t begin, std::size_t) { nested[begin].store(ran_on_caller() ? 1 : 2); },
+        1);
+    for (const auto& n : nested) EXPECT_EQ(n.load(), 1);
+}
+
+TEST_F(ParallelTest, TaskGroupDestructorJoins)
+{
+    set_thread_count(2);
+    std::vector<std::atomic<bool>> finished(4);
+    {
+        task_group group;
+        for (auto& flag : finished) {
+            std::atomic<bool>* done = &flag;
+            group.run([done] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                done->store(true);
+            });
+        }
+    }
+    for (const auto& flag : finished) EXPECT_TRUE(flag.load());
+
+    // Joining on an unwinding path swallows the tasks' errors and still
+    // waits for every task.
+    std::atomic<bool> slow_done{false};
+    std::atomic<bool>* done = &slow_done;
+    EXPECT_THROW(
+        {
+            task_group group;
+            group.run([] { throw std::runtime_error("task"); });
+            group.run([done] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                done->store(true);
+            });
+            throw std::logic_error("caller");
+        },
+        std::logic_error);
+    EXPECT_TRUE(slow_done.load());
+}
+
+TEST_F(ParallelTest, TaskGroupCountsOneRegionAndOneChunkPerTask)
+{
+#if defined(SSPLANE_OBS_DISABLED)
+    GTEST_SKIP() << "counters compile away under -DSSPLANE_OBS=OFF";
+#else
+    const auto pool_counts = [] {
+        double regions = 0.0;
+        double chunks = 0.0;
+        for (const auto& sample : obs::deterministic_snapshot()) {
+            if (sample.name == "pool.parallel_regions") regions = sample.value;
+            if (sample.name == "pool.chunks") chunks = sample.value;
+        }
+        return std::pair{regions, chunks};
+    };
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        set_thread_count(threads);
+        obs::registry::instance().reset();
+        {
+            task_group group;
+            for (int t = 0; t < 5; ++t) group.run([] {});
+            group.wait();
+        }
+        EXPECT_EQ(pool_counts(), (std::pair{1.0, 5.0}));
+
+        // Like parallel_for(0), a group that ran nothing counts nothing.
+        obs::registry::instance().reset();
+        {
+            task_group group;
+            group.wait();
+        }
+        parallel_for(0, [](std::size_t, std::size_t) {});
+        EXPECT_EQ(pool_counts(), (std::pair{0.0, 0.0}));
+    }
+    obs::registry::instance().reset();
+#endif
 }
 
 TEST_F(ParallelTest, ThreadCountOverrideAndRestore)

@@ -551,7 +551,7 @@ void check_ref_capture_task(const source_file& file, std::vector<finding>& out)
     const reporter report{file, "ref-capture-task", out};
     const std::string& text = file.joined;
     static const std::regex task_re(
-        R"((?:\.|->)\s*submit\s*\(|std::thread(?:\s+\w+)?\s*[({])");
+        R"((?:\.|->)\s*(?:submit|run)\s*\(|std::thread(?:\s+\w+)?\s*[({])");
     for (auto it = std::sregex_iterator(text.begin(), text.end(), task_re);
          it != std::sregex_iterator(); ++it) {
         const std::size_t open =
@@ -572,9 +572,10 @@ void check_ref_capture_task(const source_file& file, std::vector<finding>& out)
             report.at_offset(
                 open + 1 + static_cast<std::size_t>(cap->position()),
                 "by-reference capture [" + (*cap)[1].str() +
-                    "] in a task handed to a raw thread primitive: no "
-                    "structured join guards the referent; state the "
-                    "synchronization story or capture by value");
+                    "] in a task handed to a detached task primitive: "
+                    "nothing but a join orders it against the referent's "
+                    "scope; state the synchronization story or capture by "
+                    "value");
         }
     }
 }
@@ -914,8 +915,8 @@ const std::vector<check_info>& all_checks()
          "compound assignment to by-ref-captured outer state inside "
          "parallel_for/parallel_map bodies"},
         {"ref-capture-task",
-         "by-reference lambda capture handed to thread_pool::submit or "
-         "std::thread"},
+         "by-reference lambda capture handed to thread_pool::submit, "
+         "task_group::run or std::thread"},
         {"split-purpose-collision",
          "two rng::split purpose streams sharing one value"},
         {"validate-coverage",

@@ -24,10 +24,12 @@
 //                            per-chunk partials combined in chunk order
 //                            (see radiation/fluence.cpp) or per-index slots.
 //   ref-capture-task         a lambda with a by-reference capture handed to
-//                            a raw task primitive (thread_pool::submit,
-//                            std::thread) — unlike parallel_for bodies these
-//                            have no structured join, so every by-ref
-//                            capture needs a stated synchronization story.
+//                            a detached task primitive (thread_pool::submit,
+//                            task_group::run, std::thread) — unlike
+//                            parallel_for bodies the task outlives the
+//                            statement that queues it, so every by-ref
+//                            capture needs a stated synchronization story;
+//                            capture pointers by value instead.
 //   split-purpose-collision  two rng::split purpose constants with the same
 //                            value, or a raw literal purpose aliasing a
 //                            named one: the sub-streams would be identical,
