@@ -32,7 +32,6 @@ public:
     /// Elements are osculating at `epoch`.
     j2_propagator(const orbital_elements& elements, const instant& epoch);
 
-    const orbital_elements& initial_elements() const noexcept { return elements0_; }
     const instant& epoch() const noexcept { return epoch_; }
     const j2_rates& rates() const noexcept { return rates_; }
 

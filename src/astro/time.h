@@ -34,12 +34,6 @@ public:
     /// Days elapsed since J2000.0 (can be negative).
     constexpr double days_since_j2000() const noexcept { return jd_ - jd_j2000; }
 
-    /// Seconds elapsed since J2000.0 (can be negative).
-    constexpr double seconds_since_j2000() const noexcept
-    {
-        return (jd_ - jd_j2000) * seconds_per_day;
-    }
-
     /// This instant shifted by `seconds`.
     constexpr instant plus_seconds(double seconds) const noexcept
     {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "astro/propagator.h"
 #include "geo/coverage.h"
@@ -15,11 +14,13 @@ namespace ssplane::constellation {
 
 namespace {
 
+constexpr int uncapped = std::numeric_limits<int>::max();
 
-/// Is `point` (unit) within central angle `lambda` of any satellite
-/// direction? `dirs` must be sorted by z.
-bool point_covered(const vec3& point, std::span<const vec3> dirs,
-                   double cos_lambda, double lambda_rad)
+/// Satellite directions within central angle `lambda` of `point` (unit),
+/// counted up to `cap`: the search stops at the `cap`-th. `dirs` must be
+/// sorted by z.
+int point_coverage_count(const vec3& point, std::span<const vec3> dirs,
+                         double cos_lambda, double lambda_rad, int cap)
 {
     // Only satellites within +-lambda of the point's latitude can cover it.
     const double lat_p = safe_asin(point.z);
@@ -28,23 +29,8 @@ bool point_covered(const vec3& point, std::span<const vec3> dirs,
 
     auto lo = std::lower_bound(dirs.begin(), dirs.end(), z_lo,
                                [](const vec3& v, double z) { return v.z < z; });
-    for (auto it = lo; it != dirs.end() && it->z <= z_hi; ++it) {
-        if (point.dot(*it) >= cos_lambda) return true;
-    }
-    return false;
-}
-
-int point_coverage_count(const vec3& point, std::span<const vec3> dirs,
-                         double cos_lambda, double lambda_rad)
-{
-    const double lat_p = safe_asin(point.z);
-    const double z_lo = std::sin(std::max(-pi / 2.0, lat_p - lambda_rad));
-    const double z_hi = std::sin(std::min(pi / 2.0, lat_p + lambda_rad));
-
-    auto lo = std::lower_bound(dirs.begin(), dirs.end(), z_lo,
-                               [](const vec3& v, double z) { return v.z < z; });
     int count = 0;
-    for (auto it = lo; it != dirs.end() && it->z <= z_hi; ++it) {
+    for (auto it = lo; count < cap && it != dirs.end() && it->z <= z_hi; ++it) {
         if (point.dot(*it) >= cos_lambda) ++count;
     }
     return count;
@@ -101,6 +87,24 @@ check_context make_context(std::span<const satellite> sats,
     return ctx;
 }
 
+/// The one sampling loop: `n_time_steps` instants over a nodal day, every
+/// test point at each, in that order. `visit(count)` gets each sample's
+/// coverage count capped at `cap` and returns false to stop the sweep.
+template <class Visit>
+void for_each_sample(std::span<const satellite> sats, const astro::instant& epoch,
+                     const coverage_check_options& options, int cap, Visit&& visit)
+{
+    const check_context ctx = make_context(sats, epoch, options);
+    for (int k = 0; k < options.n_time_steps; ++k) {
+        const astro::instant t = epoch.plus_seconds(
+            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
+        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
+        for (const auto& p : ctx.points)
+            if (!visit(point_coverage_count(p, dirs, ctx.cos_lambda, ctx.lambda_rad, cap)))
+                return;
+    }
+}
+
 } // namespace
 
 std::vector<vec3> coverage_test_points(double max_latitude_deg, double grid_spacing_deg)
@@ -131,18 +135,13 @@ double covered_fraction(std::span<const satellite> sats,
                         const astro::instant& epoch,
                         const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
     std::size_t covered = 0;
     std::size_t total = 0;
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            covered += point_covered(p, dirs, ctx.cos_lambda, ctx.lambda_rad) ? 1 : 0;
-            ++total;
-        }
-    }
+    for_each_sample(sats, epoch, options, 1, [&](int count) {
+        covered += static_cast<std::size_t>(count);
+        ++total;
+        return true;
+    });
     return total > 0 ? static_cast<double>(covered) / static_cast<double>(total) : 0.0;
 }
 
@@ -150,54 +149,37 @@ bool covers_continuously(std::span<const satellite> sats,
                          const astro::instant& epoch,
                          const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            if (!point_covered(p, dirs, ctx.cos_lambda, ctx.lambda_rad)) return false;
-        }
-    }
-    return true;
+    bool covered = true;
+    for_each_sample(sats, epoch, options, 1, [&](int count) {
+        covered = count > 0;
+        return covered;
+    });
+    return covered;
 }
 
 int min_simultaneous_coverage(std::span<const satellite> sats,
                               const astro::instant& epoch,
                               const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
-    int min_count = std::numeric_limits<int>::max();
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            const int count =
-                point_coverage_count(p, dirs, ctx.cos_lambda, ctx.lambda_rad);
-            if (count < min_count) min_count = count;
-            if (min_count == 0) return 0;
-        }
-    }
-    return min_count == std::numeric_limits<int>::max() ? 0 : min_count;
+    int min_count = uncapped;
+    for_each_sample(sats, epoch, options, uncapped, [&](int count) {
+        min_count = std::min(min_count, count);
+        return min_count > 0;
+    });
+    return min_count == uncapped ? 0 : min_count;
 }
 
 double mean_simultaneous_coverage(std::span<const satellite> sats,
                                   const astro::instant& epoch,
                                   const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
     double total = 0.0;
     std::size_t samples = 0;
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            total += point_coverage_count(p, dirs, ctx.cos_lambda, ctx.lambda_rad);
-            ++samples;
-        }
-    }
+    for_each_sample(sats, epoch, options, uncapped, [&](int count) {
+        total += count;
+        ++samples;
+        return true;
+    });
     return samples > 0 ? total / static_cast<double>(samples) : 0.0;
 }
 

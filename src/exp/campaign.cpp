@@ -167,10 +167,8 @@ campaign_result run_campaign(const experiment_plan& plan,
     const cache_statistics cache_before = context.cache_stats();
     expects(!plan.scenarios.empty(), "campaign needs at least one scenario");
     expects(!plan.engines.empty(), "campaign needs at least one metric engine");
-    for (const auto& engine : plan.engines) {
+    for (const auto& engine : plan.engines)
         expects(engine != nullptr, "campaign engine must not be null");
-        engine->validate_options();
-    }
 
     campaign_result result;
     result.n_engines = static_cast<int>(plan.engines.size());
@@ -227,7 +225,7 @@ campaign_result run_campaign(const experiment_plan& plan,
     // adversary's generation (full traffic sweeps per candidate strike)
     // then runs on this thread, its trial sweeps queued behind those cells,
     // and its rows' cells follow. Timelines resolve serially in row order
-    // within each pass, so scenarios sharing (mode, knobs, seed) dedupe
+    // within each pass, so scenarios with equal `lsn::canonical` forms dedupe
     // onto one generation in the context cache. Cells sharing (timeline,
     // engine) are bit-identical by each engine's determinism contract, so
     // only the first of them in cell order is evaluated; the rest copy its

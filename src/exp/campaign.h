@@ -8,7 +8,7 @@
 // product replicates every template once per seed), and the metric engines
 // to judge every scenario with. `run_campaign` evaluates the full
 // (scenario, engine) grid against one shared `evaluation_context` — one
-// propagation pass, one failure timeline per distinct (mode, knobs, seed) —
+// propagation pass, one failure timeline per distinct `lsn::canonical` form —
 // as one task graph on the process thread pool: each distinct cell is a
 // task queued as soon as its timeline exists (longest first), so cells run
 // while the calling thread generates the greedy adversary; once they have
@@ -120,8 +120,9 @@ struct campaign_result {
 };
 
 /// Evaluate every (scenario, engine) cell of the plan against the shared
-/// context. Validates every scenario (`lsn::validate`) and every engine's
-/// options before fanning out. Bit-identical for any `SSPLANE_THREADS`.
+/// context. Validates every scenario (`lsn::validate`) before fanning out;
+/// each engine checked its options when it was built. Bit-identical for any
+/// `SSPLANE_THREADS`.
 campaign_result run_campaign(const experiment_plan& plan,
                              const evaluation_context& context);
 

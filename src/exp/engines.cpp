@@ -25,40 +25,17 @@ const T& typed_detail(const engine_output& output)
     return *static_cast<const T*>(output.detail.get());
 }
 
-/// What `spectral::find_masking_threshold` reads of a topology, flattened:
-/// the satellite count, each satellite's plane index, then each ISL
-/// link's endpoints. Never empty, so an empty key means "nothing cached".
-std::vector<int> masking_key(const lsn::lsn_topology& topology)
-{
-    std::vector<int> key;
-    key.reserve(1 + topology.satellites.size() + 2 * topology.links.size());
-    key.push_back(static_cast<int>(topology.satellites.size()));
-    for (const auto& sat : topology.satellites) key.push_back(sat.plane);
-    for (const auto& link : topology.links) {
-        key.push_back(link.a);
-        key.push_back(link.b);
-    }
-    return key;
-}
-
 } // namespace
 
 // --- survivability ---------------------------------------------------------
 
-const std::string& survivability_engine::name() const noexcept
+survivability_engine::survivability_engine()
+    : metric_engine("survivability",
+                    {"n_failed", "giant_component_fraction", "pair_reachable_fraction",
+                     "mean_latency_ms", "p95_latency_ms", "time_to_partition_s",
+                     "recovery_headroom"},
+                    {"n_failed", "giant_component_fraction", "pair_reachable_fraction"})
 {
-    static const std::string name = "survivability";
-    return name;
-}
-
-const std::vector<std::string>& survivability_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "n_failed",        "giant_component_fraction",
-        "pair_reachable_fraction", "mean_latency_ms",
-        "p95_latency_ms",  "time_to_partition_s",
-        "recovery_headroom"};
-    return cols;
 }
 
 engine_output survivability_engine::evaluate(
@@ -75,13 +52,6 @@ engine_output survivability_engine::evaluate(
                         m.pair_reachable_fraction, m.mean_latency_ms,
                         m.p95_latency_ms, time_to_partition, headroom},
                        std::move(result));
-}
-
-const std::vector<std::string>& survivability_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "n_failed", "giant_component_fraction", "pair_reachable_fraction"};
-    return cols;
 }
 
 std::vector<std::vector<double>> survivability_engine::step_traces(
@@ -104,27 +74,14 @@ const lsn::scenario_sweep_result& survivability_engine::detail(
 
 traffic_engine::traffic_engine(const demand::demand_model& demand,
                                traffic::traffic_sweep_options options)
-    : demand_(&demand), options_(std::move(options))
-{
-}
-
-const std::string& traffic_engine::name() const noexcept
-{
-    static const std::string name = "traffic";
-    return name;
-}
-
-const std::vector<std::string>& traffic_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "offered_gbps_mean",    "delivered_gbps_mean",
-        "delivered_fraction",   "mean_path_latency_ms",
-        "p95_link_utilization", "congested_link_fraction",
-        "min_step_delivered_fraction", "recovery_headroom"};
-    return cols;
-}
-
-void traffic_engine::validate_options() const
+    : metric_engine("traffic",
+                    {"offered_gbps_mean", "delivered_gbps_mean", "delivered_fraction",
+                     "mean_path_latency_ms", "p95_link_utilization",
+                     "congested_link_fraction", "min_step_delivered_fraction",
+                     "recovery_headroom"},
+                    {"offered_gbps", "delivered_fraction", "p95_utilization"}),
+      demand_(&demand),
+      options_(std::move(options))
 {
     traffic::validate(options_.matrix);
     traffic::validate(options_.capacity);
@@ -148,13 +105,6 @@ engine_output traffic_engine::evaluate(const evaluation_context& context,
                        std::move(result));
 }
 
-const std::vector<std::string>& traffic_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{"offered_gbps", "delivered_fraction",
-                                               "p95_utilization"};
-    return cols;
-}
-
 std::vector<std::vector<double>> traffic_engine::step_traces(
     const engine_output& output) const
 {
@@ -172,23 +122,14 @@ const traffic::traffic_sweep_result& traffic_engine::detail(const engine_output&
 
 bulk_engine::bulk_engine(std::vector<tempo::bulk_transfer_request> requests,
                          tempo::bulk_route_options options, bool per_step_baseline)
-    : requests_(std::move(requests)),
+    : metric_engine(per_step_baseline ? "bulk_per_step" : "bulk",
+                    {"offered_gb", "delivered_gb", "delivered_fraction", "max_buffer_gb"}),
+      requests_(std::move(requests)),
       options_(options),
-      per_step_baseline_(per_step_baseline),
-      name_(per_step_baseline ? "bulk_per_step" : "bulk")
+      per_step_baseline_(per_step_baseline)
 {
+    tempo::validate(options_);
 }
-
-const std::string& bulk_engine::name() const noexcept { return name_; }
-
-const std::vector<std::string>& bulk_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{"offered_gb", "delivered_gb",
-                                               "delivered_fraction", "max_buffer_gb"};
-    return cols;
-}
-
-void bulk_engine::validate_options() const { tempo::validate(options_); }
 
 engine_output bulk_engine::evaluate(const evaluation_context& context,
                                     const lsn::failure_timeline& timeline) const
@@ -218,28 +159,17 @@ void validate(const percolation_engine_options& options)
 }
 
 percolation_engine::percolation_engine(percolation_engine_options options)
-    : options_(std::move(options))
+    : metric_engine("percolation",
+                    {"lambda2_mean", "lambda2_min", "giant_fraction_mean",
+                     "giant_fraction_min", "susceptibility_mean", "susceptibility_max",
+                     "clustering_mean", "masking_threshold_random_loss",
+                     "masking_threshold_plane_attack", "lambda2_unconverged_steps"},
+                    {"lambda2", "giant_component_fraction", "susceptibility",
+                     "clustering", "lambda2_unconverged"}),
+      options_(std::move(options))
 {
+    validate(options_);
 }
-
-const std::string& percolation_engine::name() const noexcept
-{
-    static const std::string name = "percolation";
-    return name;
-}
-
-const std::vector<std::string>& percolation_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "lambda2_mean",          "lambda2_min",
-        "giant_fraction_mean",   "giant_fraction_min",
-        "susceptibility_mean",   "susceptibility_max",
-        "clustering_mean",       "masking_threshold_random_loss",
-        "masking_threshold_plane_attack", "lambda2_unconverged_steps"};
-    return cols;
-}
-
-void percolation_engine::validate_options() const { validate(options_); }
 
 engine_output percolation_engine::evaluate(
     const evaluation_context& context, const lsn::failure_timeline& timeline) const
@@ -261,14 +191,6 @@ engine_output percolation_engine::evaluate(
                        std::move(result));
 }
 
-const std::vector<std::string>& percolation_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{"lambda2", "giant_component_fraction",
-                                               "susceptibility", "clustering",
-                                               "lambda2_unconverged"};
-    return cols;
-}
-
 std::vector<std::vector<double>> percolation_engine::step_traces(
     const engine_output& output) const
 {
@@ -288,9 +210,8 @@ const spectral::percolation_sweep_result& percolation_engine::detail(
 std::pair<double, double> percolation_engine::masking_thresholds(
     const lsn::lsn_topology& topology) const
 {
-    auto key = masking_key(topology);
     const std::lock_guard<std::mutex> lock(masking_mutex_);
-    if (key != masking_key_) {
+    if (masking_topology_ != topology) {
         spectral::masking_threshold_options options = options_.masking;
         options.metrics = options_.metrics;
         options.mode = lsn::failure_mode::random_loss;
@@ -299,7 +220,7 @@ std::pair<double, double> percolation_engine::masking_thresholds(
         options.mode = lsn::failure_mode::plane_attack;
         masking_plane_attack_ =
             spectral::find_masking_threshold(topology, options).threshold_fraction;
-        masking_key_ = std::move(key);
+        masking_topology_ = topology;
     }
     return {masking_random_loss_, masking_plane_attack_};
 }
@@ -308,30 +229,19 @@ std::pair<double, double> percolation_engine::masking_thresholds(
 
 serving_engine::serving_engine(const demand::population_model& population,
                                serve::serving_options options)
-    : population_(&population), options_(options)
+    : metric_engine("serving",
+                    {"sessions_homed", "sessions_active_mean", "offered_gbps_mean",
+                     "delivered_gbps_mean", "delivered_fraction", "served_fraction_mean",
+                     "min_step_served_fraction", "p50_session_rate_mbps",
+                     "p99_session_rate_mbps", "sessions_dropped_max",
+                     "sessions_degraded_max", "time_to_restore_s", "recovery_headroom"},
+                    {"served_fraction", "sessions_active", "sessions_dropped",
+                     "sessions_degraded", "p99_session_rate_mbps", "delivered_gbps"}),
+      population_(&population),
+      options_(options)
 {
+    serve::validate(options_);
 }
-
-const std::string& serving_engine::name() const noexcept
-{
-    static const std::string name = "serving";
-    return name;
-}
-
-const std::vector<std::string>& serving_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "sessions_homed",           "sessions_active_mean",
-        "offered_gbps_mean",        "delivered_gbps_mean",
-        "delivered_fraction",       "served_fraction_mean",
-        "min_step_served_fraction", "p50_session_rate_mbps",
-        "p99_session_rate_mbps",    "sessions_dropped_max",
-        "sessions_degraded_max",    "time_to_restore_s",
-        "recovery_headroom"};
-    return cols;
-}
-
-void serving_engine::validate_options() const { serve::validate(options_); }
 
 const serve::session_grid& serving_engine::grid() const
 {
@@ -369,15 +279,6 @@ std::vector<engine_output> serving_engine::evaluate_rows(
             std::move(result)));
     }
     return outputs;
-}
-
-const std::vector<std::string>& serving_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "served_fraction",   "sessions_active",
-        "sessions_dropped",  "sessions_degraded",
-        "p99_session_rate_mbps", "delivered_gbps"};
-    return cols;
 }
 
 std::vector<std::vector<double>> serving_engine::step_traces(

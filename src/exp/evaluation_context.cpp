@@ -29,61 +29,6 @@ evaluation_context::evaluation_context(const lsn::lsn_topology& topology,
 {
 }
 
-evaluation_context::timeline_key evaluation_context::key_of(
-    const lsn::failure_scenario& scenario)
-{
-    timeline_key key;
-    key.mode = static_cast<int>(scenario.mode);
-    switch (scenario.mode) {
-    case lsn::failure_mode::none:
-        // No randomness at all: every baseline shares one all-zero mask.
-        break;
-    case lsn::failure_mode::random_loss:
-        key.seed = scenario.seed;
-        key.knobs = {scenario.loss_fraction};
-        break;
-    case lsn::failure_mode::plane_attack:
-        key.seed = scenario.seed;
-        key.knobs = {static_cast<double>(scenario.planes_attacked)};
-        break;
-    case lsn::failure_mode::radiation_poisson:
-        key.seed = scenario.seed;
-        key.knobs = scenario.plane_daily_fluence;
-        key.knobs.push_back(scenario.horizon_days);
-        // Only the rate-map fields of failure_model_options feed the draw
-        // (annual_failure_rate); the sparing knobs never do.
-        key.knobs.push_back(scenario.failure_options.base_annual_failure_rate);
-        key.knobs.push_back(scenario.failure_options.reference_electron_fluence);
-        key.knobs.push_back(scenario.failure_options.fluence_exponent);
-        break;
-    case lsn::failure_mode::kessler_cascade:
-        key.seed = scenario.seed;
-        key.knobs = {static_cast<double>(scenario.cascade_initial_hits),
-                     scenario.cascade_base_daily_hazard, scenario.cascade_escalation,
-                     scenario.cascade_cooldown_s};
-        break;
-    case lsn::failure_mode::solar_storm:
-        key.seed = scenario.seed;
-        key.knobs = scenario.plane_daily_fluence;
-        key.knobs.push_back(scenario.storm_start_s);
-        key.knobs.push_back(scenario.storm_duration_s);
-        key.knobs.push_back(scenario.storm_fluence_multiplier);
-        key.knobs.push_back(scenario.failure_options.base_annual_failure_rate);
-        key.knobs.push_back(scenario.failure_options.reference_electron_fluence);
-        key.knobs.push_back(scenario.failure_options.fluence_exponent);
-        break;
-    case lsn::failure_mode::greedy_adversary:
-        // Deterministic — no seed. The oracle (demand + traffic knobs) is
-        // per-context state, so it never has to participate in the key.
-        key.knobs = {static_cast<double>(scenario.adversary_budget),
-                     static_cast<double>(scenario.adversary_strike_interval_steps),
-                     static_cast<double>(scenario.adversary_first_strike_step),
-                     static_cast<double>(scenario.adversary_eval_stride)};
-        break;
-    }
-    return key;
-}
-
 void evaluation_context::set_adversary_oracle(const demand::demand_model& demand,
                                               traffic::traffic_sweep_options options)
 {
@@ -104,7 +49,9 @@ const lsn::failure_timeline& evaluation_context::timeline(
     // the map's ordering and could alias an existing valid entry.
     const auto& topology = builder().topology();
     lsn::validate(scenario, topology);
-    auto key = key_of(scenario);
+    // The generators below see only the key, so the fields it drops cannot
+    // change a draw.
+    auto key = lsn::canonical(scenario);
     {
         const std::lock_guard lock(timeline_mutex_);
         const auto it = timelines_.find(key);
@@ -121,7 +68,7 @@ const lsn::failure_timeline& evaluation_context::timeline(
     // full traffic sweeps); generation is deterministic, so a racing
     // duplicate produces the identical timeline and the first insert wins.
     lsn::failure_timeline generated;
-    if (scenario.mode == lsn::failure_mode::greedy_adversary) {
+    if (key.mode == lsn::failure_mode::greedy_adversary) {
         // Snapshot the oracle under the lock; the flag write must also be
         // mutex-guarded so it cannot race a concurrent set_adversary_oracle.
         const demand::demand_model* demand = nullptr;
@@ -136,10 +83,10 @@ const lsn::failure_timeline& evaluation_context::timeline(
             demand = adversary_demand_;
             oracle_options = adversary_options_;
         }
-        generated = traffic::generate_adversary_timeline(geometry_, scenario, *demand,
-                                                         oracle_options);
+        generated =
+            traffic::generate_adversary_timeline(geometry_, key, *demand, oracle_options);
     } else {
-        generated = lsn::sample_failure_timeline(topology, scenario, offsets(), epoch());
+        generated = lsn::sample_failure_timeline(topology, key, offsets(), epoch());
     }
     const std::lock_guard lock(timeline_mutex_);
     return timelines_.emplace(std::move(key), std::move(generated)).first->second;

@@ -9,12 +9,13 @@
 //
 //   * one `lsn::sweep_geometry`: the snapshot builder, the `sweep_offsets`
 //     time grid, its one propagation pass and each step's unfailed links,
-//   * one per-scenario failure-timeline cache, keyed on the knobs that
-//     actually feed the draw — scenarios sharing (mode, knobs, seed) reuse
-//     one timeline bit-identically. `traffic::generate_adversary_timeline`
-//     draws the greedy adversary, `lsn::sample_failure_timeline` every
-//     other mode (a static mode's timeline is the single-row wrap of its
-//     `sample_failures` mask).
+//   * one failure-timeline cache keyed on `lsn::canonical(scenario)`, the
+//     whole input of a draw — scenarios with equal canonical forms reuse
+//     one timeline bit-identically, and the generator is handed that key,
+//     so a field the key drops can never change a draw.
+//     `traffic::generate_adversary_timeline` draws the greedy adversary,
+//     `lsn::sample_failure_timeline` every other mode (a static mode's
+//     timeline is the single-row wrap of its `sample_failures` mask).
 //
 // Every metric engine of a campaign then evaluates against this one
 // context, so a cross-metric study pays the shared work once instead of
@@ -82,8 +83,8 @@ public:
 
     /// The scenario's failure timeline, generated on first use and cached.
     /// Validates the scenario against the topology before the lookup.
-    /// Scenarios sharing (mode, mode-relevant knobs, seed) hit one cache
-    /// entry — a `none` baseline dedupes regardless of its seed. Static
+    /// Scenarios with equal `lsn::canonical` forms hit one cache entry — a
+    /// `none` baseline dedupes regardless of its seed. Static
     /// modes (`none`, `random_loss`, `plane_attack`, `radiation_poisson`)
     /// are the single-row wrap of their `sample_failures` mask; the
     /// time-correlated modes generate the per-step sequence over this
@@ -112,29 +113,13 @@ public:
                               traffic::traffic_sweep_options options = {});
 
 private:
-    /// Canonical dedup key: only the fields the scenario's generator
-    /// actually reads for its mode participate, so e.g. two `random_loss`
-    /// scenarios with different (unused) `horizon_days` share a draw.
-    struct timeline_key {
-        int mode = 0;
-        std::uint64_t seed = 0;
-        std::vector<double> knobs;
-
-        bool operator<(const timeline_key& other) const
-        {
-            if (mode != other.mode) return mode < other.mode;
-            if (seed != other.seed) return seed < other.seed;
-            return knobs < other.knobs;
-        }
-    };
-    static timeline_key key_of(const lsn::failure_scenario& scenario);
-
     lsn::sweep_geometry geometry_;
     const demand::demand_model* adversary_demand_ = nullptr;
     traffic::traffic_sweep_options adversary_options_;
     mutable bool adversary_oracle_used_ = false;
     mutable std::mutex timeline_mutex_;
-    mutable std::map<timeline_key, lsn::failure_timeline> timelines_;
+    /// Keyed on `lsn::canonical(scenario)`.
+    mutable std::map<lsn::failure_scenario, lsn::failure_timeline> timelines_;
     // Cache telemetry (see cache_statistics). Relaxed: counts only, no
     // ordering is implied against the cache contents.
     mutable std::atomic<std::uint64_t> timeline_hits_{0};

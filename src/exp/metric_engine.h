@@ -11,6 +11,11 @@
 // interface, feeding it the context's geometry and cached timeline, so a
 // campaign cell is bit-identical to calling that entry point directly.
 //
+// Each engine declares its identity once, when it is built: the name and
+// the scalar and step column lists go to `metric_engine`'s constructor, and
+// the constructor checks the options it stores, so a degenerate engine
+// throws at `make_shared` and never reaches a plan.
+//
 // An engine whose rows share per-step work declares it (`batches_rows`)
 // and takes all of a campaign's rows at once through `evaluate_rows`:
 // `run_campaign` hands it its distinct timelines in one call at top level,
@@ -23,6 +28,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -50,23 +56,32 @@ struct engine_output {
     const std::type_info* detail_type = nullptr;
 };
 
-/// Interface every campaign metric engine implements. Engines are immutable
-/// after construction and `evaluate` is const, so one engine instance can
-/// serve many (scenario, cell) evaluations concurrently.
+/// Interface every campaign metric engine implements. An engine fixes its
+/// name, columns and options when it is built — a degenerate option is a
+/// `contract_violation` from its constructor, so no campaign ever holds
+/// one. Engines are immutable after construction and `evaluate` is const,
+/// so one engine instance can serve many (scenario, cell) evaluations
+/// concurrently.
 class metric_engine {
 public:
     virtual ~metric_engine() = default;
+    metric_engine(const metric_engine&) = delete;
+    metric_engine& operator=(const metric_engine&) = delete;
 
     /// Stable short name, used to prefix the campaign's flattened columns
     /// ("traffic.delivered_fraction").
-    virtual const std::string& name() const noexcept = 0;
+    const std::string& name() const noexcept { return name_; }
 
     /// Names of the scalar columns `evaluate` fills, in order.
-    virtual const std::vector<std::string>& columns() const noexcept = 0;
+    const std::vector<std::string>& columns() const noexcept { return columns_; }
 
-    /// Reject degenerate engine options with a `contract_violation` before
-    /// the campaign fans out, so errors surface serially and early.
-    virtual void validate_options() const {}
+    /// Names of the per-step degradation traces `step_traces` extracts from
+    /// a cell, in order — empty when the engine has no per-step view. Feeds
+    /// `campaign_result::write_step_csv`.
+    const std::vector<std::string>& step_columns() const noexcept
+    {
+        return step_columns_;
+    }
 
     /// Judge one scenario (its pre-generated failure timeline) against the
     /// shared context. Static scenarios arrive as single-row timelines.
@@ -93,15 +108,6 @@ public:
         return outputs;
     }
 
-    /// Names of the per-step degradation traces this engine can extract
-    /// from a cell, in order — empty (the default) when the engine has no
-    /// per-step view. Feeds `campaign_result::write_step_csv`.
-    virtual const std::vector<std::string>& step_columns() const noexcept
-    {
-        static const std::vector<std::string> none;
-        return none;
-    }
-
     /// The per-step traces behind one of this engine's cells, one vector
     /// per `step_columns()` entry, each with one value per sweep step.
     virtual std::vector<std::vector<double>> step_traces(
@@ -109,6 +115,20 @@ public:
     {
         return {};
     }
+
+protected:
+    metric_engine(std::string name, std::vector<std::string> columns,
+                  std::vector<std::string> step_columns = {})
+        : name_(std::move(name)),
+          columns_(std::move(columns)),
+          step_columns_(std::move(step_columns))
+    {
+    }
+
+private:
+    std::string name_;
+    std::vector<std::string> columns_;
+    std::vector<std::string> step_columns_;
 };
 
 /// Survivability: giant component, all-pairs reachability and latency
@@ -117,11 +137,10 @@ public:
 /// component drops below half, -1 = never) and `recovery_headroom`.
 class survivability_engine final : public metric_engine {
 public:
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
+    survivability_engine();
+
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override;
 
@@ -135,15 +154,12 @@ public:
 /// demand model must outlive the engine.
 class traffic_engine final : public metric_engine {
 public:
+    /// Validates the matrix and capacity options.
     explicit traffic_engine(const demand::demand_model& demand,
                             traffic::traffic_sweep_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
-    void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override;
 
@@ -158,16 +174,15 @@ private:
 /// `tempo::run_bulk_sweep_timeline`); with `per_step_baseline` the
 /// per-epoch replication floor
 /// (`run_bulk_sweep_per_step_baseline_timeline`) instead, so a plan can
-/// carry both and report the store-and-forward gain.
+/// carry both and report the store-and-forward gain. Named "bulk", or
+/// "bulk_per_step" for the floor.
 class bulk_engine final : public metric_engine {
 public:
+    /// Validates the routing options (`tempo::validate`).
     explicit bulk_engine(std::vector<tempo::bulk_transfer_request> requests,
                          tempo::bulk_route_options options = {},
                          bool per_step_baseline = false);
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
-    void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
 
@@ -177,7 +192,6 @@ private:
     std::vector<tempo::bulk_transfer_request> requests_;
     tempo::bulk_route_options options_;
     bool per_step_baseline_;
-    std::string name_;
 };
 
 /// Knobs of the percolation engine.
@@ -208,14 +222,11 @@ void validate(const percolation_engine_options& options);
 /// same deterministic value no matter which cell evaluated first.
 class percolation_engine final : public metric_engine {
 public:
+    /// Validates the options (`validate(percolation_engine_options)`).
     explicit percolation_engine(percolation_engine_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
-    void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override;
 
@@ -227,14 +238,14 @@ private:
         const lsn::lsn_topology& topology) const;
 
     percolation_engine_options options_;
-    /// Threshold cache, keyed on the topology's content (plane indices and
-    /// ISL links), not its address, so a different topology reusing an
-    /// address misses. Guarded by a mutex because campaign cells evaluate
-    /// concurrently; the cached values are deterministic functions of
-    /// (topology, options), so the race only decides who computes, never
+    /// Threshold cache, keyed on a copy of the topology it was computed
+    /// for (compared by value, not address, so a different topology reusing
+    /// an address misses). Guarded by a mutex because campaign cells
+    /// evaluate concurrently; the cached values are deterministic functions
+    /// of (topology, options), so the race only decides who computes, never
     /// what.
     mutable std::mutex masking_mutex_;
-    mutable std::vector<int> masking_key_;
+    mutable std::optional<lsn::lsn_topology> masking_topology_;
     mutable double masking_random_loss_ = -1.0;
     mutable double masking_plane_attack_ = -1.0;
 };
@@ -245,23 +256,20 @@ private:
 /// served as one batch — a visibility pass per step shared by every row —
 /// and `evaluate` is the one-row batch. The session grid is a
 /// deterministic function of (population, options) and is sampled lazily
-/// on first use — after `validate_options` has run — then shared by every
-/// cell. The population model must outlive the engine.
+/// on first use, then shared by every cell. The population model must
+/// outlive the engine.
 class serving_engine final : public metric_engine {
 public:
+    /// Validates the options (`serve::validate`).
     explicit serving_engine(const demand::population_model& population,
                             serve::serving_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
-    void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
     bool batches_rows() const noexcept override { return true; }
     std::vector<engine_output> evaluate_rows(
         const evaluation_context& context,
         const std::vector<const lsn::failure_timeline*>& timelines) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override;
 

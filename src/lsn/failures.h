@@ -10,6 +10,7 @@
 #ifndef SSPLANE_LSN_FAILURES_H
 #define SSPLANE_LSN_FAILURES_H
 
+#include <compare>
 #include <cstdint>
 
 namespace ssplane::lsn {
@@ -22,6 +23,9 @@ struct failure_model_options {
     double spare_drift_days = 3.0;   ///< Hot-swap time when a spare exists.
     double launch_lead_days = 60.0;  ///< Restock time when spares exhausted.
     double mission_years = 5.0;
+
+    friend auto operator<=>(const failure_model_options&,
+                            const failure_model_options&) = default;
 };
 
 /// Annual failure probability per satellite given its daily electron fluence.

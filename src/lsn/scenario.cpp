@@ -186,9 +186,9 @@ bool is_timeline_mode(failure_mode mode) noexcept
            mode == failure_mode::greedy_adversary;
 }
 
-/// The rate-map fields feed annual_failure_rate (and the campaign's
-/// timeline-cache key), so they must be sane numbers — shared by the
-/// radiation_poisson and solar_storm validation arms.
+/// The rate-map fields feed annual_failure_rate (and, through `canonical`,
+/// the campaign's timeline-cache key), so they must be sane numbers —
+/// shared by the radiation_poisson and solar_storm validation arms.
 void validate_rate_map(const failure_scenario& scenario)
 {
     for (const double fluence : scenario.plane_daily_fluence)
@@ -287,6 +287,55 @@ void validate(const failure_scenario& scenario, const lsn_topology& topology)
     if (scenario.mode == failure_mode::greedy_adversary)
         expects(scenario.adversary_budget <= plane_count(topology),
                 "adversary budget must not exceed the plane count");
+}
+
+failure_scenario canonical(const failure_scenario& scenario)
+{
+    failure_scenario key;
+    key.mode = scenario.mode;
+    if (scenario.mode != failure_mode::none &&
+        scenario.mode != failure_mode::greedy_adversary)
+        key.seed = scenario.seed;
+    const auto keep_rate_map = [&] {
+        key.plane_daily_fluence = scenario.plane_daily_fluence;
+        const auto& rates = scenario.failure_options;
+        key.failure_options.base_annual_failure_rate = rates.base_annual_failure_rate;
+        key.failure_options.reference_electron_fluence = rates.reference_electron_fluence;
+        key.failure_options.fluence_exponent = rates.fluence_exponent;
+    };
+    switch (scenario.mode) {
+    case failure_mode::none:
+        break;
+    case failure_mode::random_loss:
+        key.loss_fraction = scenario.loss_fraction;
+        break;
+    case failure_mode::plane_attack:
+        key.planes_attacked = scenario.planes_attacked;
+        break;
+    case failure_mode::radiation_poisson:
+        keep_rate_map();
+        key.horizon_days = scenario.horizon_days;
+        break;
+    case failure_mode::kessler_cascade:
+        key.cascade_initial_hits = scenario.cascade_initial_hits;
+        key.cascade_base_daily_hazard = scenario.cascade_base_daily_hazard;
+        key.cascade_escalation = scenario.cascade_escalation;
+        key.cascade_cooldown_s = scenario.cascade_cooldown_s;
+        break;
+    case failure_mode::solar_storm:
+        keep_rate_map();
+        key.storm_start_s = scenario.storm_start_s;
+        key.storm_duration_s = scenario.storm_duration_s;
+        key.storm_fluence_multiplier = scenario.storm_fluence_multiplier;
+        break;
+    case failure_mode::greedy_adversary:
+        key.adversary_budget = scenario.adversary_budget;
+        key.adversary_strike_interval_steps = scenario.adversary_strike_interval_steps;
+        key.adversary_first_strike_step = scenario.adversary_first_strike_step;
+        key.adversary_eval_stride = scenario.adversary_eval_stride;
+        break;
+    }
+    return key;
 }
 
 int plane_count(const lsn_topology& topology)

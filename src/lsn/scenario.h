@@ -184,6 +184,10 @@ struct failure_scenario {
     /// Evaluate candidate strikes on every `stride`-th sweep step — the
     /// attacker's planning grid. 1 = the full grid.
     int adversary_eval_stride = 1;
+
+    /// Field by field, in declaration order. Doubles make the order partial:
+    /// compare only validated scenarios (no NaN knob), as a cache key does.
+    friend auto operator<=>(const failure_scenario&, const failure_scenario&) = default;
 };
 
 /// Reject out-of-range scenario knobs with a clear `contract_violation`:
@@ -197,6 +201,16 @@ void validate(const failure_scenario& scenario);
 /// cannot exceed the plane count and `plane_daily_fluence` must have exactly
 /// one entry per plane. Called by `sample_failures` and the campaign runner.
 void validate(const failure_scenario& scenario, const lsn_topology& topology);
+
+/// The scenario with every field its mode's generator does not read reset
+/// to its default: the whole input of a draw, so two scenarios with equal
+/// canonical forms get one timeline. `none` keeps only its mode (the
+/// all-zero mask reads no seed), `greedy_adversary` its four schedule knobs
+/// (the search draws no random numbers), and `failure_options` only the
+/// rate-map fields `annual_failure_rate` reads. `sample_failures`,
+/// `sample_failure_timeline` and `traffic::generate_adversary_timeline`
+/// return the same draw for a scenario and for its canonical form.
+failure_scenario canonical(const failure_scenario& scenario);
 
 /// Number of orbital planes of a topology (max plane index + 1).
 int plane_count(const lsn_topology& topology);

@@ -65,9 +65,6 @@ public:
     span(const span&) = delete;
     span& operator=(const span&) = delete;
 
-    /// Drop the scope: nothing is recorded when it ends.
-    void cancel() noexcept { armed_ = false; }
-
 private:
     std::string name_;
     std::uint64_t begin_ns_ = 0;

@@ -40,8 +40,6 @@ struct csr_matrix {
     /// suite builds (one row per survivor) are far below the size where
     /// threading a mat-vec would pay.
     void multiply(std::span<const double> x, std::span<double> y) const;
-
-    std::size_t nonzeros() const noexcept { return col.size(); }
 };
 
 /// Reject malformed CSR shapes (row_ptr size/monotonicity, column bounds,

@@ -100,10 +100,6 @@ struct time_expanded_graph {
     int n_nodes() const { return n_satellites + n_ground; }
     int n_time_nodes() const { return n_nodes() * n_steps; }
     int time_node(int node, int step) const { return step * n_nodes() + node; }
-    int ground_time_node(int ground_index, int step) const
-    {
-        return time_node(n_satellites + ground_index, step);
-    }
     int node_of(int tn) const { return tn % n_nodes(); }
     int step_of(int tn) const { return tn / n_nodes(); }
     /// End of a step's interval — the completion time of volume moved on

@@ -300,17 +300,16 @@ TEST(Campaign, ValidatesScenariosAndEngineOptionsBeforeRunning)
     bad_scenario.engines = {std::make_shared<survivability_engine>()};
     EXPECT_THROW(run_campaign(bad_scenario, context), contract_violation);
 
-    // Degenerate engine options fail before any evaluation.
-    experiment_plan bad_engine;
-    bad_engine.scenarios = {{"baseline", {}}};
+    // Degenerate engine options fail when the engine is built, so no plan
+    // can hold one.
     traffic::traffic_sweep_options opts;
     opts.capacity.k_rounds = 0;
-    bad_engine.engines = {std::make_shared<traffic_engine>(test_demand(), opts)};
-    EXPECT_THROW(run_campaign(bad_engine, context), contract_violation);
+    EXPECT_THROW(std::make_shared<traffic_engine>(test_demand(), opts),
+                 contract_violation);
     opts = {};
     opts.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
-    bad_engine.engines = {std::make_shared<traffic_engine>(test_demand(), opts)};
-    EXPECT_THROW(run_campaign(bad_engine, context), contract_violation);
+    EXPECT_THROW(std::make_shared<traffic_engine>(test_demand(), opts),
+                 contract_violation);
 
     // Two engines sharing a name would collide in the flattened column
     // table — rejected instead of silently misreading.
@@ -533,18 +532,8 @@ TEST(Campaign, AdversaryTimeVaryingAndServingRowsAreByteIdenticalAcrossThreads)
 /// static timeline that loses satellites (the random-loss row).
 class slow_engine final : public metric_engine {
 public:
-    explicit slow_engine(bool fail) : fail_(fail) {}
+    explicit slow_engine(bool fail) : metric_engine("slow", {"n_failed"}), fail_(fail) {}
 
-    const std::string& name() const noexcept override
-    {
-        static const std::string name = "slow";
-        return name;
-    }
-    const std::vector<std::string>& columns() const noexcept override
-    {
-        static const std::vector<std::string> columns{"n_failed"};
-        return columns;
-    }
     engine_output evaluate(const evaluation_context& /*context*/,
                            const lsn::failure_timeline& timeline) const override
     {

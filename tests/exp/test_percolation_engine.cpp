@@ -325,14 +325,10 @@ TEST(PercolationEngine, ValidateRejectsDegenerateOptions)
     EXPECT_NO_THROW(validate(bad_masking));
     EXPECT_NO_THROW(validate(percolation_engine_options{}));
 
-    // The campaign front door surfaces the violation serially.
-    const auto topo = engine_walker(4, 4);
-    const evaluation_context context(topo, {}, astro::instant::j2000(),
-                                     engine_grid());
-    experiment_plan plan;
-    plan.scenarios = {{"baseline", {}}};
-    plan.engines = {std::make_shared<percolation_engine>(bad_lanczos)};
-    EXPECT_THROW(run_campaign(plan, context), contract_violation);
+    // The engine runs the same check when it is built, so no plan can hold
+    // a degenerate one.
+    EXPECT_THROW(std::make_shared<percolation_engine>(bad_lanczos), contract_violation);
+    EXPECT_NO_THROW(std::make_shared<percolation_engine>(bad_masking));
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // The serving engine through the campaign API: user-level SLO columns show
 // up under the "serving." prefix (scalar table and step-trace table),
-// degenerate knobs are rejected before any cell evaluates, SLO columns are
+// degenerate knobs are rejected when the engine is built, SLO columns are
 // bit-identical across thread counts, and the step-trace header has its
 // own collision guard (step columns are a separate namespace from scalar
 // columns).
@@ -180,29 +180,18 @@ TEST(ServingEngine, StepCsvHeaderCarriesTheEnginePrefixOnEveryTraceColumn)
 
 TEST(ServingEngine, DegenerateOptionsRejectedBeforeAnyCellEvaluates)
 {
-    const auto topo = small_walker();
-    const auto stations = lsn::default_ground_stations();
-    const evaluation_context context(topo, stations, astro::instant::j2000(),
-                                     short_grid());
     serve::serving_options bad = small_serving();
     bad.n_sessions = 0;
-    EXPECT_THROW(run_campaign(serving_plan(bad), context), contract_violation);
+    // The engine rejects the options when it is built, so no plan holds it.
+    EXPECT_THROW(serving_plan(bad), contract_violation);
 }
 
 /// Minimal engine with NO scalar columns and one step-trace column — the
 /// shape that used to slip past the scalar-column collision guard.
 class step_only_engine final : public metric_engine {
 public:
-    const std::string& name() const noexcept override
-    {
-        static const std::string name = "stepper";
-        return name;
-    }
-    const std::vector<std::string>& columns() const noexcept override
-    {
-        static const std::vector<std::string> none;
-        return none;
-    }
+    step_only_engine() : metric_engine("stepper", {}, {"x"}) {}
+
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline&) const override
     {
@@ -211,11 +200,6 @@ public:
             context.offsets().size(), 0.0);
         out.detail_type = &typeid(std::vector<double>);
         return out;
-    }
-    const std::vector<std::string>& step_columns() const noexcept override
-    {
-        static const std::vector<std::string> cols{"x"};
-        return cols;
     }
     std::vector<std::vector<double>> step_traces(
         const engine_output& output) const override

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lsn/scenario.h"
+#include "scenario_fields.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -323,6 +326,72 @@ TEST(Timeline, StaticModesWrapTheirSampleFailuresMask)
     EXPECT_GT(irradiated.final_n_failed(), 0);
     EXPECT_LT(irradiated.final_n_failed(), 36);
     EXPECT_EQ(irradiated.masks, sample_failures(topo, radiation));
+}
+
+TEST(Timeline, CanonicalScenarioIsTheWholeInputOfEveryDraw)
+{
+    const auto topo = build_walker_grid_topology(small_grid());
+    const auto offsets = hourly_offsets(6);
+    // Near the cycle-24 maximum, where the storm bites.
+    const auto epoch = astro::instant::from_calendar(2014, 4, 1, 0, 0, 0.0);
+    const auto draw = [&](const failure_scenario& scenario) {
+        return sample_failure_timeline(topo, scenario, offsets, epoch);
+    };
+
+    failure_scenario loss;
+    loss.mode = failure_mode::random_loss;
+    loss.loss_fraction = 0.25;
+    loss.seed = 11;
+
+    failure_scenario attack;
+    attack.mode = failure_mode::plane_attack;
+    attack.planes_attacked = 2;
+    attack.seed = 5;
+
+    failure_scenario radiation;
+    radiation.mode = failure_mode::radiation_poisson;
+    radiation.plane_daily_fluence.assign(6, 7.0e9);
+    radiation.horizon_days = 3652.5;
+    radiation.failure_options.fluence_exponent = 1.5;
+    radiation.seed = 9;
+
+    failure_scenario storm;
+    storm.mode = failure_mode::solar_storm;
+    storm.plane_daily_fluence.assign(6, 5.0e10);
+    storm.storm_start_s = 3600.0;
+    storm.storm_duration_s = 3.0 * 3600.0;
+    storm.storm_fluence_multiplier = 4000.0;
+    storm.seed = 3;
+
+    const std::vector<std::string> rate_map{
+        "plane_daily_fluence", "failure_options.base_annual_failure_rate",
+        "failure_options.reference_electron_fluence", "failure_options.fluence_exponent",
+        "seed"};
+    auto radiation_reads = rate_map;
+    radiation_reads.push_back("horizon_days");
+    auto storm_reads = rate_map;
+    storm_reads.insert(storm_reads.end(), {"storm_start_s", "storm_duration_s",
+                                           "storm_fluence_multiplier"});
+
+    const std::vector<std::pair<failure_scenario, std::vector<std::string>>> cases{
+        {failure_scenario{}, {}}, // the all-zero mask reads no seed
+        {loss, {"loss_fraction", "seed"}},
+        {attack, {"planes_attacked", "seed"}},
+        {radiation, radiation_reads},
+        {cascade_scenario(),
+         {"cascade_initial_hits", "cascade_base_daily_hazard", "cascade_escalation",
+          "cascade_cooldown_s", "seed"}},
+        {storm, storm_reads},
+    };
+    for (const auto& [base, reads] : cases) {
+        SCOPED_TRACE(static_cast<int>(base.mode));
+        // Every draw but the baseline's fails someone, so a field that moves
+        // the draw shows.
+        if (base.mode != failure_mode::none) {
+            EXPECT_GT(draw(base).final_n_failed(), 0);
+        }
+        testing::expect_canonical_is_whole_input(base, reads, draw);
+    }
 }
 
 TEST(Timeline, TimelineModesRejectSampleFailuresAndAdversaryRejectsLsn)

@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../lsn/scenario_fields.h"
 #include "equivalence_fixtures.h"
 #include "obs/metrics.h"
 #include "util/angles.h"
@@ -191,6 +193,29 @@ TEST(Adversary, TimelineFollowsTheStrikeSchedule)
                 ++dead_in_plane;
         EXPECT_TRUE(dead_in_plane == 0 || dead_in_plane == 6);
     }
+}
+
+TEST(Adversary, CanonicalScenarioIsTheWholeInputOfTheSearch)
+{
+    const auto topo = small_walker();
+    const auto stations = stations_from_cities(4);
+    const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                        deg2rad(25.0));
+    const auto offsets = hourly_offsets(8);
+    const lsn::sweep_geometry geometry(builder, offsets);
+    const auto draw = [&](const lsn::failure_scenario& scenario) {
+        return generate_adversary_timeline(geometry, scenario, test_demand());
+    };
+
+    // The search draws no random numbers: seed is not read.
+    auto scenario = adversary_scenario(2);
+    scenario.adversary_eval_stride = 2;
+    EXPECT_EQ(draw(scenario).final_n_failed(), 12);
+    lsn::testing::expect_canonical_is_whole_input(
+        scenario,
+        {"adversary_budget", "adversary_strike_interval_steps",
+         "adversary_first_strike_step", "adversary_eval_stride"},
+        draw);
 }
 
 TEST(Adversary, ZeroBudgetAndPastHorizonStrikesLeaveTheNetworkAlone)
