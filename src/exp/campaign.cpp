@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -40,6 +41,17 @@ std::size_t distinct_rows(const lsn::failure_timeline& timeline)
         if (!std::equal(before.begin(), before.end(), now.begin(), now.end())) ++rows;
     }
     return rows;
+}
+
+/// Throw `message` when a name occurs twice in `names`. Colliding column
+/// names (two engines sharing a name) would make `value()` silently return
+/// the first engine's number and the CSV emit duplicate headers; colliding
+/// row names would make CSV consumers keying on the scenario column merge
+/// or pick the wrong row.
+void expect_distinct(std::vector<std::string> names, const char* message)
+{
+    std::sort(names.begin(), names.end());
+    expects(std::adjacent_find(names.begin(), names.end()) == names.end(), message);
 }
 
 } // namespace
@@ -181,26 +193,16 @@ campaign_result run_campaign(const experiment_plan& plan,
         for (const auto& column : engine->step_columns())
             result.step_columns.push_back(engine->name() + "." + column);
     }
-    // Colliding flattened names (two engines sharing a name) would make
-    // `value()` silently return the first engine's number and the CSV emit
-    // duplicate headers — fail loudly instead.
-    auto sorted_columns = result.columns;
-    std::sort(sorted_columns.begin(), sorted_columns.end());
-    expects(std::adjacent_find(sorted_columns.begin(), sorted_columns.end()) ==
-                sorted_columns.end(),
-            "campaign engines produce duplicate column names; give each engine "
-            "a distinct name");
+    expect_distinct(result.columns,
+                    "campaign engines produce duplicate column names; give each "
+                    "engine a distinct name");
     // The step-trace header is a separate namespace (an engine may reuse a
     // scalar column name for its per-step trace), so it needs its own
-    // collision guard — engines with step columns but no scalar columns
-    // would otherwise collide silently in `write_step_csv`.
-    auto sorted_step_columns = result.step_columns;
-    std::sort(sorted_step_columns.begin(), sorted_step_columns.end());
-    expects(std::adjacent_find(sorted_step_columns.begin(),
-                               sorted_step_columns.end()) ==
-                sorted_step_columns.end(),
-            "campaign engines produce duplicate step-trace column names; give "
-            "each engine a distinct name");
+    // guard: engines with step columns but no scalar columns would
+    // otherwise collide silently in `write_step_csv`.
+    expect_distinct(result.step_columns,
+                    "campaign engines produce duplicate step-trace column names; "
+                    "give each engine a distinct name");
 
     // Resolve the scenario grid and validate every cell's knobs serially,
     // before any parallel work or timeline generation.
@@ -208,17 +210,11 @@ campaign_result run_campaign(const experiment_plan& plan,
     for (const auto& spec : expanded)
         lsn::validate(spec.scenario, context.builder().topology());
 
-    // Mirror the column-collision guard for rows: duplicate expanded names
-    // would make CSV consumers keying on the scenario column merge or pick
-    // the wrong row.
-    std::vector<std::string> sorted_names;
-    sorted_names.reserve(expanded.size());
-    for (const auto& spec : expanded) sorted_names.push_back(spec.name);
-    std::sort(sorted_names.begin(), sorted_names.end());
-    expects(std::adjacent_find(sorted_names.begin(), sorted_names.end()) ==
-                sorted_names.end(),
-            "campaign scenarios expand to duplicate names; give each template "
-            "a distinct name");
+    std::vector<std::string> names;
+    for (const auto& spec : expanded) names.push_back(spec.name);
+    expect_distinct(std::move(names),
+                    "campaign scenarios expand to duplicate names; give each "
+                    "template a distinct name");
 
     // One task graph on the pool. The sampled timelines are cheap to draw,
     // so they resolve first and their cells start at once; the greedy

@@ -421,13 +421,20 @@ void deposit_debris(std::vector<double>& debris, int plane)
     if (down != up) debris[static_cast<std::size_t>(down)] += 0.5;
 }
 
-failure_timeline sample_cascade_timeline(const lsn_topology& topology,
-                                         const failure_scenario& scenario,
-                                         std::span<const double> offsets_s)
+/// The one hazard loop of the cascade and the storm. Row 0 holds
+/// `first_hits`; each later step copies the last row forward, asks
+/// `hazard(t0, t1, p_fail)` for each plane's failure probability over
+/// [t0, t1], and draws one Bernoulli per live satellite in index order.
+/// `on_losses` sees row 0's hits, then each step's new losses after its
+/// draws.
+template <class Hazard, class OnLosses>
+failure_timeline hazard_timeline(const lsn_topology& topology,
+                                 std::span<const double> offsets_s, std::uint64_t seed,
+                                 std::uint64_t purpose, std::span<const int> first_hits,
+                                 Hazard hazard, OnLosses on_losses)
 {
     const int n = static_cast<int>(topology.satellites.size());
     const int n_steps = static_cast<int>(offsets_s.size());
-    const int n_planes = plane_count(topology);
 
     failure_timeline timeline;
     timeline.n_satellites = n;
@@ -440,60 +447,69 @@ failure_timeline sample_cascade_timeline(const lsn_topology& topology,
         return timeline.masks.data() +
                static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
     };
-    const auto plane_of = [&](int s) {
-        return topology.satellites[static_cast<std::size_t>(s)].plane;
-    };
+    for (const int s : first_hits) row(0)[s] = 1;
+    on_losses(first_hits);
 
-    std::vector<double> debris(static_cast<std::size_t>(n_planes), 0.0);
-
-    // Step 0: the triggering event. Distinct hits via the same partial
-    // Fisher-Yates the one-shot modes use, on the cascade's own sub-stream.
-    {
-        rng r = rng::split(scenario.seed, purpose_cascade, 0);
-        for (const int s : draw_distinct(n, scenario.cascade_initial_hits, r)) {
-            row(0)[s] = 1;
-            deposit_debris(debris, plane_of(s));
-        }
-    }
-
-    std::vector<double> p_fail(static_cast<std::size_t>(n_planes), 0.0);
+    std::vector<double> p_fail(static_cast<std::size_t>(plane_count(topology)), 0.0);
     std::vector<int> new_failures;
     for (int i = 1; i < n_steps; ++i) {
         std::copy_n(row(i - 1), n, row(i));
-        const double dt_s = offsets_s[static_cast<std::size_t>(i)] -
-                            offsets_s[static_cast<std::size_t>(i - 1)];
-        expects(dt_s > 0.0, "sweep offsets must be strictly increasing");
-
-        // Deposited debris decays (deorbit / avoidance), then sets this
-        // step's per-plane hazard on top of the ambient rate.
-        const double decay = std::exp(-dt_s / scenario.cascade_cooldown_s);
-        for (double& d : debris) d *= decay;
-        const double dt_days = dt_s / 86400.0;
-        for (int p = 0; p < n_planes; ++p) {
-            const double hazard_daily =
-                scenario.cascade_base_daily_hazard +
-                scenario.cascade_escalation * debris[static_cast<std::size_t>(p)];
-            p_fail[static_cast<std::size_t>(p)] =
-                1.0 - std::exp(-hazard_daily * dt_days);
-        }
+        const double t0 = offsets_s[static_cast<std::size_t>(i - 1)];
+        const double t1 = offsets_s[static_cast<std::size_t>(i)];
+        expects(t1 - t0 > 0.0, "sweep offsets must be strictly increasing");
+        hazard(t0, t1, std::span<double>(p_fail));
 
         // One sub-stream per step: adding or dropping steps never shifts
         // another step's draws, and failed satellites draw nothing.
-        rng r = rng::split(scenario.seed, purpose_cascade,
-                           static_cast<std::uint64_t>(i));
+        rng r = rng::split(seed, purpose, static_cast<std::uint64_t>(i));
         new_failures.clear();
         for (int s = 0; s < n; ++s) {
             if (row(i)[s]) continue;
-            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane_of(s))])) {
+            const int plane = topology.satellites[static_cast<std::size_t>(s)].plane;
+            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane)])) {
                 row(i)[s] = 1;
                 new_failures.push_back(s);
             }
         }
-        // This step's losses feed next step's hazard, not their own — the
-        // collision debris takes one step to disperse into the shells.
-        for (const int s : new_failures) deposit_debris(debris, plane_of(s));
+        on_losses(std::span<const int>(new_failures));
     }
     return timeline;
+}
+
+failure_timeline sample_cascade_timeline(const lsn_topology& topology,
+                                         const failure_scenario& scenario,
+                                         std::span<const double> offsets_s)
+{
+    const int n = static_cast<int>(topology.satellites.size());
+    std::vector<double> debris(static_cast<std::size_t>(plane_count(topology)), 0.0);
+
+    // Step 0: the triggering event. Distinct hits via the same partial
+    // Fisher-Yates the one-shot modes use, on the cascade's own sub-stream.
+    rng r = rng::split(scenario.seed, purpose_cascade, 0);
+    const std::vector<int> hits = draw_distinct(n, scenario.cascade_initial_hits, r);
+
+    const auto hazard = [&](double t0, double t1, std::span<double> p_fail) {
+        // Deposited debris decays (deorbit / avoidance), then sets this
+        // step's per-plane hazard on top of the ambient rate.
+        const double dt_s = t1 - t0;
+        const double decay = std::exp(-dt_s / scenario.cascade_cooldown_s);
+        for (double& d : debris) d *= decay;
+        const double dt_days = dt_s / 86400.0;
+        for (std::size_t p = 0; p < p_fail.size(); ++p) {
+            const double hazard_daily = scenario.cascade_base_daily_hazard +
+                                        scenario.cascade_escalation * debris[p];
+            p_fail[p] = 1.0 - std::exp(-hazard_daily * dt_days);
+        }
+    };
+    // A step's losses feed the next step's hazard, not their own — the
+    // collision debris takes one step to disperse into the shells.
+    const auto deposit = [&](std::span<const int> lost) {
+        for (const int s : lost)
+            deposit_debris(debris,
+                           topology.satellites[static_cast<std::size_t>(s)].plane);
+    };
+    return hazard_timeline(topology, offsets_s, scenario.seed, purpose_cascade, hits,
+                           hazard, deposit);
 }
 
 failure_timeline sample_storm_timeline(const lsn_topology& topology,
@@ -501,36 +517,15 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
                                        std::span<const double> offsets_s,
                                        const astro::instant& epoch)
 {
-    const int n = static_cast<int>(topology.satellites.size());
-    const int n_steps = static_cast<int>(offsets_s.size());
-    const int n_planes = plane_count(topology);
-
-    failure_timeline timeline;
-    timeline.n_satellites = n;
-    timeline.n_steps = n_steps;
-    timeline.masks.assign(
-        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
-    if (n_steps == 0 || n == 0) return timeline;
-    expects(scenario.storm_start_s <= offsets_s.back(),
+    expects(offsets_s.empty() || topology.satellites.empty() ||
+                scenario.storm_start_s <= offsets_s.back(),
             "storm window must start inside the sweep horizon");
 
-    const auto row = [&](int i) {
-        return timeline.masks.data() +
-               static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
-    };
-
-    std::vector<double> p_fail(static_cast<std::size_t>(n_planes), 0.0);
-    for (int i = 1; i < n_steps; ++i) {
-        std::copy_n(row(i - 1), n, row(i));
-        const double t0 = offsets_s[static_cast<std::size_t>(i - 1)];
-        const double t1 = offsets_s[static_cast<std::size_t>(i)];
-        const double dt_s = t1 - t0;
-        expects(dt_s > 0.0, "sweep offsets must be strictly increasing");
-        const double t_mid = 0.5 * (t0 + t1);
-
+    const auto hazard = [&](double t0, double t1, std::span<double> p_fail) {
         // Raised-cosine storm window, further scaled by the deterministic
         // solar-activity level at that instant: the same storm template
         // hits harder near solar maximum.
+        const double t_mid = 0.5 * (t0 + t1);
         double window = 0.0;
         const double x = (t_mid - scenario.storm_start_s) / scenario.storm_duration_s;
         if (x >= 0.0 && x <= 1.0)
@@ -540,26 +535,15 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
         const double multiplier =
             1.0 + (scenario.storm_fluence_multiplier - 1.0) * window * activity;
 
-        const double dt_years = dt_s / 86400.0 / 365.25;
-        for (int p = 0; p < n_planes; ++p) {
+        const double dt_years = (t1 - t0) / 86400.0 / 365.25;
+        for (std::size_t p = 0; p < p_fail.size(); ++p) {
             const double rate = annual_failure_rate(
-                scenario.plane_daily_fluence[static_cast<std::size_t>(p)] *
-                    multiplier,
-                scenario.failure_options);
-            p_fail[static_cast<std::size_t>(p)] =
-                1.0 - std::exp(-rate * dt_years);
+                scenario.plane_daily_fluence[p] * multiplier, scenario.failure_options);
+            p_fail[p] = 1.0 - std::exp(-rate * dt_years);
         }
-
-        rng r = rng::split(scenario.seed, purpose_storm,
-                           static_cast<std::uint64_t>(i));
-        for (int s = 0; s < n; ++s) {
-            if (row(i)[s]) continue;
-            const int plane = topology.satellites[static_cast<std::size_t>(s)].plane;
-            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane)]))
-                row(i)[s] = 1;
-        }
-    }
-    return timeline;
+    };
+    return hazard_timeline(topology, offsets_s, scenario.seed, purpose_storm, {}, hazard,
+                           [](std::span<const int>) {});
 }
 
 } // namespace

@@ -78,21 +78,6 @@ void project_out(const std::vector<std::vector<double>>& basis, std::span<double
         for (std::size_t i = 0; i < w.size(); ++i) w[i] -= overlaps[b] * basis[b][i];
 }
 
-/// ‖L‖∞: the largest absolute row sum, twice the maximum degree of a
-/// graph Laplacian. Scales the residual test.
-double infinity_norm(const csr_matrix& matrix)
-{
-    double largest = 0.0;
-    for (int r = 0; r < matrix.n; ++r) {
-        double row = 0.0;
-        for (int k = matrix.row_ptr[static_cast<std::size_t>(r)];
-             k < matrix.row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
-            row += std::abs(matrix.values[static_cast<std::size_t>(k)]);
-        largest = std::max(largest, row);
-    }
-    return largest;
-}
-
 /// Eigenvalues of T strictly below x, by Sturm sequence (counts the sign
 /// agreements of the leading-principal-minor recurrence).
 int sturm_count_below(std::span<const double> alpha, std::span<const double> beta,
@@ -221,16 +206,16 @@ double tridiagonal_eigenvector_last_component(std::span<const double> alpha,
     return std::abs(x.back());
 }
 
-lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
+lanczos_result algebraic_connectivity(const alive_graph& graph,
                                       const lanczos_options& options)
 {
     OBS_SPAN("spectral.lanczos");
     OBS_COUNT("spectral.lanczos.solves");
-    validate(laplacian);
+    validate(graph);
     validate(options);
 
     lanczos_result result;
-    const int n = laplacian.n;
+    const int n = graph.n_alive();
     if (n <= 1) {
         result.converged = true;
         return result;
@@ -239,7 +224,12 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
     // The deflated space has dimension n - 1; more steps cannot help.
     const int max_steps =
         std::min(options.max_iterations, n - 1);
-    const double residual_limit = options.tolerance * infinity_norm(laplacian);
+    // ‖L‖∞, the largest absolute row sum of D - A, is twice the largest
+    // degree (exact: the entries are integers).
+    std::size_t max_degree = 0;
+    for (int r = 0; r < n; ++r) max_degree = std::max(max_degree, graph.row(r).size());
+    const double residual_limit =
+        options.tolerance * (2.0 * static_cast<double>(max_degree));
 
     // Seeded start vector, constant mode removed, normalized. A uniform
     // draw is orthogonal-to-constant only after deflation; its residual
@@ -265,7 +255,7 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
     double ritz = 0.0;
 
     for (int j = 0; j < max_steps; ++j) {
-        laplacian.multiply(basis.back(), w);
+        laplacian_multiply(graph, basis.back(), w);
         const double a = dot(basis.back(), w);
         alpha.push_back(a);
 

@@ -1,11 +1,14 @@
 // Deterministic Lanczos eigensolver for the algebraic connectivity λ₂ of
-// sparse graph Laplacians (ROADMAP "sparse Laplacian eigensolver — a
+// an alive satellite graph (ROADMAP "sparse Laplacian eigensolver — a
 // reusable numerics brick").
 //
-// λ₂ — the smallest eigenvalue of L restricted to the complement of the
-// constant vector — is the spectral robustness quantity of the percolation
-// suite: zero iff the graph is disconnected, and a quantitative measure of
-// how well-knit the survivors are once it is not. The solver runs plain
+// λ₂ — the smallest eigenvalue of L = D - A restricted to the complement
+// of the constant vector — is the spectral robustness quantity of the
+// percolation suite: zero iff the graph is disconnected, and a
+// quantitative measure of how well-knit the survivors are once it is not.
+// The solver takes the graph itself, never an assembled matrix: the
+// constant-vector deflation below is right only for a graph Laplacian, and
+// `laplacian_multiply` applies L from the graph's rows. It runs plain
 // Lanczos on L with
 //
 //   * the constant vector deflated (start vector and every iterate are
@@ -73,11 +76,12 @@ struct lanczos_result {
     double residual = 0.0;  ///< ‖Lx − θx‖ of the returned Ritz pair.
 };
 
-/// Algebraic connectivity of a graph Laplacian: the smallest eigenvalue
-/// of L after deflating the constant vector. Requires a structurally
-/// symmetric `laplacian` (validated); graphs with n <= 1 report λ₂ = 0,
-/// converged.
-lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
+/// Algebraic connectivity of `graph`: the smallest eigenvalue of its
+/// Laplacian L = D - A (dimension `graph.n_alive()`) after deflating the
+/// constant vector. The graph must be symmetric with ascending rows
+/// (`validate(const alive_graph&)`, run once per solve); graphs with
+/// n <= 1 report λ₂ = 0, converged.
+lanczos_result algebraic_connectivity(const alive_graph& graph,
                                       const lanczos_options& options = {});
 
 /// Smallest eigenvalue of the symmetric tridiagonal matrix with diagonal

@@ -7,39 +7,6 @@
 
 namespace ssplane::spectral {
 
-void csr_matrix::multiply(std::span<const double> x, std::span<double> y) const
-{
-    expects(x.size() == static_cast<std::size_t>(n) &&
-                y.size() == static_cast<std::size_t>(n),
-            "mat-vec operand size mismatch");
-    for (int r = 0; r < n; ++r) {
-        double sum = 0.0;
-        for (int k = row_ptr[static_cast<std::size_t>(r)];
-             k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
-            sum += values[static_cast<std::size_t>(k)] *
-                   x[static_cast<std::size_t>(col[static_cast<std::size_t>(k)])];
-        y[static_cast<std::size_t>(r)] = sum;
-    }
-}
-
-void validate(const csr_matrix& matrix)
-{
-    expects(matrix.n >= 0, "CSR dimension must be non-negative");
-    expects(matrix.row_ptr.size() == static_cast<std::size_t>(matrix.n) + 1,
-            "CSR row_ptr must have n + 1 entries");
-    expects(matrix.row_ptr.empty() || matrix.row_ptr.front() == 0,
-            "CSR row_ptr must start at 0");
-    for (std::size_t r = 0; r + 1 < matrix.row_ptr.size(); ++r)
-        expects(matrix.row_ptr[r] <= matrix.row_ptr[r + 1],
-                "CSR row_ptr must be non-decreasing");
-    expects(matrix.col.size() ==
-                    static_cast<std::size_t>(matrix.row_ptr.back()) &&
-                matrix.values.size() == matrix.col.size(),
-            "CSR col/values must match row_ptr's final entry");
-    for (const int c : matrix.col)
-        expects(c >= 0 && c < matrix.n, "CSR column index out of range");
-}
-
 alive_graph alive_adjacency(int n_satellites, std::span<const lsn::isl_link> links,
                             std::span<const std::uint8_t> failed)
 {
@@ -109,36 +76,49 @@ alive_graph alive_adjacency(const lsn::network_snapshot& snapshot,
     return alive_adjacency(snapshot.n_satellites, links, failed);
 }
 
-csr_matrix laplacian_from_adjacency(const alive_graph& graph)
+void validate(const alive_graph& graph)
 {
+    const auto& begin = graph.row_begin;
+    expects(!begin.empty() && begin.front() == 0, "graph row_begin must start at 0");
+    expects(std::is_sorted(begin.begin(), begin.end()),
+            "graph row_begin must be non-decreasing");
+    expects(static_cast<std::size_t>(begin.back()) == graph.neighbors.size(),
+            "graph row_begin must end at the neighbour count");
     const int n = graph.n_alive();
-    csr_matrix matrix;
-    matrix.n = n;
-    matrix.row_ptr.reserve(static_cast<std::size_t>(n) + 1);
-    matrix.row_ptr.push_back(0);
+    expects(graph.n_satellites >= n, "graph has more survivors than satellites");
     for (int r = 0; r < n; ++r) {
-        const auto neighbors = graph.row(r);
-        const int degree = static_cast<int>(neighbors.size());
-        // Row r of D - A: -1 per neighbor, the degree on the diagonal —
-        // emitted in ascending column order (rows are sorted).
-        bool diagonal_emitted = false;
-        for (const int c : neighbors) {
-            expects(c >= 0 && c < n, "adjacency neighbor out of range");
-            if (!diagonal_emitted && c > r) {
-                matrix.col.push_back(r);
-                matrix.values.push_back(static_cast<double>(degree));
-                diagonal_emitted = true;
-            }
-            matrix.col.push_back(c);
-            matrix.values.push_back(-1.0);
+        const auto row = graph.row(r);
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            expects(row[k] >= 0 && row[k] < n, "graph neighbour out of range");
+            expects(k == 0 || row[k - 1] < row[k],
+                    "graph row must be strictly ascending");
         }
-        if (!diagonal_emitted) {
-            matrix.col.push_back(r);
-            matrix.values.push_back(static_cast<double>(degree));
-        }
-        matrix.row_ptr.push_back(static_cast<int>(matrix.col.size()));
     }
-    return matrix;
+    for (int r = 0; r < n; ++r)
+        for (const int c : graph.row(r)) {
+            const auto back = graph.row(c);
+            expects(std::binary_search(back.begin(), back.end(), r),
+                    "graph must be symmetric");
+        }
+}
+
+void laplacian_multiply(const alive_graph& graph, std::span<const double> x,
+                        std::span<double> y)
+{
+    const auto n = static_cast<std::size_t>(graph.n_alive());
+    expects(x.size() == n && y.size() == n, "mat-vec operand size mismatch");
+    for (std::size_t r = 0; r < n; ++r) {
+        // Row r of D - A in ascending column order, which every λ₂ bit
+        // rests on: the diagonal goes just before the first neighbour above r.
+        const auto row = graph.row(static_cast<int>(r));
+        auto it = row.begin();
+        double sum = 0.0;
+        for (; it != row.end() && static_cast<std::size_t>(*it) <= r; ++it)
+            sum -= x[static_cast<std::size_t>(*it)];
+        sum += static_cast<double>(row.size()) * x[r];
+        for (; it != row.end(); ++it) sum -= x[static_cast<std::size_t>(*it)];
+        y[r] = sum;
+    }
 }
 
 } // namespace ssplane::spectral

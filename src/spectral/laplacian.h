@@ -1,20 +1,20 @@
-// Sparse graph Laplacians of LSN topologies (ROADMAP "percolation &
-// robustness analysis suite").
+// The alive satellite graph of LSN topologies and its Laplacian
+// (ROADMAP "percolation & robustness analysis suite").
 //
 // The spectral half of the robustness story needs L = D - A of the
 // satellite ISL graph under a failure mask: its second-smallest eigenvalue
 // (the algebraic connectivity, λ₂) is the sharp structural quantity the
 // delivered-throughput sweeps cannot see — λ₂ > 0 iff the alive graph is
 // connected, and its magnitude measures how much redundancy an attacker
-// must still defeat. `csr_matrix` is the compressed-sparse-row form the
-// Lanczos solver (`spectral/lanczos.h`) multiplies against.
+// must still defeat.
 //
 // `alive_graph` is the one form of the surviving satellite-satellite graph
 // from snapshot to λ₂ (ground stations and their uplinks are serving
 // infrastructure, not structure): `alive_adjacency` builds it once from
 // (a, b) satellite pairs, compacted to the survivors, and the percolation
-// analyzer, its sweep's step dedup and `laplacian_from_adjacency` all read
-// it as built.
+// analyzer, its sweep's step dedup and the Lanczos solver
+// (`spectral/lanczos.h`) all read it as built. L is never assembled:
+// `laplacian_multiply` applies it straight from the graph's rows.
 #ifndef SSPLANE_SPECTRAL_LAPLACIAN_H
 #define SSPLANE_SPECTRAL_LAPLACIAN_H
 
@@ -25,26 +25,6 @@
 #include "lsn/topology.h"
 
 namespace ssplane::spectral {
-
-/// Symmetric sparse matrix in compressed-sparse-row form. Column indices
-/// of each row are sorted ascending, so matrix-vector products and row
-/// walks are deterministic.
-struct csr_matrix {
-    int n = 0;
-    std::vector<int> row_ptr; ///< Size n + 1.
-    std::vector<int> col;     ///< Size row_ptr[n].
-    std::vector<double> values;
-
-    /// y = M x. Serial by design: the solver's inner products must be
-    /// bit-identical for any SSPLANE_THREADS value, and the matrices this
-    /// suite builds (one row per survivor) are far below the size where
-    /// threading a mat-vec would pay.
-    void multiply(std::span<const double> x, std::span<double> y) const;
-};
-
-/// Reject malformed CSR shapes (row_ptr size/monotonicity, column bounds,
-/// value count) with a clear `contract_violation`.
-void validate(const csr_matrix& matrix);
 
 /// The alive satellite-satellite graph, compacted to the survivors, in
 /// compressed-sparse-row form. Survivor i is the i-th satellite the mask
@@ -89,11 +69,23 @@ alive_graph alive_adjacency(const lsn::lsn_topology& topology,
 alive_graph alive_adjacency(const lsn::network_snapshot& snapshot,
                             std::span<const std::uint8_t> failed = {});
 
-/// Laplacian L = D - A of an alive graph, one row per survivor: -1 per
-/// neighbour and the degree on the diagonal, columns ascending. Compose it
-/// with `alive_adjacency` for an LSN graph:
-/// `laplacian_from_adjacency(alive_adjacency(snapshot, failed))`.
-csr_matrix laplacian_from_adjacency(const alive_graph& graph);
+/// Reject a malformed graph with a clear `contract_violation`: `row_begin`
+/// must be non-empty, start at 0, never decrease and end at
+/// `neighbors.size()`; `n_satellites` must be at least `n_alive()`; each
+/// row must be strictly ascending with neighbours in [0, n_alive()); and
+/// the graph must be symmetric (i is in row j for every j in row i).
+/// Every `alive_adjacency` graph passes.
+void validate(const alive_graph& graph);
+
+/// y = L x for L = D - A of a valid `graph`, one entry per survivor. Row r
+/// sums in ascending column order from 0.0: -x[c] per neighbour c and
+/// degree · x[r] just before the first neighbour above r (at the end when
+/// there is none). Serial by design: the solver's inner products must be
+/// bit-identical for any SSPLANE_THREADS value, and these graphs (one row
+/// per survivor) are far below the size where threading a mat-vec would
+/// pay.
+void laplacian_multiply(const alive_graph& graph, std::span<const double> x,
+                        std::span<double> y);
 
 } // namespace ssplane::spectral
 

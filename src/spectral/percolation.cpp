@@ -104,11 +104,10 @@ percolation_metrics analyze_adjacency(const alive_graph& graph,
     if (options.compute_lambda2) {
         if (metrics.n_components > 1) {
             // Union-find has proved the survivors disconnected: λ₂ = 0
-            // exactly, so no Laplacian and no solve.
+            // exactly, so no solve.
             OBS_COUNT("spectral.lanczos.skipped_disconnected");
         } else {
-            const lanczos_result solve =
-                algebraic_connectivity(laplacian_from_adjacency(graph), options.lanczos);
+            const lanczos_result solve = algebraic_connectivity(graph, options.lanczos);
             metrics.lambda2 = solve.lambda2;
             metrics.lanczos_iterations = solve.iterations;
             metrics.lambda2_converged = solve.converged;

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "lsn/failures.h"
 #include "lsn/scenario.h"
+#include "radiation/solar_cycle.h"
 #include "scenario_fields.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace ssplane::lsn {
 namespace {
@@ -282,6 +285,166 @@ TEST(Timeline, StormTimelineConfinesLossesToTheWindow)
 
     const auto again = sample_failure_timeline(topo, storm, offsets, epoch);
     EXPECT_EQ(timeline.masks, again.masks);
+}
+
+// --- reference generators ------------------------------------------------------
+//
+// The Kessler cascade and the solar storm as two plain loops, kept here as
+// the reference of the one hazard loop `sample_failure_timeline` runs for
+// both: each step copies the last row forward, sets per-plane failure
+// probabilities, and draws one Bernoulli per live satellite in index order
+// on the step's own sub-stream `rng::split(seed, purpose, step)`.
+
+constexpr std::uint64_t reference_purpose_cascade = 1;
+constexpr std::uint64_t reference_purpose_storm = 2;
+
+std::vector<int> reference_draw_distinct(int n, int k, rng& r)
+{
+    std::vector<int> idx(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
+    for (int j = 0; j < k; ++j) {
+        const auto pick = static_cast<std::size_t>(r.uniform_int(j, n - 1));
+        std::swap(idx[static_cast<std::size_t>(j)], idx[pick]);
+    }
+    idx.resize(static_cast<std::size_t>(k));
+    return idx;
+}
+
+void reference_deposit(std::vector<double>& debris, int plane)
+{
+    const int n_planes = static_cast<int>(debris.size());
+    debris[static_cast<std::size_t>(plane)] += 1.0;
+    if (n_planes <= 1) return;
+    const int up = (plane + 1) % n_planes;
+    const int down = (plane + n_planes - 1) % n_planes;
+    debris[static_cast<std::size_t>(up)] += 0.5;
+    if (down != up) debris[static_cast<std::size_t>(down)] += 0.5;
+}
+
+std::vector<std::uint8_t> reference_cascade(const lsn_topology& topology,
+                                            const failure_scenario& scenario,
+                                            std::span<const double> offsets_s)
+{
+    const int n = static_cast<int>(topology.satellites.size());
+    const int n_steps = static_cast<int>(offsets_s.size());
+    const auto plane_of = [&](int s) {
+        return topology.satellites[static_cast<std::size_t>(s)].plane;
+    };
+    std::vector<std::uint8_t> masks(static_cast<std::size_t>(n_steps * n), 0);
+    const auto row = [&](int i) { return masks.data() + static_cast<std::size_t>(i * n); };
+    std::vector<double> debris(static_cast<std::size_t>(plane_count(topology)), 0.0);
+    {
+        rng r = rng::split(scenario.seed, reference_purpose_cascade, 0);
+        for (const int s : reference_draw_distinct(n, scenario.cascade_initial_hits, r)) {
+            row(0)[s] = 1;
+            reference_deposit(debris, plane_of(s));
+        }
+    }
+    std::vector<double> p_fail(debris.size());
+    for (int i = 1; i < n_steps; ++i) {
+        std::copy_n(row(i - 1), n, row(i));
+        const double dt_s = offsets_s[static_cast<std::size_t>(i)] -
+                            offsets_s[static_cast<std::size_t>(i - 1)];
+        const double decay = std::exp(-dt_s / scenario.cascade_cooldown_s);
+        for (double& d : debris) d *= decay;
+        for (std::size_t p = 0; p < debris.size(); ++p)
+            p_fail[p] = 1.0 - std::exp(-(scenario.cascade_base_daily_hazard +
+                                         scenario.cascade_escalation * debris[p]) *
+                                       (dt_s / 86400.0));
+        rng r = rng::split(scenario.seed, reference_purpose_cascade,
+                           static_cast<std::uint64_t>(i));
+        std::vector<int> lost;
+        for (int s = 0; s < n; ++s)
+            if (!row(i)[s] && r.bernoulli(p_fail[static_cast<std::size_t>(plane_of(s))])) {
+                row(i)[s] = 1;
+                lost.push_back(s);
+            }
+        for (const int s : lost) reference_deposit(debris, plane_of(s));
+    }
+    return masks;
+}
+
+std::vector<std::uint8_t> reference_storm(const lsn_topology& topology,
+                                          const failure_scenario& scenario,
+                                          std::span<const double> offsets_s,
+                                          const astro::instant& epoch)
+{
+    const int n = static_cast<int>(topology.satellites.size());
+    const int n_steps = static_cast<int>(offsets_s.size());
+    std::vector<std::uint8_t> masks(static_cast<std::size_t>(n_steps * n), 0);
+    const auto row = [&](int i) { return masks.data() + static_cast<std::size_t>(i * n); };
+    std::vector<double> p_fail(scenario.plane_daily_fluence.size());
+    for (int i = 1; i < n_steps; ++i) {
+        std::copy_n(row(i - 1), n, row(i));
+        const double t0 = offsets_s[static_cast<std::size_t>(i - 1)];
+        const double t1 = offsets_s[static_cast<std::size_t>(i)];
+        const double t_mid = 0.5 * (t0 + t1);
+        double window = 0.0;
+        const double x = (t_mid - scenario.storm_start_s) / scenario.storm_duration_s;
+        if (x >= 0.0 && x <= 1.0)
+            window = 0.5 * (1.0 - std::cos(2.0 * 3.14159265358979323846 * x));
+        const double multiplier =
+            1.0 + (scenario.storm_fluence_multiplier - 1.0) * window *
+                      radiation::solar_activity(epoch.plus_seconds(t_mid));
+        for (std::size_t p = 0; p < p_fail.size(); ++p)
+            p_fail[p] = 1.0 - std::exp(-annual_failure_rate(
+                                            scenario.plane_daily_fluence[p] * multiplier,
+                                            scenario.failure_options) *
+                                        ((t1 - t0) / 86400.0 / 365.25));
+        rng r = rng::split(scenario.seed, reference_purpose_storm,
+                           static_cast<std::uint64_t>(i));
+        for (int s = 0; s < n; ++s) {
+            const int plane = topology.satellites[static_cast<std::size_t>(s)].plane;
+            if (!row(i)[s] && r.bernoulli(p_fail[static_cast<std::size_t>(plane)]))
+                row(i)[s] = 1;
+        }
+    }
+    return masks;
+}
+
+/// 24 steps an hour apart, each shifted by 0, 10 or 20 minutes: uneven
+/// steps, so every hazard reads its own step length.
+std::vector<double> uneven_offsets()
+{
+    std::vector<double> offsets;
+    for (int i = 0; i < 24; ++i) offsets.push_back(i * 3600.0 + (i % 3) * 600.0);
+    return offsets;
+}
+
+TEST(Timeline, CascadeAndStormMatchTheirReferenceLoops)
+{
+    // Per-plane probabilities well inside (0, 1) at most steps, so every
+    // draw's outcome is a coin flip the reference must call the same way.
+    const auto topo = build_walker_grid_topology(small_grid(8, 12));
+    const auto offsets = uneven_offsets();
+    // Near the cycle-24 maximum, where the storm bites.
+    const auto epoch = astro::instant::from_calendar(2014, 4, 1, 0, 0, 0.0);
+    const int n = static_cast<int>(topo.satellites.size());
+
+    for (const std::uint64_t seed : {3u, 17u, 101u}) {
+        auto cascade = cascade_scenario();
+        cascade.cascade_initial_hits = 3;
+        cascade.cascade_base_daily_hazard = 0.5;
+        cascade.cascade_escalation = 0.6;
+        cascade.cascade_cooldown_s = 3.0 * 3600.0;
+        cascade.seed = seed;
+        const auto cascaded = sample_failure_timeline(topo, cascade, offsets, epoch);
+        EXPECT_EQ(cascaded.masks, reference_cascade(topo, cascade, offsets)) << seed;
+        EXPECT_GT(cascaded.final_n_failed(), cascaded.n_failed_at(0) + 10) << seed;
+        EXPECT_LT(cascaded.final_n_failed(), n) << seed;
+
+        failure_scenario storm;
+        storm.mode = failure_mode::solar_storm;
+        for (int p = 0; p < 8; ++p) storm.plane_daily_fluence.push_back(3.0e10 + 0.5e10 * p);
+        storm.storm_start_s = 2.0 * 3600.0;
+        storm.storm_duration_s = 18.0 * 3600.0;
+        storm.storm_fluence_multiplier = 4000.0;
+        storm.seed = seed;
+        const auto stormed = sample_failure_timeline(topo, storm, offsets, epoch);
+        EXPECT_EQ(stormed.masks, reference_storm(topo, storm, offsets, epoch)) << seed;
+        EXPECT_GT(stormed.final_n_failed(), 10) << seed;
+        EXPECT_LT(stormed.final_n_failed(), n) << seed;
+    }
 }
 
 TEST(Timeline, StaticModesWrapTheirSampleFailuresMask)

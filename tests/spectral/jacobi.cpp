@@ -70,19 +70,16 @@ std::vector<double> jacobi_eigenvalues(std::vector<double> matrix, int n)
     return eigenvalues;
 }
 
-std::vector<double> to_dense(const csr_matrix& matrix)
+std::vector<double> to_dense(const alive_graph& graph)
 {
-    validate(matrix);
-    const int n = matrix.n;
-    std::vector<double> dense(
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-    for (int r = 0; r < n; ++r)
-        for (int k = matrix.row_ptr[static_cast<std::size_t>(r)];
-             k < matrix.row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
-            dense[static_cast<std::size_t>(r) * static_cast<std::size_t>(n) +
-                  static_cast<std::size_t>(
-                      matrix.col[static_cast<std::size_t>(k)])] +=
-                matrix.values[static_cast<std::size_t>(k)];
+    validate(graph);
+    const auto n = static_cast<std::size_t>(graph.n_alive());
+    std::vector<double> dense(n * n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+        const auto neighbors = graph.row(static_cast<int>(r));
+        dense[r * n + r] = static_cast<double>(neighbors.size());
+        for (const int c : neighbors) dense[r * n + static_cast<std::size_t>(c)] = -1.0;
+    }
     return dense;
 }
 

@@ -18,10 +18,11 @@ namespace ssplane::spectral {
 /// the validation regime — not as a production path.
 std::vector<double> jacobi_eigenvalues(std::vector<double> matrix, int n);
 
-/// Convenience: dense row-major form of a CSR matrix (for handing sparse
-/// Laplacians to the dense reference).
-struct csr_matrix;
-std::vector<double> to_dense(const csr_matrix& matrix);
+/// Dense row-major Laplacian L = D - A of an alive graph (for handing
+/// graphs to the dense reference): the degree on the diagonal, -1 per
+/// neighbour.
+struct alive_graph;
+std::vector<double> to_dense(const alive_graph& graph);
 
 } // namespace ssplane::spectral
 

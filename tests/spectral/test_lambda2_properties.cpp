@@ -6,7 +6,9 @@
 //     alive component; a connected survivor graph has λ₂ > 0;
 //   * every connected solve passes its residual test;
 //   * on these ≤ 200-node fixtures λ₂ matches the dense Jacobi reference of
-//     the compacted alive graph, disconnected masks included.
+//     the compacted alive graph, disconnected masks included;
+//   * the Laplacian mat-vec sums each row in ascending column order, bit
+//     for bit.
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "lsn/scenario.h"
 #include "spectral/percolation.h"
 #include "util/angles.h"
+#include "util/rng.h"
 
 namespace ssplane::spectral {
 namespace {
@@ -68,9 +71,8 @@ std::vector<std::vector<std::uint8_t>> masks(const lsn::lsn_topology& topology)
 double jacobi_alive_lambda2(const lsn::lsn_topology& topology,
                             std::span<const std::uint8_t> failed)
 {
-    const csr_matrix laplacian =
-        laplacian_from_adjacency(alive_adjacency(topology, failed));
-    return jacobi_eigenvalues(to_dense(laplacian), laplacian.n)[1];
+    const alive_graph graph = alive_adjacency(topology, failed);
+    return jacobi_eigenvalues(to_dense(graph), graph.n_alive())[1];
 }
 
 TEST(Lambda2Properties, ZeroExactlyIffDisconnected)
@@ -109,6 +111,41 @@ TEST(Lambda2Properties, MatchesJacobiOnMaskedFixtures)
             EXPECT_NEAR(m.lambda2, jacobi_alive_lambda2(topology, mask), 1.0e-8)
                 << name << ": " << m.n_components << " components, " << m.n_alive
                 << " alive";
+        }
+    }
+}
+
+TEST(Lambda2Properties, MatVecSumsEachRowInAscendingColumnOrder)
+{
+    // Every λ₂ bit rests on the order in which a row of L x is summed: from
+    // 0.0, -x[c] per neighbour and degree · x[r], in ascending column order
+    // (the diagonal between the neighbours below r and those above it).
+    // Entries of mixed sign and magnitude make any other order round
+    // differently somewhere.
+    rng draw(2024);
+    for (const auto& [name, topology] : fixtures()) {
+        for (const auto& mask : masks(topology)) {
+            const alive_graph graph = alive_adjacency(topology, mask);
+            const auto n = static_cast<std::size_t>(graph.n_alive());
+            std::vector<double> x(n);
+            for (double& v : x) v = draw.uniform(-1.0, 1.0);
+            std::vector<double> y(n);
+            laplacian_multiply(graph, x, y);
+            for (std::size_t r = 0; r < n; ++r) {
+                const auto row = graph.row(static_cast<int>(r));
+                const double diagonal = static_cast<double>(row.size()) * x[r];
+                double sum = 0.0;
+                bool diagonal_added = false;
+                for (const int c : row) {
+                    if (!diagonal_added && static_cast<std::size_t>(c) > r) {
+                        sum += diagonal;
+                        diagonal_added = true;
+                    }
+                    sum += -x[static_cast<std::size_t>(c)];
+                }
+                if (!diagonal_added) sum += diagonal;
+                EXPECT_EQ(y[r], sum) << name << ": row " << r;
+            }
         }
     }
 }

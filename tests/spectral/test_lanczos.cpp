@@ -45,54 +45,52 @@ alive_graph complete_graph(int n)
 }
 
 /// λ₂ by the dense reference: second-smallest eigenvalue of the Laplacian.
-double jacobi_lambda2(const csr_matrix& laplacian)
+double jacobi_lambda2(const alive_graph& graph)
 {
     const std::vector<double> eigenvalues =
-        jacobi_eigenvalues(to_dense(laplacian), laplacian.n);
+        jacobi_eigenvalues(to_dense(graph), graph.n_alive());
     expects(eigenvalues.size() >= 2, "reference graphs have n >= 2");
     return eigenvalues[1];
 }
 
 void expect_lanczos_matches_jacobi(const alive_graph& graph, double tol = 1.0e-8)
 {
-    const csr_matrix laplacian = laplacian_from_adjacency(graph);
-    const lanczos_result solve = algebraic_connectivity(laplacian);
+    const lanczos_result solve = algebraic_connectivity(graph);
     EXPECT_TRUE(solve.converged);
-    EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), tol);
+    EXPECT_NEAR(solve.lambda2, jacobi_lambda2(graph), tol);
 }
 
 TEST(Lanczos, PathGraphMatchesClosedFormAndJacobi)
 {
     for (const int n : {2, 3, 7, 24, 60}) {
-        const csr_matrix laplacian = laplacian_from_adjacency(path_graph(n));
-        const lanczos_result solve = algebraic_connectivity(laplacian);
+        const alive_graph graph = path_graph(n);
+        const lanczos_result solve = algebraic_connectivity(graph);
         // Path P_n: λ₂ = 2(1 - cos(π/n)) = 4 sin²(π/2n).
         const double s = std::sin(std::numbers::pi / (2.0 * n));
         EXPECT_TRUE(solve.converged) << "n=" << n;
         EXPECT_NEAR(solve.lambda2, 4.0 * s * s, 1.0e-8) << "n=" << n;
-        EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), 1.0e-8) << "n=" << n;
+        EXPECT_NEAR(solve.lambda2, jacobi_lambda2(graph), 1.0e-8) << "n=" << n;
     }
 }
 
 TEST(Lanczos, CycleGraphMatchesClosedFormAndJacobi)
 {
     for (const int n : {3, 8, 40, 101}) {
-        const csr_matrix laplacian = laplacian_from_adjacency(cycle_graph(n));
-        const lanczos_result solve = algebraic_connectivity(laplacian);
+        const alive_graph graph = cycle_graph(n);
+        const lanczos_result solve = algebraic_connectivity(graph);
         // Cycle C_n: λ₂ = 2(1 - cos(2π/n)).
         EXPECT_TRUE(solve.converged) << "n=" << n;
         EXPECT_NEAR(solve.lambda2, 2.0 * (1.0 - std::cos(2.0 * std::numbers::pi / n)),
                     1.0e-8)
             << "n=" << n;
-        EXPECT_NEAR(solve.lambda2, jacobi_lambda2(laplacian), 1.0e-8) << "n=" << n;
+        EXPECT_NEAR(solve.lambda2, jacobi_lambda2(graph), 1.0e-8) << "n=" << n;
     }
 }
 
 TEST(Lanczos, CompleteGraphLambda2IsN)
 {
     for (const int n : {2, 5, 17}) {
-        const csr_matrix laplacian = laplacian_from_adjacency(complete_graph(n));
-        const lanczos_result solve = algebraic_connectivity(laplacian);
+        const lanczos_result solve = algebraic_connectivity(complete_graph(n));
         EXPECT_TRUE(solve.converged) << "n=" << n;
         EXPECT_NEAR(solve.lambda2, static_cast<double>(n), 1.0e-8) << "n=" << n;
     }
@@ -106,13 +104,12 @@ TEST(Lanczos, DisconnectedGraphAgreesWithJacobiAndUnionFind)
     links.insert(links.end(), tail.begin(), tail.end());
     const alive_graph graph = alive_adjacency(11, links);
 
-    const csr_matrix laplacian = laplacian_from_adjacency(graph);
-    const lanczos_result solve = algebraic_connectivity(laplacian);
+    const lanczos_result solve = algebraic_connectivity(graph);
     EXPECT_TRUE(solve.converged);
     // The raw solver reaches λ₂ = 0 only to solver precision; the dense
     // reference and the union-find component count tell the same story.
     EXPECT_NEAR(solve.lambda2, 0.0, 1.0e-8);
-    EXPECT_NEAR(jacobi_lambda2(laplacian), 0.0, 1.0e-10);
+    EXPECT_NEAR(jacobi_lambda2(graph), 0.0, 1.0e-10);
     // The analyzer knows the component count and skips the solve: λ₂ is
     // exactly 0.
     const percolation_metrics metrics = analyze_adjacency(graph);
@@ -129,14 +126,13 @@ TEST(Lanczos, ConvergedMeansResidualBelowTolerance)
     p.inclination_rad = deg2rad(53.0);
     p.n_planes = 12;
     p.sats_per_plane = 15; // 180 nodes, degree 4: ‖L‖∞ = 8
-    const csr_matrix laplacian =
-        laplacian_from_adjacency(alive_adjacency(lsn::build_walker_grid_topology(p)));
-    const double reference = jacobi_lambda2(laplacian);
+    const alive_graph graph = alive_adjacency(lsn::build_walker_grid_topology(p));
+    const double reference = jacobi_lambda2(graph);
     std::vector<int> iterations;
     for (const double tolerance : {1.0e-6, 1.0e-8, 1.0e-10}) {
         lanczos_options options;
         options.tolerance = tolerance;
-        const lanczos_result solve = algebraic_connectivity(laplacian, options);
+        const lanczos_result solve = algebraic_connectivity(graph, options);
         EXPECT_TRUE(solve.converged) << tolerance;
         EXPECT_LE(solve.residual, tolerance * 8.0) << tolerance;
         // |θ − λ| ≤ residual for the eigenvalue nearest θ, and θ ≥ λ₂.
@@ -155,19 +151,19 @@ TEST(Lanczos, IterationCapIsReportedUnconverged)
 {
     // A 60-node path needs far more than 5 Lanczos steps: the cap binds, the
     // solve says so, and its Ritz value approximates λ₂ from above.
-    const csr_matrix laplacian = laplacian_from_adjacency(path_graph(60));
+    const alive_graph graph = path_graph(60);
     lanczos_options options;
     options.max_iterations = 5;
-    const lanczos_result solve = algebraic_connectivity(laplacian, options);
+    const lanczos_result solve = algebraic_connectivity(graph, options);
     EXPECT_FALSE(solve.converged);
     EXPECT_EQ(solve.iterations, 5);
     EXPECT_GT(solve.residual, options.tolerance * 4.0);
-    EXPECT_GT(solve.lambda2, jacobi_lambda2(laplacian));
+    EXPECT_GT(solve.lambda2, jacobi_lambda2(graph));
 
     // The analyzer carries the flag.
     percolation_options capped;
     capped.lanczos.max_iterations = 5;
-    const percolation_metrics metrics = analyze_adjacency(path_graph(60), capped);
+    const percolation_metrics metrics = analyze_adjacency(graph, capped);
     EXPECT_FALSE(metrics.lambda2_converged);
     EXPECT_EQ(metrics.lanczos_iterations, 5);
     EXPECT_EQ(metrics.lambda2, solve.lambda2);
@@ -203,16 +199,16 @@ TEST(Lanczos, MaskedWalkerShellMatchesJacobi)
             failed[static_cast<std::size_t>(link.b)] == 0)
             survivor_links.push_back(link);
     const int n = static_cast<int>(topo.satellites.size());
-    const csr_matrix full = laplacian_from_adjacency(alive_adjacency(n, survivor_links));
-    ASSERT_EQ(full.n, n);
+    const alive_graph full = alive_adjacency(n, survivor_links);
+    ASSERT_EQ(full.n_alive(), n);
     const lanczos_result solve = algebraic_connectivity(full);
     EXPECT_TRUE(solve.converged);
     EXPECT_NEAR(solve.lambda2, jacobi_lambda2(full), 1.0e-8);
     EXPECT_NEAR(solve.lambda2, 0.0, 1.0e-8);
     // Compacted to the survivors, the graph is connected: λ₂ > 0, and the
     // solvers still agree.
-    const csr_matrix alive = laplacian_from_adjacency(alive_adjacency(topo, failed));
-    ASSERT_EQ(alive.n, n - 3);
+    const alive_graph alive = alive_adjacency(topo, failed);
+    ASSERT_EQ(alive.n_alive(), n - 3);
     const lanczos_result compact = algebraic_connectivity(alive);
     EXPECT_TRUE(compact.converged);
     EXPECT_GT(compact.lambda2, 1.0e-3);
@@ -221,26 +217,24 @@ TEST(Lanczos, MaskedWalkerShellMatchesJacobi)
 
 TEST(Lanczos, TinyGraphsConvergeExactly)
 {
-    const csr_matrix empty = laplacian_from_adjacency({});
-    EXPECT_DOUBLE_EQ(algebraic_connectivity(empty).lambda2, 0.0);
-    const csr_matrix single = laplacian_from_adjacency(alive_adjacency(1, links_t{}));
-    const lanczos_result one = algebraic_connectivity(single);
+    EXPECT_DOUBLE_EQ(algebraic_connectivity(alive_graph{}).lambda2, 0.0);
+    const lanczos_result one = algebraic_connectivity(alive_adjacency(1, links_t{}));
     EXPECT_TRUE(one.converged);
     EXPECT_DOUBLE_EQ(one.lambda2, 0.0);
 }
 
 TEST(Lanczos, SeedChangesStartVectorButNotResult)
 {
-    const csr_matrix laplacian = laplacian_from_adjacency(cycle_graph(24));
+    const alive_graph graph = cycle_graph(24);
     lanczos_options a;
     a.seed = 1;
     lanczos_options b;
     b.seed = 99;
-    EXPECT_NEAR(algebraic_connectivity(laplacian, a).lambda2,
-                algebraic_connectivity(laplacian, b).lambda2, 1.0e-9);
+    EXPECT_NEAR(algebraic_connectivity(graph, a).lambda2,
+                algebraic_connectivity(graph, b).lambda2, 1.0e-9);
     // Bit-identical across repeated solves on the same seed.
-    EXPECT_DOUBLE_EQ(algebraic_connectivity(laplacian, a).lambda2,
-                     algebraic_connectivity(laplacian, a).lambda2);
+    EXPECT_DOUBLE_EQ(algebraic_connectivity(graph, a).lambda2,
+                     algebraic_connectivity(graph, a).lambda2);
 }
 
 TEST(Lanczos, TridiagonalSmallestEigenvalue)
@@ -301,16 +295,46 @@ TEST(Lanczos, ValidateRejectsDegenerateOptions)
     EXPECT_NO_THROW(validate(lanczos_options{}));
 }
 
-TEST(Laplacian, ValidateRejectsMalformedCsr)
+TEST(Laplacian, ValidateRejectsMalformedGraphs)
 {
-    csr_matrix bad;
-    bad.n = 2;
-    bad.row_ptr = {0, 1}; // wrong size: needs n + 1 entries
-    bad.col = {0};
-    bad.values = {1.0};
-    EXPECT_THROW(validate(bad), contract_violation);
-    bad.row_ptr = {0, 2, 1}; // non-monotone
-    EXPECT_THROW(validate(bad), contract_violation);
+    // The path 0-1-2, then one fault at a time; the solver refuses each.
+    alive_graph path;
+    path.n_satellites = 3;
+    path.row_begin = {0, 1, 3, 4};
+    path.neighbors = {1, 0, 2, 1};
+    EXPECT_NO_THROW(validate(path));
+    EXPECT_NO_THROW(validate(alive_graph{}));
+
+    const auto expect_rejected = [](const alive_graph& bad, const char* fault) {
+        EXPECT_THROW(validate(bad), contract_violation) << fault;
+        EXPECT_THROW(algebraic_connectivity(bad), contract_violation) << fault;
+    };
+    alive_graph bad = path;
+    bad.row_begin = {0, 2, 1, 4};
+    expect_rejected(bad, "decreasing offsets");
+    bad = path;
+    bad.row_begin = {0, 1, 3, 3};
+    expect_rejected(bad, "wrong end");
+    bad = path;
+    bad.row_begin.clear();
+    expect_rejected(bad, "no offsets");
+    bad = path;
+    bad.n_satellites = 2;
+    expect_rejected(bad, "more survivors than satellites");
+    bad = path;
+    bad.neighbors = {1, 0, 3, 1};
+    expect_rejected(bad, "out-of-range neighbour");
+    bad = path;
+    bad.neighbors = {1, 2, 0, 1};
+    expect_rejected(bad, "unsorted row");
+    bad = path;
+    bad.row_begin = {0, 1, 4, 5};
+    bad.neighbors = {1, 0, 2, 2, 1};
+    expect_rejected(bad, "repeated neighbour");
+    bad = path;
+    bad.row_begin = {0, 1, 2, 3};
+    bad.neighbors = {1, 2, 1};
+    expect_rejected(bad, "asymmetric row");
 }
 
 TEST(Laplacian, RowSumsVanishAndDegreesMatch)
@@ -320,26 +344,24 @@ TEST(Laplacian, RowSumsVanishAndDegreesMatch)
     p.n_planes = 4;
     p.sats_per_plane = 5;
     const lsn::lsn_topology topo = lsn::build_walker_grid_topology(p);
-    const csr_matrix laplacian = laplacian_from_adjacency(alive_adjacency(topo));
-    ASSERT_EQ(laplacian.n, 20);
+    const alive_graph graph = alive_adjacency(topo);
+    ASSERT_EQ(graph.n_alive(), 20);
     std::vector<double> ones(20, 1.0);
     std::vector<double> out(20, -1.0);
-    laplacian.multiply(ones, out);
-    for (const double v : out) EXPECT_NEAR(v, 0.0, 1.0e-12);
+    laplacian_multiply(graph, ones, out);
+    for (const double v : out) EXPECT_EQ(v, 0.0);
+    // L e_i is column i of L, which is row i: the degree at i, -1 at each
+    // neighbour, 0 elsewhere.
     const std::vector<int> degrees = lsn::link_degrees(topo);
-    for (int i = 0; i < laplacian.n; ++i) {
-        // Diagonal entry = degree, and columns strictly ascending.
-        double diag = 0.0;
-        for (int k = laplacian.row_ptr[static_cast<std::size_t>(i)];
-             k < laplacian.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-            const int column = laplacian.col[static_cast<std::size_t>(k)];
-            if (k > laplacian.row_ptr[static_cast<std::size_t>(i)]) {
-                EXPECT_LT(laplacian.col[static_cast<std::size_t>(k) - 1], column)
-                    << "row " << i;
-            }
-            if (column == i) diag = laplacian.values[static_cast<std::size_t>(k)];
-        }
-        EXPECT_DOUBLE_EQ(diag, static_cast<double>(degrees[static_cast<std::size_t>(i)]));
+    for (std::size_t i = 0; i < 20; ++i) {
+        std::vector<double> unit(20, 0.0);
+        unit[i] = 1.0;
+        laplacian_multiply(graph, unit, out);
+        std::vector<double> expected(20, 0.0);
+        expected[i] = static_cast<double>(degrees[i]);
+        for (const int c : graph.row(static_cast<int>(i)))
+            expected[static_cast<std::size_t>(c)] = -1.0;
+        EXPECT_EQ(out, expected) << "column " << i;
     }
 }
 
