@@ -9,7 +9,6 @@
 #define SSPLANE_ASTRO_PROPAGATOR_H
 
 #include <span>
-#include <vector>
 
 #include "astro/kepler.h"
 #include "astro/time.h"
@@ -51,10 +50,6 @@ public:
     /// a single sweep — the vectorizable form of calling state_at in a loop.
     void states_at_offsets(const instant& base, std::span<const double> offsets_s,
                            std::span<state_vector> out) const;
-
-    /// Convenience allocation form of states_at_offsets.
-    std::vector<state_vector> states_at_many(const instant& base,
-                                             std::span<const double> offsets_s) const;
 
     /// Nodal (draconic) period: time between successive ascending-node
     /// crossings, 2*pi / (n̄ + dω/dt) [s].

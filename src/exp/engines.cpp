@@ -152,10 +152,29 @@ const tempo::bulk_sweep_result& bulk_engine::detail(const engine_output& output)
 
 // --- percolation -------------------------------------------------------------
 
+namespace {
+
+/// The detector knobs a threshold column runs with: the engine's masking
+/// knobs, its per-step `metrics` and the column's `mode`. `masking.mode` and
+/// `masking.metrics` are never read.
+spectral::masking_threshold_options threshold_options(
+    const percolation_engine_options& options, lsn::failure_mode mode)
+{
+    spectral::masking_threshold_options out = options.masking;
+    out.metrics = options.metrics;
+    out.mode = mode;
+    return out;
+}
+
+} // namespace
+
 void validate(const percolation_engine_options& options)
 {
     spectral::validate(options.metrics);
-    if (options.compute_masking_thresholds) spectral::validate(options.masking);
+    if (options.compute_masking_thresholds)
+        for (const auto mode :
+             {lsn::failure_mode::random_loss, lsn::failure_mode::plane_attack})
+            spectral::validate(threshold_options(options, mode));
 }
 
 percolation_engine::percolation_engine(percolation_engine_options options)
@@ -212,14 +231,14 @@ std::pair<double, double> percolation_engine::masking_thresholds(
 {
     const std::lock_guard<std::mutex> lock(masking_mutex_);
     if (masking_topology_ != topology) {
-        spectral::masking_threshold_options options = options_.masking;
-        options.metrics = options_.metrics;
-        options.mode = lsn::failure_mode::random_loss;
         masking_random_loss_ =
-            spectral::find_masking_threshold(topology, options).threshold_fraction;
-        options.mode = lsn::failure_mode::plane_attack;
+            spectral::find_masking_threshold(
+                topology, threshold_options(options_, lsn::failure_mode::random_loss))
+                .threshold_fraction;
         masking_plane_attack_ =
-            spectral::find_masking_threshold(topology, options).threshold_fraction;
+            spectral::find_masking_threshold(
+                topology, threshold_options(options_, lsn::failure_mode::plane_attack))
+                .threshold_fraction;
         masking_topology_ = topology;
     }
     return {masking_random_loss_, masking_plane_attack_};

@@ -198,9 +198,10 @@ private:
 struct percolation_engine_options {
     /// Per-step analyzer knobs (λ₂ solver, clustering pass).
     spectral::percolation_options metrics{};
-    /// Masking-detector knobs shared by the two threshold columns; `mode`
-    /// is overridden per column (both random_loss and plane_attack are
-    /// reported), so its value here is irrelevant.
+    /// Masking-detector knobs shared by the two threshold columns. Each
+    /// column replaces `mode` with its own (random_loss, plane_attack) and
+    /// `metrics` with the engine's `metrics` above, so neither value here is
+    /// read or checked.
     spectral::masking_threshold_options masking{};
     /// The thresholds cost a full escalation sweep per topology; turn them
     /// off and the two threshold columns report -1 without the sweep.

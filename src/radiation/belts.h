@@ -74,10 +74,6 @@ struct belt_parameters {
     /// Inner-belt particles whose drift shell dips below the cutoff at any
     /// longitude are absorbed — this is what confines low-L flux to the SAA.
     double drift_loss_taper_m = 150.0e3;
-
-    /// Memberwise equality — cache keys (flux_cache) depend on comparing
-    /// every parameter, so keep this defaulted when adding fields.
-    bool operator==(const belt_parameters&) const = default;
 };
 
 /// The complete radiation environment: dipole geometry + belt profiles +
@@ -106,13 +102,11 @@ public:
     /// Multiplicative proton-belt response to solar activity.
     double proton_activity_scale(double activity) const noexcept;
 
-    /// Recombine cached components with an activity level. `flux()` is
-    /// exactly combine(components_at(r), activity), so cached evaluation
-    /// paths match the direct path bit-for-bit.
+    /// Recombine components with an activity level. `flux()` is exactly
+    /// combine(components_at(r), activity), so a factored evaluation (the
+    /// maximum over days of max_electron_flux_map) matches the per-day flux
+    /// bit for bit.
     particle_flux combine(const flux_components& c, double activity) const noexcept;
-
-    const dipole_model& dipole() const noexcept { return dipole_; }
-    const belt_parameters& parameters() const noexcept { return params_; }
 
 private:
     dipole_model dipole_;

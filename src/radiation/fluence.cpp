@@ -4,12 +4,34 @@
 #include <cmath>
 
 #include "astro/frames.h"
-#include "radiation/flux_cache.h"
 #include "radiation/solar_cycle.h"
 #include "util/expects.h"
 #include "util/parallel.h"
 
 namespace ssplane::radiation {
+
+namespace {
+
+/// Calls `visit(i, r_ecef)` for every cell center of `grid` at `altitude_m`,
+/// `i` the row-major cell index. Rows run on the pool and each cell writes
+/// only its own entries, so the result is the same at any thread count.
+template <typename Visit>
+void for_each_cell_center(const geo::lat_lon_grid& grid, double altitude_m,
+                          const Visit& visit)
+{
+    const std::size_t n_lon = grid.n_lon();
+    parallel_for(grid.n_lat(), [&](std::size_t row_begin, std::size_t row_end) {
+        for (std::size_t r = row_begin; r < row_end; ++r) {
+            const double lat = grid.latitude_center_deg(r);
+            for (std::size_t c = 0; c < n_lon; ++c) {
+                const astro::geodetic g{lat, grid.longitude_center_deg(c), altitude_m};
+                visit(r * n_lon + c, astro::geodetic_to_ecef(g));
+            }
+        }
+    });
+}
+
+} // namespace
 
 fluence_result accumulate_fluence(const radiation_environment& env,
                                   const astro::j2_propagator& orbit,
@@ -93,8 +115,16 @@ flux_maps flux_map_at_altitude(const radiation_environment& env,
                                double cell_deg,
                                const astro::instant& t)
 {
-    const auto cache = shared_flux_map_cache(env, altitude_m, cell_deg);
-    return cache->flux_map(solar_activity(t));
+    flux_maps maps{geo::lat_lon_grid(cell_deg), geo::lat_lon_grid(cell_deg)};
+    const double activity = solar_activity(t);
+    const auto electrons = maps.electrons.field().values();
+    const auto protons = maps.protons.field().values();
+    for_each_cell_center(maps.electrons, altitude_m, [&](std::size_t i, const vec3& r) {
+        const particle_flux f = env.flux(r, activity);
+        electrons[i] = f.electrons_cm2_s_mev;
+        protons[i] = f.protons_cm2_s_mev;
+    });
+    return maps;
 }
 
 geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
@@ -103,16 +133,21 @@ geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
                                         int n_days,
                                         std::uint64_t seed)
 {
-    // Activity enters the electron flux as a multiplicative scale on the
-    // outer belt, so the max over days at each cell is achieved on the
-    // max-activity day — the cached lattice serves the whole sweep with one
-    // geometry build plus per-day scales.
-    const auto cache = shared_flux_map_cache(env, altitude_m, cell_deg);
+    // The outer belt is non-negative and activity only scales it, so each
+    // cell's maximum over the days is its flux at the largest outer scale:
+    // one geometry evaluation per cell, the per-day maximum bit for bit.
     const auto days = sample_cycle24_days(n_days, seed);
-    std::vector<double> activities;
-    activities.reserve(days.size());
-    for (const auto& day : days) activities.push_back(solar_activity(day));
-    return cache->max_electron_map(activities);
+    double max_scale = env.outer_activity_scale(solar_activity(days.front()));
+    for (const auto& day : days)
+        max_scale = std::max(max_scale, env.outer_activity_scale(solar_activity(day)));
+
+    geo::lat_lon_grid map(cell_deg);
+    const auto values = map.field().values();
+    for_each_cell_center(map, altitude_m, [&](std::size_t i, const vec3& r) {
+        const flux_components c = env.components_at(r);
+        values[i] = c.electron_inner + c.electron_outer * max_scale;
+    });
+    return map;
 }
 
 } // namespace ssplane::radiation

@@ -51,7 +51,9 @@ flux_maps flux_map_at_altitude(const radiation_environment& env,
 
 /// Cell-wise maximum electron flux over `n_days` sampled from solar
 /// cycle 24 (paper Fig. 6: "maximum electron radiation ... over a sample of
-/// 128 days from solar cycle 24").
+/// 128 days from solar cycle 24"). Activity only scales the non-negative
+/// outer belt (flux_components), so each cell is evaluated once, at the
+/// sample's largest outer-belt scale.
 geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
                                         double altitude_m,
                                         double cell_deg,

@@ -61,10 +61,6 @@ public:
     /// Dipole center offset from the Earth's center [m, ECEF].
     const vec3& center_offset_m() const noexcept { return offset_m_; }
 
-    /// Memberwise equality — cache keys (flux_cache) depend on comparing
-    /// every field, so keep this defaulted when adding state.
-    bool operator==(const dipole_model&) const = default;
-
 private:
     double b0_;
     vec3 axis_;

@@ -251,12 +251,6 @@ bulk_route_result route_bulk_transfers_per_step_baseline(
             matrix.demand_gbps[ba] += demand;
         }
         if (!any_active) continue;
-        for (int a = 0; a + 1 < n_ground; ++a)
-            for (int b = a + 1; b < n_ground; ++b)
-                matrix.total_gbps +=
-                    matrix.demand_gbps[static_cast<std::size_t>(a) *
-                                           static_cast<std::size_t>(n_ground) +
-                                       static_cast<std::size_t>(b)];
 
         const auto flow =
             traffic::assign_flows(snapshots[i], matrix, options.capacity);

@@ -77,7 +77,6 @@ traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
 
     const double scale = options.total_demand_gbps / weight_sum;
     for (double& v : matrix.demand_gbps) v *= scale;
-    matrix.total_gbps = options.total_demand_gbps;
     return matrix;
 }
 

@@ -48,7 +48,6 @@ void validate(const traffic_matrix_options& options);
 struct traffic_matrix {
     int n_stations = 0;
     std::vector<double> demand_gbps; ///< Row-major n x n.
-    double total_gbps = 0.0;         ///< Sum over unordered pairs.
 
     double demand(int a, int b) const
     {

@@ -41,13 +41,4 @@ double cli_args::get_double(const std::string& name, double fallback) const
     return end == it->second.c_str() ? fallback : v;
 }
 
-long cli_args::get_int(const std::string& name, long fallback) const
-{
-    const auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty()) return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    return end == it->second.c_str() ? fallback : v;
-}
-
 } // namespace ssplane

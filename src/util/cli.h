@@ -25,9 +25,6 @@ public:
     /// Numeric value of --name=value, or `fallback` when absent/unparsable.
     double get_double(const std::string& name, double fallback) const;
 
-    /// Integer value of --name=value, or `fallback` when absent/unparsable.
-    long get_int(const std::string& name, long fallback) const;
-
     /// Positional (non-flag) arguments in order.
     const std::vector<std::string>& positional() const noexcept { return positional_; }
 

@@ -31,7 +31,6 @@ void csv_writer::row(const std::vector<double>& cells)
         out_ << format_number(cells[i]);
     }
     out_ << '\n';
-    ++rows_;
 }
 
 void csv_writer::row_text(const std::vector<std::string>& cells)
@@ -42,7 +41,6 @@ void csv_writer::row_text(const std::vector<std::string>& cells)
         out_ << csv_escape(cells[i]);
     }
     out_ << '\n';
-    ++rows_;
 }
 
 std::string csv_escape(const std::string& cell)

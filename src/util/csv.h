@@ -33,13 +33,9 @@ public:
     /// cells pass through untouched.
     void row_text(const std::vector<std::string>& cells);
 
-    /// Number of data rows written so far.
-    std::size_t rows_written() const noexcept { return rows_; }
-
 private:
     std::ostream& out_;
     std::size_t n_columns_;
-    std::size_t rows_ = 0;
 };
 
 /// Format a double compactly (up to `precision` significant digits,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/expects.h"
 
@@ -100,29 +101,6 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
     }
     if (sxx == 0.0 || syy == 0.0) return 0.0;
     return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> linspace(double lo, double hi, std::size_t n)
-{
-    expects(n >= 2, "linspace needs n >= 2");
-    std::vector<double> out(n);
-    const double step = (hi - lo) / static_cast<double>(n - 1);
-    for (std::size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
-    out.back() = hi;
-    return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t n)
-{
-    expects(lo > 0.0 && hi > 0.0, "logspace needs positive bounds");
-    expects(n >= 2, "logspace needs n >= 2");
-    std::vector<double> out(n);
-    const double llo = std::log(lo);
-    const double lhi = std::log(hi);
-    const double step = (lhi - llo) / static_cast<double>(n - 1);
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(llo + step * static_cast<double>(i));
-    out.back() = hi;
-    return out;
 }
 
 } // namespace ssplane

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ssplane {
 
@@ -51,12 +50,6 @@ sample_summary summarize(std::span<const double> xs);
 /// xs.size() == ys.size(); 0 when fewer than 2 samples or when either
 /// sample is constant (no variance to correlate against).
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys);
-
-/// Evenly spaced values from lo to hi inclusive; n >= 2.
-std::vector<double> linspace(double lo, double hi, std::size_t n);
-
-/// Logarithmically spaced values from lo to hi inclusive; lo, hi > 0, n >= 2.
-std::vector<double> logspace(double lo, double hi, std::size_t n);
 
 } // namespace ssplane
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/csv.h"
 #include "util/expects.h"
 
 namespace ssplane {
@@ -17,14 +16,6 @@ void table_printer::row(const std::vector<std::string>& cells)
 {
     expects(cells.size() == header_.size(), "table row width mismatch");
     rows_.push_back(cells);
-}
-
-void table_printer::row_numeric(const std::vector<double>& cells, int precision)
-{
-    std::vector<std::string> text;
-    text.reserve(cells.size());
-    for (double c : cells) text.push_back(format_number(c, precision));
-    row(text);
 }
 
 void table_printer::print(std::ostream& out) const

@@ -16,9 +16,6 @@ public:
     /// Append a row; width must match the header.
     void row(const std::vector<std::string>& cells);
 
-    /// Append a row of numbers formatted to `precision` significant digits.
-    void row_numeric(const std::vector<double>& cells, int precision = 6);
-
     /// Render the table (header, separator, rows) to `out`.
     void print(std::ostream& out) const;
 

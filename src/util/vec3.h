@@ -69,28 +69,12 @@ inline vec3 rotate_x(const vec3& v, double angle) noexcept
     return {v.x, c * v.y - s * v.z, s * v.y + c * v.z};
 }
 
-/// Rotate v about the +y axis by `angle` radians (right-handed).
-inline vec3 rotate_y(const vec3& v, double angle) noexcept
-{
-    const double c = std::cos(angle);
-    const double s = std::sin(angle);
-    return {c * v.x + s * v.z, v.y, -s * v.x + c * v.z};
-}
-
 /// Rotate v about the +z axis by `angle` radians (right-handed).
 inline vec3 rotate_z(const vec3& v, double angle) noexcept
 {
     const double c = std::cos(angle);
     const double s = std::sin(angle);
     return {c * v.x - s * v.y, s * v.x + c * v.y, v.z};
-}
-
-/// Rotate v about an arbitrary unit axis by `angle` radians (Rodrigues).
-inline vec3 rotate_about(const vec3& v, const vec3& unit_axis, double angle) noexcept
-{
-    const double c = std::cos(angle);
-    const double s = std::sin(angle);
-    return v * c + unit_axis.cross(v) * s + unit_axis * (unit_axis.dot(v) * (1.0 - c));
 }
 
 } // namespace ssplane

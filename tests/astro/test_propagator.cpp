@@ -3,6 +3,7 @@
 #include "astro/frames.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,8 +147,8 @@ TEST(Propagator, BatchedStatesMatchPerCallStates)
 
     std::vector<double> offsets;
     for (int i = 0; i < 600; ++i) offsets.push_back(5.0 + 10.0 * i);
-    const auto batched = prop.states_at_many(base, offsets);
-    ASSERT_EQ(batched.size(), offsets.size());
+    std::vector<state_vector> batched(offsets.size());
+    prop.states_at_offsets(base, offsets, batched);
 
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         const auto direct = prop.state_at(base.plus_seconds(offsets[i]));

@@ -329,6 +329,26 @@ TEST(PercolationEngine, ValidateRejectsDegenerateOptions)
     // a degenerate one.
     EXPECT_THROW(std::make_shared<percolation_engine>(bad_lanczos), contract_violation);
     EXPECT_NO_THROW(std::make_shared<percolation_engine>(bad_masking));
+
+    // Each threshold column replaces `masking.mode` and `masking.metrics`
+    // before its search, so no value of either is rejected, and neither
+    // moves a threshold.
+    percolation_engine_options ignored = fast_options();
+    ignored.masking.mode = lsn::failure_mode::kessler_cascade;
+    ignored.masking.metrics.lanczos.max_iterations = 0;
+    EXPECT_NO_THROW(validate(ignored));
+    const auto topo = engine_walker();
+    const evaluation_context context(topo, {}, astro::instant::j2000(), engine_grid());
+    const auto thresholds = [&](const percolation_engine_options& options) {
+        experiment_plan plan;
+        plan.scenarios = {{"baseline", {}}};
+        plan.engines = {std::make_shared<percolation_engine>(options)};
+        const auto campaign = run_campaign(plan, context);
+        return std::pair{
+            campaign.value(0, "percolation.masking_threshold_random_loss"),
+            campaign.value(0, "percolation.masking_threshold_plane_attack")};
+    };
+    EXPECT_EQ(thresholds(ignored), thresholds(fast_options()));
 }
 
 } // namespace

@@ -39,7 +39,6 @@ traffic_matrix single_pair_matrix(double demand_gbps)
     traffic_matrix matrix;
     matrix.n_stations = 2;
     matrix.demand_gbps = {0.0, demand_gbps, demand_gbps, 0.0};
-    matrix.total_gbps = demand_gbps;
     return matrix;
 }
 
@@ -182,7 +181,6 @@ TEST(FlowAssignment, ReportsQueriedPathsThatCarriedNoFlow)
     traffic_matrix matrix;
     matrix.n_stations = 3;
     matrix.demand_gbps = {0.0, 10.0, 10.0, 10.0, 0.0, 10.0, 10.0, 10.0, 0.0};
-    matrix.total_gbps = 30.0;
     capacity_options opts;
     opts.isl_capacity_gbps = 10.0;
     opts.uplink_capacity_gbps = 10.0;
@@ -224,7 +222,6 @@ TEST(FlowAssignment, RetiresThePairsOfAGatewayWhoseUplinksSaturate)
     traffic_matrix matrix;
     matrix.n_stations = 3;
     matrix.demand_gbps = {0.0, 30.0, 30.0, 30.0, 0.0, 60.0, 30.0, 60.0, 0.0};
-    matrix.total_gbps = 120.0;
 
     obs::registry::instance().reset();
     const auto result = assign_flows(snapshot, matrix);
@@ -339,12 +336,13 @@ TEST(FlowAssignment, InvariantsHoldOnRandomMasksPastCapacity)
             traffic_matrix matrix;
             matrix.n_stations = n;
             matrix.demand_gbps.assign(static_cast<std::size_t>(n * n), 0.0);
+            double offered = 0.0;
             for (int a = 0; a + 1 < n; ++a)
                 for (int b = a + 1; b < n; ++b) {
                     const double demand = draws.uniform(0.0, 100.0);
                     matrix.demand_gbps[static_cast<std::size_t>(a * n + b)] = demand;
                     matrix.demand_gbps[static_cast<std::size_t>(b * n + a)] = demand;
-                    matrix.total_gbps += demand;
+                    offered += demand;
                 }
 
             flow_result previous;
@@ -365,7 +363,7 @@ TEST(FlowAssignment, InvariantsHoldOnRandomMasksPastCapacity)
                     }
                 EXPECT_NEAR(pair_sum, result.delivered_gbps, tol);
                 EXPECT_LE(result.delivered_gbps, result.offered_gbps + tol);
-                EXPECT_NEAR(result.offered_gbps, matrix.total_gbps, tol);
+                EXPECT_NEAR(result.offered_gbps, offered, tol);
                 if (k > 1) {
                     EXPECT_GE(result.delivered_gbps, previous.delivered_gbps);
                     expect_record_prefix(previous.routes, result.routes);
@@ -432,7 +430,6 @@ TEST(FlowAssignment, RejectsMalformedDemand)
     traffic_matrix matrix;
     matrix.n_stations = 3;
     matrix.demand_gbps = {0.0, 5.0, 10.0, 5.0, 0.0, 0.0, 10.0, 0.0, 0.0};
-    matrix.total_gbps = 15.0;
     const auto fine = assign_flows(star, matrix);
     EXPECT_DOUBLE_EQ(fine.offered_gbps, 15.0);
     EXPECT_DOUBLE_EQ(fine.delivered_gbps, 15.0);

@@ -185,7 +185,6 @@ TEST(RouteReplay, ASourceTheStrikeCutsOffDivergesItsRound)
     traffic_matrix matrix;
     matrix.n_stations = 3;
     matrix.demand_gbps = {0.0, 0.0, 10.0, 0.0, 0.0, 20.0, 10.0, 20.0, 0.0};
-    matrix.total_gbps = 30.0;
     capacity_options options;
     options.isl_capacity_gbps = 10.0;
     options.uplink_capacity_gbps = 40.0;

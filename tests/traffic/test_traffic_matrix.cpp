@@ -72,7 +72,6 @@ TEST(TrafficMatrix, SymmetricNormalizedZeroDiagonal)
         }
     }
     EXPECT_NEAR(pair_sum, 500.0, 1e-9 * 500.0);
-    EXPECT_DOUBLE_EQ(matrix.total_gbps, 500.0);
 }
 
 TEST(TrafficMatrix, FollowsTheDiurnalCycle)
@@ -86,13 +85,19 @@ TEST(TrafficMatrix, FollowsTheDiurnalCycle)
     const auto m12 = build_traffic_matrix(model, stations, t0.plus_seconds(12 * 3600.0));
 
     bool any_difference = false;
+    double sum0 = 0.0;
+    double sum12 = 0.0;
     for (int a = 0; a < 6; ++a)
-        for (int b = a + 1; b < 6; ++b)
+        for (int b = a + 1; b < 6; ++b) {
             any_difference |=
                 std::abs(m0.demand(a, b) - m12.demand(a, b)) > 1e-9;
+            sum0 += m0.demand(a, b);
+            sum12 += m12.demand(a, b);
+        }
     EXPECT_TRUE(any_difference);
     // Normalization keeps the total fixed even as the shape shifts.
-    EXPECT_DOUBLE_EQ(m0.total_gbps, m12.total_gbps);
+    EXPECT_NEAR(sum0, 1000.0, 1e-9 * 1000.0);
+    EXPECT_NEAR(sum12, 1000.0, 1e-9 * 1000.0);
 }
 
 TEST(TrafficMatrix, AllZeroMassesYieldZeroMatrix)
@@ -102,7 +107,6 @@ TEST(TrafficMatrix, AllZeroMassesYieldZeroMatrix)
     const std::vector<lsn::ground_station> ocean = {
         {"Pacific", 0.0, -150.0}, {"South Atlantic", -40.0, -20.0}};
     const auto matrix = build_traffic_matrix(model, ocean, astro::instant::j2000());
-    EXPECT_EQ(matrix.total_gbps, 0.0);
     EXPECT_EQ(matrix.demand(0, 1), 0.0);
 }
 

@@ -19,7 +19,6 @@ TEST(Csv, HeaderAndRows)
     csv.row({1.0, 2.5});
     csv.row({3.0, -4.0});
     EXPECT_EQ(out.str(), "a,b\n1,2.5\n3,-4\n");
-    EXPECT_EQ(csv.rows_written(), 2u);
 }
 
 TEST(Csv, RowWidthMismatchThrows)
@@ -56,7 +55,7 @@ TEST(Table, AlignsColumns)
 {
     table_printer t({"name", "value"});
     t.row({"x", "1"});
-    t.row_numeric({2.0, 34.5});
+    t.row({format_number(2.0), format_number(34.5)});
     std::ostringstream out;
     t.print(out);
     const std::string s = out.str();
@@ -75,7 +74,6 @@ TEST(Cli, ParsesOptionsAndPositional)
     EXPECT_FALSE(args.has("missing"));
     EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 1.5);
     EXPECT_EQ(args.get("name", ""), "x");
-    EXPECT_EQ(args.get_int("missing", 7), 7);
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "input.txt");
 }
@@ -84,7 +82,6 @@ TEST(Cli, FallbacksOnUnparsable)
 {
     const char* argv[] = {"prog", "--n=abc"};
     cli_args args(2, argv);
-    EXPECT_EQ(args.get_int("n", -1), -1);
     EXPECT_EQ(args.get_double("n", 2.5), 2.5);
 }
 

@@ -64,33 +64,6 @@ TEST(Stats, SummaryIsConsistent)
     EXPECT_LE(s.p75, s.p95);
 }
 
-TEST(Stats, LinspaceEndpointsAndSpacing)
-{
-    const auto xs = linspace(0.0, 10.0, 11);
-    ASSERT_EQ(xs.size(), 11u);
-    EXPECT_EQ(xs.front(), 0.0);
-    EXPECT_EQ(xs.back(), 10.0);
-    for (std::size_t i = 1; i < xs.size(); ++i)
-        EXPECT_NEAR(xs[i] - xs[i - 1], 1.0, 1e-12);
-}
-
-TEST(Stats, LogspaceEndpointsAndRatio)
-{
-    const auto xs = logspace(1.0, 1000.0, 4);
-    ASSERT_EQ(xs.size(), 4u);
-    EXPECT_NEAR(xs[0], 1.0, 1e-9);
-    EXPECT_NEAR(xs[1], 10.0, 1e-9);
-    EXPECT_NEAR(xs[2], 100.0, 1e-9);
-    EXPECT_NEAR(xs[3], 1000.0, 1e-9);
-}
-
-TEST(Stats, LinspaceLogspaceValidation)
-{
-    EXPECT_THROW(linspace(0.0, 1.0, 1), contract_violation);
-    EXPECT_THROW(logspace(0.0, 1.0, 3), contract_violation);
-    EXPECT_THROW(logspace(1.0, -1.0, 3), contract_violation);
-}
-
 TEST(Stats, PercentileSortedMatchesPercentile)
 {
     const std::vector<double> unsorted = {9.0, 1.0, 5.0, 3.0, 7.0, 2.0};
