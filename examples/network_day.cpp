@@ -22,11 +22,14 @@
 // --trace=FILE records phase spans across the whole run and writes a Chrome
 // trace-event JSON (load it at ui.perfetto.dev) plus a per-phase wall/self
 // summary on stdout. --metrics dumps the counter registry as CSV, to FILE
-// when given a value, else to stdout.
+// when given a value, else to stdout. --seed and --sessions take whole
+// decimal numbers (--sessions at least 1); anything else exits 2 before the
+// design runs.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,16 @@ using namespace ssplane;
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    std::uint64_t seed = 0;
+    std::int64_t n_sessions = 0;
+    try {
+        seed = args.get_uint("seed", 1);
+        n_sessions = static_cast<std::int64_t>(args.get_uint(
+            "sessions", 1000000, 1, std::numeric_limits<std::int64_t>::max()));
+    } catch (const std::invalid_argument& error) {
+        std::cerr << "network_day: " << error.what() << "\n";
+        return 2;
+    }
     const double bandwidth = args.get_double("bandwidth", 10.0);
     const std::string trace_path = args.get("trace", "");
     if (!trace_path.empty()) {
@@ -83,7 +96,6 @@ int main(int argc, char** argv)
     // --- Failure-scenario sweep: how does the same day look as satellites
     // fail? Giant-component fraction tracks topological fragmentation; the
     // all-pairs reachability and p95 inflation track user-visible service.
-    const auto seed = static_cast<std::uint64_t>(args.get_double("seed", 1.0));
     lsn::scenario_sweep_options sweep;
     sweep.duration_s = 86400.0;
     sweep.step_s = args.get_double("sweep-step", 1800.0);
@@ -194,8 +206,7 @@ int main(int argc, char** argv)
     // grid (cell aggregates, so memory stays O(populated cells) even at
     // millions of sessions), judged per step against beam/satellite limits.
     serve::serving_options serving_opts;
-    serving_opts.n_sessions =
-        static_cast<std::int64_t>(args.get_double("sessions", 1000000.0));
+    serving_opts.n_sessions = n_sessions;
     serving_opts.seed = seed;
 
     plan.engines = {

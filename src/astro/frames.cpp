@@ -54,11 +54,6 @@ vec3 eci_to_ecef_at_gmst(const vec3& r_eci, double gmst) noexcept
     return rotate_z(r_eci, -gmst);
 }
 
-vec3 ecef_to_eci(const vec3& r_ecef, const instant& t) noexcept
-{
-    return rotate_z(r_ecef, gmst_rad(t));
-}
-
 double geocentric_latitude_rad(const vec3& r) noexcept
 {
     const double p = std::hypot(r.x, r.y);
@@ -72,19 +67,6 @@ sun_relative eci_to_sun_relative(const vec3& r_eci, const instant& t) noexcept
     s.latitude_deg = rad2deg(geocentric_latitude_rad(r_eci));
     s.local_solar_time_h = solar_time_of_right_ascension_hours(t, ra);
     return s;
-}
-
-sun_relative geodetic_to_sun_relative(const geodetic& g, const instant& t) noexcept
-{
-    sun_relative s;
-    s.latitude_deg = g.latitude_deg;
-    s.local_solar_time_h = mean_solar_time_hours(t, g.longitude_deg);
-    return s;
-}
-
-double elevation_angle_rad(const geodetic& ground, const vec3& sat_ecef) noexcept
-{
-    return elevation_angle_rad(geodetic_to_ecef(ground), sat_ecef);
 }
 
 double elevation_angle_rad(const vec3& site_ecef, const vec3& sat_ecef) noexcept

@@ -41,25 +41,16 @@ vec3 eci_to_ecef(const vec3& r_eci, const instant& t) noexcept;
 /// `gmst_rad(t)` once per time step and rotate every satellite with it.
 vec3 eci_to_ecef_at_gmst(const vec3& r_eci, double gmst) noexcept;
 
-/// ECEF -> ECI at time `t`.
-vec3 ecef_to_eci(const vec3& r_ecef, const instant& t) noexcept;
-
 /// Sun-relative coordinates of an ECI position at time `t`.
 sun_relative eci_to_sun_relative(const vec3& r_eci, const instant& t) noexcept;
-
-/// Sun-relative coordinates of a geographic point at time `t`.
-sun_relative geodetic_to_sun_relative(const geodetic& g, const instant& t) noexcept;
 
 /// Geocentric (spherical) latitude of an ECI/ECEF position [rad].
 double geocentric_latitude_rad(const vec3& r) noexcept;
 
 /// Elevation angle [rad] of a satellite at ECEF position `sat_ecef` as seen
-/// from ground point `ground` (spherical-Earth observer geometry on the
-/// ellipsoidal ground position; accurate to small fractions of a degree).
-double elevation_angle_rad(const geodetic& ground, const vec3& sat_ecef) noexcept;
-
-/// Same elevation with the observer's ECEF position precomputed, so sweep
-/// loops hoist the geodetic conversion out of the per-satellite test.
+/// from the ground site at ECEF position `site_ecef` (spherical-Earth
+/// observer geometry on the ellipsoidal ground position; accurate to small
+/// fractions of a degree). Sweep loops convert each site once.
 double elevation_angle_rad(const vec3& site_ecef, const vec3& sat_ecef) noexcept;
 
 } // namespace ssplane::astro

@@ -52,18 +52,6 @@ double true_from_eccentric(double eccentric_anomaly_rad, double eccentricity) no
                             std::sqrt(1.0 - eccentricity) * std::cos(half));
 }
 
-double eccentric_from_true(double true_anomaly_rad, double eccentricity) noexcept
-{
-    const double half = true_anomaly_rad / 2.0;
-    return 2.0 * std::atan2(std::sqrt(1.0 - eccentricity) * std::sin(half),
-                            std::sqrt(1.0 + eccentricity) * std::cos(half));
-}
-
-double mean_from_eccentric(double eccentric_anomaly_rad, double eccentricity) noexcept
-{
-    return eccentric_anomaly_rad - eccentricity * std::sin(eccentric_anomaly_rad);
-}
-
 state_vector elements_to_state(const orbital_elements& el)
 {
     expects(el.semi_major_axis_m > 0.0, "semi-major axis must be positive");
@@ -86,61 +74,6 @@ state_vector elements_to_state(const orbital_elements& el)
                         el.raan_rad);
     };
     return {to_eci(r_pqw), to_eci(v_pqw)};
-}
-
-orbital_elements state_to_elements(const state_vector& sv)
-{
-    const vec3& r = sv.position_m;
-    const vec3& v = sv.velocity_m_s;
-    const double rn = r.norm();
-    expects(rn > 0.0, "position must be non-zero");
-
-    const vec3 h = r.cross(v);          // specific angular momentum
-    const double hn = h.norm();
-    const vec3 node = vec3{0.0, 0.0, 1.0}.cross(h); // node line
-    const double nn = node.norm();
-
-    const vec3 e_vec = (v.cross(h)) / mu_earth - r / rn;
-    const double ecc = e_vec.norm();
-    const double energy = v.norm_squared() / 2.0 - mu_earth / rn;
-
-    orbital_elements el;
-    el.semi_major_axis_m = -mu_earth / (2.0 * energy);
-    el.eccentricity = ecc;
-    el.inclination_rad = safe_acos(h.z / hn);
-
-    constexpr double tiny = 1e-11;
-    el.raan_rad = (nn > tiny) ? wrap_two_pi(std::atan2(node.y, node.x)) : 0.0;
-
-    double nu; // true anomaly
-    if (ecc > tiny) {
-        if (nn > tiny) {
-            double argp = angle_between(node, e_vec);
-            if (e_vec.z < 0.0) argp = two_pi - argp;
-            el.arg_perigee_rad = wrap_two_pi(argp);
-        } else {
-            el.arg_perigee_rad = wrap_two_pi(std::atan2(e_vec.y, e_vec.x));
-        }
-        nu = angle_between(e_vec, r);
-        if (r.dot(v) < 0.0) nu = two_pi - nu;
-    } else {
-        // Circular orbit: measure from the node (argument of latitude).
-        el.arg_perigee_rad = 0.0;
-        if (nn > tiny) {
-            nu = angle_between(node, r);
-            if (r.z < 0.0) nu = two_pi - nu;
-        } else {
-            nu = std::atan2(r.y, r.x); // equatorial circular
-        }
-    }
-    const double e_anom = eccentric_from_true(nu, ecc);
-    el.mean_anomaly_rad = wrap_two_pi(mean_from_eccentric(e_anom, ecc));
-    return el;
-}
-
-double latitude_at_argument_rad(double inclination_rad, double arg_latitude_rad) noexcept
-{
-    return safe_asin(std::sin(inclination_rad) * std::sin(arg_latitude_rad));
 }
 
 } // namespace ssplane::astro

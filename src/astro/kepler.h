@@ -44,22 +44,8 @@ double solve_kepler(double mean_anomaly_rad, double eccentricity);
 /// True anomaly from eccentric anomaly.
 double true_from_eccentric(double eccentric_anomaly_rad, double eccentricity) noexcept;
 
-/// Eccentric anomaly from true anomaly.
-double eccentric_from_true(double true_anomaly_rad, double eccentricity) noexcept;
-
-/// Mean anomaly from eccentric anomaly.
-double mean_from_eccentric(double eccentric_anomaly_rad, double eccentricity) noexcept;
-
 /// Convert elements to an ECI state vector.
 state_vector elements_to_state(const orbital_elements& el);
-
-/// Recover elements from an ECI state vector (inverse of elements_to_state
-/// away from the usual singularities: e=0 / i=0 get conventional angles).
-orbital_elements state_to_elements(const state_vector& sv);
-
-/// Geocentric latitude [rad] reached at argument of latitude u on an orbit
-/// with inclination i: sin(lat) = sin(i) * sin(u).
-double latitude_at_argument_rad(double inclination_rad, double arg_latitude_rad) noexcept;
 
 } // namespace ssplane::astro
 

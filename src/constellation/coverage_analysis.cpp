@@ -131,20 +131,6 @@ std::vector<vec3> coverage_test_points(double max_latitude_deg, double grid_spac
     return points;
 }
 
-double covered_fraction(std::span<const satellite> sats,
-                        const astro::instant& epoch,
-                        const coverage_check_options& options)
-{
-    std::size_t covered = 0;
-    std::size_t total = 0;
-    for_each_sample(sats, epoch, options, 1, [&](int count) {
-        covered += static_cast<std::size_t>(count);
-        ++total;
-        return true;
-    });
-    return total > 0 ? static_cast<double>(covered) / static_cast<double>(total) : 0.0;
-}
-
 bool covers_continuously(std::span<const satellite> sats,
                          const astro::instant& epoch,
                          const coverage_check_options& options)
@@ -155,18 +141,6 @@ bool covers_continuously(std::span<const satellite> sats,
         return covered;
     });
     return covered;
-}
-
-int min_simultaneous_coverage(std::span<const satellite> sats,
-                              const astro::instant& epoch,
-                              const coverage_check_options& options)
-{
-    int min_count = uncapped;
-    for_each_sample(sats, epoch, options, uncapped, [&](int count) {
-        min_count = std::min(min_count, count);
-        return min_count > 0;
-    });
-    return min_count == uncapped ? 0 : min_count;
 }
 
 double mean_simultaneous_coverage(std::span<const satellite> sats,

@@ -29,23 +29,11 @@ struct coverage_check_options {
 /// by the caller) within |lat| <= max_latitude_deg.
 std::vector<vec3> coverage_test_points(double max_latitude_deg, double grid_spacing_deg);
 
-/// Fraction of (point, time) samples covered; 1.0 means fully covered.
-/// Satellites are propagated with secular J2 from `epoch`.
-double covered_fraction(std::span<const satellite> sats,
-                        const astro::instant& epoch,
-                        const coverage_check_options& options);
-
 /// True when every sampled point is covered at every sampled time.
+/// Satellites are propagated with secular J2 from `epoch`.
 bool covers_continuously(std::span<const satellite> sats,
                          const astro::instant& epoch,
                          const coverage_check_options& options);
-
-/// Minimum number of simultaneously visible satellites over all sampled
-/// (point, time) pairs — the per-point capacity a constellation guarantees
-/// everywhere in the band (0 when coverage has gaps).
-int min_simultaneous_coverage(std::span<const satellite> sats,
-                              const astro::instant& epoch,
-                              const coverage_check_options& options);
 
 /// Mean number of simultaneously visible satellites over the sampled
 /// (point, time) pairs — a minimal continuous shell typically averages

@@ -143,33 +143,4 @@ rgt_sizing size_rgt_track_coverage(const rgt_design& design,
     return s;
 }
 
-std::vector<satellite> satellites_on_track(const rgt_design& design, int n,
-                                           [[maybe_unused]] const astro::instant& epoch)
-{
-    expects(n >= 1, "need at least one satellite");
-
-    astro::orbital_elements base;
-    base.semi_major_axis_m = astro::semi_major_axis_for_altitude_m(design.altitude_m);
-    base.inclination_rad = design.inclination_rad;
-    const astro::j2_rates rates = astro::compute_j2_rates(base);
-
-    // A satellite delayed by tau along the same ground track is the base
-    // orbit delayed by tau and rotated about the pole by (w_earth x tau):
-    //   RAAN  += (w_earth - dRAAN/dt) x tau
-    //   u     -= (n̄ + dω/dt) x tau
-    std::vector<satellite> sats;
-    sats.reserve(static_cast<std::size_t>(n));
-    for (int m = 0; m < n; ++m) {
-        const double tau = design.repeat_period_s * static_cast<double>(m) /
-                           static_cast<double>(n);
-        const double raan =
-            (astro::earth_rotation_rate_rad_s - rates.raan_rate) * tau;
-        const double u = -(rates.mean_anomaly_rate + rates.arg_perigee_rate) * tau;
-        sats.push_back({0, m,
-                        astro::circular_orbit(design.altitude_m, design.inclination_rad,
-                                              raan, u)});
-    }
-    return sats;
-}
-
 } // namespace ssplane::constellation

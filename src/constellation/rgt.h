@@ -72,11 +72,6 @@ struct rgt_sizing {
 rgt_sizing size_rgt_track_coverage(const rgt_design& design,
                                    const rgt_coverage_options& options = {});
 
-/// Generate `n` satellites riding the same ground track, equally spaced in
-/// time delay over the repeat period (the delayed-orbit family).
-std::vector<satellite> satellites_on_track(const rgt_design& design, int n,
-                                           const astro::instant& epoch);
-
 } // namespace ssplane::constellation
 
 #endif // SSPLANE_CONSTELLATION_RGT_H

@@ -7,37 +7,11 @@
 
 namespace ssplane::core {
 
-vec3 sun_frame_unit(double latitude_deg, double tod_h) noexcept
-{
-    const double lat = deg2rad(latitude_deg);
-    const double theta = hours2rad(tod_h - 12.0);
-    const double cl = std::cos(lat);
-    return {cl * std::cos(theta), cl * std::sin(theta), std::sin(lat)};
-}
-
 vec3 plane_normal(double inclination_rad, double ltan_h) noexcept
 {
     const double theta0 = hours2rad(ltan_h - 12.0);
     const double si = std::sin(inclination_rad);
     return {si * std::sin(theta0), -si * std::cos(theta0), std::cos(inclination_rad)};
-}
-
-std::vector<trace_point> ss_plane_trace(double inclination_rad, double ltan_h,
-                                        int n_samples)
-{
-    expects(n_samples >= 4, "need at least 4 trace samples");
-    std::vector<trace_point> trace;
-    trace.reserve(static_cast<std::size_t>(n_samples));
-    const double si = std::sin(inclination_rad);
-    const double ci = std::cos(inclination_rad);
-    for (int k = 0; k < n_samples; ++k) {
-        const double u = two_pi * static_cast<double>(k) / n_samples;
-        const double lat = safe_asin(si * std::sin(u));
-        // Longitude offset from the node along the equator.
-        const double dtheta = std::atan2(ci * std::sin(u), std::cos(u));
-        trace.push_back({rad2deg(lat), wrap_hours_24(ltan_h + rad2hours(dtheta))});
-    }
-    return trace;
 }
 
 std::vector<std::uint8_t> plane_coverage_mask(const geo::lat_tod_grid& grid,
@@ -82,7 +56,8 @@ void sun_frame_table::coverage_mask(double inclination_rad, double ltan_h,
         const double sl = sin_lat_[r];
         std::uint8_t* row = mask.data() + r * n_tod();
         for (std::size_t c = 0; c < n_tod(); ++c) {
-            // Same products and summation order as n.dot(sun_frame_unit(...)).
+            // Same products and summation order as n.dot(P) with P the
+            // cell's unit vector (cos lat cos θ, cos lat sin θ, sin lat).
             const double dot =
                 n.x * (cl * cos_tod_[c]) + n.y * (cl * sin_tod_[c]) + n.z * sl;
             if (std::abs(dot) <= sin_c) row[c] = 1;

@@ -20,22 +20,8 @@
 
 namespace ssplane::core {
 
-/// Unit vector of a (latitude, time-of-day) point on the sun-relative sphere.
-vec3 sun_frame_unit(double latitude_deg, double tod_h) noexcept;
-
 /// Orbit normal of an SS-plane in the sun-relative frame.
 vec3 plane_normal(double inclination_rad, double ltan_h) noexcept;
-
-/// One sampled point of the plane's trace on the (lat, tod) cylinder.
-struct trace_point {
-    double latitude_deg = 0.0;
-    double tod_h = 0.0;
-};
-
-/// Sample the closed trace of an SS-plane (n_samples points over one
-/// revolution, ascending branch first).
-std::vector<trace_point> ss_plane_trace(double inclination_rad, double ltan_h,
-                                        int n_samples);
 
 /// Boolean mask (1 = covered) over `grid` cells within street half-width
 /// `street_half_width_rad` of the plane's great circle.
@@ -48,7 +34,8 @@ std::vector<std::uint8_t> plane_coverage_mask(const geo::lat_tod_grid& grid,
 ///
 /// Building a coverage mask only needs cos/sin of each latitude row and each
 /// time-of-day column; caching them turns the per-cell work into five
-/// multiplies, with bit-identical results to the direct sun_frame_unit path.
+/// multiplies, bit-identical to n̂ · P̂ with P̂ built per cell (the test-side
+/// reference, `CoverageMask.SunFrameTableMatchesDirectMask`).
 /// Build one per grid and reuse it for every plane evaluated on that grid
 /// (the greedy designer's hot loop).
 class sun_frame_table {

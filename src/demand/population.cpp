@@ -99,7 +99,6 @@ population_model::population_model(const population_options& options)
             total_population_ += grid_.field()(r, c) * area;
     }
     max_by_latitude_ = grid_.max_over_longitude();
-    max_density_ = grid_.field().max_value();
 }
 
 double population_model::density_at(double latitude_deg, double longitude_deg) const

@@ -34,9 +34,6 @@ public:
     /// Density of the cell containing (lat, lon) [people/km^2].
     double density_at(double latitude_deg, double longitude_deg) const;
 
-    /// Largest cell density on the grid [people/km^2].
-    double max_density() const noexcept { return max_density_; }
-
     /// Max density over all longitudes for each latitude band — the exact
     /// reduction plotted in paper Fig. 3.
     const std::vector<double>& max_density_by_latitude() const noexcept
@@ -51,7 +48,6 @@ private:
     geo::lat_lon_grid grid_;
     std::vector<double> max_by_latitude_;
     double total_population_ = 0.0;
-    double max_density_ = 0.0;
 };
 
 } // namespace ssplane::demand

@@ -15,16 +15,6 @@ vec3 to_unit_vector(double latitude_deg, double longitude_deg) noexcept
     return {cl * std::cos(lon), cl * std::sin(lon), std::sin(lat)};
 }
 
-double latitude_of(const vec3& unit) noexcept
-{
-    return rad2deg(safe_asin(unit.z / (unit.norm() > 0 ? unit.norm() : 1.0)));
-}
-
-double longitude_of(const vec3& unit) noexcept
-{
-    return rad2deg(std::atan2(unit.y, unit.x));
-}
-
 double central_angle_rad(double lat1_deg, double lon1_deg,
                          double lat2_deg, double lon2_deg) noexcept
 {
@@ -38,21 +28,11 @@ double central_angle_rad(double lat1_deg, double lon1_deg,
     return 2.0 * safe_asin(std::sqrt(h));
 }
 
-double central_angle_rad(const vec3& a, const vec3& b) noexcept
-{
-    return angle_between(a, b);
-}
-
 double surface_distance_m(double lat1_deg, double lon1_deg,
                           double lat2_deg, double lon2_deg) noexcept
 {
     return astro::earth_mean_radius_m *
            central_angle_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg);
-}
-
-double cross_track_angle_rad(const vec3& p, const vec3& pole) noexcept
-{
-    return std::abs(pi / 2.0 - angle_between(p, pole));
 }
 
 double cap_area_fraction(double half_angle_rad) noexcept

@@ -153,11 +153,4 @@ std::size_t lat_tod_grid::row_of_latitude(double latitude_deg) const
     return std::min(row, n_lat() - 1);
 }
 
-std::size_t lat_tod_grid::col_of_tod(double tod_h) const
-{
-    const double h = wrap_hours_24(tod_h);
-    const auto col = static_cast<std::size_t>(h / tod_cell_h_);
-    return std::min(col, n_tod() - 1);
-}
-
 } // namespace ssplane::geo

@@ -105,7 +105,6 @@ public:
     double tod_center_h(std::size_t col) const;
 
     std::size_t row_of_latitude(double latitude_deg) const;
-    std::size_t col_of_tod(double tod_h) const;
 
     grid2d& field() noexcept { return field_; }
     const grid2d& field() const noexcept { return field_; }

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "astro/constants.h"
-#include "radiation/solar_cycle.h"
 #include "util/angles.h"
 
 namespace ssplane::radiation {
@@ -104,12 +103,6 @@ particle_flux radiation_environment::flux(const vec3& r_ecef_m,
                                           double activity) const noexcept
 {
     return combine(components_at(r_ecef_m), activity);
-}
-
-particle_flux radiation_environment::flux_at(const vec3& r_ecef_m,
-                                             const astro::instant& t) const noexcept
-{
-    return flux(r_ecef_m, solar_activity(t));
 }
 
 } // namespace ssplane::radiation

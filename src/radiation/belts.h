@@ -12,7 +12,6 @@
 #ifndef SSPLANE_RADIATION_BELTS_H
 #define SSPLANE_RADIATION_BELTS_H
 
-#include "astro/time.h"
 #include "radiation/magnetic_field.h"
 #include "util/vec3.h"
 
@@ -87,10 +86,6 @@ public:
 
     /// Flux at an Earth-fixed position for a given activity level.
     particle_flux flux(const vec3& r_ecef_m, double activity) const noexcept;
-
-    /// Flux at an Earth-fixed position and absolute time (activity from the
-    /// solar-cycle model).
-    particle_flux flux_at(const vec3& r_ecef_m, const astro::instant& t) const noexcept;
 
     /// Activity-independent flux factorization at a position (the expensive
     /// geometry half of a flux evaluation; see flux_components).

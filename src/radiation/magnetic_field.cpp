@@ -24,11 +24,6 @@ dipole_model dipole_model::eccentric_2015()
     return dipole_model(2.99e-5, 80.4, -72.6, offset_direction * 570.0e3);
 }
 
-dipole_model dipole_model::centered_2015()
-{
-    return dipole_model(2.99e-5, 80.4, -72.6, vec3{0.0, 0.0, 0.0});
-}
-
 dipole_model::dipole_model(double surface_equatorial_field_t,
                            double north_pole_latitude_deg,
                            double north_pole_longitude_deg,
@@ -37,19 +32,6 @@ dipole_model::dipole_model(double surface_equatorial_field_t,
       axis_(geo::to_unit_vector(north_pole_latitude_deg, north_pole_longitude_deg)),
       offset_m_(center_offset_m)
 {
-}
-
-vec3 dipole_model::field_at(const vec3& r_ecef_m) const noexcept
-{
-    // B(r) = -B0*Re^3/r^3 * (3 (m.r̂) r̂ - m), with m the dipole axis unit
-    // vector pointing to the geomagnetic *north* pole. (The sign convention
-    // only matters for direction; flux models use |B|.)
-    const vec3 rel = r_ecef_m - offset_m_;
-    const double r = rel.norm();
-    if (r <= 0.0) return {0.0, 0.0, 0.0};
-    const vec3 r_hat = rel / r;
-    const double scale = b0_ * std::pow(reference_radius_m / r, 3.0);
-    return (r_hat * (3.0 * axis_.dot(r_hat)) - axis_) * (-scale);
 }
 
 magnetic_coordinates dipole_model::coordinates_at(const vec3& r_ecef_m) const noexcept

@@ -35,9 +35,6 @@ public:
     /// Epoch-2015-like eccentric dipole (IGRF-derived approximation).
     static dipole_model eccentric_2015();
 
-    /// Centered dipole with the same tilt (for comparisons/tests).
-    static dipole_model centered_2015();
-
     /// Construct from explicit parameters.
     /// `north_pole_lat/lon` locate the *geomagnetic north pole* (axis), and
     /// `center_offset_m` displaces the dipole center (ECEF meters).
@@ -46,17 +43,11 @@ public:
                  double north_pole_longitude_deg,
                  const vec3& center_offset_m);
 
-    /// Magnetic field vector at an ECEF position [tesla].
-    vec3 field_at(const vec3& r_ecef_m) const noexcept;
-
     /// Dipole coordinates (L, B, B0, magnetic latitude) of an ECEF position.
     magnetic_coordinates coordinates_at(const vec3& r_ecef_m) const noexcept;
 
     /// Reference equatorial surface field strength [tesla].
     double surface_equatorial_field_t() const noexcept { return b0_; }
-
-    /// Unit vector of the dipole axis (pointing to the geomagnetic north pole).
-    const vec3& axis_unit() const noexcept { return axis_; }
 
     /// Dipole center offset from the Earth's center [m, ECEF].
     const vec3& center_offset_m() const noexcept { return offset_m_; }

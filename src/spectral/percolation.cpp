@@ -233,14 +233,6 @@ masking_threshold_result find_masking_threshold(
     return result;
 }
 
-double attack_resilience(const masking_threshold_result& result)
-{
-    if (result.steps.empty()) return 0.0;
-    double sum = 0.0;
-    for (const auto& step : result.steps) sum += step.mean_giant_alive_fraction;
-    return sum / static_cast<double>(result.steps.size());
-}
-
 // --- Timeline sweep ----------------------------------------------------------
 
 percolation_sweep_result run_percolation_sweep_timeline(

@@ -154,11 +154,6 @@ struct masking_threshold_result {
 masking_threshold_result find_masking_threshold(
     const lsn::lsn_topology& topology, const masking_threshold_options& options = {});
 
-/// Mean alive-giant fraction over every probed step of a full degradation
-/// curve (`stop_at_collapse = false`) — the scalar "plane-attack
-/// resilience" the exemplar's headline correlations are computed on.
-double attack_resilience(const masking_threshold_result& result);
-
 // --- Timeline sweep (the campaign engine's inner loop) ----------------------
 
 /// Per-step structural trajectories of one failure timeline, plus scalar

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace ssplane {
 
@@ -15,8 +17,6 @@ cli_args::cli_args(int argc, const char* const* argv)
             } else {
                 options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
             }
-        } else {
-            positional_.push_back(arg);
         }
     }
 }
@@ -39,6 +39,23 @@ double cli_args::get_double(const std::string& name, double fallback) const
     char* end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
     return end == it->second.c_str() ? fallback : v;
+}
+
+std::uint64_t cli_args::get_uint(const std::string& name, std::uint64_t fallback,
+                                 std::uint64_t min, std::uint64_t max) const
+{
+    const auto it = options_.find(name);
+    if (it == options_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* const end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc{} || stop != end || value < min ||
+        value > max)
+        throw std::invalid_argument("--" + name + " needs a whole number in [" +
+                                    std::to_string(min) + ", " +
+                                    std::to_string(max) + "], got '" + text + "'");
+    return value;
 }
 
 } // namespace ssplane

@@ -1,17 +1,18 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 //
-// Supports "--key=value" and "--flag" arguments; anything else is kept as a
-// positional argument. Unknown keys are permitted (benches share a parser).
+// Supports "--key=value" and "--flag" arguments; anything else is ignored.
+// Unknown keys are permitted (benches share a parser).
 #ifndef SSPLANE_UTIL_CLI_H
 #define SSPLANE_UTIL_CLI_H
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace ssplane {
 
-/// Parsed command line: option map plus positional arguments.
+/// Parsed command line: the option map.
 class cli_args {
 public:
     cli_args(int argc, const char* const* argv);
@@ -25,12 +26,17 @@ public:
     /// Numeric value of --name=value, or `fallback` when absent/unparsable.
     double get_double(const std::string& name, double fallback) const;
 
-    /// Positional (non-flag) arguments in order.
-    const std::vector<std::string>& positional() const noexcept { return positional_; }
+    /// Value of --name=value as a whole decimal number in [min, max], or
+    /// `fallback` when absent. Anything else (a sign, a fraction, an
+    /// exponent, "nan", an out-of-range value) throws std::invalid_argument
+    /// naming the flag.
+    std::uint64_t get_uint(const std::string& name, std::uint64_t fallback,
+                           std::uint64_t min = 0,
+                           std::uint64_t max =
+                               std::numeric_limits<std::uint64_t>::max()) const;
 
 private:
     std::map<std::string, std::string> options_;
-    std::vector<std::string> positional_;
 };
 
 } // namespace ssplane

@@ -31,13 +31,7 @@ struct vec3 {
 
     constexpr double dot(const vec3& o) const noexcept { return x * o.x + y * o.y + z * o.z; }
 
-    constexpr vec3 cross(const vec3& o) const noexcept
-    {
-        return {y * o.z - z * o.y, z * o.x - x * o.z, x * o.y - y * o.x};
-    }
-
     double norm() const noexcept { return std::sqrt(dot(*this)); }
-    constexpr double norm_squared() const noexcept { return dot(*this); }
 
     /// Unit vector in this direction; the zero vector maps to itself.
     vec3 normalized() const noexcept

@@ -54,7 +54,8 @@ TEST(Frames, EciEcefRoundTrip)
 {
     const instant t = instant::from_calendar(2017, 5, 4, 3, 2, 1.0);
     const vec3 r{7.0e6, -1.0e6, 2.0e6};
-    EXPECT_NEAR((ecef_to_eci(eci_to_ecef(r, t), t) - r).norm(), 0.0, 1e-6);
+    // Rotating back by +GMST restores the ECI position.
+    EXPECT_NEAR((rotate_z(eci_to_ecef(r, t), gmst_rad(t)) - r).norm(), 0.0, 1e-6);
     // Rotation preserves length and z.
     EXPECT_NEAR(eci_to_ecef(r, t).norm(), r.norm(), 1e-6);
     EXPECT_NEAR(eci_to_ecef(r, t).z, r.z, 1e-9);
@@ -73,13 +74,13 @@ TEST(Frames, ElevationAngleAtZenithAndHorizon)
     const vec3 site_ecef = geodetic_to_ecef(site);
     // Satellite directly overhead (same direction, higher altitude).
     const vec3 overhead = site_ecef * ((site_ecef.norm() + 500.0e3) / site_ecef.norm());
-    EXPECT_NEAR(rad2deg(elevation_angle_rad(site, overhead)), 90.0, 0.2);
+    EXPECT_NEAR(rad2deg(elevation_angle_rad(site_ecef, overhead)), 90.0, 0.2);
 
     // Satellite on the local horizontal plane has elevation ~0.
     const vec3 up = site_ecef.normalized();
-    const vec3 east = vec3{0.0, 0.0, 1.0}.cross(up).normalized();
+    const vec3 east = vec3{-up.y, up.x, 0.0}.normalized(); // z x up
     const vec3 horizontal = site_ecef + east * 1000.0e3;
-    EXPECT_NEAR(rad2deg(elevation_angle_rad(site, horizontal)), 0.0, 0.5);
+    EXPECT_NEAR(rad2deg(elevation_angle_rad(site_ecef, horizontal)), 0.0, 0.5);
 }
 
 TEST(Frames, SunRelativeOfSubsolarPointIsNoon)
@@ -95,15 +96,16 @@ TEST(Frames, SunRelativeOfSubsolarPointIsNoon)
 
 TEST(Frames, SunRelativeConsistencyBetweenPaths)
 {
-    // Computing sun-relative coordinates from ECI or from geodetic agrees.
+    // The sun-relative coordinates of a ground point's ECI position are its
+    // latitude and its mean solar time at its longitude.
     const instant t = instant::from_calendar(2016, 8, 20, 14);
     const geodetic g{37.0, -122.0, 0.0};
-    const auto via_geodetic = geodetic_to_sun_relative(g, t);
-    const auto via_eci = eci_to_sun_relative(ecef_to_eci(geodetic_to_ecef(g), t), t);
-    EXPECT_NEAR(hour_difference(via_geodetic.local_solar_time_h,
+    const vec3 r_eci = rotate_z(geodetic_to_ecef(g), gmst_rad(t));
+    const auto via_eci = eci_to_sun_relative(r_eci, t);
+    EXPECT_NEAR(hour_difference(mean_solar_time_hours(t, g.longitude_deg),
                                 via_eci.local_solar_time_h), 0.0, 1e-6);
     // Geodetic vs geocentric latitude differ by up to ~0.2 degrees.
-    EXPECT_NEAR(via_geodetic.latitude_deg, via_eci.latitude_deg, 0.25);
+    EXPECT_NEAR(g.latitude_deg, via_eci.latitude_deg, 0.25);
 }
 
 } // namespace

@@ -4,10 +4,76 @@
 
 #include <gtest/gtest.h>
 
+#include "../util/cross.h"
 #include "util/expects.h"
 
 namespace ssplane::astro {
 namespace {
+
+// The inverses of the live conversions, kept test-side: the round trips
+// below hold true_from_eccentric and elements_to_state to them.
+
+double eccentric_from_true(double true_anomaly_rad, double eccentricity)
+{
+    const double half = true_anomaly_rad / 2.0;
+    return 2.0 * std::atan2(std::sqrt(1.0 - eccentricity) * std::sin(half),
+                            std::sqrt(1.0 + eccentricity) * std::cos(half));
+}
+
+double mean_from_eccentric(double eccentric_anomaly_rad, double eccentricity)
+{
+    return eccentric_anomaly_rad - eccentricity * std::sin(eccentric_anomaly_rad);
+}
+
+/// Elements from an ECI state vector, away from the usual singularities:
+/// e = 0 and i = 0 get conventional angles.
+orbital_elements state_to_elements(const state_vector& sv)
+{
+    const vec3& r = sv.position_m;
+    const vec3& v = sv.velocity_m_s;
+    const double rn = r.norm();
+    const vec3 h = cross(r, v);                      // specific angular momentum
+    const double hn = h.norm();
+    const vec3 node = cross(vec3{0.0, 0.0, 1.0}, h); // node line
+    const double nn = node.norm();
+
+    const vec3 e_vec = cross(v, h) / mu_earth - r / rn;
+    const double ecc = e_vec.norm();
+    const double energy = v.dot(v) / 2.0 - mu_earth / rn;
+
+    orbital_elements el;
+    el.semi_major_axis_m = -mu_earth / (2.0 * energy);
+    el.eccentricity = ecc;
+    el.inclination_rad = safe_acos(h.z / hn);
+
+    constexpr double tiny = 1e-11;
+    el.raan_rad = (nn > tiny) ? wrap_two_pi(std::atan2(node.y, node.x)) : 0.0;
+
+    double nu; // true anomaly
+    if (ecc > tiny) {
+        if (nn > tiny) {
+            double argp = angle_between(node, e_vec);
+            if (e_vec.z < 0.0) argp = two_pi - argp;
+            el.arg_perigee_rad = wrap_two_pi(argp);
+        } else {
+            el.arg_perigee_rad = wrap_two_pi(std::atan2(e_vec.y, e_vec.x));
+        }
+        nu = angle_between(e_vec, r);
+        if (r.dot(v) < 0.0) nu = two_pi - nu;
+    } else {
+        // Circular orbit: measure from the node (argument of latitude).
+        el.arg_perigee_rad = 0.0;
+        if (nn > tiny) {
+            nu = angle_between(node, r);
+            if (r.z < 0.0) nu = two_pi - nu;
+        } else {
+            nu = std::atan2(r.y, r.x); // equatorial circular
+        }
+    }
+    const double e_anom = eccentric_from_true(nu, ecc);
+    el.mean_anomaly_rad = wrap_two_pi(mean_from_eccentric(e_anom, ecc));
+    return el;
+}
 
 struct kepler_case {
     double eccentricity;
@@ -130,12 +196,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Kepler, LatitudeAtArgument)
 {
-    // At the node the latitude is 0; a quarter orbit later it equals i.
-    EXPECT_NEAR(latitude_at_argument_rad(deg2rad(65.0), 0.0), 0.0, 1e-12);
-    EXPECT_NEAR(rad2deg(latitude_at_argument_rad(deg2rad(65.0), pi / 2.0)), 65.0, 1e-9);
-    // Retrograde inclination reaches 180 - i.
-    EXPECT_NEAR(rad2deg(latitude_at_argument_rad(deg2rad(97.6), pi / 2.0)),
-                180.0 - 97.6, 1e-9);
+    // On a circular orbit the state at argument of latitude u sits at
+    // latitude asin(sin i sin u): 0 at the node, i a quarter orbit later,
+    // and 180 - i for a retrograde inclination.
+    const auto latitude_deg = [](double inclination_deg, double u_rad) {
+        orbital_elements el;
+        el.semi_major_axis_m = 6.93e6;
+        el.inclination_rad = deg2rad(inclination_deg);
+        el.raan_rad = deg2rad(30.0);
+        el.mean_anomaly_rad = u_rad;
+        const vec3 r = elements_to_state(el).position_m;
+        return rad2deg(std::asin(r.z / r.norm()));
+    };
+    EXPECT_NEAR(latitude_deg(65.0, 0.0), 0.0, 1e-12);
+    EXPECT_NEAR(latitude_deg(65.0, pi / 2.0), 65.0, 1e-9);
+    EXPECT_NEAR(latitude_deg(97.6, pi / 2.0), 180.0 - 97.6, 1e-9);
+    for (double u = 0.0; u < two_pi; u += 0.37) {
+        const double expected = rad2deg(std::asin(std::sin(deg2rad(97.6)) * std::sin(u)));
+        EXPECT_NEAR(latitude_deg(97.6, u), expected, 1e-9) << "u = " << u;
+    }
 }
 
 } // namespace

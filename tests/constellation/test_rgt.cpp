@@ -7,8 +7,6 @@
 
 #include "util/expects.h"
 
-#include "astro/ground_track.h"
-#include "geo/geodesy.h"
 #include "util/angles.h"
 
 namespace ssplane::constellation {
@@ -124,46 +122,11 @@ TEST(Rgt, ServiceSwathRespectsCaps)
     EXPECT_GT(sizing.n_satellites, 0);
 }
 
-TEST(Rgt, SatellitesOnTrackShareGroundTrack)
-{
-    // The delayed-orbit family: satellite m at time t+tau_m flies over the
-    // same ground point satellite 0 flew over at time t.
-    const auto d = design_rgt(15, 1, deg2rad(65.0));
-    ASSERT_TRUE(d.has_value());
-    const astro::instant epoch = astro::instant::j2000();
-    const int n = 4;
-    const auto sats = satellites_on_track(*d, n, epoch);
-    ASSERT_EQ(sats.size(), 4u);
-
-    const astro::j2_propagator ref(sats[0].elements, epoch);
-    for (int m = 1; m < n; ++m) {
-        const double tau = d->repeat_period_s * m / n;
-        const astro::j2_propagator follower(sats[static_cast<std::size_t>(m)].elements,
-                                            epoch);
-        for (double t_off : {1000.0, 20000.0, 50000.0}) {
-            const astro::instant t0 = epoch.plus_seconds(t_off);
-            const astro::instant tm = t0.plus_seconds(tau);
-            const auto g_ref = astro::subsatellite_point(ref.state_at(t0).position_m, t0);
-            const auto g_fol =
-                astro::subsatellite_point(follower.state_at(tm).position_m, tm);
-            const double separation_rad = geo::central_angle_rad(
-                g_ref.latitude_deg, g_ref.longitude_deg, g_fol.latitude_deg,
-                g_fol.longitude_deg);
-            EXPECT_LT(rad2deg(separation_rad), 0.25)
-                << "sat " << m << " at offset " << t_off;
-        }
-    }
-}
-
 TEST(Rgt, Validation)
 {
     EXPECT_THROW(design_rgt(0, 1, 1.0), contract_violation);
     EXPECT_THROW(design_rgt(15, 0, 1.0), contract_violation);
     EXPECT_THROW(enumerate_rgts(1.0, 400.0e3, 2000.0e3, 0), contract_violation);
-    const auto d = design_rgt(15, 1, deg2rad(65.0));
-    ASSERT_TRUE(d.has_value());
-    EXPECT_THROW(satellites_on_track(*d, 0, astro::instant::j2000()),
-                 contract_violation);
 }
 
 } // namespace

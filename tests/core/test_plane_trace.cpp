@@ -1,9 +1,11 @@
 #include "core/plane_trace.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "../util/cross.h"
 #include "util/angles.h"
 #include "util/expects.h"
 
@@ -11,6 +13,16 @@ namespace ssplane::core {
 namespace {
 
 constexpr double k_ss_inclination = deg2rad(97.604); // 560 km
+
+/// Unit vector of a (latitude, time-of-day) point on the sun-relative
+/// sphere: the direct form the cached-trig mask is held to.
+vec3 sun_frame_unit(double latitude_deg, double tod_h)
+{
+    const double lat = deg2rad(latitude_deg);
+    const double theta = hours2rad(tod_h - 12.0);
+    const double cl = std::cos(lat);
+    return {cl * std::cos(theta), cl * std::sin(theta), std::sin(lat)};
+}
 
 TEST(PlaneTrace, SunFrameUnitBasics)
 {
@@ -25,34 +37,54 @@ TEST(PlaneTrace, SunFrameUnitBasics)
     }
 }
 
-TEST(PlaneTrace, NormalIsPerpendicularToTrace)
-{
-    const double ltan = 10.0;
-    const vec3 n = plane_normal(k_ss_inclination, ltan);
-    EXPECT_NEAR(n.norm(), 1.0, 1e-12);
-    for (const auto& p : ss_plane_trace(k_ss_inclination, ltan, 64)) {
-        EXPECT_NEAR(n.dot(sun_frame_unit(p.latitude_deg, p.tod_h)), 0.0, 1e-9);
-    }
-}
-
 TEST(PlaneTrace, TraceStartsAtNodeWithLtan)
 {
-    const auto trace = ss_plane_trace(k_ss_inclination, 14.5, 32);
-    EXPECT_NEAR(trace[0].latitude_deg, 0.0, 1e-9);
-    EXPECT_NEAR(hour_difference(trace[0].tod_h, 14.5), 0.0, 1e-9);
+    // The plane of LTAN 14.5 h crosses the equator at 14.5 h heading north
+    // and at 2.5 h heading south: along the great circle of normal n the
+    // direction of motion at r is n x r.
+    const vec3 n = plane_normal(k_ss_inclination, 14.5);
+    const vec3 node = sun_frame_unit(0.0, 14.5);
+    const vec3 antinode = sun_frame_unit(0.0, 2.5);
+    EXPECT_NEAR(n.dot(node), 0.0, 1e-12);
+    EXPECT_NEAR(n.dot(antinode), 0.0, 1e-12);
+    EXPECT_NEAR(cross(n, node).z, std::sin(k_ss_inclination), 1e-12);
+    EXPECT_NEAR(cross(n, antinode).z, -std::sin(k_ss_inclination), 1e-12);
+
+    // On the grid, the plane's street covers the equator at the node and the
+    // antinode and nowhere a quarter day away.
+    const geo::lat_tod_grid grid(1.0, 0.25);
+    const auto mask = plane_coverage_mask(grid, k_ss_inclination, 14.5, deg2rad(3.0));
+    const std::size_t equator = grid.row_of_latitude(0.5) * grid.n_tod();
+    const auto col = [&](double tod_h) {
+        return static_cast<std::size_t>(tod_h / grid.tod_cell_h());
+    };
+    EXPECT_EQ(mask[equator + col(14.5)], 1);
+    EXPECT_EQ(mask[equator + col(2.5)], 1);
+    EXPECT_EQ(mask[equator + col(8.5)], 0);
+    EXPECT_EQ(mask[equator + col(20.5)], 0);
 }
 
 TEST(PlaneTrace, MaxLatitudeIsSupplementOfInclination)
 {
-    const auto trace = ss_plane_trace(k_ss_inclination, 12.0, 720);
-    double max_lat = 0.0;
-    for (const auto& p : trace) max_lat = std::max(max_lat, std::abs(p.latitude_deg));
-    EXPECT_NEAR(max_lat, 180.0 - 97.604, 0.05);
-}
+    // A retrograde plane reaches latitude 180 - i and no further: the LTAN
+    // solutions stop there, and a narrow street's mask tops out there.
+    const double max_lat = 180.0 - rad2deg(k_ss_inclination);
+    EXPECT_TRUE(ltan_through(k_ss_inclination, max_lat - 0.01, 12.0).ascending);
+    EXPECT_FALSE(ltan_through(k_ss_inclination, max_lat + 0.01, 12.0).ascending);
 
-TEST(PlaneTrace, ValidationOfSampleCount)
-{
-    EXPECT_THROW(ss_plane_trace(k_ss_inclination, 12.0, 3), contract_violation);
+    const geo::lat_tod_grid grid(0.1, 0.1);
+    const double street_deg = 0.05;
+    const auto mask =
+        plane_coverage_mask(grid, k_ss_inclination, 12.0, deg2rad(street_deg));
+    double top = 0.0;
+    for (std::size_t r = 0; r < grid.n_lat(); ++r) {
+        for (std::size_t c = 0; c < grid.n_tod(); ++c) {
+            if (mask[r * grid.n_tod() + c] != 0)
+                top = std::max(top, std::abs(grid.latitude_center_deg(r)));
+        }
+    }
+    EXPECT_LE(top, max_lat + street_deg);
+    EXPECT_GE(top, max_lat - grid.lat_cell_deg());
 }
 
 class LtanThroughTest : public ::testing::TestWithParam<std::pair<double, double>> {};
@@ -64,6 +96,7 @@ TEST_P(LtanThroughTest, SolutionsPassThroughThePoint)
     ASSERT_TRUE(sol.ascending.has_value());
     ASSERT_TRUE(sol.descending.has_value());
     const vec3 p = sun_frame_unit(lat, tod);
+    EXPECT_NEAR(plane_normal(k_ss_inclination, *sol.ascending).norm(), 1.0, 1e-12);
     EXPECT_NEAR(plane_normal(k_ss_inclination, *sol.ascending).dot(p), 0.0, 1e-9);
     EXPECT_NEAR(plane_normal(k_ss_inclination, *sol.descending).dot(p), 0.0, 1e-9);
 }
@@ -98,8 +131,8 @@ TEST(CoverageMask, ContainsSeedAndRespectsWidth)
     ASSERT_TRUE(sol.ascending.has_value());
     const auto mask = plane_coverage_mask(grid, k_ss_inclination, *sol.ascending, street);
 
-    const std::size_t seed_index =
-        grid.row_of_latitude(23.0) * grid.n_tod() + grid.col_of_tod(14.25);
+    const std::size_t seed_index = grid.row_of_latitude(23.0) * grid.n_tod() +
+                                   static_cast<std::size_t>(14.25 / grid.tod_cell_h());
     EXPECT_EQ(mask[seed_index], 1);
 
     // Mask cells are exactly those within the street of the great circle.

@@ -30,8 +30,8 @@ TEST(DemandModel, GridIsSeparableProduct)
     // ratio between two time columns is identical across latitude rows.
     const demand_model model(shared_population());
     const auto grid = model.sun_relative_grid();
-    const std::size_t c1 = grid.col_of_tod(14.0);
-    const std::size_t c2 = grid.col_of_tod(4.0);
+    const auto c1 = static_cast<std::size_t>(14.0 / grid.tod_cell_h());
+    const auto c2 = static_cast<std::size_t>(4.0 / grid.tod_cell_h());
     const std::size_t r_ref = grid.row_of_latitude(23.8);
     const double ref_ratio = grid.field()(r_ref, c2) / grid.field()(r_ref, c1);
     for (double lat : {-34.0, 0.25, 31.0, 51.0}) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"

@@ -94,17 +94,6 @@ TEST(Coverage, StreetWidthBehaviour)
     }
 }
 
-TEST(Coverage, SatsForStreetWidth)
-{
-    const double lambda = deg2rad(8.0);
-    const int s = sats_for_street_width(lambda, deg2rad(4.0));
-    ASSERT_GT(s, 0);
-    EXPECT_GE(street_half_width_rad(lambda, s), deg2rad(4.0));
-    EXPECT_LT(street_half_width_rad(lambda, s - 1), deg2rad(4.0));
-    // Impossible request.
-    EXPECT_EQ(sats_for_street_width(lambda, lambda), 0);
-}
-
 TEST(Coverage, MinSatsDecreasesWithFootprint)
 {
     EXPECT_GE(min_sats_for_street(deg2rad(5.0)), min_sats_for_street(deg2rad(10.0)));

@@ -113,15 +113,6 @@ TEST(LatTodGrid, DimensionsAndRoundTrip)
     EXPECT_EQ(g.n_tod(), 96u);
     for (std::size_t r = 0; r < g.n_lat(); r += 13)
         EXPECT_EQ(g.row_of_latitude(g.latitude_center_deg(r)), r);
-    for (std::size_t c = 0; c < g.n_tod(); c += 5)
-        EXPECT_EQ(g.col_of_tod(g.tod_center_h(c)), c);
-}
-
-TEST(LatTodGrid, TodWrapping)
-{
-    lat_tod_grid g(1.0, 1.0);
-    EXPECT_EQ(g.col_of_tod(25.0), g.col_of_tod(1.0));
-    EXPECT_EQ(g.col_of_tod(-1.0), g.col_of_tod(23.0));
 }
 
 TEST(LatTodGrid, RejectsBadResolution)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "astro/constants.h"
+#include "capped_topology.h"
 #include "geo/geodesy.h"
 #include "lsn/routing.h"
 #include "reference_dijkstra.h"

@@ -6,6 +6,7 @@
 #include "astro/frames.h"
 #include "geo/grid.h"
 #include "radiation/fluence.h"
+#include "radiation/solar_cycle.h"
 
 namespace ssplane::radiation {
 namespace {
@@ -86,12 +87,15 @@ TEST(Belts, ProtonsAnticorrelateWithActivity)
     EXPECT_LT(active.protons_cm2_s_mev, quiet.protons_cm2_s_mev);
 }
 
-TEST(Belts, FluxAtUsesSolarCycleActivity)
+TEST(Belts, OuterElectronsFollowTheSolarCycle)
 {
     const vec3 horn = position_at(62.0, 60.0, 560.0e3);
     // Cycle maximum (2014) outruns cycle minimum (2009) for outer electrons.
-    const auto max_day = shared_env().flux_at(horn, astro::instant::from_calendar(2014, 4, 1));
-    const auto min_day = shared_env().flux_at(horn, astro::instant::from_calendar(2009, 1, 15));
+    const auto flux_on = [&](const astro::instant& day) {
+        return shared_env().flux(horn, solar_activity(day));
+    };
+    const auto max_day = flux_on(astro::instant::from_calendar(2014, 4, 1));
+    const auto min_day = flux_on(astro::instant::from_calendar(2009, 1, 15));
     EXPECT_GT(max_day.electrons_cm2_s_mev, min_day.electrons_cm2_s_mev);
 }
 

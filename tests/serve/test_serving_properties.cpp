@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "lsn/scenario.h"
 #include "lsn/topology.h"
 #include "serve/beam_assignment.h"

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "jacobi.h"
 
 #include "lsn/scenario.h"

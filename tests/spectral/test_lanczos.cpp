@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "jacobi.h"
 
 #include "spectral/percolation.h"

@@ -21,12 +21,15 @@
 #include "spectral/percolation.h"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "lsn/scenario.h"
 #include "util/angles.h"
+#include "util/expects.h"
 #include "util/stats.h"
 
 namespace ssplane::spectral {
@@ -57,6 +60,57 @@ masking_threshold_options attack_curve_options()
     options.stop_at_collapse = false;
     options.metrics.compute_clustering = false;
     return options;
+}
+
+/// Mean alive-giant fraction over every probed step of a full degradation
+/// curve (`stop_at_collapse = false`): the exemplar's scalar "plane-attack
+/// resilience", which its headline correlations are computed on.
+double attack_resilience(const masking_threshold_result& result)
+{
+    double sum = 0.0;
+    for (const auto& step : result.steps) sum += step.mean_giant_alive_fraction;
+    return result.steps.empty() ? 0.0 : sum / static_cast<double>(result.steps.size());
+}
+
+/// Pearson correlation coefficient of two equal-length samples; 0 when
+/// fewer than 2 samples or when either sample is constant.
+double pearson_correlation(std::span<const double> xs, std::span<const double> ys)
+{
+    expects(xs.size() == ys.size(), "pearson_correlation needs equal-length samples");
+    if (xs.size() < 2) return 0.0;
+    const double mx = mean(xs);
+    const double my = mean(ys);
+    double sxy = 0.0;
+    double sxx = 0.0;
+    double syy = 0.0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const double dx = xs[i] - mx;
+        const double dy = ys[i] - my;
+        sxy += dx * dy;
+        sxx += dx * dx;
+        syy += dy * dy;
+    }
+    if (sxx == 0.0 || syy == 0.0) return 0.0;
+    return sxy / std::sqrt(sxx * syy);
+}
+
+TEST(RobustnessRegression, PearsonCorrelationOfKnownSamples)
+{
+    const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
+    const std::vector<double> up{2.0, 4.0, 6.0, 8.0, 10.0};
+    const std::vector<double> down{5.0, 4.0, 3.0, 2.0, 1.0};
+    EXPECT_NEAR(pearson_correlation(xs, up), 1.0, 1e-12);
+    EXPECT_NEAR(pearson_correlation(xs, down), -1.0, 1e-12);
+    // Hand-computed partial correlation.
+    const std::vector<double> ys{1.0, 3.0, 2.0, 5.0, 4.0};
+    EXPECT_NEAR(pearson_correlation(xs, ys), 0.8, 1e-12);
+    // Degenerate samples report 0, not NaN.
+    const std::vector<double> flat{3.0, 3.0, 3.0, 3.0, 3.0};
+    EXPECT_DOUBLE_EQ(pearson_correlation(xs, flat), 0.0);
+    EXPECT_DOUBLE_EQ(pearson_correlation({}, {}), 0.0);
+    const std::vector<double> one{1.0};
+    EXPECT_DOUBLE_EQ(pearson_correlation(one, one), 0.0);
+    EXPECT_THROW(pearson_correlation(xs, one), contract_violation);
 }
 
 masking_threshold_result attack_curve(int planes, int degree,

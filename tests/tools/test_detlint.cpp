@@ -2,10 +2,13 @@
 // and go quiet (suppressed, not silent) on its DETLINT-ALLOW fixture — an
 // escape hatch that stops suppressing is as much a regression as a check
 // that stops firing. The tree-level tests then pin the real contract: src/
-// lints clean, and every rng::split purpose stream in the tree is unique.
+// lints clean, every rng::split purpose stream in the tree is unique, and
+// every function a header declares has a caller in src/ or a program.
 #include "detlint.h"
 
 #include <algorithm>
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,7 @@ const check_case cases[] = {
      "split_purpose_collision_allow.cpp", 3},
     {"validate-coverage", "validate_coverage_fire.cpp",
      "validate_coverage_allow.cpp", 1},
+    {"unused-public-api", "unused_public_api_fire", "unused_public_api_allow", 3},
 };
 
 TEST(Detlint, RegistryListsEveryFixturedCheck)
@@ -153,6 +157,56 @@ TEST(Detlint, RefCaptureTaskCoversTaskGroupRun)
     EXPECT_TRUE(lint(fixture("ref_capture_task_group_clean.cpp")).empty());
 }
 
+TEST(Detlint, UnusedPublicApiFiresAtEachShapesDeclaration)
+{
+    // A static member, an inline member and a free function that only
+    // their own declaration and definition name (the last under an allow
+    // comment without a reason) fire, each at the header line that
+    // declares it; the functions the caller calls stay quiet.
+    const auto findings =
+        lint(fixture("unused_public_api_fire"), "unused-public-api");
+    std::ifstream header(fixture("unused_public_api_fire/api.h"));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(header, line);) lines.push_back(line);
+    std::set<std::string> names;
+    for (const auto& f : findings) {
+        EXPECT_FALSE(f.suppressed) << f.message;
+        const std::string name = f.message.substr(1, f.message.find('\'', 1) - 1);
+        names.insert(name);
+        ASSERT_LE(f.line, static_cast<int>(lines.size()));
+        EXPECT_NE(lines[static_cast<std::size_t>(f.line - 1)].find(name + "("),
+                  std::string::npos)
+            << f.file << ":" << f.line << " does not declare " << name;
+    }
+    EXPECT_EQ(names, (std::set<std::string>{"axis", "orphan_ratio", "tilted"}));
+    EXPECT_EQ(findings.size(), 3u);
+}
+
+TEST(Detlint, UnusedPublicApiRunsOnlyWhenNamed)
+{
+    // Its verdict depends on which callers the linted set holds, so a run
+    // without --check=unused-public-api leaves it out.
+    const auto& checks = detlint::all_checks();
+    const auto info = std::find_if(checks.begin(), checks.end(), [](const auto& c) {
+        return c.id == "unused-public-api";
+    });
+    ASSERT_NE(info, checks.end());
+    EXPECT_TRUE(info->opt_in);
+    EXPECT_EQ(count(lint(fixture("unused_public_api_fire")), "unused-public-api",
+                    /*suppressed=*/false),
+              0);
+}
+
+TEST(Detlint, UnusedPublicApiSeesEveryCallShapeOfTheTree)
+{
+    // Stream insertion, a braced push_back, products, an arrow call, a
+    // qualified static call, an inline header body and a macro: each is the
+    // one caller of its function, and none may read as a declaration. Nor
+    // may a static_assert or a function-pointer member.
+    EXPECT_TRUE(
+        lint(fixture("unused_public_api_clean"), "unused-public-api").empty());
+}
+
 TEST(Detlint, UnknownPathThrows)
 {
     EXPECT_THROW(lint(fixture("no_such_fixture.cpp")), std::runtime_error);
@@ -189,6 +243,26 @@ TEST(DetlintTree, SrcSuppressionsAreFewAndIntentional)
         std::count_if(findings.begin(), findings.end(),
                       [](const finding& f) { return f.suppressed; }));
     EXPECT_LE(suppressed, 9);
+}
+
+TEST(DetlintTree, EveryPublicFunctionHasAProgramCaller)
+{
+    // The callers are src/ and the programs; tests are not. A function that
+    // only a test calls is deleted or moved test-side; the suppressions are
+    // the few a test must observe although no program reads them (today
+    // one: evaluation_context::timeline_cache_size).
+    const std::string root = SSPLANE_ROOT_DIR;
+    detlint::options opts;
+    opts.checks = {"unused-public-api"};
+    const auto findings = detlint::run(
+        {root + "/src", root + "/examples", root + "/bench", root + "/campaign_bench"},
+        opts);
+    std::string report;
+    for (const auto& f : findings)
+        if (!f.suppressed)
+            report += f.file + ":" + std::to_string(f.line) + " " + f.message + "\n";
+    EXPECT_EQ(report, "");
+    EXPECT_LE(count(findings, "unused-public-api", /*suppressed=*/true), 3);
 }
 
 TEST(DetlintTree, RngSplitPurposeStreamsAreUniqueTreeWide)

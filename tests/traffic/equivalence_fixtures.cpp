@@ -1,5 +1,6 @@
 #include "equivalence_fixtures.h"
 
+#include "../lsn/capped_topology.h"
 #include "constellation/sun_sync.h"
 #include "constellation/walker.h"
 #include "util/angles.h"

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../lsn/capped_topology.h"
 #include "lsn/scenario.h"
 #include "obs/metrics.h"
 #include "reference_flow_assignment.h"

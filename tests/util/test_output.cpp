@@ -1,6 +1,10 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -65,7 +69,7 @@ TEST(Table, AlignsColumns)
     EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
-TEST(Cli, ParsesOptionsAndPositional)
+TEST(Cli, ParsesOptionsAndIgnoresPositional)
 {
     const char* argv[] = {"prog", "--alpha=1.5", "--flag", "input.txt", "--name=x"};
     cli_args args(5, argv);
@@ -74,8 +78,7 @@ TEST(Cli, ParsesOptionsAndPositional)
     EXPECT_FALSE(args.has("missing"));
     EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 1.5);
     EXPECT_EQ(args.get("name", ""), "x");
-    ASSERT_EQ(args.positional().size(), 1u);
-    EXPECT_EQ(args.positional()[0], "input.txt");
+    EXPECT_FALSE(args.has("input.txt"));
 }
 
 TEST(Cli, FallbacksOnUnparsable)
@@ -83,6 +86,43 @@ TEST(Cli, FallbacksOnUnparsable)
     const char* argv[] = {"prog", "--n=abc"};
     cli_args args(2, argv);
     EXPECT_EQ(args.get_double("n", 2.5), 2.5);
+}
+
+TEST(Cli, WholeNumbersParseExactlyOverTheFullRange)
+{
+    const char* argv[] = {"prog", "--zero=0", "--top=18446744073709551615",
+                          "--odd=9007199254740993"};
+    const cli_args args(4, argv);
+    EXPECT_EQ(args.get_uint("zero", 7), 0u);
+    EXPECT_EQ(args.get_uint("top", 7), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(args.get_uint("odd", 7), 9007199254740993u); // 2^53 + 1
+    EXPECT_EQ(args.get_uint("absent", 7), 7u);
+}
+
+TEST(Cli, RejectsAnythingButAWholeNumberNamingTheFlag)
+{
+    for (const char* bad : {"-1", "1.5", "nan", "1e30", "18446744073709551616", "",
+                            "+1", " 1", "0x10"}) {
+        const std::string flag = std::string("--seed=") + bad;
+        const char* argv[] = {"prog", flag.c_str()};
+        const cli_args args(2, argv);
+        try {
+            args.get_uint("seed", 1);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("--seed"), std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(Cli, WholeNumbersOutsideTheirRangeAreRejected)
+{
+    const char* argv[] = {"prog", "--sessions=0", "--n=11"};
+    const cli_args args(3, argv);
+    EXPECT_THROW(args.get_uint("sessions", 1, 1), std::invalid_argument);
+    EXPECT_THROW(args.get_uint("n", 1, 0, 10), std::invalid_argument);
+    EXPECT_EQ(args.get_uint("n", 1, 0, 11), 11u);
 }
 
 TEST(Expects, ThrowsWithMessage)

@@ -10,6 +10,15 @@
 namespace ssplane {
 namespace {
 
+/// Sample standard deviation (n - 1 denominator).
+double stddev(const std::vector<double>& xs)
+{
+    const double m = mean(xs);
+    double ss = 0.0;
+    for (const double x : xs) ss += (x - m) * (x - m);
+    return std::sqrt(ss / static_cast<double>(xs.size() - 1));
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     rng a(12345);

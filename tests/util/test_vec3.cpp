@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cross.h"
 #include "util/angles.h"
 
 namespace ssplane {
@@ -25,13 +26,13 @@ TEST(Vec3, DotAndCrossIdentities)
     const vec3 a{1.0, 2.0, 3.0};
     const vec3 b{-2.0, 1.0, 0.5};
     // Cross product is perpendicular to both operands.
-    EXPECT_NEAR(a.cross(b).dot(a), 0.0, 1e-12);
-    EXPECT_NEAR(a.cross(b).dot(b), 0.0, 1e-12);
+    EXPECT_NEAR(cross(a, b).dot(a), 0.0, 1e-12);
+    EXPECT_NEAR(cross(a, b).dot(b), 0.0, 1e-12);
     // Anti-commutativity.
-    EXPECT_EQ(a.cross(b), -(b.cross(a)));
+    EXPECT_EQ(cross(a, b), -cross(b, a));
     // Lagrange identity: |a x b|^2 = |a|^2 |b|^2 - (a.b)^2.
-    EXPECT_NEAR(a.cross(b).norm_squared(),
-                a.norm_squared() * b.norm_squared() - a.dot(b) * a.dot(b), 1e-9);
+    EXPECT_NEAR(cross(a, b).dot(cross(a, b)),
+                a.dot(a) * b.dot(b) - a.dot(b) * a.dot(b), 1e-9);
 }
 
 TEST(Vec3, NormalizedHasUnitLength)
@@ -47,7 +48,7 @@ vec3 rotate_about(const vec3& v, const vec3& unit_axis, double angle)
 {
     const double c = std::cos(angle);
     const double s = std::sin(angle);
-    return v * c + unit_axis.cross(v) * s + unit_axis * (unit_axis.dot(v) * (1.0 - c));
+    return v * c + cross(unit_axis, v) * s + unit_axis * (unit_axis.dot(v) * (1.0 - c));
 }
 
 class RotationTest : public ::testing::TestWithParam<double> {};

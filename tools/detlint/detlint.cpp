@@ -871,6 +871,308 @@ void check_validate_coverage(const std::vector<source_file>& files,
     }
 }
 
+// --- Check: unused-public-api ---------------------------------------------
+
+/// One token of a scrubbed file: a run of identifier characters (a number
+/// splits into harmless pieces), or one punctuation character, except that
+/// `::` and `->` stay whole (so `->` never reads as a closing angle).
+/// `directive` marks the tokens of preprocessor lines.
+struct token {
+    std::string text;
+    std::size_t offset = 0;
+    bool directive = false;
+    bool ident() const
+    {
+        return std::isalpha(static_cast<unsigned char>(text[0])) ||
+               text[0] == '_';
+    }
+};
+
+std::vector<token> tokenize(const source_file& file)
+{
+    std::vector<token> out;
+    const std::string& text = file.joined;
+    bool directive = false;   // inside a preprocessor line
+    bool line_start = true;   // only whitespace so far on this line
+    for (std::size_t i = 0; i < text.size();) {
+        const char c = text[i];
+        if (c == '\n') {
+            // A directive continues past a line that ends in a backslash.
+            directive = directive && i > 0 && text[i - 1] == '\\';
+            line_start = true;
+            ++i;
+            continue;
+        }
+        if (std::isspace(static_cast<unsigned char>(c))) {
+            ++i;
+            continue;
+        }
+        if (line_start && c == '#') directive = true;
+        line_start = false;
+        std::size_t end = i + 1;
+        if (ident_char(c)) {
+            while (end < text.size() && ident_char(text[end])) ++end;
+        } else if ((c == ':' && text.compare(i, 2, "::") == 0) ||
+                   (c == '-' && text.compare(i, 2, "->") == 0)) {
+            end = i + 2;
+        }
+        out.push_back({text.substr(i, end - i), i, directive});
+        i = end;
+    }
+    return out;
+}
+
+/// A function declarator at namespace or class scope: the declaration
+/// statement's first token, the declarator name, and the body of a
+/// definition (empty range for a declaration).
+struct api_site {
+    std::string name;
+    std::size_t stmt_offset = 0;
+    std::size_t name_offset = 0;
+    std::size_t body_begin = 0;
+    std::size_t body_end = 0;
+};
+
+/// Finds the function declarations and definitions of one file by walking
+/// its namespace and class scopes: statements there are declarations by the
+/// grammar, and every function body, initializer and macro is code whose
+/// identifiers are uses. Lexical, like the other checks; it errs toward
+/// recording nothing (a missed declaration never fires).
+class api_parser {
+public:
+    explicit api_parser(const std::vector<token>& all)
+    {
+        for (const token& t : all)
+            if (!t.directive) toks_.push_back(t);
+        match_.assign(toks_.size(), toks_.size());
+        std::vector<std::size_t> open;
+        for (std::size_t i = 0; i < toks_.size(); ++i) {
+            const std::string& t = toks_[i].text;
+            if (t == "(" || t == "[" || t == "{") {
+                open.push_back(i);
+            } else if ((t == ")" || t == "]" || t == "}") && !open.empty()) {
+                match_[open.back()] = i;
+                open.pop_back();
+            }
+        }
+        scope(0, toks_.size(), "");
+    }
+
+    std::vector<api_site> sites;
+
+private:
+    struct head {
+        enum { other, name_space, class_body, function } kind = other;
+        std::string class_name;
+        std::size_t first = 0;  ///< First token after any template header.
+        std::size_t paren = 0;  ///< The parameter list's '('.
+        bool named = false;     ///< toks_[paren - 1] names a function.
+    };
+
+    bool is(std::size_t i, const char* text) const
+    {
+        return i < toks_.size() && toks_[i].text == text;
+    }
+
+    /// Index just past the closer of the opener at `i`.
+    std::size_t skip(std::size_t i) const
+    {
+        return std::min(match_[i], toks_.size() - 1) + 1;
+    }
+
+    /// Index just past the `>` closing the `<` at `i`, skipping bracketed
+    /// groups (default template arguments may call functions).
+    std::size_t skip_angles(std::size_t i, std::size_t end) const
+    {
+        int depth = 0;
+        while (i < end) {
+            const std::string& t = toks_[i].text;
+            if (t == "(" || t == "[" || t == "{") {
+                i = skip(i);
+                continue;
+            }
+            if (t == "<") ++depth;
+            if (t == ">" && --depth == 0) return i + 1;
+            ++i;
+        }
+        return end;
+    }
+
+    head analyze(std::size_t b, std::size_t e, const std::string& cls) const
+    {
+        static const std::set<std::string> not_a_name = {
+            "alignas", "alignof", "auto", "bool", "char", "decltype", "double",
+            "float", "int", "long", "noexcept", "requires", "return", "short",
+            "signed", "sizeof", "static_assert", "throw", "unsigned", "void"};
+        head h;
+        std::size_t k = b;
+        while (is(k, "template"))
+            k = is(k + 1, "<") ? skip_angles(k + 1, e) : k + 1;
+        const bool linkage = is(k, "extern") && is(k + 1, "\""); // extern "C"
+        if (linkage) k += 3;
+        h.first = k;
+        if ((k == e && linkage) || is(k, "namespace") ||
+            (is(k, "inline") && is(k + 1, "namespace")))
+            h.kind = head::name_space;
+        if (k == e || h.kind == head::name_space) return h;
+        int angle = 0;
+        for (std::size_t j = k; j < e; ++j) {
+            const std::string& t = toks_[j].text;
+            if (t == "typedef" || t == "using" || t == "enum" || t == "=")
+                return h;
+            if (t == "class" || t == "struct" || t == "union") {
+                h.kind = head::class_body;
+                for (std::size_t n = j + 1; n < e; ++n) {
+                    if (is(n, "(") || is(n, "[")) {
+                        n = skip(n) - 1;
+                    } else if (toks_[n].ident() && !is(n, "alignas")) {
+                        h.class_name = toks_[n].text;
+                        break;
+                    }
+                }
+                return h;
+            }
+            if (t == "operator") { // no name to record; find its parameters
+                std::size_t p = is(j + 1, "(") ? skip(j + 1) : j + 1;
+                while (p < e && !is(p, "(")) ++p;
+                if (p == e) return h;
+                h.kind = head::function;
+                h.paren = p;
+                return h;
+            }
+            if (t == "<" && j > k && toks_[j - 1].ident()) ++angle;
+            if (t == ">" && angle > 0) --angle;
+            if (t == "[" || t == "{" || (t == "(" && angle > 0)) {
+                j = skip(j) - 1;
+                continue;
+            }
+            if (t != "(") continue;
+            h.kind = head::function;
+            h.paren = j;
+            if (j == k || !toks_[j - 1].ident() ||
+                not_a_name.count(toks_[j - 1].text))
+                return h;
+            const std::string& name = toks_[j - 1].text;
+            std::size_t q = j - 1; // start of the qualified name
+            while (q >= k + 2 && is(q - 1, "::") && toks_[q - 2].ident()) {
+                if (toks_[q - 2].text == name) return h; // out-of-line ctor
+                q -= 2;
+            }
+            h.named = name != cls && !(q > k && is(q - 1, "~")); // ctor, dtor
+            return h;
+        }
+        return h;
+    }
+
+    void record(const head& h, std::size_t body)
+    {
+        if (h.kind != head::function || !h.named) return;
+        api_site site;
+        site.name = toks_[h.paren - 1].text;
+        site.stmt_offset = toks_[h.first].offset;
+        site.name_offset = toks_[h.paren - 1].offset;
+        if (body < toks_.size()) {
+            site.body_begin = toks_[body].offset;
+            site.body_end = toks_[std::min(match_[body], toks_.size() - 1)].offset;
+        }
+        sites.push_back(std::move(site));
+    }
+
+    void scope(std::size_t i, std::size_t end, const std::string& cls)
+    {
+        static const std::set<std::string> access = {"public", "protected",
+                                                     "private"};
+        std::size_t start = i;
+        while (i < end) {
+            const std::string& t = toks_[i].text;
+            if (t == ";") {
+                record(analyze(start, i, cls), toks_.size());
+                start = ++i;
+            } else if (t == "(" || t == "[") {
+                i = skip(i);
+            } else if (t == ":" && i == start + 1 && access.count(toks_[start].text)) {
+                start = ++i;
+            } else if (t == "}") {
+                start = ++i;
+            } else if (t != "{") {
+                ++i;
+            } else {
+                const std::size_t after = skip(i);
+                const head h = analyze(start, i, cls);
+                if (h.kind == head::name_space) {
+                    scope(i + 1, after - 1, "");
+                    start = after;
+                } else if (h.kind == head::class_body) {
+                    scope(i + 1, after - 1, h.class_name);
+                } else if (h.kind == head::function) {
+                    record(h, i);
+                    start = after;
+                }
+                i = after;
+            }
+        }
+    }
+
+    std::vector<token> toks_;
+    std::vector<std::size_t> match_;
+};
+
+bool is_header(const std::string& path)
+{
+    const std::string ext = std::filesystem::path(path).extension().string();
+    return ext == ".h" || ext == ".hpp";
+}
+
+void check_unused_public_api(const std::vector<source_file>& files,
+                             std::vector<finding>& out)
+{
+    // Pass 1: every declarator, and every identifier that is a use: not a
+    // declarator name, and not inside a body of a definition of that name.
+    std::vector<std::vector<api_site>> sites(files.size());
+    std::set<std::string> used;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        const std::vector<token> toks = tokenize(files[f]);
+        sites[f] = api_parser(toks).sites;
+        std::set<std::size_t> declarators;
+        std::multimap<std::string, std::pair<std::size_t, std::size_t>> bodies;
+        for (const api_site& s : sites[f]) {
+            declarators.insert(s.name_offset);
+            if (s.body_end > s.body_begin)
+                bodies.emplace(s.name, std::make_pair(s.body_begin, s.body_end));
+        }
+        for (const token& t : toks) {
+            if (!t.ident() || declarators.count(t.offset)) continue;
+            const auto [lo, hi] = bodies.equal_range(t.text);
+            const bool own_body = std::any_of(lo, hi, [&](const auto& b) {
+                return b.second.first < t.offset && t.offset < b.second.second;
+            });
+            if (!own_body) used.insert(t.text);
+        }
+    }
+
+    // Pass 2: a header declarator whose name has no use is a finding. An
+    // allow covers it from any line between the statement and the name.
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        const source_file& file = files[f];
+        if (!is_header(file.path)) continue;
+        for (const api_site& s : sites[f]) {
+            if (used.count(s.name)) continue;
+            finding found;
+            found.file = file.path;
+            found.line = file.line_of[s.name_offset] + 1;
+            found.check = "unused-public-api";
+            found.message = "'" + s.name + "' is declared in a header, but no "
+                            "linted file calls it outside its own declarations "
+                            "and definitions: delete it, move it test-side, or "
+                            "state why a test must observe it";
+            for (int l = file.line_of[s.stmt_offset]; l < found.line; ++l)
+                found.suppressed =
+                    found.suppressed || file.allows.count({l, found.check}) > 0;
+            out.push_back(std::move(found));
+        }
+    }
+}
+
 // --- Driver ----------------------------------------------------------------
 
 std::vector<std::filesystem::path> gather(const std::vector<std::string>& paths)
@@ -922,6 +1224,10 @@ const std::vector<check_info>& all_checks()
         {"validate-coverage",
          "options/scenario struct fields missing from every validate() "
          "overload"},
+        {"unused-public-api",
+         "functions declared in a header that no linted file calls outside "
+         "their own declarations and definitions",
+         /*opt_in=*/true},
     };
     return checks;
 }
@@ -929,8 +1235,14 @@ const std::vector<check_info>& all_checks()
 std::vector<finding> run(const std::vector<std::string>& paths,
                          const options& opts)
 {
+    // An opt-in check runs only when named: its verdict depends on which
+    // callers the linted set holds.
     const auto enabled = [&](const char* id) {
-        return opts.checks.empty() || opts.checks.count(id) > 0;
+        const auto& checks = all_checks();
+        const bool opt_in = std::any_of(
+            checks.begin(), checks.end(),
+            [&](const check_info& c) { return c.id == id && c.opt_in; });
+        return opts.checks.count(id) > 0 || (opts.checks.empty() && !opt_in);
     };
 
     std::vector<source_file> files;
@@ -949,6 +1261,7 @@ std::vector<finding> run(const std::vector<std::string>& paths,
     if (enabled("split-purpose-collision"))
         check_split_purpose(files, findings);
     if (enabled("validate-coverage")) check_validate_coverage(files, findings);
+    if (enabled("unused-public-api")) check_unused_public_api(files, findings);
 
     std::sort(findings.begin(), findings.end(),
               [](const finding& a, const finding& b) {

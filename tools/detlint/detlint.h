@@ -40,6 +40,21 @@
 //                            the helpers they call) — new knobs must either
 //                            be validated or explicitly exempted.
 //
+// One check is opt-in: it runs only when named with --check, because its
+// verdict depends on which callers the linted set holds.
+//
+//   unused-public-api        a function declared in a linted header that no
+//                            linted file names outside its own declarations
+//                            and definitions (a call in its own .h/.cpp
+//                            counts). Name-level, with no overload or
+//                            namespace resolution, so it errs toward not
+//                            firing. Run it over src/ and every program
+//                            (examples, bench, campaign_bench), never tests:
+//                            a function only tests call leaves src/ — it is
+//                            deleted or moved test-side. Reported at the
+//                            declaration's name; an allow anywhere from the
+//                            declaration's first line to that line covers it.
+//
 // Escape hatch: a finding is suppressed by a comment on the same line or
 // the line above:
 //
@@ -66,14 +81,16 @@ struct finding {
 struct check_info {
     std::string id;
     std::string summary;
+    /// Runs only when named in options::checks (see unused-public-api).
+    bool opt_in = false;
 };
 
 /// Registry of every check, in stable report order.
 const std::vector<check_info>& all_checks();
 
 struct options {
-    /// Check ids to run; empty means all. Unknown ids are an error in the
-    /// CLI and ignored here.
+    /// Check ids to run; empty means every check that is not opt-in.
+    /// Unknown ids are an error in the CLI and ignored here.
     std::set<std::string> checks;
 };
 

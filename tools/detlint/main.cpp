@@ -37,8 +37,10 @@ int main(int argc, char** argv)
         const std::string arg = argv[i];
         if (arg == "--list-checks") {
             for (const auto& check : detlint::all_checks())
-                std::printf("%-24s %s\n", check.id.c_str(),
-                            check.summary.c_str());
+                std::printf("%-24s %s%s\n", check.id.c_str(),
+                            check.summary.c_str(),
+                            check.opt_in ? " (runs only when named with --check)"
+                                         : "");
             return 0;
         } else if (arg == "--include-suppressed") {
             include_suppressed = true;
