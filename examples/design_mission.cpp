@@ -3,8 +3,15 @@
 // against the Walker-delta baseline, and report radiation and sparing.
 //
 // Usage: design_mission [--bandwidth=50] [--altitude-km=560] [--min-elev-deg=30]
+//
+// --bandwidth takes a number in [0.01, 100], --altitude-km one in [300, 2000]
+// and --min-elev-deg one in [0, 60]; anything else exits 2 before the design
+// runs, printing nothing on stdout. A spare count whose search missed the
+// 99.9% target within its cap prints as "unmet".
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/evaluator.h"
 #include "lsn/failures.h"
@@ -17,9 +24,17 @@ using namespace ssplane;
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    const double bandwidth = args.get_double("bandwidth", 50.0);
-    const double altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
-    const double min_elev = deg2rad(args.get_double("min-elev-deg", 30.0));
+    double bandwidth = 0.0;
+    double altitude_m = 0.0;
+    double min_elev = 0.0;
+    try {
+        bandwidth = args.get_double("bandwidth", 50.0, 0.01, 100.0);
+        altitude_m = args.get_double("altitude-km", 560.0, 300.0, 2000.0) * 1000.0;
+        min_elev = deg2rad(args.get_double("min-elev-deg", 30.0, 0.0, 60.0));
+    } catch (const std::invalid_argument& error) {
+        std::cerr << "design_mission: " << error.what() << "\n";
+        return 2;
+    }
 
     std::cout << "=== SS-plane mission design ===\n"
               << "bandwidth multiplier: " << bandwidth
@@ -96,8 +111,10 @@ int main(int argc, char** argv)
              format_number(wd_rad.median_electron_fluence, 4)});
     cmp.row({"annual failure rate", format_number(ss_rate, 4),
              format_number(wd_rate, 4)});
-    cmp.row({"spares/plane for 99.9%", format_number(ss_spares.spares),
-             format_number(wd_spares.spares)});
+    const auto spares_text = [](const lsn::sparing_result& result) {
+        return result.target_met ? format_number(result.spares) : std::string("unmet");
+    };
+    cmp.row({"spares/plane for 99.9%", spares_text(ss_spares), spares_text(wd_spares)});
     cmp.print(std::cout);
 
     std::cout << "\nsatellite saving: "

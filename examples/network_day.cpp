@@ -23,8 +23,11 @@
 // trace-event JSON (load it at ui.perfetto.dev) plus a per-phase wall/self
 // summary on stdout. --metrics dumps the counter registry as CSV, to FILE
 // when given a value, else to stdout. --seed and --sessions take whole
-// decimal numbers (--sessions at least 1); anything else exits 2 before the
-// design runs.
+// decimal numbers (--sessions at least 1); every other number flag takes a
+// finite decimal number in the range its parse below names, e.g.
+// --sweep-step in [300, 43200] s so the solar storm's 6 h onset falls on the
+// grid. Anything else exits 2 before the design runs, printing nothing on
+// stdout.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -55,15 +58,33 @@ int main(int argc, char** argv)
     const cli_args args(argc, argv);
     std::uint64_t seed = 0;
     std::int64_t n_sessions = 0;
+    double bandwidth = 0.0;
+    double sweep_step_s = 0.0;
+    double cascade_hazard = 0.0;
+    double cascade_escalation = 0.0;
+    double storm_boost = 0.0;
+    double offered_gbps = 0.0;
+    double buffer_gb = 0.0;
+    double bulk_gb = 0.0;
+    double bulk_deadline_h = 0.0;
     try {
         seed = args.get_uint("seed", 1);
         n_sessions = static_cast<std::int64_t>(args.get_uint(
             "sessions", 1000000, 1, std::numeric_limits<std::int64_t>::max()));
+        bandwidth = args.get_double("bandwidth", 10.0, 0.01, 100.0);
+        // At most half a day, so the grid reaches the storm's 6 h onset.
+        sweep_step_s = args.get_double("sweep-step", 1800.0, 300.0, 43200.0);
+        cascade_hazard = args.get_double("cascade-hazard", 0.3, 0.0, 100.0);
+        cascade_escalation = args.get_double("cascade-escalation", 0.05, 0.0, 100.0);
+        storm_boost = args.get_double("storm-boost", 4000.0, 0.0, 1.0e6);
+        offered_gbps = args.get_double("offered-gbps", 2000.0, 0.0, 1.0e6);
+        buffer_gb = args.get_double("buffer-gb", 25000.0, 0.0, 1.0e9);
+        bulk_gb = args.get_double("bulk-gb", 500000.0, 1.0, 1.0e9);
+        bulk_deadline_h = args.get_double("bulk-deadline-h", 6.0, 0.1, 24.0);
     } catch (const std::invalid_argument& error) {
         std::cerr << "network_day: " << error.what() << "\n";
         return 2;
     }
-    const double bandwidth = args.get_double("bandwidth", 10.0);
     const std::string trace_path = args.get("trace", "");
     if (!trace_path.empty()) {
         obs::trace_reset();
@@ -98,7 +119,7 @@ int main(int argc, char** argv)
     // all-pairs reachability and p95 inflation track user-visible service.
     lsn::scenario_sweep_options sweep;
     sweep.duration_s = 86400.0;
-    sweep.step_s = args.get_double("sweep-step", 1800.0);
+    sweep.step_s = sweep_step_s;
 
     // Per-plane daily electron fluence drives the radiation scenario: each
     // designed plane flies at its own altitude, so doses differ per plane.
@@ -148,8 +169,8 @@ int main(int argc, char** argv)
     lsn::failure_scenario cascade;
     cascade.mode = lsn::failure_mode::kessler_cascade;
     cascade.cascade_initial_hits = 2;
-    cascade.cascade_base_daily_hazard = args.get_double("cascade-hazard", 0.3);
-    cascade.cascade_escalation = args.get_double("cascade-escalation", 0.05);
+    cascade.cascade_base_daily_hazard = cascade_hazard;
+    cascade.cascade_escalation = cascade_escalation;
     cascade.cascade_cooldown_s = 6.0 * 3600.0;
     cascade.seed = seed;
     plan.scenarios.push_back({"kessler cascade", cascade});
@@ -164,8 +185,7 @@ int main(int argc, char** argv)
         // the template injects a cycle-max-equivalent fluence spike.
         const double activity = std::max(
             radiation::solar_activity(epoch.plus_seconds(9.0 * 3600.0)), 1.0e-9);
-        s.storm_fluence_multiplier =
-            1.0 + args.get_double("storm-boost", 4000.0) / activity;
+        s.storm_fluence_multiplier = 1.0 + storm_boost / activity;
         s.seed = seed;
         plan.scenarios.push_back({"solar storm", s});
     }
@@ -183,24 +203,16 @@ int main(int argc, char** argv)
     // delivery (time-expanded store-and-forward vs the per-epoch replication
     // floor) all judge the same scenarios on one shared context.
     traffic::traffic_sweep_options traffic_opts;
-    traffic_opts.matrix.total_demand_gbps =
-        args.get_double("offered-gbps", 2000.0);
+    traffic_opts.matrix.total_demand_gbps = offered_gbps;
 
     tempo::bulk_route_options bulk_opts;
-    bulk_opts.sat_buffer_gb = args.get_double("buffer-gb", 25000.0);
-    const double bulk_gb = args.get_double("bulk-gb", 500000.0);
-    const double bulk_deadline_s =
-        std::min(args.get_double("bulk-deadline-h", 6.0) * 3600.0, sweep.duration_s);
+    bulk_opts.sat_buffer_gb = buffer_gb;
+    const double bulk_deadline_s = std::min(bulk_deadline_h * 3600.0, sweep.duration_s);
     const int n_gw = static_cast<int>(stations.size());
     std::vector<tempo::bulk_transfer_request> bulk_requests;
     for (int g = 0; g < n_gw; ++g)
         bulk_requests.push_back(
             {g, (g + n_gw / 2) % n_gw, bulk_gb, 0.0, bulk_deadline_s});
-
-    // The percolation engine's masking thresholds are reported in their own
-    // escalation table below, so skip the duplicate per-topology sweep here.
-    exp::percolation_engine_options perc_opts;
-    perc_opts.compute_masking_thresholds = false;
 
     // Session-level serving: N user terminals sampled from the population
     // grid (cell aggregates, so memory stays O(populated cells) even at
@@ -215,7 +227,7 @@ int main(int argc, char** argv)
         std::make_shared<exp::bulk_engine>(bulk_requests, bulk_opts),
         std::make_shared<exp::bulk_engine>(bulk_requests, bulk_opts,
                                            /*per_step_baseline=*/true),
-        std::make_shared<exp::percolation_engine>(perc_opts),
+        std::make_shared<exp::percolation_engine>(),
         std::make_shared<exp::serving_engine>(population, serving_opts)};
 
     // One context = one propagation pass + one failure draw per scenario,

@@ -2,8 +2,13 @@
 // across altitude and inclination, with the failure-rate and sparing
 // implications (paper §3.2).
 //
-// Usage: radiation_survey [--altitude-km=560] [--date=2014-03-15]
+// Usage: radiation_survey [--altitude-km=560]
+//
+// --altitude-km takes a number in [300, 2000]; anything else exits 2 before
+// the survey runs, printing nothing on stdout. A spare count whose search
+// missed the 99.9% target within its cap prints as "unmet".
 #include <iostream>
+#include <stdexcept>
 
 #include "constellation/sun_sync.h"
 #include "lsn/failures.h"
@@ -18,7 +23,13 @@ using namespace ssplane;
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    const double altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
+    double altitude_m = 0.0;
+    try {
+        altitude_m = args.get_double("altitude-km", 560.0, 300.0, 2000.0) * 1000.0;
+    } catch (const std::invalid_argument& error) {
+        std::cerr << "radiation_survey: " << error.what() << "\n";
+        return 2;
+    }
 
     const radiation::radiation_environment env;
     const auto day = astro::instant::from_calendar(2014, 3, 15); // active period
@@ -38,7 +49,7 @@ int main(int argc, char** argv)
         const auto spares = lsn::spares_for_availability(25, rate, 0.999, fail, 1, 128);
         table.row({format_number(inc, 4), format_number(f.electrons_cm2_mev, 4),
                    format_number(f.protons_cm2_mev, 4), format_number(rate, 3),
-                   format_number(spares.spares)});
+                   spares.target_met ? format_number(spares.spares) : "unmet"});
     }
     table.print(std::cout);
 

@@ -15,8 +15,6 @@ struct orbital_elements {
     double raan_rad = 0.0;        ///< Right ascension of the ascending node.
     double arg_perigee_rad = 0.0; ///< Argument of perigee.
     double mean_anomaly_rad = 0.0;
-
-    friend bool operator==(const orbital_elements&, const orbital_elements&) = default;
 };
 
 /// Inertial position and velocity.

@@ -30,8 +30,6 @@ struct satellite {
     int plane = 0;
     int slot = 0;
     astro::orbital_elements elements;
-
-    friend bool operator==(const satellite&, const satellite&) = default;
 };
 
 /// Generate all satellites of a Walker-delta shell (circular orbits).

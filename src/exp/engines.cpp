@@ -166,6 +166,15 @@ spectral::masking_threshold_options threshold_options(
     return out;
 }
 
+/// The masking threshold of `topology` under the column's `mode`.
+double masking_threshold(const lsn::lsn_topology& topology,
+                         const percolation_engine_options& options,
+                         lsn::failure_mode mode)
+{
+    return spectral::find_masking_threshold(topology, threshold_options(options, mode))
+        .threshold_fraction;
+}
+
 } // namespace
 
 void validate(const percolation_engine_options& options)
@@ -198,9 +207,11 @@ engine_output percolation_engine::evaluate(
     double threshold_random = -1.0;
     double threshold_plane = -1.0;
     if (options_.compute_masking_thresholds) {
-        const auto thresholds = masking_thresholds(context.builder().topology());
-        threshold_random = thresholds.first;
-        threshold_plane = thresholds.second;
+        const auto& topology = context.builder().topology();
+        threshold_random =
+            masking_threshold(topology, options_, lsn::failure_mode::random_loss);
+        threshold_plane =
+            masking_threshold(topology, options_, lsn::failure_mode::plane_attack);
     }
     return make_output({result.lambda2_mean, result.lambda2_min,
                         result.giant_fraction_mean, result.giant_fraction_min,
@@ -226,24 +237,6 @@ const spectral::percolation_sweep_result& percolation_engine::detail(
     return typed_detail<spectral::percolation_sweep_result>(output);
 }
 
-std::pair<double, double> percolation_engine::masking_thresholds(
-    const lsn::lsn_topology& topology) const
-{
-    const std::lock_guard<std::mutex> lock(masking_mutex_);
-    if (masking_topology_ != topology) {
-        masking_random_loss_ =
-            spectral::find_masking_threshold(
-                topology, threshold_options(options_, lsn::failure_mode::random_loss))
-                .threshold_fraction;
-        masking_plane_attack_ =
-            spectral::find_masking_threshold(
-                topology, threshold_options(options_, lsn::failure_mode::plane_attack))
-                .threshold_fraction;
-        masking_topology_ = topology;
-    }
-    return {masking_random_loss_, masking_plane_attack_};
-}
-
 // --- serving ----------------------------------------------------------------
 
 serving_engine::serving_engine(const demand::population_model& population,
@@ -256,19 +249,9 @@ serving_engine::serving_engine(const demand::population_model& population,
                      "sessions_degraded_max", "time_to_restore_s", "recovery_headroom"},
                     {"served_fraction", "sessions_active", "sessions_dropped",
                      "sessions_degraded", "p99_session_rate_mbps", "delivered_gbps"}),
-      population_(&population),
-      options_(options)
+      options_(options),
+      grid_(serve::sample_session_grid(population, options_))
 {
-    serve::validate(options_);
-}
-
-const serve::session_grid& serving_engine::grid() const
-{
-    const std::lock_guard<std::mutex> lock(grid_mutex_);
-    if (!grid_)
-        grid_ = std::make_shared<const serve::session_grid>(
-            serve::sample_session_grid(*population_, options_));
-    return *grid_;
 }
 
 engine_output serving_engine::evaluate(const evaluation_context& context,
@@ -282,7 +265,7 @@ std::vector<engine_output> serving_engine::evaluate_rows(
     const std::vector<const lsn::failure_timeline*>& timelines) const
 {
     auto results = serve::run_serving_sweep_timeline(context.geometry(), timelines,
-                                                     grid(), options_);
+                                                     grid_, options_);
     std::vector<engine_output> outputs;
     outputs.reserve(results.size());
     for (auto& result : results) {

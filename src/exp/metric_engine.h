@@ -27,8 +27,6 @@
 #define SSPLANE_EXP_METRIC_ENGINE_H
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -59,9 +57,9 @@ struct engine_output {
 /// Interface every campaign metric engine implements. An engine fixes its
 /// name, columns and options when it is built — a degenerate option is a
 /// `contract_violation` from its constructor, so no campaign ever holds
-/// one. Engines are immutable after construction and `evaluate` is const,
-/// so one engine instance can serve many (scenario, cell) evaluations
-/// concurrently.
+/// one. Engines are immutable values: no engine holds a cache or a lock,
+/// and `evaluate` is const, so one engine instance can serve many
+/// (scenario, cell) evaluations concurrently.
 class metric_engine {
 public:
     virtual ~metric_engine() = default;
@@ -203,9 +201,9 @@ struct percolation_engine_options {
     /// `metrics` with the engine's `metrics` above, so neither value here is
     /// read or checked.
     spectral::masking_threshold_options masking{};
-    /// The thresholds cost a full escalation sweep per topology; turn them
-    /// off and the two threshold columns report -1 without the sweep.
-    bool compute_masking_thresholds = true;
+    /// The thresholds cost two full escalation sweeps in every cell; turn
+    /// them on to fill the two threshold columns, which read -1 otherwise.
+    bool compute_masking_thresholds = false;
 };
 
 /// Reject degenerate percolation-engine knobs with a `contract_violation`.
@@ -213,14 +211,14 @@ void validate(const percolation_engine_options& options);
 
 /// Structural robustness: per-step λ₂ / giant-component / susceptibility /
 /// clustering trajectories of the timeline (adapts
-/// `spectral::run_percolation_sweep_timeline`) plus the escalating-attack
-/// masking thresholds of the static ISL wiring, for random loss and plane
+/// `spectral::run_percolation_sweep_timeline`) plus, when
+/// `compute_masking_thresholds` is on, the escalating-attack masking
+/// thresholds of the context's static ISL wiring, for random loss and plane
 /// attack. `lambda2_unconverged_steps` (and the per-step
 /// `lambda2_unconverged` trace) flags every step whose λ₂ solve stopped at
-/// the iteration cap, so an approximate λ₂ is never silent. The
-/// thresholds are timeline-independent, so they are computed
-/// once per topology wiring and cached — every cell of a campaign reads the
-/// same deterministic value no matter which cell evaluated first.
+/// the iteration cap, so an approximate λ₂ is never silent. The thresholds
+/// are deterministic functions of (topology, options), computed afresh in
+/// every cell, so every cell of a campaign reads the same values.
 class percolation_engine final : public metric_engine {
 public:
     /// Validates the options (`validate(percolation_engine_options)`).
@@ -235,33 +233,19 @@ public:
         const engine_output& output);
 
 private:
-    std::pair<double, double> masking_thresholds(
-        const lsn::lsn_topology& topology) const;
-
     percolation_engine_options options_;
-    /// Threshold cache, keyed on a copy of the topology it was computed
-    /// for (compared by value, not address, so a different topology reusing
-    /// an address misses). Guarded by a mutex because campaign cells
-    /// evaluate concurrently; the cached values are deterministic functions
-    /// of (topology, options), so the race only decides who computes, never
-    /// what.
-    mutable std::mutex masking_mutex_;
-    mutable std::optional<lsn::lsn_topology> masking_topology_;
-    mutable double masking_random_loss_ = -1.0;
-    mutable double masking_plane_attack_ = -1.0;
 };
 
 /// Session-level serving: user SLOs (delivered-rate percentiles, dropped/
 /// degraded session counts, time-to-restore) of the sampled session
 /// population (adapts `serve::run_serving_sweep_timeline`). Rows are
 /// served as one batch — a visibility pass per step shared by every row —
-/// and `evaluate` is the one-row batch. The session grid is a
-/// deterministic function of (population, options) and is sampled lazily
-/// on first use, then shared by every cell. The population model must
-/// outlive the engine.
+/// and `evaluate` is the one-row batch. The session grid is sampled from
+/// the population when the engine is built and shared by every cell; the
+/// engine keeps no reference to the population.
 class serving_engine final : public metric_engine {
 public:
-    /// Validates the options (`serve::validate`).
+    /// Validates the options (`serve::validate`) and samples the grid.
     explicit serving_engine(const demand::population_model& population,
                             serve::serving_options options = {});
 
@@ -276,17 +260,12 @@ public:
 
     static const serve::serving_sweep_result& detail(const engine_output& output);
 
-    /// The sampled session population every cell serves (lazily sampled).
-    const serve::session_grid& grid() const;
+    /// The sampled session population every cell serves.
+    const serve::session_grid& grid() const noexcept { return grid_; }
 
 private:
-    const demand::population_model* population_;
     serve::serving_options options_;
-    /// Lazy grid cache. Guarded by a mutex because campaign cells evaluate
-    /// concurrently; the grid is a deterministic function of (population,
-    /// options), so the race only decides who samples, never what.
-    mutable std::mutex grid_mutex_;
-    mutable std::shared_ptr<const serve::session_grid> grid_;
+    serve::session_grid grid_;
 };
 
 } // namespace ssplane::exp

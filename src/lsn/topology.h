@@ -22,16 +22,12 @@ namespace ssplane::lsn {
 struct isl_link {
     int a = 0;
     int b = 0;
-
-    friend bool operator==(const isl_link&, const isl_link&) = default;
 };
 
 /// A constellation plus its (static) ISL wiring.
 struct lsn_topology {
     std::vector<constellation::satellite> satellites;
     std::vector<isl_link> links;
-
-    friend bool operator==(const lsn_topology&, const lsn_topology&) = default;
 };
 
 /// +Grid topology for one Walker shell.

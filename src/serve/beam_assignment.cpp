@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "astro/constants.h"
 #include "astro/frames.h"
+#include "geo/coverage.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/angles.h"
@@ -14,18 +14,6 @@
 namespace ssplane::serve {
 
 namespace {
-
-/// Half-angle of the coverage footprint [rad]: the largest Earth-central
-/// angle between a ground site and the sub-satellite point at which the
-/// satellite still clears elevation `e` from altitude `h` (standard
-/// horizon geometry: ψ = acos((Re/(Re+h))·cos e) − e).
-double footprint_central_angle_rad(double altitude_m, double min_elevation_rad)
-{
-    const double re = astro::earth_mean_radius_m;
-    const double h = std::max(altitude_m, 1.0);
-    const double c = (re / (re + h)) * std::cos(min_elevation_rad);
-    return std::acos(std::min(1.0, c)) - min_elevation_rad;
-}
 
 /// Satellite bucketed by sub-point latitude band, for the per-cell
 /// candidate search. Longitudes are kept for the cheap box prefilter; the
@@ -100,8 +88,9 @@ visibility_table discover_visibility(const session_grid& grid,
     for (std::size_t s = 0; s < n_sats; ++s) {
         const astro::geodetic sub = astro::ecef_to_geodetic(sat_positions_ecef[s]);
         psi_max_deg = std::max(
-            psi_max_deg, rad2deg(footprint_central_angle_rad(
-                             sub.altitude_m, options.min_elevation_rad)));
+            psi_max_deg,
+            rad2deg(geo::coverage_geometry::from(sub.altitude_m, options.min_elevation_rad)
+                        .earth_central_half_angle_rad));
         const int band = std::clamp(
             static_cast<int>((sub.latitude_deg + 90.0) / band_width_deg), 0,
             n_bands - 1);

@@ -1,8 +1,10 @@
 #include "util/cli.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <stdexcept>
+
+#include "util/csv.h"
 
 namespace ssplane {
 
@@ -32,13 +34,21 @@ std::string cli_args::get(const std::string& name, const std::string& fallback) 
     return it == options_.end() ? fallback : it->second;
 }
 
-double cli_args::get_double(const std::string& name, double fallback) const
+double cli_args::get_double(const std::string& name, double fallback, double min,
+                            double max) const
 {
     const auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty()) return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    return end == it->second.c_str() ? fallback : v;
+    if (it == options_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* const end = text.data() + text.size();
+    double value = 0.0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc{} || stop != end || !std::isfinite(value) ||
+        value < min || value > max)
+        throw std::invalid_argument("--" + name + " needs a number in [" +
+                                    format_number(min) + ", " + format_number(max) +
+                                    "], got '" + text + "'");
+    return value;
 }
 
 std::uint64_t cli_args::get_uint(const std::string& name, std::uint64_t fallback,

@@ -23,8 +23,13 @@ public:
     /// Value of --name=value, or `fallback` when absent.
     std::string get(const std::string& name, const std::string& fallback) const;
 
-    /// Numeric value of --name=value, or `fallback` when absent/unparsable.
-    double get_double(const std::string& name, double fallback) const;
+    /// Value of --name=value as a finite number in [min, max], or
+    /// `fallback` when absent. The whole value must parse as a decimal
+    /// number (`std::from_chars`); anything else (empty, trailing text, a
+    /// sign other than a leading '-', "nan", "inf", an overflow, a value
+    /// outside the range) throws std::invalid_argument naming the flag.
+    double get_double(const std::string& name, double fallback, double min,
+                      double max) const;
 
     /// Value of --name=value as a whole decimal number in [min, max], or
     /// `fallback` when absent. Anything else (a sign, a fraction, an

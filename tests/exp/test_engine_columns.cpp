@@ -57,6 +57,7 @@ lsn::scenario_sweep_options short_grid()
 percolation_engine_options percolation_options()
 {
     percolation_engine_options options;
+    options.compute_masking_thresholds = true;
     options.masking.fraction_step = 0.125;
     options.masking.max_fraction = 1.0;
     options.masking.n_seeds = 2;

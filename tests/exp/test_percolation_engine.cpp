@@ -38,6 +38,7 @@ lsn::scenario_sweep_options engine_grid()
 percolation_engine_options fast_options()
 {
     percolation_engine_options options;
+    options.compute_masking_thresholds = true;
     // A coarse escalation keeps the threshold sweep cheap in unit tests.
     options.masking.fraction_step = 0.125;
     options.masking.max_fraction = 0.5;
@@ -141,11 +142,11 @@ TEST(PercolationEngine, MaskingThresholdColumnsAreCampaignConstants)
               -1.0);
 }
 
-TEST(PercolationEngine, ThresholdCacheFollowsTopologyContentNotAddress)
+TEST(PercolationEngine, EachContextsTopologyGetsItsOwnThresholds)
 {
-    // One engine reused across two wirings of the same 8x8 shell that
-    // occupy one address in turn: the second campaign must get the second
-    // wiring's thresholds, not the first wiring's cached ones.
+    // One engine judges two wirings of the same 8x8 shell, one context each,
+    // built in turn at one address: the second campaign must read the second
+    // wiring's thresholds, the same as a fresh engine's, not the first's.
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
     params.inclination_rad = deg2rad(53.0);
@@ -160,11 +161,13 @@ TEST(PercolationEngine, ThresholdCacheFollowsTopologyContentNotAddress)
         return run_campaign(plan, context)
             .value(0, "percolation.masking_threshold_random_loss");
     };
+    percolation_engine_options thresholds_on;
+    thresholds_on.compute_masking_thresholds = true;
     experiment_plan reused;
     reused.scenarios = {{"baseline", {}}};
-    reused.engines = {std::make_shared<percolation_engine>()};
+    reused.engines = {std::make_shared<percolation_engine>(thresholds_on)};
     experiment_plan fresh = reused;
-    fresh.engines = {std::make_shared<percolation_engine>()};
+    fresh.engines = {std::make_shared<percolation_engine>(thresholds_on)};
 
     std::optional<lsn::lsn_topology> topo;
     topo.emplace(lsn::build_walker_grid_topology(params));
@@ -319,6 +322,7 @@ TEST(PercolationEngine, ValidateRejectsDegenerateOptions)
     bad_lanczos.metrics.lanczos.max_iterations = 0;
     EXPECT_THROW(validate(bad_lanczos), contract_violation);
     percolation_engine_options bad_masking;
+    bad_masking.compute_masking_thresholds = true;
     bad_masking.masking.n_seeds = 0;
     EXPECT_THROW(validate(bad_masking), contract_violation);
     // With the threshold sweep off, the masking knobs are never read.

@@ -92,7 +92,8 @@ TEST(ServingEngine, ReportsUserSlosThroughTheCampaignTable)
         EXPECT_GE(campaign.value(row, "serving.served_fraction_mean"), 0.0);
         EXPECT_LE(campaign.value(row, "serving.served_fraction_mean"), 1.0);
     }
-    // Both rows serve the *same* lazily-sampled session grid.
+    // Both rows serve the *same* session grid, sampled when the engine was
+    // built.
     const auto engine = std::dynamic_pointer_cast<const serving_engine>(
         campaign.engines[campaign.engine_index("serving")]);
     ASSERT_NE(engine, nullptr);
@@ -176,6 +177,33 @@ TEST(ServingEngine, StepCsvHeaderCarriesTheEnginePrefixOnEveryTraceColumn)
     }
     EXPECT_EQ(body_lines,
               campaign.rows.size() * campaign.step_offsets_s.size());
+}
+
+TEST(ServingEngine, ServesACampaignAfterItsPopulationModelIsGone)
+{
+    // The engine samples its grid when it is built and keeps nothing of the
+    // population, so it serves a campaign after the model is destroyed, and
+    // serves it exactly as an engine whose model lives on.
+    std::shared_ptr<const serving_engine> engine;
+    {
+        const demand::population_model population;
+        engine = std::make_shared<serving_engine>(population, small_serving());
+    }
+    const auto topo = small_walker();
+    const auto stations = lsn::default_ground_stations();
+    const evaluation_context context(topo, stations, astro::instant::j2000(),
+                                     short_grid());
+    experiment_plan orphaned = serving_plan();
+    orphaned.engines = {engine};
+    const auto campaign = run_campaign(orphaned, context);
+    const auto reference = run_campaign(serving_plan(), context);
+    ASSERT_EQ(campaign.rows.size(), reference.rows.size());
+    for (std::size_t r = 0; r < reference.rows.size(); ++r)
+        for (const auto& column : campaign.columns)
+            EXPECT_EQ(campaign.value(static_cast<int>(r), column),
+                      reference.value(static_cast<int>(r), column))
+                << column << " row " << r;
+    EXPECT_GT(campaign.value(0, "serving.sessions_homed"), 0.0);
 }
 
 TEST(ServingEngine, DegenerateOptionsRejectedBeforeAnyCellEvaluates)

@@ -187,7 +187,9 @@ TEST(ObsCampaign, SpectralCountersAndSpansCoverThePercolationEngine)
     loss.loss_fraction = 0.25;
     loss.seed = 7;
     plan.scenarios.push_back({"random_25", loss});
-    plan.engines = {std::make_shared<percolation_engine>()};
+    percolation_engine_options percolation;
+    percolation.compute_masking_thresholds = true;
+    plan.engines = {std::make_shared<percolation_engine>(percolation)};
 
     obs::registry::instance().reset();
     obs::trace_reset();

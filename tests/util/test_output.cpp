@@ -76,16 +76,39 @@ TEST(Cli, ParsesOptionsAndIgnoresPositional)
     EXPECT_TRUE(args.has("alpha"));
     EXPECT_TRUE(args.has("flag"));
     EXPECT_FALSE(args.has("missing"));
-    EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 1.5);
+    EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0, 0.0, 10.0), 1.5);
     EXPECT_EQ(args.get("name", ""), "x");
     EXPECT_FALSE(args.has("input.txt"));
 }
 
-TEST(Cli, FallbacksOnUnparsable)
+TEST(Cli, NumbersParseWholeWithinAnInclusiveRange)
 {
-    const char* argv[] = {"prog", "--n=abc"};
-    cli_args args(2, argv);
-    EXPECT_EQ(args.get_double("n", 2.5), 2.5);
+    const char* argv[] = {"prog", "--a=1.5", "--b=-2.5e3", "--c=86399.5", "--d=0",
+                          "--e=2"};
+    const cli_args args(6, argv);
+    EXPECT_EQ(args.get_double("a", 0.0, 0.0, 2.0), 1.5);
+    EXPECT_EQ(args.get_double("b", 0.0, -1.0e4, 0.0), -2500.0);
+    EXPECT_EQ(args.get_double("c", 0.0, 0.0, 86400.0), 86399.5);
+    EXPECT_EQ(args.get_double("d", 7.0, 0.0, 2.0), 0.0);
+    EXPECT_EQ(args.get_double("e", 7.0, 0.0, 2.0), 2.0);
+    EXPECT_EQ(args.get_double("absent", 2.5, 0.0, 2.0), 2.5);
+}
+
+TEST(Cli, RejectsAnythingButAFiniteNumberInRangeNamingTheFlag)
+{
+    for (const char* bad : {"abc", "", "nan", "-nan", "inf", "-inf", "1e400", "1.5x",
+                            "1.5 ", " 1.5", "+1.5", "0x1", "2.5", "-0.5"}) {
+        const std::string flag = std::string("--bandwidth=") + bad;
+        const char* argv[] = {"prog", flag.c_str()};
+        const cli_args args(2, argv);
+        try {
+            args.get_double("bandwidth", 1.0, 0.0, 2.0);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("--bandwidth"), std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(Cli, WholeNumbersParseExactlyOverTheFullRange)
