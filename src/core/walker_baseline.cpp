@@ -17,7 +17,8 @@ walker_baseline_designer::sized_shell_info walker_baseline_designer::sized_shell
     double altitude_m, double inclination_deg, double min_elevation_rad)
 {
     const long bucket = std::lround(inclination_deg / options_.inclination_bucket_deg);
-    const auto it = cache_.find(bucket);
+    const auto key = std::make_tuple(altitude_m, min_elevation_rad, bucket);
+    const auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
 
     const double sized_inclination =
@@ -40,7 +41,7 @@ walker_baseline_designer::sized_shell_info walker_baseline_designer::sized_shell
             1, static_cast<int>(std::floor(constellation::mean_simultaneous_coverage(
                    sats, astro::instant::j2000(), check))));
     }
-    cache_.emplace(bucket, info);
+    cache_.emplace(key, info);
     return info;
 }
 

@@ -12,6 +12,7 @@
 #define SSPLANE_CORE_WALKER_BASELINE_H
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "constellation/coverage_analysis.h"
@@ -71,7 +72,9 @@ private:
                                  double min_elevation_rad);
 
     wd_baseline_options options_;
-    std::map<long, sized_shell_info> cache_;
+    /// Keyed on (altitude, minimum elevation, inclination bucket): every
+    /// input of the sizing.
+    std::map<std::tuple<double, double, long>, sized_shell_info> cache_;
 };
 
 } // namespace ssplane::core

@@ -93,10 +93,8 @@ engine_output traffic_engine::evaluate(const evaluation_context& context,
     auto result = traffic::run_traffic_sweep_timeline(context.geometry(), timeline,
                                                       *demand_, options_);
     const auto& m = result.metrics;
-    // An empty grid reads 0, like every other column of a zero-step run.
-    double min_delivered = result.step_delivered_fraction.empty() ? 0.0 : 1.0;
-    for (const double f : result.step_delivered_fraction)
-        min_delivered = std::min(min_delivered, f);
+    const double min_delivered = *std::min_element(
+        result.step_delivered_fraction.begin(), result.step_delivered_fraction.end());
     const double headroom = lsn::recovery_headroom(result.step_delivered_fraction);
     return make_output({m.offered_gbps_mean, m.delivered_gbps_mean,
                         m.delivered_fraction, m.mean_path_latency_ms,

@@ -160,6 +160,7 @@ sweep_geometry::sweep_geometry(snapshot_builder builder, std::vector<double> off
     : builder_(std::move(builder)), offsets_(std::move(offsets_s)),
       positions_(builder_.positions_at_offsets(offsets_)), steps_(offsets_.size())
 {
+    expects(!offsets_.empty(), "a sweep grid needs at least one step");
 }
 
 network_snapshot sweep_geometry::snapshot(int step,
@@ -441,7 +442,7 @@ failure_timeline hazard_timeline(const lsn_topology& topology,
     timeline.n_steps = n_steps;
     timeline.masks.assign(
         static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
-    if (n_steps == 0 || n == 0) return timeline;
+    if (n == 0) return timeline;
 
     const auto row = [&](int i) {
         return timeline.masks.data() +
@@ -517,8 +518,7 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
                                        std::span<const double> offsets_s,
                                        const astro::instant& epoch)
 {
-    expects(offsets_s.empty() || topology.satellites.empty() ||
-                scenario.storm_start_s <= offsets_s.back(),
+    expects(topology.satellites.empty() || scenario.storm_start_s <= offsets_s.back(),
             "storm window must start inside the sweep horizon");
 
     const auto hazard = [&](double t0, double t1, std::span<double> p_fail) {
@@ -554,6 +554,7 @@ failure_timeline sample_failure_timeline(const lsn_topology& topology,
                                          const astro::instant& epoch)
 {
     validate(scenario, topology);
+    expects(!offsets_s.empty(), "a sweep grid needs at least one step");
     switch (scenario.mode) {
     case failure_mode::kessler_cascade:
         return sample_cascade_timeline(topology, scenario, offsets_s);
@@ -600,7 +601,8 @@ double giant_component_fraction(const network_snapshot& snapshot,
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(step_s > 0.0, "sweep step must be positive");
-    expects(std::isfinite(duration_s), "sweep duration must be finite");
+    expects(std::isfinite(duration_s) && duration_s > 0.0,
+            "sweep duration must be finite and positive");
     // Offset i is i * step_s, computed afresh: a running `+= step_s` drifts
     // off the grid and can admit an extra step just below duration_s.
     std::vector<double> offsets;
@@ -688,8 +690,7 @@ scenario_sweep_result run_scenario_sweep_timeline(const sweep_geometry& geometry
         for (int b = a + 1; b < n_ground; ++b) {
             const std::size_t k = pair_index(a, b, n_ground);
             total_reachable += reach_count[k];
-            const double reach_frac =
-                n_steps > 0 ? static_cast<double>(reach_count[k]) / n_steps : 0.0;
+            const double reach_frac = static_cast<double>(reach_count[k]) / n_steps;
             const double mean_ms =
                 reach_count[k] > 0 ? latency_sum_ms[k] / reach_count[k] : 0.0;
             const auto ab = static_cast<std::size_t>(a * n_ground + b);
@@ -703,9 +704,9 @@ scenario_sweep_result run_scenario_sweep_timeline(const sweep_geometry& geometry
 
     auto& m = result.metrics;
     m.n_failed = timeline.final_n_failed();
-    m.giant_component_fraction = n_steps > 0 ? giant_sum / n_steps : 0.0;
+    m.giant_component_fraction = giant_sum / n_steps;
     m.pair_reachable_fraction =
-        n_pairs > 0 && n_steps > 0
+        n_pairs > 0
             ? static_cast<double>(total_reachable) / (static_cast<double>(n_pairs) * n_steps)
             : 0.0;
     if (!pooled_ms.empty()) {

@@ -89,7 +89,8 @@ private:
 /// failure mask judged on it (a mask never moves a satellite): the builder,
 /// the offsets, their one `positions_at_offsets` pass and each step's
 /// unfailed links, built on the step's first request by whichever thread
-/// asks first. The builder's topology must outlive the geometry.
+/// asks first. The grid has at least one step (empty offsets are a
+/// `contract_violation`). The builder's topology must outlive the geometry.
 class sweep_geometry {
 public:
     sweep_geometry(snapshot_builder builder, std::vector<double> offsets_s);
@@ -105,13 +106,11 @@ public:
     /// satellite), in link order, through `make_network_snapshot`. Thread-safe.
     network_snapshot snapshot(int step, std::span<const std::uint8_t> failed = {}) const;
 
-    /// Reject a malformed timeline, or one whose rows do not span the
-    /// builder's satellites, with a `contract_violation`.
+    /// Reject a timeline that does not fit this grid and the builder's
+    /// satellites (`lsn::validate(timeline, n_satellites, n_steps)`).
     void validate(const failure_timeline& timeline) const
     {
-        lsn::validate(timeline);
-        expects(timeline.n_steps == 0 || timeline.n_satellites == builder_.n_satellites(),
-                "timeline satellite count mismatch");
+        lsn::validate(timeline, builder_.n_satellites(), n_steps());
     }
 
     /// Steps whose unfailed links have been built.
@@ -223,7 +222,8 @@ int plane_count(const lsn_topology& topology);
 std::vector<std::uint8_t> sample_failures(const lsn_topology& topology,
                                           const failure_scenario& scenario);
 
-/// Evolve the scenario's per-step failure timeline over the sweep grid.
+/// Evolve the scenario's per-step failure timeline over the sweep grid,
+/// which must have at least one step (else `contract_violation`).
 /// One-shot modes wrap their `sample_failures` mask (bit-identical draw);
 /// `kessler_cascade` and `solar_storm` evolve step-by-step with
 /// deterministic per-step sub-streams (`rng::split(seed, purpose, step)`),
@@ -254,9 +254,8 @@ struct scenario_sweep_options {
 /// The sweep time grid: offsets i * step_s for i = 0, 1, 2, ... while below
 /// duration_s, each computed afresh so no roundoff accumulates — shared by
 /// every time-stepped sweep so their grids can never drift apart.
-/// A non-positive duration yields an empty grid (sweeps report zeroed
-/// stats); a non-finite duration or a non-positive step is a contract
-/// violation.
+/// A grid has at least one step: a duration that is not finite and
+/// positive, or a non-positive step, is a contract violation.
 std::vector<double> sweep_offsets(double duration_s, double step_s);
 
 /// Scalar robustness metrics for one scenario over the sweep window.

@@ -16,7 +16,7 @@ int count_row(std::span<const std::uint8_t> row) noexcept
 
 } // namespace
 
-int failure_timeline::n_failed_at(int i) const noexcept
+int failure_timeline::n_failed_at(int i) const
 {
     return count_row(step(i));
 }
@@ -37,7 +37,7 @@ failure_timeline failure_timeline::from_static_mask(std::vector<std::uint8_t> ma
     return timeline;
 }
 
-void validate(const failure_timeline& timeline)
+void validate(const failure_timeline& timeline, int n_satellites, int n_steps)
 {
     expects(timeline.n_satellites >= 0 && timeline.n_steps >= 0,
             "timeline dimensions must be non-negative");
@@ -45,6 +45,10 @@ void validate(const failure_timeline& timeline)
                 static_cast<std::size_t>(timeline.n_steps) *
                     static_cast<std::size_t>(timeline.n_satellites),
             "timeline mask storage must be n_steps x n_satellites");
+    expects(timeline.n_steps == 0 || timeline.n_satellites == n_satellites,
+            "timeline satellite count mismatch");
+    expects(timeline.is_static() || timeline.n_steps == n_steps,
+            "a multi-row timeline needs one row per sweep step");
 }
 
 double first_time_below(std::span<const double> trace,

@@ -23,17 +23,18 @@
 #include <span>
 #include <vector>
 
+#include "util/expects.h"
+
 namespace ssplane::lsn {
 
 /// Per-step failure mask sequence over a sweep time grid. Rows are
 /// step-major (`masks[step * n_satellites + sat]`, nonzero = failed).
-/// Two degenerate shapes are first-class:
-///   * zero rows — no failures at any step (the `none` baseline);
-///   * one row — a static mask that holds for every step (the
-///     `sample_failures` case).
+/// A timeline has zero rows (no failures at any step: the `none`
+/// baseline), one row (a static mask every step reads: the
+/// `sample_failures` case) or one row per sweep step.
 struct failure_timeline {
     int n_satellites = 0;
-    int n_steps = 0; ///< Mask rows stored; sweeps may span more steps.
+    int n_steps = 0; ///< Mask rows stored: 0, 1, or the sweep's step count.
     std::vector<std::uint8_t> masks; ///< n_steps x n_satellites, step-major.
 
     /// True when every step reads the same mask (zero or one row).
@@ -41,12 +42,14 @@ struct failure_timeline {
 
     /// The mask in force at sweep step `i`. Single-row timelines return
     /// row 0 for every step; zero-row timelines return an empty span (no
-    /// failures); multi-row timelines clamp past-the-end steps to the last
-    /// row (the process has finished evolving, failures are permanent).
-    std::span<const std::uint8_t> step(int i) const noexcept
+    /// failures); a multi-row timeline has no row outside [0, n_steps), so
+    /// asking for one is a `contract_violation`.
+    std::span<const std::uint8_t> step(int i) const
     {
         if (n_steps == 0) return {};
-        const int row = is_static() ? 0 : (i >= n_steps ? n_steps - 1 : i);
+        expects(is_static() || (i >= 0 && i < n_steps),
+                "timeline has no row for this step");
+        const int row = is_static() ? 0 : i;
         return {masks.data() +
                     static_cast<std::size_t>(row) *
                         static_cast<std::size_t>(n_satellites),
@@ -54,7 +57,7 @@ struct failure_timeline {
     }
 
     /// Failed satellites at step `i`.
-    int n_failed_at(int i) const noexcept;
+    int n_failed_at(int i) const;
 
     /// Failed satellites in the final row — the scenario's total loss.
     int final_n_failed() const noexcept;
@@ -64,9 +67,11 @@ struct failure_timeline {
     static failure_timeline from_static_mask(std::vector<std::uint8_t> mask);
 };
 
-/// Reject malformed timelines (negative dims, row/size mismatch) with a
-/// clear `contract_violation`.
-void validate(const failure_timeline& timeline);
+/// Reject, with a clear `contract_violation`, a timeline that is malformed
+/// (negative dims, row/size mismatch) or does not fit a sweep of `n_steps`
+/// steps over `n_satellites` satellites (rows of another width, or several
+/// rows but not one per step). Every sweep checks its timeline with it.
+void validate(const failure_timeline& timeline, int n_satellites, int n_steps);
 
 /// First time at which `trace[i] < threshold`, read against the sweep
 /// offsets (one offset per trace entry). Returns -1 when the trace never

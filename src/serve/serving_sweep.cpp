@@ -74,17 +74,13 @@ struct row_reduction {
     {
         const int n_steps = result.n_steps;
         auto& m = result.metrics;
-        if (n_steps > 0) {
-            m.sessions_active_mean = active_sum / n_steps;
-            m.offered_gbps_mean = offered_sum / n_steps;
-            m.delivered_gbps_mean = delivered_sum / n_steps;
-            m.served_fraction_mean = served_fraction_sum / n_steps;
-        }
+        m.sessions_active_mean = active_sum / n_steps;
+        m.offered_gbps_mean = offered_sum / n_steps;
+        m.delivered_gbps_mean = delivered_sum / n_steps;
+        m.served_fraction_mean = served_fraction_sum / n_steps;
         // No offered load = vacuously delivered, matching the traffic
-        // sweep's convention (an empty sweep stays 0, like every other
-        // metric).
-        m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum
-                                                 : (n_steps > 0 ? 1.0 : 0.0);
+        // sweep's convention.
+        m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum : 1.0;
         m.p50_session_rate_mbps = session_rate_percentile(rates, 50.0);
         m.p99_session_rate_mbps = session_rate_percentile(rates, 1.0);
         m.time_to_restore_s = time_to_restore(result.step_served_fraction, offsets_s,
@@ -119,7 +115,7 @@ std::vector<serving_sweep_result> run_serving_sweep_timeline(
     for (row_reduction& row : rows) {
         row.result.n_steps = static_cast<int>(n_steps);
         row.result.metrics.sessions_homed = grid.total_sessions;
-        row.result.metrics.min_step_served_fraction = n_steps > 0 ? 1.0 : 0.0;
+        row.result.metrics.min_step_served_fraction = 1.0;
     }
     // Step-major: one visibility table (and one activity pass) per step,
     // packed by every row. Each row's reduction is touched only by its own

@@ -279,7 +279,6 @@ percolation_sweep_result run_percolation_sweep_timeline(
     for (const std::size_t d : slot) per_step.push_back(analyzed[d]);
 
     percolation_sweep_result result;
-    if (n_steps == 0) return result;
     result.lambda2_min = per_step[0].lambda2;
     result.giant_fraction_min = per_step[0].giant_component_fraction;
     result.susceptibility_max = per_step[0].susceptibility;

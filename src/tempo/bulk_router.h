@@ -11,13 +11,13 @@
 // or out of deadline. Residual capacities are shared across requests and
 // per (link, step), so later requests see exactly what earlier ones left.
 //
-// The per-step replication baseline answers the question the engine exists
-// for: how much of this volume could the PR 3 snapshot-greedy deliver with
-// no onboard buffering? It replays `traffic::assign_flows` independently
-// per step on the remaining volumes (ground gateways still hold undelivered
-// data — that is a property of gateways, not of the network), so any volume
-// the time-expanded solver delivers beyond it is value created by
-// store-and-forward.
+// The per-step replication baseline asks how much of this volume the
+// snapshot greedy could deliver with no onboard buffering: it replays
+// `traffic::assign_flows` independently per step on the remaining volumes
+// (ground gateways still hold undelivered data — that is a property of
+// gateways, not of the network). It shares each step among the requests
+// active in it, so once requests compete it is no lower bound on the
+// input-order solver (`BulkRouter.PriorityOrderCanLeaveStoreAndForwardBelowTheFloor`).
 #ifndef SSPLANE_TEMPO_BULK_ROUTER_H
 #define SSPLANE_TEMPO_BULK_ROUTER_H
 
@@ -41,7 +41,7 @@ struct bulk_transfer_request {
 /// Reject a request whose gateways are out of [0, n_ground) or equal, whose
 /// volume is not finite and positive, or whose window is not
 /// 0 <= release_s < deadline_s, with a clear `contract_violation`. Both
-/// routers and the zero-step bulk sweeps call it.
+/// routers call it.
 void validate(std::span<const bulk_transfer_request> requests, int n_ground);
 
 /// Outcome slot of one request.

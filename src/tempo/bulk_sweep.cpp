@@ -18,29 +18,6 @@ std::vector<lsn::network_snapshot> masked_snapshots(const lsn::sweep_geometry& g
         });
 }
 
-/// The sweep of a grid with no steps: nothing can move, so every request
-/// stays undelivered.
-bulk_sweep_result undelivered(const lsn::sweep_geometry& geometry,
-                              const lsn::failure_timeline& timeline,
-                              std::span<const bulk_transfer_request> requests,
-                              const bulk_route_options& options)
-{
-    validate(options);
-    geometry.validate(timeline);
-    validate(requests, geometry.builder().n_ground());
-    bulk_sweep_result result;
-    result.n_failed = timeline.final_n_failed();
-    auto& routing = result.routing;
-    for (const auto& request : requests) {
-        routing.requests.push_back({.volume_gb = request.volume_gb});
-        routing.offered_gb += request.volume_gb;
-    }
-    routing.delivered_fraction = routing.offered_gb > 0.0 ? 0.0 : 1.0;
-    routing.sat_buffer_high_water_gb.assign(
-        static_cast<std::size_t>(geometry.builder().n_satellites()), 0.0);
-    return result;
-}
-
 } // namespace
 
 bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
@@ -48,7 +25,6 @@ bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
                                           std::span<const bulk_transfer_request> requests,
                                           const bulk_route_options& options)
 {
-    if (geometry.n_steps() == 0) return undelivered(geometry, timeline, requests, options);
     auto graph = build_time_expanded_graph_timeline(
         masked_snapshots(geometry, timeline), geometry.offsets(), timeline, options);
 
@@ -63,12 +39,11 @@ bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(
     const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     std::span<const bulk_transfer_request> requests, const bulk_route_options& options)
 {
-    if (geometry.n_steps() == 0) return undelivered(geometry, timeline, requests, options);
     bulk_sweep_result result;
-    result.n_steps = geometry.n_steps();
-    result.n_failed = timeline.final_n_failed();
     result.routing = route_bulk_transfers_per_step_baseline(
         masked_snapshots(geometry, timeline), geometry.offsets(), requests, options);
+    result.n_steps = geometry.n_steps();
+    result.n_failed = timeline.final_n_failed();
     return result;
 }
 

@@ -24,16 +24,16 @@ struct bulk_sweep_result {
 /// Route `requests` over the time-expanded graph of one failure timeline on
 /// the geometry. The graph is built under the timeline (per-step link and
 /// storage gating), so bulk volume must route *around* the failure process
-/// as it unfolds. On a grid with no steps every request stays undelivered
-/// (both bulk sweeps).
+/// as it unfolds.
 bulk_sweep_result run_bulk_sweep_timeline(const lsn::sweep_geometry& geometry,
                                           const lsn::failure_timeline& timeline,
                                           std::span<const bulk_transfer_request> requests,
                                           const bulk_route_options& options = {});
 
 /// The same timeline judged by the snapshot greedy replayed per epoch
-/// under that step's mask (no onboard buffering): the regression floor
-/// every store-and-forward gain is measured against.
+/// under that step's mask (no onboard buffering): the comparison a
+/// store-and-forward gain is measured against, no lower bound once
+/// requests compete (see `bulk_router.h`).
 bulk_sweep_result run_bulk_sweep_per_step_baseline_timeline(
     const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     std::span<const bulk_transfer_request> requests,

@@ -75,10 +75,7 @@ time_expanded_graph build_time_expanded_graph_timeline(
     graph.options = options;
     graph.offsets_s.assign(offsets_s.begin(), offsets_s.end());
     graph.dwell_s = step_dwells(offsets_s, options.last_step_s);
-    lsn::validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == graph.n_satellites,
-            "timeline satellite count mismatch");
+    lsn::validate(timeline, graph.n_satellites, graph.n_steps);
 
     // Time nodes are step-major, so walking the steps, then each step's
     // nodes in order, emits the CSR rows in time-node order. A row lists
@@ -150,7 +147,7 @@ time_expanded_graph build_time_expanded_graph_timeline(
     const lsn::failure_timeline& timeline, const bulk_route_options& options)
 {
     validate(options); // fail before paying the parallel snapshots
-    lsn::validate(timeline);
+    lsn::validate(timeline, builder.n_satellites(), static_cast<int>(offsets_s.size()));
     expects(positions.size() == offsets_s.size(), "positions must cover every offset");
     const auto snapshots = parallel_map<lsn::network_snapshot>(
         offsets_s.size(), [&](std::size_t i) {

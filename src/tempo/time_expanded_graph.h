@@ -124,12 +124,13 @@ struct time_expanded_graph {
 /// tests use `lsn::make_network_snapshot`; the bulk sweeps take them from
 /// an `lsn::sweep_geometry`).
 /// Snapshots must share one node set; `offsets_s` must be strictly
-/// increasing with one entry per snapshot. Step `i`'s storage arcs are
-/// gated by `timeline.step(i)`: a failed satellite cannot buffer, and one
-/// that dies mid-sweep keeps buffering up to its failure step and loses
-/// the stored volume after. Its transmission links are expected to be
-/// absent from the snapshots already (materialized under the same
-/// timeline). An empty `failure_timeline{}` fails nothing.
+/// increasing with one entry per snapshot, and the timeline must fit the
+/// snapshots (`lsn::validate(timeline, n_satellites, n_steps)`). Step `i`'s
+/// storage arcs are gated by `timeline.step(i)`: a failed satellite cannot
+/// buffer, and one that dies mid-sweep keeps buffering up to its failure
+/// step and loses the stored volume after. Its transmission links are
+/// expected to be absent from the snapshots already (materialized under
+/// the same timeline). An empty `failure_timeline{}` fails nothing.
 time_expanded_graph build_time_expanded_graph_timeline(
     std::span<const lsn::network_snapshot> snapshots,
     std::span<const double> offsets_s, const lsn::failure_timeline& timeline,

@@ -31,7 +31,7 @@ lsn::failure_timeline generate_adversary_timeline(
     timeline.n_steps = n_steps;
     timeline.masks.assign(
         static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
-    if (n_steps == 0 || n == 0) return timeline;
+    if (n == 0) return timeline;
 
     // The attacker's planning grid: every stride-th sweep step. Scoring a
     // candidate on the subsampled grid trades oracle fidelity for a

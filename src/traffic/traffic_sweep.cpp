@@ -85,15 +85,11 @@ traffic_sweep_result run_traffic_sweep_timeline(
     }
 
     auto& m = result.metrics;
-    if (n_steps > 0) {
-        m.offered_gbps_mean = offered_sum / n_steps;
-        m.delivered_gbps_mean = delivered_sum / n_steps;
-        m.congested_link_fraction = congested_fraction_sum / n_steps;
-    }
-    // Matches flow_result's convention: no offered load = vacuously delivered
-    // (an empty sweep stays 0, like every other metric of a zero-step run).
-    m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum
-                                             : (n_steps > 0 ? 1.0 : 0.0);
+    m.offered_gbps_mean = offered_sum / n_steps;
+    m.delivered_gbps_mean = delivered_sum / n_steps;
+    m.congested_link_fraction = congested_fraction_sum / n_steps;
+    // Matches flow_result's convention: no offered load = vacuously delivered.
+    m.delivered_fraction = offered_sum > 0.0 ? delivered_sum / offered_sum : 1.0;
     m.mean_path_latency_ms =
         delivered_sum > 0.0 ? latency_flow_sum_s / delivered_sum * 1000.0 : 0.0;
     std::sort(pooled_utilization.begin(), pooled_utilization.end());

@@ -4,8 +4,11 @@
 #include "obs/trace.h"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -17,11 +20,20 @@ namespace ssplane {
 
 namespace {
 
+/// SSPLANE_THREADS when it is a whole decimal in [1, 1024], else hardware
+/// concurrency. Empty means unset; any other value is named once on stderr.
 unsigned env_thread_count() noexcept
 {
-    if (const char* env = std::getenv("SSPLANE_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0) return static_cast<unsigned>(n);
+    const char* env = std::getenv("SSPLANE_THREADS");
+    if (env != nullptr && *env != '\0') {
+        const char* const end = env + std::strlen(env);
+        unsigned n = 0;
+        const auto [stop, error] = std::from_chars(env, end, n);
+        if (error == std::errc{} && stop == end && n >= 1 && n <= 1024) return n;
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            std::fprintf(stderr, "ignoring SSPLANE_THREADS='%s': not a whole number "
+                                 "in [1, 1024]; using hardware concurrency\n", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -25,8 +25,9 @@
 namespace ssplane {
 
 /// Worker threads the global pool will use (always >= 1). Resolution order:
-/// last `set_thread_count` value, the SSPLANE_THREADS environment variable,
-/// then hardware concurrency.
+/// last `set_thread_count` value, the SSPLANE_THREADS environment variable
+/// (a whole decimal in [1, 1024]; empty means unset, anything else is
+/// ignored with one stderr line per process), then hardware concurrency.
 unsigned thread_count() noexcept;
 
 /// Override the pool size; `n == 0` restores automatic sizing. Takes effect

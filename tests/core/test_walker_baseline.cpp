@@ -119,5 +119,32 @@ TEST(WalkerBaseline, MinInclinationFloorApplies)
     }
 }
 
+TEST(WalkerBaseline, ReusedDesignerMatchesAFreshOneAtAnotherAltitudeAndElevation)
+{
+    // The sizing cache must key on every sizing input: a shell sized at
+    // 560 km and 30 deg is not the shell another altitude or mask needs.
+    const auto base = coarse_problem(2.0);
+    walker_baseline_designer reused(fast_options());
+    (void)reused.design(base);
+
+    auto high = base;
+    high.altitude_m = 1200.0e3;
+    auto low_mask = base;
+    low_mask.min_elevation_rad = deg2rad(10.0);
+    for (const design_problem& problem : {high, low_mask}) {
+        walker_baseline_designer fresh(fast_options());
+        const auto expected = fresh.design(problem);
+        const auto actual = reused.design(problem);
+        EXPECT_EQ(actual.total_satellites, expected.total_satellites);
+        ASSERT_EQ(actual.shells.size(), expected.shells.size());
+        for (std::size_t k = 0; k < actual.shells.size(); ++k) {
+            EXPECT_EQ(actual.shells[k].parameters.n_planes,
+                      expected.shells[k].parameters.n_planes);
+            EXPECT_EQ(actual.shells[k].parameters.sats_per_plane,
+                      expected.shells[k].parameters.sats_per_plane);
+        }
+    }
+}
+
 } // namespace
 } // namespace ssplane::core

@@ -1,7 +1,8 @@
 // The input contract every per-step sweep entry point shares
-// (`lsn::sweep_geometry::validate`): the failure timeline is well formed
-// and spans the geometry's satellites. Each entry point first accepts
-// matching inputs, so a rejection can only come from the broken one.
+// (`lsn::sweep_geometry::validate`): the failure timeline is well formed,
+// spans the geometry's satellites, and has zero rows, one row, or one row
+// per grid step. Each entry point first accepts matching inputs, so a
+// rejection can only come from the broken one.
 #include <functional>
 #include <utility>
 #include <vector>
@@ -69,13 +70,15 @@ struct sweep_fixture {
     }
 };
 
-/// A zero-filled two-row timeline `n_satellites` wide.
-lsn::failure_timeline two_rows(int n_satellites)
+/// A zero-filled timeline of `n_rows` rows, `n_satellites` wide.
+lsn::failure_timeline rows_of(int n_rows, int n_satellites)
 {
     lsn::failure_timeline timeline;
     timeline.n_satellites = n_satellites;
-    timeline.n_steps = 2;
-    timeline.masks.assign(2 * static_cast<std::size_t>(n_satellites), 0);
+    timeline.n_steps = n_rows;
+    timeline.masks.assign(static_cast<std::size_t>(n_rows) *
+                              static_cast<std::size_t>(n_satellites),
+                          0);
     return timeline;
 }
 
@@ -83,7 +86,7 @@ TEST(SweepInputs, EveryEntryPointAcceptsMatchingInputs)
 {
     const sweep_fixture fx;
     for (const auto& [name, run] : fx.entry_points()) {
-        EXPECT_NO_THROW(run(two_rows(fx.geometry.builder().n_satellites()))) << name;
+        EXPECT_NO_THROW(run(rows_of(2, fx.geometry.builder().n_satellites()))) << name;
         EXPECT_NO_THROW(run({})) << name;
     }
     lsn::failure_scenario adversary;
@@ -96,9 +99,29 @@ TEST(SweepInputs, EveryEntryPointAcceptsMatchingInputs)
 TEST(SweepInputs, TimelineWiderThanTheBuilderIsRejectedByEveryEntryPoint)
 {
     const sweep_fixture fx;
-    const auto wide = two_rows(fx.geometry.builder().n_satellites() + 1);
+    const auto wide = rows_of(2, fx.geometry.builder().n_satellites() + 1);
     for (const auto& [name, run] : fx.entry_points())
         EXPECT_THROW(run(wide), contract_violation) << name;
+}
+
+TEST(SweepInputs, TimelineWhoseRowsDoNotFitTheGridIsRejectedByEveryEntryPoint)
+{
+    // Three rows on a two-step grid: no step may read a row that is not its
+    // own, and no row may go unread.
+    const sweep_fixture fx;
+    const int n_satellites = fx.geometry.builder().n_satellites();
+    ASSERT_EQ(fx.geometry.n_steps(), 2);
+    const auto three = rows_of(3, n_satellites);
+    for (const auto& [name, run] : fx.entry_points())
+        EXPECT_THROW(run(three), contract_violation) << name;
+
+    const std::vector<lsn::network_snapshot> snapshots{fx.geometry.snapshot(0),
+                                                       fx.geometry.snapshot(1)};
+    EXPECT_NO_THROW(tempo::build_time_expanded_graph_timeline(
+        snapshots, fx.geometry.offsets(), rows_of(2, n_satellites)));
+    EXPECT_THROW(tempo::build_time_expanded_graph_timeline(snapshots,
+                                                           fx.geometry.offsets(), three),
+                 contract_violation);
 }
 
 } // namespace

@@ -436,26 +436,30 @@ TEST(Scenario, SweepOffsetsAreExactMultiplesOfTheStep)
 
 TEST(Scenario, DegenerateTimeGrids)
 {
-    EXPECT_TRUE(sweep_offsets(0.0, 300.0).empty());
-    EXPECT_TRUE(sweep_offsets(-5.0, 300.0).empty());
+    // A grid has at least one step: a zero or negative duration would sweep
+    // nothing, and its zeroed metrics would read as total collapse.
+    EXPECT_THROW(sweep_offsets(0.0, 300.0), contract_violation);
+    EXPECT_THROW(sweep_offsets(-5.0, 300.0), contract_violation);
     EXPECT_THROW(sweep_offsets(100.0, 0.0), contract_violation);
-    // A non-finite duration is rejected: +inf would append forever, and
-    // NaN would sweep an empty grid into zeroed metrics.
+    // A non-finite duration is rejected: +inf would append forever.
     constexpr double inf = std::numeric_limits<double>::infinity();
     EXPECT_THROW(sweep_offsets(inf, 300.0), contract_violation);
     EXPECT_THROW(sweep_offsets(-inf, 300.0), contract_violation);
     EXPECT_THROW(sweep_offsets(std::numeric_limits<double>::quiet_NaN(), 300.0),
                  contract_violation);
     EXPECT_EQ(sweep_offsets(900.0, 300.0).size(), 3u);
+    EXPECT_EQ(sweep_offsets(1.0, 300.0), std::vector<double>{0.0});
 
-    // An empty grid sweeps to zeroed metrics instead of throwing.
+    // Nor can a geometry or a timeline be built over empty offsets.
     const auto topo = build_walker_grid_topology(small_grid(3, 3));
-    scenario_sweep_options opts;
-    opts.duration_s = 0.0;
-    const auto r = sweep_scenario(topo, default_ground_stations(), {}, opts);
-    EXPECT_EQ(r.n_steps, 0);
-    EXPECT_EQ(r.metrics.pair_reachable_fraction, 0.0);
-    EXPECT_EQ(r.metrics.p95_latency_ms, 0.0);
+    const auto epoch = astro::instant::j2000();
+    const snapshot_builder builder(topo, default_ground_stations(), epoch, deg2rad(25.0));
+    EXPECT_THROW((void)sweep_geometry(builder, {}), contract_violation);
+    for (const failure_mode mode : {failure_mode::none, failure_mode::kessler_cascade}) {
+        failure_scenario scenario;
+        scenario.mode = mode;
+        EXPECT_THROW(sample_failure_timeline(topo, scenario, {}, epoch), contract_violation);
+    }
 }
 
 TEST(Scenario, SweepDeterministicAcrossThreadCounts)

@@ -69,34 +69,62 @@ TEST(Timeline, StaticTimelineServesRowZeroForEveryStep)
     EXPECT_EQ(timeline.final_n_failed(), 2);
 }
 
-TEST(Timeline, MultiRowTimelineClampsPastTheEnd)
+TEST(Timeline, MultiRowTimelineHasNoRowPastItsEnd)
 {
     failure_timeline timeline;
     timeline.n_satellites = 2;
     timeline.n_steps = 3;
     timeline.masks = {0, 0, /**/ 1, 0, /**/ 1, 1};
-    validate(timeline);
+    validate(timeline, 2, 3);
     EXPECT_FALSE(timeline.is_static());
     EXPECT_EQ(timeline.n_failed_at(0), 0);
     EXPECT_EQ(timeline.n_failed_at(1), 1);
     EXPECT_EQ(timeline.n_failed_at(2), 2);
-    // Past-the-end steps hold the final row: failures are permanent.
-    EXPECT_EQ(timeline.n_failed_at(9), 2);
-    EXPECT_EQ(timeline.step(9).data(), timeline.step(2).data());
     EXPECT_EQ(timeline.final_n_failed(), 2);
+    // One row per step and no more: a step past the end, or before the
+    // start, is never read as some other step's row.
+    EXPECT_THROW(timeline.step(3), contract_violation);
+    EXPECT_THROW(timeline.step(-1), contract_violation);
+    EXPECT_THROW(timeline.n_failed_at(9), contract_violation);
+}
+
+TEST(Timeline, FitsAGridWithZeroRowsOneRowOrOneRowPerStep)
+{
+    failure_timeline three_rows;
+    three_rows.n_satellites = 2;
+    three_rows.n_steps = 3;
+    three_rows.masks.assign(6, 0);
+    EXPECT_NO_THROW(validate(three_rows, 2, 3));
+    EXPECT_THROW(validate(three_rows, 2, 2), contract_violation);
+    EXPECT_THROW(validate(three_rows, 2, 4), contract_violation);
+    EXPECT_THROW(validate(three_rows, 3, 3), contract_violation);
+
+    // Zero rows and one row fit any grid; a row must span the satellites.
+    for (const int n_steps : {1, 2, 5}) {
+        EXPECT_NO_THROW(validate(failure_timeline{}, 2, n_steps)) << n_steps;
+        EXPECT_NO_THROW(validate(failure_timeline::from_static_mask({0, 1}), 2, n_steps))
+            << n_steps;
+        EXPECT_THROW(validate(failure_timeline::from_static_mask({0, 1, 0}), 2, n_steps),
+                     contract_violation)
+            << n_steps;
+    }
+
+    failure_timeline short_storage = three_rows;
+    short_storage.masks.pop_back();
+    EXPECT_THROW(validate(short_storage, 2, 3), contract_violation);
 }
 
 TEST(Timeline, ValidateRejectsMalformedTimelines)
 {
     failure_timeline negative;
     negative.n_satellites = -1;
-    EXPECT_THROW(validate(negative), contract_violation);
+    EXPECT_THROW(validate(negative, -1, 1), contract_violation);
 
     failure_timeline mismatch;
     mismatch.n_satellites = 3;
     mismatch.n_steps = 2;
     mismatch.masks = {0, 0, 0}; // one row short
-    EXPECT_THROW(validate(mismatch), contract_violation);
+    EXPECT_THROW(validate(mismatch, 3, 2), contract_violation);
 }
 
 // --- degradation-trace helpers ----------------------------------------------
@@ -198,7 +226,7 @@ TEST(Timeline, CascadeTimelineIsMonotoneDeterministicAndSeedSensitive)
     const auto scenario = cascade_scenario();
 
     const auto timeline = sample_failure_timeline(topo, scenario, offsets, epoch);
-    validate(timeline);
+    validate(timeline, 36, 24);
     EXPECT_EQ(timeline.n_satellites, 36);
     EXPECT_EQ(timeline.n_steps, 24);
     EXPECT_EQ(timeline.n_failed_at(0), scenario.cascade_initial_hits);
@@ -272,7 +300,7 @@ TEST(Timeline, StormTimelineConfinesLossesToTheWindow)
     storm.seed = 3;
 
     const auto timeline = sample_failure_timeline(topo, storm, offsets, epoch);
-    validate(timeline);
+    validate(timeline, 36, 24);
     EXPECT_EQ(timeline.n_steps, 24);
     // Nothing fails before the storm opens...
     EXPECT_EQ(timeline.n_failed_at(0), 0);

@@ -394,18 +394,5 @@ TEST(PercolationSweep, ReusedGraphsMatchPerStepAnalysis)
     set_thread_count(0);
 }
 
-TEST(PercolationSweep, EmptyGridReportsZeros)
-{
-    const lsn::lsn_topology topo =
-        lsn::build_walker_grid_topology(small_walker(3, 4));
-    const auto epoch = astro::instant::j2000();
-    const percolation_sweep_result r = run_percolation_sweep_timeline(
-        lsn::sweep_geometry(lsn::snapshot_builder(topo, {}, epoch, deg2rad(30.0)), {}),
-        {});
-    EXPECT_TRUE(r.step_lambda2.empty());
-    EXPECT_DOUBLE_EQ(r.lambda2_mean, 0.0);
-    EXPECT_DOUBLE_EQ(r.giant_fraction_min, 0.0);
-}
-
 } // namespace
 } // namespace ssplane::spectral

@@ -1,5 +1,8 @@
 #include "tempo/bulk_router.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
@@ -237,6 +240,38 @@ TEST(BulkRouter, PerStepBaselineMatchesOnAlwaysConnectedChains)
                      expanded.requests[0].completion_s);
     // The baseline never buffers on satellites.
     EXPECT_DOUBLE_EQ(baseline.max_buffer_gb, 0.0);
+}
+
+TEST(BulkRouter, PriorityOrderCanLeaveStoreAndForwardBelowTheFloor)
+{
+    // One satellite relays gateways A, B and C over two 1800 s steps; each
+    // 40 Gbps uplink moves 72,000 Gb per step. The wide-window A->C request
+    // comes first and takes A's step-0 uplink, which the narrow-window
+    // A->B request needed. The per-step floor offers step 0 to both at once
+    // (its assignment fills A->B there) and sends A->C at step 1. Reversed,
+    // both deliver everything.
+    const lsn::network_snapshot relay = lsn::make_network_snapshot(
+        1, 3, {ms_link(1, 0, 3.0), ms_link(2, 0, 3.0), ms_link(3, 0, 3.0)});
+    const std::vector<lsn::network_snapshot> snaps{relay, relay};
+    const std::vector<double> offsets{0.0, 1800.0};
+    bulk_route_options opts;
+    opts.capacity.uplink_capacity_gbps = 40.0;
+    const bulk_transfer_request a_to_c{0, 2, 72000.0, 0.0, 3600.0};
+    const bulk_transfer_request a_to_b{0, 1, 72000.0, 0.0, 1800.0};
+
+    const auto deliver = [&](std::vector<bulk_transfer_request> requests) {
+        auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, opts);
+        return std::pair{
+            route_bulk_transfers(graph, requests).delivered_gb,
+            route_bulk_transfers_per_step_baseline(snaps, offsets, requests, opts)
+                .delivered_gb};
+    };
+    const auto [wide_first, floor_wide_first] = deliver({a_to_c, a_to_b});
+    EXPECT_DOUBLE_EQ(wide_first, 72000.0);
+    EXPECT_DOUBLE_EQ(floor_wide_first, 144000.0);
+    const auto [narrow_first, floor_narrow_first] = deliver({a_to_b, a_to_c});
+    EXPECT_DOUBLE_EQ(narrow_first, 144000.0);
+    EXPECT_DOUBLE_EQ(floor_narrow_first, 144000.0);
 }
 
 TEST(BulkRouter, RejectsMalformedRequests)

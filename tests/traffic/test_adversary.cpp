@@ -172,7 +172,7 @@ TEST(Adversary, TimelineFollowsTheStrikeSchedule)
 
     const auto timeline =
         generate_adversary_timeline(geometry, adversary_scenario(2), test_demand());
-    lsn::validate(timeline);
+    lsn::validate(timeline, 36, 8);
     EXPECT_EQ(timeline.n_satellites, 36);
     EXPECT_EQ(timeline.n_steps, 8);
     // Strikes at steps 1 and 3, six satellites (one plane) each; rows

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -301,6 +303,31 @@ TEST_F(ParallelTest, ThreadCountOverrideAndRestore)
     EXPECT_EQ(thread_count(), 3u);
     set_thread_count(0);
     EXPECT_GE(thread_count(), 1u);
+}
+
+TEST_F(ParallelTest, EnvironmentThreadCountIsAWholeDecimalUpTo1024)
+{
+    // Read through thread_count() alone: no parallel call, so no pool is
+    // built while an oversized value is set.
+    set_thread_count(0);
+    const char* old = std::getenv("SSPLANE_THREADS");
+    const std::optional<std::string> saved =
+        old ? std::optional<std::string>(old) : std::nullopt;
+    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+
+    setenv("SSPLANE_THREADS", "2", 1);
+    EXPECT_EQ(thread_count(), 2u);
+    setenv("SSPLANE_THREADS", "1024", 1);
+    EXPECT_EQ(thread_count(), 1024u);
+    for (const char* ignored :
+         {"", "0", "-3", "4abc", "1e3", " 8", "1025", "100000"}) {
+        setenv("SSPLANE_THREADS", ignored, 1);
+        EXPECT_EQ(thread_count(), hardware) << "'" << ignored << "'";
+    }
+    unsetenv("SSPLANE_THREADS");
+    EXPECT_EQ(thread_count(), hardware);
+
+    if (saved) setenv("SSPLANE_THREADS", saved->c_str(), 1);
 }
 
 } // namespace
