@@ -13,13 +13,14 @@
 
 #include "astro/time.h"
 #include "constellation/walker.h"
+#include "geo/coverage.h"
 #include "util/vec3.h"
 
 namespace ssplane::constellation {
 
 /// Sampling fidelity and requirement for coverage checks.
 struct coverage_check_options {
-    double min_elevation_rad = 0.5235987755982988; ///< 30° default (see DESIGN.md).
+    double min_elevation_rad = geo::default_min_elevation_rad;
     double max_latitude_deg = 65.0;  ///< Band requirement: |lat| <= this.
     double grid_spacing_deg = 4.0;   ///< Test-point spacing (quasi equal-area).
     int n_time_steps = 96;           ///< Samples over one nodal day.

@@ -121,19 +121,21 @@ double track_length_rad(const rgt_design& design, double step_s)
 
 } // namespace
 
-rgt_sizing size_rgt_track_coverage(const rgt_design& design,
-                                   const rgt_coverage_options& options)
+rgt_sizing size_rgt_track_coverage(const rgt_design& design)
 {
+    constexpr double service_swath_fraction = 0.9; // Cap c_svc at this fraction of λ.
+    constexpr double track_step_s = 20.0;          // Track sampling step for length.
+
     rgt_sizing s;
     const auto cov =
-        geo::coverage_geometry::from(design.altitude_m, options.min_elevation_rad);
+        geo::coverage_geometry::from(design.altitude_m, geo::default_min_elevation_rad);
     s.footprint_half_angle_rad = cov.earth_central_half_angle_rad;
     s.pass_spacing_rad = two_pi / static_cast<double>(design.revolutions);
     s.gives_uniform_coverage = 2.0 * s.footprint_half_angle_rad >= s.pass_spacing_rad;
     s.service_half_width_rad =
-        std::min(options.service_swath_fraction * s.footprint_half_angle_rad,
+        std::min(service_swath_fraction * s.footprint_half_angle_rad,
                  s.pass_spacing_rad / 2.0);
-    s.track_length_rad = track_length_rad(design, options.track_step_s);
+    s.track_length_rad = track_length_rad(design, track_step_s);
 
     const double lambda = s.footprint_half_angle_rad;
     const double c = s.service_half_width_rad;

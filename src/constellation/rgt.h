@@ -51,13 +51,6 @@ std::vector<rgt_design> enumerate_rgts(double inclination_rad,
                                        double alt_min_m, double alt_max_m,
                                        int max_days);
 
-/// Options for track-coverage sizing.
-struct rgt_coverage_options {
-    double min_elevation_rad = 0.5235987755982988; ///< 30°.
-    double service_swath_fraction = 0.9; ///< Cap c_svc at this fraction of λ.
-    double track_step_s = 20.0;          ///< Track sampling step for length.
-};
-
 /// Result of sizing continuous coverage of one RGT's service swath.
 struct rgt_sizing {
     double track_length_rad = 0.0;       ///< Closed track length [rad].
@@ -68,9 +61,9 @@ struct rgt_sizing {
     int n_satellites = 0;                ///< Minimum satellites on the track.
 };
 
-/// Compute the sizing for one design.
-rgt_sizing size_rgt_track_coverage(const rgt_design& design,
-                                   const rgt_coverage_options& options = {});
+/// Compute the sizing for one design at the 30° minimum elevation, with the
+/// track length summed over 20 s samples.
+rgt_sizing size_rgt_track_coverage(const rgt_design& design);
 
 } // namespace ssplane::constellation
 

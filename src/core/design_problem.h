@@ -8,6 +8,7 @@
 #define SSPLANE_CORE_DESIGN_PROBLEM_H
 
 #include "demand/demand_model.h"
+#include "geo/coverage.h"
 #include "geo/grid.h"
 
 namespace ssplane::core {
@@ -17,7 +18,7 @@ struct design_problem {
     geo::lat_tod_grid demand;          ///< [satellite capacities] per cell.
     double bandwidth_multiplier = 1.0; ///< Peak cell demand in capacities.
     double altitude_m = 560.0e3;       ///< Design altitude.
-    double min_elevation_rad = 0.5235987755982988; ///< 30°.
+    double min_elevation_rad = geo::default_min_elevation_rad;
 };
 
 /// Build a problem from the demand model: normalized sun-relative demand
@@ -25,7 +26,7 @@ struct design_problem {
 design_problem make_design_problem(const demand::demand_model& model,
                                    double bandwidth_multiplier,
                                    double altitude_m = 560.0e3,
-                                   double min_elevation_rad = 0.5235987755982988);
+                                   double min_elevation_rad = geo::default_min_elevation_rad);
 
 /// Total residual demand volume (sum over cells) [satellite capacities].
 double total_demand(const geo::lat_tod_grid& grid) noexcept;

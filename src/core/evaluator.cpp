@@ -128,16 +128,12 @@ constellation_radiation_summary wd_constellation_radiation(
 
 design_comparison compare_designs(const demand::demand_model& model,
                                   double bandwidth_multiplier,
-                                  walker_baseline_designer& wd_designer,
-                                  const ss_design_options& ss_options,
-                                  double altitude_m,
-                                  double min_elevation_rad)
+                                  walker_baseline_designer& wd_designer)
 {
     design_comparison out;
     out.bandwidth_multiplier = bandwidth_multiplier;
-    const design_problem problem = make_design_problem(
-        model, bandwidth_multiplier, altitude_m, min_elevation_rad);
-    out.ss = greedy_ss_cover(problem, ss_options);
+    const design_problem problem = make_design_problem(model, bandwidth_multiplier);
+    out.ss = greedy_ss_cover(problem);
     out.wd = wd_designer.design(problem);
     return out;
 }

@@ -50,7 +50,9 @@ constellation_radiation_summary wd_constellation_radiation(
     const astro::instant& day,
     const radiation_eval_options& options = {});
 
-/// Convenience: design both constellations for one bandwidth multiplier.
+/// Convenience: design both constellations for one bandwidth multiplier, at
+/// the default design altitude and minimum elevation, with the paper's
+/// greedy cover.
 struct design_comparison {
     double bandwidth_multiplier = 0.0;
     ss_design_result ss;
@@ -58,10 +60,7 @@ struct design_comparison {
 };
 design_comparison compare_designs(const demand::demand_model& model,
                                   double bandwidth_multiplier,
-                                  walker_baseline_designer& wd_designer,
-                                  const ss_design_options& ss_options = {},
-                                  double altitude_m = 560.0e3,
-                                  double min_elevation_rad = 0.5235987755982988);
+                                  walker_baseline_designer& wd_designer);
 
 } // namespace ssplane::core
 

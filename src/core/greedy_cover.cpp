@@ -117,15 +117,13 @@ seed_cell pick_seed(const geo::grid2d& residual, seed_rule rule, rng& random)
 
 } // namespace
 
-int resolve_sats_per_plane(const design_problem& problem,
-                           const ss_design_options& options)
+int resolve_sats_per_plane(const design_problem& problem)
 {
-    if (options.sats_per_plane > 0) return options.sats_per_plane;
     const auto cov =
         geo::coverage_geometry::from(problem.altitude_m, problem.min_elevation_rad);
     const int s_min = geo::min_sats_for_street(cov.earth_central_half_angle_rad);
     expects(s_min > 0, "no closed street exists at this altitude/elevation");
-    return s_min + options.street_margin_sats;
+    return s_min;
 }
 
 ss_design_result greedy_ss_cover(const design_problem& problem,
@@ -140,10 +138,7 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
 
     const auto cov =
         geo::coverage_geometry::from(problem.altitude_m, problem.min_elevation_rad);
-    const int sats_per_plane = resolve_sats_per_plane(problem, options);
-    expects(geo::street_half_width_rad(cov.earth_central_half_angle_rad,
-                                       sats_per_plane) >= 0.0,
-            "sats_per_plane too small to close the street");
+    const int sats_per_plane = resolve_sats_per_plane(problem);
 
     // The plane's capacity swath is the full footprint half-angle: the
     // paper's greedy subtracts one satellite capacity from every grid point
@@ -174,7 +169,7 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
                                     masks.mask_for(*inclination, *ltan, swath));
         };
         add_candidate(ltans.ascending);
-        if (options.try_both_branches) add_candidate(ltans.descending);
+        add_candidate(ltans.descending);
         if (candidates.empty()) {
             // Unreachable latitude: zero its row so the loop can progress and
             // report unsatisfied residual demand at the end.
@@ -209,8 +204,7 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
     return result;
 }
 
-plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem,
-                                         [[maybe_unused]] const ss_design_options& options)
+plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem)
 {
     plane_lower_bounds bounds;
 

@@ -25,14 +25,12 @@ enum class seed_rule : std::uint8_t {
     min_demand,   ///< Smallest positive-residual cell (worst-first strawman).
 };
 
-/// Options controlling plane construction and the search.
+/// Options controlling the search. Every plane carries the street minimum
+/// of satellites (`resolve_sats_per_plane`).
 struct ss_design_options {
-    int sats_per_plane = 0;      ///< 0 = auto (street minimum + margin).
-    int street_margin_sats = 0;  ///< Extra satellites beyond the street minimum.
     int max_planes = 200000;     ///< Safety cap.
     seed_rule rule = seed_rule::max_demand;
     std::uint64_t seed = 42;     ///< Only used by seed_rule::random_cell.
-    bool try_both_branches = true; ///< Evaluate ascending & descending LTANs.
 };
 
 /// One selected plane.
@@ -69,13 +67,11 @@ struct plane_lower_bounds {
         return per_cell_bound > volume_bound ? per_cell_bound : volume_bound;
     }
 };
-plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem,
-                                         const ss_design_options& options = {});
+plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem);
 
-/// Number of satellites per plane implied by the options for this problem
-/// (street-of-coverage minimum + margin when options.sats_per_plane == 0).
-int resolve_sats_per_plane(const design_problem& problem,
-                           const ss_design_options& options);
+/// Satellites per plane for this problem: the fewest that close a
+/// street of coverage at its altitude and minimum elevation.
+int resolve_sats_per_plane(const design_problem& problem);
 
 } // namespace ssplane::core
 

@@ -8,6 +8,14 @@
 
 namespace ssplane::core {
 
+namespace {
+
+constexpr double shell_spacing_m = 5.0e3;      ///< Altitude offset between shells.
+constexpr double min_inclination_deg = 15.0;   ///< Floor for very narrow demand bands.
+constexpr double inclination_bucket_deg = 2.0; ///< Sizing memoization granularity.
+
+} // namespace
+
 walker_baseline_designer::walker_baseline_designer(const wd_baseline_options& options)
     : options_(options)
 {
@@ -16,13 +24,13 @@ walker_baseline_designer::walker_baseline_designer(const wd_baseline_options& op
 walker_baseline_designer::sized_shell_info walker_baseline_designer::sized_shell(
     double altitude_m, double inclination_deg, double min_elevation_rad)
 {
-    const long bucket = std::lround(inclination_deg / options_.inclination_bucket_deg);
+    const long bucket = std::lround(inclination_deg / inclination_bucket_deg);
     const auto key = std::make_tuple(altitude_m, min_elevation_rad, bucket);
     const auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
 
     const double sized_inclination =
-        static_cast<double>(bucket) * options_.inclination_bucket_deg;
+        static_cast<double>(bucket) * inclination_bucket_deg;
     constellation::coverage_check_options check;
     check.min_elevation_rad = min_elevation_rad;
     check.max_latitude_deg = std::max(5.0, sized_inclination);
@@ -72,7 +80,7 @@ wd_baseline_result walker_baseline_designer::design(const design_problem& proble
 
         ++shell_index;
         const double inclination_deg =
-            std::max(options_.min_inclination_deg, max_lat);
+            std::max(min_inclination_deg, max_lat);
 
         // Alternate shells above/below the design altitude, cycling the
         // offsets within +-20 steps so large stacks stay near the design
@@ -80,7 +88,7 @@ wd_baseline_result walker_baseline_designer::design(const design_problem& proble
         const double direction = (shell_index % 2 == 1) ? 1.0 : -1.0;
         const int step = ((shell_index + 1) / 2 - 1) % 20 + 1;
         const double altitude =
-            problem.altitude_m + direction * options_.shell_spacing_m * step;
+            problem.altitude_m + direction * shell_spacing_m * step;
 
         // Size at the problem's base altitude: the +-5 km shell offsets are
         // collision-avoidance cosmetics, and a base-altitude key keeps the

@@ -21,11 +21,10 @@
 
 namespace ssplane::core {
 
-/// Options for the Walker baseline construction.
+/// Options for the Walker baseline construction. Shells sit 5 km apart,
+/// no shell is inclined below 15°, and shells are sized at inclinations
+/// rounded to 2° buckets (the sizing cache's granularity).
 struct wd_baseline_options {
-    double shell_spacing_m = 5.0e3;  ///< Altitude offset between shells.
-    double min_inclination_deg = 15.0; ///< Floor for very narrow demand bands.
-    double inclination_bucket_deg = 2.0; ///< Sizing memoization granularity.
     /// Coverage-check fidelity used by the sizer.
     double grid_spacing_deg = 5.0;
     int n_time_steps = 64;
@@ -59,15 +58,13 @@ public:
     /// Build the multi-shell baseline for a design problem.
     wd_baseline_result design(const design_problem& problem);
 
-    const wd_baseline_options& options() const noexcept { return options_; }
-
 private:
     struct sized_shell_info {
         constellation::walker_size_result sizing;
         int multiplicity = 1; ///< Guaranteed simultaneous coverage in band.
     };
 
-    /// Size (or fetch from cache) a shell at `inclination_bucket` degrees.
+    /// Size (or fetch from cache) a shell at the 2° bucket of `inclination_deg`.
     sized_shell_info sized_shell(double altitude_m, double inclination_deg,
                                  double min_elevation_rad);
 

@@ -346,10 +346,9 @@ std::span<const city> world_cities() noexcept
     return k_cities;
 }
 
-std::vector<city> top_cities(int n, double min_separation_deg)
+std::vector<city> top_cities(int n)
 {
     expects(n > 0, "top_cities needs n > 0");
-    expects(min_separation_deg >= 0.0, "separation must be non-negative");
 
     std::vector<const city*> by_population;
     by_population.reserve(world_cities().size());
@@ -361,6 +360,7 @@ std::vector<city> top_cities(int n, double min_separation_deg)
                   return std::string_view(a->name) < std::string_view(b->name);
               });
 
+    constexpr double min_separation_deg = 5.0;
     const double min_separation_rad = deg2rad(min_separation_deg);
     std::vector<city> picked;
     picked.reserve(static_cast<std::size_t>(n));

@@ -27,11 +27,11 @@ struct city {
 std::span<const city> world_cities() noexcept;
 
 /// The `n` most populous gazetteer metros, greedily filtered so no two
-/// picks are closer than `min_separation_deg` of great-circle arc — one
-/// gateway per conurbation instead of five in the Pearl River Delta.
-/// Ordered by descending population; n must be positive and the filtered
-/// gazetteer must be able to supply n cities.
-std::vector<city> top_cities(int n, double min_separation_deg = 5.0);
+/// picks are closer than 5° of great-circle arc — one gateway per
+/// conurbation instead of five in the Pearl River Delta. Ordered by
+/// descending population; n must be positive and the filtered gazetteer
+/// must be able to supply n cities.
+std::vector<city> top_cities(int n);
 
 /// A coarse rural/suburban background density over a lat/lon box.
 struct region_density {

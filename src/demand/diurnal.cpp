@@ -12,6 +12,11 @@ namespace ssplane::demand {
 
 namespace {
 
+constexpr double noise_sigma_log = 0.35;   ///< Lognormal multiplicative noise.
+constexpr double burst_probability = 0.07; ///< Heavy-tail burst chance per sample.
+constexpr double burst_pareto_alpha = 1.1; ///< Burst size tail index.
+constexpr double burst_pareto_min = 4.0;   ///< Minimum burst multiplier.
+
 /// Circular Gaussian bump centered at `center_h` with width `sigma_h`.
 double bump(double tod_h, double center_h, double sigma_h) noexcept
 {
@@ -89,10 +94,9 @@ tod_statistics site_ensemble::compute_tod_statistics() const
                     1.0 + day_strength * (canonical_diurnal_shape(hour + 0.5 + phase_h) - 1.0);
                 double x = scale * std::max(0.05, shape);
                 if (weekend) x *= weekend_drop;
-                x *= r.lognormal(0.0, options_.noise_sigma_log);
-                if (r.bernoulli(options_.burst_probability)) {
-                    x *= std::min(100.0, r.pareto(options_.burst_pareto_min,
-                                                  options_.burst_pareto_alpha));
+                x *= r.lognormal(0.0, noise_sigma_log);
+                if (r.bernoulli(burst_probability)) {
+                    x *= std::min(100.0, r.pareto(burst_pareto_min, burst_pareto_alpha));
                 }
                 site_samples.push_back(x);
             }

@@ -31,14 +31,12 @@ struct tod_statistics {
     std::array<double, 24> p95_percent{};
 };
 
-/// Options for the synthetic site ensemble.
+/// Size of the synthetic site ensemble. Every hourly sample carries
+/// lognormal noise (σ 0.35 in log space) and, with probability 0.07, a
+/// Pareto burst (minimum 4x, tail index 1.1, capped at 100x).
 struct site_ensemble_options {
     int n_sites = 283;   ///< CESNET-TimeSeries24 site count.
     int n_days = 365;    ///< One year of hourly samples.
-    double noise_sigma_log = 0.35;   ///< Lognormal multiplicative noise.
-    double burst_probability = 0.07; ///< Heavy-tail burst chance per sample.
-    double burst_pareto_alpha = 1.1; ///< Burst size tail index.
-    double burst_pareto_min = 4.0;   ///< Minimum burst multiplier.
 };
 
 /// Synthetic ensemble of access-network monitoring sites.

@@ -5,14 +5,15 @@
 
 #include "demand/cities.h"
 #include "util/angles.h"
-#include "util/expects.h"
 
 namespace ssplane::demand {
 
 namespace {
 
+constexpr double cell_deg = 0.5; ///< Grid resolution (matches SEDAC).
+
 /// Add one city as a Gaussian splat conserving its total population.
-void splat_city(geo::lat_lon_grid& grid, const city& c, double scale)
+void splat_city(geo::lat_lon_grid& grid, const city& c)
 {
     const double sigma = c.spread_deg;
     const double cell = grid.cell_deg();
@@ -59,14 +60,13 @@ void splat_city(geo::lat_lon_grid& grid, const city& c, double scale)
     }
     if (weight_sum <= 0.0) return;
 
-    const double mass = c.population * scale;
     for (const auto& t : targets) {
-        const double cell_population = mass * t.weight / weight_sum;
+        const double cell_population = c.population * t.weight / weight_sum;
         grid.field()(t.row, t.col) += cell_population / grid.cell_area_km2(t.row);
     }
 }
 
-void fill_region(geo::lat_lon_grid& grid, const region_density& region, double scale)
+void fill_region(geo::lat_lon_grid& grid, const region_density& region)
 {
     const std::size_t row_lo = grid.row_of_latitude(region.lat_min_deg);
     const std::size_t row_hi = grid.row_of_latitude(region.lat_max_deg);
@@ -76,22 +76,17 @@ void fill_region(geo::lat_lon_grid& grid, const region_density& region, double s
         for (std::size_t c = 0; c < grid.n_lon(); ++c) {
             const double lon = grid.longitude_center_deg(c);
             if (lon < region.lon_min_deg || lon > region.lon_max_deg) continue;
-            grid.field()(r, c) += region.density_per_km2 * scale;
+            grid.field()(r, c) += region.density_per_km2;
         }
     }
 }
 
 } // namespace
 
-population_model::population_model(const population_options& options)
-    : grid_(options.cell_deg)
+population_model::population_model() : grid_(cell_deg)
 {
-    expects(options.city_scale >= 0.0 && options.background_scale >= 0.0,
-            "population scales must be non-negative");
-
-    for (const auto& region : background_regions())
-        fill_region(grid_, region, options.background_scale);
-    for (const auto& c : world_cities()) splat_city(grid_, c, options.city_scale);
+    for (const auto& region : background_regions()) fill_region(grid_, region);
+    for (const auto& c : world_cities()) splat_city(grid_, c);
 
     for (std::size_t r = 0; r < grid_.n_lat(); ++r) {
         const double area = grid_.cell_area_km2(r);

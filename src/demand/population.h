@@ -14,17 +14,10 @@
 
 namespace ssplane::demand {
 
-/// Construction options for the population model.
-struct population_options {
-    double cell_deg = 0.5;        ///< Grid resolution (matches SEDAC).
-    double city_scale = 1.0;      ///< Multiplier on all city populations.
-    double background_scale = 1.0;///< Multiplier on all background densities.
-};
-
-/// Gridded population density [people/km^2].
+/// Gridded population density [people/km^2] on the 0.5° grid of SEDAC.
 class population_model {
 public:
-    explicit population_model(const population_options& options = {});
+    population_model();
 
     const geo::lat_lon_grid& density() const noexcept { return grid_; }
 

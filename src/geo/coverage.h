@@ -11,6 +11,10 @@
 
 namespace ssplane::geo {
 
+/// The paper's 30° minimum elevation for user coverage [rad], the default of
+/// every design, sizing and sweep that takes one.
+inline constexpr double default_min_elevation_rad = 0.5235987755982988;
+
 /// Derived coverage geometry for one altitude / min-elevation pair.
 struct coverage_geometry {
     double altitude_m = 0.0;

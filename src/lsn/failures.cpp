@@ -1,7 +1,6 @@
 #include "lsn/failures.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -11,26 +10,30 @@
 
 namespace ssplane::lsn {
 
-double annual_failure_rate(double daily_electron_fluence,
-                           const failure_model_options& options) noexcept
+namespace {
+
+constexpr double spare_drift_days = 3.0;  ///< Hot-swap time when a spare exists.
+constexpr double launch_lead_days = 60.0; ///< Restock time when spares are exhausted.
+constexpr double mission_years = 5.0;
+
+} // namespace
+
+double annual_failure_rate(double daily_electron_fluence) noexcept
 {
     if (daily_electron_fluence <= 0.0) return 0.0;
-    return options.base_annual_failure_rate *
-           std::pow(daily_electron_fluence / options.reference_electron_fluence,
-                    options.fluence_exponent);
+    return base_annual_failure_rate * (daily_electron_fluence / reference_electron_fluence);
 }
 
 sparing_result simulate_plane_availability(int sats_per_plane, int spares,
-                                           double annual_rate,
-                                           const failure_model_options& options,
-                                           std::uint64_t seed,
+                                           double annual_rate, std::uint64_t seed,
                                            int n_trials)
 {
     expects(sats_per_plane > 0, "need at least one active slot");
     expects(spares >= 0, "spares must be non-negative");
     expects(annual_rate >= 0.0, "failure rate must be non-negative");
+    expects(n_trials >= 1, "need at least one trial");
 
-    const double mission_days = options.mission_years * 365.25;
+    const double mission_days = mission_years * 365.25;
     const double daily_rate = annual_rate / 365.25;
 
     rng root(seed);
@@ -62,11 +65,11 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 
             if (spare_pool > 0) {
                 --spare_pool;
-                slot_downtime += std::min(options.spare_drift_days, mission_days - t);
+                slot_downtime += std::min(spare_drift_days, mission_days - t);
                 // The consumed spare is replaced by a launch.
-                restocks.push(t + options.launch_lead_days);
+                restocks.push(t + launch_lead_days);
             } else {
-                slot_downtime += std::min(options.launch_lead_days, mission_days - t);
+                slot_downtime += std::min(launch_lead_days, mission_days - t);
             }
         }
         downtime_sum += slot_downtime;
@@ -82,17 +85,15 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 }
 
 sparing_result spares_for_availability(int sats_per_plane, double annual_rate,
-                                       double target_availability,
-                                       const failure_model_options& options,
-                                       std::uint64_t seed,
+                                       double target_availability, std::uint64_t seed,
                                        int n_trials)
 {
     expects(target_availability > 0.0 && target_availability < 1.0,
             "target availability must be in (0, 1)");
     sparing_result last;
     for (int spares = 0; spares <= 32; ++spares) {
-        last = simulate_plane_availability(sats_per_plane, spares, annual_rate,
-                                           options, seed, n_trials);
+        last = simulate_plane_availability(sats_per_plane, spares, annual_rate, seed,
+                                           n_trials);
         if (last.availability >= target_availability) {
             last.target_met = true;
             return last;

@@ -10,27 +10,19 @@
 #ifndef SSPLANE_LSN_FAILURES_H
 #define SSPLANE_LSN_FAILURES_H
 
-#include <compare>
 #include <cstdint>
 
 namespace ssplane::lsn {
 
-/// Failure/sparing model parameters.
-struct failure_model_options {
-    double base_annual_failure_rate = 0.03;    ///< At the reference fluence.
-    double reference_electron_fluence = 7.0e9; ///< Daily fluence at base rate.
-    double fluence_exponent = 1.0;             ///< rate ∝ (fluence/ref)^exp.
-    double spare_drift_days = 3.0;   ///< Hot-swap time when a spare exists.
-    double launch_lead_days = 60.0;  ///< Restock time when spares exhausted.
-    double mission_years = 5.0;
+/// Annual failure rate per satellite at the reference daily fluence.
+inline constexpr double base_annual_failure_rate = 0.03;
+/// Daily electron fluence [#/cm^2/MeV] at which the base rate holds.
+inline constexpr double reference_electron_fluence = 7.0e9;
 
-    friend auto operator<=>(const failure_model_options&,
-                            const failure_model_options&) = default;
-};
-
-/// Annual failure probability per satellite given its daily electron fluence.
-double annual_failure_rate(double daily_electron_fluence,
-                           const failure_model_options& options) noexcept;
+/// Annual failure rate per satellite given its daily electron fluence: the
+/// base rate scaled linearly by fluence over the reference (0 for a
+/// non-positive fluence).
+double annual_failure_rate(double daily_electron_fluence) noexcept;
 
 /// Result of a sparing simulation.
 struct sparing_result {
@@ -44,12 +36,13 @@ struct sparing_result {
     bool target_met = false;
 };
 
-/// Monte-Carlo availability of a plane of `sats_per_plane` active slots with
-/// `spares` in-orbit spares (replenished after launch_lead_days when used).
+/// Monte-Carlo availability over a 5-year mission of a plane of
+/// `sats_per_plane` active slots with `spares` in-orbit spares: a failed slot
+/// is restored from a spare after 3 days of drift, and each spare used is
+/// replaced by a launch 60 days later; with none on orbit the slot waits
+/// for that launch. Needs `n_trials >= 1`.
 sparing_result simulate_plane_availability(int sats_per_plane, int spares,
-                                           double annual_rate,
-                                           const failure_model_options& options,
-                                           std::uint64_t seed,
+                                           double annual_rate, std::uint64_t seed,
                                            int n_trials = 256);
 
 /// Minimum spares per plane reaching `target_availability` (caps at 32).
@@ -57,9 +50,7 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 /// alone exceeds the allowed outage budget — the 32-spare result is returned
 /// with `target_met == false`.
 sparing_result spares_for_availability(int sats_per_plane, double annual_rate,
-                                       double target_availability,
-                                       const failure_model_options& options,
-                                       std::uint64_t seed,
+                                       double target_availability, std::uint64_t seed,
                                        int n_trials = 256);
 
 } // namespace ssplane::lsn

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "astro/constants.h"
+#include "lsn/failures.h"
 #include "lsn/routing.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -187,22 +188,14 @@ bool is_timeline_mode(failure_mode mode) noexcept
            mode == failure_mode::greedy_adversary;
 }
 
-/// The rate-map fields feed annual_failure_rate (and, through `canonical`,
+/// The plane fluences feed annual_failure_rate (and, through `canonical`,
 /// the campaign's timeline-cache key), so they must be sane numbers —
 /// shared by the radiation_poisson and solar_storm validation arms.
-void validate_rate_map(const failure_scenario& scenario)
+void validate_fluence(const failure_scenario& scenario)
 {
     for (const double fluence : scenario.plane_daily_fluence)
         expects(std::isfinite(fluence) && fluence >= 0.0,
                 "plane fluence must be finite and non-negative");
-    expects(std::isfinite(scenario.failure_options.base_annual_failure_rate) &&
-                scenario.failure_options.base_annual_failure_rate >= 0.0,
-            "base annual failure rate must be finite and non-negative");
-    expects(std::isfinite(scenario.failure_options.reference_electron_fluence) &&
-                scenario.failure_options.reference_electron_fluence > 0.0,
-            "reference fluence must be finite and positive");
-    expects(std::isfinite(scenario.failure_options.fluence_exponent),
-            "fluence exponent must be finite");
 }
 
 } // namespace
@@ -227,7 +220,7 @@ void validate(const failure_scenario& scenario)
     case failure_mode::radiation_poisson:
         expects(std::isfinite(scenario.horizon_days) && scenario.horizon_days > 0.0,
                 "horizon_days must be finite and positive");
-        validate_rate_map(scenario);
+        validate_fluence(scenario);
         break;
 
     case failure_mode::kessler_cascade:
@@ -254,7 +247,7 @@ void validate(const failure_scenario& scenario)
         expects(std::isfinite(scenario.storm_fluence_multiplier) &&
                     scenario.storm_fluence_multiplier >= 1.0,
                 "storm fluence multiplier must be finite and >= 1");
-        validate_rate_map(scenario);
+        validate_fluence(scenario);
         break;
 
     case failure_mode::greedy_adversary:
@@ -297,13 +290,6 @@ failure_scenario canonical(const failure_scenario& scenario)
     if (scenario.mode != failure_mode::none &&
         scenario.mode != failure_mode::greedy_adversary)
         key.seed = scenario.seed;
-    const auto keep_rate_map = [&] {
-        key.plane_daily_fluence = scenario.plane_daily_fluence;
-        const auto& rates = scenario.failure_options;
-        key.failure_options.base_annual_failure_rate = rates.base_annual_failure_rate;
-        key.failure_options.reference_electron_fluence = rates.reference_electron_fluence;
-        key.failure_options.fluence_exponent = rates.fluence_exponent;
-    };
     switch (scenario.mode) {
     case failure_mode::none:
         break;
@@ -314,7 +300,7 @@ failure_scenario canonical(const failure_scenario& scenario)
         key.planes_attacked = scenario.planes_attacked;
         break;
     case failure_mode::radiation_poisson:
-        keep_rate_map();
+        key.plane_daily_fluence = scenario.plane_daily_fluence;
         key.horizon_days = scenario.horizon_days;
         break;
     case failure_mode::kessler_cascade:
@@ -324,7 +310,7 @@ failure_scenario canonical(const failure_scenario& scenario)
         key.cascade_cooldown_s = scenario.cascade_cooldown_s;
         break;
     case failure_mode::solar_storm:
-        keep_rate_map();
+        key.plane_daily_fluence = scenario.plane_daily_fluence;
         key.storm_start_s = scenario.storm_start_s;
         key.storm_duration_s = scenario.storm_duration_s;
         key.storm_fluence_multiplier = scenario.storm_fluence_multiplier;
@@ -388,8 +374,7 @@ std::vector<std::uint8_t> sample_failures(const lsn_topology& topology,
         for (int i = 0; i < n; ++i) {
             const int plane = topology.satellites[static_cast<std::size_t>(i)].plane;
             const double rate = annual_failure_rate(
-                scenario.plane_daily_fluence[static_cast<std::size_t>(plane)],
-                scenario.failure_options);
+                scenario.plane_daily_fluence[static_cast<std::size_t>(plane)]);
             const double p_fail =
                 1.0 - std::exp(-rate * scenario.horizon_days / 365.25);
             failed[static_cast<std::size_t>(i)] = r.bernoulli(p_fail) ? 1 : 0;
@@ -537,8 +522,8 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
 
         const double dt_years = (t1 - t0) / 86400.0 / 365.25;
         for (std::size_t p = 0; p < p_fail.size(); ++p) {
-            const double rate = annual_failure_rate(
-                scenario.plane_daily_fluence[p] * multiplier, scenario.failure_options);
+            const double rate =
+                annual_failure_rate(scenario.plane_daily_fluence[p] * multiplier);
             p_fail[p] = 1.0 - std::exp(-rate * dt_years);
         }
     };

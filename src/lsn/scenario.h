@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "astro/propagator.h"
-#include "lsn/failures.h"
+#include "geo/coverage.h"
 #include "lsn/timeline.h"
 #include "lsn/topology.h"
 
@@ -152,7 +152,6 @@ struct failure_scenario {
     /// multiplies it inside the storm window).
     std::vector<double> plane_daily_fluence;
     double horizon_days = 365.25; ///< radiation_poisson: exposure window.
-    failure_model_options failure_options{}; ///< radiation/storm: rate map.
     // DETLINT-ALLOW(validate-coverage): every 64-bit seed is valid.
     std::uint64_t seed = 0;
 
@@ -205,8 +204,7 @@ void validate(const failure_scenario& scenario, const lsn_topology& topology);
 /// to its default: the whole input of a draw, so two scenarios with equal
 /// canonical forms get one timeline. `none` keeps only its mode (the
 /// all-zero mask reads no seed), `greedy_adversary` its four schedule knobs
-/// (the search draws no random numbers), and `failure_options` only the
-/// rate-map fields `annual_failure_rate` reads. `sample_failures`,
+/// (the search draws no random numbers). `sample_failures`,
 /// `sample_failure_timeline` and `traffic::generate_adversary_timeline`
 /// return the same draw for a scenario and for its canonical form.
 failure_scenario canonical(const failure_scenario& scenario);
@@ -247,7 +245,7 @@ double giant_component_fraction(const network_snapshot& snapshot,
 struct scenario_sweep_options {
     double duration_s = 86400.0;
     double step_s = 300.0;
-    double min_elevation_rad = 0.5235987755982988; ///< 30°.
+    double min_elevation_rad = geo::default_min_elevation_rad;
     double max_isl_range_m = 6.0e6;
 };
 

@@ -106,11 +106,6 @@ void validate(const capacity_options& options)
                 options.uplink_capacity_gbps > 0.0,
             "uplink capacity must be finite and positive");
     expects(options.k_rounds >= 1, "need at least one assignment round");
-    expects(std::isfinite(options.congestion_penalty) &&
-                options.congestion_penalty >= 0.0,
-            "congestion penalty must be finite and non-negative");
-    expects(options.congested_threshold > 0.0,
-            "congested threshold must be positive");
 }
 
 flow_result assign_flows(const lsn::network_snapshot& snapshot,
@@ -201,7 +196,7 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
             cost[id] = loads[id].capacity_gbps - loads[id].load_gbps <= flow_eps_gbps
                            ? inf
                            : snapshot.links[id].latency_s *
-                                 (1.0 + options.congestion_penalty *
+                                 (1.0 + congestion_penalty *
                                             loads[id].utilization());
         lsn::router routes(snapshot, cost);
         // Retire every owed pair whose gateways the cost-finite links do not

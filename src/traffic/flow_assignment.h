@@ -34,23 +34,21 @@
 
 namespace ssplane::traffic {
 
+/// Weight multiplier slope on utilization: a round weighs each link at
+/// latency * (1 + congestion_penalty * load/capacity).
+inline constexpr double congestion_penalty = 4.0;
+
 /// Link capacities and assignment knobs.
 struct capacity_options {
     double isl_capacity_gbps = 20.0;    ///< Per inter-satellite link.
     double uplink_capacity_gbps = 40.0; ///< Per ground<->satellite link.
     int k_rounds = 4;                   ///< Water-filling rounds (path diversity).
-    /// Weight multiplier slope on utilization: weight = latency *
-    /// (1 + congestion_penalty * load/capacity). 0 = pure latency rounds.
-    double congestion_penalty = 4.0;
-    /// Links at or above this utilization count as congested.
-    double congested_threshold = 0.999;
 
     bool operator==(const capacity_options&) const = default;
 };
 
 /// Reject degenerate capacity knobs — non-positive or non-finite link
-/// capacities, `k_rounds < 1`, a negative congestion penalty or a
-/// non-positive congestion threshold — with a clear `contract_violation`
+/// capacities or `k_rounds < 1` — with a clear `contract_violation`
 /// instead of silently producing degenerate assignments. Every assignment
 /// and sweep entry point calls this; callers constructing options
 /// programmatically can call it early themselves.

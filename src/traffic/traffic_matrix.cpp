@@ -1,5 +1,6 @@
 #include "traffic/traffic_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "demand/cities.h"
@@ -8,10 +9,9 @@
 
 namespace ssplane::traffic {
 
-std::vector<lsn::ground_station> stations_from_cities(int n,
-                                                      double min_separation_deg)
+std::vector<lsn::ground_station> stations_from_cities(int n)
 {
-    const auto cities = demand::top_cities(n, min_separation_deg);
+    const auto cities = demand::top_cities(n);
     std::vector<lsn::ground_station> stations;
     stations.reserve(cities.size());
     for (const auto& c : cities)
@@ -24,10 +24,6 @@ void validate(const traffic_matrix_options& options)
     expects(std::isfinite(options.total_demand_gbps) &&
                 options.total_demand_gbps >= 0.0,
             "total demand must be finite and non-negative");
-    expects(std::isfinite(options.distance_exponent),
-            "distance exponent must be finite");
-    expects(std::isfinite(options.min_distance_km) && options.min_distance_km > 0.0,
-            "distance floor must be finite and positive");
 }
 
 traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
@@ -36,6 +32,7 @@ traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
                                     const traffic_matrix_options& options)
 {
     validate(options);
+    constexpr double min_distance_km = 500.0;
 
     const int n = static_cast<int>(stations.size());
     traffic_matrix matrix;
@@ -66,8 +63,7 @@ traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
                 1000.0;
             const double w =
                 mass[static_cast<std::size_t>(a)] * mass[static_cast<std::size_t>(b)] /
-                std::pow(std::max(distance_km, options.min_distance_km),
-                         options.distance_exponent);
+                std::max(distance_km, min_distance_km);
             cell(a, b) = w;
             cell(b, a) = w;
             weight_sum += w;

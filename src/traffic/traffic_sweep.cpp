@@ -9,6 +9,13 @@
 
 namespace ssplane::traffic {
 
+namespace {
+
+/// Links at or above this utilization count as congested.
+constexpr double congested_threshold = 0.999;
+
+} // namespace
+
 traffic_sweep_result run_traffic_sweep_timeline(
     const lsn::sweep_geometry& geometry, const lsn::failure_timeline& timeline,
     const demand::demand_model& demand, const traffic_sweep_options& options)
@@ -50,7 +57,7 @@ traffic_sweep_result run_traffic_sweep_timeline(
             slot.utilization.reserve(flow.links.size());
             for (const auto& link : flow.links) {
                 slot.utilization.push_back(link.utilization());
-                if (slot.utilization.back() >= options.capacity.congested_threshold)
+                if (slot.utilization.back() >= congested_threshold)
                     ++slot.congested_links;
             }
             slot.p95_utilization = percentile(slot.utilization, 95.0);

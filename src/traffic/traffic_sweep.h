@@ -29,7 +29,8 @@ struct traffic_metrics {
                                        ///< 1 when nothing was offered.
     double mean_path_latency_ms = 0.0; ///< Flow-weighted over all delivered traffic.
     double p95_link_utilization = 0.0; ///< Over (link, step) samples.
-    double congested_link_fraction = 0.0; ///< Mean fraction of links congested.
+    /// Mean over steps of the fraction of links at or above 99.9% utilization.
+    double congested_link_fraction = 0.0;
 };
 
 /// Full sweep output: scalar metrics plus per-step traces.

@@ -114,10 +114,10 @@ TEST(Rgt, ServiceSwathRespectsCaps)
 {
     const auto d = design_rgt(29, 2, deg2rad(65.0));
     ASSERT_TRUE(d.has_value());
-    rgt_coverage_options opts;
-    const auto sizing = size_rgt_track_coverage(*d, opts);
+    const auto sizing = size_rgt_track_coverage(*d);
+    // c_svc is capped at 0.9 λ and at half the pass spacing.
     EXPECT_LE(sizing.service_half_width_rad,
-              opts.service_swath_fraction * sizing.footprint_half_angle_rad + 1e-12);
+              0.9 * sizing.footprint_half_angle_rad + 1e-12);
     EXPECT_LE(sizing.service_half_width_rad, sizing.pass_spacing_rad / 2.0 + 1e-12);
     EXPECT_GT(sizing.n_satellites, 0);
 }

@@ -42,12 +42,8 @@ TEST(GreedyCover, SatsPerPlaneFromStreetMinimum)
     const auto cov = geo::coverage_geometry::from(problem.altitude_m,
                                                   problem.min_elevation_rad);
     const int s_min = geo::min_sats_for_street(cov.earth_central_half_angle_rad);
-    ss_design_options opts;
-    EXPECT_EQ(resolve_sats_per_plane(problem, opts), s_min);
-    opts.street_margin_sats = 3;
-    EXPECT_EQ(resolve_sats_per_plane(problem, opts), s_min + 3);
-    opts.sats_per_plane = 40;
-    EXPECT_EQ(resolve_sats_per_plane(problem, opts), 40);
+    EXPECT_EQ(resolve_sats_per_plane(problem), s_min);
+    EXPECT_EQ(greedy_ss_cover(problem).sats_per_plane, s_min);
 }
 
 TEST(GreedyCover, MonotoneInBandwidthMultiplier)
@@ -118,23 +114,6 @@ TEST(GreedyCover, MaxPlanesCapReportsUnsatisfied)
     EXPECT_FALSE(result.satisfied);
     EXPECT_GT(result.residual_demand, 0.0);
     EXPECT_EQ(result.planes.size(), 2u);
-}
-
-TEST(GreedyCover, SingleBranchOptionWorks)
-{
-    ss_design_options opts;
-    opts.try_both_branches = false;
-    const auto result = greedy_ss_cover(coarse_problem(2.0), opts);
-    EXPECT_TRUE(result.satisfied);
-}
-
-TEST(GreedyCover, FixedSatsPerPlaneScalesTotal)
-{
-    ss_design_options opts;
-    opts.sats_per_plane = 40;
-    const auto result = greedy_ss_cover(coarse_problem(2.0), opts);
-    EXPECT_EQ(result.sats_per_plane, 40);
-    EXPECT_EQ(result.total_satellites, static_cast<int>(result.planes.size()) * 40);
 }
 
 TEST(GreedyCover, SwathIsFootprintHalfAngle)

@@ -108,17 +108,6 @@ TEST(WalkerBaseline, OverlapCreditReducesShells)
     EXPECT_TRUE(credit_result.satisfied);
 }
 
-TEST(WalkerBaseline, MinInclinationFloorApplies)
-{
-    wd_baseline_options opts = fast_options();
-    opts.min_inclination_deg = 40.0;
-    walker_baseline_designer designer(opts);
-    const auto result = designer.design(coarse_problem(3.0));
-    for (const auto& shell : result.shells) {
-        EXPECT_GE(rad2deg(shell.parameters.inclination_rad), 40.0 - opts.inclination_bucket_deg);
-    }
-}
-
 TEST(WalkerBaseline, ReusedDesignerMatchesAFreshOneAtAnotherAltitudeAndElevation)
 {
     // The sizing cache must key on every sizing input: a shell sized at

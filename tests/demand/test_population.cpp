@@ -78,31 +78,6 @@ TEST(Population, LatitudeCentersMatchGrid)
     EXPECT_NEAR(lats.back(), 89.75, 1e-9);
 }
 
-TEST(Population, ScalesRespectOptions)
-{
-    population_options opts;
-    opts.cell_deg = 2.0; // coarse for speed
-    opts.city_scale = 0.0;
-    opts.background_scale = 1.0;
-    const population_model background_only(opts);
-
-    opts.city_scale = 1.0;
-    opts.background_scale = 0.0;
-    const population_model cities_only(opts);
-
-    // City mass should total roughly the sum of the gazetteer.
-    double gazetteer_total = 0.0;
-    for (const auto& c : world_cities()) gazetteer_total += c.population;
-    EXPECT_NEAR(cities_only.total_population() / gazetteer_total, 1.0, 0.02);
-
-    // Components add up to the full model (coarse grid).
-    opts.background_scale = 1.0;
-    const population_model both(opts);
-    EXPECT_NEAR(both.total_population(),
-                cities_only.total_population() + background_only.total_population(),
-                both.total_population() * 1e-9);
-}
-
 TEST(Population, GazetteerSanity)
 {
     for (const auto& c : world_cities()) {

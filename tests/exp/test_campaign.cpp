@@ -307,7 +307,7 @@ TEST(Campaign, ValidatesScenariosAndEngineOptionsBeforeRunning)
     EXPECT_THROW(std::make_shared<traffic_engine>(test_demand(), opts),
                  contract_violation);
     opts = {};
-    opts.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
+    opts.matrix.total_demand_gbps = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(std::make_shared<traffic_engine>(test_demand(), opts),
                  contract_violation);
 

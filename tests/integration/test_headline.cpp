@@ -97,12 +97,11 @@ TEST(Headline, LowerDoseNeedsFewerSpares)
 {
     // §2.1/§5(2): the SS design's lower radiation dose translates into a
     // lighter sparing requirement at equal availability targets.
-    lsn::failure_model_options opts;
-    const double wd_rate = lsn::annual_failure_rate(9.0e9, opts);  // low-incl WD dose
-    const double ss_rate = lsn::annual_failure_rate(6.9e9, opts);  // SS dose
+    const double wd_rate = lsn::annual_failure_rate(9.0e9); // low-incl WD dose
+    const double ss_rate = lsn::annual_failure_rate(6.9e9); // SS dose
     EXPECT_GT(wd_rate, ss_rate);
-    const auto wd_spares = lsn::spares_for_availability(25, wd_rate, 0.9995, opts, 3, 256);
-    const auto ss_spares = lsn::spares_for_availability(25, ss_rate, 0.9995, opts, 3, 256);
+    const auto wd_spares = lsn::spares_for_availability(25, wd_rate, 0.9995, 3, 256);
+    const auto ss_spares = lsn::spares_for_availability(25, ss_rate, 0.9995, 3, 256);
     EXPECT_LE(ss_spares.spares, wd_spares.spares);
 }
 

@@ -3,8 +3,13 @@
 # moved byte fails, printing both digests; a change that moves the output
 # on purpose updates the ledger and explains it.
 #
+# DROP, when set, is a regex: every stdout line containing a match is left
+# out of the digest, as `grep -v` would (a bench's wall-clock `elapsed_s=`
+# line). The pattern must not match a newline. An output that is empty
+# after the drop fails, so the check cannot pass vacuously.
+#
 #   cmake -DPROGRAM=<binary> "-DARGS=<flags>" -DLEDGER=<digest.md5>
-#         -P check_stdout_ledger.cmake
+#         [-DDROP=<regex>] -P check_stdout_ledger.cmake
 cmake_minimum_required(VERSION 3.20)
 
 foreach(input PROGRAM LEDGER)
@@ -20,6 +25,14 @@ execute_process(COMMAND "${PROGRAM}" ${args}
                 ERROR_VARIABLE err)
 if(NOT code STREQUAL "0")
   message(FATAL_ERROR "${PROGRAM} ${ARGS} exited ${code}\n${err}")
+endif()
+
+if(NOT "${DROP}" STREQUAL "")
+  string(REGEX REPLACE "[^\n]*${DROP}[^\n]*\n?" "" out "${out}")
+endif()
+if(out STREQUAL "")
+  message(FATAL_ERROR "stdout of ${PROGRAM} ${ARGS} is empty after dropping "
+                      "lines matching '${DROP}': nothing to check")
 endif()
 
 string(MD5 actual "${out}")

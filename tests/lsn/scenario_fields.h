@@ -40,18 +40,6 @@ inline const std::vector<scenario_field>& scenario_fields()
                  s.plane_daily_fluence.front() *= 2.0;
          }},
         {"horizon_days", [](failure_scenario& s) { s.horizon_days *= 2.0; }},
-        {"failure_options.base_annual_failure_rate",
-         [](failure_scenario& s) { s.failure_options.base_annual_failure_rate *= 2.0; }},
-        {"failure_options.reference_electron_fluence",
-         [](failure_scenario& s) { s.failure_options.reference_electron_fluence *= 2.0; }},
-        {"failure_options.fluence_exponent",
-         [](failure_scenario& s) { s.failure_options.fluence_exponent += 0.5; }},
-        {"failure_options.spare_drift_days",
-         [](failure_scenario& s) { s.failure_options.spare_drift_days += 1.0; }},
-        {"failure_options.launch_lead_days",
-         [](failure_scenario& s) { s.failure_options.launch_lead_days += 10.0; }},
-        {"failure_options.mission_years",
-         [](failure_scenario& s) { s.failure_options.mission_years += 1.0; }},
         {"seed", [](failure_scenario& s) { s.seed += 1; }},
         {"cascade_initial_hits",
          [](failure_scenario& s) {

@@ -416,8 +416,7 @@ std::vector<std::uint8_t> reference_storm(const lsn_topology& topology,
                       radiation::solar_activity(epoch.plus_seconds(t_mid));
         for (std::size_t p = 0; p < p_fail.size(); ++p)
             p_fail[p] = 1.0 - std::exp(-annual_failure_rate(
-                                            scenario.plane_daily_fluence[p] * multiplier,
-                                            scenario.failure_options) *
+                                            scenario.plane_daily_fluence[p] * multiplier) *
                                         ((t1 - t0) / 86400.0 / 365.25));
         rng r = rng::split(scenario.seed, reference_purpose_storm,
                            static_cast<std::uint64_t>(i));
@@ -543,7 +542,6 @@ TEST(Timeline, CanonicalScenarioIsTheWholeInputOfEveryDraw)
     radiation.mode = failure_mode::radiation_poisson;
     radiation.plane_daily_fluence.assign(6, 7.0e9);
     radiation.horizon_days = 3652.5;
-    radiation.failure_options.fluence_exponent = 1.5;
     radiation.seed = 9;
 
     failure_scenario storm;
@@ -554,25 +552,17 @@ TEST(Timeline, CanonicalScenarioIsTheWholeInputOfEveryDraw)
     storm.storm_fluence_multiplier = 4000.0;
     storm.seed = 3;
 
-    const std::vector<std::string> rate_map{
-        "plane_daily_fluence", "failure_options.base_annual_failure_rate",
-        "failure_options.reference_electron_fluence", "failure_options.fluence_exponent",
-        "seed"};
-    auto radiation_reads = rate_map;
-    radiation_reads.push_back("horizon_days");
-    auto storm_reads = rate_map;
-    storm_reads.insert(storm_reads.end(), {"storm_start_s", "storm_duration_s",
-                                           "storm_fluence_multiplier"});
-
     const std::vector<std::pair<failure_scenario, std::vector<std::string>>> cases{
         {failure_scenario{}, {}}, // the all-zero mask reads no seed
         {loss, {"loss_fraction", "seed"}},
         {attack, {"planes_attacked", "seed"}},
-        {radiation, radiation_reads},
+        {radiation, {"plane_daily_fluence", "horizon_days", "seed"}},
         {cascade_scenario(),
          {"cascade_initial_hits", "cascade_base_daily_hazard", "cascade_escalation",
           "cascade_cooldown_s", "seed"}},
-        {storm, storm_reads},
+        {storm,
+         {"plane_daily_fluence", "storm_start_s", "storm_duration_s",
+          "storm_fluence_multiplier", "seed"}},
     };
     for (const auto& [base, reads] : cases) {
         SCOPED_TRACE(static_cast<int>(base.mode));

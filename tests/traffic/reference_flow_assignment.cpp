@@ -43,7 +43,7 @@ reference_flows reference_assign_flows(const lsn::network_snapshot& snapshot,
             cost[id] = capacity[id] - load[id] <= flow_eps_gbps
                            ? inf
                            : snapshot.links[id].latency_s *
-                                 (1.0 + options.congestion_penalty * load[id] / capacity[id]);
+                                 (1.0 + congestion_penalty * load[id] / capacity[id]);
         for (int a = 0; a + 1 < n; ++a) {
             std::vector<int> owed;
             for (int b = a + 1; b < n; ++b)

@@ -438,15 +438,15 @@ TEST(Adversary, RejectsNonFiniteMatrixOptionsBeforeFanOut)
                                         astro::instant::j2000(), deg2rad(25.0));
     const auto offsets = hourly_offsets(2);
     const lsn::sweep_geometry geometry(builder, offsets);
-    traffic_sweep_options options;
-    options.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
     const auto scenario = adversary_scenario(1);
-    EXPECT_THROW(generate_adversary_timeline(geometry, scenario, test_demand(), options),
-                 contract_violation);
-    options = {};
-    options.matrix.min_distance_km = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(generate_adversary_timeline(geometry, scenario, test_demand(), options),
-                 contract_violation);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        traffic_sweep_options options;
+        options.matrix.total_demand_gbps = bad;
+        EXPECT_THROW(generate_adversary_timeline(geometry, scenario, test_demand(), options),
+                     contract_violation)
+            << bad;
+    }
 }
 
 TEST(Adversary, RejectsNonAdversaryScenarios)

@@ -474,12 +474,6 @@ TEST(FlowAssignment, ValidateRejectsDegenerateCapacityOptions)
     opts = {};
     opts.k_rounds = -3;
     EXPECT_THROW(validate(opts), contract_violation);
-    opts = {};
-    opts.congestion_penalty = -1.0;
-    EXPECT_THROW(validate(opts), contract_violation);
-    opts = {};
-    opts.congested_threshold = 0.0;
-    EXPECT_THROW(validate(opts), contract_violation);
 
     // Degenerate knobs are rejected at the assignment entry too, not just
     // by explicit validate() calls.

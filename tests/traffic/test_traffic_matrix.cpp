@@ -1,5 +1,6 @@
 #include "traffic/traffic_matrix.h"
 
+#include <algorithm>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -33,23 +34,40 @@ TEST(StationsFromCities, ReturnsRequestedCountOrderedByPopulation)
 
 TEST(StationsFromCities, RespectsMinimumSeparation)
 {
-    const double min_sep_deg = 10.0;
-    const auto stations = stations_from_cities(15, min_sep_deg);
+    // Gateways keep 5 degrees of great-circle arc between any two, while
+    // the gazetteer's 40 largest metros do not: the filter skips some.
+    const auto stations = stations_from_cities(40);
+    ASSERT_EQ(stations.size(), 40u);
     for (std::size_t i = 0; i < stations.size(); ++i) {
         for (std::size_t j = i + 1; j < stations.size(); ++j) {
             const double angle = geo::central_angle_rad(
                 stations[i].latitude_deg, stations[i].longitude_deg,
                 stations[j].latitude_deg, stations[j].longitude_deg);
-            EXPECT_GE(angle, deg2rad(min_sep_deg));
+            EXPECT_GE(angle, deg2rad(5.0));
         }
     }
+    std::vector<demand::city> largest(demand::world_cities().begin(),
+                                      demand::world_cities().end());
+    std::sort(largest.begin(), largest.end(), [](const auto& a, const auto& b) {
+        return a.population > b.population;
+    });
+    largest.resize(40);
+    bool any_close = false;
+    for (std::size_t i = 0; i < largest.size(); ++i)
+        for (std::size_t j = i + 1; j < largest.size(); ++j)
+            any_close |= geo::central_angle_rad(largest[i].latitude_deg,
+                                                largest[i].longitude_deg,
+                                                largest[j].latitude_deg,
+                                                largest[j].longitude_deg) < deg2rad(5.0);
+    EXPECT_TRUE(any_close);
 }
 
 TEST(StationsFromCities, RejectsImpossibleRequests)
 {
     EXPECT_THROW(stations_from_cities(0), contract_violation);
-    // No gazetteer can supply 100 metros all 60 degrees apart.
-    EXPECT_THROW(stations_from_cities(100, 60.0), contract_violation);
+    // The gazetteer holds a few hundred metros, fewer still 5 degrees apart.
+    EXPECT_GT(1000u, demand::world_cities().size());
+    EXPECT_THROW(stations_from_cities(1000), contract_violation);
 }
 
 TEST(TrafficMatrix, SymmetricNormalizedZeroDiagonal)
@@ -121,32 +139,21 @@ TEST(TrafficMatrix, ValidateRejectsDegenerateOptionsPerField)
         opts.total_demand_gbps = bad;
         EXPECT_THROW(validate(opts), contract_violation) << "total_demand_gbps " << bad;
     }
-    for (const double bad : {nan, inf, -inf}) {
-        traffic_matrix_options opts;
-        opts.distance_exponent = bad;
-        EXPECT_THROW(validate(opts), contract_violation) << "distance_exponent " << bad;
-    }
-    for (const double bad : {0.0, -500.0, nan, inf}) {
-        traffic_matrix_options opts;
-        opts.min_distance_km = bad;
-        EXPECT_THROW(validate(opts), contract_violation) << "min_distance_km " << bad;
-    }
-
-    // No demand and a flat or inverted gravity law stay legal.
-    traffic_matrix_options edge;
-    edge.total_demand_gbps = 0.0;
-    edge.distance_exponent = -1.0;
-    EXPECT_NO_THROW(validate(edge));
-    edge.distance_exponent = 0.0;
-    EXPECT_NO_THROW(validate(edge));
+    // No demand stays legal.
+    traffic_matrix_options none;
+    none.total_demand_gbps = 0.0;
+    EXPECT_NO_THROW(validate(none));
 
     // The builder checks at its entry too.
     const demand::demand_model model(test_population());
-    traffic_matrix_options nan_exponent;
-    nan_exponent.distance_exponent = nan;
-    EXPECT_THROW(build_traffic_matrix(model, stations_from_cities(4),
-                                      astro::instant::j2000(), nan_exponent),
-                 contract_violation);
+    for (const double bad : {nan, inf}) {
+        traffic_matrix_options opts;
+        opts.total_demand_gbps = bad;
+        EXPECT_THROW(build_traffic_matrix(model, stations_from_cities(4),
+                                          astro::instant::j2000(), opts),
+                     contract_violation)
+            << "total_demand_gbps " << bad;
+    }
 }
 
 } // namespace

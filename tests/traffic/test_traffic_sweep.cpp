@@ -147,21 +147,18 @@ TEST(TrafficSweep, RejectsDegenerateCapacityOptionsBeforeSweeping)
 
 TEST(TrafficSweep, RejectsNonFiniteMatrixOptionsBeforeSweeping)
 {
-    // Unchecked, a NaN exponent offered NaN Gbps, delivered nothing and
-    // still read as fully delivered; an infinite distance floor zeroed the
-    // matrix, which also read as fully delivered.
+    // Unchecked, a NaN total would offer NaN Gbps, deliver nothing and still
+    // read as fully delivered.
     const demand::demand_model model(test_population());
     const auto topo = small_walker();
     const auto stations = stations_from_cities(4);
-    traffic_sweep_options options;
-    options.matrix.distance_exponent = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
-    options = {};
-    options.matrix.min_distance_km = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
-    options = {};
-    options.matrix.total_demand_gbps = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        traffic_sweep_options options;
+        options.matrix.total_demand_gbps = bad;
+        EXPECT_THROW(sweep_traffic(topo, stations, {}, model, options), contract_violation)
+            << bad;
+    }
 }
 
 TEST(TrafficSweep, BitIdenticalAcrossThreadCounts)
